@@ -192,12 +192,12 @@ func BenchmarkParallelCandidateEval(b *testing.B) {
 		qs, offers := largeFleetSlot(1, n)
 		b.Run(fmt.Sprintf("serial/sensors=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				core.GreedySelectWith(qs, offers, core.GreedyConfig{Workers: 1})
+				core.GreedySelectWith(qs, offers, core.GreedyConfig{Strategy: core.StrategySerial})
 			}
 		})
 		b.Run(fmt.Sprintf("parallel/sensors=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				core.GreedySelectWith(qs, offers, core.GreedyConfig{ParallelThreshold: 1})
+				core.GreedySelectWith(qs, offers, core.GreedyConfig{Strategy: core.StrategySharded, ParallelThreshold: 1})
 			}
 		})
 	}

@@ -52,14 +52,15 @@
 //
 // Selection performance is tunable without affecting results: the
 // greedy core's candidate-evaluation strategy (WithGreedyStrategy —
-// serial reference scan, lazy-greedy/CELF pruning, geo-sharded lanes,
-// or lazy×sharded, the default for NewShardedAggregator lanes) changes
-// only how much work a slot does; every strategy is bit-identical in
-// welfare, values and payments, and the strategy-equivalence tests gate
-// that. At the pinned 40k-sensor sharded-metro benchmark the lazy
-// sharded pipeline holds a sub-100ms per-lane critical path. See
-// PERFORMANCE.md for the cost model, the valuation caches and their
-// invalidation rules, and strategy-selection guidance.
+// serial reference scan, in-round sharded scan, lazy-greedy/CELF
+// pruning, or lazy×sharded; by default serial below 256 offers and lazy
+// from there up, on every aggregator and shard lane) changes only how
+// much work a slot does; every strategy is bit-identical in welfare,
+// values and payments, and the strategy-equivalence tests gate that. At
+// the pinned 40k-sensor sharded-metro benchmark the lazy sharded
+// pipeline holds a sub-100ms per-lane critical path. See PERFORMANCE.md
+// for the cost model, the valuation caches and their invalidation rules,
+// and strategy-selection guidance.
 //
 // See DESIGN.md for the package inventory and the engine architecture
 // (ingest, event loop, slot clock, fan-out, parallel candidate

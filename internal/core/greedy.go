@@ -24,7 +24,10 @@ type MultiOutcome struct {
 // across reruns of the same workload (the golden equivalence tests rely
 // on it).
 func (o *MultiOutcome) TotalPayment() float64 {
-	ids := make([]int, 0, len(o.Payments))
+	// The stack buffer keeps the usual case — one payee, or a handful —
+	// off the heap.
+	var buf [16]int
+	ids := buf[:0]
 	for id := range o.Payments {
 		ids = append(ids, id)
 	}
@@ -141,11 +144,12 @@ type SelectionStats struct {
 	// FallbackRescans counts rounds the lazy strategy re-scanned every
 	// remaining candidate exhaustively after observing a violation.
 	FallbackRescans int64
-	// GeomCacheHits / GeomCacheLookups count per-sensor footprint-geometry
-	// cache probes inside valuation states (query.GeomCached): which
-	// coverage cells or trajectory samples a sensor's sensing disk
-	// reaches. A hit replaces a scan of the query's whole footprint with
-	// a walk of the sensor's (usually far smaller) in-range list.
+	// GeomCacheHits / GeomCacheLookups count the selection's use of
+	// per-sensor geometry masks (query.GeomCached: which coverage cells
+	// or trajectory samples a sensor's sensing disk reaches). Every mask
+	// build, masked gain evaluation and masked commit is a lookup; the
+	// gains and commits are the hits (popcounts over a prebuilt mask),
+	// the builds are the misses (one disk walk each).
 	GeomCacheHits    int64
 	GeomCacheLookups int64
 	// PosteriorAppends counts GP observations folded into a region-
@@ -192,25 +196,26 @@ func (s *SelectionStats) Accumulate(o SelectionStats) {
 //
 // The loop structure makes O(|Q| |S|^2) valuation calls (Theorem 1,
 // property 4); the per-query incremental states keep each call cheap. On
-// large fleets the candidate scan of each iteration is sharded across
-// GOMAXPROCS workers, and StrategyLazy prunes most candidate evaluations
-// entirely (see GreedySelectWith); every strategy is bit-identical to the
-// serial path.
+// large fleets the lazy-greedy fast path prunes most candidate
+// evaluations entirely (see GreedySelectWith); every strategy is
+// bit-identical to the serial path.
 func GreedySelect(queries []query.Query, offers []Offer) *MultiResult {
 	return GreedySelectWith(queries, offers, GreedyConfig{})
 }
 
 // GreedyConfig tunes the candidate-evaluation strategy of GreedySelect.
 type GreedyConfig struct {
-	// Workers caps the goroutines scanning candidate sensors per
-	// iteration: 0 means GOMAXPROCS, 1 forces the serial path.
+	// Workers caps the goroutines of the sharded strategies' scans:
+	// 0 means GOMAXPROCS, 1 keeps them on one goroutine.
 	Workers int
-	// ParallelThreshold is the minimum offer count before the scan is
-	// sharded (default 256): below it the spawn overhead dominates.
+	// ParallelThreshold is the offer count that separates small
+	// instances from large ones (default 256): below it StrategyAuto
+	// scans serially and the sharded strategies do not spawn workers,
+	// because heap and goroutine set-up cost more than the scan itself.
 	ParallelThreshold int
 	// Strategy selects the candidate-evaluation algorithm; the zero
-	// value (StrategyAuto) keeps the historical behaviour of a serial
-	// scan below ParallelThreshold and a sharded scan above it.
+	// value (StrategyAuto) is a serial scan below ParallelThreshold and
+	// lazy-greedy from it upwards.
 	Strategy Strategy
 }
 
@@ -227,10 +232,10 @@ func (cfg GreedyConfig) resolve(n int) (Strategy, int) {
 	}
 	strat := cfg.Strategy
 	if strat == StrategyAuto {
-		if n < threshold || workers == 1 {
+		if n < threshold {
 			strat = StrategySerial
 		} else {
-			strat = StrategySharded
+			strat = StrategyLazy
 		}
 	}
 	switch strat {
@@ -254,8 +259,8 @@ func (cfg GreedyConfig) resolve(n int) (Strategy, int) {
 //   - StrategySerial scans every remaining sensor each round.
 //   - StrategySharded splits that scan over Workers goroutines; the merge
 //     keeps the serial rule "first sensor index with the strictly largest
-//     net benefit". The scan only reads query states (State.Gain must not
-//     mutate), so shards race-free.
+//     net benefit". The scan only reads query states (State.Gain and
+//     GeomCached.GainGeom must not mutate), so shards are race-free.
 //   - StrategyLazy / StrategyLazySharded run the CELF-style lazy-greedy
 //     fast path of lazygreedy.go: cached net benefits in a max-heap,
 //     re-evaluated only when a relevant query's state changed, with an
@@ -338,6 +343,17 @@ type selection struct {
 	// they depend only on the sensor and the query, not on commits.
 	pcs  []query.PairCached
 	base []float64
+	// geom holds the query.GeomCached view of each state (nil when the
+	// state doesn't implement it) and geomWords its mask length. The
+	// mask of pair idx is masks[maskOff[idx]:][:geomWords[qi]]; maskOff
+	// is parallel to relIdx and unset for the other queries' pairs.
+	geom      []query.GeomCached
+	geomWords []int32
+	maskOff   []int32
+	masks     []uint64
+	// outs holds the outcome of each query by query index; finalize
+	// publishes them under their IDs.
+	outs []MultiOutcome
 	// relCount tracks, per query, how many remaining sensors are
 	// relevant to it — the pairs an exhaustive scan would re-evaluate
 	// after the query's version bumps (SerialEquivCalls accounting).
@@ -372,9 +388,15 @@ type selArena struct {
 	lastBumped []int32
 	pcs        []query.PairCached
 	base       []float64
+	geom       []query.GeomCached
+	geomWords  []int32
+	maskOff    []int32
+	masks      []uint64
+	// cursor is scratch for the counting passes that deal items out to
+	// CSR rows (buildRelevance's buckets, lazyLoop's volatile index).
+	cursor []int32
 
 	// lazyLoop scratch.
-	curNet    []float64
 	heap      lazyHeap
 	touched   []bool
 	touchList []int32
@@ -382,9 +404,11 @@ type selArena struct {
 	volRefs   []volRef
 
 	// relevance-index scratch (buildRelevance).
-	cellQueries [][]int32
-	globalQs    []int32
-	merged      []int32
+	rbs      []query.RelevanceBased
+	cellOff  []int32
+	cellQs   []int32
+	globalQs []int32
+	merged   []int32
 }
 
 var arenaPool = sync.Pool{New: func() any { return new(selArena) }}
@@ -422,10 +446,12 @@ func (s *selection) release() {
 	s.relOff, s.relIdx, s.gains, s.vers = nil, nil, nil, nil
 	s.qver, s.relCount, s.lastBumped = nil, nil, nil
 	s.remaining, s.submod = nil, nil
-	s.pcs, s.base = nil, nil
-	// Interface slots in the pooled pcs buffer would otherwise pin this
-	// run's states past the run.
+	s.pcs, s.base, s.geom, s.geomWords, s.maskOff, s.masks = nil, nil, nil, nil, nil, nil
+	// Interface slots in the pooled buffers would otherwise pin this
+	// run's states and queries past the run.
 	clear(ar.pcs)
+	clear(ar.geom)
+	clear(ar.rbs)
 	arenaPool.Put(ar)
 }
 
@@ -434,6 +460,7 @@ func (s *selection) release() {
 type evalCounters struct {
 	calls      int64
 	violations int64
+	geomHits   int64
 }
 
 func newSelection(queries []query.Query, offers []Offer) *selection {
@@ -441,6 +468,7 @@ func newSelection(queries []query.Query, offers []Offer) *selection {
 		queries: queries,
 		offers:  offers,
 		states:  make([]query.State, len(queries)),
+		outs:    make([]MultiOutcome, len(queries)),
 		res: &MultiResult{
 			Outcomes: make(map[string]*MultiOutcome, len(queries)),
 			States:   make(map[string]query.State, len(queries)),
@@ -448,7 +476,7 @@ func newSelection(queries []query.Query, offers []Offer) *selection {
 	}
 	for i, q := range queries {
 		s.states[i] = q.NewState()
-		s.res.Outcomes[q.QID()] = &MultiOutcome{Payments: make(map[int]float64)}
+		s.outs[i].Payments = make(map[int]float64)
 		s.res.States[q.QID()] = s.states[i]
 	}
 	if len(queries) == 0 || len(offers) == 0 {
@@ -463,17 +491,21 @@ func newSelection(queries []query.Query, offers []Offer) *selection {
 	s.submod = growBool(ar.submod, nq)
 	if cap(ar.pcs) < nq {
 		ar.pcs = make([]query.PairCached, nq)
+		ar.geom = make([]query.GeomCached, nq)
+		ar.rbs = make([]query.RelevanceBased, nq)
 	}
-	s.pcs = ar.pcs[:nq]
+	s.pcs, s.geom = ar.pcs[:nq], ar.geom[:nq]
 	for qi := range queries {
 		s.relCount[qi] = 0
 		s.qver[qi] = 0
 		s.submod[qi] = query.IsSubmodular(queries[qi])
 		s.pcs[qi], _ = s.states[qi].(query.PairCached)
+		s.geom[qi], _ = s.states[qi].(query.GeomCached)
 	}
 	s.lastBumped = ar.lastBumped[:0]
 
 	s.buildRelevance()
+	s.buildGeometry()
 
 	npairs := len(s.relIdx)
 	s.gains = growFloat64(ar.gains, npairs)
@@ -525,7 +557,7 @@ func (s *selection) buildRelevance() {
 	s.base = ar.base[:0]
 	s.relOff[0] = 0
 
-	rbs := make([]query.RelevanceBased, nq)
+	rbs := ar.rbs[:nq]
 	for qi, q := range s.queries {
 		rbs[qi], _ = q.(query.RelevanceBased)
 	}
@@ -596,39 +628,58 @@ func (s *selection) buildRelevance() {
 		return c
 	}
 
-	cells := ar.cellQueries
-	if len(cells) < relevanceGridDim*relevanceGridDim {
-		cells = make([][]int32, relevanceGridDim*relevanceGridDim)
-	}
-	for i := range cells {
-		cells[i] = cells[i][:0]
-	}
-	ar.cellQueries = cells
+	// The buckets are one CSR pair — cell c holds
+	// cellQs[cellOff[c]:cellOff[c+1]], ascending — filled in two passes
+	// over the footprints: count, then deal out.
+	const ncells = relevanceGridDim * relevanceGridDim
+	cellOff := growInt32(ar.cellOff, ncells+1)
+	ar.cellOff = cellOff
+	clear(cellOff)
 	global := ar.globalQs[:0]
-	for qi, q := range s.queries {
-		f, ok := q.(query.Footprinted)
-		if !ok {
-			global = append(global, int32(qi))
-			continue
-		}
-		r := f.RelevanceFootprint()
-		if r.MaxX < minX || r.MinX > maxX || r.MaxY < minY || r.MinY > maxY {
-			continue // footprint misses every offered sensor
-		}
-		i0, i1 := cellOf(r.MinX, minX, cw), cellOf(r.MaxX, minX, cw)
-		j0, j1 := cellOf(r.MinY, minY, ch), cellOf(r.MaxY, minY, ch)
-		for j := j0; j <= j1; j++ {
-			for i := i0; i <= i1; i++ {
-				cells[j*relevanceGridDim+i] = append(cells[j*relevanceGridDim+i], int32(qi))
+	eachCell := func(fill func(qi int32, cell int)) {
+		for qi, q := range s.queries {
+			f, ok := q.(query.Footprinted)
+			if !ok {
+				continue
+			}
+			r := f.RelevanceFootprint()
+			if r.MaxX < minX || r.MinX > maxX || r.MaxY < minY || r.MinY > maxY {
+				continue // footprint misses every offered sensor
+			}
+			i0, i1 := cellOf(r.MinX, minX, cw), cellOf(r.MaxX, minX, cw)
+			j0, j1 := cellOf(r.MinY, minY, ch), cellOf(r.MaxY, minY, ch)
+			for j := j0; j <= j1; j++ {
+				for i := i0; i <= i1; i++ {
+					fill(int32(qi), j*relevanceGridDim+i)
+				}
 			}
 		}
 	}
+	for qi, q := range s.queries {
+		if _, ok := q.(query.Footprinted); !ok {
+			global = append(global, int32(qi))
+		}
+	}
 	ar.globalQs = global
+	eachCell(func(_ int32, cell int) { cellOff[cell+1]++ })
+	for c := 0; c < ncells; c++ {
+		cellOff[c+1] += cellOff[c]
+	}
+	cellQs := growInt32(ar.cellQs, int(cellOff[ncells]))
+	ar.cellQs = cellQs
+	cursor := growInt32(ar.cursor, ncells)
+	ar.cursor = cursor
+	copy(cursor, cellOff[:ncells])
+	eachCell(func(qi int32, cell int) {
+		cellQs[cursor[cell]] = qi
+		cursor[cell]++
+	})
 
 	merged := ar.merged[:0]
 	for si, o := range s.offers {
 		p := o.Sensor.Pos
-		bucket := cells[cellOf(p.Y, minY, ch)*relevanceGridDim+cellOf(p.X, minX, cw)]
+		cell := cellOf(p.Y, minY, ch)*relevanceGridDim + cellOf(p.X, minX, cw)
+		bucket := cellQs[cellOff[cell]:cellOff[cell+1]]
 		// Merge the global (unfootprinted) and bucket lists, both
 		// ascending, so candidates arrive in the naive loop's order.
 		merged = merged[:0]
@@ -650,6 +701,77 @@ func (s *selection) buildRelevance() {
 	ar.relOff, ar.relIdx, ar.base = s.relOff, s.relIdx, s.base
 }
 
+// buildGeometry computes the geometry mask of every (sensor, query) pair
+// of a query.GeomCached state into one slab, in CSR order, so the rounds
+// evaluate those pairs from prebuilt masks (pairGain) instead of walking
+// the sensor's disk. It runs single-threaded before the first round.
+func (s *selection) buildGeometry() {
+	ar := s.ar
+	s.geomWords = growInt32(ar.geomWords, len(s.queries))
+	s.maskOff = growInt32(ar.maskOff, len(s.relIdx))
+	ar.geomWords, ar.maskOff = s.geomWords, s.maskOff
+	total := 0
+	for qi, gc := range s.geom {
+		if gc != nil {
+			s.geomWords[qi] = int32(gc.GeomWords())
+			total += int(s.relCount[qi]) * gc.GeomWords()
+		}
+	}
+	if total == 0 || total > math.MaxInt32 {
+		// Nothing to build, or more words than the int32 offsets can
+		// address: the run goes without masks, on the plain Gain and Add.
+		clear(s.geom)
+		return
+	}
+	if cap(ar.masks) < total {
+		ar.masks = make([]uint64, total)
+	}
+	s.masks = ar.masks[:total]
+	clear(s.masks)
+	off := 0
+	for si, o := range s.offers {
+		for idx := s.relOff[si]; idx < s.relOff[si+1]; idx++ {
+			qi := s.relIdx[idx]
+			if gc := s.geom[qi]; gc != nil {
+				w := int(s.geomWords[qi])
+				s.maskOff[idx] = int32(off)
+				gc.BuildGeom(o.Sensor, s.masks[off:off+w])
+				off += w
+				s.stats.GeomCacheLookups++
+			}
+		}
+	}
+}
+
+// mask returns the geometry mask of pair idx, a pair of GeomCached query
+// qi.
+func (s *selection) mask(idx, qi int32) []uint64 {
+	off := s.maskOff[idx]
+	return s.masks[off : off+s.geomWords[qi]]
+}
+
+// pairGain evaluates the marginal gain of sensor si for query qi (pair
+// idx of the CSR arrays) at the query's current state, by the cheapest
+// exact route the state offers: a memoized base value, a prebuilt
+// geometry mask, or the plain Gain.
+func (s *selection) pairGain(si int, idx, qi int32, c *evalCounters) float64 {
+	c.calls++
+	sensor := s.offers[si].Sensor
+	if pc := s.pcs[qi]; pc != nil {
+		b := s.base[idx]
+		if b != b { // NaN sentinel: base not yet computed
+			b = pc.BaseValue(sensor)
+			s.base[idx] = b
+		}
+		return pc.GainFrom(b)
+	}
+	if gc := s.geom[qi]; gc != nil {
+		c.geomHits++
+		return gc.GainGeom(s.mask(idx, qi), sensor)
+	}
+	return s.states[qi].Gain(sensor)
+}
+
 // evalSensor returns the sensor's current net benefit -c_a + sum of
 // positive marginal gains, refreshing exactly the stale (sensor, query)
 // cache entries. A refreshed gain larger than its cached predecessor is
@@ -659,18 +781,7 @@ func (s *selection) evalSensor(si int, c *evalCounters) float64 {
 	for idx := s.relOff[si]; idx < s.relOff[si+1]; idx++ {
 		qi := s.relIdx[idx]
 		if s.vers[idx] != s.qver[qi] {
-			var g float64
-			if pc := s.pcs[qi]; pc != nil {
-				b := s.base[idx]
-				if b != b { // NaN sentinel: base not yet computed
-					b = pc.BaseValue(s.offers[si].Sensor)
-					s.base[idx] = b
-				}
-				g = pc.GainFrom(b)
-			} else {
-				g = s.states[qi].Gain(s.offers[si].Sensor)
-			}
-			c.calls++
+			g := s.pairGain(si, idx, qi, c)
 			if s.submod[qi] && s.vers[idx] >= 0 && g > s.gains[idx]+submodularTolerance {
 				c.violations++
 			}
@@ -728,14 +839,19 @@ func (s *selection) commit(si int, net float64) {
 		if s.vers[idx] != s.qver[qi] || dv <= 0 {
 			continue
 		}
-		st := s.states[qi]
-		st.Add(o.Sensor)
+		if gc := s.geom[qi]; gc != nil {
+			gc.AddGeom(s.mask(idx, qi), o.Sensor)
+			s.stats.GeomCacheLookups++
+			s.stats.GeomCacheHits++
+		} else {
+			s.states[qi].Add(o.Sensor)
+		}
 		s.qver[qi]++
 		s.lastBumped = append(s.lastBumped, qi)
 		// An exhaustive scan would re-evaluate this query against every
 		// remaining sensor on the next round.
 		s.stats.SerialEquivCalls += int64(s.relCount[qi])
-		out := s.res.Outcomes[s.queries[qi].QID()]
+		out := &s.outs[qi]
 		out.Sensors = append(out.Sensors, o.Sensor)
 		out.Payments[o.Sensor.ID] += dv * o.Cost / sumDv
 	}
@@ -748,18 +864,14 @@ func (s *selection) commit(si int, net float64) {
 	s.res.TotalCost += o.Cost
 }
 
-// finalize fills per-query values, the total value and the stats,
-// harvesting geometry-cache counters from states that expose them.
+// finalize publishes the per-query outcomes with their values, the total
+// value and the stats.
 func (s *selection) finalize() {
 	for i, q := range s.queries {
-		out := s.res.Outcomes[q.QID()]
+		out := &s.outs[i]
 		out.Value = s.states[i].Value()
 		s.res.TotalValue += out.Value
-		if gc, ok := s.states[i].(query.GeomCached); ok {
-			h, l := gc.GeomCacheStats()
-			s.stats.GeomCacheHits += h
-			s.stats.GeomCacheLookups += l
-		}
+		s.res.Outcomes[q.QID()] = out
 	}
 	s.res.Stats = s.stats
 }
@@ -767,13 +879,14 @@ func (s *selection) finalize() {
 func (s *selection) addCounters(c evalCounters) {
 	s.stats.ValuationCalls += c.calls
 	s.stats.SubmodularityViolations += c.violations
+	s.stats.GeomCacheLookups += c.geomHits
+	s.stats.GeomCacheHits += c.geomHits
 }
 
 // scanRange finds the best candidate in [lo, hi): the lowest sensor index
 // with the strictly largest positive net benefit. It fills the gain
-// caches for its shard; shards never overlap, and Gain is safe for
-// concurrent callers (states that memoize geometry guard their memo
-// with a mutex; see query.aggregateState), so concurrent shards do not
+// caches for its shard; shards never overlap and evaluating a gain only
+// reads the query states (see pairGain), so concurrent shards do not
 // race.
 func (s *selection) scanRange(lo, hi int, c *evalCounters) (int, float64) {
 	bestS, bestNet := -1, 0.0

@@ -1,0 +1,297 @@
+package core
+
+import (
+	"fmt"
+	"slices"
+	"testing"
+
+	"repro/internal/geo"
+	"repro/internal/query"
+	"repro/internal/rng"
+)
+
+// coverageHeavyScenario is demand dominated by the two Eq. 5 coverage
+// kinds — overlapping aggregates and multi-segment trajectories, the
+// volatile valuations the lazy strategy maintains eagerly — with a few
+// point queries so sensors are shared across kinds.
+func coverageHeavyScenario(seed int64, nSensors int) ([]query.Query, []Offer) {
+	s := rng.New(seed, "coverage-heavy")
+	grid := geo.NewUnitGrid(100, 100)
+	var positions []geo.Point
+	for i := 0; i < nSensors; i++ {
+		positions = append(positions, geo.Pt(s.Uniform(0, 100), s.Uniform(0, 100)))
+	}
+	offers := makeOffers(positions...)
+	var qs []query.Query
+	for i := 0; i < 10; i++ {
+		x, y := s.Uniform(0, 75), s.Uniform(0, 75)
+		qs = append(qs, query.NewAggregate(fmt.Sprintf("agg%d", i),
+			geo.NewRect(x, y, x+s.Uniform(8, 25), y+s.Uniform(8, 25)), s.Uniform(80, 300), 10, grid))
+	}
+	for i := 0; i < 10; i++ {
+		var path geo.Trajectory
+		p := geo.Pt(s.Uniform(10, 90), s.Uniform(10, 90))
+		for k := 0; k < 4; k++ {
+			path.Waypoints = append(path.Waypoints, p)
+			p = geo.Pt(p.X+s.Uniform(-15, 15), p.Y+s.Uniform(-15, 15))
+		}
+		qs = append(qs, query.NewTrajectory(fmt.Sprintf("tr%d", i), path, s.Uniform(60, 200), 8))
+	}
+	for i := 0; i < 10; i++ {
+		qs = append(qs, query.NewPoint(fmt.Sprintf("pt%d", i),
+			geo.Pt(s.Uniform(0, 100), s.Uniform(0, 100)), s.Uniform(8, 30), 6))
+	}
+	// A region between cell centers: relevant sensors, zero-width masks.
+	qs = append(qs, query.NewAggregate("agg-empty", geo.NewRect(40.6, 40.6, 40.9, 40.9), 100, 10, grid))
+	return qs, offers
+}
+
+// TestStrategiesBitIdenticalOnCoverageDemand: serial, the default, lazy
+// and both sharded variants return the exact same floats on aggregate-
+// and trajectory-heavy demand. The sharded variants evaluate shared
+// states and geometry masks from several goroutines at once, so CI's race
+// step runs this too.
+func TestStrategiesBitIdenticalOnCoverageDemand(t *testing.T) {
+	seeds := int64(5)
+	if testing.Short() {
+		seeds = 2
+	}
+	for seed := int64(1); seed <= seeds; seed++ {
+		qs, offers := coverageHeavyScenario(seed, 600)
+		serial := GreedySelectWith(qs, offers, GreedyConfig{Strategy: StrategySerial})
+		if len(serial.Selected) < 10 {
+			t.Fatalf("seed %d: only %d sensors selected; the scenario is too thin to compare strategies", seed, len(serial.Selected))
+		}
+		if serial.Stats.GeomCacheLookups == 0 || serial.Stats.GeomCacheHits >= serial.Stats.GeomCacheLookups {
+			t.Errorf("seed %d: geometry probes %d hits / %d lookups, want 0 < hits < lookups",
+				seed, serial.Stats.GeomCacheHits, serial.Stats.GeomCacheLookups)
+		}
+		for _, cfg := range []GreedyConfig{
+			{},
+			{Strategy: StrategyLazy},
+			{Strategy: StrategySharded, Workers: 4, ParallelThreshold: 1},
+			{Strategy: StrategyLazySharded, Workers: 4, ParallelThreshold: 1},
+		} {
+			got := GreedySelectWith(qs, offers, cfg)
+			assertSameMultiResult(t, fmt.Sprintf("seed %d strategy %s", seed, cfg.Strategy), serial, got)
+		}
+	}
+}
+
+// TestAutoResolution: the default is a serial scan on paper-scale
+// instances and lazy-greedy from ParallelThreshold offers upwards,
+// whatever the worker count.
+func TestAutoResolution(t *testing.T) {
+	for _, tc := range []struct {
+		cfg  GreedyConfig
+		n    int
+		want Strategy
+	}{
+		{GreedyConfig{}, defaultParallelThreshold - 1, StrategySerial},
+		{GreedyConfig{}, defaultParallelThreshold, StrategyLazy},
+		{GreedyConfig{Workers: 1}, 5000, StrategyLazy},
+		{GreedyConfig{Workers: 8}, 5000, StrategyLazy},
+		{GreedyConfig{ParallelThreshold: 10}, 10, StrategyLazy},
+		{GreedyConfig{ParallelThreshold: 10}, 9, StrategySerial},
+		{GreedyConfig{Strategy: StrategySharded}, 5000, StrategySharded},
+	} {
+		if got, _ := tc.cfg.resolve(tc.n); got != tc.want {
+			t.Errorf("%+v on %d offers resolves to %s, want %s", tc.cfg, tc.n, got, tc.want)
+		}
+	}
+	qs, offers := coverageHeavyScenario(1, 600)
+	if got := GreedySelect(qs, offers).Stats.Strategy; got != "lazy" {
+		t.Errorf("default strategy on 600 offers ran %q, want lazy", got)
+	}
+}
+
+// TestLazyHeapIndexed drives the indexed heap through random updates and
+// pops against a sorted reference: pops come out in (net desc, sensor
+// asc) order, every sensor has at most one entry, and pos always points
+// at it.
+func TestLazyHeapIndexed(t *testing.T) {
+	s := rng.New(1, "lazy-heap")
+	const n = 300
+	var h lazyHeap
+	h.reset(n)
+	net := make(map[int]float64)
+	for si := 0; si < n; si += 1 + s.Intn(2) {
+		// Few distinct values, so ties on net are common.
+		net[si] = float64(s.Intn(20))
+		h.add(si, net[si])
+	}
+	h.init()
+	check := func() {
+		t.Helper()
+		if len(h.ents) != len(net) {
+			t.Fatalf("heap holds %d entries for %d sensors", len(h.ents), len(net))
+		}
+		for i, e := range h.ents {
+			if h.pos[e.si] != int32(i) || net[e.si] != e.net {
+				t.Fatalf("entry %d (sensor %d, net %v): pos %d, want net %v", i, e.si, e.net, h.pos[e.si], net[e.si])
+			}
+			if i > 0 && h.before(i, (i-1)/2) {
+				t.Fatalf("heap order broken at %d", i)
+			}
+		}
+	}
+	check()
+	for len(net) > 0 {
+		for k := 0; k < 5; k++ {
+			si := h.ents[s.Intn(len(h.ents))].si
+			net[si] = float64(s.Intn(20)) - 3
+			h.update(si, net[si])
+		}
+		check()
+		want, wantNet := -1, 0.0
+		for si, v := range net {
+			if want == -1 || v > wantNet || (v == wantNet && si < want) {
+				want, wantNet = si, v
+			}
+		}
+		if got := h.popTop(); got.si != want || got.net != wantNet {
+			t.Fatalf("popped sensor %d at %v, want sensor %d at %v", got.si, got.net, want, wantNet)
+		}
+		if h.pos[want] != -1 {
+			t.Fatalf("popped sensor %d still indexed", want)
+		}
+		delete(net, want)
+	}
+}
+
+// urbanShape is one slot of the benchmark's urban-select demand (250
+// points, 20 multipoints of k=8, 8 aggregates up to 25 wide, sensing
+// range 10) over an n-sensor fleet in the 50x50 working region.
+func urbanShape(seed int64, n int) ([]query.Query, []Offer) {
+	s := rng.New(seed, "urban-shape")
+	grid := geo.NewUnitGrid(80, 80)
+	loc := func() geo.Point { return geo.Pt(s.Uniform(15, 65), s.Uniform(15, 65)) }
+	var positions []geo.Point
+	for i := 0; i < n; i++ {
+		positions = append(positions, loc())
+	}
+	offers := makeOffers(positions...)
+	var qs []query.Query
+	for i := 0; i < 250; i++ {
+		qs = append(qs, query.NewPoint(fmt.Sprintf("pt%d", i), loc(), s.Uniform(10, 30), 10))
+	}
+	for i := 0; i < 20; i++ {
+		qs = append(qs, query.NewMultiPoint(fmt.Sprintf("mp%d", i), loc(), s.Uniform(100, 250), 10, 8))
+	}
+	for i := 0; i < 8; i++ {
+		x, y := s.Uniform(15, 40), s.Uniform(15, 40)
+		qs = append(qs, query.NewAggregate(fmt.Sprintf("agg%d", i),
+			geo.NewRect(x, y, x+s.Uniform(10, 25), y+s.Uniform(10, 25)), s.Uniform(200, 400), 10, grid))
+	}
+	return qs, offers
+}
+
+// TestWarmSelectionAllocations: with a warm arena a selection run
+// allocates per query and per commit, never per (sensor, query) pair.
+// Doubling the fleet roughly doubles the (sensor, aggregate) pairs and
+// must stay under the same fixed count.
+func TestWarmSelectionAllocations(t *testing.T) {
+	if testing.Short() {
+		t.Skip("-short is how CI runs the race detector, which inflates allocation counts")
+	}
+	// Per query: state, its targets and bitset, payments map; per commit:
+	// the sensor lists, a map insert, trace growth. ~2400 on this demand.
+	const limit = 3000
+	pairs := func(qs []query.Query, offers []Offer) int {
+		n := 0
+		for _, q := range qs {
+			if _, ok := q.(*query.Aggregate); !ok {
+				continue
+			}
+			for _, o := range offers {
+				if q.Relevant(o.Sensor) {
+					n++
+				}
+			}
+		}
+		return n
+	}
+	var base int
+	for i, n := range []int{2000, 4000} {
+		qs, offers := urbanShape(1, n)
+		GreedySelect(qs, offers) // warm the pooled arena for this size
+		allocs := testing.AllocsPerRun(5, func() { GreedySelect(qs, offers) })
+		np := pairs(qs, offers)
+		t.Logf("%d sensors: %d (sensor, aggregate) pairs, %.0f allocations per run", n, np, allocs)
+		if allocs > limit {
+			t.Errorf("%d sensors: %.0f allocations per warm run, limit %d", n, allocs, limit)
+		}
+		if i == 0 {
+			base = np
+		} else if np < base*3/2 {
+			t.Fatalf("fixture: pairs grew only %d -> %d", base, np)
+		}
+	}
+}
+
+// TestTotalPaymentSumsInSensorOrder: the sum runs over ascending sensor
+// IDs whatever the map's iteration order, without allocating for the
+// usual handful of payees.
+func TestTotalPaymentSumsInSensorOrder(t *testing.T) {
+	// Addends chosen so the sum depends on the order.
+	vals := []float64{1e16, 1, -1e16, 1, 3.5, 1e-3}
+	for n := 0; n <= len(vals); n++ {
+		o := &MultiOutcome{Payments: map[int]float64{}}
+		ids := rng.New(int64(n), "payees").Perm(50)[:n]
+		for k, id := range ids {
+			o.Payments[id] = vals[k]
+		}
+		sorted := slices.Clone(ids)
+		slices.Sort(sorted)
+		var want float64
+		for _, id := range sorted {
+			want += o.Payments[id]
+		}
+		for rep := 0; rep < 20; rep++ {
+			if got := o.TotalPayment(); got != want {
+				t.Fatalf("%d payees: TotalPayment = %v, want %v", n, got, want)
+			}
+		}
+		if a := testing.AllocsPerRun(10, func() { o.TotalPayment() }); a != 0 {
+			t.Errorf("%d payees: TotalPayment allocates %.0f times", n, a)
+		}
+	}
+}
+
+// --- per-layer benchmarks --------------------------------------------------
+
+// BenchmarkLazyHeapReprioritise times one in-place priority change on a
+// 4000-entry heap, the operation volatile maintenance performs per
+// touched sensor per commit.
+func BenchmarkLazyHeapReprioritise(b *testing.B) {
+	s := rng.New(1, "heap-bench")
+	const n = 4000
+	var h lazyHeap
+	h.reset(n)
+	for si := 0; si < n; si++ {
+		h.add(si, s.Uniform(0, 100))
+	}
+	h.init()
+	sis := make([]int, 1024)
+	nets := make([]float64, 1024)
+	for i := range sis {
+		sis[i], nets[i] = s.Intn(n), s.Uniform(0, 100)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.update(sis[i%1024], nets[i%1024])
+	}
+}
+
+// BenchmarkBuildRelevance times the relevance index, geometry masks and
+// arena set-up of one urban-shaped run — everything newSelection does
+// before the first round.
+func BenchmarkBuildRelevance(b *testing.B) {
+	qs, offers := urbanShape(1, 4000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		newSelection(qs, offers).release()
+	}
+}

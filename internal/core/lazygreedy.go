@@ -12,8 +12,9 @@ import (
 type Strategy int
 
 const (
-	// StrategyAuto keeps the historical default: a serial scan below
-	// GreedyConfig.ParallelThreshold offers, a sharded scan above it.
+	// StrategyAuto is the default: a serial scan below
+	// GreedyConfig.ParallelThreshold offers, StrategyLazy from it
+	// upwards.
 	StrategyAuto Strategy = iota
 	// StrategySerial scans every remaining sensor each round on one
 	// goroutine.
@@ -75,52 +76,92 @@ type lazyEntry struct {
 	net float64
 }
 
-// lazyHeap is a binary max-heap of candidates ordered by net benefit,
-// ties broken by the lower sensor index — exactly the serial scan's
-// "first index with the strictly largest net" rule.
-type lazyHeap []lazyEntry
-
-func (h lazyHeap) before(i, j int) bool {
-	if h[i].net != h[j].net {
-		return h[i].net > h[j].net
-	}
-	return h[i].si < h[j].si
+// lazyHeap is an indexed binary max-heap of candidates ordered by net
+// benefit, ties broken by the lower sensor index — exactly the serial
+// scan's "first index with the strictly largest net" rule. It holds at
+// most one entry per sensor: pos finds a sensor's entry, so a changed
+// net re-prioritises the entry in place.
+type lazyHeap struct {
+	ents []lazyEntry
+	// pos[si] is the index of sensor si's entry in ents, -1 when it has
+	// none.
+	pos []int32
 }
 
-func (h lazyHeap) init() {
-	for i := len(h)/2 - 1; i >= 0; i-- {
+// reset empties the heap for sensors 0..n-1.
+func (h *lazyHeap) reset(n int) {
+	h.ents = h.ents[:0]
+	h.pos = growInt32(h.pos, n)
+	for i := range h.pos {
+		h.pos[i] = -1
+	}
+}
+
+// add appends an entry without restoring heap order; init does that once
+// every entry is in.
+func (h *lazyHeap) add(si int, net float64) {
+	h.pos[si] = int32(len(h.ents))
+	h.ents = append(h.ents, lazyEntry{si: si, net: net})
+}
+
+func (h *lazyHeap) init() {
+	for i := len(h.ents)/2 - 1; i >= 0; i-- {
 		h.siftDown(i)
 	}
 }
 
-func (h *lazyHeap) push(e lazyEntry) {
-	*h = append(*h, e)
-	i := len(*h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !(*h).before(i, parent) {
-			break
-		}
-		(*h)[i], (*h)[parent] = (*h)[parent], (*h)[i]
-		i = parent
+func (h *lazyHeap) before(i, j int) bool {
+	a, b := h.ents[i], h.ents[j]
+	if a.net != b.net {
+		return a.net > b.net
 	}
+	return a.si < b.si
+}
+
+func (h *lazyHeap) swap(i, j int) {
+	h.ents[i], h.ents[j] = h.ents[j], h.ents[i]
+	h.pos[h.ents[i].si] = int32(i)
+	h.pos[h.ents[j].si] = int32(j)
 }
 
 // popTop removes and returns the maximum entry.
 func (h *lazyHeap) popTop() lazyEntry {
-	old := *h
-	top := old[0]
-	n := len(old) - 1
-	old[0] = old[n]
-	*h = old[:n]
-	if n > 0 {
-		(*h).siftDown(0)
-	}
+	top := h.ents[0]
+	n := len(h.ents) - 1
+	h.swap(0, n)
+	h.ents = h.ents[:n]
+	h.pos[top.si] = -1
+	h.siftDown(0)
 	return top
 }
 
-func (h lazyHeap) siftDown(i int) {
-	n := len(h)
+// update sets sensor si's net and moves its entry to where the new net
+// belongs.
+func (h *lazyHeap) update(si int, net float64) {
+	i := int(h.pos[si])
+	h.ents[i].net = net
+	if !h.siftUp(i) {
+		h.siftDown(i)
+	}
+}
+
+// siftUp reports whether the entry moved.
+func (h *lazyHeap) siftUp(i int) bool {
+	moved := false
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !h.before(i, parent) {
+			break
+		}
+		h.swap(i, parent)
+		i = parent
+		moved = true
+	}
+	return moved
+}
+
+func (h *lazyHeap) siftDown(i int) {
+	n := len(h.ents)
 	for {
 		l, r := 2*i+1, 2*i+2
 		best := i
@@ -133,7 +174,7 @@ func (h lazyHeap) siftDown(i int) {
 		if best == i {
 			return
 		}
-		h[i], h[best] = h[best], h[i]
+		h.swap(i, best)
 		i = best
 	}
 }
@@ -155,18 +196,17 @@ type volRef struct {
 // such bound — their cached gains are instead refreshed *eagerly* after
 // every commit that touches them, so each entry's priority is always
 // exact-volatile-part plus bounded-submodular-part, i.e. still a valid
-// upper bound. The aggregate and trajectory states keep their
-// newly-covered counts incrementally, so each eager refresh is O(1)
-// arithmetic rather than a geometry walk.
+// upper bound. The aggregate and trajectory states evaluate from the
+// run's prebuilt geometry masks (query.GeomCached), so each eager refresh
+// is a few popcounts rather than a geometry walk.
 //
-// The heap orders entries by (net desc, sensor index asc); superseded
-// entries are skipped on pop (lazy deletion keyed on curNet). When a
-// popped valid entry is fresh — no relevant query committed a sensor
-// since it was evaluated — every other candidate's bound is at most the
-// top's exact net, so the top is the round's true argmax with the serial
-// tie-break, and it commits without touching the rest of the pool. Stale
-// tops are re-evaluated (refreshing only the stale (sensor, query) gain
-// cache entries) and pushed back.
+// The heap orders its one entry per remaining sensor by (net desc, sensor
+// index asc). When the top is fresh — no relevant query committed a
+// sensor since it was evaluated — every other candidate's bound is at
+// most the top's exact net, so the top is the round's true argmax with
+// the serial tie-break, and it commits without touching the rest of the
+// pool. A stale top is re-evaluated (refreshing only the stale (sensor,
+// query) gain cache entries) and re-prioritised in place.
 //
 // Fallback: if a re-evaluated *marked* gain increased, the marker lied
 // and stale bounds elsewhere may underestimate their sensors. The round
@@ -203,7 +243,7 @@ func (s *selection) lazyLoop(sharded bool, workers int) {
 			ar.volRefs = make([]volRef, nvol)
 		}
 		volRefs = ar.volRefs[:nvol]
-		cursor := growInt32(ar.touchList, len(s.queries))
+		cursor := growInt32(ar.cursor, len(s.queries))
 		copy(cursor, volOff[:len(s.queries)])
 		for si := range s.offers {
 			for idx := s.relOff[si]; idx < s.relOff[si+1]; idx++ {
@@ -214,20 +254,16 @@ func (s *selection) lazyLoop(sharded bool, workers int) {
 				}
 			}
 		}
-		ar.volOff, ar.touchList = volOff, cursor
+		ar.volOff, ar.cursor = volOff, cursor
 	}
 
-	curNet := growFloat64(ar.curNet, len(s.offers))
-	ar.curNet = curNet
-	h := ar.heap[:0]
-	defer func() { ar.heap = h[:0] }()
+	h := &ar.heap
 	rebuild := func() {
 		s.refreshRemaining(sharded, workers)
-		h = h[:0]
+		h.reset(len(s.offers))
 		for si := range s.offers {
 			if s.remaining[si] {
-				curNet[si] = s.cachedNet(si)
-				h = append(h, lazyEntry{si: si, net: curNet[si]})
+				h.add(si, s.cachedNet(si))
 			}
 		}
 		h.init()
@@ -239,46 +275,39 @@ func (s *selection) lazyLoop(sharded bool, workers int) {
 		touched[i] = false
 	}
 	ar.touched = touched
-	var touchList []int32
+	touchList := ar.touchList[:0]
+	defer func() { ar.touchList = touchList }()
 	var c evalCounters
-	for len(h) > 0 {
-		e := h.popTop()
-		if !s.remaining[e.si] || e.net != curNet[e.si] {
-			continue // superseded by a later evaluation of the same sensor
-		}
+	for len(h.ents) > 0 {
+		e := h.ents[0]
 		if e.net <= 0 {
-			// The highest valid bound is non-positive: no remaining
-			// sensor is profitable, exactly the serial termination rule.
+			// The highest bound is non-positive: no remaining sensor is
+			// profitable, exactly the serial termination rule.
 			break
 		}
 		if s.fresh(e.si) {
+			h.popTop()
 			s.commit(e.si, e.net)
 			if anyVol {
 				// Volatile queries just bumped: restore exact gains for
 				// every remaining sensor they touch and re-prioritize.
-				// Each refresh is O(1) arithmetic — the aggregate and
-				// trajectory states maintain their newly-covered counts
-				// incrementally — so the row rebuild and heap push per
-				// touched sensor dominate, not the valuation itself.
 				touchList = touchList[:0]
 				for _, qi := range s.lastBumped {
 					if s.submod[qi] {
 						continue
 					}
-					st := s.states[qi]
 					for _, ref := range volRefs[volOff[qi]:volOff[qi+1]] {
 						if !s.remaining[ref.si] {
 							continue
 						}
 						old := s.gains[ref.idx]
-						g := st.Gain(s.offers[ref.si].Sensor)
+						g := s.pairGain(int(ref.si), ref.idx, qi, &c)
 						s.gains[ref.idx] = g
 						s.vers[ref.idx] = s.qver[qi]
-						c.calls++
 						// The sensor's net sums only positive gains, so its
 						// priority moved iff the positive part moved; most
 						// refreshes of a saturated aggregate swing one
-						// negative gain to another and need no re-push.
+						// negative gain to another and leave the heap alone.
 						if old < 0 {
 							old = 0
 						}
@@ -293,8 +322,7 @@ func (s *selection) lazyLoop(sharded bool, workers int) {
 				}
 				for _, si := range touchList {
 					touched[si] = false
-					curNet[si] = s.cachedNet(int(si))
-					h.push(lazyEntry{si: int(si), net: curNet[si]})
+					h.update(int(si), s.cachedNet(int(si)))
 				}
 			}
 			continue
@@ -312,16 +340,15 @@ func (s *selection) lazyLoop(sharded bool, workers int) {
 			rebuild()
 			continue
 		}
-		curNet[e.si] = net
-		h.push(lazyEntry{si: e.si, net: net})
+		h.update(e.si, net)
 	}
 	s.addCounters(c)
 }
 
 // refreshRemaining brings every remaining sensor's gain cache up to the
 // current query versions (optionally sharded; shards touch disjoint
-// sensors, and Gain is safe for concurrent callers — memoizing states
-// guard their memo with a mutex — so they do not race).
+// sensors and evaluating a gain only reads the query states, so they do
+// not race).
 func (s *selection) refreshRemaining(sharded bool, workers int) {
 	n := len(s.offers)
 	if !sharded || workers <= 1 {

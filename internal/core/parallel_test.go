@@ -12,9 +12,9 @@ import (
 func TestGreedyParallelMatchesSerial(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		qs, offers := randomAggScenario(seed, 800, 30, 400)
-		serial := GreedySelectWith(qs, offers, GreedyConfig{Workers: 1})
+		serial := GreedySelectWith(qs, offers, GreedyConfig{Strategy: StrategySerial})
 		for _, workers := range []int{2, 3, 8} {
-			par := GreedySelectWith(qs, offers, GreedyConfig{Workers: workers, ParallelThreshold: 1})
+			par := GreedySelectWith(qs, offers, GreedyConfig{Strategy: StrategySharded, Workers: workers, ParallelThreshold: 1})
 			assertSameMultiResult(t, fmt.Sprintf("seed %d workers %d", seed, workers), serial, par)
 		}
 	}

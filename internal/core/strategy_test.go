@@ -250,7 +250,7 @@ func TestLazyVolatileMaintenanceOnUnmarkedValuation(t *testing.T) {
 func TestLazyMatchesSerialOnAggregates(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		qs, offers := randomAggScenario(seed, 800, 30, 400)
-		serial := GreedySelectWith(qs, offers, GreedyConfig{Workers: 1})
+		serial := GreedySelectWith(qs, offers, GreedyConfig{Strategy: StrategySerial})
 		for _, strat := range []Strategy{StrategyLazy, StrategyLazySharded} {
 			got := GreedySelectWith(qs, offers, GreedyConfig{Strategy: strat, ParallelThreshold: 1})
 			assertSameMultiResult(t, fmt.Sprintf("seed %d %s", seed, strat), serial, got)

@@ -185,7 +185,15 @@ func (g Grid) CellAt(idx int) Cell { return Cell{I: idx % g.Cols, J: idx / g.Col
 
 // CellsIn returns the centers of all cells whose center lies inside r.
 func (g Grid) CellsIn(r Rect) []Point {
-	var out []Point
+	cells, _ := g.CellBlock(r)
+	return cells
+}
+
+// CellBlock returns CellsIn(r) together with its row length. Contains is
+// separable in x and y, so the cells form a rectangular block of the
+// grid, listed row-major: cells[j*cols : (j+1)*cols] share one y, rows
+// ascend in y and columns ascend in x. cols is 0 when no cell qualifies.
+func (g Grid) CellBlock(r Rect) (cells []Point, cols int) {
 	w, h := g.CellSize()
 	i0 := int(math.Floor((r.MinX - g.Bounds.MinX) / w))
 	i1 := int(math.Ceil((r.MaxX - g.Bounds.MinX) / w))
@@ -203,15 +211,23 @@ func (g Grid) CellsIn(r Rect) []Point {
 	if j1 > g.Rows {
 		j1 = g.Rows
 	}
+	if i0 >= i1 || j0 >= j1 {
+		return nil, 0
+	}
+	cells = make([]Point, 0, (i1-i0)*(j1-j0))
 	for j := j0; j < j1; j++ {
+		row := len(cells)
 		for i := i0; i < i1; i++ {
 			c := g.CellCenter(Cell{I: i, J: j})
 			if r.Contains(c) {
-				out = append(out, c)
+				cells = append(cells, c)
 			}
 		}
+		if n := len(cells) - row; n > 0 {
+			cols = n
+		}
 	}
-	return out
+	return cells, cols
 }
 
 // CoverageFraction returns the fraction of grid-cell centers inside region

@@ -1,7 +1,7 @@
 package query
 
 import (
-	"sync"
+	"math/bits"
 
 	"repro/internal/geo"
 	"repro/internal/sensornet"
@@ -62,15 +62,8 @@ func (a *Aggregate) RelevanceFootprint() geo.Rect {
 	return a.Region.Expand(a.MaxDist)
 }
 
-// theta is the reading quality of a sensor for the aggregate: inaccuracy
-// and trust matter; the distance term of Eq. 4 is 1 because the sensor
-// measures at its own location inside (or at the edge of) the region.
-func (a *Aggregate) theta(s *sensornet.Sensor) float64 {
-	return (1 - s.Inaccuracy) * s.Trust
-}
-
-// NewState implements Query. The state keeps a covered-cells bitmap so
-// marginal coverage is O(region cells) instead of O(cells * |S|).
+// NewState implements Query. The state is the shared Eq. 5 coverage
+// kernel over the region's grid-cell centers.
 //
 // Aggregate deliberately does NOT implement Submodular: the coverage
 // term G_q alone would be, but Eq. 5 multiplies it by the *mean* reading
@@ -79,143 +72,8 @@ func (a *Aggregate) theta(s *sensornet.Sensor) float64 {
 // therefore re-evaluates aggregate gains eagerly rather than trusting
 // cached bounds.
 func (a *Aggregate) NewState() State {
-	cells := a.Grid.CellsIn(a.Region)
-	return &aggregateState{q: a, cells: cells, covered: make([]bool, len(cells))}
-}
-
-type aggregateState struct {
-	baseState
-	q          *Aggregate
-	cells      []geo.Point
-	covered    []bool
-	coveredCnt int
-	sumTheta   float64
-	n          int
-
-	// cellCache memoizes, per sensor ID, the indices of cells within the
-	// sensing range of that sensor. Valid for the state's lifetime (one
-	// selection run = one world epoch): sensors do not move mid-slot, so
-	// a sensor's in-range cell set is a function of its position alone.
-	// Lazy-greedy calls Gain for the same sensor repeatedly as its cached
-	// bound goes stale; the cache turns each repeat into a walk of the
-	// sensor's (usually small) in-range list instead of all region cells.
-	cellCache map[int][]int32
-	// ncCache maintains, per sensor ID, how many of the sensor's in-range
-	// cells are currently uncovered — the nc of Gain — updated
-	// incrementally: a cell flips covered at most once (coverage is
-	// monotone), and the flip decrements every registered sensor via
-	// cellSensors. Gain is then O(1) arithmetic instead of a walk of the
-	// in-range list, with a bit-identical result (nc is an integer).
-	ncCache map[int]int32
-	// cellSensors registers, per still-uncovered cell, the sensor IDs
-	// whose ncCache entries count it. Freed cell by cell as coverage
-	// flips.
-	cellSensors [][]int32
-	hits        int64
-	lookups     int64
-	// mu serializes the memo structures above: Gain is called
-	// concurrently by sharded scan lanes, and a cache miss mutates
-	// cellCache, ncCache and — crucially — cellSensors entries shared
-	// across lanes. The memoized nc is an integer and covered[] only
-	// changes between scan barriers, so lock order cannot change any
-	// gain value. Add runs strictly between scan barriers and needs no
-	// lock.
-	mu sync.Mutex
-}
-
-func (st *aggregateState) Query() Query { return st.q }
-
-// GeomCacheStats implements GeomCached.
-func (st *aggregateState) GeomCacheStats() (hits, lookups int64) {
-	return st.hits, st.lookups
-}
-
-// inRange returns the indices of st.cells within sensing range of s,
-// memoized by sensor ID.
-func (st *aggregateState) inRange(s *sensornet.Sensor) []int32 {
-	st.lookups++
-	if idx, ok := st.cellCache[s.ID]; ok {
-		st.hits++
-		return idx
-	}
-	r2 := st.q.SensingRange * st.q.SensingRange
-	idx := []int32{}
-	for i, c := range st.cells {
-		if c.Dist2(s.Pos) <= r2 {
-			idx = append(idx, int32(i))
-		}
-	}
-	if st.cellCache == nil {
-		st.cellCache = make(map[int][]int32)
-	}
-	st.cellCache[s.ID] = idx
-	return idx
-}
-
-func (st *aggregateState) value(coveredCnt int, sumTheta float64, n int) float64 {
-	if n == 0 || len(st.cells) == 0 {
-		return 0
-	}
-	g := float64(coveredCnt) / float64(len(st.cells))
-	return st.q.B * g * sumTheta / float64(n)
-}
-
-func (st *aggregateState) Value() float64 {
-	return st.value(st.coveredCnt, st.sumTheta, st.n)
-}
-
-// newlyCovered returns how many cells s would newly cover, from the
-// incrementally maintained count when available. A miss walks the
-// sensor's in-range list once and registers the sensor on its uncovered
-// cells so later coverage flips keep the count current. Safe for
-// concurrent use by scan lanes (see mu).
-func (st *aggregateState) newlyCovered(s *sensornet.Sensor) int {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	st.lookups++
-	if nc, ok := st.ncCache[s.ID]; ok {
-		st.hits++
-		return int(nc)
-	}
-	if st.cellSensors == nil {
-		st.cellSensors = make([][]int32, len(st.cells))
-	}
-	cnt := int32(0)
-	for _, i := range st.inRange(s) {
-		if !st.covered[i] {
-			cnt++
-			st.cellSensors[i] = append(st.cellSensors[i], int32(s.ID))
-		}
-	}
-	if st.ncCache == nil {
-		st.ncCache = make(map[int]int32)
-	}
-	st.ncCache[s.ID] = cnt
-	return int(cnt)
-}
-
-func (st *aggregateState) Gain(s *sensornet.Sensor) float64 {
-	nc := st.newlyCovered(s)
-	after := st.value(st.coveredCnt+nc, st.sumTheta+st.q.theta(s), st.n+1)
-	return after - st.Value()
-}
-
-func (st *aggregateState) Add(s *sensornet.Sensor) {
-	for _, i := range st.inRange(s) {
-		if !st.covered[i] {
-			st.covered[i] = true
-			st.coveredCnt++
-			if st.cellSensors != nil {
-				for _, sid := range st.cellSensors[i] {
-					st.ncCache[int(sid)]--
-				}
-				st.cellSensors[i] = nil
-			}
-		}
-	}
-	st.sumTheta += st.q.theta(s)
-	st.n++
-	st.record(s)
+	cells, cols := a.Grid.CellBlock(a.Region)
+	return newCoverageState(a, a.B, cells, cols, a.SensingRange)
 }
 
 // Trajectory is a query over a trajectory (§2.2.3), "a special case of
@@ -265,125 +123,160 @@ func (t *Trajectory) RelevanceFootprint() geo.Rect {
 }
 
 // NewState implements Query; the valuation mirrors Eq. 5 with polyline
-// coverage.
+// coverage (the same kernel over the path's sample points).
 func (t *Trajectory) NewState() State {
-	return &trajectoryState{q: t, covered: make([]bool, len(t.samples))}
+	return newCoverageState(t, t.B, t.samples, 0, t.SensingRange)
 }
 
-type trajectoryState struct {
+// coverageState is the valuation state of Eq. 5 for both coverage-based
+// query kinds: targets are an aggregate's grid-cell centers or a
+// trajectory's sample points, and
+//
+//	v_q(S) = B_q * (covered targets / targets) * (sum_s theta_s) / |S|
+//
+// with theta_s = (1-gamma_s)*tau_s: inaccuracy and trust matter, the
+// distance term of Eq. 4 is 1 because the sensor measures at its own
+// location.
+//
+// Coverage is a bitset: covered holds one bit per target, and a sensor's
+// in-range set is a mask of the same width, so the newly-covered count of
+// a gain is popcount(mask &^ covered) and a commit is covered |= mask. A
+// sensor's mask depends on its position alone and sensors do not move
+// within a slot, so a selection run builds each relevant sensor's mask
+// once and hands it back with every evaluation (GeomCached). The state
+// itself keeps no per-sensor memory: plain Gain and Add walk the sensor's
+// disk, and no gain evaluation writes to the state, which makes both
+// routes safe for concurrent scan lanes.
+type coverageState struct {
 	baseState
-	q          *Trajectory
-	covered    []bool
+	q      Query
+	budget float64
+	// targets are the coverage targets. cols > 0 says they form a
+	// row-major block of grid-cell centers with rows of cols points
+	// (geo.Grid.CellBlock); 0 means no such structure (a polyline).
+	targets []geo.Point
+	cols    int
+	r2      float64
+
+	// covered has bit i set once targets[i] is within range of a
+	// committed sensor. Its length is the width of every mask.
+	covered    []uint64
 	coveredCnt int
 	sumTheta   float64
 	n          int
-
-	// sampleCache mirrors aggregateState.cellCache over the trajectory's
-	// sample points: per sensor ID, the indices of samples within sensing
-	// range, valid for the state's lifetime (sensors are fixed mid-slot).
-	sampleCache map[int][]int32
-	// ncCache/sampleSensors mirror aggregateState's incremental
-	// newly-covered maintenance over the sample points.
-	ncCache       map[int]int32
-	sampleSensors [][]int32
-	hits          int64
-	lookups       int64
-	// mu mirrors aggregateState.mu: Gain is called concurrently by
-	// sharded scan lanes and cache misses mutate the memo structures.
-	mu sync.Mutex
+	// value caches Value() of the committed set: every gain subtracts it.
+	value float64
 }
 
-func (st *trajectoryState) Query() Query { return st.q }
-
-// GeomCacheStats implements GeomCached.
-func (st *trajectoryState) GeomCacheStats() (hits, lookups int64) {
-	return st.hits, st.lookups
-}
-
-// inRange returns the indices of trajectory samples within sensing range
-// of s, memoized by sensor ID.
-func (st *trajectoryState) inRange(s *sensornet.Sensor) []int32 {
-	st.lookups++
-	if idx, ok := st.sampleCache[s.ID]; ok {
-		st.hits++
-		return idx
+func newCoverageState(q Query, budget float64, targets []geo.Point, cols int, sensingRange float64) *coverageState {
+	return &coverageState{
+		q: q, budget: budget, targets: targets, cols: cols,
+		r2: sensingRange * sensingRange, covered: make([]uint64, (len(targets)+63)/64),
 	}
-	r2 := st.q.SensingRange * st.q.SensingRange
-	idx := []int32{}
-	for i, c := range st.q.samples {
-		if c.Dist2(s.Pos) <= r2 {
-			idx = append(idx, int32(i))
-		}
-	}
-	if st.sampleCache == nil {
-		st.sampleCache = make(map[int][]int32)
-	}
-	st.sampleCache[s.ID] = idx
-	return idx
 }
 
-func (st *trajectoryState) theta(s *sensornet.Sensor) float64 {
-	return (1 - s.Inaccuracy) * s.Trust
-}
+func (st *coverageState) Query() Query { return st.q }
 
-func (st *trajectoryState) value(coveredCnt int, sumTheta float64, n int) float64 {
-	if n == 0 || len(st.q.samples) == 0 {
+func (st *coverageState) Value() float64 { return st.value }
+
+func (st *coverageState) valueOf(coveredCnt int, sumTheta float64, n int) float64 {
+	if n == 0 || len(st.targets) == 0 {
 		return 0
 	}
-	g := float64(coveredCnt) / float64(len(st.q.samples))
-	return st.q.B * g * sumTheta / float64(n)
+	g := float64(coveredCnt) / float64(len(st.targets))
+	return st.budget * g * sumTheta / float64(n)
 }
 
-func (st *trajectoryState) Value() float64 {
-	return st.value(st.coveredCnt, st.sumTheta, st.n)
-}
+func theta(s *sensornet.Sensor) float64 { return (1 - s.Inaccuracy) * s.Trust }
 
-// newlyCovered mirrors aggregateState.newlyCovered over sample points.
-// Safe for concurrent use by scan lanes (see mu).
-func (st *trajectoryState) newlyCovered(s *sensornet.Sensor) int {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	st.lookups++
-	if nc, ok := st.ncCache[s.ID]; ok {
-		st.hits++
-		return int(nc)
-	}
-	if st.sampleSensors == nil {
-		st.sampleSensors = make([][]int32, len(st.q.samples))
-	}
-	cnt := int32(0)
-	for _, i := range st.inRange(s) {
-		if !st.covered[i] {
-			cnt++
-			st.sampleSensors[i] = append(st.sampleSensors[i], int32(s.ID))
+// walk visits the targets within sensing range of pos — exactly those
+// with Dist2(pos) <= r2 — sets their bits in dst when dst is non-nil, and
+// returns how many of them are not yet covered. On a grid block it only
+// tests the rows and columns the disk's bounding box reaches: a target
+// whose dy*dy (or dx*dx) alone exceeds r2 cannot pass the full test,
+// because adding a non-negative term never rounds a float sum below
+// either term.
+func (st *coverageState) walk(pos geo.Point, dst []uint64) (fresh int) {
+	visit := func(i int) {
+		w, b := i>>6, uint64(1)<<(i&63)
+		if st.covered[w]&b == 0 {
+			fresh++
+		}
+		if dst != nil {
+			dst[w] |= b
 		}
 	}
-	if st.ncCache == nil {
-		st.ncCache = make(map[int]int32)
+	if st.cols == 0 {
+		for i, p := range st.targets {
+			if p.Dist2(pos) <= st.r2 {
+				visit(i)
+			}
+		}
+		return fresh
 	}
-	st.ncCache[s.ID] = cnt
-	return int(cnt)
-}
-
-func (st *trajectoryState) Gain(s *sensornet.Sensor) float64 {
-	nc := st.newlyCovered(s)
-	return st.value(st.coveredCnt+nc, st.sumTheta+st.theta(s), st.n+1) - st.Value()
-}
-
-func (st *trajectoryState) Add(s *sensornet.Sensor) {
-	for _, i := range st.inRange(s) {
-		if !st.covered[i] {
-			st.covered[i] = true
-			st.coveredCnt++
-			if st.sampleSensors != nil {
-				for _, sid := range st.sampleSensors[i] {
-					st.ncCache[int(sid)]--
-				}
-				st.sampleSensors[i] = nil
+	outside := func(d float64) bool { return !(d*d <= st.r2) }
+	lo, hi := 0, st.cols
+	for lo < hi && outside(st.targets[lo].X-pos.X) {
+		lo++
+	}
+	for hi > lo && outside(st.targets[hi-1].X-pos.X) {
+		hi--
+	}
+	for row := 0; row < len(st.targets); row += st.cols {
+		if outside(st.targets[row].Y - pos.Y) {
+			continue
+		}
+		for i := row + lo; i < row+hi; i++ {
+			if st.targets[i].Dist2(pos) <= st.r2 {
+				visit(i)
 			}
 		}
 	}
-	st.sumTheta += st.theta(s)
+	return fresh
+}
+
+// gain is Eq. 5's marginal value of a sensor that newly covers nc targets.
+func (st *coverageState) gain(nc int, s *sensornet.Sensor) float64 {
+	return st.valueOf(st.coveredCnt+nc, st.sumTheta+theta(s), st.n+1) - st.value
+}
+
+func (st *coverageState) Gain(s *sensornet.Sensor) float64 {
+	return st.gain(st.walk(s.Pos, nil), s)
+}
+
+func (st *coverageState) Add(s *sensornet.Sensor) {
+	st.commit(st.walk(s.Pos, st.covered), s)
+}
+
+func (st *coverageState) commit(nc int, s *sensornet.Sensor) {
+	st.coveredCnt += nc
+	st.sumTheta += theta(s)
 	st.n++
+	st.value = st.valueOf(st.coveredCnt, st.sumTheta, st.n)
 	st.record(s)
+}
+
+// GeomWords implements GeomCached.
+func (st *coverageState) GeomWords() int { return len(st.covered) }
+
+// BuildGeom implements GeomCached.
+func (st *coverageState) BuildGeom(s *sensornet.Sensor, mask []uint64) { st.walk(s.Pos, mask) }
+
+// GainGeom implements GeomCached.
+func (st *coverageState) GainGeom(mask []uint64, s *sensornet.Sensor) float64 {
+	nc := 0
+	for w, m := range mask {
+		nc += bits.OnesCount64(m &^ st.covered[w])
+	}
+	return st.gain(nc, s)
+}
+
+// AddGeom implements GeomCached.
+func (st *coverageState) AddGeom(mask []uint64, s *sensornet.Sensor) {
+	nc := 0
+	for w, m := range mask {
+		nc += bits.OnesCount64(m &^ st.covered[w])
+		st.covered[w] |= m
+	}
+	st.commit(nc, s)
 }

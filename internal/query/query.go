@@ -96,15 +96,36 @@ func Footprint(q Query) (geo.Rect, bool) {
 	return f.RelevanceFootprint(), true
 }
 
-// GeomCached is an optional interface for valuation states that memoize
-// per-sensor footprint geometry (e.g. which coverage cells a sensor's
-// sensing disk reaches). The counters feed SelectionStats so BENCH runs
-// can report cache effectiveness. Hits ≤ lookups; both are monotone over
-// the state's lifetime.
+// GeomCached is an optional interface for valuation states whose marginal
+// gain splits into per-sensor geometry that is fixed for the state's
+// lifetime (which coverage cells or trajectory samples a sensor's sensing
+// disk reaches — sensors do not move within a slot) and cheap arithmetic
+// on the committed set. The geometry is a bit mask of GeomWords words. A
+// selection run builds the mask of every relevant sensor once, before its
+// first round, keeps the masks in its own scratch memory and passes a
+// sensor's mask back with each evaluation:
+//
+//	GainGeom(mask of s, s) == Gain(s)   bit-for-bit, at every state,
+//
+// and AddGeom(mask of s, s) leaves the state exactly as Add(s) would.
+// The state retains no mask, and GainGeom must not write to the state:
+// sharded scans call it concurrently.
+//
+// The selection counts its use of this cache into
+// SelectionStats.GeomCacheLookups / GeomCacheHits: every BuildGeom,
+// GainGeom and AddGeom is one lookup; the GainGeom and AddGeom calls are
+// the hits (served from a prebuilt mask), the BuildGeom calls are the
+// misses (each computes one sensor's geometry).
 type GeomCached interface {
-	// GeomCacheStats returns cumulative (hits, lookups) of the state's
-	// geometry cache.
-	GeomCacheStats() (hits, lookups int64)
+	// GeomWords returns the length of the state's geometry masks.
+	GeomWords() int
+	// BuildGeom computes sensor s's geometry into mask, which is
+	// GeomWords long and zeroed.
+	BuildGeom(s *sensornet.Sensor, mask []uint64)
+	// GainGeom is Gain(s), given the mask BuildGeom computed for s.
+	GainGeom(mask []uint64, s *sensornet.Sensor) float64
+	// AddGeom is Add(s), given the mask BuildGeom computed for s.
+	AddGeom(mask []uint64, s *sensornet.Sensor)
 }
 
 // PairCached is an optional interface for valuation states whose marginal

@@ -305,15 +305,11 @@ func sensorIndex(sensors []*sensornet.Sensor) map[int]*sensornet.Sensor {
 
 // NewNodeLane builds the node-side runtime for one shard of a world
 // partitioned into `shards`. Options mirror NewShardedAggregator's lane
-// configuration: the baseline pipeline is overridden and StrategyAuto
-// defaults to lazy-greedy, so a node lane is configured exactly like the
-// in-process lane it replaces.
+// configuration: the baseline pipeline is overridden, so a node lane is
+// configured exactly like the in-process lane it replaces.
 func NewNodeLane(world *World, shards, shard int, opts ...Option) *NodeLane {
 	a := NewAggregator(world, opts...)
 	a.baseline = false
-	if a.greedy.Strategy == core.StrategyAuto {
-		a.greedy.Strategy = core.StrategyLazy
-	}
 	return &NodeLane{
 		world: world,
 		part:  geo.NewGridPartition(world.Working, shards),

@@ -63,8 +63,8 @@ type (
 
 // The candidate-evaluation strategies.
 const (
-	// StrategyAuto is the historical default: serial below the sharding
-	// threshold, sharded above it.
+	// StrategyAuto is the default: serial below
+	// GreedyConfig.ParallelThreshold offers, lazy-greedy from it upwards.
 	StrategyAuto = core.StrategyAuto
 	// StrategySerial scans every remaining sensor each round.
 	StrategySerial = core.StrategySerial

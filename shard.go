@@ -169,16 +169,9 @@ func NewShardedAggregator(world *World, shards int, opts ...Option) *ShardedAggr
 	// pipeline (see the type comment): the baseline pipeline records no
 	// selection trace, so honoring WithBaselinePipeline here would make
 	// the reconciliation replay commit nothing while payments were still
-	// booked. Override it rather than corrupt results. Lanes left on
-	// StrategyAuto default to lazy-greedy: every strategy is bit-identical
-	// (the strategy-equivalence tests gate this), and CELF-style pruning
-	// is what keeps metro-scale lanes under the slot latency budget. An
-	// explicit WithGreedyStrategy/SetShardStrategy still wins.
+	// booked. Override it rather than corrupt results.
 	for _, a := range append(slices.Clone(sa.shards), sa.span) {
 		a.baseline = false
-		if a.greedy.Strategy == core.StrategyAuto {
-			a.greedy.Strategy = core.StrategyLazy
-		}
 	}
 	sa.lanes = make([]LaneRunner, n)
 	for k := range sa.lanes {
