@@ -16,14 +16,17 @@ import (
 )
 
 // killerProxy sits between the coordinator and one node, forwarding
-// NDJSON frames line for line. While armed it drops the connection the
+// NDJSON frames line for line, each direction on its own (posted frames
+// have no reply to wait for). While armed it drops the connection the
 // moment a run_slot frame arrives — a deterministic node death exactly
-// between offer gather and partial return.
+// between offer gather and partial return. It also counts the frames the
+// node sends back.
 type killerProxy struct {
 	ln      net.Listener
 	backend string
 	armed   atomic.Bool
 	kills   atomic.Int32
+	replies atomic.Int64 // node -> coordinator frames
 }
 
 func startKillerProxy(t *testing.T, backend string) *killerProxy {
@@ -51,62 +54,103 @@ func (p *killerProxy) run() {
 }
 
 func (p *killerProxy) handle(conn net.Conn) {
-	defer conn.Close()
 	backend, err := net.Dial("tcp", p.backend)
 	if err != nil {
+		conn.Close()
 		return
 	}
-	defer backend.Close()
-	cr, br := bufio.NewReader(conn), bufio.NewReader(backend)
+	back := make(chan struct{})
+	go func() { // node -> coordinator
+		defer close(back)
+		defer conn.Close()
+		br := bufio.NewReader(backend)
+		for {
+			line, err := br.ReadBytes('\n')
+			if err != nil {
+				return
+			}
+			p.replies.Add(1)
+			if _, err := conn.Write(line); err != nil {
+				return
+			}
+		}
+	}()
+	cr := bufio.NewReader(conn)
 	for {
 		line, err := cr.ReadBytes('\n')
 		if err != nil {
-			return
+			break
 		}
 		if p.armed.Load() && bytes.Contains(line, []byte(`"run_slot"`)) {
 			p.kills.Add(1)
-			return // both connections close: the node sees EOF, the coordinator a dead read
+			break // both connections close: the node sees EOF, the coordinator a dead read
 		}
 		if _, err := backend.Write(line); err != nil {
-			return
-		}
-		resp, err := br.ReadBytes('\n')
-		if err != nil {
-			return
-		}
-		if _, err := conn.Write(resp); err != nil {
-			return
+			break
 		}
 	}
+	conn.Close()
+	backend.Close()
+	<-back
 }
 
-// hijackNode speaks a raw hello to a node as a foreign coordinator would,
-// moving it onto the given epoch.
-func hijackNode(t *testing.T, addr string, epoch uint64) {
+// rogueConn is a raw connection to a node, as a foreign or zombie
+// coordinator would hold one.
+type rogueConn struct {
+	t    *testing.T
+	conn net.Conn
+	br   *bufio.Reader
+	seq  uint64
+}
+
+func dialRogue(t *testing.T, addr string) *rogueConn {
 	t.Helper()
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer conn.Close()
-	buf, err := wire.MarshalClusterFrame(wire.ClusterFrame{
-		V: wire.ClusterVersion, Type: wire.ClusterHello, Seq: 1, Epoch: epoch, Node: "rogue",
-		Config: &wire.NodeConfig{World: "rwm", Seed: 1, Sensors: 10, Shards: 1, Shard: 0},
-	})
+	t.Cleanup(func() { conn.Close() })
+	return &rogueConn{t: t, conn: conn, br: bufio.NewReader(conn)}
+}
+
+// call sends one request frame at the given epoch and returns the node's
+// response.
+func (r *rogueConn) call(f wire.ClusterFrame, epoch uint64) wire.ClusterFrame {
+	r.t.Helper()
+	r.seq++
+	f.V, f.Seq, f.Epoch, f.Node = wire.ClusterVersion, r.seq, epoch, "rogue"
+	buf, err := wire.MarshalClusterFrame(f)
 	if err != nil {
-		t.Fatal(err)
+		r.t.Fatal(err)
 	}
-	if _, err := conn.Write(append(buf, '\n')); err != nil {
-		t.Fatal(err)
+	if _, err := r.conn.Write(append(buf, '\n')); err != nil {
+		r.t.Fatal(err)
 	}
-	line, err := bufio.NewReader(conn).ReadBytes('\n')
+	line, err := r.br.ReadBytes('\n')
 	if err != nil {
-		t.Fatal(err)
+		r.t.Fatal(err)
 	}
 	resp, err := wire.DecodeClusterFrame(line)
-	if err != nil || resp.Type != wire.ClusterOK {
-		t.Fatalf("hijack hello rejected: %+v, %v", resp, err)
+	if err != nil {
+		r.t.Fatal(err)
 	}
+	return resp
+}
+
+// hijackNode says hello to a node as a foreign coordinator would, moving
+// it onto the given epoch and a ten-sensor RWM world of the rogue's own.
+// The connection stays open for further rogue frames.
+func hijackNode(t *testing.T, addr string, epoch uint64) *rogueConn {
+	t.Helper()
+	r := dialRogue(t, addr)
+	resp := r.call(wire.ClusterFrame{
+		Type:   wire.ClusterHello,
+		Config: &wire.NodeConfig{World: "rwm", Seed: 1, Sensors: 10, Shards: 1, Shard: 0},
+	}, epoch)
+	if resp.Type != wire.ClusterOK {
+		t.Fatalf("hijack hello rejected: %+v", resp)
+	}
+	return r
 }
 
 // TestClusterNodeFailureMidSlot is the node-kill chaos test: shard 1's

@@ -14,19 +14,25 @@
 // do. After the coordinator's spanning pass and trace-replay
 // reconciliation, a commit frame carries the slot's global selection back
 // so every replica applies the same lifetime/privacy mutations before the
-// next step. JSON round-trips float64 exactly, so a 4-node cluster's
-// SlotReport is bit-identical to the single-process sharded one.
+// next step. The partial crosses in ps's binary layout, every float64 as
+// its 64 bits, so a 4-node cluster's SlotReport is bit-identical to the
+// single-process sharded one.
 //
-// Failure handling: every lane RPC is strictly synchronous with sequence
-// echo; a timeout or broken connection marks the lane unavailable, the
-// slot completes degraded (ps.ErrNodeUnavailable on the lane's resident
-// queries), and the next use of the lane redials and resyncs — the
-// coordinator replays its per-lane oplog (submits, cancels, strategy
-// switches, and every slot's global commit) against a fresh replica,
-// bumping the lane epoch so anything a stale node generation answers is
-// fenced off (ps.ErrStaleEpoch). Membership rides on periodic ping frames
-// exchanging TTL'd facts; expired liveness facts turn a node suspect,
-// then dead.
+// The coordinator -> node path is write-behind with a fence: submit and
+// commit frames are posted (written and not answered), every other
+// request is a round trip whose response says how many posted frames the
+// node has applied, and a shortfall — a frame lost or refused — counts as
+// a fault of the connection.
+//
+// Failure handling: a timeout, a broken connection, a short applied count
+// or an error frame marks the lane unavailable, the slot completes
+// degraded (ps.ErrNodeUnavailable on the lane's resident queries), and
+// the next use of the lane redials and resyncs — the coordinator replays
+// its per-lane oplog (submits, cancels, strategy switches, and every
+// slot's global commit) against a fresh replica, bumping the lane epoch so
+// anything a stale node generation answers is fenced off
+// (ps.ErrStaleEpoch). Membership rides on periodic ping frames exchanging
+// TTL'd facts; expired liveness facts turn a node suspect, then dead.
 package cluster
 
 import (
@@ -76,6 +82,7 @@ type clusterMetrics struct {
 	nodesSuspect    *obs.Gauge
 	epochRejections *obs.Counter
 	partialRTT      *obs.Histogram
+	replicaStep     *obs.Histogram
 }
 
 func newClusterMetrics(r *obs.Registry) *clusterMetrics {
@@ -84,6 +91,7 @@ func newClusterMetrics(r *obs.Registry) *clusterMetrics {
 		nodesSuspect:    r.Gauge("ps_cluster_nodes_suspect", "Remote shard nodes whose liveness fact has expired but not yet aged out."),
 		epochRejections: r.Counter("ps_cluster_epoch_rejections_total", "Cluster frames discarded by epoch fencing (stale node generations)."),
 		partialRTT:      r.Histogram("ps_cluster_partial_rtt_seconds", "Round-trip time of run_slot partial exchanges per lane.", nil),
+		replicaStep:     r.Histogram("ps_cluster_replica_step_seconds", "Node-side time to step the world replica and filter the shard's offers, per lane and slot.", nil),
 	}
 }
 
@@ -201,7 +209,8 @@ func (co *Coordinator) nodeConfig(shard int) wire.NodeConfig {
 	}
 }
 
-// noteAlive refreshes a node's liveness fact after any successful RPC.
+// noteAlive refreshes a node's liveness fact; only a response from the
+// node is evidence for it (a posted write proves nothing).
 func (co *Coordinator) noteAlive(node string) {
 	co.facts.upsert(wire.Fact{Subject: node, Attribute: "alive", Value: "1", TTLMs: co.factTTL.Milliseconds()}, time.Now())
 }

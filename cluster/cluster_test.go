@@ -10,6 +10,7 @@ import (
 	ps "repro"
 	"repro/cluster"
 	"repro/internal/obs"
+	"repro/wire"
 )
 
 // quadrantInner are interior boxes of the four shards of the RWM working
@@ -103,7 +104,7 @@ func requireIdentical(t *testing.T, slot int, local, clustered reportSnap) {
 
 // TestClusterGoldenEquivalence is the tentpole's correctness bar: a
 // 4-node loopback cluster — separate processes' worth of world replicas,
-// partials crossing real TCP sockets as JSON — reproduces the
+// partials crossing real TCP sockets — reproduces the
 // single-process sharded SlotReport bit for bit on the golden six-kind
 // shard-resident workload.
 func TestClusterGoldenEquivalence(t *testing.T) {
@@ -262,7 +263,9 @@ func TestClusterMixedLocalRemote(t *testing.T) {
 // TestClusterStaleEpochFencing: a node hijacked onto another epoch (as a
 // restarted or foreign-coordinator node would be) is fenced — the slot
 // degrades with ps.ErrStaleEpoch, the rejection is counted — and the
-// next slot resyncs the node onto a fresh epoch.
+// next slot resyncs the node onto a fresh epoch. The hijack lands between
+// a slot's posted submits and its run_slot: none of them may be applied
+// under the rogue generation, and none may be lost.
 func TestClusterStaleEpochFencing(t *testing.T) {
 	const seed, sensors = 7, 60
 	addr := startNode(t, "node0")
@@ -287,9 +290,17 @@ func TestClusterStaleEpochFencing(t *testing.T) {
 		t.Fatalf("slot 0 degraded: %v", rep.Degraded)
 	}
 
-	// A rogue hello moves the node onto epoch 99; the coordinator's lane
-	// is still on epoch 1.
-	hijackNode(t, addr, 99)
+	// Slot 1's submits are posted, then a rogue hello moves the node onto
+	// epoch 99; the coordinator's lane is still on epoch 1.
+	for _, spec := range []ps.Spec{
+		ps.EventDetectionSpec{ID: "ev", Loc: ps.Pt(30, 30), Duration: 3, Threshold: 0.5, Confidence: 0.6, BudgetPerSlot: 30},
+		ps.PointSpec{ID: "pt", Loc: ps.Pt(35, 35), Budget: 12},
+	} {
+		if _, err := co.Sharded().Submit(spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rogue := hijackNode(t, addr, 99)
 
 	rep := co.Sharded().RunSlot()
 	if len(rep.Degraded) != 1 || !errors.Is(rep.Degraded[0].Err, ps.ErrStaleEpoch) {
@@ -297,6 +308,11 @@ func TestClusterStaleEpochFencing(t *testing.T) {
 	}
 	if rejections.Value() < 1 {
 		t.Error("epoch rejection not counted")
+	}
+	// The rogue generation's lane never saw the epoch-1 submits.
+	resp := rogue.call(wire.ClusterFrame{Type: wire.ClusterRunSlot, Slot: 0}, 99)
+	if resp.Type != wire.ClusterPartial || resp.Partial.Queries != 0 {
+		t.Fatalf("rogue generation's slot = %+v (partial %+v), want a partial with no queries", resp, resp.Partial)
 	}
 
 	rep = co.Sharded().RunSlot()
@@ -306,6 +322,10 @@ func TestClusterStaleEpochFencing(t *testing.T) {
 	m := co.Membership()
 	if len(m) != 1 || m[0].State != "live" || m[0].Epoch != 2 {
 		t.Fatalf("membership after refence = %+v, want live at epoch 2", m)
+	}
+	// The resync replayed the fenced submit: the node holds the query.
+	if !co.Sharded().CancelQuery("ev") {
+		t.Error("continuous query posted before the hijack is gone after the resync")
 	}
 }
 

@@ -13,17 +13,26 @@ import (
 )
 
 // networkLane is the coordinator-side LaneRunner for a remote shard: one
-// TCP connection speaking strictly synchronous NDJSON cluster frames,
-// plus the oplog that lets a dead node rebuild the lane's exact state.
+// TCP connection speaking NDJSON cluster frames, plus the oplog that lets
+// a dead node rebuild the lane's exact state.
 //
-// Every public method serializes on mu, so the sharded layer's slot
-// goroutine and the coordinator's heartbeat never interleave frames on
-// the wire. Any transport fault (dial, timeout, short read, sequence
-// mismatch) breaks the connection; the next use redials and replays the
-// oplog under a bumped epoch. Application errors relayed by the node
-// (validation failures and the like) keep the connection and wrap the
-// sentinel named by their wire code, so errors.Is works as if the lane
-// were local.
+// The connection is write-behind with a fence (see repro/wire's cluster
+// surface): submit and commit are posted — written through a buffered
+// writer, counted, never answered — and every other request is a round
+// trip whose response must report as many posted frames applied as the
+// lane has written. Every public method serializes on mu, so the sharded
+// layer's slot goroutine and the coordinator's heartbeat never interleave
+// frames on the wire, and the lane always reads a fence's answer before it
+// writes anything else.
+//
+// Any fault breaks the connection, and the next use redials and replays
+// the oplog under a bumped epoch: a transport fault (dial, timeout, short
+// or oversized read, sequence mismatch), an applied count short of the
+// posted one, or an error frame. The lane validates what it sends against
+// the coordinator's own replica, so a node that refuses a frame has
+// diverged from it (a replica out of lockstep, a foreign coordinator's
+// state) and only a rebuild heals that. An error frame's wire code still
+// selects the ps sentinel the error wraps.
 type networkLane struct {
 	co    *Coordinator
 	shard int
@@ -33,8 +42,12 @@ type networkLane struct {
 	mu    sync.Mutex
 	conn  net.Conn
 	br    *bufio.Reader
+	bw    *bufio.Writer
 	seq   uint64
 	epoch uint64
+	// posted counts the submit and commit frames written on this
+	// connection; the node's applied count must match it at every fence.
+	posted uint64
 	// ops is the lane's replayable history: submits, cancels, strategy
 	// switches and one slot op per completed slot. A resync ships the
 	// whole log; checkpointing to bound it is future work.
@@ -42,6 +55,24 @@ type networkLane struct {
 	// ranSlot is the last slot whose RunLane partial was delivered; a
 	// FinishSlot for any other slot records Ran=false (degraded slot).
 	ranSlot int
+}
+
+// laneReadBuffer sizes the lane's reader so that a metro-scale partial
+// line (tens of KB) is one or two reads and is decoded in place.
+const laneReadBuffer = 64 << 10
+
+// deadlineWriter arms the lane's RPC timeout on every socket write, which
+// with a buffered writer in front is once per flush, not once per frame.
+type deadlineWriter struct {
+	conn    net.Conn
+	timeout time.Duration
+}
+
+func (w deadlineWriter) Write(p []byte) (int, error) {
+	if err := w.conn.SetWriteDeadline(time.Now().Add(w.timeout)); err != nil {
+		return 0, err
+	}
+	return w.conn.Write(p)
 }
 
 func newNetworkLane(co *Coordinator, shard int, name, addr string) *networkLane {
@@ -76,7 +107,9 @@ func (l *networkLane) ensure() error {
 		return fmt.Errorf("cluster: lane %d (%s) dial %s: %v: %w", l.shard, l.name, l.addr, err, ps.ErrNodeUnavailable)
 	}
 	l.conn = conn
-	l.br = bufio.NewReader(conn)
+	l.br = bufio.NewReaderSize(conn, laneReadBuffer)
+	l.bw = bufio.NewWriter(deadlineWriter{conn, l.co.rpcTimeout})
+	l.posted = 0
 	cfg := l.co.nodeConfig(l.shard)
 	f := wire.ClusterFrame{Type: wire.ClusterHello, Config: &cfg}
 	if len(l.ops) > 0 {
@@ -84,16 +117,10 @@ func (l *networkLane) ensure() error {
 		f.Ops = l.ops
 	}
 	next := l.epoch + 1
-	resp, err := l.call(f, next)
-	if err != nil {
+	if _, err := l.call(f, next, wire.ClusterOK); err != nil {
 		return err
 	}
-	if resp.Type != wire.ClusterOK {
-		l.breakConn()
-		return fmt.Errorf("cluster: lane %d (%s): %s rejected: %s: %w", l.shard, l.name, f.Type, resp.Error, ps.ErrNodeUnavailable)
-	}
 	l.epoch = next
-	l.co.noteAlive(l.name)
 	return nil
 }
 
@@ -102,8 +129,7 @@ func (l *networkLane) breakConn() {
 	if l.conn != nil {
 		l.conn.Close()
 	}
-	l.conn = nil
-	l.br = nil
+	l.conn, l.br, l.bw = nil, nil, nil
 }
 
 // transportErr breaks the lane and wraps the fault as node-unavailable.
@@ -112,29 +138,62 @@ func (l *networkLane) transportErr(stage string, err error) error {
 	return fmt.Errorf("cluster: lane %d (%s) %s: %v: %w", l.shard, l.name, stage, err, ps.ErrNodeUnavailable)
 }
 
-// call runs one request/response exchange under the given epoch. The
-// response must echo the request's sequence number and carry the same
-// epoch; an epoch mismatch (or an explicit stale_epoch rejection) counts
-// an epoch rejection, breaks the lane and surfaces ps.ErrStaleEpoch.
-// Error frames with other codes are application errors: the connection is
-// kept and the named sentinel wrapped. Callers hold mu.
-func (l *networkLane) call(f wire.ClusterFrame, epoch uint64) (wire.ClusterFrame, error) {
+// write stamps f with the next sequence number and the given epoch and
+// hands it to the buffered writer. Callers hold mu.
+func (l *networkLane) write(f wire.ClusterFrame, epoch uint64) error {
 	l.seq++
-	f.V = wire.ClusterVersion
-	f.Seq = l.seq
-	f.Epoch = epoch
-	f.Node = l.co.name
+	f.V, f.Seq, f.Epoch, f.Node = wire.ClusterVersion, l.seq, epoch, l.co.name
 	buf, err := wire.MarshalClusterFrame(f)
 	if err != nil {
-		return wire.ClusterFrame{}, fmt.Errorf("cluster: lane %d (%s) encode %s: %w", l.shard, l.name, f.Type, err)
+		return fmt.Errorf("cluster: lane %d (%s) encode %s: %w", l.shard, l.name, f.Type, err)
 	}
-	if err := l.conn.SetDeadline(time.Now().Add(l.co.rpcTimeout)); err != nil {
+	if _, err = l.bw.Write(buf); err == nil {
+		err = l.bw.WriteByte('\n')
+	}
+	if err != nil {
+		return l.transportErr("write "+f.Type, err)
+	}
+	return nil
+}
+
+// post writes a one-way frame (submit, commit). A nil return means the
+// frame is in the connection's buffer, not that the node has it: a frame
+// the node never applies shows up as a short applied count at the next
+// fence. Callers hold mu.
+func (l *networkLane) post(f wire.ClusterFrame) error {
+	if err := l.write(f, l.epoch); err != nil {
+		return err
+	}
+	l.posted++
+	return nil
+}
+
+// flush pushes buffered frames to the socket. Callers hold mu.
+func (l *networkLane) flush() error {
+	if err := l.bw.Flush(); err != nil {
+		return l.transportErr("flush", err)
+	}
+	return nil
+}
+
+// call runs one fence: it flushes everything posted so far behind the
+// request, reads the one response and checks it — the request's sequence
+// number echoed, the same epoch (a mismatch, or an explicit stale_epoch
+// rejection, counts an epoch rejection and surfaces ps.ErrStaleEpoch),
+// every posted frame applied, not an error frame, and of the wanted type.
+// Any failure breaks the lane. A good response is also what refreshes the
+// node's liveness fact. Callers hold mu.
+func (l *networkLane) call(f wire.ClusterFrame, epoch uint64, want string) (wire.ClusterFrame, error) {
+	if err := l.write(f, epoch); err != nil {
+		return wire.ClusterFrame{}, err
+	}
+	if err := l.flush(); err != nil {
+		return wire.ClusterFrame{}, err
+	}
+	if err := l.conn.SetReadDeadline(time.Now().Add(l.co.rpcTimeout)); err != nil {
 		return wire.ClusterFrame{}, l.transportErr("deadline", err)
 	}
-	if _, err := l.conn.Write(append(buf, '\n')); err != nil {
-		return wire.ClusterFrame{}, l.transportErr("write "+f.Type, err)
-	}
-	line, err := l.br.ReadBytes('\n')
+	line, err := wire.ReadClusterLine(l.br)
 	if err != nil {
 		return wire.ClusterFrame{}, l.transportErr("read "+f.Type+" response", err)
 	}
@@ -142,8 +201,8 @@ func (l *networkLane) call(f wire.ClusterFrame, epoch uint64) (wire.ClusterFrame
 	if err != nil {
 		return wire.ClusterFrame{}, l.transportErr("decode "+f.Type+" response", err)
 	}
-	if resp.Seq != f.Seq {
-		return wire.ClusterFrame{}, l.transportErr(f.Type, fmt.Errorf("response seq %d for request seq %d", resp.Seq, f.Seq))
+	if resp.Seq != l.seq {
+		return wire.ClusterFrame{}, l.transportErr(f.Type, fmt.Errorf("response seq %d for request seq %d", resp.Seq, l.seq))
 	}
 	if resp.Type == wire.ClusterError && resp.Code == wire.CodeStaleEpoch {
 		l.co.metrics().epochRejections.Inc()
@@ -157,22 +216,42 @@ func (l *networkLane) call(f wire.ClusterFrame, epoch uint64) (wire.ClusterFrame
 		return wire.ClusterFrame{}, fmt.Errorf("cluster: lane %d (%s): %s response tagged epoch %d, want %d: %w",
 			l.shard, l.name, f.Type, resp.Epoch, epoch, ps.ErrStaleEpoch)
 	}
-	if resp.Type == wire.ClusterError {
-		err := fmt.Errorf("cluster: lane %d (%s): %s", l.shard, l.name, resp.Error)
-		if s := wire.SentinelError(resp.Code); s != nil {
-			err = fmt.Errorf("cluster: lane %d (%s): %s: %w", l.shard, l.name, resp.Error, s)
+	if resp.Applied != l.posted {
+		lost := fmt.Errorf("node applied %d of %d posted frames", resp.Applied, l.posted)
+		if resp.Type == wire.ClusterError { // the posted frame the node refused
+			lost = fmt.Errorf("%v: %s", lost, resp.Error)
 		}
-		return resp, err
+		return wire.ClusterFrame{}, l.transportErr(f.Type, lost)
 	}
+	if resp.Type == wire.ClusterError {
+		l.breakConn()
+		err := fmt.Errorf("cluster: lane %d (%s): node refused %s: %s", l.shard, l.name, f.Type, resp.Error)
+		if s := wire.SentinelError(resp.Code); s != nil {
+			err = fmt.Errorf("%w: %w", err, s)
+		}
+		return wire.ClusterFrame{}, err
+	}
+	if resp.Type != want {
+		return wire.ClusterFrame{}, l.transportErr(f.Type, fmt.Errorf("unexpected %s response", resp.Type))
+	}
+	l.co.noteAlive(l.name)
 	return resp, nil
 }
 
-// Submit forwards an already-validated spec to the node as its v1
-// submission envelope and records the submit in the oplog.
+// Submit posts the spec to the node as its v1 submission envelope and
+// records the submit in the oplog. The node's answer would be a pure
+// function of the spec and the lockstep slot number, so the lane computes
+// it (ps.DescribeSubmission) instead of waiting for it. The spec is
+// validated here, against the coordinator's replica of the node's world:
+// whatever reaches the oplog is something the node, and every later
+// resync replay, will accept.
 func (l *networkLane) Submit(spec ps.Spec) (ps.SubmittedQuery, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if err := l.ensure(); err != nil {
+		return ps.SubmittedQuery{}, err
+	}
+	if err := spec.Validate(l.co.world); err != nil {
 		return ps.SubmittedQuery{}, err
 	}
 	env, err := wire.FromSpec(spec)
@@ -183,20 +262,11 @@ func (l *networkLane) Submit(spec ps.Spec) (ps.SubmittedQuery, error) {
 	if err != nil {
 		return ps.SubmittedQuery{}, err
 	}
-	resp, err := l.call(wire.ClusterFrame{Type: wire.ClusterSubmit, Spec: raw}, l.epoch)
-	if err != nil {
+	if err := l.post(wire.ClusterFrame{Type: wire.ClusterSubmit, Spec: raw}); err != nil {
 		return ps.SubmittedQuery{}, err
 	}
-	if resp.Type != wire.ClusterSubmitted {
-		return ps.SubmittedQuery{}, l.transportErr("submit", fmt.Errorf("unexpected %s response", resp.Type))
-	}
-	kind, err := ps.ParseQueryKind(resp.Kind)
-	if err != nil {
-		return ps.SubmittedQuery{}, fmt.Errorf("cluster: lane %d (%s): %v", l.shard, l.name, err)
-	}
 	l.ops = append(l.ops, wire.ClusterOp{Op: "submit", Spec: raw})
-	l.co.noteAlive(l.name)
-	return ps.SubmittedQuery{ID: resp.ID, Kind: kind, Start: resp.Start, End: resp.End}, nil
+	return ps.DescribeSubmission(spec, l.co.sa.NextSlot()), nil
 }
 
 // Cancel withdraws a query on the node; a broken lane reports false (the
@@ -207,14 +277,13 @@ func (l *networkLane) Cancel(id string) bool {
 	if err := l.ensure(); err != nil {
 		return false
 	}
-	resp, err := l.call(wire.ClusterFrame{Type: wire.ClusterCancel, ID: id}, l.epoch)
-	if err != nil || resp.Type != wire.ClusterOK {
+	resp, err := l.call(wire.ClusterFrame{Type: wire.ClusterCancel, ID: id}, l.epoch, wire.ClusterOK)
+	if err != nil {
 		return false
 	}
 	if resp.Removed {
 		l.ops = append(l.ops, wire.ClusterOp{Op: "cancel", ID: id})
 	}
-	l.co.noteAlive(l.name)
 	return resp.Removed
 }
 
@@ -227,14 +296,15 @@ func (l *networkLane) SetStrategy(s ps.Strategy) {
 	if l.conn == nil {
 		return
 	}
-	if resp, err := l.call(wire.ClusterFrame{Type: wire.ClusterStrategy, Strategy: s.String()}, l.epoch); err == nil && resp.Type == wire.ClusterOK {
-		l.co.noteAlive(l.name)
-	}
+	// A failed call has broken the lane; the resync replays the op.
+	_, _ = l.call(wire.ClusterFrame{Type: wire.ClusterStrategy, Strategy: s.String()}, l.epoch, wire.ClusterOK)
 }
 
 // RunLane commands the node to step its replica into slot t, run the
 // shard's selection and return the partial. The offers argument is
 // ignored: the node computes the identical slice from its own replica.
+// run_slot is the slot's fence: the submits posted since the last one
+// reach the node ahead of it, and its response vouches for all of them.
 func (l *networkLane) RunLane(t int, _ []ps.Offer) (*ps.LanePartial, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -242,24 +312,25 @@ func (l *networkLane) RunLane(t int, _ []ps.Offer) (*ps.LanePartial, error) {
 		return nil, err
 	}
 	start := time.Now()
-	resp, err := l.call(wire.ClusterFrame{Type: wire.ClusterRunSlot, Slot: t}, l.epoch)
+	resp, err := l.call(wire.ClusterFrame{Type: wire.ClusterRunSlot, Slot: t}, l.epoch, wire.ClusterPartial)
 	if err != nil {
 		return nil, err
 	}
-	l.co.metrics().partialRTT.Observe(time.Since(start).Seconds())
-	if resp.Type != wire.ClusterPartial || resp.Partial == nil {
-		return nil, l.transportErr("run_slot", fmt.Errorf("unexpected %s response", resp.Type))
-	}
+	m := l.co.metrics()
+	m.partialRTT.Observe(time.Since(start).Seconds())
+	m.replicaStep.Observe(resp.Partial.StepMs / 1e3)
 	l.ranSlot = t
-	l.co.noteAlive(l.name)
 	return resp.Partial, nil
 }
 
 // FinishSlot appends the slot's global commit to the oplog and, when the
-// lane delivered this slot's partial over a live connection, pushes the
-// commit frame so the node's replica applies it now. Degraded slots skip
-// the RPC: the node missed the slot entirely and will reproduce it
-// (Ran=false: step + commit, no execution) from the oplog on resync.
+// lane delivered this slot's partial over a live connection, posts the
+// commit frame and flushes it, so the node's replica applies it while the
+// coordinator goes on to publish the slot and take the next one's
+// submits. A commit the node fails to apply surfaces at the next fence.
+// Degraded slots send nothing: the node missed the slot entirely and will
+// reproduce it (Ran=false: step + commit, no execution) from the oplog on
+// resync.
 func (l *networkLane) FinishSlot(t int, selectedIDs []int) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -268,15 +339,10 @@ func (l *networkLane) FinishSlot(t int, selectedIDs []int) error {
 	if !ran || l.conn == nil {
 		return nil
 	}
-	resp, err := l.call(wire.ClusterFrame{Type: wire.ClusterCommit, Slot: t, Selected: selectedIDs}, l.epoch)
-	if err != nil {
+	if err := l.post(wire.ClusterFrame{Type: wire.ClusterCommit, Slot: t, Selected: selectedIDs}); err != nil {
 		return err
 	}
-	if resp.Type != wire.ClusterOK {
-		return l.transportErr("commit", fmt.Errorf("unexpected %s response", resp.Type))
-	}
-	l.co.noteAlive(l.name)
-	return nil
+	return l.flush()
 }
 
 // ping exchanges membership facts on the heartbeat. A broken lane is
@@ -287,11 +353,10 @@ func (l *networkLane) ping(facts []wire.Fact) {
 	if err := l.ensure(); err != nil {
 		return
 	}
-	resp, err := l.call(wire.ClusterFrame{Type: wire.ClusterPing, Facts: facts}, l.epoch)
-	if err != nil || resp.Type != wire.ClusterOK {
+	resp, err := l.call(wire.ClusterFrame{Type: wire.ClusterPing, Facts: facts}, l.epoch, wire.ClusterOK)
+	if err != nil {
 		return
 	}
-	l.co.noteAlive(l.name)
 	l.co.facts.merge(resp.Facts, time.Now())
 }
 

@@ -15,9 +15,9 @@ import (
 // NodeServer is one shard node: a config-free NDJSON server that builds
 // its world replica and lane when a coordinator says hello (or resync)
 // and then executes that coordinator's slot commands. All lane state is
-// guarded by one mutex — the protocol is synchronous per connection, and
-// a node serves exactly one lane, so contention is not a concern; what
-// the mutex buys is safety when a coordinator reconnects while an
+// guarded by one mutex — a connection's frames are handled one at a time,
+// and a node serves exactly one lane, so contention is not a concern;
+// what the mutex buys is safety when a coordinator reconnects while an
 // abandoned connection still drains.
 type NodeServer struct {
 	name string
@@ -90,9 +90,20 @@ func (s *NodeServer) Close() {
 	s.wg.Wait()
 }
 
-// handleConn runs one connection's request loop. A malformed frame closes
-// the connection — the coordinator sees a transport fault and resyncs —
-// rather than guessing at a sequence number to reject it with.
+// connState is what a node remembers per connection about the posted
+// frames it received since the last hello/resync: how many it applied, and
+// the error of the first one it could not apply. After that error it
+// applies no further posted frame and answers every fence with it, until
+// a hello/resync starts over.
+type connState struct {
+	applied uint64
+	failed  error
+}
+
+// handleConn runs one connection's frame loop: posted frames are applied
+// silently, every other frame is answered. A malformed or oversized frame
+// closes the connection — the coordinator sees a transport fault and
+// resyncs — rather than guessing at a sequence number to reject it with.
 func (s *NodeServer) handleConn(conn net.Conn) {
 	defer func() {
 		s.connMu.Lock()
@@ -102,8 +113,11 @@ func (s *NodeServer) handleConn(conn net.Conn) {
 		s.wg.Done()
 	}()
 	br := bufio.NewReader(conn)
+	// Sized so that a metro-scale partial line leaves in one write.
+	bw := bufio.NewWriterSize(conn, 64<<10)
+	var cs connState
 	for {
-		line, err := br.ReadBytes('\n')
+		line, err := wire.ReadClusterLine(br)
 		if err != nil {
 			return
 		}
@@ -111,86 +125,86 @@ func (s *NodeServer) handleConn(conn net.Conn) {
 		if err != nil {
 			return
 		}
-		resp := s.dispatch(f)
+		resp, ok := s.dispatch(f, &cs)
+		if !ok {
+			continue
+		}
 		buf, err := wire.MarshalClusterFrame(resp)
 		if err != nil {
 			return
 		}
-		if _, err := conn.Write(append(buf, '\n')); err != nil {
+		if _, err = bw.Write(buf); err == nil {
+			err = bw.WriteByte('\n')
+		}
+		if err == nil {
+			err = bw.Flush()
+		}
+		if err != nil {
 			return
 		}
 	}
 }
 
-// dispatch executes one request frame against the node's lane. hello and
-// resync adopt the frame's epoch and (re)build the lane; every other
-// request is fenced — a missing lane or any epoch mismatch earns a
-// stale_epoch rejection carrying the node's current epoch, which tells
-// the coordinator to resync onto a fresh generation.
-func (s *NodeServer) dispatch(f wire.ClusterFrame) wire.ClusterFrame {
+// dispatch executes one frame against the node's lane and returns the
+// response to send, if the frame gets one. hello and resync adopt the
+// frame's epoch, (re)build the lane and reset the connection's posted
+// count; every other frame is fenced — with a missing lane or any epoch
+// mismatch a posted frame is not applied and a request earns a
+// stale_epoch rejection carrying the node's current epoch, which tells the
+// coordinator to resync onto a fresh generation.
+func (s *NodeServer) dispatch(f wire.ClusterFrame, cs *connState) (wire.ClusterFrame, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	resp := wire.ClusterFrame{V: wire.ClusterVersion, Seq: f.Seq, Node: s.name, Epoch: s.epoch}
 	switch f.Type {
 	case wire.ClusterHello, wire.ClusterResync:
+		*cs = connState{}
 		lane, err := buildLane(*f.Config, f.Ops)
 		if err != nil {
-			return errFrame(resp, err)
+			return errFrame(resp, err), true
 		}
 		s.lane, s.epoch = lane, f.Epoch
 		resp.Type, resp.Epoch = wire.ClusterOK, f.Epoch
-		return resp
+		return resp, true
 	}
-	if s.lane == nil || f.Epoch != s.epoch {
+	stale := s.lane == nil || f.Epoch != s.epoch
+	if wire.ClusterPosted(f.Type) {
+		if !stale && cs.failed == nil {
+			if cs.failed = s.applyPosted(f); cs.failed == nil {
+				cs.applied++
+			}
+		}
+		return wire.ClusterFrame{}, false
+	}
+	resp.Applied = cs.applied
+	if stale {
 		resp.Type = wire.ClusterError
 		resp.Code = wire.CodeStaleEpoch
 		resp.Error = fmt.Sprintf("node %s at epoch %d rejects %s frame at epoch %d: %v",
 			s.name, s.epoch, f.Type, f.Epoch, ps.ErrStaleEpoch)
-		return resp
+		return resp, true
+	}
+	if cs.failed != nil {
+		return errFrame(resp, cs.failed), true
 	}
 	switch f.Type {
-	case wire.ClusterSubmit:
-		var env wire.Envelope
-		if err := json.Unmarshal(f.Spec, &env); err != nil {
-			return errFrame(resp, fmt.Errorf("bad submission envelope: %v", err))
-		}
-		spec, err := env.Spec()
-		if err != nil {
-			return errFrame(resp, err)
-		}
-		sq, err := s.lane.Submit(spec)
-		if err != nil {
-			return errFrame(resp, err)
-		}
-		resp.Type = wire.ClusterSubmitted
-		resp.ID, resp.Kind, resp.Start, resp.End = sq.ID, sq.Kind.String(), sq.Start, sq.End
-		return resp
 	case wire.ClusterCancel:
 		resp.Type = wire.ClusterOK
 		resp.Removed = s.lane.Cancel(f.ID)
-		return resp
 	case wire.ClusterStrategy:
 		strat, err := ps.ParseStrategy(f.Strategy)
 		if err != nil {
-			return errFrame(resp, err)
+			return errFrame(resp, err), true
 		}
 		s.lane.SetStrategy(strat)
 		resp.Type = wire.ClusterOK
-		return resp
 	case wire.ClusterRunSlot:
 		p, err := s.lane.RunSlot(f.Slot)
 		if err != nil {
-			return errFrame(resp, err)
+			return errFrame(resp, err), true
 		}
 		resp.Type = wire.ClusterPartial
 		resp.Slot, resp.Partial = f.Slot, p
-		return resp
-	case wire.ClusterCommit:
-		if err := s.lane.Commit(f.Slot, f.Selected); err != nil {
-			return errFrame(resp, err)
-		}
-		resp.Type = wire.ClusterOK
-		return resp
 	case wire.ClusterPing:
 		// The node's self-report; the coordinator's fact table carries the
 		// TTL policy, so a short node-chosen TTL is merely a floor.
@@ -200,10 +214,33 @@ func (s *NodeServer) dispatch(f wire.ClusterFrame) wire.ClusterFrame {
 			{Subject: s.name, Attribute: "epoch", Value: strconv.FormatUint(s.epoch, 10), TTLMs: 2000},
 			{Subject: s.name, Attribute: "slot", Value: strconv.Itoa(s.lane.Slot()), TTLMs: 2000},
 		}
-		return resp
 	default:
-		return errFrame(resp, fmt.Errorf("frame type %q is not a request", f.Type))
+		return errFrame(resp, fmt.Errorf("frame type %q is not a request", f.Type)), true
 	}
+	return resp, true
+}
+
+// applyPosted applies one submit or commit frame to the lane. Callers
+// hold mu.
+func (s *NodeServer) applyPosted(f wire.ClusterFrame) error {
+	if f.Type == wire.ClusterCommit {
+		return s.lane.Commit(f.Slot, f.Selected)
+	}
+	return submitEnvelope(s.lane, f.Spec)
+}
+
+// submitEnvelope decodes a v1 submission envelope and submits its spec.
+func submitEnvelope(lane *ps.NodeLane, raw json.RawMessage) error {
+	var env wire.Envelope
+	if err := json.Unmarshal(raw, &env); err != nil {
+		return fmt.Errorf("bad submission envelope: %v", err)
+	}
+	spec, err := env.Spec()
+	if err != nil {
+		return err
+	}
+	_, err = lane.Submit(spec)
+	return err
 }
 
 // errFrame shapes an error response, carrying the stable wire code when
@@ -243,16 +280,7 @@ func buildLane(cfg wire.NodeConfig, ops []wire.ClusterOp) (*ps.NodeLane, error) 
 func replayOp(lane *ps.NodeLane, op wire.ClusterOp) error {
 	switch op.Op {
 	case "submit":
-		var env wire.Envelope
-		if err := json.Unmarshal(op.Spec, &env); err != nil {
-			return err
-		}
-		spec, err := env.Spec()
-		if err != nil {
-			return err
-		}
-		_, err = lane.Submit(spec)
-		return err
+		return submitEnvelope(lane, op.Spec)
 	case "cancel":
 		lane.Cancel(op.ID)
 		return nil

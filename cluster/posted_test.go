@@ -1,0 +1,280 @@
+package cluster_test
+
+import (
+	"errors"
+	"fmt"
+	"io"
+	"net"
+	"os"
+	"strings"
+	"testing"
+	"time"
+
+	ps "repro"
+	"repro/cluster"
+	"repro/wire"
+)
+
+// memberOf returns shard k's membership row.
+func memberOf(t *testing.T, co *cluster.Coordinator, k int) wire.ClusterMember {
+	t.Helper()
+	for _, m := range co.Membership() {
+		if m.Shard == k {
+			return m
+		}
+	}
+	t.Fatalf("no member for shard %d", k)
+	return wire.ClusterMember{}
+}
+
+// TestClusterPostedFramesGetNoReply counts what the nodes send back: one
+// frame for the hello, then exactly one per slot — the partial — however
+// many submits the slot took and although every slot also commits.
+func TestClusterPostedFramesGetNoReply(t *testing.T) {
+	const seed, sensors, slots = 21, 220, 3
+	addrs := startNodes(t, 4)
+	proxies := make([]*killerProxy, len(addrs))
+	for k := range addrs {
+		proxies[k] = startKillerProxy(t, addrs[k])
+		addrs[k] = proxies[k].addr()
+	}
+	co, err := cluster.New(cluster.Config{
+		World: "rwm", Seed: seed, Sensors: sensors, Shards: 4,
+		Nodes: addrs, RPCTimeout: 30 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer co.Close()
+	for slot := 0; slot < slots; slot++ {
+		for q, box := range quadrantInner {
+			for i := 0; i < 5+3*q; i++ {
+				x := box.MinX + float64((i*37+slot*11)%13)
+				y := box.MinY + float64((i*53+slot*29)%13)
+				if _, err := co.Sharded().Submit(ps.PointSpec{
+					ID: fmt.Sprintf("pt-%d-%d-%d", slot, q, i), Loc: ps.Pt(x, y), Budget: 12,
+				}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		rep := co.Sharded().RunSlot()
+		if len(rep.Degraded) != 0 {
+			t.Fatalf("slot %d degraded: %v", slot, rep.Degraded)
+		}
+		if rep.Welfare <= 0 {
+			t.Fatalf("slot %d: welfare %v, the posted submits did not reach the nodes", slot, rep.Welfare)
+		}
+		for k, p := range proxies {
+			if got, want := p.replies.Load(), int64(1+slot+1); got != want {
+				t.Fatalf("slot %d: node %d has sent %d frames, want %d (hello + one partial a slot)", slot, k, got, want)
+			}
+		}
+	}
+}
+
+// TestClusterPostedSubmitRejected: a posted submit the node cannot apply
+// is not dropped silently. A rogue hello at the lane's own epoch swaps the
+// node's IntelLab replica for an RWM one, which has no GP model; the
+// region-monitoring spec the coordinator then posts is valid on its own
+// replica and refused by the node's. The next fence reports it: the lane
+// degrades with ps.ErrNodeUnavailable, resyncs, and the replayed oplog
+// puts the query on the rebuilt replica.
+func TestClusterPostedSubmitRejected(t *testing.T) {
+	addr := startNode(t, "node0")
+	co, err := cluster.New(cluster.Config{
+		World: "intellab", Seed: 5, Shards: 1,
+		Nodes: []string{addr}, RPCTimeout: 30 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer co.Close()
+	if rep := co.Sharded().RunSlot(); len(rep.Degraded) != 0 {
+		t.Fatalf("slot 0 degraded: %v", rep.Degraded)
+	}
+
+	// A fence first, so that slot 0's posted commit is applied to the
+	// replica it was meant for, not to the rogue's.
+	co.Sharded().CancelQuery("no-such-query")
+	hijackNode(t, addr, 1)
+	if _, err := co.Sharded().Submit(ps.RegionMonitoringSpec{
+		ID: "rm", Region: ps.NewRect(1, 1, 7, 12), Duration: 4, Budget: 200,
+	}); err != nil {
+		t.Fatalf("posted submit: %v", err)
+	}
+	rep := co.Sharded().RunSlot()
+	if len(rep.Degraded) != 1 || !errors.Is(rep.Degraded[0].Err, ps.ErrNodeUnavailable) {
+		t.Fatalf("slot 1 Degraded = %v, want one ps.ErrNodeUnavailable lane", rep.Degraded)
+	}
+	if msg := rep.Degraded[0].Err.Error(); !strings.Contains(msg, "applied 1 of 2 posted frames") || !strings.Contains(msg, "GP") {
+		t.Fatalf("slot 1 degraded with %q, want the refused submit's own error", msg)
+	}
+
+	rep = co.Sharded().RunSlot()
+	if len(rep.Degraded) != 0 {
+		t.Fatalf("slot 2 degraded after resync: %v", rep.Degraded)
+	}
+	if m := memberOf(t, co, 0); m.Epoch != 2 {
+		t.Fatalf("member after resync = %+v, want epoch 2", m)
+	}
+	if rep.Value("rm") <= 0 {
+		t.Errorf("slot 2: region monitor has value %v; the refused submit was lost", rep.Value("rm"))
+	}
+}
+
+// TestClusterDivergedReplicaHeals: a replica stepped behind the
+// coordinator's back (an extra run_slot on a second connection at the
+// current epoch) is out of lockstep for good — run_slot has stepped the
+// fleet before it can refuse. The coordinator's next slot degrades exactly
+// that shard and breaks the lane, so the slot after is clean on a replica
+// rebuilt under the next epoch.
+func TestClusterDivergedReplicaHeals(t *testing.T) {
+	const seed, sensors, victim = 21, 220, 2
+	addrs := startNodes(t, 4)
+	co, err := cluster.New(cluster.Config{
+		World: "rwm", Seed: seed, Sensors: sensors, Shards: 4,
+		Nodes: addrs, RPCTimeout: 30 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer co.Close()
+	sa := co.Sharded()
+	for q, box := range quadrantInner {
+		if _, err := sa.Submit(ps.LocationMonitoringSpec{
+			ID: fmt.Sprintf("lm-%d", q), Loc: box.Center(), Duration: 4, Budget: 160, Samples: 3,
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if rep := sa.RunSlot(); len(rep.Degraded) != 0 {
+		t.Fatalf("slot 0 degraded: %v", rep.Degraded)
+	}
+	// A fence on every lane: slot 0's posted commits are applied before
+	// the rogue frame, whichever goroutine the node schedules first.
+	sa.CancelQuery("no-such-query")
+
+	rogue := dialRogue(t, addrs[victim])
+	if resp := rogue.call(wire.ClusterFrame{Type: wire.ClusterRunSlot, Slot: 1}, 1); resp.Type != wire.ClusterPartial {
+		t.Fatalf("rogue run_slot: %+v", resp)
+	}
+
+	rep := sa.RunSlot()
+	if len(rep.Degraded) != 1 || rep.Degraded[0].Shard != victim {
+		t.Fatalf("slot 1 Degraded = %v, want exactly shard %d", rep.Degraded, victim)
+	}
+	if !strings.Contains(rep.Degraded[0].Err.Error(), "lockstep") {
+		t.Fatalf("slot 1 degraded with %v, want the replica's lockstep error", rep.Degraded[0].Err)
+	}
+	if rep := sa.RunSlot(); len(rep.Degraded) != 0 {
+		t.Fatalf("slot 2 degraded, the diverged replica did not heal: %v", rep.Degraded)
+	}
+	for k := range addrs {
+		want := uint64(1)
+		if k == victim {
+			want = 2
+		}
+		if m := memberOf(t, co, k); m.State != "live" || m.Epoch != want {
+			t.Errorf("member %+v, want live at epoch %d", m, want)
+		}
+	}
+	if err := sa.Ledger().CheckBalance(1e-6); err != nil {
+		t.Errorf("ledger: %v", err)
+	}
+}
+
+// zeros is an endless stream of newline-free bytes.
+type zeros struct{}
+
+func (zeros) Read(p []byte) (int, error) {
+	clear(p)
+	return len(p), nil
+}
+
+// TestClusterOversizedFrame: neither end buffers a line past
+// wire.MaxClusterFrame. A node hangs up on a peer that sends one; a
+// coordinator that is sent one counts it a transport fault.
+func TestClusterOversizedFrame(t *testing.T) {
+	if testing.Short() {
+		t.Skip("moves 2x64 MiB over loopback")
+	}
+	// The cap plus more than either end's read buffer, so that the reader
+	// sees the excess without waiting for bytes that never come.
+	const oversized = wire.MaxClusterFrame + 1<<20
+
+	rogue := dialRogue(t, startNode(t, "node0"))
+	if _, err := io.Copy(rogue.conn, io.LimitReader(zeros{}, oversized)); err != nil {
+		// The node may hang up before the last byte is written.
+		t.Logf("write stopped early: %v", err)
+	}
+	rogue.conn.SetReadDeadline(time.Now().Add(30 * time.Second))
+	if _, err := rogue.br.ReadByte(); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("node kept the connection after an oversized frame (read err = %v)", err)
+	}
+
+	// A fake node that answers hello with an endless line.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		io.Copy(conn, io.LimitReader(zeros{}, oversized))
+		io.Copy(io.Discard, conn) // hold the line until the coordinator hangs up
+	}()
+	_, err = cluster.New(cluster.Config{
+		World: "rwm", Seed: 1, Sensors: 10, Shards: 1,
+		Nodes: []string{ln.Addr().String()}, RPCTimeout: 30 * time.Second,
+	})
+	if !errors.Is(err, ps.ErrNodeUnavailable) || !strings.Contains(err.Error(), wire.ErrClusterFrameTooLarge.Error()) {
+		t.Fatalf("New against an oversized hello response: err = %v, want ps.ErrNodeUnavailable naming the frame cap", err)
+	}
+}
+
+// BenchmarkNetworkLaneSubmit measures one posted submit through the
+// sharded layer and a network lane to a loopback node: validation, route,
+// envelope and frame encoding, a buffered write, no round trip. A slot
+// runs (off the clock) every 512 submits so the node's backlog stays
+// slot-sized.
+func BenchmarkNetworkLaneSubmit(b *testing.B) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	node := cluster.NewNodeServer("node0")
+	go node.Serve(ln)
+	defer node.Close()
+	co, err := cluster.New(cluster.Config{
+		World: "rwm", Seed: 3, Sensors: 200, Shards: 1, Nodes: []string{ln.Addr().String()},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer co.Close()
+	sa := co.Sharded()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%512 == 511 {
+			b.StopTimer()
+			if rep := sa.RunSlot(); len(rep.Degraded) != 0 {
+				b.Fatalf("degraded: %v", rep.Degraded)
+			}
+			b.StartTimer()
+		}
+		spec := ps.PointSpec{ID: fmt.Sprintf("p%d", i), Loc: ps.Pt(20+float64(i%40), 20+float64(i%37)), Budget: 10}
+		if _, err := sa.Submit(spec); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if rep := sa.RunSlot(); len(rep.Degraded) != 0 {
+		b.Fatalf("degraded: %v", rep.Degraded)
+	}
+}

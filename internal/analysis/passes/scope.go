@@ -62,8 +62,9 @@ var wallclockAllowedFiles = map[string]bool{
 	"engine.go":     true,
 	"engine_hub.go": true,
 	"shard.go":      true,
-	// lane.go's time.Now feeds only LanePartial.SelectMs (lane compute
-	// wall time, a metric); selection inputs and outputs stay clock-free.
+	// lane.go's time.Now feeds only LanePartial.SelectMs and StepMs (lane
+	// compute and replica-step wall times, metrics); selection inputs and
+	// outputs stay clock-free.
 	"lane.go": true,
 }
 

@@ -74,51 +74,57 @@ type LaneError struct {
 // obtained and its per-sensor payments (the serializable projection of
 // the greedy core's MultiOutcome).
 type LaneOutcome struct {
-	Value    float64         `json:"value"`
-	Payments map[int]float64 `json:"payments,omitempty"`
+	Value    float64
+	Payments map[int]float64
 }
 
 // LanePartial is one lane's slot result in serializable form — everything
 // the coordinator's reconciliation pass needs from a shard, whether the
-// lane ran in-process or on a remote node. All floats are exact: JSON
-// round-trips float64 bit-for-bit, so a partial that crossed the network
-// merges into the same SlotReport an in-process lane would have produced.
+// lane ran in-process or on a remote node. All floats are exact: the
+// binary codec (AppendBinary / DecodeLanePartial) carries a float64 as its
+// 64 bits, so a partial that crossed the network merges into the same
+// SlotReport an in-process lane would have produced.
 type LanePartial struct {
-	Slot    int `json:"slot"`
-	Offers  int `json:"offers"`
-	Queries int `json:"queries"`
+	Slot    int
+	Offers  int
+	Queries int
 
 	// SelectedIDs lists the committed sensors in selection order, aligned
 	// index-for-index with Trace.
-	SelectedIDs []int           `json:"selected_ids,omitempty"`
-	Trace       []SelectionStep `json:"trace,omitempty"`
+	SelectedIDs []int
+	Trace       []SelectionStep
 
 	// Outcomes, Continuous and Contributions carry the accounting inputs
 	// (ledger booking and per-type value re-summation).
-	Outcomes      map[string]LaneOutcome       `json:"outcomes,omitempty"`
-	Continuous    map[string]ContinuousOutcome `json:"continuous,omitempty"`
-	Contributions map[int]float64              `json:"contributions,omitempty"`
+	Outcomes      map[string]LaneOutcome
+	Continuous    map[string]ContinuousOutcome
+	Contributions map[int]float64
 
-	TotalCost   float64 `json:"total_cost"`
-	PointValue  float64 `json:"point_value"`
-	AggValue    float64 `json:"agg_value"`
-	LocMonValue float64 `json:"locmon_value"`
-	RegMonValue float64 `json:"regmon_value"`
-	ExtraValue  float64 `json:"extra_value"`
-	Welfare     float64 `json:"welfare"`
+	TotalCost   float64
+	PointValue  float64
+	AggValue    float64
+	LocMonValue float64
+	RegMonValue float64
+	ExtraValue  float64
+	Welfare     float64
 
 	// Per-query report projection (SlotReport's values/payments/answered
 	// restricted to the lane's resident queries).
-	Values   map[string]float64 `json:"values,omitempty"`
-	Payments map[string]float64 `json:"payments,omitempty"`
-	Answered map[string]bool    `json:"answered,omitempty"`
+	Values   map[string]float64
+	Payments map[string]float64
+	Answered map[string]bool
 
-	Events    []EventNotification `json:"events,omitempty"`
-	Selection SelectionStats      `json:"selection"`
+	Events    []EventNotification
+	Selection SelectionStats
 
 	// SelectMs is the lane's own selection wall time in milliseconds —
 	// node-side compute for remote lanes, excluding the RPC.
-	SelectMs float64 `json:"select_ms"`
+	SelectMs float64
+	// StepMs is the wall time a node lane spent stepping its world replica
+	// into the slot and filtering the shard's offers out of the fleet's,
+	// in milliseconds. In-process lanes leave it 0: they are handed the
+	// offers the coordinator's own step produced.
+	StepMs float64
 
 	// exec is the in-process fast path: a partial produced by a local
 	// lane keeps the original slotExec so reconciliation skips the
@@ -290,6 +296,7 @@ type NodeLane struct {
 	agg   *Aggregator
 
 	pending []core.Offer // the last Advance's shard-filtered offers
+	stepMs  float64      // the last Advance's wall time
 	byID    map[int]*sensornet.Sensor
 }
 
@@ -346,6 +353,7 @@ func (n *NodeLane) Cancel(id string) bool { return n.agg.CancelQuery(id) }
 // offer slice. It fails if the replica is out of lockstep — the step must
 // land exactly on the commanded slot.
 func (n *NodeLane) Advance(t int) error {
+	start := time.Now()
 	offers := n.world.Fleet.Step()
 	if got := n.world.Fleet.Slot(); got != t {
 		return fmt.Errorf("ps: node replica out of lockstep: stepped to slot %d, coordinator commands %d", got, t)
@@ -356,6 +364,7 @@ func (n *NodeLane) Advance(t int) error {
 			n.pending = append(n.pending, o)
 		}
 	}
+	n.stepMs = float64(time.Since(start).Nanoseconds()) / 1e6
 	return nil
 }
 
@@ -367,8 +376,9 @@ func (n *NodeLane) RunSlot(t int) (*LanePartial, error) {
 	}
 	start := time.Now()
 	ex := n.agg.executeSlot(t, n.pending, true)
-	ms := float64(time.Since(start).Nanoseconds()) / 1e6
-	return partialFromExec(ex, ms), nil
+	p := partialFromExec(ex, float64(time.Since(start).Nanoseconds())/1e6)
+	p.StepMs = n.stepMs
+	return p, nil
 }
 
 // Commit applies slot t's global commit — every sensor any lane or the

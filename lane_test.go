@@ -1,13 +1,12 @@
 package ps
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"testing"
 )
 
-// wireLane wraps a NodeLane behind a JSON round-trip of every partial —
+// wireLane wraps a NodeLane behind a codec round-trip of every partial —
 // the in-process stand-in for a remote shard node. Because it is not a
 // *localLane, RunSlot dispatches it on the remote fan-out path (lane_rpc
 // and gather stages) and reconciliation binds its partials exactly as it
@@ -33,15 +32,7 @@ func (w *wireLane) RunLane(t int, _ []Offer) (*LanePartial, error) {
 	if err != nil {
 		return nil, err
 	}
-	buf, err := json.Marshal(p)
-	if err != nil {
-		return nil, err
-	}
-	var back LanePartial
-	if err := json.Unmarshal(buf, &back); err != nil {
-		return nil, err
-	}
-	return &back, nil
+	return DecodeLanePartial(p.AppendBinary(nil))
 }
 
 func (w *wireLane) FinishSlot(t int, selectedIDs []int) error {
@@ -69,7 +60,7 @@ func newWireSharded(seed int64, sensors, shards int) *ShardedAggregator {
 }
 
 // TestRemoteLaneGoldenEquivalence: with every shard behind a wire lane —
-// separate world replicas, JSON-serialized partials, remote dispatch —
+// separate world replicas, serialized partials, remote dispatch —
 // the merged SlotReports stay bit-identical to the all-local sharded
 // layer on the golden six-kind workload.
 func TestRemoteLaneGoldenEquivalence(t *testing.T) {

@@ -1,0 +1,312 @@
+package ps
+
+import (
+	"bytes"
+	"fmt"
+	"math"
+	"reflect"
+	"runtime"
+	"testing"
+)
+
+// bitDiff walks two values of the same type and reports the first place
+// they differ, comparing floats by their bits (so NaN equals the same NaN
+// and 0 differs from -0) and keeping nil apart from empty. Unexported
+// fields are skipped: LanePartial.exec never crosses the wire.
+func bitDiff(path string, a, b reflect.Value) error {
+	switch a.Kind() {
+	case reflect.Float64:
+		if math.Float64bits(a.Float()) != math.Float64bits(b.Float()) {
+			return fmt.Errorf("%s: %v (%#x) != %v (%#x)", path, a.Float(), math.Float64bits(a.Float()), b.Float(), math.Float64bits(b.Float()))
+		}
+	case reflect.Struct:
+		for i := 0; i < a.NumField(); i++ {
+			if f := a.Type().Field(i); f.IsExported() {
+				if err := bitDiff(path+"."+f.Name, a.Field(i), b.Field(i)); err != nil {
+					return err
+				}
+			}
+		}
+	case reflect.Slice:
+		if a.IsNil() != b.IsNil() || a.Len() != b.Len() {
+			return fmt.Errorf("%s: nil %v/%v, len %d/%d", path, a.IsNil(), b.IsNil(), a.Len(), b.Len())
+		}
+		for i := 0; i < a.Len(); i++ {
+			if err := bitDiff(fmt.Sprintf("%s[%d]", path, i), a.Index(i), b.Index(i)); err != nil {
+				return err
+			}
+		}
+	case reflect.Map:
+		if a.IsNil() != b.IsNil() || a.Len() != b.Len() {
+			return fmt.Errorf("%s: nil %v/%v, len %d/%d", path, a.IsNil(), b.IsNil(), a.Len(), b.Len())
+		}
+		for _, k := range a.MapKeys() {
+			bv := b.MapIndex(k)
+			if !bv.IsValid() {
+				return fmt.Errorf("%s: key %v missing", path, k)
+			}
+			if err := bitDiff(fmt.Sprintf("%s[%v]", path, k), a.MapIndex(k), bv); err != nil {
+				return err
+			}
+		}
+	default: // ints, strings, bools
+		if !a.Equal(b) {
+			return fmt.Errorf("%s: %v != %v", path, a, b)
+		}
+	}
+	return nil
+}
+
+// requireRoundTrip checks decode(encode(p)) against p field for field,
+// bit for bit, and that the encoding is a fixed point.
+func requireRoundTrip(t *testing.T, name string, p *LanePartial) {
+	t.Helper()
+	enc := p.AppendBinary(nil)
+	back, err := DecodeLanePartial(enc)
+	if err != nil {
+		t.Fatalf("%s: decode: %v", name, err)
+	}
+	if err := bitDiff("partial", reflect.ValueOf(*p), reflect.ValueOf(*back)); err != nil {
+		t.Fatalf("%s: round trip changed %v", name, err)
+	}
+	if again := back.AppendBinary(nil); !bytes.Equal(enc, again) {
+		t.Fatalf("%s: re-encoding the decoded partial gives different bytes", name)
+	}
+}
+
+// realPartials runs node lanes over demand of every query kind and
+// returns the partials they produced (RWM for seven kinds, IntelLab for
+// region monitoring).
+func realPartials(t testing.TB) []*LanePartial {
+	t.Helper()
+	const slots = 3
+	rwm := NewNodeLane(NewRWMWorld(21, 220, SensorConfig{}), 1, 0)
+	lab := NewNodeLane(NewIntelLabWorld(5, SensorConfig{}), 1, 0)
+	submit := func(n *NodeLane, spec Spec) {
+		if _, err := n.Submit(spec); err != nil {
+			t.Fatalf("Submit(%q): %v", spec.QueryID(), err)
+		}
+	}
+	box := quadrantInner[0]
+	submit(rwm, LocationMonitoringSpec{ID: "lm", Loc: box.Center(), Duration: slots, Budget: 150, Samples: 2})
+	submit(rwm, EventDetectionSpec{ID: "ev", Loc: Pt(30, 25), Duration: slots, Threshold: 0.5, Confidence: 0.6, BudgetPerSlot: 30})
+	submit(rwm, RegionEventSpec{ID: "re", Region: NewRect(21, 21, 31, 31), Duration: slots, Threshold: 0.5, Confidence: 0.5, BudgetPerSlot: 60})
+	submit(lab, RegionMonitoringSpec{ID: "rm", Region: NewRect(1, 1, 7, 12), Duration: slots, Budget: 200})
+
+	var out []*LanePartial
+	for slot := 0; slot < slots; slot++ {
+		for i := 0; i < 6; i++ {
+			submit(rwm, PointSpec{ID: fmt.Sprintf("pt-%d-%d", slot, i), Loc: Pt(22+float64(i*7%13), 23+float64(i*5%13)), Budget: 10 + float64(i)})
+		}
+		submit(rwm, MultiPointSpec{ID: fmt.Sprintf("mp-%d", slot), Loc: box.Center(), Budget: 60, K: 3})
+		submit(rwm, AggregateSpec{ID: fmt.Sprintf("agg-%d", slot), Region: NewRect(47, 22, 58, 33), Budget: 250})
+		submit(rwm, TrajectorySpec{ID: fmt.Sprintf("tr-%d", slot), Path: Trajectory{Waypoints: []Point{Pt(22, 47), Pt(33, 58)}}, Budget: 120})
+		submit(lab, PointSpec{ID: fmt.Sprintf("pt-%d", slot), Loc: Pt(15, 8), Budget: 15})
+		// Points inside the monitored region: the sensors they buy are
+		// what the region monitor contributes to (stage-4 sharing).
+		for i := 0; i < 4; i++ {
+			submit(lab, PointSpec{ID: fmt.Sprintf("in-%d-%d", slot, i), Loc: Pt(2+float64(i), 3+2*float64(i)), Budget: 25})
+		}
+		for _, n := range []*NodeLane{rwm, lab} {
+			p, err := n.RunSlot(slot)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := n.Commit(slot, p.SelectedIDs); err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
+// TestLanePartialBinaryRoundTripReal: partials from real lanes, every
+// query kind among them, cross the codec unchanged to the last bit.
+func TestLanePartialBinaryRoundTripReal(t *testing.T) {
+	var outcomes, continuous, events, contributions int
+	for i, p := range realPartials(t) {
+		requireRoundTrip(t, fmt.Sprintf("partial %d (slot %d)", i, p.Slot), p)
+		outcomes += len(p.Outcomes)
+		continuous += len(p.Continuous)
+		events += len(p.Events)
+		contributions += len(p.Contributions)
+	}
+	if outcomes == 0 || continuous == 0 || events == 0 || contributions == 0 {
+		t.Fatalf("demand left a section empty: %d outcomes, %d continuous, %d events, %d contributions",
+			outcomes, continuous, events, contributions)
+	}
+}
+
+// fill sets every exported field reachable from v to a distinct non-zero
+// value, so a field the codec forgets shows up as a round-trip diff.
+func fill(v reflect.Value, next *int) {
+	*next++
+	switch v.Kind() {
+	case reflect.Int, reflect.Int64:
+		v.SetInt(int64(*next))
+	case reflect.Float64:
+		v.SetFloat(float64(*next) + 0.25)
+	case reflect.String:
+		v.SetString(fmt.Sprintf("s%d", *next))
+	case reflect.Bool:
+		v.SetBool(true)
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			if v.Type().Field(i).IsExported() {
+				fill(v.Field(i), next)
+			}
+		}
+	case reflect.Slice:
+		v.Set(reflect.MakeSlice(v.Type(), 2, 2))
+		for i := 0; i < 2; i++ {
+			fill(v.Index(i), next)
+		}
+	case reflect.Map:
+		v.Set(reflect.MakeMap(v.Type()))
+		for i := 0; i < 2; i++ {
+			k, e := reflect.New(v.Type().Key()).Elem(), reflect.New(v.Type().Elem()).Elem()
+			fill(k, next)
+			fill(e, next)
+			v.SetMapIndex(k, e)
+		}
+	default:
+		panic(fmt.Sprintf("fill: LanePartial grew a %s field; teach fill and the codec about it", v.Kind()))
+	}
+}
+
+// TestLanePartialBinaryCoversEveryField guards the hand-written codec
+// against a field added to LanePartial (or to a struct it embeds) and not
+// to AppendBinary/DecodeLanePartial.
+func TestLanePartialBinaryCoversEveryField(t *testing.T) {
+	var p LanePartial
+	n := 0
+	fill(reflect.ValueOf(&p).Elem(), &n)
+	requireRoundTrip(t, "filled", &p)
+}
+
+// TestLanePartialBinaryEdgeValues: what JSON could not carry (NaN with a
+// payload, infinities) or would not keep apart (-0 from 0, nil from
+// empty) survives, as do subnormals and a partial with nothing in it.
+func TestLanePartialBinaryEdgeValues(t *testing.T) {
+	nan := math.Float64frombits(0x7ff8_0000_dead_beef)
+	subnormal := math.Float64frombits(1)
+	negZero := math.Copysign(0, -1)
+	edge := &LanePartial{
+		Slot: -1, Offers: math.MaxInt32, Queries: 0,
+		SelectedIDs: []int{},
+		Trace:       nil,
+		Outcomes: map[string]LaneOutcome{
+			"":      {Value: nan, Payments: nil},
+			"q\x00": {Value: negZero, Payments: map[int]float64{}},
+			"q":     {Value: math.Inf(1), Payments: map[int]float64{-7: math.Inf(-1), 0: subnormal, math.MaxInt32: nan}},
+		},
+		Continuous:    map[string]ContinuousOutcome{},
+		Contributions: nil,
+		TotalCost:     negZero, PointValue: nan, AggValue: math.Inf(-1), LocMonValue: subnormal,
+		RegMonValue: math.MaxFloat64, ExtraValue: math.SmallestNonzeroFloat64, Welfare: -math.MaxFloat64,
+		Values:   map[string]float64{"a": nan, "b": negZero},
+		Payments: map[string]float64{},
+		Answered: map[string]bool{"a": false, "b": true},
+		Events:   []EventNotification{},
+		SelectMs: nan, StepMs: negZero,
+	}
+	requireRoundTrip(t, "edge", edge)
+	requireRoundTrip(t, "zero", &LanePartial{})
+	if got := len((&LanePartial{}).AppendBinary(nil)); got > 160 {
+		t.Errorf("an empty partial encodes to %d bytes", got)
+	}
+}
+
+// TestDecodeLanePartialRejects pins the decoder's refusals: every strict
+// prefix of a valid encoding, trailing bytes, another layout byte, a
+// repeated map key, a bool byte that is neither 0 nor 1, and lengths the
+// input cannot hold.
+func TestDecodeLanePartialRejects(t *testing.T) {
+	p := realPartials(t)[0]
+	enc := p.AppendBinary(nil)
+	for n := 0; n < len(enc); n++ {
+		if _, err := DecodeLanePartial(enc[:n]); err == nil {
+			t.Fatalf("a %d-byte prefix of a %d-byte partial decodes", n, len(enc))
+		}
+	}
+	if _, err := DecodeLanePartial(append(bytes.Clone(enc), 0)); err == nil {
+		t.Error("a trailing byte is accepted")
+	}
+	other := bytes.Clone(enc)
+	other[0]++
+	if _, err := DecodeLanePartial(other); err == nil {
+		t.Error("an unknown layout byte is accepted")
+	}
+
+	dup := (&LanePartial{Values: map[string]float64{"a": 1, "b": 2}}).AppendBinary(nil)
+	i := bytes.Index(dup, []byte{1, 'b'})
+	if i < 0 {
+		t.Fatal("key b not found in the encoding")
+	}
+	dup[i+1] = 'a'
+	if _, err := DecodeLanePartial(dup); err == nil {
+		t.Error("a map with a repeated key is accepted")
+	}
+
+	badBool := (&LanePartial{Answered: map[string]bool{"a": true}}).AppendBinary(nil)
+	i = bytes.Index(badBool, []byte{1, 'a', 1})
+	if i < 0 {
+		t.Fatal("answered entry not found in the encoding")
+	}
+	badBool[i+2] = 2
+	if _, err := DecodeLanePartial(badBool); err == nil {
+		t.Error("bool byte 2 is accepted")
+	}
+
+	// Slot, offers, queries, then a selected-IDs length of 2^40.
+	huge := []byte{lanePartialFormat, 0, 0, 0, 0x80, 0x80, 0x80, 0x80, 0x80, 0x40}
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	_, err := DecodeLanePartial(huge)
+	runtime.ReadMemStats(&m1)
+	if err == nil {
+		t.Error("a length beyond the input is accepted")
+	}
+	if grew := m1.TotalAlloc - m0.TotalAlloc; grew > 1<<16 {
+		t.Errorf("refusing a 10-byte input allocated %d bytes", grew)
+	}
+}
+
+// decodeAllocBound is how much DecodeLanePartial may allocate for an
+// input of n bytes: a constant factor (the widest blow-up is a one-byte
+// varint becoming an 8-byte int, or a two-byte map entry becoming a map
+// slot) plus a constant.
+func decodeAllocBound(n int) uint64 { return 64*uint64(n) + 1<<14 }
+
+// FuzzDecodeLanePartial: arbitrary bytes never panic the decoder and never
+// make it allocate more than a constant factor of the input; whatever
+// decodes re-encodes to bytes that decode to the same partial.
+func FuzzDecodeLanePartial(f *testing.F) {
+	for _, p := range realPartials(f) {
+		f.Add(p.AppendBinary(nil))
+	}
+	f.Add([]byte(nil))
+	f.Add((&LanePartial{}).AppendBinary(nil))
+	f.Add([]byte{lanePartialFormat, 0, 0, 0, 0x80, 0x80, 0x80, 0x80, 0x80, 0x40})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		p, err := DecodeLanePartial(data)
+		runtime.ReadMemStats(&m1)
+		if grew := m1.TotalAlloc - m0.TotalAlloc; grew > decodeAllocBound(len(data)) {
+			t.Fatalf("decoding %d bytes allocated %d", len(data), grew)
+		}
+		if err != nil {
+			return
+		}
+		enc := p.AppendBinary(nil)
+		back, err := DecodeLanePartial(enc)
+		if err != nil {
+			t.Fatalf("re-decode: %v", err)
+		}
+		if err := bitDiff("partial", reflect.ValueOf(*p), reflect.ValueOf(*back)); err != nil {
+			t.Fatalf("re-encoding changed %v", err)
+		}
+	})
+}

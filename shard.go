@@ -47,6 +47,12 @@ type ShardStats struct {
 	// mutable state — and goroutine interleaving would otherwise inflate
 	// every lane's measured wall time).
 	SelectMs float64
+	// StepMs is the wall time a remote shard node spent stepping its world
+	// replica and filtering the shard's offers (LanePartial.StepMs); with
+	// SelectMs it splits the lane_rpc stage into replica step, selection
+	// and what is left for the wire. In-process lanes and the spanning
+	// pass report 0.
+	StepMs float64
 	// Selection instruments the shard's greedy pass.
 	Selection SelectionStats
 }
@@ -58,6 +64,7 @@ func (s *ShardStats) accumulate(o ShardStats) {
 	s.SensorsUsed += o.SensorsUsed
 	s.Welfare += o.Welfare
 	s.SelectMs += o.SelectMs
+	s.StepMs += o.StepMs
 	s.Selection.Accumulate(o.Selection)
 }
 
@@ -468,6 +475,11 @@ func (sa *ShardedAggregator) RunSlot() *SlotReport {
 
 	rep, selected := sa.reconcile(t, len(offers), parts, execs, gidx, spanExec, laneMs, spanMs)
 	rep.Degraded = degraded
+	for k, ex := range execs {
+		if ex != nil {
+			rep.Shards[k].StepMs = partials[k].StepMs
+		}
+	}
 	tr.Mark(StageReconcile)
 
 	// Data acquisition and accounting (stage 5 of Algorithm 5), once over

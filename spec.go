@@ -101,6 +101,11 @@ type Spec interface {
 	// interface to this package.
 	materialize(a *Aggregator) (SubmittedQuery, error)
 
+	// slots returns how many consecutive slots the materialized query is
+	// active for: 1 for the one-shot kinds, Duration for the continuous
+	// ones. DescribeSubmission turns it into the query's window.
+	slots() int
+
 	// footprint returns the spec's relevance footprint on the given world:
 	// a rectangle containing every sensor position that could ever be
 	// Relevant to the materialized query. The sharded execution layer
@@ -120,6 +125,24 @@ type SubmittedQuery struct {
 	End   int
 
 	query any
+}
+
+// DescribeSubmission returns what submitting spec binds to when the
+// receiving aggregator's next slot is nextSlot: the ID, the kind and the
+// window [nextSlot, nextSlot+slots-1]. It is a pure function of its
+// arguments and shares the one place the window is computed with every
+// materialize method, so a cluster coordinator can answer a submit from
+// the spec and the lockstep slot number without waiting for the node that
+// materializes it.
+func DescribeSubmission(spec Spec, nextSlot int) SubmittedQuery {
+	return describeSubmission(spec.QueryID(), spec.Kind(), nextSlot, spec.slots())
+}
+
+// describeSubmission takes the spec's facts one by one: materialize calls
+// it on its concrete spec without boxing it into a Spec (an allocation per
+// submit).
+func describeSubmission(id string, kind QueryKind, nextSlot, slots int) SubmittedQuery {
+	return SubmittedQuery{ID: id, Kind: kind, Start: nextSlot, End: nextSlot + slots - 1}
 }
 
 // Underlying returns the registered query object (*PointQuery,
@@ -222,9 +245,12 @@ func (s PointSpec) Validate(*World) error {
 func (s PointSpec) materialize(a *Aggregator) (SubmittedQuery, error) {
 	q := query.NewPoint(s.ID, s.Loc, s.Budget, a.world.DMax)
 	a.points = append(a.points, q)
-	next := a.NextSlot()
-	return SubmittedQuery{ID: s.ID, Kind: KindPoint, Start: next, End: next, query: q}, nil
+	sq := describeSubmission(s.ID, s.Kind(), a.NextSlot(), s.slots())
+	sq.query = q
+	return sq, nil
 }
+
+func (s PointSpec) slots() int { return 1 }
 
 // MultiPointSpec describes a multiple-sensor point query asking for K
 // redundant readings at Loc. K < 1 is treated as 1.
@@ -255,9 +281,12 @@ func (s MultiPointSpec) Validate(*World) error {
 func (s MultiPointSpec) materialize(a *Aggregator) (SubmittedQuery, error) {
 	q := query.NewMultiPoint(s.ID, s.Loc, s.Budget, a.world.DMax, s.K)
 	a.extra = append(a.extra, q)
-	next := a.NextSlot()
-	return SubmittedQuery{ID: s.ID, Kind: KindMultiPoint, Start: next, End: next, query: q}, nil
+	sq := describeSubmission(s.ID, s.Kind(), a.NextSlot(), s.slots())
+	sq.query = q
+	return sq, nil
 }
+
+func (s MultiPointSpec) slots() int { return 1 }
 
 // AggregateSpec describes a spatial aggregate query over Region (Eq. 5);
 // the sensing range defaults to the world's dmax.
@@ -281,9 +310,12 @@ func (s AggregateSpec) Validate(*World) error {
 func (s AggregateSpec) materialize(a *Aggregator) (SubmittedQuery, error) {
 	q := query.NewAggregate(s.ID, s.Region, s.Budget, a.world.DMax, a.world.Grid)
 	a.aggs = append(a.aggs, q)
-	next := a.NextSlot()
-	return SubmittedQuery{ID: s.ID, Kind: KindAggregate, Start: next, End: next, query: q}, nil
+	sq := describeSubmission(s.ID, s.Kind(), a.NextSlot(), s.slots())
+	sq.query = q
+	return sq, nil
 }
+
+func (s AggregateSpec) slots() int { return 1 }
 
 // TrajectorySpec describes an aggregate query along Path (§2.2.3).
 type TrajectorySpec struct {
@@ -312,9 +344,12 @@ func (s TrajectorySpec) Validate(*World) error {
 func (s TrajectorySpec) materialize(a *Aggregator) (SubmittedQuery, error) {
 	q := query.NewTrajectory(s.ID, s.Path, s.Budget, a.world.DMax)
 	a.extra = append(a.extra, q)
-	next := a.NextSlot()
-	return SubmittedQuery{ID: s.ID, Kind: KindTrajectory, Start: next, End: next, query: q}, nil
+	sq := describeSubmission(s.ID, s.Kind(), a.NextSlot(), s.slots())
+	sq.query = q
+	return sq, nil
 }
+
+func (s TrajectorySpec) slots() int { return 1 }
 
 // LocationMonitoringSpec describes continuous monitoring of Loc for
 // Duration slots starting at the next slot after materialization; Samples
@@ -349,12 +384,15 @@ func (s LocationMonitoringSpec) Validate(*World) error {
 }
 
 func (s LocationMonitoringSpec) materialize(a *Aggregator) (SubmittedQuery, error) {
-	start := a.NextSlot()
-	hist := a.world.History(s.Loc, start+s.Duration+1)
-	q := query.NewLocationMonitoring(s.ID, s.Loc, start, start+s.Duration-1, s.Budget, a.world.DMax, hist, s.Samples)
+	sq := describeSubmission(s.ID, s.Kind(), a.NextSlot(), s.slots())
+	hist := a.world.History(s.Loc, sq.Start+s.Duration+1)
+	q := query.NewLocationMonitoring(s.ID, s.Loc, sq.Start, sq.End, s.Budget, a.world.DMax, hist, s.Samples)
 	a.locMon = append(a.locMon, q)
-	return SubmittedQuery{ID: s.ID, Kind: KindLocationMonitoring, Start: q.Start, End: q.End, query: q}, nil
+	sq.query = q
+	return sq, nil
 }
+
+func (s LocationMonitoringSpec) slots() int { return s.Duration }
 
 // RegionMonitoringSpec describes continuous monitoring of Region for
 // Duration slots; it requires a world with a learned GP phenomenon model
@@ -401,11 +439,14 @@ func (s RegionMonitoringSpec) materialize(a *Aggregator) (SubmittedQuery, error)
 	if a.world.GPModel == nil {
 		return SubmittedQuery{}, errNoGPModel(a.world)
 	}
-	start := a.NextSlot()
-	q := query.NewRegionMonitoring(s.ID, s.Region, start, start+s.Duration-1, s.Budget, a.world.GPModel, a.world.Grid)
+	sq := describeSubmission(s.ID, s.Kind(), a.NextSlot(), s.slots())
+	q := query.NewRegionMonitoring(s.ID, s.Region, sq.Start, sq.End, s.Budget, a.world.GPModel, a.world.Grid)
 	a.regMon = append(a.regMon, q)
-	return SubmittedQuery{ID: s.ID, Kind: KindRegionMonitoring, Start: q.Start, End: q.End, query: q}, nil
+	sq.query = q
+	return sq, nil
 }
+
+func (s RegionMonitoringSpec) slots() int { return s.Duration }
 
 // EventDetectionSpec describes a continuous event-detection query (§2.3
 // extension) at Loc: redundant sampling every slot for Duration slots,
@@ -436,11 +477,14 @@ func (s EventDetectionSpec) Validate(*World) error {
 }
 
 func (s EventDetectionSpec) materialize(a *Aggregator) (SubmittedQuery, error) {
-	start := a.NextSlot()
-	q := query.NewEventDetection(s.ID, s.Loc, start, start+s.Duration-1, s.Threshold, s.Confidence, s.BudgetPerSlot, a.world.DMax)
+	sq := describeSubmission(s.ID, s.Kind(), a.NextSlot(), s.slots())
+	q := query.NewEventDetection(s.ID, s.Loc, sq.Start, sq.End, s.Threshold, s.Confidence, s.BudgetPerSlot, a.world.DMax)
 	a.events = append(a.events, q)
-	return SubmittedQuery{ID: s.ID, Kind: KindEventDetection, Start: q.Start, End: q.End, query: q}, nil
+	sq.query = q
+	return sq, nil
 }
+
+func (s EventDetectionSpec) slots() int { return s.Duration }
 
 // RegionEventSpec describes a continuous region event-detection query
 // (§2.3's Q4 as an extension): every slot a spatial-aggregate probe is
@@ -470,8 +514,11 @@ func (s RegionEventSpec) Validate(*World) error {
 }
 
 func (s RegionEventSpec) materialize(a *Aggregator) (SubmittedQuery, error) {
-	start := a.NextSlot()
-	q := query.NewRegionEvent(s.ID, s.Region, start, start+s.Duration-1, s.Threshold, s.Confidence, s.BudgetPerSlot, a.world.DMax, a.world.Grid)
+	sq := describeSubmission(s.ID, s.Kind(), a.NextSlot(), s.slots())
+	q := query.NewRegionEvent(s.ID, s.Region, sq.Start, sq.End, s.Threshold, s.Confidence, s.BudgetPerSlot, a.world.DMax, a.world.Grid)
 	a.regEvents = append(a.regEvents, q)
-	return SubmittedQuery{ID: s.ID, Kind: KindRegionEvent, Start: q.Start, End: q.End, query: q}, nil
+	sq.query = q
+	return sq, nil
 }
+
+func (s RegionEventSpec) slots() int { return s.Duration }

@@ -417,3 +417,57 @@ func TestSlotReportOutcomes(t *testing.T) {
 		break
 	}
 }
+
+// TestDescribeSubmissionMatchesSubmit: the window a cluster coordinator
+// computes for a posted submit is the one Aggregator.Submit binds, for
+// every kind, before the first slot and after some have run, with
+// one-slot and longer continuous windows, and for pointer specs.
+func TestDescribeSubmissionMatchesSubmit(t *testing.T) {
+	path := Trajectory{Waypoints: []Point{Pt(20, 20), Pt(40, 35)}}
+	region := NewRect(2, 2, 9, 9)
+	specs := func(d int) []Spec {
+		return []Spec{
+			PointSpec{ID: "p", Loc: Pt(5, 5), Budget: 10},
+			MultiPointSpec{ID: "mp", Loc: Pt(5, 5), Budget: 10, K: 3},
+			AggregateSpec{ID: "a", Region: region, Budget: 100},
+			TrajectorySpec{ID: "tr", Path: path, Budget: 50},
+			&TrajectorySpec{ID: "trp", Path: path, Budget: 50},
+			LocationMonitoringSpec{ID: "lm", Loc: Pt(5, 5), Duration: d, Budget: 100, Samples: 1},
+			RegionMonitoringSpec{ID: "rm", Region: region, Duration: d, Budget: 100},
+			EventDetectionSpec{ID: "ev", Loc: Pt(5, 5), Duration: d, Threshold: 1, Confidence: 0.9, BudgetPerSlot: 10},
+			&RegionEventSpec{ID: "re", Region: region, Duration: d, Threshold: 1, Confidence: 0.9, BudgetPerSlot: 10},
+		}
+	}
+	agg := NewAggregator(NewIntelLabWorld(1, SensorConfig{}))
+	kinds := map[QueryKind]bool{}
+	for round, d := range []int{1, 4, 9} {
+		for _, spec := range specs(d) {
+			want := DescribeSubmission(spec, agg.NextSlot())
+			got, err := agg.Submit(spec)
+			if err != nil {
+				t.Fatalf("round %d: Submit(%s %q): %v", round, spec.Kind(), spec.QueryID(), err)
+			}
+			if got.ID != want.ID || got.Kind != want.Kind || got.Start != want.Start || got.End != want.End {
+				t.Errorf("round %d, duration %d: Submit(%s) = {%s %s %d %d}, DescribeSubmission = {%s %s %d %d}",
+					round, d, spec.Kind(), got.ID, got.Kind, got.Start, got.End, want.ID, want.Kind, want.Start, want.End)
+			}
+			length := 1 // one-shot kinds
+			if want.Kind >= KindLocationMonitoring {
+				length = d
+			}
+			if want.Start != agg.NextSlot() || want.End != want.Start+length-1 {
+				t.Errorf("round %d: %s window [%d, %d] at next slot %d, want %d slots", round, spec.Kind(), want.Start, want.End, agg.NextSlot(), length)
+			}
+			if want.Underlying() != nil {
+				t.Errorf("DescribeSubmission(%s) carries a query object", spec.Kind())
+			}
+			kinds[got.Kind] = true
+			agg.CancelQuery(spec.QueryID())
+		}
+		agg.RunSlot()
+		agg.RunSlot()
+	}
+	if len(kinds) != 8 {
+		t.Errorf("covered %d kinds, want all 8", len(kinds))
+	}
+}

@@ -1,17 +1,34 @@
 // The cluster wire surface: versioned NDJSON frames between the
-// coordinator and its shard nodes. The protocol is strictly synchronous
-// RPC — every request frame gets exactly one response frame on the same
-// connection — with two guards that make a flaky network safe for the
-// bit-identical reconciliation guarantee:
+// coordinator and its shard nodes, one JSON object per line.
 //
-//   - Seq echo: a response must echo the request's sequence number, so a
-//     late answer to an abandoned request can never be mistaken for the
-//     current one.
+// The coordinator -> node direction is write-behind with a fence. submit
+// and commit are posted frames: the coordinator writes them and moves on,
+// the node applies them in arrival order and sends nothing back. Every
+// other request (hello, resync, cancel, set_strategy, run_slot, ping) is a
+// fence: it gets exactly one response, and that response carries applied,
+// the number of posted frames the node has applied on this connection
+// since the last hello/resync. A coordinator that posted more than the
+// node applied — a frame was lost, or the node refused one, which it
+// remembers and reports on the fence — treats the connection as broken.
+// Nothing flows node -> coordinator except the answer to a fence, so the
+// two ends can never block writing to each other.
+//
+// Two guards make a flaky network safe for the bit-identical
+// reconciliation guarantee, on posted frames and fences alike:
+//
+//   - Seq: every frame on a connection carries the next sequence number
+//     and a response echoes its request's, so a late answer to an
+//     abandoned request can never be mistaken for the current one.
 //   - Epoch fencing: every frame carries the lane's resync epoch. A node
-//     rejects requests from a superseded coordinator generation with
-//     CodeStaleEpoch, and the coordinator discards partials tagged with
-//     an old epoch — a rejoining stale node can never contribute to a
-//     slot it did not run under the current generation.
+//     answers a fence from a superseded coordinator generation with
+//     CodeStaleEpoch and does not apply a posted frame from one, and the
+//     coordinator discards partials tagged with an old epoch — a rejoining
+//     stale node can never contribute to a slot it did not run under the
+//     current generation.
+//
+// The one large payload, the run_slot response's LanePartial, travels in
+// ps's binary layout (bit-exact floats, NaN included) as a base64 string
+// inside the same JSON line; everything else is plain JSON.
 //
 // Membership rides on the same frames: ping requests and their replies
 // exchange facts (subject/attribute/value/TTL, wirelink-style); the
@@ -19,6 +36,7 @@
 package wire
 
 import (
+	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -26,14 +44,19 @@ import (
 	ps "repro"
 )
 
-// ClusterVersion is the coordinator <-> node frame version.
-const ClusterVersion = 1
+// ClusterVersion is the coordinator <-> node frame version. Version 2
+// made submit and commit posted frames and the partial binary; a v1 peer
+// is refused at hello.
+const ClusterVersion = 2
 
-// Cluster frame type names. Request frames (coordinator -> node):
-// hello/resync configure or rebuild the node's lane, submit/cancel/
-// set_strategy manage queries, run_slot/commit drive the slot cycle,
-// ping exchanges membership facts. Response frames (node -> coordinator):
-// ok, submitted, partial, error.
+// MaxClusterFrame bounds one frame line, newline included. Both ends
+// refuse to buffer a longer one (ReadClusterLine).
+const MaxClusterFrame = 64 << 20
+
+// Cluster frame type names. Coordinator -> node: hello/resync configure or
+// rebuild the node's lane, submit/cancel/set_strategy manage queries,
+// run_slot/commit drive the slot cycle, ping exchanges membership facts.
+// Node -> coordinator, in answer to a fence only: ok, partial, error.
 const (
 	ClusterHello    = "hello"
 	ClusterResync   = "resync"
@@ -44,10 +67,9 @@ const (
 	ClusterCommit   = "commit"
 	ClusterPing     = "ping"
 
-	ClusterOK        = "ok"
-	ClusterSubmitted = "submitted"
-	ClusterPartial   = "partial"
-	ClusterError     = "error"
+	ClusterOK      = "ok"
+	ClusterPartial = "partial"
+	ClusterError   = "error"
 )
 
 // clusterTypes enumerates every valid ClusterFrame.Type value.
@@ -61,11 +83,14 @@ var clusterTypes = map[string]bool{
 	ClusterCommit:   true,
 	ClusterPing:     true,
 
-	ClusterOK:        true,
-	ClusterSubmitted: true,
-	ClusterPartial:   true,
-	ClusterError:     true,
+	ClusterOK:      true,
+	ClusterPartial: true,
+	ClusterError:   true,
 }
+
+// ClusterPosted reports whether frames of the given type are posted:
+// one-way, applied in order, never answered.
+func ClusterPosted(typ string) bool { return typ == ClusterSubmit || typ == ClusterCommit }
 
 // NodeConfig tells a shard node which world replica to build and which
 // shard of it to serve. Nodes are config-free: the coordinator pushes
@@ -138,16 +163,16 @@ type ClusterMember struct {
 //
 //	hello         config                          -> ok
 //	resync        config, ops                     -> ok
-//	submit        spec                            -> submitted (id, kind, start, end)
+//	submit        spec                            posted
 //	cancel        id                              -> ok (removed)
 //	set_strategy  strategy                        -> ok
 //	run_slot      slot                            -> partial (slot, partial)
-//	commit        slot, selected                  -> ok
+//	commit        slot, selected                  posted
 //	ping          facts                           -> ok (facts)
 //	error         error, code                     (response only)
 //
 // Every frame carries V, Type, Seq and Epoch; responses echo the
-// request's Seq and the node's current Epoch.
+// request's Seq, the node's current Epoch and its Applied count.
 type ClusterFrame struct {
 	V     int    `json:"v"`
 	Type  string `json:"type"`
@@ -159,21 +184,30 @@ type ClusterFrame struct {
 	Ops    []ClusterOp     `json:"ops,omitempty"`
 	Spec   json.RawMessage `json:"spec,omitempty"`
 	ID     string          `json:"id,omitempty"`
-	Kind   string          `json:"kind,omitempty"`
-	Start  int             `json:"start,omitempty"`
-	End    int             `json:"end,omitempty"`
 
 	Strategy string `json:"strategy,omitempty"`
 
-	Slot     int             `json:"slot"`
-	Selected []int           `json:"selected,omitempty"`
-	Partial  *ps.LanePartial `json:"partial,omitempty"`
+	Slot     int   `json:"slot"`
+	Selected []int `json:"selected,omitempty"`
+	// Partial is the run_slot result. On the wire it is the "partial_bin"
+	// field: the partial's binary layout, base64 like any JSON []byte.
+	Partial *ps.LanePartial `json:"-"`
 
 	Facts []Fact `json:"facts,omitempty"`
 
+	// Applied is how many posted frames the node has applied on this
+	// connection since the last hello/resync (responses only).
+	Applied uint64 `json:"applied,omitempty"`
 	Removed bool   `json:"removed,omitempty"`
 	Error   string `json:"error,omitempty"`
 	Code    string `json:"code,omitempty"`
+}
+
+// clusterFrameJSON is a frame's JSON shape: the frame's own fields plus
+// the encoded partial.
+type clusterFrameJSON struct {
+	ClusterFrame
+	PartialBin []byte `json:"partial_bin,omitempty"`
 }
 
 // MarshalClusterFrame encodes a frame as one JSON object (no trailing
@@ -185,22 +219,34 @@ func MarshalClusterFrame(f ClusterFrame) ([]byte, error) {
 	if !clusterTypes[f.Type] {
 		return nil, fmt.Errorf("wire: unknown cluster frame type %q", f.Type)
 	}
-	return json.Marshal(f)
+	j := clusterFrameJSON{ClusterFrame: f}
+	if f.Partial != nil {
+		j.PartialBin = f.Partial.AppendBinary(nil)
+	}
+	return json.Marshal(j)
 }
 
 // DecodeClusterFrame decodes and shape-checks one cluster frame: the
 // version must match, the type must be known, and per-type required
 // fields are checked so a consumer can rely on them.
 func DecodeClusterFrame(data []byte) (ClusterFrame, error) {
-	var f ClusterFrame
-	if err := json.Unmarshal(data, &f); err != nil {
+	var j clusterFrameJSON
+	if err := json.Unmarshal(data, &j); err != nil {
 		return ClusterFrame{}, fmt.Errorf("wire: bad cluster frame JSON: %v", err)
 	}
+	f := j.ClusterFrame
 	if f.V != ClusterVersion {
 		return ClusterFrame{}, fmt.Errorf("wire: unsupported cluster frame version %d (this build speaks v%d)", f.V, ClusterVersion)
 	}
 	if !clusterTypes[f.Type] {
 		return ClusterFrame{}, fmt.Errorf("wire: unknown cluster frame type %q", f.Type)
+	}
+	if j.PartialBin != nil {
+		p, err := ps.DecodeLanePartial(j.PartialBin)
+		if err != nil {
+			return ClusterFrame{}, fmt.Errorf("wire: %s frame: %v", f.Type, err)
+		}
+		f.Partial = p
 	}
 	switch f.Type {
 	case ClusterHello, ClusterResync:
@@ -226,13 +272,9 @@ func DecodeClusterFrame(data []byte) (ClusterFrame, error) {
 		if f.Strategy == "" {
 			return ClusterFrame{}, errors.New(`wire: set_strategy frame without a "strategy"`)
 		}
-	case ClusterSubmitted:
-		if f.ID == "" {
-			return ClusterFrame{}, errors.New(`wire: submitted frame without an "id"`)
-		}
 	case ClusterPartial:
 		if f.Partial == nil {
-			return ClusterFrame{}, errors.New(`wire: partial frame without a "partial"`)
+			return ClusterFrame{}, errors.New(`wire: partial frame without a "partial_bin"`)
 		}
 	case ClusterError:
 		if f.Error == "" {
@@ -245,6 +287,35 @@ func DecodeClusterFrame(data []byte) (ClusterFrame, error) {
 		}
 	}
 	return f, nil
+}
+
+// ErrClusterFrameTooLarge reports a frame line longer than MaxClusterFrame.
+var ErrClusterFrameTooLarge = fmt.Errorf("wire: cluster frame exceeds %d bytes", MaxClusterFrame)
+
+// ReadClusterLine reads one newline-terminated frame from br, refusing to
+// buffer more than MaxClusterFrame bytes of it. A line that fits br's own
+// buffer is returned as a view into it, valid until the next read; only a
+// longer one is copied.
+func ReadClusterLine(br *bufio.Reader) ([]byte, error) { return readLine(br, MaxClusterFrame) }
+
+func readLine(br *bufio.Reader, limit int) ([]byte, error) {
+	var long []byte
+	for {
+		chunk, err := br.ReadSlice('\n')
+		if len(long)+len(chunk) > limit {
+			return nil, ErrClusterFrameTooLarge
+		}
+		if err == nil && long == nil {
+			return chunk, nil
+		}
+		long = append(long, chunk...)
+		if err == nil {
+			return long, nil
+		}
+		if err != bufio.ErrBufferFull {
+			return nil, err
+		}
+	}
 }
 
 // clusterWorlds enumerates the deterministic world factories a NodeConfig

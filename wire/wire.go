@@ -406,6 +406,7 @@ type ShardMetrics struct {
 	SensorsUsed             int     `json:"sensors_used"`
 	Welfare                 float64 `json:"welfare"`
 	SelectMs                float64 `json:"select_ms"`
+	StepMs                  float64 `json:"step_ms,omitempty"`
 	ValuationCalls          int64   `json:"valuation_calls"`
 	ValuationCallsSaved     int64   `json:"valuation_calls_saved"`
 	LazyReevaluations       int64   `json:"lazy_reevaluations"`
@@ -442,6 +443,7 @@ func MetricsFrom(m ps.EngineMetrics, configured string) Metrics {
 			SensorsUsed:             s.SensorsUsed,
 			Welfare:                 s.Welfare,
 			SelectMs:                s.SelectMs,
+			StepMs:                  s.StepMs,
 			ValuationCalls:          s.Selection.ValuationCalls,
 			ValuationCallsSaved:     s.Selection.SavedCalls(),
 			LazyReevaluations:       s.Selection.LazyReevaluations,
