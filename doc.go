@@ -32,10 +32,12 @@
 // concurrent, slot-clocked streaming layer: submissions from any
 // goroutine become non-blocking enqueues returning a QueryHandle whose
 // subscription streams typed events (Accepted, one SlotUpdate per
-// active slot, then Final or Canceled; Gap frames summarize anything a
-// slow consumer missed), a real-time or virtual clock drives the slots,
-// additional observers attach with Engine.Watch, and cmd/psserve exposes
-// the whole thing over HTTP — including server-pushed /watch streams:
+// active slot, then Final or Canceled) out of the query's one bounded
+// event log — every subscription is a cursor into it, and a Gap frame
+// summarizes what the log dropped ahead of a slow reader — a real-time
+// or virtual clock drives the slots, additional observers attach with
+// Engine.Watch or QueryHandle.Watch, and cmd/psserve exposes the whole
+// thing over HTTP — including server-pushed /watch streams:
 //
 //	eng := ps.NewEngine(ps.NewAggregator(world), ps.WithSlotInterval(time.Second))
 //	eng.Start()

@@ -52,12 +52,13 @@ type SlotResult struct {
 	Final bool
 }
 
-// QueryHandle is the submitting client's view of a live query: a thin
-// wrapper over the query's primary event Subscription plus cancellation.
-// The stream delivers Accepted, then one SlotUpdate per executed slot
-// the query is live for, then Final (normal expiry) or Canceled; see
-// Subscription for the slow-consumer policy. Additional observers attach
-// with Engine.Watch.
+// QueryHandle is the submitting client's view of a query: the query's
+// primary event Subscription plus cancellation. The stream delivers
+// Accepted, then one SlotUpdate per executed slot the query is live for,
+// then Final (normal expiry) or Canceled; see Subscription for the event
+// log behind it and its slow-consumer policy. Additional observers attach
+// with Engine.Watch or Watch. A handle keeps its query's log readable
+// after the query finished, for as long as the handle itself is kept.
 type QueryHandle struct {
 	id  string
 	eng *Engine
@@ -75,8 +76,52 @@ func (h *QueryHandle) Subscription() *Subscription { return h.sub }
 
 // Err explains why the stream ended: nil after normal expiry,
 // ErrCanceled, ErrEngineStopped, or a submission error such as
-// ErrDuplicateQueryID. Only valid once Events is closed.
+// ErrDuplicateQueryID. Only valid once the stream ended.
 func (h *QueryHandle) Err() error { return h.sub.Err() }
+
+// Watch opens a further reader on the query's event log, positioned after
+// slot cursor `after`: it reads the retained events with a newer cursor —
+// behind one Gap frame if the log already evicted some of them — and then
+// follows the live tail; the terminal event is read whatever the cursor.
+// Unlike Engine.Watch it also works once the query finished, which is
+// what lets a transport serve replay and live follow from the one log.
+// Pass a cursor below the query's first slot to read from the beginning.
+func (h *QueryHandle) Watch(after int) *Subscription { return h.sub.t.follow(after) }
+
+// Updates reports how many SlotUpdate events the query's log currently
+// retains.
+func (h *QueryHandle) Updates() int {
+	t := h.sub.t
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	n := len(t.log)
+	if n > 0 && t.log[0].Type == EventAccepted {
+		n--
+	}
+	if n > 0 && t.log[len(t.log)-1].terminal() {
+		n--
+	}
+	return n
+}
+
+// OnDone registers fn to run once when the query's stream ends — the
+// terminal event is in the log, or the submission failed before going
+// live (Err tells which) — or at once if it already has. fn runs on the
+// goroutine that ended the stream, usually the engine's event loop, with
+// no engine lock held: it must not block. A later registration replaces
+// an earlier one that has not run.
+func (h *QueryHandle) OnDone(fn func()) {
+	t := h.sub.t
+	t.mu.Lock()
+	if !t.ended {
+		t.onDone = fn
+		fn = nil
+	}
+	t.mu.Unlock()
+	if fn != nil {
+		fn()
+	}
+}
 
 // Cancel withdraws the query before its next slot and terminates every
 // attached subscription with a Canceled event (Err reports ErrCanceled).
@@ -86,7 +131,7 @@ func (h *QueryHandle) Err() error { return h.sub.Err() }
 func (h *QueryHandle) Cancel() error {
 	e := h.eng
 	return e.loop.Do(e.timedIngest(func() {
-		if !e.hub.cancel(h.id, h.sub, ErrCanceled, time.Now()) {
+		if !e.hub.cancel(h.sub.t, ErrCanceled, time.Now()) {
 			return // already expired, replaced, or canceled
 		}
 		e.agg.CancelQuery(h.id)
@@ -126,10 +171,10 @@ type EngineMetrics struct {
 	// positive value, Starved results delivered with none.
 	Answered int64
 	Starved  int64
-	// EventsDelivered counts events handed to subscriber buffers across
-	// all subscriptions; EventsDropped counts events evicted from a slow
-	// subscriber's buffer (each run of evictions is summarized by one of
-	// the GapEvents frames).
+	// EventsDelivered counts events times the readers attached when each
+	// was published; EventsDropped counts events a reader lost because
+	// the query's log evicted them before it got there (each such run is
+	// reported to that reader by one of the GapEvents frames).
 	EventsDelivered int64
 	EventsDropped   int64
 	GapEvents       int64
@@ -214,9 +259,11 @@ func WithShedOldest() EngineOption {
 	return func(c *engineConfig) { c.shedOldest = true }
 }
 
-// WithEventBuffer sets each subscription's event buffer (default 16,
-// minimum 2 — a Gap frame must fit in front of the event that displaced
-// it).
+// WithEventBuffer bounds each query's event log (default 1024 events,
+// minimum 2): the log grows on demand up to n, then evicts oldest-first.
+// It is the one per-query bound — how far a reader may fall behind before
+// it gets a Gap, and how much history a late or resuming reader can
+// replay.
 func WithEventBuffer(n int) EngineOption {
 	return func(c *engineConfig) {
 		if n > 0 {
@@ -254,7 +301,7 @@ type queryRuntime interface {
 // goroutine become non-blocking enqueues onto a bounded queue; a single
 // event-loop goroutine owns the aggregator, executes slots as the clock
 // ticks, and publishes each SlotReport through the subscription hub —
-// one typed event stream per query, any number of subscribers each. The
+// one typed event log per query, any number of readers each. The
 // aggregator (and its World) must not be used directly once handed to an
 // Engine.
 type Engine struct {
@@ -293,7 +340,7 @@ func NewShardedEngine(agg *ShardedAggregator, opts ...EngineOption) *Engine {
 }
 
 func newEngine(agg queryRuntime, opts []EngineOption) *Engine {
-	cfg := engineConfig{queueSize: 1024, eventBuffer: 16, drainSlots: 64}
+	cfg := engineConfig{queueSize: 1024, eventBuffer: 1024, drainSlots: 64}
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -366,6 +413,8 @@ func (e *Engine) Metrics() EngineMetrics {
 	m.Shards = append([]ShardStats(nil), e.m.Shards...)
 	m.SlotStages = append([]StageStats(nil), e.m.SlotStages...)
 	e.mu.Unlock()
+	m.EventsDropped = e.hub.dropped.Load()
+	m.GapEvents = e.hub.gapEvents.Load()
 	m.Slots = s.Slots
 	m.QueueDepth = s.QueueDepth
 	m.QueueCap = s.QueueCap
@@ -388,11 +437,14 @@ func (e *Engine) countRejected() {
 // executing it is attributed to the next slot's "ingest" stage.
 func (e *Engine) timedIngest(fn func()) func() {
 	return func() {
-		start := time.Now()
+		defer e.ingested(time.Now())
 		fn()
-		e.ingestNanos.Add(int64(time.Since(start)))
 	}
 }
+
+// ingested attributes the time since start to the next slot's "ingest"
+// stage.
+func (e *Engine) ingested(start time.Time) { e.ingestNanos.Add(int64(time.Since(start))) }
 
 // Submit validates and submits any query spec from any goroutine and
 // returns its subscription handle. The spec is validated and materialized
@@ -408,8 +460,9 @@ func (e *Engine) Submit(spec Spec) (*QueryHandle, error) {
 		return nil, errNilSpec
 	}
 	id := spec.QueryID()
-	h := &QueryHandle{id: id, eng: e, sub: e.hub.newSubscription(id)}
-	err := e.loop.DoSheddable(e.timedIngest(func() {
+	h := &QueryHandle{id: id, eng: e, sub: &e.hub.newTopic(id).owner}
+	err := e.loop.DoSheddable(func() {
+		defer e.ingested(time.Now())
 		if e.hub.live(id) {
 			h.fail(ErrDuplicateQueryID)
 			e.countRejected()
@@ -421,19 +474,20 @@ func (e *Engine) Submit(spec Spec) (*QueryHandle, error) {
 			e.countRejected()
 			return
 		}
-		e.hub.register(id, sq.Start, sq.End, h.sub, time.Now())
+		e.hub.register(h.sub.t, sq.Start, sq.End, time.Now())
 		e.mu.Lock()
 		e.m.QueriesSubmitted++
 		e.m.ActiveQueries = e.hub.liveCount()
 		e.mu.Unlock()
 		e.obs.queriesSubmitted.Inc()
 		e.obs.queriesActive.Set(float64(e.hub.liveCount()))
-	}), func() {
+	}, func() {
 		// Shed by the overflow policy before the submission ran (see
-		// WithShedOldest): close the never-attached stream so the
+		// WithShedOldest): end the never-registered stream so the
 		// submitter's consumer observes a terminal verdict, and account
 		// the eviction. Runs on whichever goroutine's enqueue caused the
-		// shed; h.fail only takes hub.mu, safe off the loop goroutine.
+		// shed; h.fail only takes the topic's lock, safe off the loop
+		// goroutine.
 		h.fail(ErrShed)
 		e.mu.Lock()
 		e.m.QueriesShed++
@@ -447,20 +501,25 @@ func (e *Engine) Submit(spec Spec) (*QueryHandle, error) {
 	return h, nil
 }
 
-// fail closes the handle's never-attached stream with err. Safe from
-// any goroutine (it only takes hub.mu); called from the loop goroutine
-// for submission failures and from the shedding goroutine for evictions.
+// fail ends the handle's never-registered stream with err. Safe from any
+// goroutine (it only takes the topic's lock); called from the loop
+// goroutine for submission failures and from the shedding goroutine for
+// evictions.
 func (h *QueryHandle) fail(err error) {
-	h.eng.hub.mu.Lock()
-	h.sub.closeLocked(err)
-	h.eng.hub.mu.Unlock()
+	t := h.sub.t
+	t.mu.Lock()
+	onDone := t.finish(err)
+	t.mu.Unlock()
+	if onDone != nil {
+		onDone()
+	}
 }
 
-// Watch attaches an additional subscriber to a live query's event
-// stream: the returned subscription opens with the query's Accepted
+// Watch attaches an additional reader to a live query's event stream at
+// its tail: the returned subscription opens with the query's Accepted
 // event and then delivers every event published after the attach
-// (Subscription.JoinCursor reports the cursor boundary, so a transport
-// can replay older history from its own store). Watching does not confer
+// (Subscription.JoinCursor reports the cursor boundary; QueryHandle.Watch
+// reads older history from the same log). Watching does not confer
 // cancellation rights. Safe from any goroutine; a query that is unknown,
 // already finished, or canceled returns ErrUnknownQuery.
 func (e *Engine) Watch(id string) (*Subscription, error) {
@@ -524,8 +583,6 @@ func (e *Engine) onSlot(rep *SlotReport, dur time.Duration) {
 	e.m.Answered += st.answered
 	e.m.Starved += st.starved
 	e.m.EventsDelivered += st.delivered
-	e.m.EventsDropped += st.dropped
-	e.m.GapEvents = e.hub.gapCount()
 	e.m.ActiveQueries = st.active
 	e.accumulateStages(stages)
 	totalWelfare := e.m.TotalWelfare

@@ -3,9 +3,11 @@ package ps
 import (
 	"errors"
 	"fmt"
-	"maps"
+	"math"
 	"slices"
+	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -18,8 +20,8 @@ var ErrUnknownQuery = errors.New("ps: unknown query")
 //
 //	Accepted → SlotUpdate* → Final | Canceled
 //
-// with Gap frames interleaved per subscriber when its buffer overflowed
-// (see Subscription).
+// with one Gap frame synthesized for a reader that fell behind the
+// query's event log (see Subscription).
 type EventType int
 
 const (
@@ -28,9 +30,9 @@ const (
 	EventAccepted EventType = iota
 	// EventSlotUpdate carries one executed slot's SlotResult.
 	EventSlotUpdate
-	// EventGap reports Dropped events evicted from this subscriber's
-	// buffer because it fell behind (slots From..Slot); the stream
-	// continues with the newest events.
+	// EventGap reports Dropped events this reader can no longer get: the
+	// query's event log evicted them (slots From..To) before the reader
+	// reached them. The stream continues with the oldest retained event.
 	EventGap
 	// EventFinal terminates a stream whose query expired normally; the
 	// final SlotUpdate precedes it.
@@ -78,7 +80,7 @@ type QueryEvent struct {
 	Start, End int
 	// Result is the executed slot's outcome (SlotUpdate only).
 	Result SlotResult
-	// Dropped counts the events evicted from this subscriber's buffer,
+	// Dropped counts the events evicted from the log ahead of this reader,
 	// covering slots From..To (Gap only).
 	Dropped  int
 	From, To int
@@ -90,233 +92,372 @@ type QueryEvent struct {
 	At time.Time
 }
 
-// Subscription is one subscriber's view of a query's event stream. The
-// submitting QueryHandle owns one; any number of additional watchers can
-// attach with Engine.Watch. Each subscription has its own bounded buffer
-// with an explicit slow-consumer policy: when the buffer is full the
-// *oldest* buffered event is evicted and accounted in a Gap frame
-// delivered before the next event — the newest events (and in particular
-// the terminal one) always land, and a stalled subscriber never blocks
-// the slot loop.
+// Subscription is one reader of a query's event stream: a cursor into the
+// query's event log plus a wake-up. The submitting QueryHandle owns one;
+// any number of further readers attach with Engine.Watch (from the live
+// tail) or QueryHandle.Watch (from a slot cursor, also after the query
+// finished). Every query has exactly one log — append-only, grown on
+// demand, bounded by WithEventBuffer — and publishing appends to it once,
+// whatever the number of readers, so a stalled reader never blocks the
+// slot loop. The slow-consumer policy is the log's: at the bound the
+// *oldest* event is evicted, and a reader whose cursor falls behind the
+// oldest retained event gets one Gap frame (From..To, Dropped) in front
+// of it. The newest events — in particular the terminal one — always
+// land.
+//
+// Read either with Next (non-blocking; wait on Ready between calls) or
+// through the Events channel; do not mix the two on one subscription.
 type Subscription struct {
-	id  string
-	hub *hub
-	ch  chan QueryEvent
+	t *topic
 
-	// Everything below is guarded by hub.mu.
-	closed bool
-	// err is published by the close of ch; see Err.
-	err error
-	// joinCursor is the topic's cursor when this subscription attached.
+	// Everything below is guarded by t.mu.
+
+	// next is the log sequence number of the next event to read; cursor
+	// the slot cursor of the last event read, or the resume point.
+	next, cursor int
+	// joinCursor is the stream's slot cursor when this reader started.
 	joinCursor int
-	// Pending-gap accumulator: events evicted since the last Gap frame.
-	dropped          int
-	dropFrom, dropTo int
+	// accepted marks an Engine.Watch reader that still owes its consumer
+	// the opening Accepted frame.
+	accepted bool
+	closed   bool
+	// wake holds at most one token: the log grew, or the stream ended,
+	// since the reader last looked. Nil until Ready is first called.
+	wake chan struct{}
+	// ch is the Events adapter's channel, fed by a goroutine the first
+	// Events call starts.
+	ch chan QueryEvent
 }
 
-// Events returns the subscription's event stream. The channel closes
-// after the terminal event (Final or Canceled), after Close, or — for a
+// Next returns the subscription's next event without blocking; ok is
+// false when the reader has caught up with the log (wait on Ready, or
+// stop if Done). The event is a synthesized Gap when the log evicted
+// events ahead of this reader.
+func (s *Subscription) Next() (ev QueryEvent, ok bool) {
+	t := s.t
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if s.closed {
+		return QueryEvent{}, false
+	}
+	if s.accepted {
+		s.accepted = false
+		return QueryEvent{
+			Type: EventAccepted, QueryID: t.id,
+			Slot: t.start - 1, Start: t.start, End: t.end, At: t.acceptedAt,
+		}, true
+	}
+	if s.next < t.base {
+		// The one gap rule: everything between the reader's cursor and the
+		// log's oldest retained event is gone. The frame rides in front of
+		// that event and reports its cursor; the lost range is carried
+		// separately in From..To.
+		oldest := t.log[0]
+		ev = QueryEvent{
+			Type: EventGap, QueryID: t.id, Slot: oldest.Slot,
+			From: max(s.cursor+1, t.start-1), To: t.evictedTo, Dropped: t.base - s.next,
+			At: oldest.At,
+		}
+		s.next = t.base
+		t.hub.countGap(ev.Dropped)
+		return ev, true
+	}
+	i := s.next - t.base
+	if i >= len(t.log) {
+		return QueryEvent{}, false
+	}
+	s.next++
+	s.cursor = t.log[i].Slot
+	return t.log[i], true
+}
+
+// Ready returns the subscription's wake-up channel: it receives after the
+// log grew or the stream ended. Obtain it before the Next call whose
+// false result you then wait on — a wake-up sent before the channel
+// exists is not repeated — and treat a receive as "look again", not as a
+// count of new events.
+func (s *Subscription) Ready() <-chan struct{} {
+	s.t.mu.Lock()
+	defer s.t.mu.Unlock()
+	return s.readyLocked()
+}
+
+func (s *Subscription) readyLocked() chan struct{} {
+	if s.wake == nil {
+		s.wake = make(chan struct{}, 1)
+	}
+	return s.wake
+}
+
+// Done reports that Next will never return another event: the stream
+// ended and this reader has read all of it, or the subscription was
+// closed.
+func (s *Subscription) Done() bool {
+	s.t.mu.Lock()
+	defer s.t.mu.Unlock()
+	return s.closed || (s.t.ended && !s.accepted && s.next >= s.t.base+len(s.t.log))
+}
+
+// Events returns the subscription's event stream as a channel, fed from
+// the log by a goroutine the first call starts. The channel closes after
+// the terminal event (Final or Canceled), after Close, or — for a
 // submission that never went live — immediately, with the cause in Err.
-func (s *Subscription) Events() <-chan QueryEvent { return s.ch }
+// A consumer that stops receiving before the channel closes must call
+// Close, or the feeding goroutine stays parked on its next send.
+func (s *Subscription) Events() <-chan QueryEvent {
+	s.t.mu.Lock()
+	defer s.t.mu.Unlock()
+	if s.ch == nil {
+		s.ch = make(chan QueryEvent)
+		go s.feed(s.ch, s.readyLocked())
+	}
+	return s.ch
+}
+
+// feed moves events from the log into the Events channel until the
+// stream is done. A wake-up taken while parked on a send is not lost:
+// the next Next call sees whatever it announced.
+func (s *Subscription) feed(ch chan<- QueryEvent, ready <-chan struct{}) {
+	defer close(ch)
+	for {
+		ev, ok := s.Next()
+		if !ok {
+			if s.Done() {
+				return
+			}
+			<-ready
+			continue
+		}
+		for sent := false; !sent; {
+			select {
+			case ch <- ev:
+				sent = true
+			case <-ready:
+				if s.isClosed() {
+					return
+				}
+			}
+		}
+	}
+}
+
+func (s *Subscription) isClosed() bool {
+	s.t.mu.Lock()
+	defer s.t.mu.Unlock()
+	return s.closed
+}
 
 // ID returns the subscribed query's identifier.
-func (s *Subscription) ID() string { return s.id }
+func (s *Subscription) ID() string { return s.t.id }
 
-// Err explains why the stream ended: nil after a normal Final (or a
-// consumer-side Close), ErrCanceled, ErrEngineStopped, or the submission
-// error of a spec that never went live (validation failure,
-// ErrDuplicateQueryID). Only valid once Events is closed.
+// Err explains why the stream ended: nil after a normal Final,
+// ErrCanceled, ErrEngineStopped, or the submission error of a spec that
+// never went live (validation failure, ErrDuplicateQueryID, ErrShed).
+// Only valid once the stream ended (Done, or Events closed).
 func (s *Subscription) Err() error {
-	s.hub.mu.Lock()
-	defer s.hub.mu.Unlock()
-	return s.err
+	s.t.mu.Lock()
+	defer s.t.mu.Unlock()
+	return s.t.err
 }
 
 // JoinCursor reports the stream's slot cursor at the moment this
-// subscription attached: every event published before it has Slot <=
-// JoinCursor, and the subscription delivers exactly the events published
-// after it. A transport replaying history to a late watcher serves
-// cursors up to JoinCursor from its own store and the rest live.
+// subscription started: an Engine.Watch reader delivers exactly the
+// events published after it (every earlier one has Slot <= JoinCursor), a
+// QueryHandle.Watch reader the retained events with a newer cursor.
 func (s *Subscription) JoinCursor() int {
-	s.hub.mu.Lock()
-	defer s.hub.mu.Unlock()
+	s.t.mu.Lock()
+	defer s.t.mu.Unlock()
 	return s.joinCursor
 }
 
-// Close detaches the subscription: the channel is closed (after whatever
-// is already buffered is discarded by garbage collection, not delivered)
-// and the hub stops publishing to it. Closing does not cancel the query;
-// the submitting handle's Cancel does. Safe to call more than once, and
-// concurrently with event delivery.
+// Close detaches the subscription: Next returns nothing more, the Events
+// channel (if used) closes, and publishing stops waking it. Closing does
+// not cancel the query; the submitting handle's Cancel does. Safe to call
+// more than once, and concurrently with event delivery.
 func (s *Subscription) Close() {
-	s.hub.mu.Lock()
-	defer s.hub.mu.Unlock()
-	if s.closed {
-		return
-	}
-	s.closeLocked(nil)
-	if t := s.hub.topics[s.id]; t != nil {
-		t.detach(s)
-	}
-}
-
-// closeLocked ends the stream with err. Caller holds hub.mu.
-func (s *Subscription) closeLocked(err error) {
+	t := s.t
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	if s.closed {
 		return
 	}
 	s.closed = true
-	s.err = err
-	close(s.ch)
+	t.subs = slices.DeleteFunc(t.subs, func(o *Subscription) bool { return o == s })
+	s.wakeLocked()
 }
 
-// push delivers ev, evicting the oldest buffered events instead of
-// blocking when the buffer is full; evictions accumulate into a Gap
-// frame emitted before ev. Caller holds hub.mu (which serializes all
-// senders, so a post-eviction send can never block: receivers only free
-// space). Returns delivered and dropped event counts for the metrics.
-func (s *Subscription) push(ev QueryEvent) (delivered, dropped int) {
-	if s.closed {
-		return 0, 0
+// wakeLocked leaves the reader a wake-up token if it has ever waited.
+// Caller holds t.mu; the send never blocks.
+func (s *Subscription) wakeLocked() {
+	if s.wake == nil {
+		return
 	}
-	need := 1
-	if s.dropped > 0 {
-		need = 2 // a pending Gap frame rides in front of ev
+	select {
+	case s.wake <- struct{}{}:
+	default:
 	}
-	for cap(s.ch)-len(s.ch) < need {
-		select {
-		case old := <-s.ch:
-			if old.Type == EventGap {
-				// Re-absorb an unread Gap frame instead of counting it as
-				// a lost event.
-				if s.dropped == 0 || old.From < s.dropFrom {
-					s.dropFrom = old.From
-				}
-				s.dropped += old.Dropped
-				if old.To > s.dropTo {
-					s.dropTo = old.To
-				}
-			} else {
-				if s.dropped == 0 {
-					s.dropFrom = old.Slot
-				}
-				s.dropped++
-				if old.Slot > s.dropTo {
-					s.dropTo = old.Slot
-				}
-				dropped++
-			}
-			need = 2
-		default:
-			// A racing reader freed space for us instead.
-		}
-		if cap(s.ch)-len(s.ch) >= need {
-			break
-		}
-	}
-	if s.dropped > 0 {
-		// The Gap frame rides immediately in front of ev and reports ev's
-		// cursor: buffered events are cursor-ordered, and the dropped
-		// range is carried separately in From..To (an eviction can cover
-		// slots older than events already buffered behind it).
-		s.ch <- QueryEvent{
-			Type: EventGap, QueryID: s.id,
-			Slot: ev.Slot, From: s.dropFrom, To: s.dropTo, Dropped: s.dropped,
-			At: ev.At,
-		}
-		s.hub.gapEvents++
-		if o := s.hub.obs; o != nil {
-			o.gapFrames.Inc()
-			o.evictionRun.Observe(float64(s.dropped))
-		}
-		delivered++
-		s.dropped, s.dropFrom, s.dropTo = 0, 0, 0
-	}
-	s.ch <- ev
-	delivered++
-	return delivered, dropped
 }
 
-// topic is one live query's publication point inside the hub.
+// topic is one query's publication point: its event log and the readers
+// attached to it. The hub's map holds it while the query is live; after
+// that the handle and any open subscription keep the log readable.
 type topic struct {
-	id         string
+	id  string
+	hub *hub
+
+	// mu guards everything below, and every attached Subscription. Lock
+	// order: hub.mu before topic.mu.
+	mu         sync.Mutex
 	start, end int
-	// cursor is the Slot of the last published event.
-	cursor int
-	// owner is the submitting handle's subscription; Cancel only acts
-	// when the canceling handle still owns the live topic (a reused ID
-	// must not let a stale handle cancel its successor).
-	owner *Subscription
+	// log holds the retained events in stream order: log[i] is the
+	// stream's event number base+i, so base also counts the evictions.
+	// evictedTo is the slot cursor of the newest evicted event. Evicted
+	// events are never terminal, and cursors never decrease along the log.
+	log       []QueryEvent
+	base      int
+	evictedTo int
+	// ended marks the stream over — the terminal event is appended, or the
+	// submission failed before going live — with err the cause (see
+	// Subscription.Err). onDone runs once at that point.
+	ended  bool
+	err    error
+	onDone func()
+	// owner is the submitting handle's subscription; subs the attached
+	// readers, owner included unless it was closed.
+	owner Subscription
 	subs  []*Subscription
 	// acceptedAt anchors the query's lifecycle spans (time to first
-	// update, lifetime); sawUpdate marks the first SlotUpdate published.
+	// update, lifetime).
 	acceptedAt time.Time
-	sawUpdate  bool
 }
 
-// publish fans ev out to every attached subscription and advances the
-// cursor. Caller holds hub.mu.
-func (t *topic) publish(ev QueryEvent) (delivered, dropped int) {
-	t.cursor = ev.Slot
-	for _, s := range t.subs {
-		d, dr := s.push(ev)
-		delivered += d
-		dropped += dr
+// cursor returns the Slot of the last published event. Caller holds
+// t.mu; the topic is registered (its log is never empty after that).
+func (t *topic) cursor() int { return t.log[len(t.log)-1].Slot }
+
+// publish appends ev to the log — evicting the oldest event at the bound
+// — and wakes the attached readers. It returns how many readers were
+// attached. Caller holds t.mu.
+func (t *topic) publish(ev QueryEvent) (attached int) {
+	if len(t.log) >= t.hub.bound {
+		t.evictedTo = t.log[0].Slot
+		t.log[0] = QueryEvent{} // release what the evicted event references
+		t.log = t.log[1:]
+		t.base++
 	}
-	return delivered, dropped
-}
-
-// close ends every attached stream with err. Caller holds hub.mu.
-func (t *topic) close(err error) {
+	t.log = append(t.log, ev)
 	for _, s := range t.subs {
-		s.closeLocked(err)
+		s.wakeLocked()
 	}
-	t.subs = nil
+	return len(t.subs)
 }
 
-// detach removes one subscription. Caller holds hub.mu.
-func (t *topic) detach(sub *Subscription) {
-	for i, s := range t.subs {
-		if s == sub {
-			t.subs = append(t.subs[:i], t.subs[i+1:]...)
-			return
+// finish marks the stream over with cause err and wakes the readers. It
+// returns the completion callback for the caller to run once it holds no
+// lock (nil if none is registered). Caller holds t.mu.
+func (t *topic) finish(err error) (onDone func()) {
+	t.ended, t.err = true, err
+	for _, s := range t.subs {
+		s.wakeLocked()
+	}
+	onDone, t.onDone = t.onDone, nil
+	return onDone
+}
+
+// follow returns a new reader positioned after slot cursor `after`: it
+// reads the retained events with a newer cursor, then follows the live
+// tail. The terminal event is read whatever the cursor; events evicted
+// beyond `after` surface as the reader's Gap.
+func (t *topic) follow(after int) *Subscription {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	i := sort.Search(len(t.log), func(i int) bool { return t.log[i].Slot > after })
+	if last := len(t.log) - 1; i > last && t.ended && last >= 0 && t.log[last].terminal() {
+		i = last
+	}
+	s := &Subscription{t: t, next: t.base + i, cursor: after, joinCursor: after}
+	if after < t.evictedTo {
+		// Part of what the reader asks for is gone (and every retained
+		// event is newer than it). Live slots publish one event each, so
+		// the evicted events newer than `after` number evictedTo-after —
+		// or all of them, for a reader from before the stream's start.
+		missed := t.base
+		if d := t.evictedTo - after; d > 0 && d < missed {
+			missed = d
 		}
+		s.next -= missed
 	}
+	t.attach(s)
+	return s
+}
+
+// attach adds s to the readers publish wakes and counts; a stream that
+// already ended has nothing left to announce. Caller holds t.mu.
+func (t *topic) attach(s *Subscription) {
+	if !t.ended {
+		t.subs = append(t.subs, s)
+	}
+}
+
+func (ev *QueryEvent) terminal() bool {
+	return ev.Type == EventFinal || ev.Type == EventCanceled
 }
 
 // hub is the engine's central subscription hub: it owns every live
-// query's topic and fans the event-loop goroutine's publications out to
-// all subscribers. Publications and (un)subscriptions synchronize on one
-// mutex; every per-subscriber send is non-blocking by construction
-// (drop-oldest), so the slot loop's time under the lock is bounded by
-// buffer operations, never by subscriber behavior.
+// query's topic and appends the event-loop goroutine's publications to
+// their logs. The map synchronizes on the hub's mutex, each log on its
+// topic's; a publication is one append plus a non-blocking wake-up per
+// attached reader, so the slot loop's time under the locks never depends
+// on reader behavior.
 type hub struct {
-	buffer int
-	// gapEvents counts Gap frames emitted hub-wide (metrics).
-	gapEvents int64
+	// bound is the most events one query's log retains.
+	bound int
+	// gapEvents counts Gap frames handed to readers hub-wide, dropped the
+	// events those frames reported lost.
+	gapEvents, dropped atomic.Int64
 	// obs, when set, receives eviction and query-lifecycle observations
-	// (a couple of atomic ops each, recorded under mu).
+	// (a couple of atomic ops each).
 	obs *hubObs
 
-	// mu guards topics and all subscription/topic state. It is
-	// deliberately separate from the engine's metrics mutex.
+	// mu guards topics. It is deliberately separate from the engine's
+	// metrics mutex.
 	mu     sync.Mutex
 	topics map[string]*topic
+	// Scratch of the loop goroutine, reused across slots: the live query
+	// IDs in publish order, and the completion callbacks collected until
+	// the locks are released.
+	ids   []string
+	ended []func()
 }
 
-func newHub(buffer int) *hub {
-	if buffer < 2 {
-		// A Gap frame must fit in front of the event that displaced it.
-		buffer = 2
+func newHub(bound int) *hub {
+	if bound < 2 {
+		// The terminal event must fit behind the event a resuming reader
+		// is told the log continues with.
+		bound = 2
 	}
-	return &hub{buffer: buffer, topics: make(map[string]*topic)}
+	return &hub{bound: bound, topics: make(map[string]*topic)}
 }
 
-// newSubscription builds an unattached subscription (used by submit: the
-// handle's stream must exist before registration so a rejection can close
-// it with the cause).
-func (h *hub) newSubscription(id string) *Subscription {
-	return &Subscription{id: id, hub: h, ch: make(chan QueryEvent, h.buffer)}
+// newTopic builds an unregistered topic with its owner attached (used by
+// submit: the handle's stream must exist before registration so a
+// rejection can end it with the cause, and wake whoever already waits).
+func (h *hub) newTopic(id string) *topic {
+	t := &topic{id: id, hub: h}
+	t.owner.t, t.owner.cursor = t, math.MinInt
+	t.attach(&t.owner)
+	return t
+}
+
+// countGap accounts one Gap frame reporting n lost events.
+func (h *hub) countGap(n int) {
+	h.gapEvents.Add(1)
+	h.dropped.Add(int64(n))
+	if o := h.obs; o != nil {
+		o.gapFrames.Inc()
+		o.eventsDropped.Add(float64(n))
+		o.evictionRun.Observe(float64(n))
+	}
 }
 
 // live reports whether id has a live topic.
@@ -327,24 +468,29 @@ func (h *hub) live(id string) bool {
 	return ok
 }
 
-// register creates id's topic with the owner subscription attached and
-// publishes the opening Accepted event. Loop goroutine only.
-func (h *hub) register(id string, start, end int, owner *Subscription, at time.Time) {
+// register makes t the live topic of its ID and publishes the opening
+// Accepted event. Loop goroutine only.
+func (h *hub) register(t *topic, start, end int, at time.Time) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	t := &topic{id: id, start: start, end: end, cursor: start - 1, owner: owner, subs: []*Subscription{owner}, acceptedAt: at}
-	owner.joinCursor = start - 1
-	h.topics[id] = t
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	h.topics[t.id] = t
+	t.start, t.end, t.acceptedAt = start, end, at
+	// Room for the whole stream of a short query (three events for a
+	// one-shot); a longer one grows on demand.
+	t.log = make([]QueryEvent, 0, min(end-start+3, 8, h.bound))
+	t.owner.joinCursor = start - 1
 	t.publish(QueryEvent{
-		Type: EventAccepted, QueryID: id,
+		Type: EventAccepted, QueryID: t.id,
 		Slot: start - 1, Start: start, End: end, At: at,
 	})
 }
 
-// watch attaches a new subscription to a live topic. The subscription
-// delivers exactly the events published after it attached (JoinCursor
-// tells the caller where that is); the opening Accepted event is
-// replayed into it so every stream starts with the same frame.
+// watch attaches a new reader to a live topic's tail: it delivers exactly
+// the events published after it attached (JoinCursor tells the caller
+// where that is), behind a replay of the opening Accepted event so every
+// stream starts with the same frame.
 func (h *hub) watch(id string) (*Subscription, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -352,46 +498,51 @@ func (h *hub) watch(id string) (*Subscription, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w %q", ErrUnknownQuery, id)
 	}
-	s := h.newSubscription(id)
-	s.joinCursor = t.cursor
-	s.push(QueryEvent{
-		Type: EventAccepted, QueryID: id,
-		Slot: t.start - 1, Start: t.start, End: t.end, At: time.Now(),
-	})
-	t.subs = append(t.subs, s)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	s := &Subscription{
+		t: t, next: t.base + len(t.log), accepted: true,
+		cursor: t.cursor(), joinCursor: t.cursor(),
+	}
+	t.attach(s)
 	return s, nil
 }
 
-// cancel tears id down if owner still owns the live topic, publishing
-// the Canceled terminal and closing every attached stream. Loop
-// goroutine only. Reports whether a live topic was canceled.
-func (h *hub) cancel(id string, owner *Subscription, cause error, at time.Time) bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	t, ok := h.topics[id]
-	if !ok || t.owner != owner {
-		return false
+// terminate takes t out of the live set, publishes its terminal event —
+// Final, or Canceled when there is a cause — and ends the stream. It
+// returns the completion callback (see topic.finish). Caller holds h.mu
+// and t.mu.
+func (h *hub) terminate(t *topic, cause error, at time.Time) (attached int, onDone func()) {
+	delete(h.topics, t.id)
+	ev := QueryEvent{Type: EventFinal, QueryID: t.id, Slot: t.cursor(), Err: cause, At: at}
+	if cause != nil {
+		ev.Type = EventCanceled
 	}
-	delete(h.topics, id)
-	t.publish(QueryEvent{Type: EventCanceled, QueryID: id, Slot: t.cursor, Err: cause, At: at})
-	t.close(cause)
-	h.observeLifetime(t, at)
-	return true
-}
-
-// observeLifetime records a finished topic's lifecycle span. Caller
-// holds h.mu.
-func (h *hub) observeLifetime(t *topic, at time.Time) {
-	if h.obs != nil && !t.acceptedAt.IsZero() {
+	attached = t.publish(ev)
+	if h.obs != nil {
 		h.obs.lifetime.Observe(at.Sub(t.acceptedAt).Seconds())
 	}
+	return attached, t.finish(cause)
 }
 
-// gapCount returns the number of Gap frames emitted so far.
-func (h *hub) gapCount() int64 {
+// cancel tears t down if it still is the live topic of its ID (a reused
+// ID must not let a stale handle cancel its successor), publishing the
+// Canceled terminal. Loop goroutine only. Reports whether a live topic
+// was canceled.
+func (h *hub) cancel(t *topic, cause error, at time.Time) bool {
 	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.gapEvents
+	if h.topics[t.id] != t {
+		h.mu.Unlock()
+		return false
+	}
+	t.mu.Lock()
+	_, onDone := h.terminate(t, cause, at)
+	t.mu.Unlock()
+	h.mu.Unlock()
+	if onDone != nil {
+		onDone()
+	}
+	return true
 }
 
 // liveCount returns the number of live topics.
@@ -405,26 +556,43 @@ func (h *hub) liveCount() int {
 // shutdown past the drain cap). Loop goroutine only.
 func (h *hub) closeAll(cause error, at time.Time) {
 	h.mu.Lock()
-	defer h.mu.Unlock()
-	for id, t := range h.topics {
-		delete(h.topics, id)
-		t.publish(QueryEvent{Type: EventCanceled, QueryID: id, Slot: t.cursor, Err: cause, At: at})
-		t.close(cause)
-		h.observeLifetime(t, at)
+	for _, t := range h.topics {
+		t.mu.Lock()
+		_, onDone := h.terminate(t, cause, at)
+		t.mu.Unlock()
+		if onDone != nil {
+			h.ended = append(h.ended, onDone)
+		}
 	}
+	h.mu.Unlock()
+	h.runEnded()
 }
 
-// publishSlot fans one executed slot's report out to every live topic:
-// a SlotUpdate per query, then Final + stream close for the queries
-// whose window ended this slot. Loop goroutine only.
+// runEnded runs the completion callbacks collected under the locks. Loop
+// goroutine only, holding no lock.
+func (h *hub) runEnded() {
+	for i, fn := range h.ended {
+		fn()
+		h.ended[i] = nil
+	}
+	h.ended = h.ended[:0]
+}
+
+// publishSlot appends one executed slot's report to every live topic's
+// log: a SlotUpdate per query, then Final for the queries whose window
+// ended this slot. Loop goroutine only.
 func (h *hub) publishSlot(rep *SlotReport, events map[string][]EventNotification, at time.Time) (st slotDelivery) {
 	h.mu.Lock()
-	defer h.mu.Unlock()
 	// Sorted query order: st.payments is a float sum that feeds
 	// EngineMetrics.TotalPayments, so fan-out iterates a reproducible
 	// order (floatorder) — which also makes per-slot delivery order
 	// deterministic for free.
-	for _, id := range slices.Sorted(maps.Keys(h.topics)) {
+	h.ids = h.ids[:0]
+	for id := range h.topics {
+		h.ids = append(h.ids, id)
+	}
+	slices.Sort(h.ids)
+	for _, id := range h.ids {
 		t := h.topics[id]
 		res := SlotResult{
 			Slot:     rep.Slot,
@@ -432,7 +600,6 @@ func (h *hub) publishSlot(rep *SlotReport, events map[string][]EventNotification
 			Value:    rep.Value(id),
 			Payment:  rep.Payment(id),
 			Events:   events[id],
-			Final:    rep.Slot >= t.end,
 		}
 		if res.Answered {
 			st.answered++
@@ -440,50 +607,50 @@ func (h *hub) publishSlot(rep *SlotReport, events map[string][]EventNotification
 			st.starved++
 		}
 		st.payments += res.Payment
-		d, dr := t.publish(QueryEvent{
+
+		t.mu.Lock()
+		res.Final = rep.Slot >= t.end
+		if h.obs != nil && t.base+len(t.log) == 1 { // only Accepted so far
+			h.obs.firstUpdate.Observe(at.Sub(t.acceptedAt).Seconds())
+		}
+		st.delivered += int64(t.publish(QueryEvent{
 			Type: EventSlotUpdate, QueryID: id, Slot: rep.Slot, Result: res, At: at,
-		})
-		st.delivered += int64(d)
-		st.dropped += int64(dr)
-		if !t.sawUpdate {
-			t.sawUpdate = true
-			if h.obs != nil && !t.acceptedAt.IsZero() {
-				h.obs.firstUpdate.Observe(at.Sub(t.acceptedAt).Seconds())
+		}))
+		if res.Final {
+			attached, onDone := h.terminate(t, nil, at)
+			st.delivered += int64(attached)
+			if onDone != nil {
+				h.ended = append(h.ended, onDone)
+			}
+		} else {
+			// Reader backlog of a query that stays live: how far each
+			// attached cursor is behind the log's tail — the hub-health
+			// gauges.
+			tail := t.base + len(t.log)
+			for _, s := range t.subs {
+				lag := tail - s.next
+				st.subscribers++
+				st.maxLag = max(st.maxLag, lag)
+				st.buffered += min(lag, len(t.log))
+				st.bufCap += h.bound
 			}
 		}
-		if res.Final {
-			d, dr = t.publish(QueryEvent{Type: EventFinal, QueryID: id, Slot: t.end, At: at})
-			st.delivered += int64(d)
-			st.dropped += int64(dr)
-			t.close(nil)
-			delete(h.topics, id)
-			h.observeLifetime(t, at)
-		}
+		t.mu.Unlock()
 	}
 	st.active = len(h.topics)
-	// Subscriber backlog after the fan-out: how many subscriptions are
-	// attached, the largest per-subscriber buffered backlog, and total
-	// occupancy — the hub-health gauges.
-	for _, t := range h.topics {
-		for _, s := range t.subs {
-			st.subscribers++
-			n := len(s.ch)
-			st.buffered += n
-			st.bufCap += cap(s.ch)
-			if n > st.maxLag {
-				st.maxLag = n
-			}
-		}
-	}
+	h.mu.Unlock()
+	h.runEnded()
 	return st
 }
 
 // slotDelivery aggregates one slot's fan-out accounting.
 type slotDelivery struct {
-	delivered, dropped int64
-	answered, starved  int64
-	payments           float64
-	active             int
-	// Subscriber backlog at the end of the fan-out.
+	delivered         int64
+	answered, starved int64
+	payments          float64
+	active            int
+	// Reader backlog at the end of the fan-out: attached readers, the
+	// largest cursor lag, and the retained events still unread over what
+	// the logs could retain per reader.
 	subscribers, maxLag, buffered, bufCap int
 }

@@ -106,9 +106,13 @@ func equalInts(a, b []int) bool {
 	return true
 }
 
-// TestSubscriptionGapOnOverflow: an unread subscription's buffer evicts
-// oldest-first, every eviction is surfaced by a Gap frame, and the
-// terminal frame always lands.
+// TestSubscriptionGapOnOverflow: the query's log evicts oldest-first,
+// every eviction ahead of an unread subscription is surfaced to it by a
+// Gap frame, and the terminal frame always lands. (With one log per
+// query the handle finds the newest 4 of the 14 events behind a single
+// gap reporting the other 10; the per-subscription ring this replaced
+// spent one of its 4 slots on the gap frame. The assertions hold for
+// either.)
 func TestSubscriptionGapOnOverflow(t *testing.T) {
 	e := newTestEngine(t, WithEventBuffer(4))
 	const duration = 12
@@ -145,7 +149,7 @@ func TestSubscriptionGapOnOverflow(t *testing.T) {
 			received, droppedTotal, duration+2, evs)
 	}
 	if gaps == 0 {
-		t.Fatal("a 4-deep buffer over 14 frames produced no Gap frame")
+		t.Fatal("a 4-event log over 14 frames produced no Gap frame")
 	}
 	if terminalType(evs) != EventFinal {
 		t.Fatalf("terminal = %v, want final (the newest frames always land)", terminalType(evs))
@@ -231,10 +235,10 @@ func TestWatchLifecycleErrors(t *testing.T) {
 }
 
 // TestStalledSubscriberDoesNotDelaySlots is the push-delivery latency
-// guarantee: subscribers that never read — watchers with full buffers —
-// must not add to slot execution time, because every publish is a
-// non-blocking buffer operation. Compares the slot p50 of a run with 64
-// deliberately stalled watchers against a no-watcher run.
+// guarantee: subscribers that never read — watchers far behind the log —
+// must not add to slot execution time, because a publish is one append
+// whoever reads it. Compares the slot p50 of a run with 64 deliberately
+// stalled watchers against a no-watcher run.
 func TestStalledSubscriberDoesNotDelaySlots(t *testing.T) {
 	const slots = 40
 	run := func(stalledWatchers int) (p50 time.Duration, subs []*Subscription) {
@@ -283,7 +287,7 @@ func TestStalledSubscriberDoesNotDelaySlots(t *testing.T) {
 	}
 
 	// The stalled watchers were served under the drop-oldest policy: each
-	// buffer holds newest frames and a Gap accounting for the rest.
+	// finds the log's newest frames and a Gap accounting for the rest.
 	sawGap := false
 	for _, s := range subs {
 		for {
@@ -297,6 +301,6 @@ func TestStalledSubscriberDoesNotDelaySlots(t *testing.T) {
 		}
 	}
 	if !sawGap {
-		t.Error("no stalled watcher received a Gap frame despite a 2-deep buffer over 40 slots")
+		t.Error("no stalled watcher received a Gap frame despite a 2-event log over 40 slots")
 	}
 }

@@ -26,7 +26,7 @@ func TestEngineStress(t *testing.T) {
 		NewAggregator(world, WithScheduling(SchedulingGreedy)),
 		WithBlockingSubmit(),
 		WithQueueSize(256),
-		// A tiny event buffer forces the slow-subscriber eviction path
+		// A tiny event log forces the slow-subscriber eviction path
 		// under load.
 		WithEventBuffer(2),
 	)
@@ -158,7 +158,7 @@ func TestEngineStress(t *testing.T) {
 	if m.QueriesSubmitted == 0 || m.EventsDelivered == 0 {
 		t.Errorf("metrics show no traffic: %+v", m)
 	}
-	// The tiny buffer plus unread handles must have exercised the
+	// The tiny log plus unread handles must have exercised the
 	// drop-oldest path, and every eviction must be visible in a Gap frame.
 	if m.EventsDropped > 0 && gaps == 0 {
 		t.Errorf("%d events dropped but no Gap frame surfaced them", m.EventsDropped)

@@ -51,6 +51,9 @@ func ExampleEngine_Watch() {
 	// Submission is an asynchronous enqueue: the query is live — and
 	// watchable — once its own stream opens with Accepted.
 	<-h.Events()
+	// The handle's own stream is not read any further: closing it lets
+	// the goroutine feeding its channel go.
+	defer h.Subscription().Close()
 
 	sub, err := eng.Watch("lm1")
 	if err != nil {

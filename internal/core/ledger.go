@@ -23,6 +23,11 @@ type Ledger struct {
 	totalCost    float64
 	totalValue   float64
 	slots        int
+
+	// Scratch of RecordPointResult, reused across slots: the slot's
+	// sorted query IDs and each sensor's earnings within the slot.
+	qids       []string
+	slotEarned map[int]float64
 }
 
 func (l *Ledger) init() {
@@ -30,37 +35,41 @@ func (l *Ledger) init() {
 		l.queryPaid = make(map[string]float64)
 		l.queryValue = make(map[string]float64)
 		l.sensorEarned = make(map[int]float64)
+		l.slotEarned = make(map[int]float64)
 	}
 }
 
-// RecordPointResult books one slot of point scheduling.
+// RecordPointResult books one slot of point scheduling in one pass over
+// the outcomes.
 func (l *Ledger) RecordPointResult(res *PointResult) {
 	l.init()
 	l.slots++
-	for qid, o := range res.Outcomes {
+	// Sorted query order: a sensor's earnings this slot are a float sum
+	// over the queries it served, so the walk must be reproducible for
+	// earnings to be bit-identical across runs and strategies
+	// (floatorder). The slot's sum is formed first and added to the
+	// running total once per listing in Selected.
+	l.qids = l.qids[:0]
+	for qid := range res.Outcomes {
+		l.qids = append(l.qids, qid)
+	}
+	slices.Sort(l.qids)
+	clear(l.slotEarned)
+	for _, qid := range l.qids {
+		o := res.Outcomes[qid]
 		l.queryPaid[qid] += o.Payment
 		l.queryValue[qid] += o.Value
+		if o.Sensor != nil {
+			l.slotEarned[o.Sensor.ID] += o.Payment
+		}
 	}
 	for _, s := range res.Selected {
 		// Each selected sensor earns its announced cost; Eq. 11 guarantees
 		// the queries' payments cover exactly that.
-		l.sensorEarned[s.ID] += paymentsTo(res, s.ID)
+		l.sensorEarned[s.ID] += l.slotEarned[s.ID]
 	}
 	l.totalCost += res.TotalCost
 	l.totalValue += res.TotalValue
-}
-
-func paymentsTo(res *PointResult, sensorID int) float64 {
-	// Sorted query order: the sum is a float accumulation, so iteration
-	// must be reproducible for earnings to be bit-identical across runs
-	// and strategies (floatorder).
-	var sum float64
-	for _, qid := range slices.Sorted(maps.Keys(res.Outcomes)) {
-		if o := res.Outcomes[qid]; o.Sensor != nil && o.Sensor.ID == sensorID {
-			sum += o.Payment
-		}
-	}
-	return sum
 }
 
 // RecordMixResult books one slot of the query-mix pipeline. Contributions

@@ -68,7 +68,6 @@ type engineObs struct {
 	starved          *obs.Counter
 
 	eventsDelivered *obs.Counter
-	eventsDropped   *obs.Counter
 
 	hubSubscribers *obs.Gauge
 	hubLag         *obs.Gauge
@@ -83,13 +82,15 @@ type engineObs struct {
 }
 
 // hubObs is the slice of engineObs the hub touches directly: histograms
-// and counters observed at eviction and lifecycle boundaries, under
-// hub.mu (each observation is a couple of atomic ops).
+// and counters observed where a reader finds its gap and at lifecycle
+// boundaries, under the topic's lock (each observation is a couple of
+// atomic ops).
 type hubObs struct {
-	gapFrames   *obs.Counter
-	evictionRun *obs.Histogram
-	firstUpdate *obs.Histogram
-	lifetime    *obs.Histogram
+	eventsDropped *obs.Counter
+	gapFrames     *obs.Counter
+	evictionRun   *obs.Histogram
+	firstUpdate   *obs.Histogram
+	lifetime      *obs.Histogram
 }
 
 func newEngineObs() *engineObs {
@@ -132,16 +133,14 @@ func newEngineObs() *engineObs {
 			"Per-(query, slot) results delivered with nothing obtained."),
 
 		eventsDelivered: r.Counter("ps_events_delivered_total",
-			"Events handed to subscriber buffers."),
-		eventsDropped: r.Counter("ps_events_dropped_total",
-			"Events evicted from slow subscriber buffers."),
+			"Events published, times the readers attached at each publish."),
 
 		hubSubscribers: r.Gauge("ps_hub_subscribers",
-			"Attached subscriptions across all live topics."),
+			"Readers attached to the event logs of all live queries."),
 		hubLag: r.Gauge("ps_hub_subscriber_lag_events",
-			"Largest per-subscriber buffered-event backlog observed at the last slot publish."),
+			"Largest cursor lag — events between a reader and its log's tail — observed at the last slot publish."),
 		hubOccupancy: r.Gauge("ps_hub_buffer_occupancy_ratio",
-			"Buffered events across all subscribers over total buffer capacity, at the last slot publish."),
+			"Retained events still unread across all readers over what their logs may retain, at the last slot publish."),
 
 		valuationCalls: r.Counter("ps_valuation_calls_total",
 			"Marginal-valuation evaluations made by the greedy selection core."),
@@ -152,8 +151,10 @@ func newEngineObs() *engineObs {
 			"Capacity of the engine's ingest queue."),
 	}
 	o.hub = hubObs{
+		eventsDropped: r.Counter("ps_events_dropped_total",
+			"Events a reader lost because its query's log evicted them first."),
 		gapFrames: r.Counter("ps_hub_gap_frames_total",
-			"Gap frames emitted to slow subscribers."),
+			"Gap frames handed to readers that fell behind their log."),
 		evictionRun: r.Histogram("ps_hub_eviction_run_size",
 			"Events summarized by one Gap frame (size of each eviction run).", obs.SizeBuckets),
 		firstUpdate: r.Histogram("ps_query_time_to_first_update_seconds",
@@ -193,7 +194,6 @@ func (e *Engine) observeSlot(dur time.Duration, rep *SlotReport, st slotDelivery
 	o.answered.Add(float64(st.answered))
 	o.starved.Add(float64(st.starved))
 	o.eventsDelivered.Add(float64(st.delivered))
-	o.eventsDropped.Add(float64(st.dropped))
 	o.valuationCalls.Add(float64(rep.Selection.ValuationCalls))
 
 	o.queriesActive.Set(float64(st.active))

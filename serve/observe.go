@@ -1,7 +1,7 @@
 package serve
 
 import (
-	"io"
+	"context"
 	"log/slog"
 	"net/http"
 	"runtime"
@@ -17,8 +17,38 @@ import (
 // opt-in, and a nil check at every call site is worse than a no-op
 // handler. (slog.DiscardHandler exists but only from Go 1.24; the CI
 // matrix still builds with 1.23.)
-func discardLogger() *slog.Logger {
-	return slog.New(slog.NewTextHandler(io.Discard, nil))
+func discardLogger() *slog.Logger { return slog.New(discardHandler{}) }
+
+// discardHandler enables no level, so a record is dropped before it is
+// built, let alone formatted.
+type discardHandler struct{}
+
+func (discardHandler) Enabled(context.Context, slog.Level) bool  { return false }
+func (discardHandler) Handle(context.Context, slog.Record) error { return nil }
+func (h discardHandler) WithAttrs([]slog.Attr) slog.Handler      { return h }
+func (h discardHandler) WithGroup(string) slog.Handler           { return h }
+
+// logAccepted and logFinished are the query-lifecycle records, correlated
+// by query_id: one when the engine took the submission, one when the
+// query's stream ended. Both check the level first — building a record's
+// arguments allocates even when the handler then drops it — so they cost
+// nothing on the default logger; logFinished runs on the engine's event
+// loop.
+func (s *Server) logAccepted(rec *queryRecord) {
+	if s.log.Enabled(context.Background(), slog.LevelInfo) {
+		s.log.Info("query accepted", "query_id", rec.id, "type", rec.typ)
+	}
+}
+
+func (s *Server) logFinished(rec *queryRecord) {
+	if !s.log.Enabled(context.Background(), slog.LevelInfo) {
+		return
+	}
+	if err := rec.getHandle().Err(); err != nil {
+		s.log.Info("query canceled", "query_id", rec.id, "error", err.Error())
+		return
+	}
+	s.log.Info("query finished", "query_id", rec.id)
 }
 
 // serverObs holds the HTTP-layer metric handles. They are registered on

@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"bytes"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"sort"
@@ -319,6 +321,43 @@ func TestDebugEndpointsGated(t *testing.T) {
 		}
 		if path == "/debug/vars" && !strings.Contains(body, "memstats") {
 			t.Errorf("expvar body missing memstats: %.80q", body)
+		}
+	}
+}
+
+// TestDefaultLoggerIsSilent: with no Options.Logger the query-lifecycle
+// records cost nothing — the default handler enables no level, and the
+// call sites ask before they build a record — while a caller-supplied
+// logger still gets both records.
+func TestDefaultLoggerIsSilent(t *testing.T) {
+	world := ps.NewRWMWorld(1, 50, ps.SensorConfig{})
+	eng := ps.NewEngine(ps.NewAggregator(world))
+	eng.Start()
+	defer eng.Stop()
+	h, err := eng.Submit(ps.PointSpec{ID: "quiet", Loc: ps.Pt(30, 30), Budget: 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.RunSlots(1); err != nil {
+		t.Fatal(err)
+	}
+	rec := &queryRecord{id: "quiet", typ: "point", handle: h}
+
+	s := New(eng, world, Options{})
+	if allocs := testing.AllocsPerRun(100, func() {
+		s.logAccepted(rec)
+		s.logFinished(rec)
+	}); allocs != 0 {
+		t.Errorf("lifecycle log calls on the default logger allocate %.0f times, want 0", allocs)
+	}
+
+	var buf bytes.Buffer
+	s = New(eng, world, Options{Logger: slog.New(slog.NewTextHandler(&buf, nil))})
+	s.logAccepted(rec)
+	s.logFinished(rec)
+	for _, want := range []string{`msg="query accepted" query_id=quiet type=point`, `msg="query finished" query_id=quiet`} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("caller-supplied logger got %q, want it to contain %q", buf.String(), want)
 		}
 	}
 }

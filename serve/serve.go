@@ -106,13 +106,14 @@ type Options struct {
 	Cluster func() []wire.ClusterMember
 }
 
-// Server owns the HTTP-side query registry. Each accepted query gets a
-// consumer goroutine moving its event stream into the registry record,
-// so slow or absent HTTP consumers never block the slot clock; watch
-// streams replay history from the record and then follow the live
-// engine subscription. Finished records stay pollable for the retention
-// window, then are evicted by an amortized sweep on the submit path —
-// the registry stays bounded on a long-lived daemon.
+// Server owns the HTTP-side query registry. A record holds its query's
+// engine handle and nothing else of the stream: the handle pins the
+// query's event log, and watch streams (replay after a cursor, then live
+// follow), polling and listing all read that one log, so slow or absent
+// HTTP consumers never touch the slot clock. Finished records stay
+// pollable for the retention window, then are evicted by an amortized
+// sweep on the submit path — the registry stays bounded on a long-lived
+// daemon.
 type Server struct {
 	eng    *ps.Engine
 	world  *ps.World
@@ -140,15 +141,16 @@ type Server struct {
 	mu      sync.Mutex
 	queries map[string]*queryRecord
 	submits int
+
+	// finished queues the records whose stream ended, oldest doneAt
+	// first, for the sweep. finMu also guards every queued record's
+	// doneAt. Lock order: mu before finMu before a record's mu.
+	finMu    sync.Mutex
+	finished []*queryRecord
 }
 
 // sweepEvery is how many submissions pass between eviction sweeps.
 const sweepEvery = 256
-
-// maxResultsPerQuery caps the per-record result history of long-lived
-// continuous queries; older entries are discarded and surfaced as a gap
-// to watchers resuming from before the retained window.
-const maxResultsPerQuery = 1024
 
 // defaultListLimit and maxListLimit bound GET /queries pages.
 const (
@@ -238,67 +240,53 @@ func (s *Server) isClosing() bool {
 	}
 }
 
-// sweepLocked evicts finished records past the retention window. Caller
-// holds s.mu.
-func (s *Server) sweepLocked() {
+// sweepLocked evicts finished records past the retention window: the
+// expired prefix of the finished queue, whatever the registry's size. It
+// returns how many queue entries it looked at. Caller holds s.mu.
+func (s *Server) sweepLocked() (visited int) {
 	cutoff := time.Now().Add(-s.retain)
-	for id, rec := range s.queries {
-		rec.mu.Lock()
-		expired := rec.done && rec.doneAt.Before(cutoff)
-		rec.mu.Unlock()
-		if expired {
-			delete(s.queries, id)
+	s.finMu.Lock()
+	defer s.finMu.Unlock()
+	for visited < len(s.finished) && s.finished[visited].doneAt.Before(cutoff) {
+		// A finished ID may have been reused since; only the record that
+		// expired leaves the registry.
+		if rec := s.finished[visited]; s.queries[rec.id] == rec {
+			delete(s.queries, rec.id)
 		}
+		s.finished[visited] = nil
+		visited++
 	}
+	s.finished = s.finished[visited:]
+	return visited
 }
 
-// queryRecord accumulates one query's event stream on the HTTP side: the
-// accepted window, a bounded history of slot_update and gap frames in
-// stream order (with a count of what fell out of it), the terminal
-// state, and a broadcast channel watchers wait on for appends.
+// finish marks rec's stream over and queues it for the sweep. It is the
+// handle's OnDone callback, so it usually runs on the engine's event
+// loop: two short critical sections and, for a caller-supplied logger,
+// the lifecycle record.
+func (s *Server) finish(rec *queryRecord) {
+	s.finMu.Lock()
+	rec.mu.Lock()
+	rec.done, rec.doneAt = true, time.Now()
+	rec.mu.Unlock()
+	s.finished = append(s.finished, rec)
+	s.finMu.Unlock()
+	s.logFinished(rec)
+}
+
+// queryRecord is one query on the HTTP side: its identity, its engine
+// handle — through which every endpoint reads the query's event log — and
+// whether the stream ended.
 type queryRecord struct {
 	id  string
 	typ string
-	// log receives the query's lifecycle events, correlated by query_id.
-	log *slog.Logger
 
 	mu sync.Mutex
-	// live is set by the first event: the query went live. windowKnown
-	// is set by the Accepted event specifically — under extreme consumer
-	// stall the hub may have evicted it, in which case the window is
-	// unknown but the record must still serve watchers.
-	live        bool
-	windowKnown bool
-	start, end  int
-	acceptedTS  int64
-	// frames holds the retained slot_update and gap frames in stream
-	// order, so replay reproduces mid-stream gaps at their position.
-	frames []wire.EventFrame
-	// missing counts slot_updates no longer replayable: evicted beyond
-	// the history cap (gap frames evicted from it fold their Dropped
-	// count in). All of them predate the oldest retained frame.
-	missing int
-	// slotUpdates counts the slot_update frames currently retained, so
-	// listings don't rescan the history.
-	slotUpdates int
-	// lastCursor is the slot cursor of the last applied event; watchers
-	// use it to know when the record covers their live-attach boundary.
-	lastCursor int
-	done       bool
-	canceled   bool
-	errMsg     string
-	errCode    string
-	termTS     int64
-	doneAt     time.Time
-	// updated is closed and replaced on every applied event; watchers
-	// re-snapshot when it fires.
-	updated chan struct{}
-
+	// handle is nil while the submission is still registering with the
+	// engine.
 	handle *ps.QueryHandle
-}
-
-func newQueryRecord(id, typ string, log *slog.Logger) *queryRecord {
-	return &queryRecord{id: id, typ: typ, log: log, lastCursor: noCursor, updated: make(chan struct{})}
+	done   bool
+	doneAt time.Time
 }
 
 func (r *queryRecord) isDone() bool {
@@ -307,86 +295,10 @@ func (r *queryRecord) isDone() bool {
 	return r.done
 }
 
-// notifyLocked wakes every watcher waiting for record progress. Caller
-// holds r.mu.
-func (r *queryRecord) notifyLocked() {
-	close(r.updated)
-	r.updated = make(chan struct{})
-}
-
-// appendFrameLocked retains one slot_update or gap frame, evicting the
-// oldest past the history cap (an evicted gap folds its count into
-// missing). Caller holds r.mu.
-func (r *queryRecord) appendFrameLocked(f wire.EventFrame) {
-	if len(r.frames) >= maxResultsPerQuery {
-		old := r.frames[0]
-		r.frames = r.frames[1:]
-		if old.Event == wire.FrameGap {
-			r.missing += old.Dropped
-		} else {
-			r.missing++
-			r.slotUpdates--
-		}
-	}
-	r.frames = append(r.frames, f)
-	if f.Event == wire.FrameSlotUpdate {
-		r.slotUpdates++
-	}
-}
-
-// consume moves the subscription's event stream into the record until it
-// closes.
-func (r *queryRecord) consume() {
-	for ev := range r.handle.Events() {
-		r.mu.Lock()
-		r.live = true
-		switch ev.Type {
-		case ps.EventAccepted:
-			r.windowKnown, r.start, r.end = true, ev.Start, ev.End
-			r.acceptedTS = ev.At.UnixNano()
-			r.log.Info("query accepted", "query_id", r.id, "type", r.typ,
-				"start", ev.Start, "end", ev.End)
-		case ps.EventSlotUpdate, ps.EventGap:
-			if f, err := wire.FrameFromEvent(ev); err == nil {
-				r.appendFrameLocked(f)
-			}
-			r.log.Debug("query event", "query_id", r.id,
-				"event", ev.Type.String(), "slot", ev.Slot)
-		case ps.EventFinal:
-			r.done = true
-			r.doneAt = time.Now()
-			r.termTS = ev.At.UnixNano()
-			r.log.Info("query finished", "query_id", r.id, "slot", ev.Slot)
-		case ps.EventCanceled:
-			r.done, r.canceled = true, true
-			r.doneAt = time.Now()
-			r.termTS = ev.At.UnixNano()
-			if ev.Err != nil {
-				r.errMsg, r.errCode = ev.Err.Error(), wire.ErrorCode(ev.Err)
-			}
-			r.log.Info("query canceled", "query_id", r.id,
-				"slot", ev.Slot, "error", r.errMsg)
-		}
-		if ev.Slot > r.lastCursor {
-			r.lastCursor = ev.Slot
-		}
-		r.notifyLocked()
-		r.mu.Unlock()
-	}
-	// Stream closed. For a submission that never went live (duplicate ID
-	// racing past the registry reservation) no terminal event was
-	// published; fold the subscription error into the record.
+func (r *queryRecord) getHandle() *ps.QueryHandle {
 	r.mu.Lock()
-	if !r.done {
-		r.done = true
-		r.doneAt = time.Now()
-		if err := r.handle.Err(); err != nil {
-			r.errMsg, r.errCode = err.Error(), wire.ErrorCode(err)
-			r.canceled = true
-		}
-		r.notifyLocked()
-	}
-	r.mu.Unlock()
+	defer r.mu.Unlock()
+	return r.handle
 }
 
 // nextAutoID returns the next server-assigned query ID, skipping every
@@ -409,7 +321,7 @@ func (s *Server) nextAutoID() string {
 
 // submitEnvelope is the shared single-spec submission path behind
 // POST /query and POST /queries:batch: decode, validate, reserve the
-// registry slot, submit to the engine, start the record consumer. It
+// registry slot, submit to the engine, hand the record its handle. It
 // returns the (possibly server-assigned) query ID, the HTTP status a
 // standalone submission maps to, and the error.
 func (s *Server) submitEnvelope(env wire.Envelope) (id string, status int, err error) {
@@ -431,7 +343,7 @@ func (s *Server) submitEnvelope(env wire.Envelope) (id string, status int, err e
 
 	// Reserve the registry slot before submitting so a duplicate ID can
 	// never orphan a live query's record; finished IDs may be reused.
-	rec := newQueryRecord(id, spec.Kind().String(), s.log)
+	rec := &queryRecord{id: id, typ: spec.Kind().String()}
 	s.mu.Lock()
 	old := s.queries[id]
 	if old != nil && !old.isDone() {
@@ -456,15 +368,6 @@ func (s *Server) submitEnvelope(env wire.Envelope) (id string, status int, err e
 			delete(s.queries, id)
 		}
 		s.mu.Unlock()
-		// A watcher may have grabbed the reserved record in the window
-		// before the rollback; terminate it instead of leaving the
-		// stream waiting forever on a record no consumer will ever feed.
-		rec.mu.Lock()
-		rec.done, rec.canceled = true, true
-		rec.doneAt = time.Now()
-		rec.errMsg, rec.errCode = err.Error(), wire.ErrorCode(err)
-		rec.notifyLocked()
-		rec.mu.Unlock()
 		status := http.StatusBadRequest
 		if errors.Is(err, ps.ErrQueueFull) {
 			status = http.StatusTooManyRequests
@@ -473,10 +376,15 @@ func (s *Server) submitEnvelope(env wire.Envelope) (id string, status int, err e
 		}
 		return id, status, err
 	}
+	// The server reads the log through fresh cursors, never through the
+	// handle's own: detach it, so it counts neither as a reader nor as a
+	// lagging one.
+	h.Subscription().Close()
 	rec.mu.Lock()
 	rec.handle = h
 	rec.mu.Unlock()
-	go rec.consume()
+	s.logAccepted(rec)
+	h.OnDone(func() { s.finish(rec) })
 	return id, http.StatusAccepted, nil
 }
 
@@ -616,13 +524,13 @@ func (fw *frameWriter) write(f wire.EventFrame) bool {
 }
 
 // handleWatch serves GET /watch?id=...&cursor=...: the query's event
-// stream, pushed as NDJSON lines (or SSE events). History up to the live
-// attach point is replayed from the registry record — so a client
-// reconnecting with its last cursor misses nothing the record still
-// retains (anything older surfaces as a gap frame) — and everything
-// after it is followed live from an engine subscription. The stream ends
-// with the query's terminal frame, or with a server_closing frame on
-// graceful shutdown.
+// stream, pushed as NDJSON lines (or SSE events). One cursor on the
+// query's event log serves both halves — the retained events after the
+// client's cursor, then the live tail — so no event can fall between
+// replay and live, and a client reconnecting with its last cursor misses
+// nothing the log still retains (anything older surfaces as one gap
+// frame). The stream ends with the query's terminal frame, or with a
+// server_closing frame on graceful shutdown.
 func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	id := r.URL.Query().Get("id")
 	if id == "" {
@@ -638,8 +546,13 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 		}
 		cursor = c
 	}
-	rec := s.record(id)
-	if rec == nil {
+	var h *ps.QueryHandle
+	if rec := s.record(id); rec != nil {
+		h = rec.getHandle()
+	}
+	if h == nil {
+		// No record, or one whose submission has not reached the engine
+		// yet: either way no client has been told the ID exists.
 		httpErrorCoded(w, http.StatusNotFound, wire.CodeUnknownQuery, "unknown query %q", id)
 		return
 	}
@@ -664,17 +577,6 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 
-	// Attach the live subscription BEFORE snapshotting the record: every
-	// event is then either covered by the record replay (cursor <= the
-	// subscription's join boundary, which the record is waited up to) or
-	// delivered by the subscription — none can fall between.
-	sub, err := s.eng.Watch(id)
-	if err == nil {
-		defer sub.Close()
-	} else {
-		sub = nil // finished (or never live): serve entirely from the record
-	}
-
 	fw := &frameWriter{w: w, fl: fl, sse: strings.Contains(r.Header.Get("Accept"), "text/event-stream")}
 	if fw.sse {
 		w.Header().Set("Content-Type", "text/event-stream")
@@ -684,183 +586,35 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Cache-Control", "no-store")
 	w.WriteHeader(http.StatusOK)
 
-	if sub == nil {
-		s.streamFromRecord(ctx, rec, cursor, fw)
-		return
-	}
-
-	boundary := sub.JoinCursor()
-	// Wait for the record to cover everything published before the
-	// subscription attached.
+	sub := h.Watch(cursor)
+	defer sub.Close()
+	ready := sub.Ready()
 	for {
-		rec.mu.Lock()
-		ready := rec.done || (rec.live && rec.lastCursor >= boundary)
-		updated := rec.updated
-		rec.mu.Unlock()
-		if ready {
-			break
+		ev, ok := sub.Next()
+		if !ok && sub.Done() {
+			// The stream ended without a terminal event: the submission
+			// never went live (shed, or a duplicate ID that raced past the
+			// registry reservation).
+			ev, ok = ps.QueryEvent{Type: ps.EventCanceled, QueryID: id, Err: sub.Err()}, true
 		}
-		select {
-		case <-updated:
-		case <-ctx.Done():
-			return
-		case <-s.closing:
-			fw.write(wire.ServerClosingFrame())
-			return
-		}
-	}
-	sent, ok := s.replayHistory(rec, cursor, boundary, fw)
-	if !ok {
-		return
-	}
-
-	for {
-		select {
-		case ev, open := <-sub.Events():
-			if !open {
-				// The engine closed the stream; the terminal frame (if
-				// any) was already delivered above.
+		if !ok {
+			select {
+			case <-ready:
+			case <-ctx.Done():
+				return
+			case <-s.closing:
+				fw.write(wire.ServerClosingFrame())
 				return
 			}
-			if ev.Type == ps.EventAccepted {
-				continue // replayed from the record already
-			}
-			if ev.Type == ps.EventSlotUpdate && ev.Slot <= sent {
-				continue
-			}
-			f, err := wire.FrameFromEvent(ev)
-			if err != nil {
-				continue
-			}
-			if !fw.write(f) {
-				return
-			}
-			if f.Terminal() {
-				return
-			}
-		case <-ctx.Done():
-			return
-		case <-s.closing:
-			fw.write(wire.ServerClosingFrame())
-			return
-		}
-	}
-}
-
-// replayHistory writes the record's frames with cursor in (after,
-// upTo] — the accepted frame, a gap covering anything evicted past the
-// retained window, and the retained slot_update/gap frames in stream
-// order. Returns the last cursor written (or after) and whether the
-// stream is still writable.
-func (s *Server) replayHistory(rec *queryRecord, after, upTo int, fw *frameWriter) (int, bool) {
-	rec.mu.Lock()
-	windowKnown := rec.windowKnown
-	start, end := rec.start, rec.end
-	acceptedTS := rec.acceptedTS
-	missing := rec.missing
-	frames := make([]wire.EventFrame, len(rec.frames))
-	copy(frames, rec.frames)
-	rec.mu.Unlock()
-
-	sent := after
-	if windowKnown && start-1 > after && start-1 <= upTo {
-		if !fw.write(wire.EventFrame{
-			V: wire.Version2, Event: wire.FrameAccepted, ID: rec.id,
-			Slot: start - 1, Start: start, End: end, TS: acceptedTS,
-		}) {
-			return sent, false
-		}
-		sent = start - 1
-	}
-	if missing > 0 {
-		// Everything evicted past the cap predates the oldest retained
-		// frame; only a client resuming from before that window has
-		// actually lost it. From is clamped to the client's cursor, so
-		// the range never covers slots it already holds (Dropped is then
-		// an upper bound on this client's loss).
-		oldest := end + 1
-		if len(frames) > 0 {
-			oldest = frames[0].Slot
-		}
-		if after < oldest-1 {
-			from := start
-			if after+1 > from {
-				from = after + 1
-			}
-			if !fw.write(wire.EventFrame{
-				V: wire.Version2, Event: wire.FrameGap, ID: rec.id,
-				Slot: oldest - 1, From: from, To: oldest - 1, Dropped: missing,
-			}) {
-				return sent, false
-			}
-			if oldest-1 > sent {
-				sent = oldest - 1
-			}
-		}
-	}
-	for _, f := range frames {
-		if f.Slot <= after || f.Slot > upTo {
 			continue
 		}
-		if !fw.write(f) {
-			return sent, false
+		f, err := wire.FrameFromEvent(ev)
+		if err != nil {
+			continue
 		}
-		sent = f.Slot
-	}
-	return sent, true
-}
-
-// streamFromRecord follows a record with no live engine subscription —
-// the query already finished, or finishes while we stream — replaying
-// history after the cursor and ending with the terminal frame.
-func (s *Server) streamFromRecord(ctx context.Context, rec *queryRecord, cursor int, fw *frameWriter) {
-	sent := cursor
-	for {
-		rec.mu.Lock()
-		done := rec.done
-		updated := rec.updated
-		rec.mu.Unlock()
-
-		var ok bool
-		if sent, ok = s.replayHistory(rec, sent, math.MaxInt, fw); !ok {
+		if !fw.write(f) || f.Terminal() {
 			return
 		}
-		if done {
-			fw.write(s.terminalFrame(rec))
-			return
-		}
-		select {
-		case <-updated:
-		case <-ctx.Done():
-			return
-		case <-s.closing:
-			fw.write(wire.ServerClosingFrame())
-			return
-		}
-	}
-}
-
-// terminalFrame synthesizes the record's terminal v2 frame.
-func (s *Server) terminalFrame(rec *queryRecord) wire.EventFrame {
-	rec.mu.Lock()
-	defer rec.mu.Unlock()
-	if rec.canceled || rec.errMsg != "" {
-		code := rec.errCode
-		if code == "" {
-			code = wire.CodeCanceled
-		}
-		return wire.EventFrame{
-			V: wire.Version2, Event: wire.FrameCanceled, ID: rec.id,
-			Slot: rec.lastCursor, Error: rec.errMsg, Code: code, TS: rec.termTS,
-		}
-	}
-	end := rec.end
-	if !rec.windowKnown {
-		end = rec.lastCursor
-	}
-	return wire.EventFrame{
-		V: wire.Version2, Event: wire.FrameFinal, ID: rec.id,
-		Slot: end, TS: rec.termTS,
 	}
 }
 
@@ -876,25 +630,32 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 		httpErrorCoded(w, http.StatusNotFound, wire.CodeUnknownQuery, "unknown query %q", r.PathValue("id"))
 		return
 	}
-	rec.mu.Lock()
-	resp := wire.QueryStatus{
-		ID:               rec.id,
-		Type:             rec.typ,
-		Done:             rec.done,
-		Results:          make([]wire.Result, 0, len(rec.frames)),
-		ResultsTruncated: rec.missing,
-		Error:            rec.errMsg,
-	}
-	for _, f := range rec.frames {
-		if f.Event == wire.FrameSlotUpdate && f.Result != nil {
-			resp.Results = append(resp.Results, *f.Result)
-		} else if f.Event == wire.FrameGap {
-			// Results inside a retained gap are as unavailable to the
-			// polling endpoint as ones evicted past the cap.
-			resp.ResultsTruncated += f.Dropped
+	resp := wire.QueryStatus{ID: rec.id, Type: rec.typ, Done: rec.isDone(), Results: []wire.Result{}}
+	if h := rec.getHandle(); h != nil {
+		// Read the log like a watcher from the beginning would.
+		sub := h.Watch(noCursor)
+		accepted := false
+		for ev, ok := sub.Next(); ok; ev, ok = sub.Next() {
+			switch ev.Type {
+			case ps.EventAccepted:
+				accepted = true
+			case ps.EventSlotUpdate:
+				resp.Results = append(resp.Results, wire.ResultFromSlot(ev.Result))
+			case ps.EventGap:
+				// Results inside a gap are unavailable to the polling
+				// endpoint; the gap also covers the accepted event when
+				// that is gone.
+				resp.ResultsTruncated += ev.Dropped
+			}
+		}
+		sub.Close()
+		if !accepted && resp.ResultsTruncated > 0 {
+			resp.ResultsTruncated--
+		}
+		if err := h.Err(); resp.Done && err != nil {
+			resp.Error = err.Error()
 		}
 	}
-	rec.mu.Unlock()
 	w.Header().Set("Content-Type", "application/json")
 	writeJSON(w, resp)
 }
@@ -933,14 +694,11 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 			page = page[:limit]
 		}
 		for _, rec := range page {
-			rec.mu.Lock()
-			list.Queries = append(list.Queries, wire.QuerySummary{
-				ID:      rec.id,
-				Type:    rec.typ,
-				Done:    rec.done,
-				Results: rec.slotUpdates,
-			})
-			rec.mu.Unlock()
+			sum := wire.QuerySummary{ID: rec.id, Type: rec.typ, Done: rec.isDone()}
+			if h := rec.getHandle(); h != nil {
+				sum.Results = h.Updates()
+			}
+			list.Queries = append(list.Queries, sum)
 		}
 	}
 	list.Count = len(list.Queries)
@@ -962,15 +720,12 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		httpErrorCoded(w, http.StatusNotFound, wire.CodeUnknownQuery, "unknown query %q", r.PathValue("id"))
 		return
 	}
-	rec.mu.Lock()
-	h := rec.handle
-	done := rec.done
-	rec.mu.Unlock()
+	h := rec.getHandle()
 	if h == nil {
 		httpError(w, http.StatusConflict, "query %q still registering", rec.id)
 		return
 	}
-	if done {
+	if rec.isDone() {
 		httpError(w, http.StatusGone, "query %q already finished", rec.id)
 		return
 	}

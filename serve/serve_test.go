@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -433,6 +434,7 @@ func TestRegistrySweepEvictsFinishedRecords(t *testing.T) {
 	s := New(eng, world, Options{NoRetention: true}) // done records evict immediately
 
 	s.queries["old-done"] = &queryRecord{id: "old-done", done: true, doneAt: time.Now().Add(-time.Minute)}
+	s.finished = append(s.finished, s.queries["old-done"]) // what finish does when a stream ends
 	s.queries["live"] = &queryRecord{id: "live"}
 	s.mu.Lock()
 	s.sweepLocked()
@@ -445,11 +447,67 @@ func TestRegistrySweepEvictsFinishedRecords(t *testing.T) {
 	}
 }
 
+// TestRegistrySweepVisitsOnlyExpired: the sweep's cost is the expired
+// prefix of the finished queue, not the registry. N live records and a
+// finished one still inside its retention window make it visit nothing; a
+// finished ID reused by a newer record evicts only the queue entry.
+func TestRegistrySweepVisitsOnlyExpired(t *testing.T) {
+	world := ps.NewRWMWorld(2, 50, ps.SensorConfig{})
+	eng := ps.NewEngine(ps.NewAggregator(world))
+	defer eng.Stop()
+	s := New(eng, world, Options{Retain: time.Hour})
+
+	const live = 5000
+	for i := 0; i < live; i++ {
+		id := fmt.Sprintf("live-%d", i)
+		s.queries[id] = &queryRecord{id: id}
+	}
+	fresh := &queryRecord{id: "fresh"}
+	s.queries["fresh"] = fresh
+	s.finish(fresh)
+	s.mu.Lock()
+	visited := s.sweepLocked()
+	s.mu.Unlock()
+	if visited != 0 || len(s.queries) != live+1 {
+		t.Fatalf("sweep over %d live and 0 expired records visited %d and left %d, want 0 and %d",
+			live, visited, len(s.queries), live+1)
+	}
+
+	// Two expired entries ahead of the fresh one; the first one's ID has
+	// been taken over by a live record since.
+	reused := &queryRecord{id: "live-0", done: true, doneAt: time.Now().Add(-2 * time.Hour)}
+	expired := &queryRecord{id: "expired", done: true, doneAt: time.Now().Add(-2 * time.Hour)}
+	s.queries["expired"] = expired
+	s.finished = append([]*queryRecord{reused, expired}, s.finished...)
+	s.mu.Lock()
+	visited = s.sweepLocked()
+	s.mu.Unlock()
+	if visited != 2 {
+		t.Errorf("sweep visited %d queue entries, want the 2 expired ones", visited)
+	}
+	if _, ok := s.queries["expired"]; ok {
+		t.Error("expired record survived the sweep")
+	}
+	if rec := s.queries["live-0"]; rec == nil || rec == reused {
+		t.Error("the sweep evicted the newer record that reused an expired ID")
+	}
+	if len(s.finished) != 1 || s.finished[0] != fresh {
+		t.Errorf("finished queue = %d entries, want just the unexpired one", len(s.finished))
+	}
+}
+
 // --- push delivery (wire v2) ---
 
 // watchFrames opens GET /watch and decodes frames until the stream ends
 // or a terminal/server_closing frame arrives.
 func watchFrames(t *testing.T, url string, sse bool) []wire.EventFrame {
+	t.Helper()
+	return watchFramesEach(t, url, sse, func(wire.EventFrame) {})
+}
+
+// watchFramesEach is watchFrames calling each with every frame as it
+// arrives.
+func watchFramesEach(t *testing.T, url string, sse bool, each func(wire.EventFrame)) []wire.EventFrame {
 	t.Helper()
 	req, err := http.NewRequest(http.MethodGet, url, nil)
 	if err != nil {
@@ -492,6 +550,7 @@ func watchFrames(t *testing.T, url string, sse bool) []wire.EventFrame {
 			t.Fatalf("bad frame %q: %v", line, err)
 		}
 		frames = append(frames, f)
+		each(f)
 		if f.Terminal() || f.Event == wire.FrameServerClosing {
 			return frames
 		}
@@ -861,79 +920,204 @@ func TestServeListPaginationEdgeCases(t *testing.T) {
 	}
 }
 
-// TestReplayHistoryMidStreamGap: a gap the record's own consumer
-// suffered mid-stream is replayed at its position, and history-cap
-// eviction folds evicted frames (gaps included) into the leading
-// synthetic gap.
-func TestReplayHistoryMidStreamGap(t *testing.T) {
-	upd := func(slot int) wire.EventFrame {
-		r := wire.Result{Slot: slot, Answered: true, Value: 1}
-		return wire.EventFrame{V: wire.Version2, Event: wire.FrameSlotUpdate, ID: "g", Slot: slot, Result: &r}
+// watchInvariants checks what every watch stream promises whatever its
+// attach point: exactly one terminal frame, last; strictly increasing
+// cursors over the accepted and slot_update frames; a gap only in front
+// of the frame it reports the cursor of, covering older slots only.
+func watchInvariants(t *testing.T, name string, frames []wire.EventFrame) {
+	t.Helper()
+	if len(frames) == 0 || !frames[len(frames)-1].Terminal() {
+		t.Fatalf("%s: stream %+v does not end with a terminal frame", name, frames)
 	}
-	rec := newQueryRecord("g", "point", discardLogger())
-	rec.live, rec.windowKnown = true, true
-	rec.start, rec.end = 0, 9
-	rec.frames = []wire.EventFrame{
-		upd(0), upd(1),
-		{V: wire.Version2, Event: wire.FrameGap, ID: "g", Slot: 4, From: 2, To: 3, Dropped: 2},
-		upd(4), upd(5),
-	}
-	rec.lastCursor = 5
-
-	replay := func(after int) []wire.EventFrame {
-		rr := httptest.NewRecorder()
-		fw := &frameWriter{w: rr, fl: rr}
-		if _, ok := (&Server{}).replayHistory(rec, after, 1<<30, fw); !ok {
-			t.Fatal("replay failed")
-		}
-		var out []wire.EventFrame
-		for _, line := range strings.Split(strings.TrimSpace(rr.Body.String()), "\n") {
-			if line == "" {
-				continue
+	cursor := -1 << 40
+	for i, f := range frames {
+		switch {
+		case f.Terminal():
+			if i != len(frames)-1 {
+				t.Fatalf("%s: terminal frame at %d of %d: %+v", name, i, len(frames), frames)
 			}
-			f, err := wire.DecodeEventFrame([]byte(line))
-			if err != nil {
-				t.Fatalf("bad frame %q: %v", line, err)
+			if f.Slot < cursor {
+				t.Fatalf("%s: terminal cursor %d behind %d", name, f.Slot, cursor)
 			}
-			out = append(out, f)
+		case f.Event == wire.FrameGap:
+			if f.From <= cursor || f.From > f.To || f.To >= f.Slot || f.Dropped <= 0 || frames[i+1].Slot != f.Slot {
+				t.Fatalf("%s: malformed gap %+v after cursor %d, before %+v", name, f, cursor, frames[i+1])
+			}
+			cursor = f.To
+		default:
+			if f.Slot <= cursor {
+				t.Fatalf("%s: cursor did not advance at frame %d: %+v", name, i, frames)
+			}
+			cursor = f.Slot
 		}
-		return out
 	}
+}
 
-	// Resuming from cursor 1 must surface the mid-stream gap before the
-	// later updates — not silently skip from 1 to 4.
-	frames := replay(1)
-	var kinds []string
+func slotsOf(frames []wire.EventFrame) []int {
+	var out []int
 	for _, f := range frames {
-		kinds = append(kinds, fmt.Sprintf("%s@%d", f.Event, f.Slot))
+		if f.Event == wire.FrameSlotUpdate {
+			out = append(out, f.Slot)
+		}
 	}
-	want := []string{"gap@4", "slot_update@4", "slot_update@5"}
-	if fmt.Sprint(kinds) != fmt.Sprint(want) {
-		t.Fatalf("replay(1) = %v, want %v", kinds, want)
+	return out
+}
+
+// TestServeWatchDeliveryInvariants: one log serves replay and live
+// follow, so a watcher gets the same stream wherever it attaches — before
+// the first slot, between a slot_update and the final, after the query
+// finished — and one that resumes from behind the log's oldest retained
+// event gets exactly one gap whose range and count are what the log
+// evicted.
+func TestServeWatchDeliveryInvariants(t *testing.T) {
+	// A 4-event log bound keeps the eviction arithmetic small: the 8-slot
+	// query publishes accepted + 8 updates + final = 10 events.
+	world := ps.NewRWMWorld(1, 200, ps.SensorConfig{})
+	eng := ps.NewEngine(ps.NewAggregator(world), ps.WithEventBuffer(4))
+	eng.Start()
+	ts := httptest.NewServer(New(eng, world, Options{}).Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		eng.Stop()
+	})
+	const duration = 8
+	status, resp := postJSON(t, ts.URL+"/query", map[string]any{
+		"v": 1, "type": "locmon", "id": "inv", "loc": map[string]float64{"x": 30, "y": 30},
+		"budget": 300, "duration": duration, "samples": 3,
+	})
+	if status != http.StatusAccepted {
+		t.Fatalf("submit: status %d resp %v", status, resp)
 	}
-	if frames[0].From != 2 || frames[0].To != 3 || frames[0].Dropped != 2 {
-		t.Errorf("gap frame = %+v, want From 2 To 3 Dropped 2", frames[0])
+	if err := eng.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	// watch opens a stream; each lets the test wait for a frame to have
+	// reached the client, all carries the whole stream once it ended.
+	type stream struct {
+		each chan wire.EventFrame
+		all  chan []wire.EventFrame
+	}
+	watch := func(url string) stream {
+		st := stream{each: make(chan wire.EventFrame, 32), all: make(chan []wire.EventFrame, 1)}
+		go func() { st.all <- watchFramesEach(t, url, false, func(f wire.EventFrame) { st.each <- f }) }()
+		return st
+	}
+	// step runs one slot and waits until every open stream has its
+	// update: a reader that keeps up never sees a gap, however small the
+	// log.
+	step := func(slot int, open ...stream) {
+		t.Helper()
+		if err := eng.RunSlots(1); err != nil {
+			t.Fatal(err)
+		}
+		for _, st := range open {
+			for timeout := time.After(10 * time.Second); ; {
+				select {
+				case f := <-st.each:
+					if f.Event == wire.FrameSlotUpdate && f.Slot == slot {
+						goto next
+					}
+				case <-timeout:
+					t.Fatalf("slot %d never reached a watcher", slot)
+				}
+			}
+		next:
+		}
 	}
 
-	// From scratch: accepted first, then everything in stream order.
-	frames = replay(-1 << 30)
-	if len(frames) != 6 || frames[0].Event != wire.FrameAccepted || frames[3].Event != wire.FrameGap {
-		t.Fatalf("full replay = %+v, want accepted + 5 stream frames with the gap third", frames)
+	// (a) before the first slot.
+	before := watch(ts.URL + "/watch?id=inv")
+	if f := <-before.each; f.Event != wire.FrameAccepted {
+		t.Fatalf("stream opened with %+v, want accepted", f)
+	}
+	for slot := 0; slot < 5; slot++ {
+		step(slot, before)
+	}
+	// (b) mid-stream: slots 0..4 ran, the final has not. The log retains
+	// updates 1..4 by now; this watcher resumes from cursor 2.
+	middle := watch(ts.URL + "/watch?id=inv&cursor=2")
+	for slot := 5; slot < duration; slot++ {
+		step(slot, before, middle)
+	}
+	a, b := <-before.all, <-middle.all
+	watchInvariants(t, "before the slot", a)
+	watchInvariants(t, "mid-stream", b)
+	if a[0].Event != wire.FrameAccepted || !intsEqual(slotsOf(a), []int{0, 1, 2, 3, 4, 5, 6, 7}) {
+		t.Errorf("early watcher frames = %+v, want accepted + slots 0..7", a)
+	}
+	if !intsEqual(slotsOf(b), []int{3, 4, 5, 6, 7}) || b[0].Event != wire.FrameSlotUpdate {
+		t.Errorf("mid-stream watcher frames = %+v, want slots 3..7 and no accepted, no gap", b)
 	}
 
-	// History-cap eviction folds evicted gaps into missing.
-	rec2 := newQueryRecord("g2", "point", discardLogger())
-	rec2.mu.Lock()
-	rec2.appendFrameLocked(wire.EventFrame{V: wire.Version2, Event: wire.FrameGap, ID: "g2", Slot: 0, From: 0, To: 0, Dropped: 5})
-	for s := 1; s <= maxResultsPerQuery+1; s++ {
-		rec2.appendFrameLocked(upd(s))
+	// (c) after the query finished, from the beginning: the log retains
+	// updates 5, 6, 7 and the final; accepted and updates 0..4 are gone.
+	c := <-watch(ts.URL + "/watch?id=inv").all
+	watchInvariants(t, "after the finish", c)
+	if len(c) != 5 || c[0].Event != wire.FrameGap || c[0].From != -1 || c[0].To != 4 || c[0].Dropped != 6 || !intsEqual(slotsOf(c), []int{5, 6, 7}) {
+		t.Errorf("finished-query replay = %+v, want gap{-1..4, 6 dropped} + slots 5..7 + final", c)
 	}
-	missing := rec2.missing
-	frameCount := len(rec2.frames)
-	rec2.mu.Unlock()
-	// The gap (5 dropped) and one update were evicted: missing = 5 + 1.
-	if missing != 6 || frameCount != maxResultsPerQuery {
-		t.Fatalf("missing = %d frames = %d, want 6 and %d", missing, frameCount, maxResultsPerQuery)
+	// (d) resuming from cursor 1: updates 2, 3, 4 are what this client lost.
+	d := <-watch(ts.URL + "/watch?id=inv&cursor=1").all
+	watchInvariants(t, "resume behind the log", d)
+	if len(d) != 5 || d[0].Event != wire.FrameGap || d[0].From != 2 || d[0].To != 4 || d[0].Dropped != 3 || !intsEqual(slotsOf(d), []int{5, 6, 7}) {
+		t.Errorf("resume behind the log = %+v, want gap{2..4, 3 dropped} + slots 5..7 + final", d)
+	}
+	// A resume cursor at the last update gets the final alone.
+	if tail := <-watch(ts.URL + "/watch?id=inv&cursor=7").all; len(tail) != 1 || tail[0].Event != wire.FrameFinal {
+		t.Errorf("resume at the end = %+v, want just the final", tail)
+	}
+
+	// Polling and listing read the same log.
+	_, got := getJSON(t, ts.URL+"/query/inv")
+	if rs, _ := got["results"].([]any); len(rs) != 3 || got["results_truncated"] != float64(5) || got["done"] != true {
+		t.Errorf("GET /query/inv = %v, want done with 3 results and 5 truncated", got)
+	}
+	_, list := getJSON(t, ts.URL+"/queries")
+	if qs, _ := list["queries"].([]any); len(qs) != 1 || qs[0].(map[string]any)["results"] != float64(3) {
+		t.Errorf("GET /queries = %v, want one query with 3 results", list)
+	}
+}
+
+// TestServeNoGoroutinePerQuery: an accepted query with no watcher costs
+// the server no goroutine — nothing follows its stream until somebody
+// asks. Requests go straight to the handler so no transport goroutine
+// blurs the count.
+func TestServeNoGoroutinePerQuery(t *testing.T) {
+	world := ps.NewRWMWorld(5, 200, ps.SensorConfig{})
+	eng := ps.NewEngine(ps.NewAggregator(world))
+	eng.Start()
+	defer eng.Stop()
+	handler := New(eng, world, Options{}).Handler()
+	batch := func(round, n int) {
+		t.Helper()
+		queries := make([]map[string]any, n)
+		for i := range queries {
+			queries[i] = map[string]any{
+				"type": "locmon", "id": fmt.Sprintf("g%d-%d", round, i),
+				"loc": map[string]float64{"x": 30, "y": 30}, "budget": 100, "duration": 50, "samples": 3,
+			}
+		}
+		body, err := json.Marshal(map[string]any{"v": 2, "queries": queries})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rr := httptest.NewRecorder()
+		handler.ServeHTTP(rr, httptest.NewRequest(http.MethodPost, "/queries:batch", bytes.NewReader(body)))
+		var resp wire.BatchResponse
+		if err := json.Unmarshal(rr.Body.Bytes(), &resp); err != nil || resp.Accepted != n {
+			t.Fatalf("batch %d: %v, response %s", round, err, rr.Body)
+		}
+		if err := eng.RunSlots(2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	batch(0, 10) // warm-up: whatever the first request starts for good
+	before := runtime.NumGoroutine()
+	for round := 1; round <= 4; round++ {
+		batch(round, 100)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("%d goroutines after 400 live queries with no watcher, %d before", after, before)
 	}
 }
 
