@@ -91,21 +91,6 @@ func WithGreedyStrategy(s Strategy) Option {
 	return func(a *Aggregator) { a.greedy.Strategy = s }
 }
 
-// WithGreedyConfig sets the full greedy selection configuration
-// (strategy, workers, sharding threshold).
-func WithGreedyConfig(cfg GreedyConfig) Option {
-	return func(a *Aggregator) { a.greedy = cfg }
-}
-
-// SetGreedyStrategy switches the selection strategy for subsequent
-// slots. Like every other Aggregator method it must be called by the
-// goroutine owning the aggregator (the engine's loop when wrapped in an
-// Engine — see Engine.SetGreedyStrategy).
-func (a *Aggregator) SetGreedyStrategy(s Strategy) { a.greedy.Strategy = s }
-
-// GreedyStrategy returns the configured selection strategy.
-func (a *Aggregator) GreedyStrategy() Strategy { return a.greedy.Strategy }
-
 // SelectionStats returns the cumulative selection instrumentation over
 // all executed slots: valuation calls made vs the exhaustive-scan
 // equivalent, lazy-heap re-evaluations and non-submodular fallbacks.
@@ -122,96 +107,6 @@ func NewAggregator(world *World, opts ...Option) *Aggregator {
 
 // NextSlot returns the slot number the next RunSlot call will execute.
 func (a *Aggregator) NextSlot() int { return a.world.Fleet.Slot() + 1 }
-
-// The per-kind Submit* methods below are thin wrappers over the Spec
-// materialization used by Submit. They keep the historical signatures and
-// lenient semantics (no validation) for one release.
-
-// SubmitPoint submits a single-sensor point query for the next slot with
-// the world's dmax and the evaluation's theta_min.
-//
-// Deprecated: use Submit with a PointSpec.
-func (a *Aggregator) SubmitPoint(id string, loc Point, budget float64) *PointQuery {
-	sq, _ := PointSpec{ID: id, Loc: loc, Budget: budget}.materialize(a)
-	return sq.query.(*PointQuery)
-}
-
-// SubmitMultiPoint submits a multiple-sensor point query asking for k
-// redundant readings.
-//
-// Deprecated: use Submit with a MultiPointSpec.
-func (a *Aggregator) SubmitMultiPoint(id string, loc Point, budget float64, k int) *MultiPointQuery {
-	sq, _ := MultiPointSpec{ID: id, Loc: loc, Budget: budget, K: k}.materialize(a)
-	return sq.query.(*MultiPointQuery)
-}
-
-// SubmitAggregate submits a spatial aggregate query over a region; the
-// sensing range defaults to the world's dmax.
-//
-// Deprecated: use Submit with an AggregateSpec.
-func (a *Aggregator) SubmitAggregate(id string, region Rect, budget float64) *AggregateQuery {
-	sq, _ := AggregateSpec{ID: id, Region: region, Budget: budget}.materialize(a)
-	return sq.query.(*AggregateQuery)
-}
-
-// SubmitTrajectory submits a query over a trajectory.
-//
-// Deprecated: use Submit with a TrajectorySpec.
-func (a *Aggregator) SubmitTrajectory(id string, tr Trajectory, budget float64) *TrajectoryQuery {
-	sq, _ := TrajectorySpec{ID: id, Path: tr, Budget: budget}.materialize(a)
-	return sq.query.(*TrajectoryQuery)
-}
-
-// SubmitLocationMonitoring submits a continuous location-monitoring query
-// running from the next slot for `duration` slots; desired sampling times
-// are chosen from the location's history ([19]); the budget should scale
-// with the duration.
-//
-// Deprecated: use Submit with a LocationMonitoringSpec.
-func (a *Aggregator) SubmitLocationMonitoring(id string, loc Point, duration int, budget float64, samples int) *LocationMonitoringQuery {
-	sq, _ := LocationMonitoringSpec{ID: id, Loc: loc, Duration: duration, Budget: budget, Samples: samples}.materialize(a)
-	return sq.query.(*LocationMonitoringQuery)
-}
-
-// SubmitRegionMonitoring submits a continuous region-monitoring query; it
-// requires a world with a learned GP model (NewIntelLabWorld provides
-// one).
-//
-// Deprecated: use Submit with a RegionMonitoringSpec.
-func (a *Aggregator) SubmitRegionMonitoring(id string, region Rect, duration int, budget float64) (*RegionMonitoringQuery, error) {
-	sq, err := RegionMonitoringSpec{ID: id, Region: region, Duration: duration, Budget: budget}.materialize(a)
-	if err != nil {
-		return nil, err
-	}
-	return sq.query.(*RegionMonitoringQuery), nil
-}
-
-// SubmitEventDetection submits a continuous event-detection query (the
-// §2.3 extension): redundant sampling every slot, notification when the
-// phenomenon exceeds threshold with the requested confidence.
-//
-// Deprecated: use Submit with an EventDetectionSpec.
-func (a *Aggregator) SubmitEventDetection(id string, loc Point, duration int, threshold, confidence, budgetPerSlot float64) *EventDetectionQuery {
-	sq, _ := EventDetectionSpec{
-		ID: id, Loc: loc, Duration: duration,
-		Threshold: threshold, Confidence: confidence, BudgetPerSlot: budgetPerSlot,
-	}.materialize(a)
-	return sq.query.(*EventDetectionQuery)
-}
-
-// SubmitRegionEvent submits a continuous region event-detection query
-// (§2.3's Q4 as an extension): every slot a spatial-aggregate probe is
-// scheduled and the quality-weighted regional average is tested against
-// the threshold, with confidence scaled by achieved coverage.
-//
-// Deprecated: use Submit with a RegionEventSpec.
-func (a *Aggregator) SubmitRegionEvent(id string, region Rect, duration int, threshold, confidence, budgetPerSlot float64) *RegionEventQuery {
-	sq, _ := RegionEventSpec{
-		ID: id, Region: region, Duration: duration,
-		Threshold: threshold, Confidence: confidence, BudgetPerSlot: budgetPerSlot,
-	}.materialize(a)
-	return sq.query.(*RegionEventQuery)
-}
 
 // EventNotification reports one event-detection evaluation.
 type EventNotification struct {

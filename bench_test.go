@@ -183,26 +183,6 @@ func largeFleetSlot(seed int64, n int) ([]query.Query, []core.Offer) {
 	return qs, offers
 }
 
-// BenchmarkParallelCandidateEval compares the serial and sharded
-// candidate scans of Algorithm 1 on large fleets; the selections are
-// bit-identical (see TestGreedyParallelMatchesSerial), only wall time
-// differs.
-func BenchmarkParallelCandidateEval(b *testing.B) {
-	for _, n := range []int{1000, 10000} {
-		qs, offers := largeFleetSlot(1, n)
-		b.Run(fmt.Sprintf("serial/sensors=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				core.GreedySelectWith(qs, offers, core.GreedyConfig{Strategy: core.StrategySerial})
-			}
-		})
-		b.Run(fmt.Sprintf("parallel/sensors=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				core.GreedySelectWith(qs, offers, core.GreedyConfig{Strategy: core.StrategySharded, ParallelThreshold: 1})
-			}
-		})
-	}
-}
-
 // redundantFleetSlot builds one slot of k-redundancy demand on an
 // n-sensor fleet: §2.2.1 multiple-sensor point queries asking for 10
 // redundant readings each, plus a thin stream of plain point queries.
@@ -248,9 +228,7 @@ func BenchmarkLazyCandidateEval(b *testing.B) {
 				cfg  core.GreedyConfig
 			}{
 				{"serial", core.GreedyConfig{Strategy: core.StrategySerial}},
-				{"sharded", core.GreedyConfig{Strategy: core.StrategySharded, ParallelThreshold: 1}},
 				{"lazy", core.GreedyConfig{Strategy: core.StrategyLazy}},
-				{"lazy-sharded", core.GreedyConfig{Strategy: core.StrategyLazySharded, ParallelThreshold: 1}},
 			} {
 				b.Run(fmt.Sprintf("%s/%s/sensors=%d", wl.name, sc.name, n), func(b *testing.B) {
 					var calls, exhaustive int64
@@ -279,9 +257,9 @@ func assertBitIdentical(t *testing.T, label string, serial, got *core.MultiResul
 // TestLazyStrategyLargeFleet is the acceptance gate of the lazy fast
 // path at 10k sensors:
 //
-//   - on the mixed slot (points + non-submodular aggregates) every lazy
-//     variant must be bit-identical to the serial scan and never make
-//     more valuation calls;
+//   - on the mixed slot (points + non-submodular aggregates) lazy must
+//     be bit-identical to the serial scan and never make more valuation
+//     calls;
 //   - on the redundancy-heavy slot it must additionally make at least 3x
 //     fewer valuation calls.
 //
@@ -301,17 +279,14 @@ func TestLazyStrategyLargeFleet(t *testing.T) {
 	} {
 		qs, offers := wl.gen(1, 10000)
 		serial := core.GreedySelectWith(qs, offers, core.GreedyConfig{Strategy: core.StrategySerial})
-		for _, strat := range []core.Strategy{core.StrategyLazy, core.StrategyLazySharded} {
-			lazy := core.GreedySelectWith(qs, offers, core.GreedyConfig{Strategy: strat})
-			assertBitIdentical(t, fmt.Sprintf("%s/%s", wl.name, strat), serial, lazy)
-			ratio := float64(serial.Stats.ValuationCalls) / float64(lazy.Stats.ValuationCalls)
-			t.Logf("%s/%s: %d valuation calls vs serial %d (%.2fx fewer), %d reevals, %d violations, %d rescans",
-				wl.name, strat, lazy.Stats.ValuationCalls, serial.Stats.ValuationCalls, ratio,
-				lazy.Stats.LazyReevaluations, lazy.Stats.SubmodularityViolations, lazy.Stats.FallbackRescans)
-			if ratio < wl.minRatio {
-				t.Errorf("%s/%s: only %.2fx fewer valuation calls, want >= %.0fx",
-					wl.name, strat, ratio, wl.minRatio)
-			}
+		lazy := core.GreedySelectWith(qs, offers, core.GreedyConfig{Strategy: core.StrategyLazy})
+		assertBitIdentical(t, wl.name, serial, lazy)
+		ratio := float64(serial.Stats.ValuationCalls) / float64(lazy.Stats.ValuationCalls)
+		t.Logf("%s: %d valuation calls vs serial %d (%.2fx fewer), %d reevals, %d violations, %d rescans",
+			wl.name, lazy.Stats.ValuationCalls, serial.Stats.ValuationCalls, ratio,
+			lazy.Stats.LazyReevaluations, lazy.Stats.SubmodularityViolations, lazy.Stats.FallbackRescans)
+		if ratio < wl.minRatio {
+			t.Errorf("%s: only %.2fx fewer valuation calls, want >= %.0fx", wl.name, ratio, wl.minRatio)
 		}
 	}
 }

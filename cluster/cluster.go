@@ -28,9 +28,9 @@
 // or an error frame marks the lane unavailable, the slot completes
 // degraded (ps.ErrNodeUnavailable on the lane's resident queries), and
 // the next use of the lane redials and resyncs — the coordinator replays
-// its per-lane oplog (submits, cancels, strategy switches, and every
-// slot's global commit) against a fresh replica, bumping the lane epoch so
-// anything a stale node generation answers is fenced off
+// its per-lane oplog (submits, cancels, and every slot's global commit)
+// against a fresh replica, bumping the lane epoch so anything a stale
+// node generation answers is fenced off
 // (ps.ErrStaleEpoch). Membership rides on periodic ping frames exchanging
 // TTL'd facts; expired liveness facts turn a node suspect, then dead.
 package cluster
@@ -57,7 +57,7 @@ type Config struct {
 	// Shards is the grid partition's shard count.
 	Shards int
 	// Strategy optionally names every lane's selection strategy
-	// ("lazy", "serial", ...); empty keeps the sharded default.
+	// ("auto", "serial" or "lazy"), fixed at construction; empty is auto.
 	Strategy string
 	// Nodes maps shard index to the shard node's dial address. An empty
 	// entry keeps that shard in-process; a nil/empty slice is a fully

@@ -48,9 +48,9 @@ type networkLane struct {
 	// posted counts the submit and commit frames written on this
 	// connection; the node's applied count must match it at every fence.
 	posted uint64
-	// ops is the lane's replayable history: submits, cancels, strategy
-	// switches and one slot op per completed slot. A resync ships the
-	// whole log; checkpointing to bound it is future work.
+	// ops is the lane's replayable history: submits, cancels and one
+	// slot op per completed slot. A resync ships the whole log;
+	// checkpointing to bound it is future work.
 	ops []wire.ClusterOp
 	// ranSlot is the last slot whose RunLane partial was delivered; a
 	// FinishSlot for any other slot records Ran=false (degraded slot).
@@ -285,19 +285,6 @@ func (l *networkLane) Cancel(id string) bool {
 		l.ops = append(l.ops, wire.ClusterOp{Op: "cancel", ID: id})
 	}
 	return resp.Removed
-}
-
-// SetStrategy records the switch in the oplog and pushes it to the node
-// when reachable; a broken lane picks it up on resync replay.
-func (l *networkLane) SetStrategy(s ps.Strategy) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.ops = append(l.ops, wire.ClusterOp{Op: "strategy", Strategy: s.String()})
-	if l.conn == nil {
-		return
-	}
-	// A failed call has broken the lane; the resync replays the op.
-	_, _ = l.call(wire.ClusterFrame{Type: wire.ClusterStrategy, Strategy: s.String()}, l.epoch, wire.ClusterOK)
 }
 
 // RunLane commands the node to step its replica into slot t, run the

@@ -101,9 +101,12 @@ type connState struct {
 }
 
 // handleConn runs one connection's frame loop: posted frames are applied
-// silently, every other frame is answered. A malformed or oversized frame
-// closes the connection — the coordinator sees a transport fault and
-// resyncs — rather than guessing at a sequence number to reject it with.
+// silently, every other frame is answered. An oversized line closes the
+// connection; so does a line that does not decode — a malformed frame, a
+// peer built from another wire.ClusterVersion, a frame type this build
+// does not have — after one error frame saying why (with sequence number
+// zero: there is none to echo). Either way the coordinator sees a
+// transport fault and resyncs.
 func (s *NodeServer) handleConn(conn net.Conn) {
 	defer func() {
 		s.connMu.Lock()
@@ -115,6 +118,19 @@ func (s *NodeServer) handleConn(conn net.Conn) {
 	br := bufio.NewReader(conn)
 	// Sized so that a metro-scale partial line leaves in one write.
 	bw := bufio.NewWriterSize(conn, 64<<10)
+	send := func(resp wire.ClusterFrame) error {
+		buf, err := wire.MarshalClusterFrame(resp)
+		if err != nil {
+			return err
+		}
+		if _, err = bw.Write(buf); err == nil {
+			err = bw.WriteByte('\n')
+		}
+		if err == nil {
+			err = bw.Flush()
+		}
+		return err
+	}
 	var cs connState
 	for {
 		line, err := wire.ReadClusterLine(br)
@@ -123,23 +139,10 @@ func (s *NodeServer) handleConn(conn net.Conn) {
 		}
 		f, err := wire.DecodeClusterFrame(line)
 		if err != nil {
+			_ = send(errFrame(wire.ClusterFrame{V: wire.ClusterVersion, Node: s.name}, err))
 			return
 		}
-		resp, ok := s.dispatch(f, &cs)
-		if !ok {
-			continue
-		}
-		buf, err := wire.MarshalClusterFrame(resp)
-		if err != nil {
-			return
-		}
-		if _, err = bw.Write(buf); err == nil {
-			err = bw.WriteByte('\n')
-		}
-		if err == nil {
-			err = bw.Flush()
-		}
-		if err != nil {
+		if resp, ok := s.dispatch(f, &cs); ok && send(resp) != nil {
 			return
 		}
 	}
@@ -191,13 +194,6 @@ func (s *NodeServer) dispatch(f wire.ClusterFrame, cs *connState) (wire.ClusterF
 	case wire.ClusterCancel:
 		resp.Type = wire.ClusterOK
 		resp.Removed = s.lane.Cancel(f.ID)
-	case wire.ClusterStrategy:
-		strat, err := ps.ParseStrategy(f.Strategy)
-		if err != nil {
-			return errFrame(resp, err), true
-		}
-		s.lane.SetStrategy(strat)
-		resp.Type = wire.ClusterOK
 	case wire.ClusterRunSlot:
 		p, err := s.lane.RunSlot(f.Slot)
 		if err != nil {
@@ -283,13 +279,6 @@ func replayOp(lane *ps.NodeLane, op wire.ClusterOp) error {
 		return submitEnvelope(lane, op.Spec)
 	case "cancel":
 		lane.Cancel(op.ID)
-		return nil
-	case "strategy":
-		strat, err := ps.ParseStrategy(op.Strategy)
-		if err != nil {
-			return err
-		}
-		lane.SetStrategy(strat)
 		return nil
 	case "slot":
 		if op.Ran {

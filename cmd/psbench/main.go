@@ -47,7 +47,7 @@ func main() {
 		csv     = flag.Bool("csv", false, "emit CSV instead of aligned text")
 
 		scenarioF   = flag.String("scenario", "", "run a named perf scenario (dense-urban, sparse-rural, bursty-arrival, continuous-heavy, sharded-metro, or 'all') instead of figures")
-		strategy    = flag.String("strategy", "lazy", "scenario mode: selection strategy (auto, serial, sharded, lazy, lazy-sharded)")
+		strategy    = flag.String("strategy", "lazy", "scenario mode: selection strategy (auto, serial, lazy)")
 		shardsF     = flag.Int("shards", 0, "scenario mode: override the scenario's geographic shard count (0 = scenario default; >1 runs the geo-sharded layer)")
 		jsonOut     = flag.Bool("json", false, "scenario mode: write machine-readable BENCH_<scenario>.json files")
 		outDir      = flag.String("out", ".", "scenario mode: output directory for BENCH_*.json")

@@ -752,7 +752,7 @@ const targetRefCalibrationMs = 125.0
 // relevance index, smaller heaps), and the honest floor is lower — the
 // workload measures ~2.5-2.9x lane-parallel with lazy lanes.
 func minShardedSpeedup(strat ps.Strategy) float64 {
-	lazy := strat == ps.StrategyLazy || strat == ps.StrategyLazySharded
+	lazy := strat == ps.StrategyLazy
 	switch cores := runtime.GOMAXPROCS(0); {
 	case cores >= 4:
 		if lazy {

@@ -12,7 +12,6 @@
 //	  '{"v":1,"type":"point","loc":{"x":30,"y":30},"budget":15}'
 //	curl -s localhost:8080/query/q1
 //	curl -s 'localhost:8080/queries?limit=10'
-//	curl -s -X POST localhost:8080/strategy -d '{"strategy":"lazy-sharded"}'
 package main
 
 import (
@@ -41,7 +40,7 @@ func main() {
 		seed      = flag.Int64("seed", 1, "world seed")
 		interval  = flag.Duration("interval", time.Second, "slot clock interval")
 		sched     = flag.String("sched", "optimal", "scheduling: optimal, localsearch, baseline, egalitarian or greedy")
-		strategy  = flag.String("strategy", "auto", "greedy selection strategy: auto (serial under 256 offers, lazy above), serial, sharded, lazy or lazy-sharded")
+		strategy  = flag.String("strategy", "auto", "greedy selection strategy: auto (serial under 256 offers, lazy above), serial or lazy")
 		shards    = flag.Int("shards", 1, "geographic shards; >1 serves slots through the geo-sharded execution layer (greedy pipeline, -sched ignored)")
 		nodeAddrs = flag.String("node-addrs", "", "comma-separated psnode addresses, one per shard (empty entry = in-process): serves slots through the multi-node cluster coordinator")
 		queue     = flag.Int("queue", 1024, "ingest queue size")

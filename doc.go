@@ -52,21 +52,20 @@
 // Package wire defines the JSON wire format of that HTTP API, and
 // package psclient is the matching Go SDK.
 //
-// Selection performance is tunable without affecting results: the
-// greedy core's candidate-evaluation strategy (WithGreedyStrategy —
-// serial reference scan, in-round sharded scan, lazy-greedy/CELF
-// pruning, or lazy×sharded; by default serial below 256 offers and lazy
-// from there up, on every aggregator and shard lane) changes only how
-// much work a slot does; every strategy is bit-identical in welfare,
-// values and payments, and the strategy-equivalence tests gate that. At
-// the pinned 40k-sensor sharded-metro benchmark the lazy sharded
-// pipeline holds a sub-100ms per-lane critical path. See PERFORMANCE.md
-// for the cost model, the valuation caches and their invalidation rules,
-// and strategy-selection guidance.
+// Selection performance never affects results: the greedy core's
+// candidate-evaluation strategy (WithGreedyStrategy — the serial
+// reference scan or lazy-greedy/CELF pruning; by default serial below
+// 256 offers and lazy from there up, resolved by every aggregator and
+// shard lane against its own offer count) changes only how much work a
+// slot does; both are bit-identical in welfare, values and payments, and
+// the strategy-equivalence tests gate that. At the pinned 40k-sensor
+// sharded-metro benchmark the geo-sharded pipeline with lazy lanes holds
+// a sub-100ms per-lane critical path. See PERFORMANCE.md for the cost
+// model, the valuation caches and their invalidation rules, and
+// strategy-selection guidance.
 //
 // See DESIGN.md for the package inventory and the engine architecture
-// (ingest, event loop, slot clock, fan-out, parallel candidate
-// evaluation); cmd/psbench regenerates the paper's figures and
-// load-tests the engine, and bench_test.go tracks both speed and
-// solution quality.
+// (ingest, event loop, slot clock, fan-out, geo-sharded lanes);
+// cmd/psbench regenerates the paper's figures and load-tests the engine,
+// and bench_test.go tracks both speed and solution quality.
 package ps

@@ -293,7 +293,6 @@ type queryRuntime interface {
 	slotRunner
 	Submit(Spec) (SubmittedQuery, error)
 	CancelQuery(id string) bool
-	SetGreedyStrategy(Strategy)
 }
 
 // Engine is the concurrent, slot-clocked serving layer over an
@@ -377,15 +376,6 @@ func (e *Engine) Start() { e.loop.Start() }
 // Whatever is still live after the cap is closed with ErrEngineStopped.
 // Stop blocks until the loop goroutine exits.
 func (e *Engine) Stop() { e.loop.Stop() }
-
-// SetGreedyStrategy switches the aggregator's candidate-evaluation
-// strategy for subsequent slots. Safe from any goroutine: the change is
-// applied on the event loop. It returns an enqueue error (queue full or
-// engine stopped); results are unaffected either way — strategies are
-// bit-identical.
-func (e *Engine) SetGreedyStrategy(s Strategy) error {
-	return e.loop.Do(func() { e.agg.SetGreedyStrategy(s) })
-}
 
 // RunSlots synchronously executes n slots on the event loop and returns
 // when they have all run — the virtual/fast-forward clock used by tests,

@@ -165,10 +165,9 @@ func TestQueryHandleOnDone(t *testing.T) {
 // query — ingest, registration, the event log, the publish.
 type oneShotRuntime struct{ slot int }
 
-func (r *oneShotRuntime) NextSlot() int              { return r.slot }
-func (r *oneShotRuntime) CancelQuery(string) bool    { return false }
-func (r *oneShotRuntime) SetGreedyStrategy(Strategy) {}
-func (r *oneShotRuntime) RunSlot() *SlotReport       { r.slot++; return &SlotReport{Slot: r.slot - 1} }
+func (r *oneShotRuntime) NextSlot() int           { return r.slot }
+func (r *oneShotRuntime) CancelQuery(string) bool { return false }
+func (r *oneShotRuntime) RunSlot() *SlotReport    { r.slot++; return &SlotReport{Slot: r.slot - 1} }
 func (r *oneShotRuntime) Submit(s Spec) (SubmittedQuery, error) {
 	return SubmittedQuery{ID: s.QueryID(), Kind: s.Kind(), Start: r.slot, End: r.slot}, nil
 }

@@ -4,6 +4,8 @@ import (
 	"fmt"
 
 	ps "repro"
+	"repro/internal/mobility"
+	"repro/internal/sensornet"
 )
 
 // ExampleAggregator_Submit shows the batch entry point: every query kind
@@ -105,23 +107,38 @@ func ExampleWithGreedyStrategy() {
 	// lazy made fewer valuation calls: true
 }
 
-// ExampleShardedAggregator_SetShardStrategy builds the geo-sharded
-// execution layer and pins one lane to the serial scan while the rest
-// keep the lazy default; per-lane strategy never changes results.
-func ExampleShardedAggregator_SetShardStrategy() {
-	world := ps.NewRWMWorld(2, 400, ps.SensorConfig{})
-	sa := ps.NewShardedAggregator(world, 4, ps.WithGreedyStrategy(ps.StrategyLazy))
-	sa.SetShardStrategy(0, ps.StrategySerial) // e.g. a cold lane
+// ExampleShardedAggregator_RunSlot shows the default strategy resolving
+// per lane: each shard of the geo-sharded layer picks serial or lazy from
+// its own offer count every slot, so a busy shard runs lazy-greedy while
+// a quiet one stays on the serial scan — with no per-shard setting, and
+// never a different result.
+func ExampleShardedAggregator_RunSlot() {
+	// A fleet standing still: 300 sensors downtown (the south-west
+	// shard), 60 in the north-east suburb.
+	world := ps.NewRWMWorld(2, 360, ps.SensorConfig{})
+	pos := make([]ps.Point, 360)
+	for i := range pos {
+		if i < 300 {
+			pos[i] = ps.Pt(20+float64(i%20), 20+float64(i/20))
+		} else {
+			pos[i] = ps.Pt(45+float64(i%10), 45+float64((i-300)/10))
+		}
+	}
+	world.Fleet = sensornet.NewFleet(world.Fleet.Sensors, mobility.NewStationary(pos), world.Working)
 
-	sa.Submit(ps.PointSpec{ID: "p0", Loc: ps.Pt(30, 30), Budget: 15})
-	sa.Submit(ps.PointSpec{ID: "p1", Loc: ps.Pt(50, 50), Budget: 15})
+	sa := ps.NewShardedAggregator(world, 4)
+	sa.Submit(ps.PointSpec{ID: "downtown", Loc: ps.Pt(30, 30), Budget: 15})
+	sa.Submit(ps.PointSpec{ID: "suburb", Loc: ps.Pt(50, 48), Budget: 15})
 
 	report := sa.RunSlot()
-	fmt.Println("shards:", sa.ShardCount())
-	fmt.Println("p0 answered:", report.Answered("p0"))
-	fmt.Println("p1 answered:", report.Answered("p1"))
+	for _, sh := range report.Shards {
+		if sh.Selection.Strategy != "" {
+			fmt.Printf("shard %d: %d offers, %s\n", sh.Shard, sh.Offers, sh.Selection.Strategy)
+		}
+	}
+	fmt.Println("both answered:", report.Answered("downtown") && report.Answered("suburb"))
 	// Output:
-	// shards: 4
-	// p0 answered: true
-	// p1 answered: true
+	// shard 0: 300 offers, lazy
+	// shard 3: 60 offers, serial
+	// both answered: true
 }

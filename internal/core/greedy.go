@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"slices"
 	"sync"
 
@@ -125,14 +124,14 @@ func DiffMultiResults(want, got *MultiResult) string {
 // SavedCalls() is the lazy strategy's pruning effect.
 type SelectionStats struct {
 	// Strategy is the effective strategy label of the last run
-	// ("serial", "sharded", "lazy", "lazy-sharded").
+	// ("serial" or "lazy").
 	Strategy string
 	// ValuationCalls counts marginal-gain evaluations actually made —
 	// State.Gain invocations plus PairCached fast-path recombinations.
 	ValuationCalls int64
 	// SerialEquivCalls counts the Gain invocations an exhaustive scan
 	// with the same per-(sensor, query) version cache would have made.
-	// For the serial and sharded strategies the two are equal.
+	// For the serial strategy the two are equal.
 	SerialEquivCalls int64
 	// LazyReevaluations counts heap candidates popped stale and
 	// re-evaluated against the current states.
@@ -203,68 +202,33 @@ func GreedySelect(queries []query.Query, offers []Offer) *MultiResult {
 	return GreedySelectWith(queries, offers, GreedyConfig{})
 }
 
-// GreedyConfig tunes the candidate-evaluation strategy of GreedySelect.
+// GreedyConfig selects the candidate-evaluation strategy of GreedySelect.
 type GreedyConfig struct {
-	// Workers caps the goroutines of the sharded strategies' scans:
-	// 0 means GOMAXPROCS, 1 keeps them on one goroutine.
-	Workers int
-	// ParallelThreshold is the offer count that separates small
-	// instances from large ones (default 256): below it StrategyAuto
-	// scans serially and the sharded strategies do not spawn workers,
-	// because heap and goroutine set-up cost more than the scan itself.
-	ParallelThreshold int
 	// Strategy selects the candidate-evaluation algorithm; the zero
-	// value (StrategyAuto) is a serial scan below ParallelThreshold and
-	// lazy-greedy from it upwards.
+	// value (StrategyAuto) is a serial scan below lazyThreshold offers
+	// and lazy-greedy from it upwards.
 	Strategy Strategy
 }
 
-// resolve normalizes the config against the instance size: effective
-// strategy and worker count.
-func (cfg GreedyConfig) resolve(n int) (Strategy, int) {
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+// resolve returns the effective strategy for an instance of n offers.
+func (cfg GreedyConfig) resolve(n int) Strategy {
+	if cfg.Strategy != StrategyAuto {
+		return cfg.Strategy
 	}
-	threshold := cfg.ParallelThreshold
-	if threshold <= 0 {
-		threshold = defaultParallelThreshold
+	if n < lazyThreshold {
+		return StrategySerial
 	}
-	strat := cfg.Strategy
-	if strat == StrategyAuto {
-		if n < threshold {
-			strat = StrategySerial
-		} else {
-			strat = StrategyLazy
-		}
-	}
-	switch strat {
-	case StrategySerial:
-		workers = 1
-	case StrategySharded, StrategyLazySharded:
-		if n < threshold {
-			workers = 1
-		} else if workers > n {
-			workers = n
-		}
-	case StrategyLazy:
-		workers = 1
-	}
-	return strat, workers
+	return StrategyLazy
 }
 
-// GreedySelectWith is GreedySelect with explicit strategy control. All
+// GreedySelectWith is GreedySelect with explicit strategy control. Both
 // strategies produce identical selections, payments and welfare:
 //
 //   - StrategySerial scans every remaining sensor each round.
-//   - StrategySharded splits that scan over Workers goroutines; the merge
-//     keeps the serial rule "first sensor index with the strictly largest
-//     net benefit". The scan only reads query states (State.Gain and
-//     GeomCached.GainGeom must not mutate), so shards are race-free.
-//   - StrategyLazy / StrategyLazySharded run the CELF-style lazy-greedy
-//     fast path of lazygreedy.go: cached net benefits in a max-heap,
-//     re-evaluated only when a relevant query's state changed, with an
-//     exhaustive-rescan fallback when a valuation proves non-submodular.
+//   - StrategyLazy runs the CELF-style lazy-greedy fast path of
+//     lazygreedy.go: cached net benefits in a max-heap, re-evaluated only
+//     when a relevant query's state changed, with an exhaustive-rescan
+//     fallback when a valuation proves non-submodular.
 func GreedySelectWith(queries []query.Query, offers []Offer, cfg GreedyConfig) *MultiResult {
 	s := newSelection(queries, offers)
 	defer s.release()
@@ -272,32 +236,22 @@ func GreedySelectWith(queries []query.Query, offers []Offer, cfg GreedyConfig) *
 		s.finalize()
 		return s.res
 	}
-	strat, workers := cfg.resolve(len(offers))
-	switch strat {
-	case StrategyLazy, StrategyLazySharded:
-		sharded := strat == StrategyLazySharded && workers > 1
-		if sharded {
-			s.stats.Strategy = StrategyLazySharded.String()
-		} else {
-			s.stats.Strategy = StrategyLazy.String()
-		}
-		s.lazyLoop(sharded, workers)
-	default:
-		if workers > 1 {
-			s.stats.Strategy = StrategySharded.String()
-		} else {
-			s.stats.Strategy = StrategySerial.String()
-		}
-		s.exhaustiveLoop(workers)
+	if cfg.resolve(len(offers)) == StrategyLazy {
+		s.stats.Strategy = StrategyLazy.String()
+		s.lazyLoop()
+	} else {
+		s.stats.Strategy = StrategySerial.String()
+		s.exhaustiveLoop()
 	}
 	s.finalize()
 	return s.res
 }
 
-// defaultParallelThreshold keeps the paper-scale evaluations (200-635
-// sensors) on the serial path, where goroutine spawn costs more than the
-// scan itself.
-const defaultParallelThreshold = 256
+// lazyThreshold is the offer count from which StrategyAuto runs
+// lazy-greedy: it keeps the paper-scale evaluations (200-635 sensors,
+// fewer offers per slot) on the serial scan, where building the heap
+// costs more than the scan itself.
+const lazyThreshold = 256
 
 // submodularTolerance is the slack above which a re-evaluated marginal
 // gain exceeding its cached value counts as a submodularity violation.
@@ -455,8 +409,8 @@ func (s *selection) release() {
 	arenaPool.Put(ar)
 }
 
-// evalCounters accumulates per-goroutine valuation accounting; shards get
-// their own instance so the hot loop never touches shared memory.
+// evalCounters accumulates a loop's valuation accounting in a local;
+// addCounters folds it into the stats when the loop is done.
 type evalCounters struct {
 	calls      int64
 	violations int64
@@ -883,14 +837,11 @@ func (s *selection) addCounters(c evalCounters) {
 	s.stats.GeomCacheHits += c.geomHits
 }
 
-// scanRange finds the best candidate in [lo, hi): the lowest sensor index
-// with the strictly largest positive net benefit. It fills the gain
-// caches for its shard; shards never overlap and evaluating a gain only
-// reads the query states (see pairGain), so concurrent shards do not
-// race.
-func (s *selection) scanRange(lo, hi int, c *evalCounters) (int, float64) {
+// scan finds the round's best candidate: the lowest sensor index with the
+// strictly largest positive net benefit, or -1 when none is profitable.
+func (s *selection) scan(c *evalCounters) (int, float64) {
 	bestS, bestNet := -1, 0.0
-	for si := lo; si < hi; si++ {
+	for si := range s.offers {
 		if !s.remaining[si] {
 			continue
 		}
@@ -902,57 +853,13 @@ func (s *selection) scanRange(lo, hi int, c *evalCounters) (int, float64) {
 	return bestS, bestNet
 }
 
-// scanSharded runs scanRange over `workers` contiguous shards and merges
-// in shard order with a strict > comparison, reproducing exactly the
-// serial first-max choice.
-func (s *selection) scanSharded(workers int) (int, float64) {
-	type cand struct {
-		s   int
-		net float64
-		c   evalCounters
-	}
-	n := len(s.offers)
-	results := make([]cand, workers)
-	chunk := (n + workers - 1) / workers
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := min(lo+chunk, n)
-		if lo >= hi {
-			results[w] = cand{s: -1}
-			continue
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			results[w].s, results[w].net = s.scanRange(lo, hi, &results[w].c)
-		}(w, lo, hi)
-	}
-	wg.Wait()
-
-	bestS, bestNet := -1, 0.0
-	for _, r := range results {
-		s.addCounters(r.c)
-		if r.s != -1 && r.net > bestNet {
-			bestS, bestNet = r.s, r.net
-		}
-	}
-	return bestS, bestNet
-}
-
 // exhaustiveLoop is the original Algorithm 1 loop: scan every remaining
 // sensor each round, commit the best, stop when nothing is profitable.
-func (s *selection) exhaustiveLoop(workers int) {
+func (s *selection) exhaustiveLoop() {
 	for {
-		var bestS int
-		var bestNet float64
-		if workers > 1 {
-			bestS, bestNet = s.scanSharded(workers)
-		} else {
-			var c evalCounters
-			bestS, bestNet = s.scanRange(0, len(s.offers), &c)
-			s.addCounters(c)
-		}
+		var c evalCounters
+		bestS, bestNet := s.scan(&c)
+		s.addCounters(c)
 		if bestS == -1 {
 			break // no sensor with positive net benefit: leave the loop
 		}

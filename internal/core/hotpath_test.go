@@ -46,11 +46,9 @@ func coverageHeavyScenario(seed int64, nSensors int) ([]query.Query, []Offer) {
 	return qs, offers
 }
 
-// TestStrategiesBitIdenticalOnCoverageDemand: serial, the default, lazy
-// and both sharded variants return the exact same floats on aggregate-
-// and trajectory-heavy demand. The sharded variants evaluate shared
-// states and geometry masks from several goroutines at once, so CI's race
-// step runs this too.
+// TestStrategiesBitIdenticalOnCoverageDemand: serial, the default and
+// lazy return the exact same floats on aggregate- and trajectory-heavy
+// demand.
 func TestStrategiesBitIdenticalOnCoverageDemand(t *testing.T) {
 	seeds := int64(5)
 	if testing.Short() {
@@ -69,8 +67,6 @@ func TestStrategiesBitIdenticalOnCoverageDemand(t *testing.T) {
 		for _, cfg := range []GreedyConfig{
 			{},
 			{Strategy: StrategyLazy},
-			{Strategy: StrategySharded, Workers: 4, ParallelThreshold: 1},
-			{Strategy: StrategyLazySharded, Workers: 4, ParallelThreshold: 1},
 		} {
 			got := GreedySelectWith(qs, offers, cfg)
 			assertSameMultiResult(t, fmt.Sprintf("seed %d strategy %s", seed, cfg.Strategy), serial, got)
@@ -79,23 +75,21 @@ func TestStrategiesBitIdenticalOnCoverageDemand(t *testing.T) {
 }
 
 // TestAutoResolution: the default is a serial scan on paper-scale
-// instances and lazy-greedy from ParallelThreshold offers upwards,
-// whatever the worker count.
+// instances and lazy-greedy from 256 offers upwards; an explicit
+// strategy is honoured at any size.
 func TestAutoResolution(t *testing.T) {
 	for _, tc := range []struct {
 		cfg  GreedyConfig
 		n    int
 		want Strategy
 	}{
-		{GreedyConfig{}, defaultParallelThreshold - 1, StrategySerial},
-		{GreedyConfig{}, defaultParallelThreshold, StrategyLazy},
-		{GreedyConfig{Workers: 1}, 5000, StrategyLazy},
-		{GreedyConfig{Workers: 8}, 5000, StrategyLazy},
-		{GreedyConfig{ParallelThreshold: 10}, 10, StrategyLazy},
-		{GreedyConfig{ParallelThreshold: 10}, 9, StrategySerial},
-		{GreedyConfig{Strategy: StrategySharded}, 5000, StrategySharded},
+		{GreedyConfig{}, 255, StrategySerial},
+		{GreedyConfig{}, 256, StrategyLazy},
+		{GreedyConfig{}, 5000, StrategyLazy},
+		{GreedyConfig{Strategy: StrategyLazy}, 3, StrategyLazy},
+		{GreedyConfig{Strategy: StrategySerial}, 5000, StrategySerial},
 	} {
-		if got, _ := tc.cfg.resolve(tc.n); got != tc.want {
+		if got := tc.cfg.resolve(tc.n); got != tc.want {
 			t.Errorf("%+v on %d offers resolves to %s, want %s", tc.cfg, tc.n, got, tc.want)
 		}
 	}

@@ -3,31 +3,23 @@ package core
 import (
 	"fmt"
 	"strings"
-	"sync"
 )
 
-// Strategy selects how Algorithm 1 evaluates candidate sensors. All
+// Strategy selects how Algorithm 1 evaluates candidate sensors. Both
 // strategies return bit-identical results; they differ only in how much
 // work they do to find each round's argmax.
 type Strategy int
 
 const (
-	// StrategyAuto is the default: a serial scan below
-	// GreedyConfig.ParallelThreshold offers, StrategyLazy from it
-	// upwards.
+	// StrategyAuto is the default: a serial scan below lazyThreshold
+	// offers, StrategyLazy from it upwards.
 	StrategyAuto Strategy = iota
-	// StrategySerial scans every remaining sensor each round on one
-	// goroutine.
+	// StrategySerial scans every remaining sensor each round. It is the
+	// reference the equivalence tests compare against.
 	StrategySerial
-	// StrategySharded splits the per-round scan over Workers goroutines.
-	StrategySharded
 	// StrategyLazy is the CELF-style lazy-greedy fast path: cached net
 	// benefits in a max-heap, re-evaluated only when stale.
 	StrategyLazy
-	// StrategyLazySharded is StrategyLazy with the initial bound build
-	// and the violation-fallback rescans sharded over Workers
-	// goroutines.
-	StrategyLazySharded
 )
 
 // String implements fmt.Stringer.
@@ -37,33 +29,25 @@ func (s Strategy) String() string {
 		return "auto"
 	case StrategySerial:
 		return "serial"
-	case StrategySharded:
-		return "sharded"
 	case StrategyLazy:
 		return "lazy"
-	case StrategyLazySharded:
-		return "lazy-sharded"
 	default:
 		return "unknown"
 	}
 }
 
-// ParseStrategy parses a strategy name as accepted by the CLIs
-// ("auto", "serial", "sharded", "lazy", "lazy-sharded").
+// ParseStrategy parses a strategy name as accepted by the CLIs and the
+// cluster node config ("auto", "serial", "lazy").
 func ParseStrategy(s string) (Strategy, error) {
 	switch strings.ToLower(strings.TrimSpace(s)) {
 	case "", "auto":
 		return StrategyAuto, nil
 	case "serial":
 		return StrategySerial, nil
-	case "sharded", "parallel":
-		return StrategySharded, nil
 	case "lazy", "celf":
 		return StrategyLazy, nil
-	case "lazy-sharded", "lazy+sharded", "lazysharded":
-		return StrategyLazySharded, nil
 	default:
-		return StrategyAuto, fmt.Errorf("unknown strategy %q (want auto, serial, sharded, lazy or lazy-sharded)", s)
+		return StrategyAuto, fmt.Errorf("unknown strategy %q (want one of auto, serial, lazy)", s)
 	}
 }
 
@@ -214,7 +198,7 @@ type volRef struct {
 // priorities for all of them) and rebuilds the heap. This detector is
 // best-effort — the bound invariant, and with it bit-identical results,
 // is guaranteed by truthful markers, not by detection.
-func (s *selection) lazyLoop(sharded bool, workers int) {
+func (s *selection) lazyLoop() {
 	// Build the reverse index volatile maintenance needs (query -> its
 	// gain-cache slots) in CSR form over the arena; the submodular
 	// classification lives on the selection (newSelection).
@@ -259,7 +243,7 @@ func (s *selection) lazyLoop(sharded bool, workers int) {
 
 	h := &ar.heap
 	rebuild := func() {
-		s.refreshRemaining(sharded, workers)
+		s.refreshRemaining()
 		h.reset(len(s.offers))
 		for si := range s.offers {
 			if s.remaining[si] {
@@ -346,42 +330,13 @@ func (s *selection) lazyLoop(sharded bool, workers int) {
 }
 
 // refreshRemaining brings every remaining sensor's gain cache up to the
-// current query versions (optionally sharded; shards touch disjoint
-// sensors and evaluating a gain only reads the query states, so they do
-// not race).
-func (s *selection) refreshRemaining(sharded bool, workers int) {
-	n := len(s.offers)
-	if !sharded || workers <= 1 {
-		var c evalCounters
-		for si := 0; si < n; si++ {
-			if s.remaining[si] {
-				s.evalSensor(si, &c)
-			}
+// current query versions.
+func (s *selection) refreshRemaining() {
+	var c evalCounters
+	for si := range s.offers {
+		if s.remaining[si] {
+			s.evalSensor(si, &c)
 		}
-		s.addCounters(c)
-		return
 	}
-	counters := make([]evalCounters, workers)
-	chunk := (n + workers - 1) / workers
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := min(lo+chunk, n)
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			for si := lo; si < hi; si++ {
-				if s.remaining[si] {
-					s.evalSensor(si, &counters[w])
-				}
-			}
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	for _, c := range counters {
-		s.addCounters(c)
-	}
+	s.addCounters(c)
 }

@@ -53,16 +53,16 @@ func assertSameMultiResult(t *testing.T, label string, want, got *MultiResult) {
 }
 
 // TestGreedyStrategiesBitIdentical verifies that every candidate-
-// evaluation strategy — serial, sharded, lazy, lazy-sharded — produces
-// the exact same MultiResult on randomized mixed query workloads.
+// evaluation strategy — serial, lazy, and the default that picks between
+// them — produces the exact same MultiResult on randomized mixed query
+// workloads.
 func TestGreedyStrategiesBitIdentical(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		qs, offers := randomMixedScenario(seed, 400)
 		serial := GreedySelectWith(qs, offers, GreedyConfig{Strategy: StrategySerial})
 		variants := []GreedyConfig{
-			{Strategy: StrategySharded, Workers: 4, ParallelThreshold: 1},
 			{Strategy: StrategyLazy},
-			{Strategy: StrategyLazySharded, Workers: 4, ParallelThreshold: 1},
+			{Strategy: StrategyAuto},
 		}
 		for _, cfg := range variants {
 			got := GreedySelectWith(qs, offers, cfg)
@@ -75,21 +75,16 @@ func TestGreedyStrategiesBitIdentical(t *testing.T) {
 	}
 }
 
-// TestExhaustiveCallAccounting: for the exhaustive strategies the
+// TestExhaustiveCallAccounting: for the exhaustive scan the
 // SerialEquivCalls model must match the calls actually made — it is the
 // baseline the lazy strategy's SavedCalls is measured against.
 func TestExhaustiveCallAccounting(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		qs, offers := randomMixedScenario(seed, 300)
-		for _, cfg := range []GreedyConfig{
-			{Strategy: StrategySerial},
-			{Strategy: StrategySharded, Workers: 3, ParallelThreshold: 1},
-		} {
-			res := GreedySelectWith(qs, offers, cfg)
-			if res.Stats.ValuationCalls != res.Stats.SerialEquivCalls {
-				t.Errorf("seed %d strategy %s: made %d calls, accounting model says %d",
-					seed, cfg.Strategy, res.Stats.ValuationCalls, res.Stats.SerialEquivCalls)
-			}
+		res := GreedySelectWith(qs, offers, GreedyConfig{Strategy: StrategySerial})
+		if res.Stats.ValuationCalls != res.Stats.SerialEquivCalls {
+			t.Errorf("seed %d: made %d calls, accounting model says %d",
+				seed, res.Stats.ValuationCalls, res.Stats.SerialEquivCalls)
 		}
 	}
 }
@@ -243,17 +238,42 @@ func TestLazyVolatileMaintenanceOnUnmarkedValuation(t *testing.T) {
 	}
 }
 
-// TestLazyMatchesSerialOnAggregates mirrors TestGreedyParallelMatchesSerial
-// for the lazy strategies on the aggregate-heavy scenario: aggregate
-// valuations (Eq. 5's coverage x mean-quality product) are not strictly
-// submodular, so this exercises the fallback path on realistic inputs.
+// TestLazyMatchesSerialOnAggregates runs the lazy strategy on the
+// aggregate-heavy scenario: aggregate valuations (Eq. 5's coverage x
+// mean-quality product) are not strictly submodular, so this exercises
+// the volatile-maintenance path on realistic inputs.
 func TestLazyMatchesSerialOnAggregates(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		qs, offers := randomAggScenario(seed, 800, 30, 400)
 		serial := GreedySelectWith(qs, offers, GreedyConfig{Strategy: StrategySerial})
-		for _, strat := range []Strategy{StrategyLazy, StrategyLazySharded} {
-			got := GreedySelectWith(qs, offers, GreedyConfig{Strategy: strat, ParallelThreshold: 1})
-			assertSameMultiResult(t, fmt.Sprintf("seed %d %s", seed, strat), serial, got)
+		lazy := GreedySelectWith(qs, offers, GreedyConfig{Strategy: StrategyLazy})
+		assertSameMultiResult(t, fmt.Sprintf("seed %d", seed), serial, lazy)
+	}
+}
+
+// TestParseStrategy: the three names (and the "celf" alias) parse; the
+// names of the removed parallel scan are refused with an error that lists
+// exactly the strategies that exist — the message psserve -strategy,
+// cluster.New and a node's hello config surface.
+func TestParseStrategy(t *testing.T) {
+	for name, want := range map[string]Strategy{
+		"": StrategyAuto, "auto": StrategyAuto, " Serial ": StrategySerial,
+		"lazy": StrategyLazy, "celf": StrategyLazy,
+	} {
+		if got, err := ParseStrategy(name); err != nil || got != want {
+			t.Errorf("ParseStrategy(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	for _, name := range []string{
+		"sharded", "parallel", "lazy-sharded", "lazy+sharded", "lazysharded", "bogus",
+	} {
+		_, err := ParseStrategy(name)
+		if err == nil {
+			t.Errorf("ParseStrategy(%q) accepted a removed strategy", name)
+			continue
+		}
+		if want := fmt.Sprintf("unknown strategy %q (want one of auto, serial, lazy)", name); err.Error() != want {
+			t.Errorf("ParseStrategy(%q) error %q, want %q", name, err, want)
 		}
 	}
 }

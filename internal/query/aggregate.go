@@ -145,8 +145,7 @@ func (t *Trajectory) NewState() State {
 // within a slot, so a selection run builds each relevant sensor's mask
 // once and hands it back with every evaluation (GeomCached). The state
 // itself keeps no per-sensor memory: plain Gain and Add walk the sensor's
-// disk, and no gain evaluation writes to the state, which makes both
-// routes safe for concurrent scan lanes.
+// disk, and no gain evaluation writes to the state.
 type coverageState struct {
 	baseState
 	q      Query

@@ -108,8 +108,8 @@ func Footprint(q Query) (geo.Rect, bool) {
 //	GainGeom(mask of s, s) == Gain(s)   bit-for-bit, at every state,
 //
 // and AddGeom(mask of s, s) leaves the state exactly as Add(s) would.
-// The state retains no mask, and GainGeom must not write to the state:
-// sharded scans call it concurrently.
+// The state retains no mask, and GainGeom, like Gain, must not write to
+// the state.
 //
 // The selection counts its use of this cache into
 // SelectionStats.GeomCacheLookups / GeomCacheHits: every BuildGeom,

@@ -59,8 +59,6 @@ type LaneRunner interface {
 	// order. Local lanes retire consumed queries; remote lanes propagate
 	// the commit so the node's world replica steps in lockstep.
 	FinishSlot(t int, selectedIDs []int) error
-	// SetStrategy switches the lane's candidate-evaluation strategy.
-	SetStrategy(s Strategy)
 }
 
 // LaneError is one degraded lane of a slot: the shard index and the error
@@ -277,8 +275,6 @@ func (l *localLane) FinishSlot(t int, selectedIDs []int) error {
 	return nil
 }
 
-func (l *localLane) SetStrategy(s Strategy) { l.a.SetGreedyStrategy(s) }
-
 // NodeLane is the node-side runtime of one cluster shard: a full
 // deterministic replica of the coordinator's world plus the shard's
 // Algorithm 5 pipeline. The coordinator owns the clock; the node advances
@@ -330,9 +326,6 @@ func (n *NodeLane) Shard() int { return n.shard }
 
 // Slot returns the replica's current slot (-1 before the first Advance).
 func (n *NodeLane) Slot() int { return n.world.Fleet.Slot() }
-
-// SetStrategy switches the lane's candidate-evaluation strategy.
-func (n *NodeLane) SetStrategy(s Strategy) { n.agg.SetGreedyStrategy(s) }
 
 // Submit materializes an already-validated spec on the lane. Lockstep
 // makes the bound window identical to what the coordinator recorded.

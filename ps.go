@@ -47,15 +47,13 @@ type (
 	RegionEventQuery = query.RegionEvent
 )
 
-// Selection-strategy surface of the greedy core (Algorithm 1). All
+// Selection-strategy surface of the greedy core (Algorithm 1). Both
 // strategies return bit-identical selections, payments and welfare; they
 // differ only in how much work they do per slot.
 type (
 	// Strategy selects the candidate-evaluation algorithm of the greedy
 	// selection core.
 	Strategy = core.Strategy
-	// GreedyConfig tunes workers, sharding threshold and Strategy.
-	GreedyConfig = core.GreedyConfig
 	// SelectionStats counts valuation calls, lazy-heap re-evaluations
 	// and non-submodular fallbacks of one or many selection runs.
 	SelectionStats = core.SelectionStats
@@ -63,21 +61,18 @@ type (
 
 // The candidate-evaluation strategies.
 const (
-	// StrategyAuto is the default: serial below
-	// GreedyConfig.ParallelThreshold offers, lazy-greedy from it upwards.
+	// StrategyAuto is the default: serial below 256 offers, lazy-greedy
+	// from there upwards, resolved per selection run.
 	StrategyAuto = core.StrategyAuto
-	// StrategySerial scans every remaining sensor each round.
+	// StrategySerial scans every remaining sensor each round — the
+	// reference every other evaluation is compared against.
 	StrategySerial = core.StrategySerial
-	// StrategySharded splits the scan across GOMAXPROCS workers.
-	StrategySharded = core.StrategySharded
 	// StrategyLazy is the CELF-style lazy-greedy fast path.
 	StrategyLazy = core.StrategyLazy
-	// StrategyLazySharded is StrategyLazy with sharded bound rebuilds.
-	StrategyLazySharded = core.StrategyLazySharded
 )
 
-// ParseStrategy parses a strategy name ("auto", "serial", "sharded",
-// "lazy", "lazy-sharded") as accepted by the CLIs.
+// ParseStrategy parses a strategy name ("auto", "serial", "lazy") as
+// accepted by the CLIs and the cluster node config.
 func ParseStrategy(s string) (Strategy, error) { return core.ParseStrategy(s) }
 
 // Pt is shorthand for a Point.

@@ -405,33 +405,6 @@ func (c *Client) Cancel(ctx context.Context, id string) error {
 	return c.do(ctx, http.MethodDelete, "/query/"+url.PathEscape(id), nil, nil)
 }
 
-// PollUntilFinal polls a query's status every interval until the server
-// marks it done (final result delivered, canceled, or rejected), the
-// context expires, or a request fails. interval <= 0 defaults to 100ms.
-//
-// Deprecated: use Stream — the server pushes results as they happen,
-// so there is no polling interval to tune and no redundant GETs; this
-// helper remains for clients that cannot hold a streaming connection.
-func (c *Client) PollUntilFinal(ctx context.Context, id string, interval time.Duration) (*wire.QueryStatus, error) {
-	if interval <= 0 {
-		interval = 100 * time.Millisecond
-	}
-	for {
-		st, err := c.Get(ctx, id)
-		if err != nil {
-			return nil, err
-		}
-		if st.Done {
-			return st, nil
-		}
-		select {
-		case <-time.After(interval):
-		case <-ctx.Done():
-			return st, ctx.Err()
-		}
-	}
-}
-
 // Queries lists one page of the server's query registry, ordered by ID.
 // limit <= 0 uses the server default.
 func (c *Client) Queries(ctx context.Context, offset, limit int) (*wire.QueryList, error) {
@@ -455,27 +428,6 @@ func (c *Client) Metrics(ctx context.Context) (*wire.Metrics, error) {
 	return &m, nil
 }
 
-// Strategy returns the server's configured candidate-evaluation strategy.
-func (c *Client) Strategy(ctx context.Context) (string, error) {
-	var b wire.StrategyBody
-	if err := c.do(ctx, http.MethodGet, "/strategy", nil, &b); err != nil {
-		return "", err
-	}
-	return b.Strategy, nil
-}
-
-// SetStrategy switches the server's candidate-evaluation strategy at
-// runtime ("auto", "serial", "sharded", "lazy", "lazy-sharded").
-// Selections are bit-identical across strategies, so the switch is safe
-// mid-stream.
-func (c *Client) SetStrategy(ctx context.Context, name string) error {
-	body, err := json.Marshal(wire.StrategyBody{Strategy: name})
-	if err != nil {
-		return err
-	}
-	return c.do(ctx, http.MethodPost, "/strategy", body, nil)
-}
-
 // Healthz reports the server's liveness snapshot.
 func (c *Client) Healthz(ctx context.Context) (*wire.Healthz, error) {
 	var h wire.Healthz
@@ -493,14 +445,6 @@ func (q *Query) Status(ctx context.Context) (*wire.QueryStatus, error) {
 // Cancel withdraws the query (see Client.Cancel).
 func (q *Query) Cancel(ctx context.Context) error {
 	return q.c.Cancel(ctx, q.ID)
-}
-
-// PollUntilFinal polls until the query finishes (see
-// Client.PollUntilFinal).
-//
-// Deprecated: use Stream.
-func (q *Query) PollUntilFinal(ctx context.Context, interval time.Duration) (*wire.QueryStatus, error) {
-	return q.c.PollUntilFinal(ctx, q.ID, interval)
 }
 
 // Stream opens the query's server-pushed event stream (see

@@ -34,6 +34,24 @@ func newLiveStack(t *testing.T) *Client {
 	return c
 }
 
+// finalStatus follows the query's stream to its terminal frame and
+// returns the status GET /query/{id} reports afterwards.
+func finalStatus(ctx context.Context, t *testing.T, q *Query) *wire.QueryStatus {
+	t.Helper()
+	st := q.Stream()
+	defer st.Close()
+	for _, err := range st.All(ctx) {
+		if err != nil {
+			t.Fatalf("stream %s: %v", q.ID, err)
+		}
+	}
+	status, err := q.Status(ctx)
+	if err != nil {
+		t.Fatalf("status %s: %v", q.ID, err)
+	}
+	return status
+}
+
 func testCtx(t *testing.T) context.Context {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -66,10 +84,7 @@ func TestClientSubmitPollCancelEndToEnd(t *testing.T) {
 		if q.ID != spec.QueryID() {
 			t.Errorf("%s: server echoed id %q, want %q", spec.Kind(), q.ID, spec.QueryID())
 		}
-		st, err := q.PollUntilFinal(ctx, 5*time.Millisecond)
-		if err != nil {
-			t.Fatalf("poll %s: %v", spec.Kind(), err)
-		}
+		st := finalStatus(ctx, t, q)
 		if !st.Done || st.Error != "" {
 			t.Fatalf("%s: status = %+v, want clean done", spec.Kind(), st)
 		}
@@ -110,10 +125,7 @@ func TestClientSubmitPollCancelEndToEnd(t *testing.T) {
 		if err := q.Cancel(ctx); err != nil {
 			t.Fatalf("cancel %s: %v", continuous[i].Kind(), err)
 		}
-		st, err := q.PollUntilFinal(ctx, 5*time.Millisecond)
-		if err != nil {
-			t.Fatalf("poll canceled %s: %v", continuous[i].Kind(), err)
-		}
+		st := finalStatus(ctx, t, q)
 		if st.Error != ps.ErrCanceled.Error() {
 			t.Errorf("%s: error = %q, want %q", continuous[i].Kind(), st.Error, ps.ErrCanceled)
 		}
@@ -138,15 +150,8 @@ func TestClientSubmitPollCancelEndToEnd(t *testing.T) {
 		t.Errorf("QueriesCanceled = %d, want %d", m.QueriesCanceled, len(continuous))
 	}
 
-	// Strategy round trip.
-	if err := c.SetStrategy(ctx, "lazy"); err != nil {
-		t.Fatalf("SetStrategy: %v", err)
-	}
-	if s, err := c.Strategy(ctx); err != nil || s != "lazy" {
-		t.Fatalf("Strategy = %q, %v; want lazy", s, err)
-	}
-	if err := c.SetStrategy(ctx, "nonsense"); err == nil {
-		t.Error("SetStrategy(nonsense) succeeded")
+	if m.Strategy != "auto" {
+		t.Errorf("metrics strategy = %q, want the auto the server was built with", m.Strategy)
 	}
 	h, err := c.Healthz(ctx)
 	if err != nil || !h.OK {
@@ -166,8 +171,8 @@ func TestClientServerAssignedID(t *testing.T) {
 	if q.ID == "" {
 		t.Fatal("server did not assign an ID")
 	}
-	if _, err := q.PollUntilFinal(ctx, 5*time.Millisecond); err != nil {
-		t.Fatalf("poll: %v", err)
+	if st := finalStatus(ctx, t, q); !st.Done {
+		t.Fatalf("status after the terminal frame = %+v, want done", st)
 	}
 }
 

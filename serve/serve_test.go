@@ -347,7 +347,8 @@ func TestServeListQueries(t *testing.T) {
 
 // TestServeStrategyAndSelectionMetrics drives a mixed slot through the
 // lazy strategy and checks that /metrics exposes the valuation-call and
-// lazy-heap counters, and that /strategy switches at runtime.
+// lazy-heap counters next to the configured and the last-run strategy,
+// and that the removed /strategy endpoint is gone.
 func TestServeStrategyAndSelectionMetrics(t *testing.T) {
 	eng, ts := newTestStack(t, ps.WithGreedyStrategy(ps.StrategyLazy))
 
@@ -382,23 +383,25 @@ func TestServeStrategyAndSelectionMetrics(t *testing.T) {
 		}
 	}
 
-	// Runtime strategy switch: reported by GET /strategy and used by the
-	// next slot.
-	status, resp := postJSON(t, ts.URL+"/strategy", map[string]any{"strategy": "sharded"})
-	if status != http.StatusOK || resp["strategy"] != "sharded" {
-		t.Fatalf("set strategy: status %d resp %v", status, resp)
+	// The configured strategy is a construction-time display value.
+	if m["strategy"] != "auto" {
+		t.Errorf("strategy = %v, want the auto the server was built with", m["strategy"])
 	}
-	status, resp = getJSON(t, ts.URL+"/strategy")
-	if status != http.StatusOK || resp["strategy"] != "sharded" {
-		t.Fatalf("get strategy: status %d resp %v", status, resp)
-	}
-	if status, _ := postJSON(t, ts.URL+"/strategy", map[string]any{"strategy": "nonsense"}); status != http.StatusBadRequest {
-		t.Errorf("bad strategy: status %d, want 400", status)
-	}
-	// A missing "strategy" field must not silently reset a live engine
-	// to auto.
-	if status, _ := postJSON(t, ts.URL+"/strategy", map[string]any{}); status != http.StatusBadRequest {
-		t.Errorf("empty strategy: status %d, want 400", status)
+
+	// The runtime switch is gone: /strategy answers 404 to both methods.
+	for _, method := range []string{http.MethodGet, http.MethodPost} {
+		req, err := http.NewRequest(method, ts.URL+"/strategy", strings.NewReader(`{"strategy":"lazy"}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatalf("%s /strategy: %v", method, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("%s /strategy: status %d, want 404", method, resp.StatusCode)
+		}
 	}
 }
 

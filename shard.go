@@ -161,8 +161,9 @@ type ShardedAggregator struct {
 
 // NewShardedAggregator builds a sharded execution layer over a world with
 // the given shard count. Options apply to every shard lane (and the
-// spanning lane), so WithGreedyStrategy selects every lane's default
-// strategy; SetShardStrategy overrides a single shard afterwards.
+// spanning lane). Under the default StrategyAuto each lane resolves the
+// strategy against its own offer count every slot, so a hot shard runs
+// lazy-greedy while a cold one stays on the serial scan.
 func NewShardedAggregator(world *World, shards int, opts ...Option) *ShardedAggregator {
 	part := geo.NewGridPartition(world.Working, shards)
 	sa := &ShardedAggregator{world: world, part: part}
@@ -235,20 +236,6 @@ func (sa *ShardedAggregator) SelectionStats() SelectionStats { return sa.selStat
 // is the spanning pass.
 func (sa *ShardedAggregator) ShardStats() []ShardStats {
 	return slices.Clone(sa.stats)
-}
-
-// SetGreedyStrategy switches every lane's candidate-evaluation strategy.
-func (sa *ShardedAggregator) SetGreedyStrategy(s Strategy) {
-	for _, l := range sa.lanes {
-		l.SetStrategy(s)
-	}
-	sa.span.SetGreedyStrategy(s)
-}
-
-// SetShardStrategy switches a single shard's strategy, so hot shards can
-// run the lazy fast path while cold ones stay serial.
-func (sa *ShardedAggregator) SetShardStrategy(shard int, s Strategy) {
-	sa.lanes[shard].SetStrategy(s)
 }
 
 // NextSlot returns the slot number the next RunSlot call will execute.

@@ -249,59 +249,38 @@ func requireIdentical(t *testing.T, slot int, legacy, spec reportSnapshot) {
 }
 
 // TestSubmitSpecGoldenEquivalence: on a fixed-seed RWM workload mixing
-// seven query kinds, spec-based submission produces bit-identical
-// SlotReports (welfare, values, payments) to the legacy Submit* methods.
+// seven query kinds, the same specs submitted to two aggregators over
+// twin worlds produce bit-identical SlotReports (welfare, values,
+// payments) — Submit and the slot pipeline carry no hidden state from
+// one run to the next.
 func TestSubmitSpecGoldenEquivalence(t *testing.T) {
 	const seed, sensors, slots = 17, 150, 8
-
-	legacyWorld := NewRWMWorld(seed, sensors, SensorConfig{})
-	specWorld := NewRWMWorld(seed, sensors, SensorConfig{})
-	legacy := NewAggregator(legacyWorld)
-	specAgg := NewAggregator(specWorld)
-
-	mustSubmit := func(spec Spec) {
-		t.Helper()
-		if _, err := specAgg.Submit(spec); err != nil {
-			t.Fatalf("Submit(%s %q): %v", spec.Kind(), spec.QueryID(), err)
-		}
-	}
+	first := NewAggregator(NewRWMWorld(seed, sensors, SensorConfig{}))
+	second := NewAggregator(NewRWMWorld(seed, sensors, SensorConfig{}))
+	both := []*Aggregator{first, second}
 
 	// Continuous queries once, before slot 0.
-	legacy.SubmitLocationMonitoring("lm", Pt(30, 30), slots, 150, 4)
-	mustSubmit(LocationMonitoringSpec{ID: "lm", Loc: Pt(30, 30), Duration: slots, Budget: 150, Samples: 4})
-	legacy.SubmitEventDetection("ev", Pt(35, 30), slots, 0.5, 0.6, 30)
-	mustSubmit(EventDetectionSpec{ID: "ev", Loc: Pt(35, 30), Duration: slots, Threshold: 0.5, Confidence: 0.6, BudgetPerSlot: 30})
-	legacy.SubmitRegionEvent("re", NewRect(25, 25, 40, 40), slots, 0.5, 0.5, 60)
-	mustSubmit(RegionEventSpec{ID: "re", Region: NewRect(25, 25, 40, 40), Duration: slots, Threshold: 0.5, Confidence: 0.5, BudgetPerSlot: 60})
+	submitAll(t, both, LocationMonitoringSpec{ID: "lm", Loc: Pt(30, 30), Duration: slots, Budget: 150, Samples: 4})
+	submitAll(t, both, EventDetectionSpec{ID: "ev", Loc: Pt(35, 30), Duration: slots, Threshold: 0.5, Confidence: 0.6, BudgetPerSlot: 30})
+	submitAll(t, both, RegionEventSpec{ID: "re", Region: NewRect(25, 25, 40, 40), Duration: slots, Threshold: 0.5, Confidence: 0.5, BudgetPerSlot: 60})
 
 	for slot := 0; slot < slots; slot++ {
-		// One-shot demand: identical parameters on both sides.
 		for i := 0; i < 25; i++ {
-			id := fmt.Sprintf("pt-%d-%d", slot, i)
 			x := 15 + float64((i*37+slot*11)%50)
 			y := 15 + float64((i*53+slot*29)%50)
-			legacy.SubmitPoint(id, Pt(x, y), 10+float64(i%7))
-			mustSubmit(PointSpec{ID: id, Loc: Pt(x, y), Budget: 10 + float64(i%7)})
+			submitAll(t, both, PointSpec{ID: fmt.Sprintf("pt-%d-%d", slot, i), Loc: Pt(x, y), Budget: 10 + float64(i%7)})
 		}
 		for i := 0; i < 3; i++ {
-			id := fmt.Sprintf("mp-%d-%d", slot, i)
-			legacy.SubmitMultiPoint(id, Pt(30+float64(i), 32), 60, 4)
-			mustSubmit(MultiPointSpec{ID: id, Loc: Pt(30+float64(i), 32), Budget: 60, K: 4})
+			submitAll(t, both, MultiPointSpec{ID: fmt.Sprintf("mp-%d-%d", slot, i), Loc: Pt(30+float64(i), 32), Budget: 60, K: 4})
 		}
 		for i := 0; i < 2; i++ {
-			id := fmt.Sprintf("agg-%d-%d", slot, i)
 			r := NewRect(20+float64(5*i), 20, 38+float64(5*i), 38)
-			legacy.SubmitAggregate(id, r, 250)
-			mustSubmit(AggregateSpec{ID: id, Region: r, Budget: 250})
+			submitAll(t, both, AggregateSpec{ID: fmt.Sprintf("agg-%d-%d", slot, i), Region: r, Budget: 250})
 		}
-		id := fmt.Sprintf("tr-%d", slot)
 		path := Trajectory{Waypoints: []Point{Pt(20, 20), Pt(35, 30), Pt(45, 45)}}
-		legacy.SubmitTrajectory(id, path, 120)
-		mustSubmit(TrajectorySpec{ID: id, Path: path, Budget: 120})
+		submitAll(t, both, TrajectorySpec{ID: fmt.Sprintf("tr-%d", slot), Path: path, Budget: 120})
 
-		lr := legacy.RunSlot()
-		sr := specAgg.RunSlot()
-		requireIdentical(t, slot, snapshot(lr), snapshot(sr))
+		requireIdentical(t, slot, snapshot(first.RunSlot()), snapshot(second.RunSlot()))
 	}
 }
 
@@ -309,25 +288,15 @@ func TestSubmitSpecGoldenEquivalence(t *testing.T) {
 // on the GP-model world it requires.
 func TestSubmitSpecGoldenEquivalenceRegionMonitoring(t *testing.T) {
 	const seed, slots = 5, 6
-	legacyWorld := NewIntelLabWorld(seed, SensorConfig{})
-	specWorld := NewIntelLabWorld(seed, SensorConfig{})
-	legacy := NewAggregator(legacyWorld)
-	specAgg := NewAggregator(specWorld)
+	first := NewAggregator(NewIntelLabWorld(seed, SensorConfig{}))
+	second := NewAggregator(NewIntelLabWorld(seed, SensorConfig{}))
+	both := []*Aggregator{first, second}
 
-	if _, err := legacy.SubmitRegionMonitoring("rm", NewRect(1, 1, 15, 12), slots, 200); err != nil {
-		t.Fatalf("legacy submit: %v", err)
-	}
-	if _, err := specAgg.Submit(RegionMonitoringSpec{ID: "rm", Region: NewRect(1, 1, 15, 12), Duration: slots, Budget: 200}); err != nil {
-		t.Fatalf("spec submit: %v", err)
-	}
+	submitAll(t, both, RegionMonitoringSpec{ID: "rm", Region: NewRect(1, 1, 15, 12), Duration: slots, Budget: 200})
 	for slot := 0; slot < slots; slot++ {
 		// A little point demand so sensors get shared.
-		id := fmt.Sprintf("pt-%d", slot)
-		legacy.SubmitPoint(id, Pt(10, 8), 15)
-		if _, err := specAgg.Submit(PointSpec{ID: id, Loc: Pt(10, 8), Budget: 15}); err != nil {
-			t.Fatalf("spec point submit: %v", err)
-		}
-		requireIdentical(t, slot, snapshot(legacy.RunSlot()), snapshot(specAgg.RunSlot()))
+		submitAll(t, both, PointSpec{ID: fmt.Sprintf("pt-%d", slot), Loc: Pt(10, 8), Budget: 15})
+		requireIdentical(t, slot, snapshot(first.RunSlot()), snapshot(second.RunSlot()))
 	}
 }
 

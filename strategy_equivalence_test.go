@@ -9,13 +9,13 @@ import (
 
 // strategiesUnderTest are the candidate-evaluation strategies whose
 // SlotReports must be bit-identical to the serial scan's. Serial is the
-// reference; auto resolves to serial or sharded by instance size.
-var strategiesUnderTest = []Strategy{
-	StrategySharded, StrategyLazy, StrategyLazySharded,
-}
+// reference; auto resolves to serial or lazy by each run's offer count.
+var strategiesUnderTest = []Strategy{StrategyLazy, StrategyAuto}
 
 // submitAll submits one spec to every aggregator in the slice.
-func submitAll(t *testing.T, aggs []*Aggregator, spec Spec) {
+func submitAll[A interface {
+	Submit(Spec) (SubmittedQuery, error)
+}](t *testing.T, aggs []A, spec Spec) {
 	t.Helper()
 	for _, a := range aggs {
 		if _, err := a.Submit(spec); err != nil {

@@ -4,7 +4,7 @@
 // The coordinator -> node direction is write-behind with a fence. submit
 // and commit are posted frames: the coordinator writes them and moves on,
 // the node applies them in arrival order and sends nothing back. Every
-// other request (hello, resync, cancel, set_strategy, run_slot, ping) is a
+// other request (hello, resync, cancel, run_slot, ping) is a
 // fence: it gets exactly one response, and that response carries applied,
 // the number of posted frames the node has applied on this connection
 // since the last hello/resync. A coordinator that posted more than the
@@ -45,27 +45,28 @@ import (
 )
 
 // ClusterVersion is the coordinator <-> node frame version. Version 2
-// made submit and commit posted frames and the partial binary; a v1 peer
-// is refused at hello.
-const ClusterVersion = 2
+// made submit and commit posted frames and the partial binary; version 3
+// removed the frame and the oplog op that switched a lane's strategy at
+// runtime (the hello/resync config fixes it). A peer speaking another
+// version is refused at hello.
+const ClusterVersion = 3
 
 // MaxClusterFrame bounds one frame line, newline included. Both ends
 // refuse to buffer a longer one (ReadClusterLine).
 const MaxClusterFrame = 64 << 20
 
 // Cluster frame type names. Coordinator -> node: hello/resync configure or
-// rebuild the node's lane, submit/cancel/set_strategy manage queries,
+// rebuild the node's lane, submit/cancel manage queries,
 // run_slot/commit drive the slot cycle, ping exchanges membership facts.
 // Node -> coordinator, in answer to a fence only: ok, partial, error.
 const (
-	ClusterHello    = "hello"
-	ClusterResync   = "resync"
-	ClusterSubmit   = "submit"
-	ClusterCancel   = "cancel"
-	ClusterStrategy = "set_strategy"
-	ClusterRunSlot  = "run_slot"
-	ClusterCommit   = "commit"
-	ClusterPing     = "ping"
+	ClusterHello   = "hello"
+	ClusterResync  = "resync"
+	ClusterSubmit  = "submit"
+	ClusterCancel  = "cancel"
+	ClusterRunSlot = "run_slot"
+	ClusterCommit  = "commit"
+	ClusterPing    = "ping"
 
 	ClusterOK      = "ok"
 	ClusterPartial = "partial"
@@ -74,14 +75,13 @@ const (
 
 // clusterTypes enumerates every valid ClusterFrame.Type value.
 var clusterTypes = map[string]bool{
-	ClusterHello:    true,
-	ClusterResync:   true,
-	ClusterSubmit:   true,
-	ClusterCancel:   true,
-	ClusterStrategy: true,
-	ClusterRunSlot:  true,
-	ClusterCommit:   true,
-	ClusterPing:     true,
+	ClusterHello:   true,
+	ClusterResync:  true,
+	ClusterSubmit:  true,
+	ClusterCancel:  true,
+	ClusterRunSlot: true,
+	ClusterCommit:  true,
+	ClusterPing:    true,
 
 	ClusterOK:      true,
 	ClusterPartial: true,
@@ -108,7 +108,8 @@ type NodeConfig struct {
 	// Shards and Shard select the node's slice of the grid partition.
 	Shards int `json:"shards"`
 	Shard  int `json:"shard"`
-	// Strategy optionally names the lane's selection strategy.
+	// Strategy optionally names the lane's selection strategy ("auto",
+	// "serial" or "lazy"), fixed for the lane's lifetime.
 	Strategy string `json:"strategy,omitempty"`
 }
 
@@ -130,14 +131,12 @@ type Fact struct {
 // replica steps and commits but skips execution, exactly the degraded
 // timeline the coordinator served).
 type ClusterOp struct {
-	// Op is "submit", "cancel", "strategy" or "slot".
+	// Op is "submit", "cancel" or "slot".
 	Op string `json:"op"`
 	// Spec is the v1 submission envelope (submit ops).
 	Spec json.RawMessage `json:"spec,omitempty"`
 	// ID names the canceled query (cancel ops).
 	ID string `json:"id,omitempty"`
-	// Strategy is the lane strategy to switch to (strategy ops).
-	Strategy string `json:"strategy,omitempty"`
 	// Slot, Selected and Ran describe one executed slot (slot ops):
 	// the slot number, the global commit in replay order, and whether
 	// this lane's partial made it into the merge.
@@ -165,7 +164,6 @@ type ClusterMember struct {
 //	resync        config, ops                     -> ok
 //	submit        spec                            posted
 //	cancel        id                              -> ok (removed)
-//	set_strategy  strategy                        -> ok
 //	run_slot      slot                            -> partial (slot, partial)
 //	commit        slot, selected                  posted
 //	ping          facts                           -> ok (facts)
@@ -184,8 +182,6 @@ type ClusterFrame struct {
 	Ops    []ClusterOp     `json:"ops,omitempty"`
 	Spec   json.RawMessage `json:"spec,omitempty"`
 	ID     string          `json:"id,omitempty"`
-
-	Strategy string `json:"strategy,omitempty"`
 
 	Slot     int   `json:"slot"`
 	Selected []int `json:"selected,omitempty"`
@@ -268,10 +264,6 @@ func DecodeClusterFrame(data []byte) (ClusterFrame, error) {
 		if f.ID == "" {
 			return ClusterFrame{}, errors.New(`wire: cancel frame without an "id"`)
 		}
-	case ClusterStrategy:
-		if f.Strategy == "" {
-			return ClusterFrame{}, errors.New(`wire: set_strategy frame without a "strategy"`)
-		}
 	case ClusterPartial:
 		if f.Partial == nil {
 			return ClusterFrame{}, errors.New(`wire: partial frame without a "partial_bin"`)
@@ -323,4 +315,4 @@ func readLine(br *bufio.Reader, limit int) ([]byte, error) {
 var clusterWorlds = map[string]bool{"rwm": true, "rnc": true, "intellab": true}
 
 // clusterOpKinds enumerates the replayable oplog operations.
-var clusterOpKinds = map[string]bool{"submit": true, "cancel": true, "strategy": true, "slot": true}
+var clusterOpKinds = map[string]bool{"submit": true, "cancel": true, "slot": true}

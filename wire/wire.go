@@ -494,12 +494,6 @@ func MetricsFrom(m ps.EngineMetrics, configured string) Metrics {
 	}
 }
 
-// StrategyBody is the body of GET/POST /strategy.
-type StrategyBody struct {
-	Strategy string `json:"strategy"`
-	Status   string `json:"status,omitempty"`
-}
-
 // Healthz is the body of GET /healthz: liveness plus the serving
 // build's identity and uptime, so operators can tell at a glance what
 // is running and for how long.
