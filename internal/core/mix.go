@@ -1,10 +1,6 @@
 package core
 
 import (
-	"math"
-	"sort"
-	"strconv"
-
 	"repro/internal/query"
 	"repro/internal/sensornet"
 )
@@ -111,69 +107,9 @@ func RunMixSlotWith(t int, qs MixQueries, offers []Offer, cfg GreedyConfig) *Mix
 
 	// Stage 1b: region monitoring point queries (Algorithm 4 planning with
 	// Eq. 18 cost weighting).
-	shareCount := make(map[int]int)
-	var activeRM []*query.RegionMonitoring
-	for _, q := range qs.RegMon {
-		if q.Active(t) {
-			q.ResetIfNeeded(t)
-			activeRM = append(activeRM, q)
-		}
-	}
-	for _, o := range offers {
-		for _, q := range activeRM {
-			if q.Region.Contains(o.Sensor.Pos) {
-				shareCount[o.Sensor.ID]++
-			}
-		}
-	}
-	rmBefore := make(map[string]float64)
-	rmPlans := make([]*regPlan, 0, len(activeRM))
-	var postAppended, postRebuilt int64
-	for _, q := range activeRM {
-		rmBefore[q.ID] = q.Value()
-		var inRegion []Offer
-		var costs []float64
-		for _, o := range offers {
-			if !q.Region.Contains(o.Sensor.Pos) {
-				continue
-			}
-			inRegion = append(inRegion, o)
-			costs = append(costs, o.Cost*WeightEq18(shareCount[o.Sensor.ID]))
-		}
-		planned, appended, rebuilt := selectSamplingPoints(q, inRegion, costs, q.RemainingBudget(), t, 0)
-		postAppended += appended
-		postRebuilt += rebuilt
-		if len(planned) == 0 {
-			continue
-		}
-		plan := &regPlan{q: q}
-		pset := make([]*sensornet.Sensor, len(planned))
-		thetas := make([]float64, len(planned))
-		for i, pi := range planned {
-			pset[i] = inRegion[pi].Sensor
-			thetas[i] = q.Theta(pset[i])
-		}
-		vFull := q.PlanValue(sensorPositions(pset), thetas)
-		for i, pi := range planned {
-			rest := make([]*sensornet.Sensor, 0, len(pset)-1)
-			restThetas := make([]float64, 0, len(pset)-1)
-			for j := range pset {
-				if j != i {
-					rest = append(rest, pset[j])
-					restThetas = append(restThetas, thetas[j])
-				}
-			}
-			marginal := vFull - q.PlanValue(sensorPositions(rest), restThetas)
-			if marginal <= 0 {
-				continue
-			}
-			p := query.NewPoint(query.PointID(q.ID, t, "s"+strconv.Itoa(pset[i].ID)), pset[i].Pos, marginal, RegionProbeDMax)
-			p.ThetaMin = 0.01
-			generated = append(generated, p)
-			plan.pointIDs = append(plan.pointIDs, p.QID())
-			plan.expectedCost += costs[pi]
-		}
-		rmPlans = append(rmPlans, plan)
+	rm, rmPoints := planRegionMonitoring(t, qs.RegMon, offers, WeightEq18, 0)
+	for _, p := range rmPoints {
+		generated = append(generated, p)
 	}
 
 	// Stage 2: joint sensor selection with Algorithm 1.
@@ -187,8 +123,8 @@ func RunMixSlotWith(t int, qs MixQueries, offers []Offer, cfg GreedyConfig) *Mix
 	all = append(all, qs.Extra...)
 	all = append(all, generated...)
 	multi := GreedySelectWith(all, offers, cfg)
-	multi.Stats.PosteriorAppends += postAppended
-	multi.Stats.PosteriorRebuilds += postRebuilt
+	multi.Stats.PosteriorAppends += rm.appended
+	multi.Stats.PosteriorRebuilds += rm.rebuilt
 	res.Multi = multi
 	res.TotalCost = multi.TotalCost
 
@@ -226,66 +162,22 @@ func RunMixSlotWith(t int, qs MixQueries, offers []Offer, cfg GreedyConfig) *Mix
 	}
 
 	// Stage 3b: apply region monitoring results (Algorithm 3), including
-	// the sharing contributions that feed stage 4.
-	recorded := make(map[*query.RegionMonitoring]map[int]bool)
-	spentActual := make(map[*regPlan]float64)
-	for _, plan := range rmPlans {
-		recorded[plan.q] = make(map[int]bool)
-		for _, pid := range plan.pointIDs {
-			out := multi.Outcomes[pid]
-			if out == nil || out.Value <= 0 || len(out.Sensors) == 0 {
-				continue
-			}
-			s := out.Sensors[0]
-			paid := out.TotalPayment()
-			plan.q.Record(s.Pos, plan.q.Theta(s), paid)
-			recorded[plan.q][s.ID] = true
-			spentActual[plan] += paid
+	// the sharing contributions that feed stage 4. The observation recorded
+	// for a probe is the first sensor of its joint outcome, paid the
+	// outcome's total; RunRegionMonitoringSlot records its point solver's
+	// sensor instead, and each path keeps its own choice.
+	rm.apply(func(pid string) (*sensornet.Sensor, float64, bool) {
+		out := multi.Outcomes[pid]
+		if out == nil || out.Value <= 0 || len(out.Sensors) == 0 {
+			return nil, 0, false
 		}
+		return out.Sensors[0], out.TotalPayment(), true
+	}, multi.Selected, true, res.Contributions)
+	for _, plan := range rm.plans {
 		co := res.Continuous[plan.q.ID]
-		co.Satisfied = co.Satisfied || spentActual[plan] > 0
-		co.Payment += spentActual[plan]
+		co.Satisfied = co.Satisfied || plan.satisfied
+		co.Payment += plan.paid
 		res.Continuous[plan.q.ID] = co
-	}
-	for _, plan := range rmPlans {
-		q := plan.q
-		budget := q.Alpha * (plan.expectedCost - spentActual[plan])
-		if budget <= 0 {
-			continue
-		}
-		type cand struct {
-			s  *sensornet.Sensor
-			dv float64
-		}
-		var cands []cand
-		for _, s := range multi.Selected {
-			if !q.Region.Contains(s.Pos) || recorded[q][s.ID] {
-				continue
-			}
-			if dv := marginalRegionValue(q, s); dv > 0 {
-				cands = append(cands, cand{s: s, dv: dv})
-			}
-		}
-		sort.Slice(cands, func(i, j int) bool {
-			if cands[i].dv != cands[j].dv {
-				return cands[i].dv > cands[j].dv
-			}
-			return cands[i].s.ID < cands[j].s.ID
-		})
-		for _, c := range cands {
-			if budget <= 0 {
-				break
-			}
-			pay := math.Min(c.dv, budget)
-			q.Record(c.s.Pos, q.Theta(c.s), pay)
-			recorded[q][c.s.ID] = true
-			res.Contributions[c.s.ID] += pay
-			budget -= pay
-			co := res.Continuous[q.ID]
-			co.Satisfied = true
-			co.Payment += pay
-			res.Continuous[q.ID] = co
-		}
 	}
 
 	// Value deltas of continuous queries.
@@ -298,8 +190,8 @@ func RunMixSlotWith(t int, qs MixQueries, offers []Offer, cfg GreedyConfig) *Mix
 			res.Continuous[q.ID] = co
 		}
 	}
-	for _, q := range activeRM {
-		delta := q.Value() - rmBefore[q.ID]
+	for qi, q := range rm.active {
+		delta := q.Value() - rm.before[qi]
 		res.RegMonValue += delta
 		co := res.Continuous[q.ID]
 		co.ValueDelta = delta

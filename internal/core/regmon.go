@@ -63,11 +63,163 @@ type RegMonSlotResult struct {
 // contributions are transfers between queries, not welfare.
 func (r *RegMonSlotResult) Welfare() float64 { return r.ValueGained - r.Point.TotalCost }
 
-// regPlan is one query's sampling plan for the current slot.
+// regPlan is one query's sampling plan for the current slot and, once
+// applied, what the query paid on it.
 type regPlan struct {
 	q            *query.RegionMonitoring
 	expectedCost float64  // C_t: announced (weighted) cost of planned sensors
 	pointIDs     []string // generated point query IDs
+	spent        float64  // payments for the answered point queries
+	paid         float64  // spent plus the sharing-stage contributions
+	satisfied    bool     // some observation was recorded
+}
+
+// regmonSlot is one slot of Algorithm 3 over the active region queries,
+// between planning (planRegionMonitoring) and applying the joint
+// selection's results (apply).
+type regmonSlot struct {
+	active []*query.RegionMonitoring
+	before []float64 // Eq. 7 valuation of each active query before the slot
+	plans  []*regPlan
+	// Posterior cache accounting of the planning calls, for SelectionStats.
+	appended, rebuilt int64
+}
+
+// planRegionMonitoring is the planning half of Algorithm 3: every active
+// query picks its sampling locations with Algorithm 4 under its remaining
+// budget, on costs weighted by weight(k(s)) (Eq. 18; nil charges the full
+// cost), and CreatePointQueries turns each planned location into a point
+// query worth its leave-one-out marginal v_q(S_t) - v_q(S_t \ {s}).
+func planRegionMonitoring(t int, queries []*query.RegionMonitoring, offers []Offer, weight func(k int) float64, maxTimes int) (*regmonSlot, []*query.Point) {
+	rs := &regmonSlot{}
+	for _, q := range queries {
+		if q.Active(t) {
+			q.ResetIfNeeded(t)
+			rs.active = append(rs.active, q)
+		}
+	}
+	if len(rs.active) == 0 {
+		return rs, nil
+	}
+
+	// k(s): how many active query regions contain each sensor (Eq. 18).
+	shareCount := make(map[int]int)
+	for _, o := range offers {
+		for _, q := range rs.active {
+			if q.Region.Contains(o.Sensor.Pos) {
+				shareCount[o.Sensor.ID]++
+			}
+		}
+	}
+
+	var pts []*query.Point
+	rs.before = make([]float64, len(rs.active))
+	for qi, q := range rs.active {
+		rs.before[qi] = q.Value()
+		// S_{r,t} and SC_{r,t}: in-region sensors with (weighted) costs.
+		var inRegion []Offer
+		var costs []float64
+		for _, o := range offers {
+			if !q.Region.Contains(o.Sensor.Pos) {
+				continue
+			}
+			c := o.Cost
+			if weight != nil {
+				c *= weight(shareCount[o.Sensor.ID])
+			}
+			inRegion = append(inRegion, o)
+			costs = append(costs, c)
+		}
+		planned, appended, rebuilt := selectSamplingPoints(q, inRegion, costs, q.RemainingBudget(), t, maxTimes)
+		rs.appended += appended
+		rs.rebuilt += rebuilt
+		if len(planned) == 0 {
+			continue
+		}
+		plan := &regPlan{q: q}
+		pos := make([]geo.Point, len(planned))
+		thetas := make([]float64, len(planned))
+		for i, pi := range planned {
+			pos[i] = inRegion[pi].Sensor.Pos
+			thetas[i] = q.Theta(inRegion[pi].Sensor)
+		}
+		for i, marginal := range q.PlanMarginals(pos, thetas) {
+			if marginal <= 0 {
+				continue
+			}
+			s := inRegion[planned[i]].Sensor
+			p := query.NewPoint(query.PointID(q.ID, t, "s"+strconv.Itoa(s.ID)), s.Pos, marginal, RegionProbeDMax)
+			p.ThetaMin = 0.01
+			pts = append(pts, p)
+			plan.pointIDs = append(plan.pointIDs, p.QID())
+			plan.expectedCost += costs[planned[i]]
+		}
+		rs.plans = append(rs.plans, plan)
+	}
+	return rs, pts
+}
+
+// apply is ApplyResults of Algorithm 3. answered reports the sensor and
+// payment that satisfied a generated point query; each plan records those
+// observations. With share set, a query then contributes to sensors
+// selected for other queries inside its region, best marginal first, up
+// to alpha*(C_t - C-hat_t); the contributions accumulate per sensor ID.
+func (rs *regmonSlot) apply(answered func(pid string) (*sensornet.Sensor, float64, bool), selected []*sensornet.Sensor, share bool, contributions map[int]float64) {
+	recorded := make(map[*regPlan]map[int]bool, len(rs.plans))
+	for _, plan := range rs.plans {
+		recorded[plan] = make(map[int]bool)
+		for _, pid := range plan.pointIDs {
+			s, paid, ok := answered(pid)
+			if !ok {
+				continue
+			}
+			plan.q.Record(s.Pos, plan.q.Theta(s), paid)
+			recorded[plan][s.ID] = true
+			plan.spent += paid
+		}
+		plan.paid = plan.spent
+		plan.satisfied = plan.spent > 0
+	}
+	if !share {
+		return
+	}
+	for _, plan := range rs.plans {
+		q := plan.q
+		budget := q.Alpha * (plan.expectedCost - plan.spent)
+		if budget <= 0 {
+			continue
+		}
+		type cand struct {
+			s  *sensornet.Sensor
+			dv float64
+		}
+		var cands []cand
+		for _, s := range selected {
+			if !q.Region.Contains(s.Pos) || recorded[plan][s.ID] {
+				continue
+			}
+			if dv := marginalRegionValue(q, s); dv > 0 {
+				cands = append(cands, cand{s: s, dv: dv})
+			}
+		}
+		sort.Slice(cands, func(i, j int) bool {
+			if cands[i].dv != cands[j].dv {
+				return cands[i].dv > cands[j].dv
+			}
+			return cands[i].s.ID < cands[j].s.ID
+		})
+		for _, c := range cands {
+			if budget <= 0 {
+				break
+			}
+			pay := math.Min(c.dv, budget)
+			q.Record(c.s.Pos, q.Theta(c.s), pay)
+			contributions[c.s.ID] += pay
+			budget -= pay
+			plan.paid += pay
+			plan.satisfied = true
+		}
+	}
 }
 
 // RunRegionMonitoringSlot is Algorithm 3 with Algorithm 4 as the
@@ -83,154 +235,38 @@ func RunRegionMonitoringSlot(t int, queries []*query.RegionMonitoring, offers []
 	if opts.Solver == nil {
 		opts.Solver = OptimalPoint(OptimalOptions{})
 	}
-	weight := opts.Weight
-	if weight == nil {
-		weight = WeightEq18
-	}
-
-	var active []*query.RegionMonitoring
-	for _, q := range queries {
-		if q.Active(t) {
-			q.ResetIfNeeded(t)
-			active = append(active, q)
+	var weight func(int) float64
+	if opts.CostWeighting {
+		weight = opts.Weight
+		if weight == nil {
+			weight = WeightEq18
 		}
 	}
+
 	out := &RegMonSlotResult{Contributions: make(map[int]float64)}
-	if len(active) == 0 {
+	rs, pts := planRegionMonitoring(t, queries, offers, weight, opts.MaxPlanningTimes)
+	if len(rs.active) == 0 {
 		out.Point = &PointResult{Outcomes: map[string]PointOutcome{}, Exact: true}
 		return out
-	}
-
-	// k(s): how many active query regions contain each sensor (Eq. 18).
-	shareCount := make(map[int]int)
-	for _, o := range offers {
-		for _, q := range active {
-			if q.Region.Contains(o.Sensor.Pos) {
-				shareCount[o.Sensor.ID]++
-			}
-		}
-	}
-
-	valueBefore := make(map[string]float64, len(active))
-	var pts []*query.Point
-	var postAppended, postRebuilt int64
-	plans := make([]*regPlan, 0, len(active))
-	for _, q := range active {
-		valueBefore[q.ID] = q.Value()
-		// S_{r,t} and SC_{r,t}: in-region sensors with (weighted) costs.
-		var inRegion []Offer
-		var costs []float64
-		for _, o := range offers {
-			if !q.Region.Contains(o.Sensor.Pos) {
-				continue
-			}
-			c := o.Cost
-			if opts.CostWeighting {
-				c *= weight(shareCount[o.Sensor.ID])
-			}
-			inRegion = append(inRegion, o)
-			costs = append(costs, c)
-		}
-		planned, appended, rebuilt := selectSamplingPoints(q, inRegion, costs, q.RemainingBudget(), t, opts.MaxPlanningTimes)
-		postAppended += appended
-		postRebuilt += rebuilt
-		if len(planned) == 0 {
-			continue
-		}
-		plan := &regPlan{q: q}
-		pset := make([]*sensornet.Sensor, len(planned))
-		thetas := make([]float64, len(planned))
-		for i, pi := range planned {
-			pset[i] = inRegion[pi].Sensor
-			thetas[i] = q.Theta(pset[i])
-		}
-		vFull := q.PlanValue(sensorPositions(pset), thetas)
-		for i, pi := range planned {
-			rest := make([]*sensornet.Sensor, 0, len(pset)-1)
-			restThetas := make([]float64, 0, len(pset)-1)
-			for j := range pset {
-				if j != i {
-					rest = append(rest, pset[j])
-					restThetas = append(restThetas, thetas[j])
-				}
-			}
-			marginal := vFull - q.PlanValue(sensorPositions(rest), restThetas)
-			if marginal <= 0 {
-				continue
-			}
-			p := query.NewPoint(query.PointID(q.ID, t, "s"+strconv.Itoa(pset[i].ID)), pset[i].Pos, marginal, RegionProbeDMax)
-			p.ThetaMin = 0.01
-			pts = append(pts, p)
-			plan.pointIDs = append(plan.pointIDs, p.QID())
-			plan.expectedCost += costs[pi]
-		}
-		plans = append(plans, plan)
 	}
 	out.Issued = len(pts)
 
 	res := opts.Solver(pts, offers)
 	out.Point = res
-	out.Point.Stats.PosteriorAppends += postAppended
-	out.Point.Stats.PosteriorRebuilds += postRebuilt
+	out.Point.Stats.PosteriorAppends += rs.appended
+	out.Point.Stats.PosteriorRebuilds += rs.rebuilt
 
-	// ApplyResults: record satisfied samples.
-	recorded := make(map[*query.RegionMonitoring]map[int]bool)
-	spentActual := make(map[*regPlan]float64)
-	for _, plan := range plans {
-		recorded[plan.q] = make(map[int]bool)
-		for _, pid := range plan.pointIDs {
-			o, ok := res.Outcomes[pid]
-			if !ok {
-				continue
-			}
-			plan.q.Record(o.Sensor.Pos, plan.q.Theta(o.Sensor), o.Payment)
-			recorded[plan.q][o.Sensor.ID] = true
-			spentActual[plan] += o.Payment
-		}
-	}
+	// The observation recorded for a probe is the point solver's sensor for
+	// it. RunMixSlotWith records the first sensor of the probe's joint
+	// outcome instead; the two are kept as they were, since either choice
+	// moves the other path's welfare.
+	rs.apply(func(pid string) (*sensornet.Sensor, float64, bool) {
+		o, ok := res.Outcomes[pid]
+		return o.Sensor, o.Payment, ok
+	}, res.Selected, opts.ShareSensors, out.Contributions)
 
-	// Sharing stage: contribute to other queries' sensors in the region.
-	if opts.ShareSensors {
-		for _, plan := range plans {
-			q := plan.q
-			budget := q.Alpha * (plan.expectedCost - spentActual[plan])
-			if budget <= 0 {
-				continue
-			}
-			type cand struct {
-				s  *sensornet.Sensor
-				dv float64
-			}
-			var cands []cand
-			for _, s := range res.Selected {
-				if !q.Region.Contains(s.Pos) || recorded[q][s.ID] {
-					continue
-				}
-				if dv := marginalRegionValue(q, s); dv > 0 {
-					cands = append(cands, cand{s: s, dv: dv})
-				}
-			}
-			sort.Slice(cands, func(i, j int) bool {
-				if cands[i].dv != cands[j].dv {
-					return cands[i].dv > cands[j].dv
-				}
-				return cands[i].s.ID < cands[j].s.ID
-			})
-			for _, c := range cands {
-				if budget <= 0 {
-					break
-				}
-				pay := math.Min(c.dv, budget)
-				q.Record(c.s.Pos, q.Theta(c.s), pay)
-				recorded[q][c.s.ID] = true
-				out.Contributions[c.s.ID] += pay
-				budget -= pay
-			}
-		}
-	}
-
-	for _, q := range active {
-		out.ValueGained += q.Value() - valueBefore[q.ID]
+	for qi, q := range rs.active {
+		out.ValueGained += q.Value() - rs.before[qi]
 	}
 	return out
 }
@@ -291,27 +327,42 @@ func selectSamplingPoints(q *query.RegionMonitoring, inRegion []Offer, costs []f
 			times = append(times, tm)
 		}
 	}
+	duration := float64(q.End - q.Start)
+	if duration <= 0 {
+		duration = 1
+	}
 
-	// Every time instant's tracker starts from the query's accumulated
+	// Every time instant's set starts from the query's accumulated
 	// observations, so marginals measure genuinely new information. (The
 	// paper's pseudocode resets S_t to empty each slot; conditioning on
 	// q.S keeps a saturated query from re-buying what it already knows,
 	// which matches the intent of the budget control C-hat.) The base
 	// factorization is cached on the query across slots and extended by
-	// rank-1 appends; it stays owned by the query, so every tracker is a
-	// clone, never the base itself.
+	// rank-1 appends; it stays owned by the query, so a time instant gets
+	// a clone of it, never the base itself.
+	//
+	// A time instant's marginals F(S_t ∪ {s}) - F(S_t) change only when S_t
+	// does, so they are kept in a table, one row per time instant, and a
+	// step refreshes the one row it committed to. Until its first commit a
+	// row's S_t is the base set: such rows share one row of probes and
+	// marginals, computed once, and have no tracker of their own yet.
 	base, appended, rebuilt := q.BasePosterior()
-	trackers := make([]*gp.Posterior, len(times))
-	for i := range trackers {
-		trackers[i] = base.Clone()
+	first := planRow{probes: make([]gp.Probe, len(inRegion)), marginal: make([]float64, len(inRegion)), used: make([]bool, len(inRegion))}
+	thetas := make([]float64, len(inRegion))
+	for si, o := range inRegion {
+		first.probes[si] = base.NewProbe(o.Sensor.Pos)
+		first.marginal[si] = first.probes[si].Reduction()
+		thetas[si] = q.Theta(o.Sensor)
 	}
-	used := make([][]bool, len(times))
-	for i := range used {
-		used[i] = make([]bool, len(inRegion))
-	}
-	duration := float64(q.End - q.Start)
-	if duration <= 0 {
-		duration = 1
+	rows := make([]planRow, len(times))
+	for ti, tm := range times {
+		rows[ti] = first
+		rows[ti].timeFactor = float64(q.End-tm) / duration
+		if tm == tc {
+			// The current slot is never zero-weighted, even for queries
+			// ending this very slot.
+			rows[ti].timeFactor = math.Max(rows[ti].timeFactor, 1/duration)
+		}
 	}
 
 	var currentSel []int
@@ -319,21 +370,16 @@ func selectSamplingPoints(q *query.RegionMonitoring, inRegion []Offer, costs []f
 	for iter := 0; iter < 200 && spent < budget; iter++ {
 		bestDelta := 1e-9
 		bestS, bestT := -1, -1
-		for ti, tm := range times {
-			timeFactor := float64(q.End-tm) / duration
-			if tm == tc {
-				// The current slot is never zero-weighted, even for queries
-				// ending this very slot.
-				timeFactor = math.Max(timeFactor, 1/duration)
-			}
-			if timeFactor <= 0 {
+		for ti := range rows {
+			row := &rows[ti]
+			if row.timeFactor <= 0 {
 				continue
 			}
-			for si, o := range inRegion {
-				if used[ti][si] {
+			for si, m := range row.marginal {
+				if row.used[si] {
 					continue
 				}
-				delta := trackers[ti].MarginalReduction(o.Sensor.Pos) * q.Theta(o.Sensor) * timeFactor
+				delta := m * thetas[si] * row.timeFactor
 				if delta > bestDelta {
 					bestDelta, bestS, bestT = delta, si, ti
 				}
@@ -342,8 +388,7 @@ func selectSamplingPoints(q *query.RegionMonitoring, inRegion []Offer, costs []f
 		if bestS < 0 {
 			break
 		}
-		trackers[bestT].Add(inRegion[bestS].Sensor.Pos)
-		used[bestT][bestS] = true
+		rows[bestT].commit(base, bestS)
 		spent += costs[bestS]
 		if times[bestT] == tc {
 			currentSel = append(currentSel, bestS)
@@ -352,11 +397,38 @@ func selectSamplingPoints(q *query.RegionMonitoring, inRegion []Offer, costs []f
 	return currentSel, appended, rebuilt
 }
 
-// sensorPositions extracts sensor positions.
-func sensorPositions(ss []*sensornet.Sensor) []geo.Point {
-	out := make([]geo.Point, len(ss))
-	for i, s := range ss {
-		out[i] = s.Pos
+// planRow is one time instant of Algorithm 4: its observation set S_t as
+// a posterior tracker, and per candidate a probe following the tracker
+// and the marginal F(S_t ∪ {s}) - F(S_t) the probe reports.
+type planRow struct {
+	timeFactor float64
+	tracker    *gp.Posterior // nil while S_t is still the base set
+	// Per candidate; shared with the other untouched rows, and not to be
+	// written, while tracker is nil.
+	probes   []gp.Probe
+	marginal []float64
+	used     []bool // candidates already in S_t
+}
+
+// commit adds candidate si to the row's set and brings the row's other
+// marginals up to date with it.
+func (r *planRow) commit(base *gp.Posterior, si int) {
+	if r.tracker == nil {
+		r.tracker = base.Clone()
+		shared := r.probes
+		r.probes = make([]gp.Probe, len(shared))
+		for i := range shared {
+			r.probes[i] = shared[i].Clone()
+		}
+		r.marginal = append([]float64(nil), r.marginal...)
+		r.used = make([]bool, len(shared))
 	}
-	return out
+	r.tracker.AddProbe(&r.probes[si])
+	r.used[si] = true
+	for i := range r.probes {
+		if pr := &r.probes[i]; !r.used[i] {
+			r.tracker.Extend(pr)
+			r.marginal[i] = pr.Reduction()
+		}
+	}
 }

@@ -72,22 +72,61 @@ func New(k Kernel, noise float64) *GP {
 	return &GP{Kernel: k, Noise: noise}
 }
 
-// PosteriorVariances returns the predictive variance at each target
-// location after observing (noisy) measurements at obs. With no
+// KernelBlocks holds every kernel entry Eq. 6 needs for a point set U
+// against a target set: k(U,U) and k(targets,U). The posterior of any
+// subset of U is then a matter of copying entries, so a caller valuing
+// many subsets of one set (the leave-one-out marginals of
+// CreatePointQueries) evaluates each point pair's covariance once.
+type KernelBlocks struct {
+	g       *GP
+	targets []geo.Point
+	pts     []geo.Point
+	kuu     []float64 // kuu[i*n+j] = k(pts[i], pts[j]) for j <= i, without noise
+	ktu     []float64 // ktu[v*n+i] = k(targets[v], pts[i])
+}
+
+// NewKernelBlocks evaluates the kernel over pts and targets.
+func (g *GP) NewKernelBlocks(targets, pts []geo.Point) *KernelBlocks {
+	n := len(pts)
+	kb := &KernelBlocks{g: g, targets: targets, pts: pts,
+		kuu: make([]float64, n*n), ktu: make([]float64, len(targets)*n)}
+	for i := 0; i < n; i++ {
+		for j := 0; j <= i; j++ {
+			kb.kuu[i*n+j] = g.Kernel.Cov(pts[i], pts[j])
+		}
+	}
+	for v, t := range targets {
+		for i, o := range pts {
+			kb.ktu[v*n+i] = g.Kernel.Cov(t, o)
+		}
+	}
+	return kb
+}
+
+// PosteriorVariances returns the predictive variance at each target after
+// observing (noisy) measurements at the points idx selects, ascending
+// indices into the point set; nil selects all of them. With no
 // observations it returns the prior variances.
-func (g *GP) PosteriorVariances(targets, obs []geo.Point) ([]float64, error) {
-	out := make([]float64, len(targets))
-	if len(obs) == 0 {
-		for i, t := range targets {
+func (kb *KernelBlocks) PosteriorVariances(idx []int) ([]float64, error) {
+	g, stride := kb.g, len(kb.pts)
+	if idx == nil {
+		idx = make([]int, stride)
+		for i := range idx {
+			idx[i] = i
+		}
+	}
+	out := make([]float64, len(kb.targets))
+	if len(idx) == 0 {
+		for i, t := range kb.targets {
 			out[i] = g.Kernel.Var(t)
 		}
 		return out, nil
 	}
-	n := len(obs)
+	n := len(idx)
 	kaa := linalg.NewMatrix(n, n)
 	for i := 0; i < n; i++ {
 		for j := 0; j <= i; j++ {
-			v := g.Kernel.Cov(obs[i], obs[j])
+			v := kb.kuu[idx[i]*stride+idx[j]]
 			kaa.Set(i, j, v)
 			kaa.Set(j, i, v)
 		}
@@ -100,20 +139,19 @@ func (g *GP) PosteriorVariances(targets, obs []geo.Point) ([]float64, error) {
 		// on the same grid cell.
 		jittered := kaa.Clone()
 		for i := 0; i < n; i++ {
-			jittered.Set(i, i, jittered.At(i, i)+1e-6*g.Kernel.Var(obs[i])+1e-9)
+			jittered.Set(i, i, jittered.At(i, i)+1e-6*g.Kernel.Var(kb.pts[idx[i]])+1e-9)
 		}
 		ch, err = linalg.NewCholesky(jittered)
 		if err != nil {
 			return nil, fmt.Errorf("gp: posterior variance: %w", err)
 		}
 	}
-	kv := make([]float64, n)
-	for i, t := range targets {
-		for j, o := range obs {
-			kv[j] = g.Kernel.Cov(t, o)
+	kv, alpha := make([]float64, n), make([]float64, n)
+	for i, t := range kb.targets {
+		for j, u := range idx {
+			kv[j] = kb.ktu[i*stride+u]
 		}
-		alpha, err := ch.SolveVec(kv)
-		if err != nil {
+		if err := ch.SolveVecInto(alpha, kv); err != nil {
 			return nil, err
 		}
 		v := g.Kernel.Var(t) - linalg.Dot(kv, alpha)
@@ -125,42 +163,57 @@ func (g *GP) PosteriorVariances(targets, obs []geo.Point) ([]float64, error) {
 	return out, nil
 }
 
+// reduction returns F of Eq. 6 for the points idx selects — total prior
+// minus total posterior variance over the targets, floored at zero — and
+// the total prior variance.
+func (kb *KernelBlocks) reduction(idx []int) (red, prior float64, err error) {
+	post, err := kb.PosteriorVariances(idx)
+	if err != nil {
+		return 0, 0, err
+	}
+	var posterior float64
+	for i, t := range kb.targets {
+		prior += kb.g.Kernel.Var(t)
+		posterior += post[i]
+	}
+	red = prior - posterior
+	if red < 0 {
+		red = 0
+	}
+	return red, prior, nil
+}
+
+// NormalizedVarianceReduction returns F of Eq. 6 for the points idx
+// selects, divided by the total prior variance: the fraction of
+// uncertainty removed, in [0,1].
+func (kb *KernelBlocks) NormalizedVarianceReduction(idx []int) (float64, error) {
+	red, prior, err := kb.reduction(idx)
+	if err != nil || prior == 0 {
+		return 0, err
+	}
+	return red / prior, nil
+}
+
+// PosteriorVariances returns the predictive variance at each target
+// location after observing (noisy) measurements at obs. With no
+// observations it returns the prior variances.
+func (g *GP) PosteriorVariances(targets, obs []geo.Point) ([]float64, error) {
+	return g.NewKernelBlocks(targets, obs).PosteriorVariances(nil)
+}
+
 // VarianceReduction computes F(A) of Eq. 6: the total prior variance over
 // the target locations minus the total posterior variance after observing
 // the locations in obs. It is non-negative and monotone in obs.
 func (g *GP) VarianceReduction(targets, obs []geo.Point) (float64, error) {
-	post, err := g.PosteriorVariances(targets, obs)
-	if err != nil {
-		return 0, err
-	}
-	var prior, posterior float64
-	for i, t := range targets {
-		prior += g.Kernel.Var(t)
-		posterior += post[i]
-	}
-	red := prior - posterior
-	if red < 0 {
-		red = 0
-	}
-	return red, nil
+	red, _, err := g.NewKernelBlocks(targets, obs).reduction(nil)
+	return red, err
 }
 
 // NormalizedVarianceReduction returns F(A) divided by the total prior
 // variance, i.e. a value in [0,1] describing the fraction of uncertainty
 // removed. Useful for quality reporting.
 func (g *GP) NormalizedVarianceReduction(targets, obs []geo.Point) (float64, error) {
-	red, err := g.VarianceReduction(targets, obs)
-	if err != nil {
-		return 0, err
-	}
-	var prior float64
-	for _, t := range targets {
-		prior += g.Kernel.Var(t)
-	}
-	if prior == 0 {
-		return 0, nil
-	}
-	return red / prior, nil
+	return g.NewKernelBlocks(targets, obs).NormalizedVarianceReduction(nil)
 }
 
 // FitSquaredExponential estimates squared-exponential hyperparameters from

@@ -2,6 +2,7 @@ package gp
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -221,5 +222,42 @@ func TestNewDefaultsNoise(t *testing.T) {
 	g := New(SquaredExponential{Sigma2: 1, Length: 1}, 0)
 	if g.Noise <= 0 {
 		t.Error("New should default non-positive noise to a small positive value")
+	}
+}
+
+// TestKernelBlocksSubsetsMatchDirect: the posterior of a subset read out of
+// one set's kernel blocks is exactly the posterior computed for those
+// points alone — also when a duplicated point makes the noise-free kernel
+// matrix singular and the jittered retry factorizes it.
+func TestKernelBlocksSubsetsMatchDirect(t *testing.T) {
+	targets := geo.NewUnitGrid(5, 4).CellsIn(geo.NewRect(0, 0, 5, 4))
+	pts := []geo.Point{geo.Pt(1, 1), geo.Pt(3.5, 2), geo.Pt(1, 1), geo.Pt(4, 0.5), geo.Pt(2, 3)}
+	for _, g := range []*GP{
+		New(SquaredExponential{Sigma2: 2, Length: 1.5}, 0.05),
+		{Kernel: SquaredExponential{Sigma2: 2, Length: 1.5}}, // singular with both (1,1)s in
+	} {
+		kb := g.NewKernelBlocks(targets, pts)
+		for _, idx := range [][]int{nil, {}, {0}, {0, 2}, {1, 3, 4}, {0, 1, 2, 3}, {0, 1, 2, 3, 4}} {
+			sub := pts
+			if idx != nil {
+				sub = []geo.Point{}
+				for _, i := range idx {
+					sub = append(sub, pts[i])
+				}
+			}
+			got, err1 := kb.PosteriorVariances(idx)
+			want, err2 := g.PosteriorVariances(targets, sub)
+			if err1 != nil || err2 != nil {
+				t.Fatalf("noise %g subset %v: errors %v, %v", g.Noise, idx, err1, err2)
+			}
+			if !slices.Equal(got, want) {
+				t.Errorf("noise %g subset %v: variances from blocks differ from the direct computation", g.Noise, idx)
+			}
+			gn, _ := kb.NormalizedVarianceReduction(idx)
+			wn, _ := g.NormalizedVarianceReduction(targets, sub)
+			if gn != wn {
+				t.Errorf("noise %g subset %v: normalized reduction %v from blocks, %v direct", g.Noise, idx, gn, wn)
+			}
+		}
 	}
 }

@@ -2,6 +2,8 @@ package gp
 
 import (
 	"math"
+	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/geo"
@@ -195,4 +197,222 @@ func TestPosteriorDegradedFallback(t *testing.T) {
 	if !p.Clone().Degraded() {
 		t.Fatal("Clone dropped the degraded latch")
 	}
+}
+
+// snapshot deep-copies everything an Add writes, so a later comparison
+// sees any write through a shared row.
+type snapshot struct {
+	obs     []geo.Point
+	postVar []float64
+	l, w    [][]float64
+}
+
+func snap(p *Posterior) snapshot {
+	s := snapshot{obs: slices.Clone(p.obs), postVar: slices.Clone(p.postVar)}
+	for i := range p.l {
+		s.l = append(s.l, slices.Clone(p.l[i]))
+		s.w = append(s.w, slices.Clone(p.w[i]))
+	}
+	return s
+}
+
+func (s snapshot) equal(o snapshot) bool {
+	eq := func(a, b [][]float64) bool {
+		return slices.EqualFunc(a, b, func(x, y []float64) bool { return slices.Equal(x, y) })
+	}
+	return slices.Equal(s.obs, o.obs) && slices.Equal(s.postVar, o.postVar) && eq(s.l, o.l) && eq(s.w, o.w)
+}
+
+// TestProbeMatchesMarginalReductionBitForBit: a probe extended one
+// observation at a time reports, after every step, exactly the float a
+// from-scratch MarginalReduction computes — whether the probe has followed
+// the tracker from the start, joined midway, or was cloned onto a diverging
+// tracker — and AddProbe leaves the tracker exactly as Add would. The
+// sequences include what the planner can meet: an observation on an
+// already observed spot (with negligible noise its residual variance is
+// zero and Add absorbs it as a no-op) and a near-duplicate that latches
+// Degraded.
+func TestProbeMatchesMarginalReductionBitForBit(t *testing.T) {
+	targets := geo.NewUnitGrid(7, 7).CellsIn(geo.NewRect(0, 0, 7, 7))
+	var noops, degraded, checks int
+	for _, g := range []*GP{
+		New(SquaredExponential{Sigma2: 2.5, Length: 1.8}, 0.05),
+		New(Exponential{Sigma2: 1.5, Length: 2.5}, 0.2),
+		{Kernel: SquaredExponential{Sigma2: 1, Length: 2}},               // noise-free: a duplicate is an exact no-op
+		{Kernel: SquaredExponential{Sigma2: 1, Length: 2}, Noise: 1e-11}, // a duplicate leaves d ~ 2e-11: a Degraded row
+	} {
+		for seed := int64(1); seed <= 8; seed++ {
+			s := rng.New(seed, "probe-vs-marginal")
+			pt := func() geo.Point { return geo.Pt(s.Uniform(0, 7), s.Uniform(0, 7)) }
+			p, ref := g.NewPosterior(targets), g.NewPosterior(targets)
+			var probes []Probe
+			for i := 0; i < 6; i++ {
+				probes = append(probes, p.NewProbe(pt()))
+			}
+			var branch *Posterior // cloned from p midway, then fed its own observations
+			var branchProbes []Probe
+			for step := 0; step < 14; step++ {
+				next := pt()
+				switch {
+				case step == 5 || step == 9:
+					next = p.obs[s.Intn(len(p.obs))] // an observed spot again
+				case step == 7:
+					next = geo.Pt(p.obs[0].X+1e-9, p.obs[0].Y) // nearly one
+				case step%3 == 2:
+					next = probes[s.Intn(len(probes))].s // a followed candidate itself
+				}
+				before := p.NumObs()
+				ref.Add(next)
+				if step%2 == 0 {
+					p.Add(next)
+				} else {
+					pr := p.NewProbe(next)
+					p.AddProbe(&pr)
+				}
+				if p.NumObs() == before {
+					noops++
+				}
+				if !snap(p).equal(snap(ref)) || p.Degraded() != ref.Degraded() {
+					t.Fatalf("seed %d step %d: AddProbe and Add left different trackers", seed, step)
+				}
+				if step == 4 {
+					probes = append(probes, p.NewProbe(pt())) // joins midway
+				}
+				if step == 6 {
+					branch = p.Clone()
+					for i := range probes {
+						branchProbes = append(branchProbes, probes[i].Clone())
+					}
+				}
+				for i := range probes {
+					pr := &probes[i]
+					p.Extend(pr)
+					if got, want := pr.Reduction(), p.MarginalReduction(pr.s); got != want {
+						t.Fatalf("seed %d step %d probe %d: Reduction %v != MarginalReduction %v", seed, step, i, got, want)
+					}
+					checks++
+				}
+				if branch != nil && step > 6 {
+					branch.AddProbe(&branchProbes[step%len(branchProbes)])
+					for i := range branchProbes {
+						pr := &branchProbes[i]
+						branch.Extend(pr)
+						if got, want := pr.Reduction(), branch.MarginalReduction(pr.s); got != want {
+							t.Fatalf("seed %d step %d branch probe %d: Reduction %v != MarginalReduction %v", seed, step, i, got, want)
+						}
+						checks++
+					}
+				}
+			}
+			if p.Degraded() {
+				degraded++
+			}
+		}
+	}
+	if noops == 0 || degraded == 0 || checks < 1000 {
+		t.Fatalf("generator too tame: %d no-op adds, %d degraded sequences, %d comparisons", noops, degraded, checks)
+	}
+}
+
+// TestCloneSharesRowsWithoutAliasingWrites: clones share the factor rows
+// they were cloned with, and an Add on the base or on any clone leaves
+// every other tracker bit-unchanged. The clones add concurrently, so the
+// race detector sees any write into a shared backing array.
+func TestCloneSharesRowsWithoutAliasingWrites(t *testing.T) {
+	g := New(SquaredExponential{Sigma2: 2, Length: 2}, 0.1)
+	targets := geo.NewUnitGrid(6, 6).CellsIn(geo.NewRect(0, 0, 6, 6))
+	s := rng.New(5, "clone-aliasing")
+	pt := func() geo.Point { return geo.Pt(s.Uniform(0, 6), s.Uniform(0, 6)) }
+	base := g.NewPosterior(targets)
+	// Seven rows leave the base's row lists with spare capacity, the case
+	// where an uncapped clone would append into the base's array.
+	for i := 0; i < 7; i++ {
+		base.Add(pt())
+	}
+	if cap(base.l) == len(base.l) {
+		t.Fatal("fixture: base row list has no spare capacity")
+	}
+	baseWas := snap(base)
+	clones := []*Posterior{base.Clone(), base.Clone(), base.Clone()}
+	if &clones[0].l[0][0] != &base.l[0][0] || &clones[1].w[6][0] != &base.w[6][0] {
+		t.Fatal("clone copied the factor rows instead of sharing them")
+	}
+	adds := [][]geo.Point{{pt(), pt(), pt()}, {pt()}, nil}
+	var wg sync.WaitGroup
+	for i, c := range clones {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, a := range adds[i] {
+				c.Add(a)
+			}
+		}()
+	}
+	wg.Wait()
+	if !snap(base).equal(baseWas) || base.NumObs() != 7 {
+		t.Fatal("Add on a clone changed the base")
+	}
+	for i, c := range clones {
+		want := g.NewPosterior(targets)
+		for _, o := range append(slices.Clone(baseWas.obs), adds[i]...) {
+			want.Add(o)
+		}
+		if !snap(c).equal(snap(want)) || c.NumObs() != 7+len(adds[i]) {
+			t.Fatalf("clone %d is not the replay of its own observations: a sibling's Add reached it", i)
+		}
+	}
+	// And the other way: the base growing leaves its clones alone.
+	clonesWere := []snapshot{snap(clones[0]), snap(clones[1]), snap(clones[2])}
+	base.Add(pt())
+	for i, c := range clones {
+		if !snap(c).equal(clonesWere[i]) {
+			t.Fatalf("Add on the base changed clone %d", i)
+		}
+	}
+}
+
+// benchTracker is a tracker with m observations over an 8x6 region.
+func benchTracker(m int) (*Posterior, *rng.Stream) {
+	g := New(SquaredExponential{Sigma2: 4, Length: 3}, 0.1)
+	p := g.NewPosterior(geo.NewUnitGrid(8, 6).CellsIn(geo.NewRect(0, 0, 8, 6)))
+	s := rng.New(3, "bench")
+	for i := 0; i < m; i++ {
+		p.Add(geo.Pt(s.Uniform(0, 8), s.Uniform(0, 6)))
+	}
+	return p, s
+}
+
+func BenchmarkPosteriorClone(b *testing.B) {
+	p, _ := benchTracker(48)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.Clone()
+	}
+}
+
+// BenchmarkProbeExtend times keeping one candidate's marginal current
+// across one new observation at m = 48, against solving it from scratch.
+func BenchmarkProbeExtend(b *testing.B) {
+	p, s := benchTracker(48)
+	cand := geo.Pt(s.Uniform(0, 8), s.Uniform(0, 6))
+	pr := p.NewProbe(cand)
+	grown := p.Clone()
+	grown.Add(geo.Pt(s.Uniform(0, 8), s.Uniform(0, 6)))
+	var sink float64
+	b.Run("probe", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			cp := pr // ws is back at m = 48 entries; c is shared and drifts, at no cost to the timing
+			grown.Extend(&cp)
+			sink += cp.Reduction()
+		}
+	})
+	b.Run("from-scratch", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			sink += grown.MarginalReduction(cand)
+		}
+	})
+	_ = sink
 }

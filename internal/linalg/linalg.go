@@ -147,29 +147,35 @@ func NewCholesky(a *Matrix) (*Cholesky, error) {
 
 // SolveVec solves A x = b for x using the factorization.
 func (c *Cholesky) SolveVec(b []float64) ([]float64, error) {
-	if len(b) != c.N {
-		return nil, fmt.Errorf("%w: solve with vec(%d), n=%d", ErrShape, len(b), c.N)
+	x := make([]float64, len(b))
+	return x, c.SolveVecInto(x, b)
+}
+
+// SolveVecInto is SolveVec writing x into dst, for callers that solve
+// against one factorization many times. dst must not overlap b.
+func (c *Cholesky) SolveVecInto(dst, b []float64) error {
+	if len(b) != c.N || len(dst) != c.N {
+		return fmt.Errorf("%w: solve with vec(%d) into vec(%d), n=%d", ErrShape, len(b), len(dst), c.N)
 	}
-	// Forward solve L y = b.
-	y := make([]float64, c.N)
-	for i := 0; i < c.N; i++ {
+	n, l := c.N, c.L.Data
+	// Forward solve L y = b, y held in dst.
+	for i := 0; i < n; i++ {
 		s := b[i]
-		row := c.L.Data[i*c.N : i*c.N+i]
-		for k, v := range row {
-			s -= v * y[k]
+		for k, v := range l[i*n : i*n+i] {
+			s -= v * dst[k]
 		}
-		y[i] = s / c.L.At(i, i)
+		dst[i] = s / l[i*n+i]
 	}
-	// Backward solve L^T x = y.
-	x := make([]float64, c.N)
-	for i := c.N - 1; i >= 0; i-- {
-		s := y[i]
-		for k := i + 1; k < c.N; k++ {
-			s -= c.L.At(k, i) * x[k]
+	// Backward solve L^T x = y in place: step i reads y[i] and the
+	// already final x[i+1:], then overwrites y[i] with x[i].
+	for i := n - 1; i >= 0; i-- {
+		s := dst[i]
+		for k := i + 1; k < n; k++ {
+			s -= l[k*n+i] * dst[k]
 		}
-		x[i] = s / c.L.At(i, i)
+		dst[i] = s / l[i*n+i]
 	}
-	return x, nil
+	return nil
 }
 
 // LogDet returns log(det(A)) = 2*sum(log(L_ii)).

@@ -281,6 +281,13 @@ type RegionMonitoring struct {
 	// Invalidated by ResetIfNeeded and by factorization degradation.
 	basePost *gp.Posterior
 	baseObs  int
+
+	// value memoises Value() for the current ObsPoints: the valuation is
+	// asked for several times a slot (before planning, after applying
+	// results, by every sharing candidate) and only Record and
+	// ResetIfNeeded change its answer.
+	value   float64
+	valueOK bool
 }
 
 // NewRegionMonitoring builds a region monitoring query.
@@ -310,10 +317,19 @@ func (q *RegionMonitoring) Targets() []geo.Point { return q.targets }
 // F computes the normalized variance-reduction term of Eq. 7 for an
 // observation point set.
 func (q *RegionMonitoring) F(obs []geo.Point) float64 {
-	if len(q.targets) == 0 || len(obs) == 0 {
+	if len(obs) == 0 {
 		return 0
 	}
-	norm, err := q.Model.NormalizedVarianceReduction(q.targets, obs)
+	return q.fOn(q.Model.NewKernelBlocks(q.targets, obs), nil)
+}
+
+// fOn is F for the points idx selects from kb's point set (nil: all), at
+// least one.
+func (q *RegionMonitoring) fOn(kb *gp.KernelBlocks, idx []int) float64 {
+	if len(q.targets) == 0 {
+		return 0
+	}
+	norm, err := kb.NormalizedVarianceReduction(idx)
 	if err != nil {
 		return 0
 	}
@@ -339,20 +355,67 @@ func (q *RegionMonitoring) ValueOf(obs []geo.Point, thetas []float64) float64 {
 }
 
 // Value returns the valuation of everything observed so far.
-func (q *RegionMonitoring) Value() float64 { return q.ValueOf(q.ObsPoints, q.Thetas) }
+func (q *RegionMonitoring) Value() float64 {
+	if !q.valueOK {
+		q.value, q.valueOK = q.ValueOf(q.ObsPoints, q.Thetas), true
+	}
+	return q.value
+}
 
-// PlanValue evaluates Eq. 7 on the union of the already-acquired
-// observations (q.S of Algorithm 3) and a candidate plan. Conditioning
-// plan marginals on the accumulated state keeps a saturated query from
-// re-buying information it already holds.
-func (q *RegionMonitoring) PlanValue(planPts []geo.Point, planThetas []float64) float64 {
+// withPlan returns the accumulated observations (q.S of Algorithm 3)
+// followed by a candidate plan, points and qualities.
+func (q *RegionMonitoring) withPlan(planPts []geo.Point, planThetas []float64) ([]geo.Point, []float64) {
 	pts := make([]geo.Point, 0, len(q.ObsPoints)+len(planPts))
 	pts = append(pts, q.ObsPoints...)
 	pts = append(pts, planPts...)
 	thetas := make([]float64, 0, len(q.Thetas)+len(planThetas))
 	thetas = append(thetas, q.Thetas...)
 	thetas = append(thetas, planThetas...)
-	return q.ValueOf(pts, thetas)
+	return pts, thetas
+}
+
+// PlanValue evaluates Eq. 7 on the union of the already-acquired
+// observations and a candidate plan. Conditioning plan marginals on the
+// accumulated state keeps a saturated query from re-buying information it
+// already holds.
+func (q *RegionMonitoring) PlanValue(planPts []geo.Point, planThetas []float64) float64 {
+	if len(planPts) == 0 {
+		return q.Value()
+	}
+	return q.ValueOf(q.withPlan(planPts, planThetas))
+}
+
+// PlanMarginals returns, for each point i of a plan, the value the plan
+// loses without it: PlanValue(plan) - PlanValue(plan \ {i}), the worth
+// CreatePointQueries gives the point query generated for i. The 1+len(plan)
+// valuations share one set of kernel entries; each then factorizes and
+// solves its own subset exactly as PlanValue would.
+func (q *RegionMonitoring) PlanMarginals(planPts []geo.Point, planThetas []float64) []float64 {
+	pts, thetas := q.withPlan(planPts, planThetas)
+	kb := q.Model.NewKernelBlocks(q.targets, pts)
+	valueWithout := func(skip int) float64 {
+		idx := make([]int, 0, len(pts))
+		var sum float64
+		for i := range pts {
+			if i != skip {
+				idx = append(idx, i)
+				sum += thetas[i]
+			}
+		}
+		if len(idx) == 0 {
+			return 0
+		}
+		return q.B * q.fOn(kb, idx) * sum / float64(len(idx))
+	}
+	full := valueWithout(-1)
+	if len(planPts) == 1 {
+		return []float64{full - q.Value()} // the plan without its only point is q.S
+	}
+	out := make([]float64, len(planPts))
+	for i := range planPts {
+		out[i] = full - valueWithout(len(q.ObsPoints)+i)
+	}
+	return out
 }
 
 // ResetIfNeeded initializes runtime state at the query's first active slot
@@ -365,6 +428,7 @@ func (q *RegionMonitoring) ResetIfNeeded(t int) {
 		q.inited = true
 		q.basePost = nil
 		q.baseObs = 0
+		q.valueOK = false
 	}
 }
 
@@ -404,6 +468,7 @@ func (q *RegionMonitoring) Record(p geo.Point, theta, payment float64) {
 	q.ObsPoints = append(q.ObsPoints, p)
 	q.Thetas = append(q.Thetas, theta)
 	q.Spent += payment
+	q.valueOK = false
 }
 
 // RemainingBudget returns B_q minus payments so far.

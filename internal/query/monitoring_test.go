@@ -275,3 +275,73 @@ func TestEventDetectionConfidenceClamping(t *testing.T) {
 		t.Errorf("non-positive confidence default = %v", e2.Confidence)
 	}
 }
+
+// TestRegionMonitoringValueMemo: Value is computed once per observation
+// set and is always the valuation of the current one — Record and the
+// reset at the start slot drop the remembered answer.
+func TestRegionMonitoringValueMemo(t *testing.T) {
+	grid := geo.NewUnitGrid(20, 15)
+	model := gp.New(gp.SquaredExponential{Sigma2: 4, Length: 3}, 0.1)
+	q := NewRegionMonitoring("rm", geo.NewRect(2, 2, 10, 8), 3, 20, 100, model, grid)
+	fresh := func() float64 { return q.ValueOf(q.ObsPoints, q.Thetas) }
+
+	q.ResetIfNeeded(3)
+	if q.Value() != 0 {
+		t.Fatal("value of nothing observed")
+	}
+	q.Record(geo.Pt(5, 5), 0.9, 7)
+	v1 := q.Value()
+	if v1 <= 0 || v1 != fresh() {
+		t.Fatalf("after the first Record: Value %v, recomputed %v", v1, fresh())
+	}
+	if q.Value() != v1 || q.PlanValue(nil, nil) != v1 {
+		t.Error("a second Value, or the value of an empty plan, differs from the first")
+	}
+	q.Record(geo.Pt(8, 4), 0.7, 5)
+	v2 := q.Value()
+	if v2 == v1 || v2 != fresh() {
+		t.Fatalf("after the second Record: Value %v (was %v), recomputed %v", v2, v1, fresh())
+	}
+	q.ResetIfNeeded(5) // not the start slot: state and value stay
+	if q.Value() != v2 {
+		t.Error("ResetIfNeeded off the start slot changed the value")
+	}
+	q.ResetIfNeeded(3)
+	if q.Value() != 0 {
+		t.Errorf("after the reset at the start slot: Value %v, want 0", q.Value())
+	}
+}
+
+// TestPlanMarginalsMatchLeaveOneOut: the marginals computed over one set
+// of kernel entries are exactly PlanValue(plan) - PlanValue(plan \ {i}),
+// with and without accumulated observations, for plans of one and several
+// points, including a plan point on an observed spot.
+func TestPlanMarginalsMatchLeaveOneOut(t *testing.T) {
+	grid := geo.NewUnitGrid(20, 15)
+	model := gp.New(gp.SquaredExponential{Sigma2: 4, Length: 3}, 0.1)
+	q := NewRegionMonitoring("rm", geo.NewRect(2, 2, 10, 8), 0, 10, 100, model, grid)
+	q.ResetIfNeeded(0)
+	plan := []geo.Point{geo.Pt(4, 4), geo.Pt(7, 6), geo.Pt(3, 7), geo.Pt(9, 3), geo.Pt(6, 5)}
+	thetas := []float64{0.9, 0.8, 0.75, 0.95, 0.6}
+	for round := 0; round < 3; round++ {
+		for n := 1; n <= len(plan); n++ {
+			got := q.PlanMarginals(plan[:n], thetas[:n])
+			full := q.PlanValue(plan[:n], thetas[:n])
+			for i := 0; i < n; i++ {
+				var rest []geo.Point
+				var restThetas []float64
+				for j := 0; j < n; j++ {
+					if j != i {
+						rest = append(rest, plan[j])
+						restThetas = append(restThetas, thetas[j])
+					}
+				}
+				if want := full - q.PlanValue(rest, restThetas); got[i] != want {
+					t.Fatalf("%d observations, plan of %d: marginal %d = %v, leave-one-out %v", len(q.ObsPoints), n, i, got[i], want)
+				}
+			}
+		}
+		q.Record(geo.Pt(5+float64(round), 5), 0.85, 3)
+		q.Record(plan[4], 0.6, 2)
+	}
+}

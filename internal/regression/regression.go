@@ -106,18 +106,44 @@ func RSSForTimes(s *Series, times []float64) float64 {
 	return ResidualSumSquares(s, FitLinear(s, idx))
 }
 
+// indicesOf returns, ascending, the indices of the series items whose
+// timestamp is one of times. Series and requested times are ascending at
+// every call site, which a merge answers without building a set; any
+// other input takes the set.
 func indicesOf(s *Series, times []float64) []int {
+	var idx []int
+	if ascending(s.Times) && ascending(times) {
+		j := 0
+		for i, t := range s.Times {
+			for j < len(times) && times[j] < t {
+				j++
+			}
+			if j < len(times) && times[j] == t {
+				idx = append(idx, i)
+			}
+		}
+		return idx
+	}
 	set := make(map[float64]bool, len(times))
 	for _, t := range times {
 		set[t] = true
 	}
-	var idx []int
 	for i, t := range s.Times {
 		if set[t] {
 			idx = append(idx, i)
 		}
 	}
 	return idx
+}
+
+// ascending reports whether xs never decreases (and holds no NaN).
+func ascending(xs []float64) bool {
+	for i := 1; i < len(xs); i++ {
+		if !(xs[i-1] <= xs[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // Quality computes G(T') of Eq. 17 for the given desired times T and

@@ -222,3 +222,39 @@ func TestSelectedTimesAreFromSeries(t *testing.T) {
 		}
 	}
 }
+
+// TestIndicesOf: the merge over ascending inputs and the set over any
+// other input name the same series items, in series order.
+func TestIndicesOf(t *testing.T) {
+	nan := math.NaN()
+	cases := []struct {
+		name          string
+		series, times []float64
+		want          []int
+	}{
+		{"sorted", []float64{0, 1, 2, 3, 4, 5}, []float64{1, 3, 4}, []int{1, 3, 4}},
+		{"sorted, unknown times ignored", []float64{0, 1, 2, 3}, []float64{-1, 0.5, 2, 9}, []int{2}},
+		{"nothing requested", []float64{0, 1, 2}, nil, nil},
+		{"empty series", nil, []float64{1, 2}, nil},
+		{"duplicate requested times", []float64{0, 1, 2, 3}, []float64{1, 1, 3, 3}, []int{1, 3}},
+		{"duplicate series times", []float64{0, 1, 1, 2, 2, 3}, []float64{1, 2}, []int{1, 2, 3, 4}},
+		{"duplicates on both sides", []float64{1, 1, 2}, []float64{1, 1, 2, 2}, []int{0, 1, 2}},
+		{"unsorted requested times", []float64{0, 1, 2, 3, 4}, []float64{4, 0, 2}, []int{0, 2, 4}},
+		{"unsorted series", []float64{3, 0, 2, 1}, []float64{0, 3}, []int{0, 1}},
+		{"both unsorted, with duplicates", []float64{2, 0, 2, 1}, []float64{2, 1, 2}, []int{0, 2, 3}},
+		{"NaN matches nothing", []float64{0, 1, nan, 2}, []float64{1, nan}, []int{1}},
+	}
+	for _, c := range cases {
+		got := indicesOf(&Series{Times: c.series}, c.times)
+		if len(got) != len(c.want) {
+			t.Errorf("%s: indices %v, want %v", c.name, got, c.want)
+			continue
+		}
+		for i := range got {
+			if got[i] != c.want[i] {
+				t.Errorf("%s: indices %v, want %v", c.name, got, c.want)
+				break
+			}
+		}
+	}
+}
