@@ -20,14 +20,18 @@ import (
 // NDJSON frames line for line, each direction on its own (posted frames
 // have no reply to wait for). While armed it drops the connection the
 // moment a run_slot frame arrives — a deterministic node death exactly
-// between offer gather and partial return. It also counts the frames the
-// node sends back.
+// between offer gather and partial return; while armedBatch it drops it
+// halfway through a submits line, so the node is left holding half a
+// frame. It also counts the frames the node sends back and shows every
+// coordinator line to tap, if set before the first connection.
 type killerProxy struct {
-	ln      net.Listener
-	backend string
-	armed   atomic.Bool
-	kills   atomic.Int32
-	replies atomic.Int64 // node -> coordinator frames
+	ln         net.Listener
+	backend    string
+	armed      atomic.Bool
+	armedBatch atomic.Bool
+	kills      atomic.Int32
+	replies    atomic.Int64 // node -> coordinator frames
+	tap        func(line []byte)
 }
 
 func startKillerProxy(t *testing.T, backend string) *killerProxy {
@@ -82,9 +86,17 @@ func (p *killerProxy) handle(conn net.Conn) {
 		if err != nil {
 			break
 		}
+		if p.tap != nil {
+			p.tap(line)
+		}
 		if p.armed.Load() && bytes.Contains(line, []byte(`"run_slot"`)) {
 			p.kills.Add(1)
 			break // both connections close: the node sees EOF, the coordinator a dead read
+		}
+		if p.armedBatch.Load() && bytes.Contains(line, []byte(`"submits"`)) {
+			p.kills.Add(1)
+			backend.Write(line[:len(line)/2])
+			break
 		}
 		if _, err := backend.Write(line); err != nil {
 			break
@@ -114,9 +126,8 @@ func dialRogue(t *testing.T, addr string) *rogueConn {
 	return &rogueConn{t: t, conn: conn, br: bufio.NewReader(conn)}
 }
 
-// call sends one request frame at the given epoch and returns the node's
-// response.
-func (r *rogueConn) call(f wire.ClusterFrame, epoch uint64) wire.ClusterFrame {
+// post writes one frame at the given epoch and waits for nothing.
+func (r *rogueConn) post(f wire.ClusterFrame, epoch uint64) {
 	r.t.Helper()
 	r.seq++
 	f.V, f.Seq, f.Epoch, f.Node = wire.ClusterVersion, r.seq, epoch, "rogue"
@@ -127,6 +138,13 @@ func (r *rogueConn) call(f wire.ClusterFrame, epoch uint64) wire.ClusterFrame {
 	if _, err := r.conn.Write(append(buf, '\n')); err != nil {
 		r.t.Fatal(err)
 	}
+}
+
+// call sends one request frame at the given epoch and returns the node's
+// response.
+func (r *rogueConn) call(f wire.ClusterFrame, epoch uint64) wire.ClusterFrame {
+	r.t.Helper()
+	r.post(f, epoch)
 	line, err := r.br.ReadBytes('\n')
 	if err != nil {
 		r.t.Fatal(err)
@@ -286,7 +304,7 @@ func TestClusterHeartbeatRejoin(t *testing.T) {
 	}
 }
 
-// TestClusterNodeRefusesOtherVersions: a hello from a v2 coordinator is
+// TestClusterNodeRefusesOtherVersions: a hello from a v3 coordinator is
 // answered with an error frame naming the version and a closed
 // connection, and a hello whose config names a removed strategy with the
 // list of the ones left; the node stays up and serves the next
@@ -294,20 +312,20 @@ func TestClusterHeartbeatRejoin(t *testing.T) {
 func TestClusterNodeRefusesOtherVersions(t *testing.T) {
 	addr := startNode(t, "node0")
 	r := dialRogue(t, addr)
-	const v2Hello = `{"v":2,"type":"hello","seq":1,"epoch":1,"node":"old","slot":0,"config":{"world":"rwm","seed":1,"sensors":10,"shards":1,"shard":0}}`
-	if _, err := r.conn.Write([]byte(v2Hello + "\n")); err != nil {
+	const v3Hello = `{"v":3,"type":"hello","seq":1,"epoch":1,"node":"old","slot":0,"config":{"world":"rwm","seed":1,"sensors":10,"shards":1,"shard":0}}`
+	if _, err := r.conn.Write([]byte(v3Hello + "\n")); err != nil {
 		t.Fatal(err)
 	}
 	line, err := r.br.ReadBytes('\n')
 	if err != nil {
-		t.Fatalf("no answer to a v2 hello: %v", err)
+		t.Fatalf("no answer to a v3 hello: %v", err)
 	}
-	const want = "unsupported cluster frame version 2 (this build speaks v3)"
+	const want = "unsupported cluster frame version 3 (this build speaks v4)"
 	if resp, err := wire.DecodeClusterFrame(line); err != nil || resp.Type != wire.ClusterError || !strings.Contains(resp.Error, want) {
-		t.Errorf("answer to a v2 hello = %s (%v), want an error frame containing %q", line, err, want)
+		t.Errorf("answer to a v3 hello = %s (%v), want an error frame containing %q", line, err, want)
 	}
 	if _, err := r.br.ReadBytes('\n'); err == nil {
-		t.Error("connection still open after a v2 hello")
+		t.Error("connection still open after a v3 hello")
 	}
 
 	resp := dialRogue(t, addr).call(wire.ClusterFrame{

@@ -18,7 +18,8 @@
 // its 64 bits, so a 4-node cluster's SlotReport is bit-identical to the
 // single-process sharded one.
 //
-// The coordinator -> node path is write-behind with a fence: submit and
+// The coordinator -> node path is write-behind with a fence: submits
+// (a batch of specs in ps's binary layout, one frame per fence) and
 // commit frames are posted (written and not answered), every other
 // request is a round trip whose response says how many posted frames the
 // node has applied, and a shortfall — a frame lost or refused — counts as

@@ -2,7 +2,7 @@ package cluster
 
 import (
 	"bufio"
-	"encoding/json"
+	"bytes"
 	"fmt"
 	"net"
 	"sync"
@@ -17,13 +17,15 @@ import (
 // a dead node rebuild the lane's exact state.
 //
 // The connection is write-behind with a fence (see repro/wire's cluster
-// surface): submit and commit are posted — written through a buffered
+// surface): submits and commit are posted — written through a buffered
 // writer, counted, never answered — and every other request is a round
 // trip whose response must report as many posted frames applied as the
-// lane has written. Every public method serializes on mu, so the sharded
-// layer's slot goroutine and the coordinator's heartbeat never interleave
-// frames on the wire, and the lane always reads a fence's answer before it
-// writes anything else.
+// lane has written. Submitted specs gather in an open batch that is cut
+// into one submits frame in front of the next frame the lane writes, so
+// wire order is call order. Every public method serializes on mu, so the
+// sharded layer's slot goroutine and the coordinator's heartbeat never
+// interleave frames on the wire, and the lane always reads a fence's
+// answer before it writes anything else.
 //
 // Any fault breaks the connection, and the next use redials and replays
 // the oplog under a bumped epoch: a transport fault (dial, timeout, short
@@ -45,21 +47,27 @@ type networkLane struct {
 	bw    *bufio.Writer
 	seq   uint64
 	epoch uint64
-	// posted counts the submit and commit frames written on this
+	// posted counts the submits and commit frames written on this
 	// connection; the node's applied count must match it at every fence.
 	posted uint64
-	// ops is the lane's replayable history: submits, cancels and one
-	// slot op per completed slot. A resync ships the whole log;
-	// checkpointing to bound it is future work.
+	// batch is the open batch: the binary form of the specs accepted since
+	// the last frame written, not yet on the wire nor in the oplog.
+	batch []byte
+	// ops is the lane's replayable history: one submits op per batch (the
+	// bytes that were posted), cancels and one slot op per completed
+	// slot. A resync ships the whole log; checkpointing to bound it is
+	// future work.
 	ops []wire.ClusterOp
 	// ranSlot is the last slot whose RunLane partial was delivered; a
 	// FinishSlot for any other slot records Ran=false (degraded slot).
 	ranSlot int
 }
 
-// laneReadBuffer sizes the lane's reader so that a metro-scale partial
-// line (tens of KB) is one or two reads and is decoded in place.
-const laneReadBuffer = 64 << 10
+// batchCut is the size past which the open batch is cut without waiting
+// for the next frame: a burst of submits becomes several lines, each
+// about half the node's read buffer (wire.ClusterLineBuffer) once base64,
+// never one line near wire.MaxClusterFrame.
+const batchCut = 24 << 10
 
 // deadlineWriter arms the lane's RPC timeout on every socket write, which
 // with a buffered writer in front is once per flush, not once per frame.
@@ -106,9 +114,13 @@ func (l *networkLane) ensure() error {
 	if err != nil {
 		return fmt.Errorf("cluster: lane %d (%s) dial %s: %v: %w", l.shard, l.name, l.addr, err, ps.ErrNodeUnavailable)
 	}
+	// With no connection yet cut cannot fail: the open batch just joins
+	// the oplog the resync ships.
+	_ = l.cut()
 	l.conn = conn
-	l.br = bufio.NewReaderSize(conn, laneReadBuffer)
-	l.bw = bufio.NewWriter(deadlineWriter{conn, l.co.rpcTimeout})
+	l.br = bufio.NewReaderSize(conn, wire.ClusterLineBuffer)
+	// Sized so that a slot's batch and the fence behind it leave in one write.
+	l.bw = bufio.NewWriterSize(deadlineWriter{conn, l.co.rpcTimeout}, wire.ClusterLineBuffer)
 	l.posted = 0
 	cfg := l.co.nodeConfig(l.shard)
 	f := wire.ClusterFrame{Type: wire.ClusterHello, Config: &cfg}
@@ -138,9 +150,31 @@ func (l *networkLane) transportErr(stage string, err error) error {
 	return fmt.Errorf("cluster: lane %d (%s) %s: %v: %w", l.shard, l.name, stage, err, ps.ErrNodeUnavailable)
 }
 
-// write stamps f with the next sequence number and the given epoch and
-// hands it to the buffered writer. Callers hold mu.
+// cut closes the open batch, if there is one: its bytes become the
+// oplog's next op and, on a live connection, one posted submits frame.
+// The oplog comes first — Submit has already answered for these specs, so
+// a batch whose post fails must still reach the node, by resync. Callers
+// hold mu.
+func (l *networkLane) cut() error {
+	if len(l.batch) == 0 {
+		return nil
+	}
+	specs := bytes.Clone(l.batch)
+	l.batch = l.batch[:0]
+	l.ops = append(l.ops, wire.ClusterOp{Op: "submits", Specs: specs})
+	if l.conn == nil {
+		return nil
+	}
+	return l.post(wire.ClusterFrame{Type: wire.ClusterSubmits, Specs: specs})
+}
+
+// write cuts the open batch in front of f, stamps f with the next
+// sequence number and the given epoch and hands it to the buffered
+// writer. Callers hold mu.
 func (l *networkLane) write(f wire.ClusterFrame, epoch uint64) error {
+	if err := l.cut(); err != nil {
+		return err
+	}
 	l.seq++
 	f.V, f.Seq, f.Epoch, f.Node = wire.ClusterVersion, l.seq, epoch, l.co.name
 	buf, err := wire.MarshalClusterFrame(f)
@@ -156,7 +190,7 @@ func (l *networkLane) write(f wire.ClusterFrame, epoch uint64) error {
 	return nil
 }
 
-// post writes a one-way frame (submit, commit). A nil return means the
+// post writes a one-way frame (submits, commit). A nil return means the
 // frame is in the connection's buffer, not that the node has it: a frame
 // the node never applies shows up as a short applied count at the next
 // fence. Callers hold mu.
@@ -238,13 +272,13 @@ func (l *networkLane) call(f wire.ClusterFrame, epoch uint64, want string) (wire
 	return resp, nil
 }
 
-// Submit posts the spec to the node as its v1 submission envelope and
-// records the submit in the oplog. The node's answer would be a pure
-// function of the spec and the lockstep slot number, so the lane computes
-// it (ps.DescribeSubmission) instead of waiting for it. The spec is
-// validated here, against the coordinator's replica of the node's world:
-// whatever reaches the oplog is something the node, and every later
-// resync replay, will accept.
+// Submit appends the spec's binary form to the open batch; the batch goes
+// out in front of the lane's next frame, or here once it is batchCut
+// long. The node's answer would be a pure function of the spec and the
+// lockstep slot number, so the lane computes it (ps.DescribeSubmission)
+// instead of waiting for it. The spec is validated here, against the
+// coordinator's replica of the node's world: whatever reaches the oplog
+// is something the node, and every later resync replay, will accept.
 func (l *networkLane) Submit(spec ps.Spec) (ps.SubmittedQuery, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -254,18 +288,15 @@ func (l *networkLane) Submit(spec ps.Spec) (ps.SubmittedQuery, error) {
 	if err := spec.Validate(l.co.world); err != nil {
 		return ps.SubmittedQuery{}, err
 	}
-	env, err := wire.FromSpec(spec)
+	batch, err := ps.AppendSpecBinary(l.batch, spec)
 	if err != nil {
 		return ps.SubmittedQuery{}, err
 	}
-	raw, err := json.Marshal(env)
-	if err != nil {
-		return ps.SubmittedQuery{}, err
+	if l.batch = batch; len(batch) >= batchCut {
+		// A post that fails here has broken the lane, but the spec is in
+		// the oplog: it is submitted, and the next fence resyncs.
+		_ = l.cut()
 	}
-	if err := l.post(wire.ClusterFrame{Type: wire.ClusterSubmit, Spec: raw}); err != nil {
-		return ps.SubmittedQuery{}, err
-	}
-	l.ops = append(l.ops, wire.ClusterOp{Op: "submit", Spec: raw})
 	return ps.DescribeSubmission(spec, l.co.sa.NextSlot()), nil
 }
 
@@ -290,8 +321,8 @@ func (l *networkLane) Cancel(id string) bool {
 // RunLane commands the node to step its replica into slot t, run the
 // shard's selection and return the partial. The offers argument is
 // ignored: the node computes the identical slice from its own replica.
-// run_slot is the slot's fence: the submits posted since the last one
-// reach the node ahead of it, and its response vouches for all of them.
+// run_slot is the slot's fence: the batch of specs submitted since the
+// last one reaches the node ahead of it, and its response vouches for it.
 func (l *networkLane) RunLane(t int, _ []ps.Offer) (*ps.LanePartial, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -321,6 +352,9 @@ func (l *networkLane) RunLane(t int, _ []ps.Offer) (*ps.LanePartial, error) {
 func (l *networkLane) FinishSlot(t int, selectedIDs []int) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	// The oplog keeps call order, specs before the slot. A post that fails
+	// here has broken the lane, which the check below sees.
+	_ = l.cut()
 	ran := l.ranSlot == t
 	l.ops = append(l.ops, wire.ClusterOp{Op: "slot", Slot: t, Selected: selectedIDs, Ran: ran})
 	if !ran || l.conn == nil {

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"net"
 	"strconv"
@@ -115,9 +114,9 @@ func (s *NodeServer) handleConn(conn net.Conn) {
 		conn.Close()
 		s.wg.Done()
 	}()
-	br := bufio.NewReader(conn)
+	br := bufio.NewReaderSize(conn, wire.ClusterLineBuffer)
 	// Sized so that a metro-scale partial line leaves in one write.
-	bw := bufio.NewWriterSize(conn, 64<<10)
+	bw := bufio.NewWriterSize(conn, wire.ClusterLineBuffer)
 	send := func(resp wire.ClusterFrame) error {
 		buf, err := wire.MarshalClusterFrame(resp)
 		if err != nil {
@@ -216,27 +215,30 @@ func (s *NodeServer) dispatch(f wire.ClusterFrame, cs *connState) (wire.ClusterF
 	return resp, true
 }
 
-// applyPosted applies one submit or commit frame to the lane. Callers
+// applyPosted applies one submits or commit frame to the lane. Callers
 // hold mu.
 func (s *NodeServer) applyPosted(f wire.ClusterFrame) error {
 	if f.Type == wire.ClusterCommit {
 		return s.lane.Commit(f.Slot, f.Selected)
 	}
-	return submitEnvelope(s.lane, f.Spec)
+	return submitBatch(s.lane, f.Specs)
 }
 
-// submitEnvelope decodes a v1 submission envelope and submits its spec.
-func submitEnvelope(lane *ps.NodeLane, raw json.RawMessage) error {
-	var env wire.Envelope
-	if err := json.Unmarshal(raw, &env); err != nil {
-		return fmt.Errorf("bad submission envelope: %v", err)
-	}
-	spec, err := env.Spec()
+// submitBatch decodes a batch of specs and submits them in order — what a
+// submits frame and a replayed submits op both carry. A batch that does
+// not decode submits nothing; a spec the lane refuses stops the batch
+// there, and only a rebuild of the lane undoes the ones before it.
+func submitBatch(lane *ps.NodeLane, batch []byte) error {
+	specs, err := ps.DecodeSpecBatch(batch)
 	if err != nil {
 		return err
 	}
-	_, err = lane.Submit(spec)
-	return err
+	for _, spec := range specs {
+		if _, err := lane.Submit(spec); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // errFrame shapes an error response, carrying the stable wire code when
@@ -275,8 +277,8 @@ func buildLane(cfg wire.NodeConfig, ops []wire.ClusterOp) (*ps.NodeLane, error) 
 // queries stay lost by design).
 func replayOp(lane *ps.NodeLane, op wire.ClusterOp) error {
 	switch op.Op {
-	case "submit":
-		return submitEnvelope(lane, op.Spec)
+	case "submits":
+		return submitBatch(lane, op.Specs)
 	case "cancel":
 		lane.Cancel(op.ID)
 		return nil

@@ -7,6 +7,7 @@ import (
 	"net"
 	"os"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -73,14 +74,50 @@ func TestClusterPostedFramesGetNoReply(t *testing.T) {
 	}
 }
 
-// TestClusterPostedSubmitRejected: a posted submit the node cannot apply
-// is not dropped silently. A rogue hello at the lane's own epoch swaps the
+// specBatch is the batch of a submits frame carrying specs.
+func specBatch(t *testing.T, specs ...ps.Spec) []byte {
+	t.Helper()
+	var batch []byte
+	for _, spec := range specs {
+		var err error
+		if batch, err = ps.AppendSpecBinary(batch, spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return batch
+}
+
+// TestClusterPostedSubmitRejected: a posted spec the node cannot apply is
+// not dropped silently. A rogue hello at the lane's own epoch swaps the
 // node's IntelLab replica for an RWM one, which has no GP model; the
-// region-monitoring spec the coordinator then posts is valid on its own
-// replica and refused by the node's. The next fence reports it: the lane
-// degrades with ps.ErrNodeUnavailable, resyncs, and the replayed oplog
-// puts the query on the rebuilt replica.
+// region-monitoring spec in the middle of the batch the coordinator then
+// posts is valid on its own replica and refused by the node's. The next
+// fence reports it: the lane degrades with ps.ErrNodeUnavailable and
+// resyncs, and the replayed oplog leaves the rebuilt replica with exactly
+// the coordinator's queries — the two specs the node had applied before
+// the refusal once, not twice, the refused one and the one behind it not
+// missing — as many as an in-process lane given the same submissions.
 func TestClusterPostedSubmitRejected(t *testing.T) {
+	batch := []ps.Spec{
+		ps.LocationMonitoringSpec{ID: "lm-0", Loc: ps.Pt(3, 4), Duration: 4, Budget: 150, Samples: 3},
+		ps.LocationMonitoringSpec{ID: "lm-1", Loc: ps.Pt(5, 9), Duration: 4, Budget: 150, Samples: 3},
+		ps.RegionMonitoringSpec{ID: "rm", Region: ps.NewRect(1, 1, 7, 12), Duration: 4, Budget: 200},
+		ps.EventDetectionSpec{ID: "ev", Loc: ps.Pt(4, 6), Duration: 4, Threshold: 0.5, Confidence: 0.6, BudgetPerSlot: 30},
+	}
+	ref, err := cluster.New(cluster.Config{World: "intellab", Seed: 5, Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Close()
+	ref.Sharded().RunSlot()
+	for _, spec := range batch {
+		if _, err := ref.Sharded().Submit(spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ref.Sharded().RunSlot()
+	want := ref.Sharded().RunSlot().Shards[0].Queries
+
 	addr := startNode(t, "node0")
 	co, err := cluster.New(cluster.Config{
 		World: "intellab", Seed: 5, Shards: 1,
@@ -98,17 +135,17 @@ func TestClusterPostedSubmitRejected(t *testing.T) {
 	// replica it was meant for, not to the rogue's.
 	co.Sharded().CancelQuery("no-such-query")
 	hijackNode(t, addr, 1)
-	if _, err := co.Sharded().Submit(ps.RegionMonitoringSpec{
-		ID: "rm", Region: ps.NewRect(1, 1, 7, 12), Duration: 4, Budget: 200,
-	}); err != nil {
-		t.Fatalf("posted submit: %v", err)
+	for _, spec := range batch {
+		if _, err := co.Sharded().Submit(spec); err != nil {
+			t.Fatalf("posted submit: %v", err)
+		}
 	}
 	rep := co.Sharded().RunSlot()
 	if len(rep.Degraded) != 1 || !errors.Is(rep.Degraded[0].Err, ps.ErrNodeUnavailable) {
 		t.Fatalf("slot 1 Degraded = %v, want one ps.ErrNodeUnavailable lane", rep.Degraded)
 	}
 	if msg := rep.Degraded[0].Err.Error(); !strings.Contains(msg, "applied 1 of 2 posted frames") || !strings.Contains(msg, "GP") {
-		t.Fatalf("slot 1 degraded with %q, want the refused submit's own error", msg)
+		t.Fatalf("slot 1 degraded with %q, want the refused spec's own error", msg)
 	}
 
 	rep = co.Sharded().RunSlot()
@@ -119,7 +156,194 @@ func TestClusterPostedSubmitRejected(t *testing.T) {
 		t.Fatalf("member after resync = %+v, want epoch 2", m)
 	}
 	if rep.Value("rm") <= 0 {
-		t.Errorf("slot 2: region monitor has value %v; the refused submit was lost", rep.Value("rm"))
+		t.Errorf("slot 2: region monitor has value %v; the refused spec was lost", rep.Value("rm"))
+	}
+	if got := rep.Shards[0].Queries; got != want {
+		t.Errorf("slot 2: the rebuilt lane runs %d queries, an in-process lane %d", got, want)
+	}
+}
+
+// TestClusterPostedBatchStopsAtRefusedSpec watches the node's side of a
+// refused spec, frame by frame: the batch holding it does not count as
+// applied, the next fence answers with that spec's error instead of doing
+// what it was asked, the batch posted behind it is not applied, and the
+// specs in front of it are on the lane (until the resync a coordinator
+// would now run rebuilds the lane without them).
+func TestClusterPostedBatchStopsAtRefusedSpec(t *testing.T) {
+	addr := startNode(t, "node0")
+	r := hijackNode(t, addr, 1) // an RWM world: no GP model
+	pt := func(id string) ps.Spec { return ps.PointSpec{ID: id, Loc: ps.Pt(30, 30), Budget: 10} }
+	r.post(wire.ClusterFrame{Type: wire.ClusterSubmits, Specs: specBatch(t,
+		pt("a1"), pt("a2"),
+		ps.RegionMonitoringSpec{ID: "bad", Region: ps.NewRect(20, 20, 30, 30), Duration: 4, Budget: 200},
+		pt("a3"),
+	)}, 1)
+	r.post(wire.ClusterFrame{Type: wire.ClusterSubmits, Specs: specBatch(t, pt("b1"))}, 1)
+	resp := r.call(wire.ClusterFrame{Type: wire.ClusterCancel, ID: "a1"}, 1)
+	if resp.Type != wire.ClusterError || resp.Applied != 0 || !strings.Contains(resp.Error, "GP") {
+		t.Fatalf("fence after a refused spec = %+v, want its error and applied 0", resp)
+	}
+
+	// A second connection at the same epoch sees what is on the lane.
+	probe := dialRogue(t, addr)
+	for id, want := range map[string]bool{"a1": true, "a2": true, "bad": false, "a3": false, "b1": false} {
+		if resp := probe.call(wire.ClusterFrame{Type: wire.ClusterCancel, ID: id}, 1); resp.Type != wire.ClusterOK || resp.Removed != want {
+			t.Errorf("cancel %q = %+v, want removed %v", id, resp, want)
+		}
+	}
+
+	// A batch that does not decode is refused whole.
+	r = hijackNode(t, addr, 2)
+	good := specBatch(t, pt("c1"), pt("c2"))
+	r.post(wire.ClusterFrame{Type: wire.ClusterSubmits, Specs: good[:len(good)-1]}, 2)
+	if resp := r.call(wire.ClusterFrame{Type: wire.ClusterPing}, 2); resp.Type != wire.ClusterError || resp.Applied != 0 || !strings.Contains(resp.Error, "bad spec batch") {
+		t.Fatalf("fence after a truncated batch = %+v", resp)
+	}
+	if resp := dialRogue(t, addr).call(wire.ClusterFrame{Type: wire.ClusterCancel, ID: "c1"}, 2); resp.Removed {
+		t.Error("a spec of a truncated batch is on the lane")
+	}
+}
+
+// TestClusterPostedBatchCutMidLine: the connection dies halfway through a
+// submits line. The node is left with half a frame and applies nothing;
+// the coordinator sees a dead fence, degrades that slot, and the resync
+// of the next one delivers the batch from the oplog.
+func TestClusterPostedBatchCutMidLine(t *testing.T) {
+	proxy := startKillerProxy(t, startNode(t, "node0"))
+	co, err := cluster.New(cluster.Config{
+		World: "rwm", Seed: 9, Sensors: 80, Shards: 1,
+		Nodes: []string{proxy.addr()}, RPCTimeout: 30 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer co.Close()
+	sa := co.Sharded()
+	for i := 0; i < 3; i++ {
+		if _, err := sa.Submit(ps.LocationMonitoringSpec{
+			ID: fmt.Sprintf("lm-%d", i), Loc: ps.Pt(30+float64(5*i), 40), Duration: 4, Budget: 160, Samples: 3,
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	proxy.armedBatch.Store(true)
+	rep := sa.RunSlot()
+	proxy.armedBatch.Store(false)
+	if proxy.kills.Load() != 1 {
+		t.Fatalf("proxy cut %d connections, want 1", proxy.kills.Load())
+	}
+	if len(rep.Degraded) != 1 || !errors.Is(rep.Degraded[0].Err, ps.ErrNodeUnavailable) {
+		t.Fatalf("slot 0 Degraded = %v, want the lone lane unavailable", rep.Degraded)
+	}
+	rep = sa.RunSlot()
+	if len(rep.Degraded) != 0 {
+		t.Fatalf("slot 1 degraded, the lane did not heal: %v", rep.Degraded)
+	}
+	if m := memberOf(t, co, 0); m.State != "live" || m.Epoch != 2 {
+		t.Fatalf("member after the cut = %+v, want live at epoch 2", m)
+	}
+	if got := rep.Shards[0].Queries; got != 3 {
+		t.Fatalf("slot 1 runs %d queries, want the 3 of the batch that was cut", got)
+	}
+}
+
+// TestClusterPostedCancelFollowsOpenBatch: canceling a query whose spec
+// has not left the open batch yet finds it on the node — the batch goes
+// out in front of the cancel — and the oplog keeps that order, so a
+// resync does not bring the query back.
+func TestClusterPostedCancelFollowsOpenBatch(t *testing.T) {
+	proxy := startKillerProxy(t, startNode(t, "node0"))
+	co, err := cluster.New(cluster.Config{
+		World: "rwm", Seed: 9, Sensors: 80, Shards: 1,
+		Nodes: []string{proxy.addr()}, RPCTimeout: 30 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer co.Close()
+	sa := co.Sharded()
+	for _, id := range []string{"keep", "drop"} {
+		if _, err := sa.Submit(ps.LocationMonitoringSpec{ID: id, Loc: ps.Pt(30, 40), Duration: 6, Budget: 160, Samples: 3}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !sa.CancelQuery("drop") {
+		t.Fatal("cancel of a query still in the open batch found nothing on the node")
+	}
+	if rep := sa.RunSlot(); len(rep.Degraded) != 0 || rep.Shards[0].Queries != 1 {
+		t.Fatalf("slot 0: Degraded %v, %d queries, want one query on a healthy lane", rep.Degraded, rep.Shards[0].Queries)
+	}
+	proxy.armed.Store(true)
+	rep := sa.RunSlot()
+	proxy.armed.Store(false)
+	if len(rep.Degraded) != 1 {
+		t.Fatalf("slot 1 Degraded = %v, want the killed lane", rep.Degraded)
+	}
+	if rep := sa.RunSlot(); len(rep.Degraded) != 0 || rep.Shards[0].Queries != 1 {
+		t.Fatalf("slot 2 after resync: Degraded %v, %d queries, want the one query that was not canceled", rep.Degraded, rep.Shards[0].Queries)
+	}
+}
+
+// TestClusterPostedBurstIsCutIntoFrames: a burst of submits several times
+// the cut size crosses as several submits frames, each well inside the
+// node's read buffer, carrying the specs in submission order — and one
+// fence vouches for them all.
+func TestClusterPostedBurstIsCutIntoFrames(t *testing.T) {
+	const burst = 2000
+	var (
+		mu      sync.Mutex
+		frames  int
+		longest int
+		ids     []string
+	)
+	proxy := startKillerProxy(t, startNode(t, "node0"))
+	proxy.tap = func(line []byte) {
+		f, err := wire.DecodeClusterFrame(line)
+		if err != nil || f.Type != wire.ClusterSubmits {
+			return
+		}
+		specs, err := ps.DecodeSpecBatch(f.Specs)
+		if err != nil {
+			t.Errorf("a submits frame does not decode: %v", err)
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		frames++
+		longest = max(longest, len(line))
+		for _, spec := range specs {
+			ids = append(ids, spec.QueryID())
+		}
+	}
+	co, err := cluster.New(cluster.Config{
+		World: "rwm", Seed: 3, Sensors: 200, Shards: 1,
+		Nodes: []string{proxy.addr()}, RPCTimeout: 30 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer co.Close()
+	for i := 0; i < burst; i++ {
+		spec := ps.PointSpec{ID: fmt.Sprintf("pt-%05d", i), Loc: ps.Pt(20+float64(i%40), 20+float64(i%37)), Budget: 10}
+		if _, err := co.Sharded().Submit(spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rep := co.Sharded().RunSlot()
+	if len(rep.Degraded) != 0 || rep.Shards[0].Queries != burst {
+		t.Fatalf("Degraded %v, %d queries on the lane, want %d", rep.Degraded, rep.Shards[0].Queries, burst)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if frames < 3 || longest > wire.ClusterLineBuffer/2+1024 {
+		t.Errorf("%d specs crossed as %d frames, the longest %d bytes; want several, each about half of the node's %d-byte buffer", burst, frames, longest, wire.ClusterLineBuffer)
+	}
+	if len(ids) != burst {
+		t.Fatalf("%d specs crossed, want %d", len(ids), burst)
+	}
+	for i, id := range ids {
+		if want := fmt.Sprintf("pt-%05d", i); id != want {
+			t.Fatalf("spec %d on the wire is %q, want %q: the frames are out of order", i, id, want)
+		}
 	}
 }
 
@@ -237,10 +461,11 @@ func TestClusterOversizedFrame(t *testing.T) {
 	}
 }
 
-// BenchmarkNetworkLaneSubmit measures one posted submit through the
-// sharded layer and a network lane to a loopback node: validation, route,
-// envelope and frame encoding, a buffered write, no round trip. A slot
-// runs (off the clock) every 512 submits so the node's backlog stays
+// BenchmarkNetworkLaneSubmit measures one submit through the sharded
+// layer and a network lane to a loopback node: validation, route, the
+// spec's binary form appended to the lane's open batch and, once every
+// few hundred submits, a batch cut into a posted frame; no round trip. A
+// slot runs (off the clock) every 512 submits so the node's backlog stays
 // slot-sized.
 func BenchmarkNetworkLaneSubmit(b *testing.B) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")

@@ -24,7 +24,8 @@ type Model interface {
 	// N returns the number of sensors.
 	N() int
 	// Step advances the model one time slot and returns current positions.
-	// The returned slice is owned by the caller.
+	// The returned slice is the model's own: read-only for the caller and
+	// valid until the next Step, which moves the positions in place.
 	Step() []geo.Point
 }
 
@@ -61,7 +62,6 @@ func (m *RandomWaypoint) N() int { return len(m.pos) }
 
 // Step implements Model.
 func (m *RandomWaypoint) Step() []geo.Point {
-	out := make([]geo.Point, len(m.pos))
 	for i := range m.pos {
 		speed := m.rnd.Uniform(0, m.maxSpd[i])
 		var d geo.Point
@@ -76,9 +76,8 @@ func (m *RandomWaypoint) Step() []geo.Point {
 			d = geo.Pt(speed, 0) // right
 		}
 		m.pos[i] = m.Region.Clamp(m.pos[i].Add(d))
-		out[i] = m.pos[i]
 	}
-	return out
+	return m.pos
 }
 
 // TripSynthesizer emulates trip-based human mobility over a large region
@@ -190,7 +189,6 @@ func (m *TripSynthesizer) N() int { return len(m.pos) }
 
 // Step implements Model.
 func (m *TripSynthesizer) Step() []geo.Point {
-	out := make([]geo.Point, len(m.pos))
 	for i := range m.pos {
 		d := m.pos[i].Dist(m.dest[i])
 		switch {
@@ -206,9 +204,8 @@ func (m *TripSynthesizer) Step() []geo.Point {
 			dir := m.dest[i].Sub(m.pos[i]).Scale(m.speed[i] / d)
 			m.pos[i] = m.Region.Clamp(m.pos[i].Add(dir))
 		}
-		out[i] = m.pos[i]
 	}
-	return out
+	return m.pos
 }
 
 // Stationary keeps sensors at fixed positions (Intel-lab deployment).
@@ -225,11 +222,7 @@ func NewStationary(positions []geo.Point) *Stationary {
 func (m *Stationary) N() int { return len(m.Positions) }
 
 // Step implements Model.
-func (m *Stationary) Step() []geo.Point {
-	out := make([]geo.Point, len(m.Positions))
-	copy(out, m.Positions)
-	return out
-}
+func (m *Stationary) Step() []geo.Point { return m.Positions }
 
 // CountIn returns how many of the given positions fall inside r.
 func CountIn(positions []geo.Point, r geo.Rect) int {

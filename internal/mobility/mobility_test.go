@@ -1,6 +1,7 @@
 package mobility
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/geo"
@@ -25,7 +26,8 @@ func TestRandomWaypointStaysInRegion(t *testing.T) {
 func TestRandomWaypointAxisAlignedMoves(t *testing.T) {
 	region := geo.NewRect(0, 0, 1000, 1000) // huge so clamping never kicks in
 	m := NewRandomWaypoint(20, region, []float64{5}, rng.New(2, "rwm2"))
-	prev := m.Step()
+	// Step's result is valid until the next Step: keep a copy to compare.
+	prev := slices.Clone(m.Step())
 	for slot := 0; slot < 20; slot++ {
 		cur := m.Step()
 		for i := range cur {
@@ -38,7 +40,7 @@ func TestRandomWaypointAxisAlignedMoves(t *testing.T) {
 				t.Fatalf("sensor %d moved faster than max speed: (%v,%v)", i, dx, dy)
 			}
 		}
-		prev = cur
+		copy(prev, cur)
 	}
 }
 
@@ -59,7 +61,7 @@ func TestRandomWaypointDeterminism(t *testing.T) {
 func TestRandomWaypointEventuallyMoves(t *testing.T) {
 	region := geo.NewRect(0, 0, 80, 80)
 	m := NewRandomWaypoint(5, region, nil, rng.New(3, "mv"))
-	start := m.Step()
+	start := slices.Clone(m.Step())
 	moved := false
 	for slot := 0; slot < 20 && !moved; slot++ {
 		for i, p := range m.Step() {
@@ -147,11 +149,25 @@ func TestStationaryNeverMoves(t *testing.T) {
 			}
 		}
 	}
-	// Mutating the returned slice must not corrupt the model.
-	out := m.Step()
-	out[0] = geo.Pt(99, 99)
-	if m.Step()[0] != pts[0] {
-		t.Error("Step returned internal storage")
+}
+
+// TestStepReturnsTheModelsOwnSlice pins the Step contract: no model copies
+// its positions per slot (a 20 000-sensor fleet steps once a slot on every
+// replica), so the slice is the same storage every time.
+func TestStepReturnsTheModelsOwnSlice(t *testing.T) {
+	region := geo.NewRect(0, 0, 80, 80)
+	for name, m := range map[string]Model{
+		"rwm":        NewRandomWaypoint(50, region, nil, rng.New(8, "own")),
+		"trip":       NewTripSynthesizer(50, region, geo.NewRect(20, 20, 40, 40), TripConfig{}, rng.New(8, "own")),
+		"stationary": NewStationary(make([]geo.Point, 50)),
+	} {
+		first := m.Step()
+		if allocs := testing.AllocsPerRun(10, func() { m.Step() }); allocs != 0 {
+			t.Errorf("%s: Step allocates %v times", name, allocs)
+		}
+		if again := m.Step(); &again[0] != &first[0] {
+			t.Errorf("%s: Step returned a fresh slice", name)
+		}
 	}
 }
 

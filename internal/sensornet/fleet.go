@@ -18,6 +18,8 @@ type Fleet struct {
 	WorkingRegion geo.Rect
 
 	slot int
+	// offers are Step's two result buffers, used in turn.
+	offers [2][]Offer
 }
 
 // NewFleet builds a fleet; len(sensors) must equal model.N().
@@ -39,10 +41,14 @@ func (f *Fleet) Slot() int { return f.slot }
 
 // Step advances the fleet one time slot: moves every sensor and returns
 // the offers of the alive sensors currently inside the working region.
+// The returned slice is the fleet's own and valid until the next Step: a
+// caller that wants a slot's offers for longer copies them. (Step fills
+// two buffers in turn, so a slice held one Step too long reads stale
+// offers rather than the new slot's half-written ones.)
 func (f *Fleet) Step() []Offer {
 	f.slot++
 	positions := f.Model.Step()
-	var offers []Offer
+	offers := f.offers[f.slot&1][:0]
 	for i, s := range f.Sensors {
 		s.Pos = positions[i]
 		if !s.Alive() || !f.WorkingRegion.Contains(s.Pos) {
@@ -50,6 +56,7 @@ func (f *Fleet) Step() []Offer {
 		}
 		offers = append(offers, Offer{Sensor: s, Cost: s.Cost(f.slot)})
 	}
+	f.offers[f.slot&1] = offers
 	return offers
 }
 

@@ -284,6 +284,36 @@ func TestFleetMovingSensorsEnterAndLeave(t *testing.T) {
 	}
 }
 
+// TestFleetStepReusesItsBuffers: on a warm metro-sized fleet a Step
+// allocates next to nothing — no position slice, no offer slice grown
+// from nil — and the offers it returns stay intact through the Step after
+// (two buffers, used in turn), though they are promised only until then.
+func TestFleetStepReusesItsBuffers(t *testing.T) {
+	const n = 20000
+	region, working := geo.NewRect(0, 0, 80, 80), geo.NewRect(15, 15, 65, 65)
+	sensors := make([]*Sensor, n)
+	for i := range sensors {
+		sensors[i] = NewSensor(i, geo.Pt(0, 0))
+	}
+	f := NewFleet(sensors, mobility.NewRandomWaypoint(n, region, nil, rng.New(20, "fleet")), working)
+	for i := 0; i < 4; i++ {
+		f.Step() // warm both buffers
+	}
+	if allocs := testing.AllocsPerRun(5, func() { f.Step() }); allocs > 2 {
+		t.Errorf("a warm Step of %d sensors allocates %v times, want at most 2", n, allocs)
+	}
+	held := f.Step()
+	want := append([]Offer(nil), held...)
+	if next := f.Step(); len(next) > 0 && len(held) > 0 && &next[0] == &held[0] {
+		t.Fatal("consecutive Steps returned the same buffer")
+	}
+	for i := range want {
+		if held[i] != want[i] {
+			t.Fatalf("offer %d of the previous slot changed under the next Step", i)
+		}
+	}
+}
+
 func TestPrivacyLevelStringAll(t *testing.T) {
 	want := map[PrivacyLevel]string{
 		PrivacyZero: "Zero", PrivacyLow: "Low", PrivacyModerate: "Moderate",

@@ -1,7 +1,7 @@
 // The cluster wire surface: versioned NDJSON frames between the
 // coordinator and its shard nodes, one JSON object per line.
 //
-// The coordinator -> node direction is write-behind with a fence. submit
+// The coordinator -> node direction is write-behind with a fence. submits
 // and commit are posted frames: the coordinator writes them and moves on,
 // the node applies them in arrival order and sends nothing back. Every
 // other request (hello, resync, cancel, run_slot, ping) is a
@@ -12,6 +12,12 @@
 // remembers and reports on the fence — treats the connection as broken.
 // Nothing flows node -> coordinator except the answer to a fence, so the
 // two ends can never block writing to each other.
+//
+// Queries travel in batches: a submits frame carries every spec the lane
+// accepted since the frame it last wrote, back to back in ps's binary spec
+// layout (ps.AppendSpecBinary). A batch is one posted frame however many
+// specs it holds, and the node counts it applied only when it has
+// submitted every one of them; a spec it refuses is a refused frame.
 //
 // Two guards make a flaky network safe for the bit-identical
 // reconciliation guarantee, on posted frames and fences alike:
@@ -26,8 +32,9 @@
 //     stale node can never contribute to a slot it did not run under the
 //     current generation.
 //
-// The one large payload, the run_slot response's LanePartial, travels in
-// ps's binary layout (bit-exact floats, NaN included) as a base64 string
+// The two bulk payloads, a submits frame's spec batch (also what a resync's
+// submits ops carry) and the run_slot response's LanePartial, travel in
+// ps's binary layouts (bit-exact floats, NaN included) as base64 strings
 // inside the same JSON line; everything else is plain JSON.
 //
 // Membership rides on the same frames: ping requests and their replies
@@ -47,22 +54,29 @@ import (
 // ClusterVersion is the coordinator <-> node frame version. Version 2
 // made submit and commit posted frames and the partial binary; version 3
 // removed the frame and the oplog op that switched a lane's strategy at
-// runtime (the hello/resync config fixes it). A peer speaking another
-// version is refused at hello.
-const ClusterVersion = 3
+// runtime (the hello/resync config fixes it); version 4 replaced the
+// per-query JSON submit frame and oplog op with the binary submits batch.
+// A peer speaking another version is refused at hello.
+const ClusterVersion = 4
 
 // MaxClusterFrame bounds one frame line, newline included. Both ends
 // refuse to buffer a longer one (ReadClusterLine).
 const MaxClusterFrame = 64 << 20
 
+// ClusterLineBuffer sizes both ends' buffered readers and writers, so that
+// the lines of a slot — a spec batch, a metro-scale partial (tens of KB) —
+// leave in one write, arrive in one or two reads and are decoded in place
+// (ReadClusterLine).
+const ClusterLineBuffer = 64 << 10
+
 // Cluster frame type names. Coordinator -> node: hello/resync configure or
-// rebuild the node's lane, submit/cancel manage queries,
+// rebuild the node's lane, submits/cancel manage queries,
 // run_slot/commit drive the slot cycle, ping exchanges membership facts.
 // Node -> coordinator, in answer to a fence only: ok, partial, error.
 const (
 	ClusterHello   = "hello"
 	ClusterResync  = "resync"
-	ClusterSubmit  = "submit"
+	ClusterSubmits = "submits"
 	ClusterCancel  = "cancel"
 	ClusterRunSlot = "run_slot"
 	ClusterCommit  = "commit"
@@ -77,7 +91,7 @@ const (
 var clusterTypes = map[string]bool{
 	ClusterHello:   true,
 	ClusterResync:  true,
-	ClusterSubmit:  true,
+	ClusterSubmits: true,
 	ClusterCancel:  true,
 	ClusterRunSlot: true,
 	ClusterCommit:  true,
@@ -90,7 +104,7 @@ var clusterTypes = map[string]bool{
 
 // ClusterPosted reports whether frames of the given type are posted:
 // one-way, applied in order, never answered.
-func ClusterPosted(typ string) bool { return typ == ClusterSubmit || typ == ClusterCommit }
+func ClusterPosted(typ string) bool { return typ == ClusterSubmits || typ == ClusterCommit }
 
 // NodeConfig tells a shard node which world replica to build and which
 // shard of it to serve. Nodes are config-free: the coordinator pushes
@@ -131,10 +145,11 @@ type Fact struct {
 // replica steps and commits but skips execution, exactly the degraded
 // timeline the coordinator served).
 type ClusterOp struct {
-	// Op is "submit", "cancel" or "slot".
+	// Op is "submits", "cancel" or "slot".
 	Op string `json:"op"`
-	// Spec is the v1 submission envelope (submit ops).
-	Spec json.RawMessage `json:"spec,omitempty"`
+	// Specs is one posted batch, the very bytes of its submits frame
+	// (submits ops).
+	Specs []byte `json:"specs_bin,omitempty"`
 	// ID names the canceled query (cancel ops).
 	ID string `json:"id,omitempty"`
 	// Slot, Selected and Ran describe one executed slot (slot ops):
@@ -162,7 +177,7 @@ type ClusterMember struct {
 //
 //	hello         config                          -> ok
 //	resync        config, ops                     -> ok
-//	submit        spec                            posted
+//	submits       specs_bin                       posted
 //	cancel        id                              -> ok (removed)
 //	run_slot      slot                            -> partial (slot, partial)
 //	commit        slot, selected                  posted
@@ -178,10 +193,13 @@ type ClusterFrame struct {
 	Epoch uint64 `json:"epoch"`
 	Node  string `json:"node,omitempty"`
 
-	Config *NodeConfig     `json:"config,omitempty"`
-	Ops    []ClusterOp     `json:"ops,omitempty"`
-	Spec   json.RawMessage `json:"spec,omitempty"`
-	ID     string          `json:"id,omitempty"`
+	Config *NodeConfig `json:"config,omitempty"`
+	Ops    []ClusterOp `json:"ops,omitempty"`
+	// Specs is a submits frame's batch in ps's binary spec layout, base64
+	// on the wire like any JSON []byte. The frame codec carries it as it
+	// is; the node decodes it when it applies the frame.
+	Specs []byte `json:"specs_bin,omitempty"`
+	ID    string `json:"id,omitempty"`
 
 	Slot     int   `json:"slot"`
 	Selected []int `json:"selected,omitempty"`
@@ -256,9 +274,9 @@ func DecodeClusterFrame(data []byte) (ClusterFrame, error) {
 			return ClusterFrame{}, fmt.Errorf("wire: %s frame shard %d of %d out of range",
 				f.Type, f.Config.Shard, f.Config.Shards)
 		}
-	case ClusterSubmit:
-		if len(f.Spec) == 0 {
-			return ClusterFrame{}, errors.New(`wire: submit frame without a "spec"`)
+	case ClusterSubmits:
+		if len(f.Specs) == 0 {
+			return ClusterFrame{}, errors.New(`wire: submits frame without a "specs_bin"`)
 		}
 	case ClusterCancel:
 		if f.ID == "" {
@@ -287,7 +305,9 @@ var ErrClusterFrameTooLarge = fmt.Errorf("wire: cluster frame exceeds %d bytes",
 // ReadClusterLine reads one newline-terminated frame from br, refusing to
 // buffer more than MaxClusterFrame bytes of it. A line that fits br's own
 // buffer is returned as a view into it, valid until the next read; only a
-// longer one is copied.
+// longer one is copied. Both ends rely on the view — the lane for a slot's
+// partial, the node for a slot's spec batch — which is why both size br
+// with ClusterLineBuffer and decode a line before they read the next.
 func ReadClusterLine(br *bufio.Reader) ([]byte, error) { return readLine(br, MaxClusterFrame) }
 
 func readLine(br *bufio.Reader, limit int) ([]byte, error) {
@@ -315,4 +335,4 @@ func readLine(br *bufio.Reader, limit int) ([]byte, error) {
 var clusterWorlds = map[string]bool{"rwm": true, "rnc": true, "intellab": true}
 
 // clusterOpKinds enumerates the replayable oplog operations.
-var clusterOpKinds = map[string]bool{"submit": true, "cancel": true, "slot": true}
+var clusterOpKinds = map[string]bool{"submits": true, "cancel": true, "slot": true}
