@@ -94,7 +94,7 @@ func BaselineMultiSelect(queries []query.Query, offers []Offer) *MultiResult {
 	selectedOffers := make(map[int]Offer)
 	for _, q := range queries {
 		st := q.NewState()
-		out := &MultiOutcome{Payments: make(map[int]float64)}
+		out := &MultiOutcome{Payments: []Payment{}}
 		res.Outcomes[q.QID()] = out
 		res.States[q.QID()] = st
 
@@ -131,8 +131,9 @@ func BaselineMultiSelect(queries []query.Query, offers []Offer) *MultiResult {
 			}
 			st.Add(o.Sensor)
 			out.Sensors = append(out.Sensors, o.Sensor)
-			out.Payments[o.Sensor.ID] += pay
+			out.Payments = append(out.Payments, Payment{SensorID: o.Sensor.ID, Amount: pay})
 		}
+		out.Payments = sortPayments(out.Payments)
 		out.Value = st.Value()
 		res.TotalValue += out.Value
 	}

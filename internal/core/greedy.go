@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -11,31 +12,52 @@ import (
 )
 
 // MultiOutcome records one query's result in a multi-sensor selection.
+// The greedy strategies hand out Sensors and Payments as views into two
+// slabs shared by every outcome of the run.
 type MultiOutcome struct {
-	Sensors  []*sensornet.Sensor
-	Payments map[int]float64 // sensor ID -> pi_{q,s}
-	Value    float64         // v_q(S_q)
+	Sensors  []*sensornet.Sensor // S_q, in commit order
+	Payments []Payment           // pi_{q,s} per payee, ascending by sensor ID
+	Value    float64             // v_q(S_q)
+}
+
+// Payment is one payee of a query: the sensor and the share pi_{q,s} of
+// its cost the query pays.
+type Payment struct {
+	SensorID int
+	Amount   float64
 }
 
 // TotalPayment sums the query's payments in ascending sensor-ID order.
-// The fixed order matters: map iteration order perturbs float rounding,
-// and this sum feeds SlotReport payments that must be bit-identical
-// across reruns of the same workload (the golden equivalence tests rely
-// on it).
+// The fixed order matters: it feeds SlotReport payments that must be
+// bit-identical across reruns of the same workload (the golden
+// equivalence tests rely on it), and Payments is kept in that order.
 func (o *MultiOutcome) TotalPayment() float64 {
-	// The stack buffer keeps the usual case — one payee, or a handful —
-	// off the heap.
-	var buf [16]int
-	ids := buf[:0]
-	for id := range o.Payments {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
 	var sum float64
-	for _, id := range ids {
-		sum += o.Payments[id]
+	for _, p := range o.Payments {
+		sum += p.Amount
 	}
 	return sum
+}
+
+// sortPayments orders one query's payments by sensor ID and merges
+// repeated payees, summing their amounts in the order they were booked.
+// The sort is stable, so the result is what accumulating the amounts per
+// sensor and listing the sensors ascending would give.
+func sortPayments(ps []Payment) []Payment {
+	if len(ps) < 2 {
+		return ps
+	}
+	slices.SortStableFunc(ps, func(a, b Payment) int { return cmp.Compare(a.SensorID, b.SensorID) })
+	w := 0
+	for _, p := range ps[1:] {
+		if p.SensorID == ps[w].SensorID {
+			ps[w].Amount += p.Amount
+		} else {
+			w++
+			ps[w] = p
+		}
+	}
+	return ps[:w+1]
 }
 
 // SelectionStep records one committed sensor of a greedy run: which offer
@@ -105,12 +127,12 @@ func DiffMultiResults(want, got *MultiResult) string {
 		if out == nil || out.Value != wo.Value || len(out.Payments) != len(wo.Payments) {
 			return fmt.Sprintf("outcome %s diverged", qid)
 		}
-		// Compare per-sensor payments individually: TotalPayment sums a
-		// map and its iteration order perturbs float rounding.
-		for sid, p := range wo.Payments {
-			if out.Payments[sid] != p {
-				return fmt.Sprintf("%s payment to sensor %d = %v, want %v",
-					qid, sid, out.Payments[sid], p)
+		// Compare per-sensor payments individually: equal totals can
+		// hide a different split.
+		for i, wp := range wo.Payments {
+			if p := out.Payments[i]; p != wp {
+				return fmt.Sprintf("%s payment %d = sensor %d: %v, want sensor %d: %v",
+					qid, i, p.SensorID, p.Amount, wp.SensorID, wp.Amount)
 			}
 		}
 	}
@@ -308,6 +330,9 @@ type selection struct {
 	// outs holds the outcome of each query by query index; finalize
 	// publishes them under their IDs.
 	outs []MultiOutcome
+	// recs books every (query, commit) pair in commit order; finalize
+	// deals them out to outs.
+	recs []commitRec
 	// relCount tracks, per query, how many remaining sensors are
 	// relevant to it — the pairs an exhaustive scan would re-evaluate
 	// after the query's version bumps (SerialEquivCalls accounting).
@@ -326,6 +351,13 @@ type selection struct {
 	stats SelectionStats
 }
 
+// commitRec is one query's share of one commit: the query index, the
+// committed offer and the payment pi_{q,s} the query owes for it.
+type commitRec struct {
+	qi, offer int32
+	amount    float64
+}
+
 // selArena owns the reusable scratch of a selection run. Nothing in it
 // escapes into the MultiResult, so GreedySelectWith returns it to a
 // sync.Pool once finalize has copied the outputs out; concurrent shard
@@ -340,6 +372,7 @@ type selArena struct {
 	remaining  []bool
 	submod     []bool
 	lastBumped []int32
+	recs       []commitRec
 	pcs        []query.PairCached
 	base       []float64
 	geom       []query.GeomCached
@@ -347,7 +380,8 @@ type selArena struct {
 	maskOff    []int32
 	masks      []uint64
 	// cursor is scratch for the counting passes that deal items out to
-	// CSR rows (buildRelevance's buckets, lazyLoop's volatile index).
+	// CSR rows (buildRelevance's buckets, lazyLoop's volatile index,
+	// finalize's outcomes).
 	cursor []int32
 
 	// lazyLoop scratch.
@@ -398,7 +432,7 @@ func (s *selection) release() {
 	ar := s.ar
 	s.ar = nil
 	s.relOff, s.relIdx, s.gains, s.vers = nil, nil, nil, nil
-	s.qver, s.relCount, s.lastBumped = nil, nil, nil
+	s.qver, s.relCount, s.lastBumped, s.recs = nil, nil, nil, nil
 	s.remaining, s.submod = nil, nil
 	s.pcs, s.base, s.geom, s.geomWords, s.maskOff, s.masks = nil, nil, nil, nil, nil, nil
 	// Interface slots in the pooled buffers would otherwise pin this
@@ -430,7 +464,6 @@ func newSelection(queries []query.Query, offers []Offer) *selection {
 	}
 	for i, q := range queries {
 		s.states[i] = q.NewState()
-		s.outs[i].Payments = make(map[int]float64)
 		s.res.States[q.QID()] = s.states[i]
 	}
 	if len(queries) == 0 || len(offers) == 0 {
@@ -457,6 +490,7 @@ func newSelection(queries []query.Query, offers []Offer) *selection {
 		s.geom[qi], _ = s.states[qi].(query.GeomCached)
 	}
 	s.lastBumped = ar.lastBumped[:0]
+	s.recs = ar.recs[:0]
 
 	s.buildRelevance()
 	s.buildGeometry()
@@ -805,11 +839,9 @@ func (s *selection) commit(si int, net float64) {
 		// An exhaustive scan would re-evaluate this query against every
 		// remaining sensor on the next round.
 		s.stats.SerialEquivCalls += int64(s.relCount[qi])
-		out := &s.outs[qi]
-		out.Sensors = append(out.Sensors, o.Sensor)
-		out.Payments[o.Sensor.ID] += dv * o.Cost / sumDv
+		s.recs = append(s.recs, commitRec{qi: qi, offer: int32(si), amount: dv * o.Cost / sumDv})
 	}
-	s.ar.lastBumped = s.lastBumped
+	s.ar.lastBumped, s.ar.recs = s.lastBumped, s.recs
 	s.remaining[si] = false
 	s.res.Selected = append(s.res.Selected, o.Sensor)
 	s.res.Trace = append(s.res.Trace, SelectionStep{
@@ -821,6 +853,7 @@ func (s *selection) commit(si int, net float64) {
 // finalize publishes the per-query outcomes with their values, the total
 // value and the stats.
 func (s *selection) finalize() {
+	s.dealOutcomes()
 	for i, q := range s.queries {
 		out := &s.outs[i]
 		out.Value = s.states[i].Value()
@@ -828,6 +861,53 @@ func (s *selection) finalize() {
 		s.res.Outcomes[q.QID()] = out
 	}
 	s.res.Stats = s.stats
+}
+
+// dealOutcomes fills every query's Sensors and Payments from the commit
+// records with a stable counting sort by query: one slab of sensors (each
+// query's run in commit order) and one of payments (each run then sorted
+// by sensor ID). An outcome without commits gets nil Sensors and empty,
+// non-nil Payments: the lane partial encodes nil and empty apart, and
+// its bytes must not depend on how the run was booked.
+func (s *selection) dealOutcomes() {
+	sensors := make([]*sensornet.Sensor, len(s.recs))
+	pays := make([]Payment, len(s.recs))
+	if len(s.recs) == 0 {
+		for i := range s.outs {
+			s.outs[i].Payments = pays
+		}
+		return
+	}
+	nq := len(s.queries)
+	off := growInt32(s.ar.cursor, nq+1)
+	s.ar.cursor = off
+	clear(off)
+	for _, r := range s.recs {
+		off[r.qi+1]++
+	}
+	for qi := 0; qi < nq; qi++ {
+		off[qi+1] += off[qi]
+	}
+	// off[qi] is now the start of query qi's run; it advances to the run's
+	// end while the records are dealt, so afterwards run qi is
+	// [off[qi-1], off[qi]) with off[-1] = 0.
+	for _, r := range s.recs {
+		sn := s.offers[r.offer].Sensor
+		at := off[r.qi]
+		sensors[at] = sn
+		pays[at] = Payment{SensorID: sn.ID, Amount: r.amount}
+		off[r.qi]++
+	}
+	start := int32(0)
+	for qi := range s.outs {
+		end := off[qi]
+		out := &s.outs[qi]
+		if end > start {
+			out.Sensors = sensors[start:end:end]
+		}
+		out.Payments = sortPayments(pays[start:end:end])
+		start = end
+	}
 }
 
 func (s *selection) addCounters(c evalCounters) {

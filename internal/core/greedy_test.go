@@ -86,8 +86,8 @@ func TestTheorem1Properties(t *testing.T) {
 		}
 		paid := map[int]float64{}
 		for _, q := range qs {
-			for id, p := range res.Outcomes[q.QID()].Payments {
-				paid[id] += p
+			for _, p := range res.Outcomes[q.QID()].Payments {
+				paid[p.SensorID] += p.Amount
 			}
 		}
 		for _, s := range res.Selected {

@@ -155,8 +155,10 @@ func TestLazyHeapIndexed(t *testing.T) {
 
 // urbanShape is one slot of the benchmark's urban-select demand (250
 // points, 20 multipoints of k=8, 8 aggregates up to 25 wide, sensing
-// range 10) over an n-sensor fleet in the 50x50 working region.
-func urbanShape(seed int64, n int) ([]query.Query, []Offer) {
+// range 10) over an n-sensor fleet in the 50x50 working region. A wider
+// demand multiplies the multipoints' k and budgets and the aggregates'
+// budgets by wide, so its queries commit more sensors each.
+func urbanShape(seed int64, n, wide int) ([]query.Query, []Offer) {
 	s := rng.New(seed, "urban-shape")
 	grid := geo.NewUnitGrid(80, 80)
 	loc := func() geo.Point { return geo.Pt(s.Uniform(15, 65), s.Uniform(15, 65)) }
@@ -170,27 +172,28 @@ func urbanShape(seed int64, n int) ([]query.Query, []Offer) {
 		qs = append(qs, query.NewPoint(fmt.Sprintf("pt%d", i), loc(), s.Uniform(10, 30), 10))
 	}
 	for i := 0; i < 20; i++ {
-		qs = append(qs, query.NewMultiPoint(fmt.Sprintf("mp%d", i), loc(), s.Uniform(100, 250), 10, 8))
+		qs = append(qs, query.NewMultiPoint(fmt.Sprintf("mp%d", i), loc(), float64(wide)*s.Uniform(100, 250), 10, 8*wide))
 	}
 	for i := 0; i < 8; i++ {
 		x, y := s.Uniform(15, 40), s.Uniform(15, 40)
 		qs = append(qs, query.NewAggregate(fmt.Sprintf("agg%d", i),
-			geo.NewRect(x, y, x+s.Uniform(10, 25), y+s.Uniform(10, 25)), s.Uniform(200, 400), 10, grid))
+			geo.NewRect(x, y, x+s.Uniform(10, 25), y+s.Uniform(10, 25)), float64(wide)*s.Uniform(200, 400), 10, grid))
 	}
 	return qs, offers
 }
 
 // TestWarmSelectionAllocations: with a warm arena a selection run
-// allocates per query and per commit, never per (sensor, query) pair.
-// Doubling the fleet roughly doubles the (sensor, aggregate) pairs and
-// must stay under the same fixed count.
+// allocates per query, never per commit or per (sensor, query) pair.
+// Doubling the fleet roughly doubles the (sensor, aggregate) pairs, and a
+// wider demand more than doubles the commits; both must stay under the
+// same fixed count.
 func TestWarmSelectionAllocations(t *testing.T) {
 	if testing.Short() {
 		t.Skip("-short is how CI runs the race detector, which inflates allocation counts")
 	}
-	// Per query: state, its targets and bitset, payments map; per commit:
-	// the sensor lists, a map insert, trace growth. ~2400 on this demand.
-	const limit = 3000
+	// Per query: state, its targets and bitset; per run: the two outcome
+	// slabs, the result's maps, trace growth. ~350 on these demands.
+	const limit = 450
 	pairs := func(qs []query.Query, offers []Offer) int {
 		n := 0
 		for _, q := range qs {
@@ -205,50 +208,72 @@ func TestWarmSelectionAllocations(t *testing.T) {
 		}
 		return n
 	}
-	var base int
-	for i, n := range []int{2000, 4000} {
-		qs, offers := urbanShape(1, n)
-		GreedySelect(qs, offers) // warm the pooled arena for this size
+	var basePairs, baseCommits int
+	for i, c := range []struct{ n, wide int }{{2000, 1}, {4000, 1}, {4000, 3}} {
+		qs, offers := urbanShape(1, c.n, c.wide)
+		commits := len(GreedySelect(qs, offers).Selected) // also warms the pooled arena for this size
 		allocs := testing.AllocsPerRun(5, func() { GreedySelect(qs, offers) })
 		np := pairs(qs, offers)
-		t.Logf("%d sensors: %d (sensor, aggregate) pairs, %.0f allocations per run", n, np, allocs)
+		t.Logf("%d sensors, wide %d: %d (sensor, aggregate) pairs, %d commits, %.0f allocations per run",
+			c.n, c.wide, np, commits, allocs)
 		if allocs > limit {
-			t.Errorf("%d sensors: %.0f allocations per warm run, limit %d", n, allocs, limit)
+			t.Errorf("%d sensors, wide %d: %.0f allocations per warm run, limit %d", c.n, c.wide, allocs, limit)
 		}
-		if i == 0 {
-			base = np
-		} else if np < base*3/2 {
-			t.Fatalf("fixture: pairs grew only %d -> %d", base, np)
+		switch i {
+		case 0:
+			basePairs = np
+		case 1:
+			if np < basePairs*3/2 {
+				t.Fatalf("fixture: pairs grew only %d -> %d", basePairs, np)
+			}
+			baseCommits = commits
+		case 2:
+			if commits < 2*baseCommits {
+				t.Fatalf("fixture: commits grew only %d -> %d", baseCommits, commits)
+			}
 		}
 	}
 }
 
-// TestTotalPaymentSumsInSensorOrder: the sum runs over ascending sensor
-// IDs whatever the map's iteration order, without allocating for the
-// usual handful of payees.
+// TestTotalPaymentSumsInSensorOrder: payments booked in any order come
+// out of sortPayments ascending by sensor ID, repeated payees merged in
+// booking order, and TotalPayment sums them in that order without
+// allocating.
 func TestTotalPaymentSumsInSensorOrder(t *testing.T) {
 	// Addends chosen so the sum depends on the order.
 	vals := []float64{1e16, 1, -1e16, 1, 3.5, 1e-3}
 	for n := 0; n <= len(vals); n++ {
-		o := &MultiOutcome{Payments: map[int]float64{}}
 		ids := rng.New(int64(n), "payees").Perm(50)[:n]
+		booked := make([]Payment, n)
 		for k, id := range ids {
-			o.Payments[id] = vals[k]
+			booked[k] = Payment{SensorID: id, Amount: vals[k]}
 		}
 		sorted := slices.Clone(ids)
 		slices.Sort(sorted)
 		var want float64
 		for _, id := range sorted {
-			want += o.Payments[id]
+			want += vals[slices.Index(ids, id)]
 		}
-		for rep := 0; rep < 20; rep++ {
-			if got := o.TotalPayment(); got != want {
-				t.Fatalf("%d payees: TotalPayment = %v, want %v", n, got, want)
+		o := &MultiOutcome{Payments: sortPayments(slices.Clone(booked))}
+		for i, p := range o.Payments {
+			if p.SensorID != sorted[i] {
+				t.Fatalf("%d payees: payment %d to sensor %d, want %d", n, i, p.SensorID, sorted[i])
 			}
+		}
+		if got := o.TotalPayment(); got != want {
+			t.Fatalf("%d payees: TotalPayment = %v, want %v", n, got, want)
 		}
 		if a := testing.AllocsPerRun(10, func() { o.TotalPayment() }); a != 0 {
 			t.Errorf("%d payees: TotalPayment allocates %.0f times", n, a)
 		}
+	}
+	// A payee booked twice is one payment: the amounts add in booking
+	// order, as accumulating them per sensor would.
+	big := 1e16
+	got := sortPayments([]Payment{{7, big}, {3, 2}, {7, 1}, {7, -big}})
+	want := []Payment{{3, 2}, {7, (big + 1) + -big}}
+	if !slices.Equal(got, want) {
+		t.Fatalf("sortPayments merged to %v, want %v", got, want)
 	}
 }
 
@@ -282,7 +307,7 @@ func BenchmarkLazyHeapReprioritise(b *testing.B) {
 // arena set-up of one urban-shaped run — everything newSelection does
 // before the first round.
 func BenchmarkBuildRelevance(b *testing.B) {
-	qs, offers := urbanShape(1, 4000)
+	qs, offers := urbanShape(1, 4000, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -101,11 +101,11 @@ func (l *Ledger) recordMixPartial(res *MixSlotResult) {
 		l.sensorEarned[id] += p
 	}
 	// Sorted query order: one sensor can appear in several outcomes'
-	// payment maps, so its earnings sum must accumulate in a
+	// payment lists, so its earnings sum must accumulate in a
 	// reproducible order (floatorder).
 	for _, qid := range slices.Sorted(maps.Keys(res.Multi.Outcomes)) {
-		for id, p := range res.Multi.Outcomes[qid].Payments {
-			l.sensorEarned[id] += p
+		for _, p := range res.Multi.Outcomes[qid].Payments {
+			l.sensorEarned[p.SensorID] += p.Amount
 		}
 	}
 	l.totalCost += res.TotalCost

@@ -127,11 +127,11 @@ func TestGreedyBudgetBalanceProperty(t *testing.T) {
 			if out.Value < out.TotalPayment()-1e-9 {
 				return false
 			}
-			for id, p := range out.Payments {
-				if p < -1e-12 {
+			for _, p := range out.Payments {
+				if p.Amount < -1e-12 {
 					return false
 				}
-				paid[id] += p
+				paid[p.SensorID] += p.Amount
 			}
 		}
 		for _, sel := range res.Selected {

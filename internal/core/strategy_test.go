@@ -157,7 +157,6 @@ func (c *comboQuery) NewState() query.State { return &comboState{q: c} }
 type comboState struct {
 	q          *comboQuery
 	hasA, hasB bool
-	sensors    []*sensornet.Sensor
 }
 
 func (st *comboState) Query() query.Query { return st.q }
@@ -178,9 +177,7 @@ func (st *comboState) Gain(s *sensornet.Sensor) float64 {
 func (st *comboState) Add(s *sensornet.Sensor) {
 	st.hasA = st.hasA || s.ID == st.q.a
 	st.hasB = st.hasB || s.ID == st.q.b
-	st.sensors = append(st.sensors, s)
 }
-func (st *comboState) Sensors() []*sensornet.Sensor { return st.sensors }
 
 // comboFixture builds the complementary-valuation instance.
 func comboFixture(lie bool) ([]query.Query, []Offer) {

@@ -95,11 +95,14 @@ func (r Rect) Intersect(o Rect) (Rect, bool) {
 	return out, true
 }
 
-// Clamp returns p moved to the closest point inside r.
+// Clamp returns p moved to the closest point inside r. The builtins
+// inline where math.Min and math.Max do not. On NaN-free input they
+// return the same bits, ±0 and ±Inf included; a NaN coordinate or bound
+// always yields NaN, where math.Max(NaN, +Inf) would have been +Inf.
 func (r Rect) Clamp(p Point) Point {
 	return Point{
-		X: math.Min(math.Max(p.X, r.MinX), r.MaxX),
-		Y: math.Min(math.Max(p.Y, r.MinY), r.MaxY),
+		X: min(max(p.X, r.MinX), r.MaxX),
+		Y: min(max(p.Y, r.MinY), r.MaxY),
 	}
 }
 

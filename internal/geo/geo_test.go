@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/rng"
 )
 
 func almostEq(a, b, eps float64) bool { return math.Abs(a-b) <= eps }
@@ -135,6 +137,51 @@ func TestRectClampAndDist(t *testing.T) {
 	}
 	if got := r.DistToPoint(Pt(3, 3)); got != 0 {
 		t.Errorf("DistToPoint inside = %v want 0", got)
+	}
+}
+
+// TestRectClampMatchesMath: on NaN-free input Clamp returns the bits
+// math.Min(math.Max(...)) returned, on ±0, ±Inf and ±1 as coordinates and
+// as bounds and on 100 000 random points and rectangles. A NaN anywhere
+// yields NaN.
+func TestRectClampMatchesMath(t *testing.T) {
+	ref := func(r Rect, p Point) Point {
+		return Point{X: math.Min(math.Max(p.X, r.MinX), r.MaxX), Y: math.Min(math.Max(p.Y, r.MinY), r.MaxY)}
+	}
+	same := func(a, b Point) bool {
+		return math.Float64bits(a.X) == math.Float64bits(b.X) && math.Float64bits(a.Y) == math.Float64bits(b.Y)
+	}
+	edge := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), 1, -1}
+	for _, lo := range edge {
+		for _, hi := range edge {
+			for _, v := range edge {
+				r, p := Rect{MinX: lo, MinY: hi, MaxX: hi, MaxY: lo}, Point{X: v, Y: -v}
+				if got, want := r.Clamp(p), ref(r, p); !same(got, want) {
+					t.Fatalf("%+v.Clamp(%v) = %v, want %v", r, p, got, want)
+				}
+				nan := math.NaN()
+				for _, c := range []struct {
+					r Rect
+					p Point
+				}{
+					{r, Point{X: nan, Y: nan}},
+					{Rect{MinX: nan, MinY: nan, MaxX: hi, MaxY: hi}, p},
+					{Rect{MinX: lo, MinY: lo, MaxX: nan, MaxY: nan}, p},
+				} {
+					if got := c.r.Clamp(c.p); !math.IsNaN(got.X) || !math.IsNaN(got.Y) {
+						t.Fatalf("%+v.Clamp(%v) = %v, want NaN", c.r, c.p, got)
+					}
+				}
+			}
+		}
+	}
+	s := rng.New(1, "clamp")
+	for i := 0; i < 100_000; i++ {
+		r := Rect{MinX: s.Norm(0, 10), MinY: s.Norm(0, 10), MaxX: s.Norm(0, 10), MaxY: s.Norm(0, 10)}
+		p := Point{X: s.Norm(0, 20), Y: s.Norm(0, 20)}
+		if got, want := r.Clamp(p), ref(r, p); !same(got, want) {
+			t.Fatalf("%v.Clamp(%v) = %v, want %v", r, p, got, want)
+		}
 	}
 }
 

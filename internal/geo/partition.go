@@ -1,6 +1,9 @@
 package geo
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // GridPartition splits a rectangle into Cols x Rows equally sized
 // geographic shards, numbered row-major from the minimum corner. It is the
@@ -79,19 +82,23 @@ func (p GridPartition) ShardBounds(k int) Rect {
 // on the far side, because a sensor sitting exactly on the border belongs
 // to that far shard (ShardOf floors) yet can still be relevant to a query
 // whose closed footprint touches the border.
-func (p GridPartition) ShardsOf(r Rect) []int {
+func (p GridPartition) ShardsOf(r Rect) []int { return p.AppendShardsOf(nil, r) }
+
+// AppendShardsOf appends ShardsOf(r) to dst and returns the extended
+// slice; a router that reuses dst routes without allocating.
+func (p GridPartition) AppendShardsOf(dst []int, r Rect) []int {
 	w, h := p.shardSize()
 	i0 := clampIdx(int(math.Floor((r.MinX-p.Bounds.MinX)/w)), p.Cols)
 	i1 := clampIdx(int(math.Floor((r.MaxX-p.Bounds.MinX)/w)), p.Cols)
 	j0 := clampIdx(int(math.Floor((r.MinY-p.Bounds.MinY)/h)), p.Rows)
 	j1 := clampIdx(int(math.Floor((r.MaxY-p.Bounds.MinY)/h)), p.Rows)
-	out := make([]int, 0, (i1-i0+1)*(j1-j0+1))
+	dst = slices.Grow(dst, (i1-i0+1)*(j1-j0+1))
 	for j := j0; j <= j1; j++ {
 		for i := i0; i <= i1; i++ {
-			out = append(out, j*p.Cols+i)
+			dst = append(dst, j*p.Cols+i)
 		}
 	}
-	return out
+	return dst
 }
 
 func clampIdx(i, n int) int {

@@ -1,6 +1,9 @@
 package geo
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 func TestGridPartitionFactorization(t *testing.T) {
 	cases := []struct {
@@ -83,16 +86,24 @@ func TestGridPartitionShardsOf(t *testing.T) {
 		// Outside the bounds: clamped to the nearest shard.
 		{NewRect(-10, -10, -5, -5), []int{0}},
 	} {
-		got := p.ShardsOf(tc.r)
-		if len(got) != len(tc.want) {
+		if got := p.ShardsOf(tc.r); !slices.Equal(got, tc.want) {
 			t.Errorf("ShardsOf(%v) = %v, want %v", tc.r, got, tc.want)
-			continue
 		}
-		for i := range got {
-			if got[i] != tc.want[i] {
-				t.Errorf("ShardsOf(%v) = %v, want %v", tc.r, got, tc.want)
-				break
-			}
+		prefix := []int{-1}
+		if got := p.AppendShardsOf(prefix, tc.r); !slices.Equal(got, append(prefix, tc.want...)) {
+			t.Errorf("AppendShardsOf([-1], %v) = %v, want -1 then %v", tc.r, got, tc.want)
+		}
+	}
+}
+
+// TestAppendShardsOfAllocations: routing into a buffer with room
+// allocates nothing, however many shards the footprint spans.
+func TestAppendShardsOfAllocations(t *testing.T) {
+	p := NewGridPartition(NewRect(0, 0, 40, 40), 16)
+	buf := make([]int, 0, p.NumShards())
+	for _, r := range []Rect{NewRect(1, 1, 2, 2), NewRect(5, 5, 35, 35)} {
+		if a := testing.AllocsPerRun(100, func() { buf = p.AppendShardsOf(buf[:0], r) }); a != 0 {
+			t.Errorf("AppendShardsOf(%v) allocates %.0f times", r, a)
 		}
 	}
 }

@@ -147,7 +147,6 @@ func (t *Trajectory) NewState() State {
 // itself keeps no per-sensor memory: plain Gain and Add walk the sensor's
 // disk, and no gain evaluation writes to the state.
 type coverageState struct {
-	baseState
 	q      Query
 	budget float64
 	// targets are the coverage targets. cols > 0 says they form a
@@ -252,7 +251,6 @@ func (st *coverageState) commit(nc int, s *sensornet.Sensor) {
 	st.sumTheta += theta(s)
 	st.n++
 	st.value = st.valueOf(st.coveredCnt, st.sumTheta, st.n)
-	st.record(s)
 }
 
 // GeomWords implements GeomCached.

@@ -80,7 +80,6 @@ func (p *Point) NewState() State { return &pointState{q: p} }
 func (p *Point) SubmodularValuation() bool { return true }
 
 type pointState struct {
-	baseState
 	q    *Point
 	best float64
 }
@@ -105,7 +104,6 @@ func (st *pointState) Add(s *sensornet.Sensor) {
 	if v := st.q.ValueSingle(s); v > st.best {
 		st.best = v
 	}
-	st.record(s)
 }
 
 // MultiPoint is a multiple-sensor point query (§2.2.1): it asks for up to K
@@ -170,7 +168,6 @@ func (m *MultiPoint) NewState() State {
 func (m *MultiPoint) SubmodularValuation() bool { return true }
 
 type multiPointState struct {
-	baseState
 	q   *MultiPoint
 	top []float64 // qualities of the best readings so far, ascending, len <= K
 }
@@ -232,7 +229,6 @@ func (st *multiPointState) Add(s *sensornet.Sensor) {
 			}
 		}
 	}
-	st.record(s)
 }
 
 // PointID formats the conventional identifier for machine-generated point

@@ -46,8 +46,6 @@ type State interface {
 	Gain(s *sensornet.Sensor) float64
 	// Add commits sensor s to S_q.
 	Add(s *sensornet.Sensor)
-	// Sensors returns the committed set S_q.
-	Sensors() []*sensornet.Sensor
 }
 
 // Submodular is an optional marker interface for queries whose set
@@ -176,12 +174,3 @@ func Value(q Query, sensors []*sensornet.Sensor) float64 {
 	}
 	return st.Value()
 }
-
-// baseState provides the Sensors bookkeeping shared by all states.
-type baseState struct {
-	sensors []*sensornet.Sensor
-}
-
-func (b *baseState) Sensors() []*sensornet.Sensor { return b.sensors }
-
-func (b *baseState) record(s *sensornet.Sensor) { b.sensors = append(b.sensors, s) }

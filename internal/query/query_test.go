@@ -60,9 +60,6 @@ func TestPointStateTakesBest(t *testing.T) {
 	if g := st.Gain(far); g > 0 {
 		t.Errorf("worse sensor gain = %v want <= 0", g)
 	}
-	if len(st.Sensors()) != 2 {
-		t.Errorf("sensors tracked = %d", len(st.Sensors()))
-	}
 	if st.Query() != Query(p) {
 		t.Error("Query() identity")
 	}

@@ -284,11 +284,9 @@ func TestFleetMovingSensorsEnterAndLeave(t *testing.T) {
 	}
 }
 
-// TestFleetStepReusesItsBuffers: on a warm metro-sized fleet a Step
-// allocates next to nothing — no position slice, no offer slice grown
-// from nil — and the offers it returns stay intact through the Step after
-// (two buffers, used in turn), though they are promised only until then.
-func TestFleetStepReusesItsBuffers(t *testing.T) {
+// warmMetroFleet returns a metro-sized fleet whose Step has warmed both
+// of its offer buffers.
+func warmMetroFleet() *Fleet {
 	const n = 20000
 	region, working := geo.NewRect(0, 0, 80, 80), geo.NewRect(15, 15, 65, 65)
 	sensors := make([]*Sensor, n)
@@ -299,9 +297,23 @@ func TestFleetStepReusesItsBuffers(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		f.Step() // warm both buffers
 	}
+	return f
+}
+
+// TestFleetStepAllocations: on a warm metro-sized fleet a Step allocates
+// next to nothing — no position slice, no offer slice grown from nil.
+func TestFleetStepAllocations(t *testing.T) {
+	f := warmMetroFleet()
 	if allocs := testing.AllocsPerRun(5, func() { f.Step() }); allocs > 2 {
-		t.Errorf("a warm Step of %d sensors allocates %v times, want at most 2", n, allocs)
+		t.Errorf("a warm Step of %d sensors allocates %v times, want at most 2", len(f.Sensors), allocs)
 	}
+}
+
+// TestFleetStepReusesItsBuffers: the offers a Step returns stay intact
+// through the Step after (two buffers, used in turn), though they are
+// promised only until then.
+func TestFleetStepReusesItsBuffers(t *testing.T) {
+	f := warmMetroFleet()
 	held := f.Step()
 	want := append([]Offer(nil), held...)
 	if next := f.Step(); len(next) > 0 && len(held) > 0 && &next[0] == &held[0] {

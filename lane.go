@@ -35,6 +35,9 @@ type SelectionStep = core.SelectionStep
 // ContinuousOutcome is one continuous query's slot outcome.
 type ContinuousOutcome = core.ContinuousOutcome
 
+// Payment is what one query pays one sensor in a slot (pi_{q,s}).
+type Payment = core.Payment
+
 // LaneRunner is the pluggable execution seam of the sharded layer: one
 // shard lane's life cycle as the coordinator drives it. The in-process
 // implementation wraps a per-shard Aggregator directly; the cluster
@@ -69,11 +72,11 @@ type LaneError struct {
 }
 
 // LaneOutcome is one query's outcome inside a LanePartial: the value it
-// obtained and its per-sensor payments (the serializable projection of
-// the greedy core's MultiOutcome).
+// obtained and its per-sensor payments, ascending by sensor ID (the
+// serializable projection of the greedy core's MultiOutcome).
 type LaneOutcome struct {
 	Value    float64
-	Payments map[int]float64
+	Payments []Payment
 }
 
 // LanePartial is one lane's slot result in serializable form — everything
@@ -191,8 +194,10 @@ func (p *LanePartial) bind(byID map[int]*sensornet.Sensor) (*slotExec, error) {
 			len(p.Trace), len(selected))
 	}
 	outcomes := make(map[string]*core.MultiOutcome, len(p.Outcomes))
+	outs := make([]core.MultiOutcome, 0, len(p.Outcomes))
 	for id, out := range p.Outcomes {
-		outcomes[id] = &core.MultiOutcome{Value: out.Value, Payments: out.Payments}
+		outs = append(outs, core.MultiOutcome{Value: out.Value, Payments: out.Payments})
+		outcomes[id] = &outs[len(outs)-1]
 	}
 	report := &SlotReport{
 		Slot:        p.Slot,

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strings"
 )
 
 // The binary form of a LanePartial, the one large payload a shard node
@@ -19,7 +20,16 @@ import (
 //     for nil, so nil and empty survive the trip as what they were;
 //   - map entries are written in ascending key order, which makes the
 //     encoding a function of the partial alone (equal partials are equal
-//     bytes, and encode∘decode is a fixed point).
+//     bytes, and encode∘decode is a fixed point);
+//   - an outcome's payments are a list of (sensor ID, amount) pairs,
+//     ascending by ID: the same bytes a map from sensor ID to amount
+//     would encode to, and a decoder refuses a list whose IDs do not
+//     strictly ascend.
+//
+// The decoder keeps the number of allocations per partial constant: the
+// outcome and continuous query IDs are substrings of one string, the
+// IDs of the later sections resolve to those same substrings, and every
+// outcome's payments are a window of one slab.
 //
 // The leading byte names the layout; a decoder that meets another value
 // refuses the partial rather than misread it.
@@ -29,7 +39,6 @@ const lanePartialFormat = 1
 // extended slice.
 func (p *LanePartial) AppendBinary(b []byte) []byte {
 	var strs []string // key scratch, reused by every string-keyed map
-	var ints []int
 
 	b = append(b, lanePartialFormat)
 	b = appendInt(b, p.Slot)
@@ -54,7 +63,7 @@ func (p *LanePartial) AppendBinary(b []byte) []byte {
 		out := p.Outcomes[id]
 		b = appendString(b, id)
 		b = appendFloat(b, out.Value)
-		b, ints = appendIntFloatMap(b, out.Payments, ints)
+		b = appendPayments(b, out.Payments)
 	}
 	b = appendCount(b, len(p.Continuous), p.Continuous == nil)
 	strs = sortedKeys(p.Continuous, strs)
@@ -65,7 +74,7 @@ func (p *LanePartial) AppendBinary(b []byte) []byte {
 		b = appendFloat(b, co.ValueDelta)
 		b = appendFloat(b, co.Payment)
 	}
-	b, _ = appendIntFloatMap(b, p.Contributions, ints)
+	b = appendIntFloatMap(b, p.Contributions)
 
 	for _, f := range []float64{p.TotalCost, p.PointValue, p.AggValue, p.LocMonValue, p.RegMonValue, p.ExtraValue, p.Welfare} {
 		b = appendFloat(b, f)
@@ -132,14 +141,22 @@ func appendCount(b []byte, n int, isNil bool) []byte {
 	return binary.AppendUvarint(b, uint64(n)+1)
 }
 
-func appendIntFloatMap(b []byte, m map[int]float64, keys []int) ([]byte, []int) {
+func appendPayments(b []byte, ps []Payment) []byte {
+	b = appendCount(b, len(ps), ps == nil)
+	for _, p := range ps {
+		b = appendInt(b, p.SensorID)
+		b = appendFloat(b, p.Amount)
+	}
+	return b
+}
+
+func appendIntFloatMap(b []byte, m map[int]float64) []byte {
 	b = appendCount(b, len(m), m == nil)
-	keys = sortedKeys(m, keys)
-	for _, k := range keys {
+	for _, k := range sortedKeys(m, nil) {
 		b = appendInt(b, k)
 		b = appendFloat(b, m[k])
 	}
-	return b, keys
+	return b
 }
 
 // sortedKeys fills buf with m's keys in ascending order.
@@ -156,7 +173,8 @@ func sortedKeys[K cmp.Ordered, V any](m map[K]V, buf []K) []K {
 // is untrusted: every length is checked against the bytes that remain
 // before anything is allocated for it (so memory stays within a constant
 // factor of len(data)), a repeated map key, an unknown layout byte and
-// trailing bytes are errors, and no input panics.
+// trailing bytes are errors, and so is a payments list whose sensor IDs
+// do not strictly ascend; no input panics.
 func DecodeLanePartial(data []byte) (*LanePartial, error) {
 	r := partialReader{b: data}
 	if format := r.byte(); r.err == nil && format != lanePartialFormat {
@@ -178,18 +196,22 @@ func DecodeLanePartial(data []byte) (*LanePartial, error) {
 		}
 	}
 
+	pays := r.scanIDs()
 	if n, ok := r.count(10); ok {
 		p.Outcomes = make(map[string]LaneOutcome, n)
 		for i := 0; i < n; i++ {
-			id := r.str()
-			p.Outcomes[id] = LaneOutcome{Value: r.float(), Payments: r.intFloatMap()}
+			id := r.newID()
+			v := r.float()
+			var out []Payment
+			out, pays = r.payments(pays)
+			p.Outcomes[id] = LaneOutcome{Value: v, Payments: out}
 		}
 		r.distinct(len(p.Outcomes), n)
 	}
 	if n, ok := r.count(18); ok {
 		p.Continuous = make(map[string]ContinuousOutcome, n)
 		for i := 0; i < n; i++ {
-			id := r.str()
+			id := r.newID()
 			p.Continuous[id] = ContinuousOutcome{Satisfied: r.bool(), ValueDelta: r.float(), Payment: r.float()}
 		}
 		r.distinct(len(p.Continuous), n)
@@ -200,11 +222,12 @@ func DecodeLanePartial(data []byte) (*LanePartial, error) {
 		*f = r.float()
 	}
 
+	r.sortIDs()
 	for _, m := range []*map[string]float64{&p.Values, &p.Payments} {
 		if n, ok := r.count(9); ok {
 			*m = make(map[string]float64, n)
 			for i := 0; i < n; i++ {
-				id := r.str()
+				id := r.id()
 				(*m)[id] = r.float()
 			}
 			r.distinct(len(*m), n)
@@ -213,7 +236,7 @@ func DecodeLanePartial(data []byte) (*LanePartial, error) {
 	if n, ok := r.count(2); ok {
 		p.Answered = make(map[string]bool, n)
 		for i := 0; i < n; i++ {
-			id := r.str()
+			id := r.id()
 			p.Answered[id] = r.bool()
 		}
 		r.distinct(len(p.Answered), n)
@@ -222,12 +245,12 @@ func DecodeLanePartial(data []byte) (*LanePartial, error) {
 	if n, ok := r.count(19); ok {
 		p.Events = make([]EventNotification, n)
 		for i := range p.Events {
-			p.Events[i] = EventNotification{QueryID: r.str(), Slot: r.int(), Detected: r.bool(), Confidence: r.float(), Reading: r.float()}
+			p.Events[i] = EventNotification{QueryID: r.id(), Slot: r.int(), Detected: r.bool(), Confidence: r.float(), Reading: r.float()}
 		}
 	}
 
 	s := &p.Selection
-	s.Strategy = r.str()
+	s.Strategy = r.id()
 	for _, c := range []*int64{
 		&s.ValuationCalls, &s.SerialEquivCalls, &s.LazyReevaluations, &s.SubmodularityViolations,
 		&s.FallbackRescans, &s.GeomCacheHits, &s.GeomCacheLookups, &s.PosteriorAppends, &s.PosteriorRebuilds,
@@ -252,6 +275,13 @@ func DecodeLanePartial(data []byte) (*LanePartial, error) {
 type partialReader struct {
 	b   []byte
 	err error
+
+	// idBuf holds the bytes of every outcome and continuous query ID;
+	// ids lists them as substrings of it, sorted once both sections are
+	// read, and next is where id tries first.
+	idBuf strings.Builder
+	ids   []string
+	next  int
 }
 
 func (r *partialReader) fail(format string, args ...any) {
@@ -315,13 +345,107 @@ func (r *partialReader) float() float64 {
 	return 0
 }
 
-func (r *partialReader) str() string {
+// strBytes reads a string's bytes in place.
+func (r *partialReader) strBytes() []byte {
 	n := r.uvarint()
 	if n > uint64(len(r.b)) {
 		r.fail("string of %d bytes, %d remain", n, len(r.b))
-		return ""
+		return nil
 	}
-	return string(r.take(int(n)))
+	return r.take(int(n))
+}
+
+func (r *partialReader) str() string { return string(r.strBytes()) }
+
+// scanIDs sizes the decode's shared buffers. It reads ahead, without
+// consuming, over the outcome and continuous sections, grows the ID
+// string to hold every ID they name, and returns an empty payments slab
+// with room for every outcome's payments. On malformed input the sizes
+// may come out short; the decode then fails at the same place anyway.
+func (r *partialReader) scanIDs() []Payment {
+	sc := partialReader{b: r.b}
+	var idBytes, ids, pays int
+	if n, ok := sc.count(10); ok {
+		for i := 0; i < n && sc.err == nil; i++ {
+			idBytes += len(sc.strBytes())
+			ids++
+			sc.take(8)
+			if m, ok := sc.count(9); ok {
+				pays += m
+				for j := 0; j < m && sc.err == nil; j++ {
+					sc.varint()
+					sc.take(8)
+				}
+			}
+		}
+	}
+	if n, ok := sc.count(18); ok {
+		for i := 0; i < n && sc.err == nil; i++ {
+			idBytes += len(sc.strBytes())
+			ids++
+			sc.take(17)
+		}
+	}
+	r.idBuf.Grow(idBytes)
+	r.ids = make([]string, 0, ids)
+	return make([]Payment, 0, pays)
+}
+
+// newID reads an outcome or continuous query ID into the shared ID
+// string and lists it for id to find.
+func (r *partialReader) newID() string {
+	b := r.strBytes()
+	start := r.idBuf.Len()
+	r.idBuf.Write(b)
+	id := r.idBuf.String()[start:]
+	r.ids = append(r.ids, id)
+	return id
+}
+
+// sortIDs readies the ID list for id's lookups.
+func (r *partialReader) sortIDs() { slices.Sort(r.ids) }
+
+// id reads a string and returns the listed ID equal to it, if there is
+// one, or a fresh copy. The sections id reads are sorted like the list,
+// so the entry after the last one found is tried before a binary search.
+func (r *partialReader) id() string {
+	b := r.strBytes()
+	if r.next < len(r.ids) && r.ids[r.next] == string(b) {
+		r.next++
+		return r.ids[r.next-1]
+	}
+	i, j := 0, len(r.ids)
+	for i < j {
+		h := int(uint(i+j) >> 1)
+		if r.ids[h] < string(b) {
+			i = h + 1
+		} else {
+			j = h
+		}
+	}
+	if i < len(r.ids) && r.ids[i] == string(b) {
+		r.next = i + 1
+		return r.ids[i]
+	}
+	return string(b)
+}
+
+// payments reads one outcome's payments list into the slab and returns
+// the list, a window of the slab, with the extended slab.
+func (r *partialReader) payments(slab []Payment) (list, rest []Payment) {
+	n, ok := r.count(9)
+	if !ok {
+		return nil, slab
+	}
+	start := len(slab)
+	for i := 0; i < n && r.err == nil; i++ {
+		p := Payment{SensorID: r.int(), Amount: r.float()}
+		if i > 0 && p.SensorID <= slab[len(slab)-1].SensorID {
+			r.fail("payments to sensor %d after sensor %d", p.SensorID, slab[len(slab)-1].SensorID)
+		}
+		slab = append(slab, p)
+	}
+	return slab[start:len(slab):len(slab)], slab
 }
 
 // count reads a collection's length and reports whether the collection is

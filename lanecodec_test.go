@@ -2,11 +2,14 @@ package ps
 
 import (
 	"bytes"
+	"encoding/hex"
 	"fmt"
 	"math"
 	"reflect"
 	"runtime"
 	"testing"
+
+	"repro/internal/rng"
 )
 
 // bitDiff walks two values of the same type and reports the first place
@@ -198,8 +201,10 @@ func TestLanePartialBinaryEdgeValues(t *testing.T) {
 		Trace:       nil,
 		Outcomes: map[string]LaneOutcome{
 			"":      {Value: nan, Payments: nil},
-			"q\x00": {Value: negZero, Payments: map[int]float64{}},
-			"q":     {Value: math.Inf(1), Payments: map[int]float64{-7: math.Inf(-1), 0: subnormal, math.MaxInt32: nan}},
+			"q\x00": {Value: negZero, Payments: []Payment{}},
+			"q": {Value: math.Inf(1), Payments: []Payment{
+				{SensorID: -7, Amount: math.Inf(-1)}, {SensorID: 0, Amount: subnormal}, {SensorID: math.MaxInt32, Amount: nan},
+			}},
 		},
 		Continuous:    map[string]ContinuousOutcome{},
 		Contributions: nil,
@@ -218,10 +223,19 @@ func TestLanePartialBinaryEdgeValues(t *testing.T) {
 	}
 }
 
+// unsortedPayments are payments lists the decoder refuses: a sensor paid
+// twice, or sensor IDs that descend.
+var unsortedPayments = [][]Payment{
+	{{SensorID: 5, Amount: 1}, {SensorID: 5, Amount: 2}},
+	{{SensorID: 9, Amount: 1}, {SensorID: 4, Amount: 2}},
+	{{SensorID: 1, Amount: 1}, {SensorID: 3, Amount: 1}, {SensorID: 2, Amount: 1}},
+}
+
 // TestDecodeLanePartialRejects pins the decoder's refusals: every strict
 // prefix of a valid encoding, trailing bytes, another layout byte, a
-// repeated map key, a bool byte that is neither 0 nor 1, and lengths the
-// input cannot hold.
+// repeated map key, a payments list whose sensor IDs do not strictly
+// ascend, a bool byte that is neither 0 nor 1, and lengths the input
+// cannot hold.
 func TestDecodeLanePartialRejects(t *testing.T) {
 	p := realPartials(t)[0]
 	enc := p.AppendBinary(nil)
@@ -247,6 +261,13 @@ func TestDecodeLanePartialRejects(t *testing.T) {
 	dup[i+1] = 'a'
 	if _, err := DecodeLanePartial(dup); err == nil {
 		t.Error("a map with a repeated key is accepted")
+	}
+
+	for _, list := range unsortedPayments {
+		enc := (&LanePartial{Outcomes: map[string]LaneOutcome{"q": {Payments: list}}}).AppendBinary(nil)
+		if _, err := DecodeLanePartial(enc); err == nil {
+			t.Errorf("payments %v are accepted", list)
+		}
 	}
 
 	badBool := (&LanePartial{Answered: map[string]bool{"a": true}}).AppendBinary(nil)
@@ -289,6 +310,9 @@ func FuzzDecodeLanePartial(f *testing.F) {
 	f.Add([]byte(nil))
 	f.Add((&LanePartial{}).AppendBinary(nil))
 	f.Add([]byte{lanePartialFormat, 0, 0, 0, 0x80, 0x80, 0x80, 0x80, 0x80, 0x40})
+	for _, list := range unsortedPayments {
+		f.Add((&LanePartial{Outcomes: map[string]LaneOutcome{"q": {Payments: list}}}).AppendBinary(nil))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
@@ -309,4 +333,154 @@ func FuzzDecodeLanePartial(f *testing.F) {
 			t.Fatalf("re-encoding changed %v", err)
 		}
 	})
+}
+
+// goldenPartial exercises every section of the layout, with payments of
+// several sensors per outcome.
+func goldenPartial() *LanePartial {
+	return &LanePartial{
+		Slot: 7, Offers: 120, Queries: 5,
+		SelectedIDs: []int{42, 3, 17},
+		Trace: []SelectionStep{
+			{Offer: 5, SensorID: 42, Cost: 1.5, Net: 2.25},
+			{Offer: 0, SensorID: 3, Cost: 0.75, Net: 0.5},
+			{Offer: 9, SensorID: 17, Cost: 2, Net: 1.0 / 3},
+		},
+		Outcomes: map[string]LaneOutcome{
+			"pt-7-1": {Value: 9.5, Payments: []Payment{{SensorID: 3, Amount: 0.75}}},
+			"mp-7":   {Value: 30.125, Payments: []Payment{{SensorID: 3, Amount: 0}, {SensorID: 17, Amount: 1.25}, {SensorID: 42, Amount: 0.5}}},
+			"agg-7":  {Value: 44, Payments: []Payment{{SensorID: 17, Amount: 0.75}, {SensorID: 42, Amount: 1}}},
+			"idle":   {Value: 0, Payments: []Payment{}},
+			"lm#p":   {Value: 1.5},
+		},
+		Continuous:    map[string]ContinuousOutcome{"lm": {Satisfied: true, ValueDelta: 1.5, Payment: 0.25}},
+		Contributions: map[int]float64{17: 0.125, 3: -0.5},
+		TotalCost:     4.25, PointValue: 9.5, AggValue: 44, LocMonValue: 1.5, ExtraValue: 30.125, Welfare: 80.875,
+		Values:   map[string]float64{"pt-7-1": 9.5, "mp-7": 30.125, "agg-7": 44, "lm": 1.5},
+		Payments: map[string]float64{"pt-7-1": 0.75, "mp-7": 1.75, "agg-7": 1.75, "lm": 0.25},
+		Answered: map[string]bool{"lm": true, "idle": false},
+		Events:   []EventNotification{{QueryID: "lm", Slot: 7, Detected: true, Confidence: 0.875, Reading: -1.25}},
+		Selection: SelectionStats{Strategy: "lazy", ValuationCalls: 310, SerialEquivCalls: 900, LazyReevaluations: 12,
+			SubmodularityViolations: 1, FallbackRescans: 1, GeomCacheHits: 40, GeomCacheLookups: 48, PosteriorAppends: 2, PosteriorRebuilds: 1},
+		SelectMs: 1.75, StepMs: 0.5,
+	}
+}
+
+// goldenPartialHex is goldenPartial's encoding from when outcome payments
+// were a map from sensor ID to amount: the ascending pair list must
+// encode to the same bytes, and those bytes must decode back.
+const goldenPartialHex = "010ef0010a04540622040a54000000000000f83f000000000000024000060000" +
+	"00000000e83f000000000000e03f12220000000000000040555555555555d53f" +
+	"06056167672d3700000000000046400322000000000000e83f54000000000000" +
+	"f03f0469646c65000000000000000001046c6d2370000000000000f83f00046d" +
+	"702d370000000000203e400406000000000000000022000000000000f43f5400" +
+	"0000000000e03f0670742d372d3100000000000023400206000000000000e83f" +
+	"02026c6d01000000000000f83f000000000000d03f0306000000000000e0bf22" +
+	"000000000000c03f000000000000114000000000000023400000000000004640" +
+	"000000000000f83f00000000000000000000000000203e400000000000385440" +
+	"05056167672d370000000000004640026c6d000000000000f83f046d702d3700" +
+	"00000000203e400670742d372d31000000000000234005056167672d37000000" +
+	"000000fc3f026c6d000000000000d03f046d702d37000000000000fc3f067074" +
+	"2d372d31000000000000e83f030469646c6500026c6d0102026c6d0e01000000" +
+	"000000ec3f000000000000f4bf046c617a79ec04880e18020250600402000000" +
+	"000000fc3f000000000000e03f"
+
+// TestLanePartialGoldenBytes: the wire bytes did not change when outcome
+// payments became a sorted pair list.
+func TestLanePartialGoldenBytes(t *testing.T) {
+	want, err := hex.DecodeString(goldenPartialHex)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := goldenPartial().AppendBinary(nil); !bytes.Equal(got, want) {
+		t.Fatalf("encoding changed:\n got %x\nwant %x", got, want)
+	}
+	back, err := DecodeLanePartial(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := bitDiff("partial", reflect.ValueOf(*goldenPartial()), reflect.ValueOf(*back)); err != nil {
+		t.Fatalf("golden bytes decode to a different partial: %v", err)
+	}
+}
+
+// TestLanePartialPaymentsRoundTrip: payment pairs of random sensors and
+// amounts, edge floats among them, come back in order with the same bits.
+func TestLanePartialPaymentsRoundTrip(t *testing.T) {
+	s := rng.New(3, "payments")
+	edge := []float64{math.Copysign(0, -1), math.Float64frombits(1), math.Inf(1), math.Float64frombits(0x7ff8_0000_0000_0bad)}
+	p := &LanePartial{Outcomes: map[string]LaneOutcome{}}
+	for q := 0; q < 50; q++ {
+		var list []Payment
+		id := -1000
+		for k := s.Intn(6); k > 0; k-- {
+			id += 1 + s.Intn(500)
+			amount := s.Norm(0, 1e3)
+			if s.Bool(0.2) {
+				amount = edge[s.Intn(len(edge))]
+			}
+			list = append(list, Payment{SensorID: id, Amount: amount})
+		}
+		p.Outcomes[fmt.Sprintf("q%d", q)] = LaneOutcome{Value: float64(q), Payments: list}
+	}
+	back, err := DecodeLanePartial(p.AppendBinary(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id, out := range p.Outcomes {
+		got := back.Outcomes[id].Payments
+		if (got == nil) != (out.Payments == nil) || len(got) != len(out.Payments) {
+			t.Fatalf("%s: payments %v, want %v", id, got, out.Payments)
+		}
+		for i, want := range out.Payments {
+			if got[i].SensorID != want.SensorID || math.Float64bits(got[i].Amount) != math.Float64bits(want.Amount) {
+				t.Fatalf("%s payment %d = %d: %#x, want %d: %#x", id, i,
+					got[i].SensorID, math.Float64bits(got[i].Amount), want.SensorID, math.Float64bits(want.Amount))
+			}
+		}
+	}
+}
+
+// queriesPartial is an n-query partial shaped like a metro lane's: one
+// outcome per query with one to three payments, and the query's value,
+// payment and answered flag.
+func queriesPartial(n int) *LanePartial {
+	p := &LanePartial{
+		Outcomes: make(map[string]LaneOutcome, n),
+		Values:   make(map[string]float64, n),
+		Payments: make(map[string]float64, n),
+		Answered: make(map[string]bool, n),
+	}
+	for i := 0; i < n; i++ {
+		id := fmt.Sprintf("s12-point-%d", i)
+		var list []Payment
+		for k := 0; k <= i%3; k++ {
+			list = append(list, Payment{SensorID: 7*i + k, Amount: float64(k) + 0.5})
+		}
+		p.Outcomes[id] = LaneOutcome{Value: float64(i), Payments: list}
+		p.Values[id], p.Payments[id], p.Answered[id] = float64(i), 0.5, true
+	}
+	return p
+}
+
+// TestDecodeLanePartialAllocations: decoding allocates per partial, not
+// per query — a 1000-query partial costs at most a constant more
+// allocations than a 10-query one (the larger maps' extra tables).
+func TestDecodeLanePartialAllocations(t *testing.T) {
+	if testing.Short() {
+		t.Skip("-short is how CI runs the race detector, which inflates allocation counts")
+	}
+	allocs := func(n int) float64 {
+		enc := queriesPartial(n).AppendBinary(nil)
+		return testing.AllocsPerRun(20, func() {
+			if _, err := DecodeLanePartial(enc); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(10), allocs(1000)
+	t.Logf("decode allocations: %.0f for 10 queries, %.0f for 1000", small, large)
+	if large > small+24 {
+		t.Errorf("a 1000-query partial takes %.0f allocations to decode, a 10-query one %.0f", large, small)
+	}
 }

@@ -297,7 +297,8 @@ func (sa *ShardedAggregator) route(spec Spec) int {
 	if clipped, ok := fp.Intersect(sa.world.Fleet.WorkingRegion); ok {
 		fp = clipped
 	}
-	shards := sa.part.ShardsOf(fp)
+	var buf [4]int
+	shards := sa.part.AppendShardsOf(buf[:0], fp)
 	if len(shards) == 1 {
 		return shards[0]
 	}

@@ -85,7 +85,7 @@ func metroPartial() *ps.LanePartial {
 	for i := 0; i < outcomes; i++ {
 		id := fmt.Sprintf("s12-point-%d", i)
 		v := 11.5 + float64(i)/13
-		p.Outcomes[id] = ps.LaneOutcome{Value: v, Payments: map[int]float64{17*(i%selected) + 3: v / 3}}
+		p.Outcomes[id] = ps.LaneOutcome{Value: v, Payments: []ps.Payment{{SensorID: 17*(i%selected) + 3, Amount: v / 3}}}
 		p.Values[id], p.Payments[id], p.Answered[id] = v, v/3, true
 	}
 	return p
