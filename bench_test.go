@@ -300,7 +300,9 @@ func BenchmarkEngineThroughput(b *testing.B) {
 	for _, n := range []int{1000, 10000} {
 		b.Run(fmt.Sprintf("sensors=%d", n), func(b *testing.B) {
 			world := ps.NewRWMWorld(1, n, ps.SensorConfig{})
-			eng := ps.NewEngine(ps.NewAggregator(world), ps.WithBlockingSubmit(),
+			// Twice a slot's submissions: the slot's queries plus its
+			// RunSlots command always fit, so no submit is rejected.
+			eng := ps.NewEngine(ps.NewAggregator(world),
 				ps.WithQueueSize(2*(pointsPerSlot+aggsPerSlot)))
 			eng.Start()
 			defer eng.Stop()

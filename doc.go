@@ -58,14 +58,13 @@
 // 256 offers and lazy from there up, resolved by every aggregator and
 // shard lane against its own offer count) changes only how much work a
 // slot does; both are bit-identical in welfare, values and payments, and
-// the strategy-equivalence tests gate that. At the pinned 40k-sensor
-// sharded-metro benchmark the geo-sharded pipeline with lazy lanes holds
-// a sub-100ms per-lane critical path. See PERFORMANCE.md for the cost
-// model, the valuation caches and their invalidation rules, and
+// the strategy-equivalence tests gate that. See PERFORMANCE.md for the
+// cost model, the valuation caches and their invalidation rules, and
 // strategy-selection guidance.
 //
 // See DESIGN.md for the package inventory and the engine architecture
-// (ingest, event loop, slot clock, fan-out, geo-sharded lanes);
-// cmd/psbench regenerates the paper's figures and load-tests the engine,
-// and bench_test.go tracks both speed and solution quality.
+// (ingest, event loop, slot clock, fan-out, geo-sharded lanes).
+// cmd/psbench regenerates the paper's figures, bench_test.go tracks both
+// speed and solution quality, and the benchmark program (./benchmark)
+// measures the serving stack end to end.
 package ps

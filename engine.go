@@ -217,7 +217,6 @@ type EngineMetrics struct {
 type engineConfig struct {
 	interval    time.Duration
 	queueSize   int
-	blockOnFull bool
 	shedOldest  bool
 	eventBuffer int
 	drainSlots  int
@@ -239,20 +238,13 @@ func WithQueueSize(n int) EngineOption {
 	return func(c *engineConfig) { c.queueSize = n }
 }
 
-// WithBlockingSubmit makes submissions wait for queue space instead of
-// failing fast with ErrQueueFull.
-func WithBlockingSubmit() EngineOption {
-	return func(c *engineConfig) { c.blockOnFull = true }
-}
-
 // WithShedOldest makes a full ingest queue evict its oldest still-queued
 // submission to admit the new one — the evicted query's stream closes
 // with ErrShed and EngineMetrics.QueriesShed (ps_shed_total) counts it.
 // Under sustained overload this keeps admission latency flat and sheds
 // the work that has already waited longest, instead of rejecting all
-// fresh work (the default) or stalling submitters (WithBlockingSubmit,
-// which this option overrides). Only submissions are sheddable; cancels,
-// strategy switches and RunSlots commands are never evicted, though
+// fresh work with ErrQueueFull (the default). Only submissions are
+// sheddable; cancels and RunSlots commands are never evicted, though
 // shedding may delay them behind newer submissions. Intended for
 // real-clock serving engines.
 func WithShedOldest() EngineOption {
@@ -354,9 +346,6 @@ func newEngine(agg queryRuntime, opts []EngineOption) *Engine {
 	}
 	e.hub.obs = &e.obs.hub
 	lc := engine.Config{QueueSize: cfg.queueSize}
-	if cfg.blockOnFull {
-		lc.Overflow = engine.OverflowBlock
-	}
 	if cfg.shedOldest {
 		lc.Overflow = engine.OverflowShedOldest
 	}

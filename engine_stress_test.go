@@ -3,6 +3,7 @@ package ps
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -24,13 +25,24 @@ func TestEngineStress(t *testing.T) {
 	world := NewRWMWorld(41, 120, SensorConfig{})
 	eng := NewEngine(
 		NewAggregator(world, WithScheduling(SchedulingGreedy)),
-		WithBlockingSubmit(),
 		WithQueueSize(256),
 		// A tiny event log forces the slow-subscriber eviction path
 		// under load.
 		WithEventBuffer(2),
 	)
 	eng.Start()
+
+	// The workers keep the 256-deep queue full, so submits, cancels and
+	// RunSlots all meet the default reject policy; each retries until the
+	// queue takes its command — ErrQueueFull is backpressure, not an error.
+	retryFull := func(f func() error) error {
+		for {
+			if err := f(); !errors.Is(err, ErrQueueFull) {
+				return err
+			}
+			runtime.Gosched()
+		}
+	}
 
 	var (
 		mu      sync.Mutex
@@ -50,25 +62,29 @@ func TestEngineStress(t *testing.T) {
 			defer wg.Done()
 			for i := 0; !stop.Load(); i++ {
 				loc := Pt(20+float64((w*13+i*7)%40), 20+float64((w*17+i*11)%40))
-				var h *QueryHandle
-				var err error
+				var spec Spec
 				switch i % 5 {
 				case 0, 1:
-					h, err = eng.Submit(PointSpec{ID: fmt.Sprintf("pt-%d-%d", w, i), Loc: loc, Budget: 15})
+					spec = PointSpec{ID: fmt.Sprintf("pt-%d-%d", w, i), Loc: loc, Budget: 15}
 				case 2:
-					h, err = eng.Submit(LocationMonitoringSpec{
+					spec = LocationMonitoringSpec{
 						ID: fmt.Sprintf("lm-%d-%d", w, i), Loc: loc, Duration: 3, Budget: 60, Samples: 2,
-					})
+					}
 				case 3:
-					h, err = eng.Submit(EventDetectionSpec{
+					spec = EventDetectionSpec{
 						ID: fmt.Sprintf("ev-%d-%d", w, i), Loc: loc, Duration: 2,
 						Threshold: 0.5, Confidence: 0.6, BudgetPerSlot: 20,
-					})
+					}
 				case 4:
 					// Deliberate duplicate: this ID collides with case 0 of
 					// the same worker iteration block.
-					h, err = eng.Submit(PointSpec{ID: fmt.Sprintf("pt-%d-%d", w, i-4), Loc: loc, Budget: 15})
+					spec = PointSpec{ID: fmt.Sprintf("pt-%d-%d", w, i-4), Loc: loc, Budget: 15}
 				}
+				var h *QueryHandle
+				err := retryFull(func() (err error) {
+					h, err = eng.Submit(spec)
+					return err
+				})
 				if err != nil {
 					if errors.Is(err, ErrEngineStopped) {
 						return
@@ -80,7 +96,7 @@ func TestEngineStress(t *testing.T) {
 				if i%7 == 3 {
 					// Cancel a recent handle; racing an already-final query
 					// is fine — Cancel must stay a no-op then.
-					if err := h.Cancel(); err != nil && !errors.Is(err, ErrEngineStopped) {
+					if err := retryFull(h.Cancel); err != nil && !errors.Is(err, ErrEngineStopped) {
 						t.Errorf("worker %d: cancel: %v", w, err)
 					}
 				}
@@ -95,7 +111,7 @@ func TestEngineStress(t *testing.T) {
 	}
 
 	for s := 0; s < slots; s++ {
-		if err := eng.RunSlots(1); err != nil {
+		if err := retryFull(func() error { return eng.RunSlots(1) }); err != nil {
 			t.Fatalf("slot %d: %v", s, err)
 		}
 	}

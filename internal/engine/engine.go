@@ -44,8 +44,6 @@ const (
 	// OverflowReject makes Do fail fast with ErrQueueFull (default):
 	// callers get explicit backpressure they can surface upstream.
 	OverflowReject OverflowPolicy = iota
-	// OverflowBlock makes Do wait for queue space (or engine stop).
-	OverflowBlock
 	// OverflowShedOldest makes a full queue evict its oldest sheddable
 	// command (see DoSheddable) to admit the new one: fresh work wins
 	// over stale work that has been waiting longest, the load-shedding
@@ -109,13 +107,8 @@ type Loop[R any] struct {
 	overflow OverflowPolicy
 
 	cmds chan command
-	// stopping is closed first during Stop, before sendMu is acquired:
-	// it wakes blocking sends parked in Do so they release the read lock
-	// (closing it after taking the write lock would deadlock Stop against
-	// a Do blocked on a full queue).
-	stopping chan struct{}
-	stop     chan struct{}
-	done     chan struct{}
+	stop chan struct{}
+	done chan struct{}
 
 	startOnce sync.Once
 	stopOnce  sync.Once
@@ -148,7 +141,6 @@ func New[R any](runner Runner[R], cfg Config, onSlot func(R, time.Duration), fin
 		clock:    cfg.Clock,
 		overflow: cfg.Overflow,
 		cmds:     make(chan command, cfg.QueueSize),
-		stopping: make(chan struct{}),
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
 	}
@@ -167,7 +159,6 @@ func (l *Loop[R]) Start() {
 // exited. Every command Do accepted before Stop is guaranteed to run.
 func (l *Loop[R]) Stop() {
 	l.stopOnce.Do(func() {
-		close(l.stopping) // unblock Do calls parked on a full queue
 		l.sendMu.Lock()
 		l.stopped = true
 		l.sendMu.Unlock()
@@ -190,9 +181,9 @@ type command struct {
 }
 
 // Do enqueues f for execution on the loop goroutine. Under OverflowReject
-// a full queue returns ErrQueueFull; under OverflowBlock, Do waits for
-// space; under OverflowShedOldest the queue's oldest sheddable command
-// is evicted to make room (ErrQueueFull only when nothing is sheddable).
+// a full queue returns ErrQueueFull; under OverflowShedOldest the queue's
+// oldest sheddable command is evicted to make room (ErrQueueFull only
+// when nothing is sheddable).
 // After Stop, Do returns ErrStopped. A nil return guarantees f will run
 // (possibly during the shutdown drain) — commands enqueued with Do are
 // never shed.
@@ -217,15 +208,9 @@ func (l *Loop[R]) enqueue(c command) error {
 		return ErrStopped
 	}
 	// While we hold sendMu, Stop cannot flip stopped, so the loop is
-	// still consuming: a blocking send always makes progress, and any
-	// send that succeeds lands before the shutdown drain.
+	// still consuming and any send that succeeds lands before the
+	// shutdown drain.
 	switch l.overflow {
-	case OverflowBlock:
-		select {
-		case l.cmds <- c:
-		case <-l.stopping:
-			return ErrStopped
-		}
 	case OverflowShedOldest:
 		if !l.sendShedding(c) {
 			l.mu.Lock()

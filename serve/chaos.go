@@ -37,9 +37,9 @@ type ChaosConfig struct {
 }
 
 // Chaos wraps a handler with seeded fault injection — delays, error
-// responses, and mid-stream connection drops — for overload and
-// resilience harnesses (psbench -scenario overload-soak). It is a plain
-// middleware: production servers simply never mount it.
+// responses, and mid-stream connection drops — for resilience tests
+// (psclient's TestStreamSurvivesChaosDrops). It is a plain middleware:
+// production servers simply never mount it.
 func Chaos(next http.Handler, cfg ChaosConfig) http.Handler {
 	r := rng.New(cfg.Seed, "serve-chaos")
 	var mu sync.Mutex

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -512,27 +513,37 @@ func watchFrames(t *testing.T, url string, sse bool) []wire.EventFrame {
 // arrives.
 func watchFramesEach(t *testing.T, url string, sse bool, each func(wire.EventFrame)) []wire.EventFrame {
 	t.Helper()
-	req, err := http.NewRequest(http.MethodGet, url, nil)
+	frames, err := readWatch(url, sse, each)
 	if err != nil {
 		t.Fatal(err)
+	}
+	return frames
+}
+
+// readWatch is watchFramesEach returning its failure instead of ending
+// the test, for goroutines other than the test's own.
+func readWatch(url string, sse bool, each func(wire.EventFrame)) ([]wire.EventFrame, error) {
+	req, err := http.NewRequest(http.MethodGet, url, nil)
+	if err != nil {
+		return nil, err
 	}
 	if sse {
 		req.Header.Set("Accept", "text/event-stream")
 	}
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
-		t.Fatalf("GET %s: %v", url, err)
+		return nil, fmt.Errorf("GET %s: %w", url, err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET %s: status %d", url, resp.StatusCode)
+		return nil, fmt.Errorf("GET %s: status %d", url, resp.StatusCode)
 	}
 	wantCT := "application/x-ndjson"
 	if sse {
 		wantCT = "text/event-stream"
 	}
 	if ct := resp.Header.Get("Content-Type"); ct != wantCT {
-		t.Fatalf("Content-Type = %q, want %q", ct, wantCT)
+		return nil, fmt.Errorf("GET %s: Content-Type = %q, want %q", url, ct, wantCT)
 	}
 	var frames []wire.EventFrame
 	sc := bufio.NewScanner(resp.Body)
@@ -550,15 +561,15 @@ func watchFramesEach(t *testing.T, url string, sse bool, each func(wire.EventFra
 		}
 		f, err := wire.DecodeEventFrame([]byte(line))
 		if err != nil {
-			t.Fatalf("bad frame %q: %v", line, err)
+			return nil, fmt.Errorf("bad frame %q: %w", line, err)
 		}
 		frames = append(frames, f)
 		each(f)
 		if f.Terminal() || f.Event == wire.FrameServerClosing {
-			return frames
+			return frames, nil
 		}
 	}
-	return frames
+	return frames, nil
 }
 
 // TestServeWatchEndToEnd: a watcher opened before the slot runs receives
@@ -1164,5 +1175,186 @@ func TestServeWatchOfRolledBackSubmission(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("watch rolled-back id: status %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestServeWatchOverloadLadder walks every rung of the overload ladder
+// over HTTP. The engine stays unstarted while the batches arrive, so its
+// 4-deep shed-oldest queue fills on the first batch however fast the
+// machine is: client a's batch of six sheds its two oldest specs, a's
+// next batch is over its rate limit, and client b's batch meets the
+// queue past high-water. Each shed query's watch ends in one canceled
+// frame with the shed code; once the engine runs, every other accepted
+// query ends in one final; and the sheds the watchers saw are the
+// engine's count and ps_shed_total.
+func TestServeWatchOverloadLadder(t *testing.T) {
+	world := ps.NewRWMWorld(23, 200, ps.SensorConfig{})
+	eng := ps.NewEngine(ps.NewAggregator(world), ps.WithQueueSize(4), ps.WithShedOldest())
+	ts := httptest.NewServer(New(eng, world, Options{
+		Strategy: ps.StrategyAuto,
+		// One burst of six per client, refilled at one token a minute: a
+		// client's second batch is over the limit however slow the run.
+		RateLimit: 1.0 / 60, RateBurst: 6,
+		HighWater: 0.75,
+	}).Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		eng.Stop()
+	})
+
+	// batch posts one point query per ID as client and returns the status
+	// and the decoded body: a BatchResponse on 200, an ErrorBody on 429.
+	batch := func(client string, ids ...string) (int, map[string]any) {
+		t.Helper()
+		queries := make([]map[string]any, len(ids))
+		for i, id := range ids {
+			queries[i] = map[string]any{
+				"v": 1, "type": "point", "id": id,
+				"loc": map[string]float64{"x": 25 + float64(3*i), "y": 30}, "budget": 15,
+			}
+		}
+		body, err := json.Marshal(map[string]any{"v": 2, "queries": queries})
+		if err != nil {
+			t.Fatal(err)
+		}
+		req, err := http.NewRequest(http.MethodPost, ts.URL+"/queries:batch", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("X-Client-ID", client)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var out map[string]any
+		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+			t.Fatalf("decode: %v", err)
+		}
+		return resp.StatusCode, out
+	}
+
+	// Rung 1: the batch is admitted whole, and its last two specs shed the
+	// first two from the full queue.
+	loadA := []string{"a0", "a1", "a2", "a3", "a4", "a5"}
+	if status, resp := batch("a", loadA...); status != http.StatusOK || resp["accepted"] != float64(len(loadA)) {
+		t.Fatalf("a's batch: status %d body %v, want all %d accepted", status, resp, len(loadA))
+	}
+	// Rung 2: a has spent its burst.
+	if status, resp := batch("a", "a6"); status != http.StatusTooManyRequests || resp["code"] != wire.CodeRateLimited {
+		t.Fatalf("a's second batch: status %d body %v, want 429 %s", status, resp, wire.CodeRateLimited)
+	}
+	// Rung 3: b is inside its rate, but the queue is past high-water.
+	if status, resp := batch("b", "b0", "b1"); status != http.StatusTooManyRequests || resp["code"] != wire.CodeQueueFull {
+		t.Fatalf("b's batch: status %d body %v, want 429 %s", status, resp, wire.CodeQueueFull)
+	}
+
+	// Watch every accepted query, the queued ones before the engine runs.
+	// A query's accepted frame is published when the loop takes its
+	// submission off the queue; the channel holds one per watch.
+	frames := make(map[string][]wire.EventFrame)
+	accepted := make(chan struct{}, len(loadA)+2)
+	var mu sync.Mutex
+	var wg sync.WaitGroup
+	watch := func(ids ...string) {
+		for _, id := range ids {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				fs, err := readWatch(ts.URL+"/watch?id="+id, false, func(f wire.EventFrame) {
+					if f.Event == wire.FrameAccepted {
+						accepted <- struct{}{}
+					}
+				})
+				if err != nil {
+					t.Errorf("watch %s: %v", id, err)
+					return
+				}
+				mu.Lock()
+				frames[id] = fs
+				mu.Unlock()
+			}()
+		}
+	}
+	watch(loadA...)
+
+	// RunSlots goes through the same queue, where it would shed a queued
+	// submission: let the started loop drain the queue first — it is
+	// empty once every survivor's accepted frame is out. b's retry then
+	// finds room, and its two specs and the RunSlots command fit.
+	survivors := len(loadA) - int(eng.Metrics().QueriesShed)
+	eng.Start()
+	for range survivors {
+		select {
+		case <-accepted:
+		case <-time.After(10 * time.Second):
+			t.Fatal("the started loop never took the queued submissions")
+		}
+	}
+	if depth, _ := eng.QueueStats(); depth != 0 {
+		t.Fatalf("queue depth %d after every survivor was accepted, want 0", depth)
+	}
+	if status, resp := batch("b", "b0", "b1"); status != http.StatusOK || resp["accepted"] != float64(2) {
+		t.Fatalf("b's retry: status %d body %v, want both accepted", status, resp)
+	}
+	watch("b0", "b1")
+	if err := eng.RunSlots(1); err != nil {
+		t.Fatalf("RunSlots: %v", err)
+	}
+	wg.Wait()
+
+	var sheds, finals int64
+	for id, fs := range frames {
+		watchInvariants(t, id, fs)
+		terminals := 0
+		for _, f := range fs {
+			if f.Terminal() {
+				terminals++
+			}
+		}
+		last := fs[len(fs)-1]
+		switch {
+		case terminals != 1:
+			t.Errorf("%s: %d terminal frames in %+v, want exactly one", id, terminals, fs)
+		case last.Event == wire.FrameCanceled && last.Code == wire.CodeShed:
+			sheds++
+		case last.Event == wire.FrameFinal:
+			finals++
+		default:
+			t.Errorf("%s: stream ended with %+v, want final or a shed cancel", id, last)
+		}
+	}
+	if sheds == 0 {
+		t.Fatal("no submission was shed: the queue never overflowed")
+	}
+	if sheds+finals != int64(len(loadA)+2) {
+		t.Errorf("%d sheds + %d finals, want one terminal for each of the %d accepted queries", sheds, finals, len(loadA)+2)
+	}
+	if m := eng.Metrics(); m.QueriesShed != sheds {
+		t.Errorf("watchers saw %d sheds, engine QueriesShed = %d", sheds, m.QueriesShed)
+	}
+
+	status, body, _ := getBody(t, ts.URL+"/metrics?format=prometheus", "")
+	if status != http.StatusOK {
+		t.Fatalf("GET /metrics: status %d", status)
+	}
+	_, samples := parseProm(t, body)
+	sample := func(name, labels string) float64 {
+		for _, s := range samples {
+			if s.name == name && s.labels == labels {
+				return s.value
+			}
+		}
+		t.Errorf("no %s{%s} sample", name, labels)
+		return 0
+	}
+	if got := sample("ps_shed_total", ""); got != float64(sheds) {
+		t.Errorf("ps_shed_total = %v, watchers saw %d sheds", got, sheds)
+	}
+	if got := sample("ps_admission_rejects_total", `reason="rate_limit"`); got <= 0 {
+		t.Errorf(`ps_admission_rejects_total{reason="rate_limit"} = %v, want > 0`, got)
+	}
+	if got := sample("ps_admission_rejects_total", `reason="queue_pressure"`); got <= 0 {
+		t.Errorf(`ps_admission_rejects_total{reason="queue_pressure"} = %v, want > 0`, got)
 	}
 }

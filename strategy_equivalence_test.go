@@ -9,8 +9,10 @@ import (
 
 // strategiesUnderTest are the candidate-evaluation strategies whose
 // SlotReports must be bit-identical to the serial scan's. Serial is the
-// reference; auto resolves to serial or lazy by each run's offer count.
-var strategiesUnderTest = []Strategy{StrategyLazy, StrategyAuto}
+// reference; auto resolves to serial or lazy by each run's offer count;
+// serial again is a rerun, so a slot pipeline that is not a pure function
+// of its seed (a map-order float sum, say) fails here too.
+var strategiesUnderTest = []Strategy{StrategyLazy, StrategyAuto, StrategySerial}
 
 // submitAll submits one spec to every aggregator in the slice.
 func submitAll[A interface {
