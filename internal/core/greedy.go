@@ -315,8 +315,10 @@ type selection struct {
 	qver  []int32
 	// pcs holds the query.PairCached view of each state (nil when the
 	// state doesn't implement it), and base the memoized state-independent
-	// base value per pair (NaN = not yet computed). Bases never go stale:
-	// they depend only on the sensor and the query, not on commits.
+	// part of each pair's gain: a PairCached base value (NaN = not yet
+	// computed) or, for a pair with a geometry mask, the sensor's
+	// query.GeomCached weight. Bases never go stale: they depend only on
+	// the sensor and the query, not on commits.
 	pcs  []query.PairCached
 	base []float64
 	// geom holds the query.GeomCached view of each state (nil when the
@@ -327,6 +329,13 @@ type selection struct {
 	geomWords []int32
 	maskOff   []int32
 	masks     []uint64
+	// vol is the lazy loop's block of volatile pairs, query-major
+	// (buildVolatile): query qi's pairs are vol[volOff[qi]:volOff[qi+1]].
+	// volAt, parallel to relIdx, is each pair's index in it (-1 for a
+	// submodular query's pair). All three are nil under the serial scan.
+	vol    []volPair
+	volOff []int32
+	volAt  []int32
 	// outs holds the outcome of each query by query index; finalize
 	// publishes them under their IDs.
 	outs []MultiOutcome
@@ -341,11 +350,11 @@ type selection struct {
 	// submod marks queries advertising query.Submodular. Only their
 	// stale-gain increases count as violations: unmarked valuations
 	// (aggregates, trajectories) are allowed to grow and are handled by
-	// the lazy strategy's eager volatile maintenance instead.
+	// the lazy strategy's volatile refresh instead.
 	submod []bool
 	// lastBumped lists the query indices whose version the most recent
 	// commit advanced (scratch reused across rounds; lazy maintenance
-	// reads it to refresh non-submodular valuations eagerly).
+	// reads it to refresh non-submodular valuations after each commit).
 	lastBumped []int32
 
 	stats SelectionStats
@@ -389,7 +398,8 @@ type selArena struct {
 	touched   []bool
 	touchList []int32
 	volOff    []int32
-	volRefs   []volRef
+	vol       []volPair
+	volAt     []int32
 
 	// relevance-index scratch (buildRelevance).
 	rbs      []query.RelevanceBased
@@ -435,6 +445,7 @@ func (s *selection) release() {
 	s.qver, s.relCount, s.lastBumped, s.recs = nil, nil, nil, nil
 	s.remaining, s.submod = nil, nil
 	s.pcs, s.base, s.geom, s.geomWords, s.maskOff, s.masks = nil, nil, nil, nil, nil, nil
+	s.vol, s.volOff, s.volAt = nil, nil, nil
 	// Interface slots in the pooled buffers would otherwise pin this
 	// run's states and queries past the run.
 	clear(ar.pcs)
@@ -690,9 +701,10 @@ func (s *selection) buildRelevance() {
 }
 
 // buildGeometry computes the geometry mask of every (sensor, query) pair
-// of a query.GeomCached state into one slab, in CSR order, so the rounds
-// evaluate those pairs from prebuilt masks (pairGain) instead of walking
-// the sensor's disk. It runs single-threaded before the first round.
+// of a query.GeomCached state into one slab, in CSR order, and the
+// sensor's weight into the pair's base slot, so the rounds evaluate those
+// pairs from prebuilt masks (pairGain) instead of walking the sensor's
+// disk. It runs single-threaded before the first round.
 func (s *selection) buildGeometry() {
 	ar := s.ar
 	s.geomWords = growInt32(ar.geomWords, len(s.queries))
@@ -723,7 +735,7 @@ func (s *selection) buildGeometry() {
 			if gc := s.geom[qi]; gc != nil {
 				w := int(s.geomWords[qi])
 				s.maskOff[idx] = int32(off)
-				gc.BuildGeom(o.Sensor, s.masks[off:off+w])
+				s.base[idx] = gc.BuildGeom(o.Sensor, s.masks[off:off+w])
 				off += w
 				s.stats.GeomCacheLookups++
 			}
@@ -741,7 +753,8 @@ func (s *selection) mask(idx, qi int32) []uint64 {
 // pairGain evaluates the marginal gain of sensor si for query qi (pair
 // idx of the CSR arrays) at the query's current state, by the cheapest
 // exact route the state offers: a memoized base value, a prebuilt
-// geometry mask, or the plain Gain.
+// geometry mask, or the plain Gain. A masked evaluation of a volatile
+// pair also records the pair's fresh count for lazyLoop's bound.
 func (s *selection) pairGain(si int, idx, qi int32, c *evalCounters) float64 {
 	c.calls++
 	sensor := s.offers[si].Sensor
@@ -755,7 +768,13 @@ func (s *selection) pairGain(si int, idx, qi int32, c *evalCounters) float64 {
 	}
 	if gc := s.geom[qi]; gc != nil {
 		c.geomHits++
-		return gc.GainGeom(s.mask(idx, qi), sensor)
+		g, fresh := gc.GainGeom(s.mask(idx, qi), s.base[idx])
+		if s.volAt != nil {
+			if k := s.volAt[idx]; k >= 0 {
+				s.vol[k].fresh = int32(fresh)
+			}
+		}
+		return g
 	}
 	return s.states[qi].Gain(sensor)
 }
@@ -828,7 +847,7 @@ func (s *selection) commit(si int, net float64) {
 			continue
 		}
 		if gc := s.geom[qi]; gc != nil {
-			gc.AddGeom(s.mask(idx, qi), o.Sensor)
+			gc.AddGeom(s.mask(idx, qi), s.base[idx])
 			s.stats.GeomCacheLookups++
 			s.stats.GeomCacheHits++
 		} else {

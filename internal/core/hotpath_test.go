@@ -155,9 +155,10 @@ func TestLazyHeapIndexed(t *testing.T) {
 
 // urbanShape is one slot of the benchmark's urban-select demand (250
 // points, 20 multipoints of k=8, 8 aggregates up to 25 wide, sensing
-// range 10) over an n-sensor fleet in the 50x50 working region. A wider
-// demand multiplies the multipoints' k and budgets and the aggregates'
-// budgets by wide, so its queries commit more sensors each.
+// range 10) over an n-sensor fleet in the 50x50 working region, whose
+// inaccuracies are drawn from [0, 0.2] as the benchmark's fleet's are. A
+// wider demand multiplies the multipoints' k and budgets and the
+// aggregates' budgets by wide, so its queries commit more sensors each.
 func urbanShape(seed int64, n, wide int) ([]query.Query, []Offer) {
 	s := rng.New(seed, "urban-shape")
 	grid := geo.NewUnitGrid(80, 80)
@@ -167,6 +168,10 @@ func urbanShape(seed int64, n, wide int) ([]query.Query, []Offer) {
 		positions = append(positions, loc())
 	}
 	offers := makeOffers(positions...)
+	fleet := rng.New(seed, "urban-fleet")
+	for _, o := range offers {
+		o.Sensor.Inaccuracy = fleet.Uniform(0, 0.2)
+	}
 	var qs []query.Query
 	for i := 0; i < 250; i++ {
 		qs = append(qs, query.NewPoint(fmt.Sprintf("pt%d", i), loc(), s.Uniform(10, 30), 10))
@@ -231,6 +236,25 @@ func TestWarmSelectionAllocations(t *testing.T) {
 			if commits < 2*baseCommits {
 				t.Fatalf("fixture: commits grew only %d -> %d", baseCommits, commits)
 			}
+		}
+	}
+}
+
+// TestLazyScreenHalvesMaskedGains: on urban-shaped demand the lazy
+// strategy settles most volatile refreshes with the mask-free bound, so
+// it evaluates at most half as many (sensor, aggregate) gains from masks
+// as the serial scan does — and still returns the serial result.
+func TestLazyScreenHalvesMaskedGains(t *testing.T) {
+	for _, wide := range []int{1, 3} {
+		qs, offers := urbanShape(2, 4000, wide)
+		serial := GreedySelectWith(qs, offers, GreedyConfig{Strategy: StrategySerial})
+		lazy := GreedySelectWith(qs, offers, GreedyConfig{Strategy: StrategyLazy})
+		assertSameMultiResult(t, fmt.Sprintf("wide %d", wide), serial, lazy)
+		t.Logf("wide %d: masked gains serial %d, lazy %d; valuation calls serial %d, lazy %d",
+			wide, serial.Stats.GeomCacheHits, lazy.Stats.GeomCacheHits, serial.Stats.ValuationCalls, lazy.Stats.ValuationCalls)
+		if lazy.Stats.GeomCacheHits*2 > serial.Stats.GeomCacheHits {
+			t.Errorf("wide %d: lazy made %d masked gain evaluations, more than half the serial scan's %d",
+				wide, lazy.Stats.GeomCacheHits, serial.Stats.GeomCacheHits)
 		}
 	}
 }
@@ -301,6 +325,38 @@ func BenchmarkLazyHeapReprioritise(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		h.update(sis[i%1024], nets[i%1024])
 	}
+}
+
+// BenchmarkVolatileRefresh times the pass lazyLoop makes over an
+// aggregate's remaining pairs after the aggregate commits a sensor — the
+// mask-free bound for every pair, the masked popcount for the pairs it
+// cannot settle — on one urban-shaped run. Each iteration commits one
+// more of the aggregate's relevant sensors; ns/op is one pass over the
+// aggregate's pairs, whose number the pairs metric reports.
+func BenchmarkVolatileRefresh(b *testing.B) {
+	qs, offers := urbanShape(1, 4000, 1)
+	s := newSelection(qs, offers)
+	defer s.release()
+	s.buildVolatile()
+	s.refreshRemaining()
+	qi := int32(len(qs) - 1) // the last aggregate
+	pairs := s.vol[s.volOff[qi]:s.volOff[qi+1]]
+	gc := s.geom[qi]
+	touched := make([]bool, len(offers))
+	var touchList []int32
+	var c evalCounters
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p := pairs[(i*97)%len(pairs)]
+		gc.AddGeom(s.mask(p.idx, qi), p.w)
+		s.qver[qi]++
+		touchList = s.refreshVolatile(qi, touched, touchList[:0], &c)
+		for _, si := range touchList {
+			touched[si] = false
+		}
+	}
+	b.ReportMetric(float64(len(pairs)), "pairs")
 }
 
 // BenchmarkBuildRelevance times the relevance index, geometry masks and

@@ -163,34 +163,52 @@ func (h *lazyHeap) siftDown(i int) {
 	}
 }
 
-// volRef locates one (sensor, query) gain-cache slot of a volatile
-// (non-submodular) query: the sensor index and the slot's flat index
-// into the selection's CSR gains/vers arrays.
-type volRef struct {
+// volPair is one (sensor, query) pair of a volatile (non-submodular)
+// query in lazyLoop's pair block: the sensor index, the pair's flat index
+// into the selection's CSR gains/vers arrays and, for a query with
+// geometry masks, what its gain bound needs — the fresh count of the
+// pair's last exact evaluation and the sensor's weight.
+type volPair struct {
 	si, idx int32
+	fresh   int32
+	w       float64
 }
 
 // lazyLoop is the CELF-style selection loop.
 //
-// Invariant: for monotone submodular valuations (queries advertising
+// Invariant: every heap entry's priority is at least its sensor's current
+// net benefit, and equals it while the sensor is fresh — no cached gain
+// of it is stale. For monotone submodular valuations (queries advertising
 // query.Submodular) a query's marginal gain can only shrink as its state
-// grows, so a heap entry evaluated at an older state is an upper bound
-// on the sensor's current net benefit. Valuations without the marker
-// ("volatile": aggregates, trajectories, arbitrary black boxes) get no
-// such bound — their cached gains are instead refreshed *eagerly* after
-// every commit that touches them, so each entry's priority is always
-// exact-volatile-part plus bounded-submodular-part, i.e. still a valid
-// upper bound. The aggregate and trajectory states evaluate from the
-// run's prebuilt geometry masks (query.GeomCached), so each eager refresh
-// is a few popcounts rather than a geometry walk.
+// grows, so a gain evaluated at an older state stays an upper bound.
+// Valuations without the marker ("volatile": aggregates, trajectories,
+// arbitrary black boxes) get no such guarantee from the marker; after
+// every commit that touches one, refreshVolatile brings each remaining
+// pair of it back under the invariant in one pass over the query's slice
+// of the pair block. Aggregates and trajectories (query.GeomCached)
+// first try their bound, which needs no mask: the gain at the pair's
+// last exact fresh count. The count only shrinks as the query commits
+// and the gain never falls as the count grows, so the bound is at least
+// the pair's current gain, and
+//
+//   - a cached gain <= 0 with a bound <= 0 still contributes nothing: the
+//     pair is stamped current without touching the heap. A non-positive
+//     cached gain means "contributes nothing"; its magnitude is not read.
+//   - a cached gain > 0 that is >= the bound still bounds the gain from
+//     above: the pair stays stale, and evalSensor computes it exactly if
+//     the sensor reaches the top of the heap.
+//
+// Every other pair, and every pair of a query without a usable bound, is
+// evaluated exactly from its prebuilt mask (or by plain Gain) and its
+// sensor re-prioritised when the positive part of its gain moved.
 //
 // The heap orders its one entry per remaining sensor by (net desc, sensor
-// index asc). When the top is fresh — no relevant query committed a
-// sensor since it was evaluated — every other candidate's bound is at
-// most the top's exact net, so the top is the round's true argmax with
-// the serial tie-break, and it commits without touching the rest of the
-// pool. A stale top is re-evaluated (refreshing only the stale (sensor,
-// query) gain cache entries) and re-prioritised in place.
+// index asc). When the top is fresh every other candidate's priority is
+// at least its net, which is at most the top's exact net, so the top is
+// the round's true argmax with the serial tie-break, and it commits
+// without touching the rest of the pool. A stale top is re-evaluated
+// (refreshing only the stale (sensor, query) gain cache entries) and
+// re-prioritised in place.
 //
 // Fallback: if a re-evaluated *marked* gain increased, the marker lied
 // and stale bounds elsewhere may underestimate their sensors. The round
@@ -199,47 +217,8 @@ type volRef struct {
 // best-effort — the bound invariant, and with it bit-identical results,
 // is guaranteed by truthful markers, not by detection.
 func (s *selection) lazyLoop() {
-	// Build the reverse index volatile maintenance needs (query -> its
-	// gain-cache slots) in CSR form over the arena; the submodular
-	// classification lives on the selection (newSelection).
 	ar := s.ar
-	anyVol := false
-	for qi := range s.queries {
-		anyVol = anyVol || !s.submod[qi]
-	}
-	var volOff []int32
-	var volRefs []volRef
-	if anyVol {
-		volOff = growInt32(ar.volOff, len(s.queries)+1)
-		for i := range volOff {
-			volOff[i] = 0
-		}
-		for _, qi := range s.relIdx {
-			if !s.submod[qi] {
-				volOff[qi+1]++
-			}
-		}
-		for qi := 0; qi < len(s.queries); qi++ {
-			volOff[qi+1] += volOff[qi]
-		}
-		nvol := int(volOff[len(s.queries)])
-		if cap(ar.volRefs) < nvol {
-			ar.volRefs = make([]volRef, nvol)
-		}
-		volRefs = ar.volRefs[:nvol]
-		cursor := growInt32(ar.cursor, len(s.queries))
-		copy(cursor, volOff[:len(s.queries)])
-		for si := range s.offers {
-			for idx := s.relOff[si]; idx < s.relOff[si+1]; idx++ {
-				qi := s.relIdx[idx]
-				if !s.submod[qi] {
-					volRefs[cursor[qi]] = volRef{si: int32(si), idx: idx}
-					cursor[qi]++
-				}
-			}
-		}
-		ar.volOff, ar.cursor = volOff, cursor
-	}
+	anyVol := s.buildVolatile()
 
 	h := &ar.heap
 	rebuild := func() {
@@ -273,35 +252,13 @@ func (s *selection) lazyLoop() {
 			h.popTop()
 			s.commit(e.si, e.net)
 			if anyVol {
-				// Volatile queries just bumped: restore exact gains for
-				// every remaining sensor they touch and re-prioritize.
+				// Volatile queries just bumped: bring every remaining pair
+				// of theirs back under the invariant and re-prioritise the
+				// sensors whose priority moved.
 				touchList = touchList[:0]
 				for _, qi := range s.lastBumped {
-					if s.submod[qi] {
-						continue
-					}
-					for _, ref := range volRefs[volOff[qi]:volOff[qi+1]] {
-						if !s.remaining[ref.si] {
-							continue
-						}
-						old := s.gains[ref.idx]
-						g := s.pairGain(int(ref.si), ref.idx, qi, &c)
-						s.gains[ref.idx] = g
-						s.vers[ref.idx] = s.qver[qi]
-						// The sensor's net sums only positive gains, so its
-						// priority moved iff the positive part moved; most
-						// refreshes of a saturated aggregate swing one
-						// negative gain to another and leave the heap alone.
-						if old < 0 {
-							old = 0
-						}
-						if g < 0 {
-							g = 0
-						}
-						if old != g && !touched[ref.si] {
-							touched[ref.si] = true
-							touchList = append(touchList, ref.si)
-						}
+					if !s.submod[qi] {
+						touchList = s.refreshVolatile(qi, touched, touchList, &c)
 					}
 				}
 				for _, si := range touchList {
@@ -327,6 +284,103 @@ func (s *selection) lazyLoop() {
 		h.update(e.si, net)
 	}
 	s.addCounters(c)
+}
+
+// buildVolatile lays out the volatile pair block — query qi's pairs are
+// vol[volOff[qi]:volOff[qi+1]], in CSR order — and each pair's index
+// into it, over the arena. It reports whether any query is volatile; the
+// submodular classification lives on the selection (newSelection).
+func (s *selection) buildVolatile() bool {
+	anyVol := false
+	for qi := range s.queries {
+		anyVol = anyVol || !s.submod[qi]
+	}
+	if !anyVol {
+		return false
+	}
+	ar := s.ar
+	volOff := growInt32(ar.volOff, len(s.queries)+1)
+	clear(volOff)
+	for _, qi := range s.relIdx {
+		if !s.submod[qi] {
+			volOff[qi+1]++
+		}
+	}
+	for qi := 0; qi < len(s.queries); qi++ {
+		volOff[qi+1] += volOff[qi]
+	}
+	nvol := int(volOff[len(s.queries)])
+	if cap(ar.vol) < nvol {
+		ar.vol = make([]volPair, nvol)
+	}
+	s.vol = ar.vol[:nvol]
+	s.volAt = growInt32(ar.volAt, len(s.relIdx))
+	cursor := growInt32(ar.cursor, len(s.queries))
+	copy(cursor, volOff[:len(s.queries)])
+	for si := range s.offers {
+		for idx := s.relOff[si]; idx < s.relOff[si+1]; idx++ {
+			qi := s.relIdx[idx]
+			if s.submod[qi] {
+				s.volAt[idx] = -1
+				continue
+			}
+			// fresh is written by the pair's first exact evaluation,
+			// which lazyLoop's first rebuild makes before any bound is
+			// read.
+			k := cursor[qi]
+			s.vol[k] = volPair{si: int32(si), idx: idx, w: s.base[idx]}
+			s.volAt[idx] = k
+			cursor[qi]++
+		}
+	}
+	s.volOff = volOff
+	ar.volOff, ar.cursor, ar.volAt = volOff, cursor, s.volAt
+	return true
+}
+
+// refreshVolatile brings every remaining pair of volatile query qi back
+// under lazyLoop's invariant after the query's version bumped: a pair
+// its bound settles keeps its gain, every other pair is evaluated
+// exactly. It appends to touchList, and marks in touched, each sensor
+// whose priority moved, and returns the list.
+func (s *selection) refreshVolatile(qi int32, touched []bool, touchList []int32, c *evalCounters) []int32 {
+	gc, ver := s.geom[qi], s.qver[qi]
+	for k := s.volOff[qi]; k < s.volOff[qi+1]; k++ {
+		p := &s.vol[k]
+		if !s.remaining[p.si] {
+			continue
+		}
+		old := s.gains[p.idx]
+		if gc != nil {
+			if b, ok := gc.GainBound(int(p.fresh), p.w); ok {
+				if old <= 0 && b <= 0 {
+					s.vers[p.idx] = ver
+					continue
+				}
+				if old > 0 && b <= old {
+					continue
+				}
+			}
+		}
+		g := s.pairGain(int(p.si), p.idx, qi, c)
+		s.gains[p.idx] = g
+		s.vers[p.idx] = ver
+		// The sensor's net sums only positive gains, so its priority
+		// moved iff the positive part moved; most refreshes of a saturated
+		// aggregate swing one negative gain to another and leave the heap
+		// alone.
+		if old < 0 {
+			old = 0
+		}
+		if g < 0 {
+			g = 0
+		}
+		if old != g && !touched[p.si] {
+			touched[p.si] = true
+			touchList = append(touchList, p.si)
+		}
+	}
+	return touchList
 }
 
 // refreshRemaining brings every remaining sensor's gain cache up to the

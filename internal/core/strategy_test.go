@@ -248,6 +248,97 @@ func TestLazyMatchesSerialOnAggregates(t *testing.T) {
 	}
 }
 
+// growingGainsScenario is demand where Eq. 5's aggregate gains grow as
+// sensors commit: overlapping aggregates and trajectories over a fleet
+// whose cheapest sensors are low-quality ones sitting in the middle of
+// the regions. They commit first, and diluting a query's mean quality
+// raises the gain of every high-quality sensor that comes after.
+func growingGainsScenario(seed int64) ([]query.Query, []Offer) {
+	s := rng.New(seed, "growing-gains")
+	grid := geo.NewUnitGrid(60, 60)
+	var qs []query.Query
+	var centers []geo.Point
+	for i := 0; i < 6; i++ {
+		x, y := s.Uniform(10, 30), s.Uniform(10, 30)
+		r := geo.NewRect(x, y, x+s.Uniform(8, 20), y+s.Uniform(8, 20))
+		qs = append(qs, query.NewAggregate(fmt.Sprintf("agg%d", i), r, s.Uniform(150, 400), 6, grid))
+		centers = append(centers, r.Center())
+	}
+	for i := 0; i < 4; i++ {
+		a := geo.Pt(s.Uniform(10, 50), s.Uniform(10, 50))
+		b := geo.Pt(a.X+s.Uniform(-15, 15), a.Y+s.Uniform(-15, 15))
+		qs = append(qs, query.NewTrajectory(fmt.Sprintf("tr%d", i), geo.Trajectory{Waypoints: []geo.Point{a, b}}, s.Uniform(80, 200), 5))
+		centers = append(centers, geo.Pt((a.X+b.X)/2, (a.Y+b.Y)/2))
+	}
+	var offers []Offer
+	for i := 0; i < 400; i++ {
+		sn := sensornet.NewSensor(i, geo.Pt(s.Uniform(5, 55), s.Uniform(5, 55)))
+		cost := s.Uniform(2, 12)
+		if i%10 == 0 { // low quality, wide coverage, nearly free
+			c := centers[s.Intn(len(centers))]
+			sn.Pos = geo.Pt(c.X+s.Uniform(-1, 1), c.Y+s.Uniform(-1, 1))
+			sn.Trust = s.Uniform(0.05, 0.2)
+			cost = s.Uniform(0, 0.05)
+		} else {
+			sn.Inaccuracy = s.Uniform(0, 0.2)
+		}
+		offers = append(offers, Offer{Sensor: sn, Cost: cost})
+	}
+	return qs, offers
+}
+
+// gainsGrow reports whether committing q's first relevant low-quality
+// sensor raises some full-quality sensor's gain above its gain on the
+// empty state.
+func gainsGrow(q query.Query, offers []Offer) bool {
+	empty, after := q.NewState(), q.NewState()
+	for _, o := range offers {
+		if o.Sensor.Trust < 0.5 && q.Relevant(o.Sensor) {
+			after.Add(o.Sensor)
+			break
+		}
+	}
+	if after.Value() == 0 {
+		return false
+	}
+	for _, o := range offers {
+		if o.Sensor.Trust == 1 && after.Gain(o.Sensor) > empty.Gain(o.Sensor) {
+			return true
+		}
+	}
+	return false
+}
+
+// TestLazyMatchesSerialWhereAggregateGainsGrow: on demand whose aggregate
+// and trajectory gains grow as low-quality sensors commit, the lazy
+// strategy's bound-screened refresh picks the serial scan's sensors in
+// the serial order with the same floats. The fixture is checked to grow
+// gains: committing a low-quality sensor raises a high-quality one's.
+func TestLazyMatchesSerialWhereAggregateGainsGrow(t *testing.T) {
+	for seed := int64(1); seed <= 6; seed++ {
+		qs, offers := growingGainsScenario(seed)
+		grows := 0
+		for _, q := range qs {
+			if gainsGrow(q, offers) {
+				grows++
+			}
+		}
+		if grows < len(qs)/2 {
+			t.Fatalf("seed %d: a low-quality commit raises gains on only %d of %d queries", seed, grows, len(qs))
+		}
+		serial := GreedySelectWith(qs, offers, GreedyConfig{Strategy: StrategySerial})
+		lazy := GreedySelectWith(qs, offers, GreedyConfig{Strategy: StrategyLazy})
+		assertSameMultiResult(t, fmt.Sprintf("seed %d", seed), serial, lazy)
+		if len(serial.Selected) < 10 {
+			t.Fatalf("seed %d: only %d sensors selected", seed, len(serial.Selected))
+		}
+		if lazy.Stats.SubmodularityViolations != 0 || lazy.Stats.FallbackRescans != 0 {
+			t.Errorf("seed %d: %d violations, %d fallback rescans on unmarked valuations", seed,
+				lazy.Stats.SubmodularityViolations, lazy.Stats.FallbackRescans)
+		}
+	}
+}
+
 // TestParseStrategy: the three names (and the "celf" alias) parse; the
 // names of the removed parallel scan are refused with an error that lists
 // exactly the strategies that exist — the message psserve -strategy,

@@ -2,6 +2,8 @@ package query
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"testing"
 
 	"repro/internal/geo"
@@ -59,17 +61,18 @@ func (c *naiveCoverage) add(s *sensornet.Sensor) {
 	c.n++
 }
 
-// buildMasks computes every sensor's geometry mask the way a selection
-// run does: one zeroed slab, one BuildGeom per sensor.
-func buildMasks(gc GeomCached, sensors []*sensornet.Sensor) [][]uint64 {
+// buildMasks computes every sensor's geometry mask and weight the way a
+// selection run does: one zeroed slab, one BuildGeom per sensor.
+func buildMasks(gc GeomCached, sensors []*sensornet.Sensor) ([][]uint64, []float64) {
 	w := gc.GeomWords()
 	slab := make([]uint64, w*len(sensors))
 	masks := make([][]uint64, len(sensors))
+	weights := make([]float64, len(sensors))
 	for k, s := range sensors {
 		masks[k] = slab[k*w : (k+1)*w]
-		gc.BuildGeom(s, masks[k])
+		weights[k] = gc.BuildGeom(s, masks[k])
 	}
-	return masks
+	return masks, weights
 }
 
 // checkKernel drives one state through Gain/Add, a second through
@@ -84,7 +87,7 @@ func checkKernel(t *testing.T, label string, q Query, targets []geo.Point, budge
 	walked := q.NewState()
 	masked := q.NewState()
 	gc := masked.(GeomCached)
-	masks := buildMasks(gc, sensors)
+	masks, weights := buildMasks(gc, sensors)
 	var centers []geo.Point
 	step := func() {
 		for k, s := range sensors {
@@ -92,7 +95,7 @@ func checkKernel(t *testing.T, label string, q Query, targets []geo.Point, budge
 			if got := walked.Gain(s); got != want {
 				t.Fatalf("%s: plain Gain(sensor %d) = %v, reference %v (newly covered %d)", label, s.ID, got, want, ref.newly(s))
 			}
-			if got := gc.GainGeom(masks[k], s); got != want {
+			if got, _ := gc.GainGeom(masks[k], weights[k]); got != want {
 				t.Fatalf("%s: GainGeom(sensor %d) = %v, reference %v (newly covered %d)", label, s.ID, got, want, ref.newly(s))
 			}
 		}
@@ -106,7 +109,7 @@ func checkKernel(t *testing.T, label string, q Query, targets []geo.Point, budge
 		s := sensors[k]
 		ref.add(s)
 		walked.Add(s)
-		gc.AddGeom(masks[k], s)
+		gc.AddGeom(masks[k], weights[k])
 		centers = append(centers, s.Pos)
 		step()
 	}
@@ -242,12 +245,248 @@ func TestBitsetTrajectoryMatchesReference(t *testing.T) {
 	}
 }
 
+// checkSpans requires the walk's mask and fresh count for every position
+// to equal, word for word, a per-target walk's: on the empty state, and
+// again once the reference masks of the first few positions are marked
+// covered.
+func checkSpans(t *testing.T, label string, a *Aggregate, positions []geo.Point) {
+	t.Helper()
+	st := a.NewState().(*coverageState)
+	reference := func(pos geo.Point) []uint64 {
+		m := make([]uint64, len(st.covered))
+		for i, p := range st.targets {
+			if p.Dist2(pos) <= st.r2 {
+				m[i>>6] |= 1 << (i & 63)
+			}
+		}
+		return m
+	}
+	pass := func(phase string) {
+		for _, pos := range positions {
+			want := reference(pos)
+			wantFresh := 0
+			for w, m := range want {
+				wantFresh += bits.OnesCount64(m &^ st.covered[w])
+			}
+			got := make([]uint64, len(st.covered))
+			if fresh := st.walk(pos, got); fresh != wantFresh {
+				t.Fatalf("%s, %s, sensor at %v: fresh %d, reference %d", label, phase, pos, fresh, wantFresh)
+			}
+			if fresh := st.walk(pos, nil); fresh != wantFresh {
+				t.Fatalf("%s, %s, sensor at %v: fresh without a mask %d, reference %d", label, phase, pos, fresh, wantFresh)
+			}
+			for w := range want {
+				if got[w] != want[w] {
+					t.Fatalf("%s, %s, sensor at %v: mask word %d = %#x, reference %#x", label, phase, pos, w, got[w], want[w])
+				}
+			}
+		}
+	}
+	pass("empty state")
+	for _, pos := range positions[:min(3, len(positions))] {
+		for w, m := range reference(pos) {
+			st.covered[w] |= m
+		}
+	}
+	pass("partly covered")
+}
+
+// TestWalkRowSpansMatchReference pins the shapes where a row-span walk
+// could go wrong against the per-target test: cell centers exactly at
+// Dist2 == r², radii under one cell, one-row and one-column regions,
+// sensors outside the grid, and runs that cross word boundaries.
+func TestWalkRowSpansMatchReference(t *testing.T) {
+	grid := geo.NewUnitGrid(200, 200)
+	s := rng.New(1, "row-spans")
+	scatter := func(box geo.Rect, n int) []geo.Point {
+		out := make([]geo.Point, n)
+		for i := range out {
+			out[i] = geo.Pt(s.Uniform(box.MinX, box.MaxX), s.Uniform(box.MinY, box.MaxY))
+		}
+		return out
+	}
+	// Sensors on cell centers, on cell corners and on edge midpoints of
+	// the block around (20, 20): with whole and half-unit offsets many
+	// centers sit exactly at Dist2 == r² for r = 5 (3-4-5), 13 (5-12-13)
+	// and 0.5 (a sensor on a cell edge reaches both neighbours' centers).
+	var lattice []geo.Point
+	for y := 14.0; y <= 27; y += 0.5 {
+		for x := 14.0; x <= 27; x += 0.5 {
+			lattice = append(lattice, geo.Pt(x, y))
+		}
+	}
+	block := geo.NewRect(10, 10, 30, 30)
+	for _, r := range []float64{5, 13, 0.5, 0.3, 0.49, 1, 1.5} {
+		checkSpans(t, fmt.Sprintf("lattice r=%v", r), NewAggregate("a", block, 100, r, grid),
+			append(lattice, scatter(block.Expand(r+2), 40)...))
+	}
+	if d2 := geo.Pt(12.5, 12.5).Dist2(geo.Pt(15.5, 16.5)); d2 != 25 {
+		t.Fatalf("lattice: Dist2 = %v, want exactly 25", d2)
+	}
+
+	// One row, one column, one cell.
+	for _, region := range []geo.Rect{
+		geo.NewRect(10, 10, 60, 10.9), geo.NewRect(10, 10, 10.9, 60), geo.NewRect(10, 10, 10.9, 10.9),
+	} {
+		for _, r := range []float64{0.4, 3, 20} {
+			checkSpans(t, fmt.Sprintf("region %v r=%v", region, r), NewAggregate("a", region, 100, r, grid),
+				scatter(region.Expand(r+2), 60))
+		}
+	}
+
+	// Sensors outside the grid on every side, some in range of the
+	// block's edge and some not.
+	edge := geo.NewRect(0, 0, 20, 15)
+	outside := []geo.Point{
+		geo.Pt(-3, 7), geo.Pt(-0.5, 0.5), geo.Pt(23, 7), geo.Pt(10, -4), geo.Pt(10, 18.5),
+		geo.Pt(-30, -30), geo.Pt(-2, -2), geo.Pt(250, 7), geo.Pt(10, 260),
+	}
+	checkSpans(t, "outside the grid", NewAggregate("a", edge, 100, 4, grid), outside)
+
+	// Rows of 63, 64, 65 and 127 cells: row starts drift across word
+	// boundaries and a wide disk's runs span whole words.
+	for _, cols := range []float64{63, 64, 65, 127} {
+		region := geo.NewRect(0, 0, cols, 6)
+		for _, r := range []float64{2.5, 33, 70} {
+			checkSpans(t, fmt.Sprintf("%v columns r=%v", cols, r), NewAggregate("a", region, 100, r, grid),
+				scatter(region.Expand(r/2), 60))
+		}
+	}
+
+	// Non-unit cells on an offset origin, where the index estimates are
+	// off by rounding.
+	odd := geo.Grid{Bounds: geo.NewRect(-7.3, 2.1, 81.9, 70.4), Cols: 71, Rows: 53}
+	region := geo.NewRect(-3, 5, 60, 50)
+	for _, r := range []float64{0.7, 4.2, 11} {
+		checkSpans(t, fmt.Sprintf("odd grid r=%v", r), NewAggregate("a", region, 100, r, odd),
+			scatter(region.Expand(r+3), 200))
+	}
+}
+
+// TestGainBoundIsUpperBound: on random aggregate and trajectory states,
+// the bound from a sensor's fresh count at an earlier state is >= its
+// masked gain at every later state, by plain float comparison, and equals
+// it while no commit since that count shared a target with the sensor.
+// The first commits are low-quality sensors covering the middle of the
+// region: Eq. 5 averages quality, so they raise the other sensors' gains,
+// which a cached gain could not bound but the bound must.
+func TestGainBoundIsUpperBound(t *testing.T) {
+	grew := 0
+	for seed := int64(1); seed <= 30; seed++ {
+		s := rng.New(seed, "gain-bound")
+		var q Query
+		var box geo.Rect
+		if seed%2 == 1 {
+			x, y := s.Uniform(5, 30), s.Uniform(5, 30)
+			region := geo.NewRect(x, y, x+s.Uniform(3, 25), y+s.Uniform(3, 25))
+			q = NewAggregate("a", region, s.Uniform(50, 300), s.Uniform(1, 10), geo.NewUnitGrid(60, 60))
+			box = region.Expand(12)
+		} else {
+			var path geo.Trajectory
+			for i, n := 0, s.IntBetween(2, 5); i < n; i++ {
+				path.Waypoints = append(path.Waypoints, geo.Pt(s.Uniform(10, 50), s.Uniform(10, 50)))
+			}
+			q = NewTrajectory("t", path, s.Uniform(50, 200), s.Uniform(1, 8))
+			box = path.BoundingRect().Expand(12)
+		}
+		sensors := randomSensors(s, 40, box)
+		const wide, zeroTheta, far = 6, 4, 3
+		c := box.Center()
+		for k := 0; k < wide; k++ { // low quality, wide coverage
+			sensors[k].Pos = geo.Pt(c.X+s.Uniform(-2, 2), c.Y+s.Uniform(-2, 2))
+			sensors[k].Trust = s.Uniform(0.02, 0.1)
+		}
+		for k := wide; k < wide+zeroTheta; k++ {
+			sensors[k].Trust = 0
+		}
+		for k := wide + zeroTheta; k < wide+zeroTheta+far; k++ { // out of every target's range
+			sensors[k].Pos = geo.Pt(box.MaxX+40+s.Uniform(0, 10), box.MinY-40)
+		}
+		gc := q.NewState().(GeomCached)
+		masks, weights := buildMasks(gc, sensors)
+		n := len(sensors)
+		last := make([]int, n)
+		lastGain := make([]float64, n)
+		overlapped := make([]bool, n)
+		for k := range sensors {
+			lastGain[k], last[k] = gc.GainGeom(masks[k], weights[k])
+		}
+		order := make([]int, 0, n)
+		for k := 0; k < wide; k++ {
+			order = append(order, k)
+		}
+		for _, k := range s.Perm(n) {
+			if k >= wide {
+				order = append(order, k)
+			}
+		}
+		committed := make([]bool, n)
+		for _, ck := range order[:20] {
+			committed[ck] = true
+			gc.AddGeom(masks[ck], weights[ck])
+			for k := range sensors {
+				for w := range masks[k] {
+					if masks[k][w]&masks[ck][w] != 0 {
+						overlapped[k] = true
+					}
+				}
+			}
+			for k := range sensors {
+				if committed[k] {
+					continue
+				}
+				g, nc := gc.GainGeom(masks[k], weights[k])
+				b, ok := gc.GainBound(last[k], weights[k])
+				if !ok {
+					t.Fatalf("seed %d sensor %d: no bound at a non-negative budget and quality", seed, k)
+				}
+				if !(b >= g) {
+					t.Fatalf("seed %d sensor %d: bound %v from fresh count %d is below the gain %v (fresh count %d)",
+						seed, k, b, last[k], g, nc)
+				}
+				if !overlapped[k] && (nc != last[k] || b != g) {
+					t.Fatalf("seed %d sensor %d: no commit touched its targets, yet fresh %d -> %d and bound %v != gain %v",
+						seed, k, last[k], nc, b, g)
+				}
+				if g > lastGain[k] {
+					grew++
+				}
+				// Re-evaluate about half the pairs, so counts of every age
+				// are in play.
+				if s.Bool(0.5) {
+					last[k], lastGain[k], overlapped[k] = nc, g, false
+				}
+			}
+		}
+	}
+	if grew == 0 {
+		t.Fatal("no gain ever grew: the fixture misses Eq. 5's non-submodularity")
+	}
+	t.Logf("%d gains grew between evaluations", grew)
+
+	// Where a step of the chain could reverse order, the state offers no
+	// bound.
+	grid := geo.NewUnitGrid(20, 20)
+	region := geo.NewRect(2, 2, 12, 12)
+	neg := NewAggregate("neg", region, -100, 5, grid).NewState().(GeomCached)
+	if _, ok := neg.GainBound(3, 0.5); ok {
+		t.Error("negative budget: GainBound reports a bound")
+	}
+	st := NewAggregate("a", region, 100, 5, grid).NewState().(GeomCached)
+	for _, w := range []float64{-0.5, math.NaN(), math.Inf(1)} {
+		if _, ok := st.GainBound(3, w); ok {
+			t.Errorf("weight %v: GainBound reports a bound", w)
+		}
+	}
+}
+
 // --- per-layer benchmarks --------------------------------------------------
 
 // benchCoverage builds a state of the urban demand's shape — a 25x25
 // region (625 cells) or a 60-unit path, sensing range 10 — with the
-// sensors relevant to it, their masks, and a few of them committed.
-func benchCoverage(trajectory bool) (State, []*sensornet.Sensor, [][]uint64) {
+// sensors relevant to it, their masks and weights, and a few of them
+// committed.
+func benchCoverage(trajectory bool) (State, []*sensornet.Sensor, [][]uint64, []float64) {
 	s := rng.New(1, "bench-coverage")
 	var q Query
 	if trajectory {
@@ -263,25 +502,27 @@ func benchCoverage(trajectory bool) (State, []*sensornet.Sensor, [][]uint64) {
 	}
 	st := q.NewState()
 	gc := st.(GeomCached)
-	masks := buildMasks(gc, relevant)
+	masks, weights := buildMasks(gc, relevant)
 	for k := 0; k < 3; k++ {
-		gc.AddGeom(masks[k*7], relevant[k*7])
+		gc.AddGeom(masks[k*7], weights[k*7])
 	}
-	return st, relevant, masks
+	return st, relevant, masks, weights
 }
 
 var benchSink float64
 
 // benchGain times one gain evaluation from a prebuilt mask (what a
-// selection run's rounds do) and by disk walk (plain State.Gain).
+// selection run's rounds do), by disk walk (plain State.Gain), and the
+// mask-free bound the lazy strategy screens volatile pairs with.
 func benchGain(b *testing.B, trajectory bool) {
-	st, sensors, masks := benchCoverage(trajectory)
+	st, sensors, masks, weights := benchCoverage(trajectory)
 	gc := st.(GeomCached)
 	b.Run("masked", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			k := i % len(sensors)
-			benchSink += gc.GainGeom(masks[k], sensors[k])
+			g, _ := gc.GainGeom(masks[k], weights[k])
+			benchSink += g
 		}
 	})
 	b.Run("walk", func(b *testing.B) {
@@ -290,32 +531,30 @@ func benchGain(b *testing.B, trajectory bool) {
 			benchSink += st.Gain(sensors[i%len(sensors)])
 		}
 	})
+	b.Run("bound", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			k := i % len(sensors)
+			g, _ := gc.GainBound(i%100, weights[k])
+			benchSink += g
+		}
+	})
 }
 
 func BenchmarkAggregateGain(b *testing.B)  { benchGain(b, false) }
 func BenchmarkTrajectoryGain(b *testing.B) { benchGain(b, true) }
 
 // BenchmarkAggregateAdd times one commit from a prebuilt mask and by disk
-// walk; "build" is the per-sensor mask build a selection run pays once up
-// front.
+// walk.
 func BenchmarkAggregateAdd(b *testing.B) {
-	st, sensors, masks := benchCoverage(false)
+	st, sensors, masks, weights := benchCoverage(false)
 	q := st.Query()
-	b.Run("build", func(b *testing.B) {
-		b.ReportAllocs()
-		gc := q.NewState().(GeomCached)
-		mask := make([]uint64, gc.GeomWords())
-		for i := 0; i < b.N; i++ {
-			clear(mask)
-			gc.BuildGeom(sensors[i%len(sensors)], mask)
-		}
-	})
 	b.Run("masked", func(b *testing.B) {
 		b.ReportAllocs()
 		gc := q.NewState().(GeomCached)
 		for i := 0; i < b.N; i++ {
 			k := i % len(sensors)
-			gc.AddGeom(masks[k], sensors[k])
+			gc.AddGeom(masks[k], weights[k])
 		}
 	})
 	b.Run("walk", func(b *testing.B) {
@@ -325,4 +564,25 @@ func BenchmarkAggregateAdd(b *testing.B) {
 			st.Add(sensors[i%len(sensors)])
 		}
 	})
+}
+
+// BenchmarkBuildGeom times the per-sensor mask build a selection run pays
+// once up front for every (sensor, coverage query) pair: row spans on a
+// grid block, a per-sample walk on a path.
+func BenchmarkBuildGeom(b *testing.B) {
+	for _, c := range []struct {
+		name       string
+		trajectory bool
+	}{{"aggregate", false}, {"trajectory", true}} {
+		st, sensors, _, _ := benchCoverage(c.trajectory)
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			gc := st.Query().NewState().(GeomCached)
+			mask := make([]uint64, gc.GeomWords())
+			for i := 0; i < b.N; i++ {
+				clear(mask)
+				benchSink += gc.BuildGeom(sensors[i%len(sensors)], mask)
+			}
+		})
+	}
 }

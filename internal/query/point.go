@@ -57,8 +57,13 @@ func (p *Point) Relevant(s *sensornet.Sensor) bool {
 }
 
 // RelevantBase implements RelevanceBased: the relevance test evaluates
-// v_q(s) (Eq. 3), which is exactly the pointState base value.
+// v_q(s) (Eq. 3), which is exactly the pointState base value. A sensor
+// beyond DMax has theta 0 and so no value; outOfRange rejects most of
+// them before Quality's square root.
 func (p *Point) RelevantBase(s *sensornet.Sensor) (bool, float64) {
+	if outOfRange(s.Pos, p.Loc, p.DMax) {
+		return false, 0
+	}
 	v := p.ValueSingle(s)
 	return v > 0, v
 }
@@ -106,6 +111,20 @@ func (st *pointState) Add(s *sensornet.Sensor) {
 	}
 }
 
+// outOfRange reports that sensor position pos is certainly farther than
+// dmax from loc, so that Sensor.Quality(loc, dmax) is 0, without the
+// square root Quality takes. Quality compares the rounded square root of
+// the same dx*dx + dy*dy with dmax, and a Dist2 above dmax² puts that
+// root at or above dmax, where the quality is 0. The margin of 2⁻⁴⁰
+// absorbs a compiler that fuses the multiply-add in Dist2 differently
+// from the one in Dist, as Go allows; a relative margin covers that only
+// while dmax² is a normal float, so below that the test defers to
+// Quality.
+func outOfRange(pos, loc geo.Point, dmax float64) bool {
+	lim := dmax * dmax * (1 + 0x1p-40)
+	return lim >= 0x1p-1022 && pos.Dist2(loc) > lim
+}
+
 // MultiPoint is a multiple-sensor point query (§2.2.1): it asks for up to K
 // redundant readings at one location, e.g. to assess trustworthiness. Its
 // valuation averages the K best reading qualities:
@@ -142,10 +161,15 @@ func (m *MultiPoint) Relevant(s *sensornet.Sensor) bool {
 }
 
 // RelevantBase implements RelevanceBased: the relevance threshold test
-// computes the thresholded quality that is the multiPointState base.
+// computes the thresholded quality that is the multiPointState base. A
+// sensor beyond DMax has quality 0, below a positive ThetaMin; outOfRange
+// rejects most of them before Quality's square root.
 func (m *MultiPoint) RelevantBase(s *sensornet.Sensor) (bool, float64) {
+	if m.ThetaMin > 0 && outOfRange(s.Pos, m.Loc, m.DMax) {
+		return false, 0
+	}
 	t := s.Quality(m.Loc, m.DMax)
-	if t < m.ThetaMin {
+	if !(t >= m.ThetaMin) { // Relevant's test, NaN included
 		return false, 0
 	}
 	return true, t

@@ -53,11 +53,12 @@ type State interface {
 // Gain(x | A) >= Gain(x | B). The lazy-greedy selection strategy
 // (internal/core) treats a marked query's cached marginal gains as upper
 // bounds that only need re-evaluation when the query's state changes;
-// unmarked queries are re-evaluated eagerly after every commit that
-// touches them. The marker must be truthful — a valuation that claims
-// submodularity but lets gains grow can defeat lazy-greedy's bound
-// invariant (a best-effort violation detector then forces exhaustive
-// rescans, but detection is not guaranteed).
+// unmarked queries are refreshed after every commit that touches them
+// (from GeomCached's bound where the state offers one). The marker must
+// be truthful — a valuation that claims submodularity but lets gains
+// grow can defeat lazy-greedy's bound invariant (a best-effort violation
+// detector then forces exhaustive rescans, but detection is not
+// guaranteed).
 type Submodular interface {
 	// SubmodularValuation reports that Gain is non-increasing in the
 	// committed set.
@@ -97,33 +98,48 @@ func Footprint(q Query) (geo.Rect, bool) {
 // GeomCached is an optional interface for valuation states whose marginal
 // gain splits into per-sensor geometry that is fixed for the state's
 // lifetime (which coverage cells or trajectory samples a sensor's sensing
-// disk reaches — sensors do not move within a slot) and cheap arithmetic
-// on the committed set. The geometry is a bit mask of GeomWords words. A
-// selection run builds the mask of every relevant sensor once, before its
-// first round, keeps the masks in its own scratch memory and passes a
-// sensor's mask back with each evaluation:
+// disk reaches — sensors do not move within a slot), a per-sensor weight
+// that is fixed as well, and cheap arithmetic on the committed set. The
+// geometry is a bit mask of GeomWords words. A selection run builds the
+// mask of every relevant sensor once, before its first round, keeps the
+// masks and weights in its own scratch memory and passes a sensor's pair
+// back with each evaluation:
 //
-//	GainGeom(mask of s, s) == Gain(s)   bit-for-bit, at every state,
+//	GainGeom(mask of s, weight of s) == Gain(s)   bit-for-bit, at every state,
 //
-// and AddGeom(mask of s, s) leaves the state exactly as Add(s) would.
-// The state retains no mask, and GainGeom, like Gain, must not write to
-// the state.
+// and AddGeom(mask of s, weight of s) leaves the state exactly as Add(s)
+// would. The state retains no mask, and GainGeom, like Gain, must not
+// write to the state.
+//
+// GainGeom also returns the sensor's fresh count: how many of its mask's
+// targets the committed set does not reach yet. The count never grows as
+// sensors commit, and GainBound turns a count from an earlier state into
+// a bound on the current gain that reads no mask.
 //
 // The selection counts its use of this cache into
 // SelectionStats.GeomCacheLookups / GeomCacheHits: every BuildGeom,
 // GainGeom and AddGeom is one lookup; the GainGeom and AddGeom calls are
 // the hits (served from a prebuilt mask), the BuildGeom calls are the
-// misses (each computes one sensor's geometry).
+// misses (each computes one sensor's geometry). GainBound reads no mask
+// and counts as neither.
 type GeomCached interface {
 	// GeomWords returns the length of the state's geometry masks.
 	GeomWords() int
 	// BuildGeom computes sensor s's geometry into mask, which is
-	// GeomWords long and zeroed.
-	BuildGeom(s *sensornet.Sensor, mask []uint64)
-	// GainGeom is Gain(s), given the mask BuildGeom computed for s.
-	GainGeom(mask []uint64, s *sensornet.Sensor) float64
-	// AddGeom is Add(s), given the mask BuildGeom computed for s.
-	AddGeom(mask []uint64, s *sensornet.Sensor)
+	// GeomWords long and zeroed, and returns the sensor's weight.
+	BuildGeom(s *sensornet.Sensor, mask []uint64) (weight float64)
+	// GainGeom is Gain(s) and s's fresh count, given the mask and weight
+	// BuildGeom computed for s.
+	GainGeom(mask []uint64, weight float64) (gain float64, fresh int)
+	// GainBound returns, when ok, a bound at least as large as the
+	// current gain of any sensor of that weight whose fresh count was
+	// fresh at this state or an earlier one. It equals GainGeom's gain
+	// when fresh is the current count. When !ok the state promises
+	// nothing (for Eq. 5: a negative or non-finite budget or quality).
+	GainBound(fresh int, weight float64) (bound float64, ok bool)
+	// AddGeom is Add(s), given the mask and weight BuildGeom computed
+	// for s.
+	AddGeom(mask []uint64, weight float64)
 }
 
 // PairCached is an optional interface for valuation states whose marginal

@@ -274,3 +274,56 @@ func TestPointIDFormat(t *testing.T) {
 		t.Errorf("PointID = %q", got)
 	}
 }
+
+// TestRelevantBaseMatchesRelevant: the point kinds' RelevantBase, with its
+// distance pre-screen, answers exactly what Relevant and the state's
+// BaseValue answer — for sensors at, just inside and just outside DMax,
+// for thresholds at, below and above zero, and for DMax values whose
+// square is tiny, zero or not finite.
+func TestRelevantBaseMatchesRelevant(t *testing.T) {
+	loc := geo.Pt(10, 10)
+	var sensors []*sensornet.Sensor
+	add := func(x, y float64) {
+		s := sensorAt(len(sensors), x, y)
+		s.Inaccuracy = float64(len(sensors)%5) / 25
+		sensors = append(sensors, s)
+	}
+	for _, dmax := range []float64{5, 10, 0.3, 1e-160, 1e-200} {
+		// Along the axes and along a 3-4-5 diagonal, at dmax and one or
+		// two floats either side of it.
+		for _, d := range []float64{dmax, math.Nextafter(dmax, 0), math.Nextafter(dmax, 100),
+			math.Nextafter(math.Nextafter(dmax, 100), 100)} {
+			add(loc.X+d, loc.Y)
+			add(loc.X, loc.Y-d)
+			add(loc.X+0.6*d, loc.Y+0.8*d)
+		}
+	}
+	for i := 0; i < 400; i++ {
+		add(loc.X+float64(i%40)*0.37-7, loc.Y+float64(i/40)*1.3-6)
+	}
+	for _, dmax := range []float64{5, 10, 0.3, 1e-160, 1e-200, 0, -2, math.Inf(1), math.NaN()} {
+		for _, thetaMin := range []float64{0.2, 0, -1} {
+			p := NewPoint("p", loc, 20, dmax)
+			p.ThetaMin = thetaMin
+			m := NewMultiPoint("m", loc, 20, dmax, 3)
+			m.ThetaMin = thetaMin
+			for _, q := range []interface {
+				Query
+				RelevanceBased
+			}{p, m} {
+				pc := q.NewState().(PairCached)
+				for _, s := range sensors {
+					ok, base := q.RelevantBase(s)
+					if want := q.Relevant(s); ok != want {
+						t.Fatalf("%s dmax %v thetaMin %v, sensor at %v: RelevantBase says %v, Relevant %v",
+							q.QID(), dmax, thetaMin, s.Pos, ok, want)
+					}
+					if want := pc.BaseValue(s); ok && base != want && !(math.IsNaN(base) && math.IsNaN(want)) {
+						t.Fatalf("%s dmax %v thetaMin %v, sensor at %v: base %v, BaseValue %v",
+							q.QID(), dmax, thetaMin, s.Pos, base, want)
+					}
+				}
+			}
+		}
+	}
+}

@@ -622,11 +622,16 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 		httpErrorCoded(w, http.StatusNotFound, wire.CodeUnknownQuery, "unknown query %q", r.PathValue("id"))
 		return
 	}
-	resp := wire.QueryStatus{ID: rec.id, Type: rec.typ, Done: rec.isDone(), Results: []wire.Result{}}
+	resp := wire.QueryStatus{ID: rec.id, Type: rec.typ, Results: []wire.Result{}}
 	if h := rec.getHandle(); h != nil {
-		// Read the log like a watcher from the beginning would.
+		// Read the log like a watcher from the beginning would. Done and
+		// Error come from the same read, not from the record: the handle's
+		// OnDone marks the record only after the terminal event is
+		// published, so a client that has just read the final frame off
+		// /watch would otherwise see done:false here.
 		sub := h.Watch(noCursor)
 		accepted := false
+		var cause error
 		for ev, ok := sub.Next(); ok; ev, ok = sub.Next() {
 			switch ev.Type {
 			case ps.EventAccepted:
@@ -638,14 +643,21 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 				// endpoint; the gap also covers the accepted event when
 				// that is gone.
 				resp.ResultsTruncated += ev.Dropped
+			case ps.EventFinal, ps.EventCanceled:
+				resp.Done, cause = true, ev.Err
 			}
+		}
+		if !resp.Done && sub.Done() {
+			// The stream ended without a terminal event: the submission
+			// never went live.
+			resp.Done, cause = true, sub.Err()
 		}
 		sub.Close()
 		if !accepted && resp.ResultsTruncated > 0 {
 			resp.ResultsTruncated--
 		}
-		if err := h.Err(); resp.Done && err != nil {
-			resp.Error = err.Error()
+		if cause != nil {
+			resp.Error = cause.Error()
 		}
 	}
 	w.Header().Set("Content-Type", "application/json")

@@ -613,6 +613,71 @@ func TestServeWatchEndToEnd(t *testing.T) {
 	}
 }
 
+// TestServeWatchFinalThenGetIsDone: a client that reads a query's final
+// frame off /watch and then asks GET /query/{id} is told done:true. The
+// registry's own done mark lands only after the frame is out, so the
+// status endpoint derives done from the event log it reads. Eight
+// hundred one-shots finish in one slot, each watcher issuing its GET the
+// moment its final frame arrives: the hub publishes every final before
+// it runs the first completion callback, so in a slot this large the
+// GETs that follow the first finals land inside that window.
+func TestServeWatchFinalThenGetIsDone(t *testing.T) {
+	eng, ts := newTestStack(t)
+	const n = 800
+	for i := 0; i < n; i++ {
+		status, _ := postJSON(t, ts.URL+"/query", map[string]any{
+			"type": "point", "id": fmt.Sprintf("d%d", i), "loc": map[string]float64{"x": 20 + float64(i%40), "y": 30}, "budget": 20,
+		})
+		if status != http.StatusAccepted {
+			t.Fatalf("submit %d: status %d", i, status)
+		}
+	}
+	var attached, finished sync.WaitGroup
+	attached.Add(n)
+	finished.Add(n)
+	for i := 0; i < n; i++ {
+		id := fmt.Sprintf("d%d", i)
+		go func() {
+			defer finished.Done()
+			once := sync.OnceFunc(attached.Done)
+			defer once() // a stream that fails before its first frame
+			frames, err := readWatch(ts.URL+"/watch?id="+id, false, func(f wire.EventFrame) {
+				if f.Event != wire.FrameFinal {
+					once()
+					return
+				}
+				resp, err := http.Get(ts.URL + "/query/" + id)
+				if err != nil {
+					t.Errorf("GET %s: %v", id, err)
+					return
+				}
+				defer resp.Body.Close()
+				var st wire.QueryStatus
+				if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+					t.Errorf("GET %s: decode: %v", id, err)
+					return
+				}
+				if !st.Done || len(st.Results) != 1 || st.Error != "" {
+					t.Errorf("GET %s right after its final frame: done=%v, %d results, error %q; want done, 1 result, no error",
+						id, st.Done, len(st.Results), st.Error)
+				}
+			})
+			if err != nil {
+				t.Errorf("watch %s: %v", id, err)
+				return
+			}
+			if len(frames) == 0 || frames[len(frames)-1].Event != wire.FrameFinal {
+				t.Errorf("watch %s ended without a final frame: %+v", id, frames)
+			}
+		}()
+	}
+	attached.Wait()
+	if err := eng.RunSlots(1); err != nil {
+		t.Fatalf("RunSlots: %v", err)
+	}
+	finished.Wait()
+}
+
 // TestServeWatchReplayAndCursorResume: a watcher attaching after slots
 // ran gets the history replayed; resuming with ?cursor= skips what it
 // already has; a finished query's stream replays and terminates without
