@@ -21,7 +21,6 @@ type Aggregator struct {
 	sched    Scheduling
 	baseline bool
 	greedy   core.GreedyConfig
-	ledger   core.Ledger
 	selStats core.SelectionStats
 
 	points    []*PointQuery
@@ -33,16 +32,11 @@ type Aggregator struct {
 	regEvents []*RegionEventQuery
 }
 
-// Ledger exposes the aggregator's cumulative accounting: per-query
-// payments and utilities, per-sensor earnings, welfare, and balance checks
-// (the "accounting" stage of Algorithm 5).
-func (a *Aggregator) Ledger() *core.Ledger { return &a.ledger }
-
 // slotRunner is the narrow seam between the batch scheduling core and the
 // streaming Engine: everything the engine's event loop needs from the
 // aggregator is the ability to execute the next slot and to name it. The
 // engine wraps an Aggregator behind this interface; richer access (query
-// submission, the ledger) stays on the concrete type and is confined to
+// submission, selection stats) stays on the concrete type and is confined to
 // the loop goroutine.
 type slotRunner interface {
 	RunSlot() *SlotReport
@@ -135,9 +129,10 @@ type SlotReport struct {
 	ExtraValue  float64
 	// Events lists event-detection evaluations of this slot.
 	Events []EventNotification
-	// Selection instruments the slot's greedy sensor selection (zero for
-	// pipelines that bypass the greedy core, e.g. baseline or pure point
-	// slots under a non-greedy scheduling policy).
+	// Selection instruments the slot's greedy sensor selection. Pipelines
+	// that bypass the greedy core leave it zero, except that the optimal,
+	// local-search and egalitarian point policies count
+	// ConservationViolations.
 	Selection SelectionStats
 	// Shards is the per-shard breakdown when the slot ran on a
 	// ShardedAggregator (the last entry is the spanning pass); nil on the
@@ -237,11 +232,6 @@ func (a *Aggregator) RunSlot() *SlotReport {
 	tr.Mark(StageSelection)
 	a.world.Fleet.Commit(ex.selected)
 	tr.Mark(StageCommit)
-	if ex.point != nil {
-		a.ledger.RecordPointResult(ex.point)
-	} else {
-		a.ledger.RecordMixResult(ex.mix)
-	}
 	a.selStats.Accumulate(ex.report.Selection)
 	a.retire(t)
 	tr.Mark(StageAccounting)
@@ -251,7 +241,7 @@ func (a *Aggregator) RunSlot() *SlotReport {
 
 // slotExec is one executed selection pass over a batch of offers: the
 // report fragment plus what the caller still has to do afterwards — data
-// acquisition (Fleet.Commit on selected) and accounting (ledger). It is
+// acquisition (Fleet.Commit on selected) and accounting (stats). It is
 // the seam between the single-world RunSlot and the sharded execution
 // layer, which runs one executeSlot per shard and reconciles.
 type slotExec struct {
@@ -261,11 +251,10 @@ type slotExec struct {
 	// active continuous queries and their generated probes).
 	queries int
 	mix     *core.MixSlotResult // nil on the point-scheduling path
-	point   *core.PointResult   // nil on the mix path
 }
 
 // executeSlot runs slot t's selection over the given offers without
-// touching the fleet, the ledger or the pending-query lists. forceMix
+// touching the fleet, the stats or the pending-query lists. forceMix
 // routes even pure-point slots through the Algorithm 5 greedy pipeline —
 // the sharded layer needs every shard on the same (decomposable) path.
 func (a *Aggregator) executeSlot(t int, offers []core.Offer, forceMix bool) *slotExec {
@@ -304,7 +293,6 @@ func (a *Aggregator) executeSlot(t int, offers []core.Offer, forceMix bool) *slo
 	if !pureMix {
 		// Point-only slot: honor the configured scheduling policy.
 		res := a.sched.solver(a.greedy)(a.points, offers)
-		ex.point = res
 		ex.selected = res.Selected
 		report.Welfare = res.Welfare()
 		report.TotalCost = res.TotalCost

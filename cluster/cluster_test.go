@@ -170,11 +170,8 @@ func TestClusterGoldenEquivalence(t *testing.T) {
 			t.Fatalf("slot %d: degraded lanes %v on a healthy cluster", slot, cr.Degraded)
 		}
 	}
-	if err := clustered.Ledger().CheckBalance(1e-6); err != nil {
-		t.Errorf("cluster ledger: %v", err)
-	}
-	if got, want := clustered.Ledger().Slots(), slots; got != want {
-		t.Errorf("cluster ledger slots = %d, want %d", got, want)
+	if v := clustered.SelectionStats().ConservationViolations; v != 0 {
+		t.Errorf("cluster: %d conservation violations", v)
 	}
 	for _, m := range co.Membership() {
 		if m.State != "live" || m.Epoch != 1 {

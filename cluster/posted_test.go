@@ -403,8 +403,8 @@ func TestClusterDivergedReplicaHeals(t *testing.T) {
 			t.Errorf("member %+v, want live at epoch %d", m, want)
 		}
 	}
-	if err := sa.Ledger().CheckBalance(1e-6); err != nil {
-		t.Errorf("ledger: %v", err)
+	if v := sa.SelectionStats().ConservationViolations; v != 0 {
+		t.Errorf("%d conservation violations", v)
 	}
 }
 

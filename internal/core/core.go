@@ -29,10 +29,16 @@ type Offer = sensornet.Offer
 
 // PointOutcome records how one point query was answered.
 type PointOutcome struct {
-	Sensor  *sensornet.Sensor
-	Payment float64 // pi_{q,s} of Eq. 11
-	Value   float64 // v_q(s)
-	Theta   float64 // reading quality
+	// Sensor is the best sensor that served the query. The single-sensor
+	// solvers commit one per query; a greedy schedule can serve a query
+	// with several, and Sensor is then the best of them, not the only
+	// payee.
+	Sensor *sensornet.Sensor
+	// Payment is the query's total payment: the sum of pi_{q,s} of
+	// Eq. 11 over every sensor s that served it.
+	Payment float64
+	Value   float64 // v_q of the sensors that served it
+	Theta   float64 // Sensor's reading quality
 }
 
 // PointResult is the outcome of scheduling a batch of single-sensor point
@@ -49,7 +55,8 @@ type PointResult struct {
 	Outcomes map[string]PointOutcome
 	// Exact is false if an exact solver hit its node budget.
 	Exact bool
-	// Stats instruments greedy-based solvers (zero for the others).
+	// Stats instruments greedy-based solvers. The optimal, local-search
+	// and egalitarian solvers fill only ConservationViolations.
 	Stats SelectionStats
 }
 
@@ -95,6 +102,27 @@ func (g *locationGroup) groupValue(s *sensornet.Sensor) float64 {
 		sum += q.ValueSingle(s)
 	}
 	return sum
+}
+
+// settle commits, in offer order, every offer with assigned location
+// groups and charges the groups' queries by Eq. 11 (settlePayments). It
+// then checks the published payments (conservation), counting failures
+// in Stats.
+func (res *PointResult) settle(offers []Offer, groups []locationGroup, assigned map[int][]*locationGroup) {
+	var commits []SelectionStep
+	for i, o := range offers {
+		gs := assigned[i]
+		if len(gs) == 0 {
+			continue
+		}
+		value := settlePayments(o.Sensor, o.Cost, gs, res.Outcomes)
+		res.Selected = append(res.Selected, o.Sensor)
+		res.TotalCost += o.Cost
+		res.TotalValue += value
+		commits = append(commits, SelectionStep{Offer: i, SensorID: o.Sensor.ID, Cost: o.Cost})
+	}
+	var c conservation
+	res.Stats.ConservationViolations = c.point(groups, commits, res.Outcomes)
 }
 
 // settlePayments applies the proportionate cost allocation of Eq. 11 for

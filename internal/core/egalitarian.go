@@ -68,16 +68,7 @@ func EgalitarianPoint() PointSolver {
 			}
 		}
 
-		for i, o := range offers {
-			gs := assigned[i]
-			if len(gs) == 0 {
-				continue
-			}
-			value := settlePayments(o.Sensor, o.Cost, gs, res.Outcomes)
-			res.Selected = append(res.Selected, o.Sensor)
-			res.TotalCost += o.Cost
-			res.TotalValue += value
-		}
+		res.settle(offers, groups, assigned)
 		return res
 	}
 }

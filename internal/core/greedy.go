@@ -162,6 +162,11 @@ type SelectionStats struct {
 	// marginal gain *increased* — evidence the valuation is not
 	// submodular, so cached heap priorities are not upper bounds.
 	SubmodularityViolations int64
+	// ConservationViolations counts failed Eq. 11 checks on published
+	// payments: a committed sensor not paid its announced cost, a payment
+	// to a sensor that was not committed, or a query paying more than its
+	// value or budget. It must read 0.
+	ConservationViolations int64
 	// FallbackRescans counts rounds the lazy strategy re-scanned every
 	// remaining candidate exhaustively after observing a violation.
 	FallbackRescans int64
@@ -201,6 +206,7 @@ func (s *SelectionStats) Accumulate(o SelectionStats) {
 	s.SerialEquivCalls += o.SerialEquivCalls
 	s.LazyReevaluations += o.LazyReevaluations
 	s.SubmodularityViolations += o.SubmodularityViolations
+	s.ConservationViolations += o.ConservationViolations
 	s.FallbackRescans += o.FallbackRescans
 	s.GeomCacheHits += o.GeomCacheHits
 	s.GeomCacheLookups += o.GeomCacheLookups
@@ -368,8 +374,8 @@ type commitRec struct {
 }
 
 // selArena owns the reusable scratch of a selection run. Nothing in it
-// escapes into the MultiResult, so GreedySelectWith returns it to a
-// sync.Pool once finalize has copied the outputs out; concurrent shard
+// escapes into the MultiResult, so GreedySelectWith returns it to
+// idleArenas once finalize has copied the outputs out; concurrent shard
 // lanes each draw their own arena.
 type selArena struct {
 	relOff     []int32
@@ -388,6 +394,8 @@ type selArena struct {
 	geomWords  []int32
 	maskOff    []int32
 	masks      []uint64
+	// cons is finalize's conservation check.
+	cons conservation
 	// cursor is scratch for the counting passes that deal items out to
 	// CSR rows (buildRelevance's buckets, lazyLoop's volatile index,
 	// finalize's outcomes).
@@ -409,7 +417,28 @@ type selArena struct {
 	merged   []int32
 }
 
-var arenaPool = sync.Pool{New: func() any { return new(selArena) }}
+// idleArenas holds the arenas of finished runs for the next run to reuse.
+// It is a free list, not a sync.Pool: a pool empties itself at every GC,
+// and an arena rebuilt after each GC cost urban-select about a fifth more
+// bytes per slot once the live heap, and with it the GC interval, was
+// small. The list holds at most as many arenas as runs ever overlapped.
+var idleArenas struct {
+	sync.Mutex
+	free []*selArena
+}
+
+// getArena takes an idle arena, or makes one.
+func getArena() *selArena {
+	idleArenas.Lock()
+	defer idleArenas.Unlock()
+	n := len(idleArenas.free)
+	if n == 0 {
+		return new(selArena)
+	}
+	ar := idleArenas.free[n-1]
+	idleArenas.free = idleArenas.free[:n-1]
+	return ar
+}
 
 // growInt32 returns buf resized to n, reallocating only when capacity is
 // short. Contents are unspecified.
@@ -434,7 +463,7 @@ func growBool(buf []bool, n int) []bool {
 	return buf[:n]
 }
 
-// release returns the arena to the pool. Safe to call more than once.
+// release returns the arena to idleArenas. Safe to call more than once.
 func (s *selection) release() {
 	if s.ar == nil {
 		return
@@ -451,7 +480,9 @@ func (s *selection) release() {
 	clear(ar.pcs)
 	clear(ar.geom)
 	clear(ar.rbs)
-	arenaPool.Put(ar)
+	idleArenas.Lock()
+	idleArenas.free = append(idleArenas.free, ar)
+	idleArenas.Unlock()
 }
 
 // evalCounters accumulates a loop's valuation accounting in a local;
@@ -481,7 +512,7 @@ func newSelection(queries []query.Query, offers []Offer) *selection {
 		return s
 	}
 
-	ar := arenaPool.Get().(*selArena)
+	ar := getArena()
 	s.ar = ar
 	nq, no := len(queries), len(offers)
 	s.relCount = growInt32(ar.relCount, nq)
@@ -870,7 +901,8 @@ func (s *selection) commit(si int, net float64) {
 }
 
 // finalize publishes the per-query outcomes with their values, the total
-// value and the stats.
+// value and the stats, after checking the published payments against
+// Eq. 11.
 func (s *selection) finalize() {
 	s.dealOutcomes()
 	for i, q := range s.queries {
@@ -878,6 +910,10 @@ func (s *selection) finalize() {
 		out.Value = s.states[i].Value()
 		s.res.TotalValue += out.Value
 		s.res.Outcomes[q.QID()] = out
+	}
+	// A run without an arena committed nothing, so it paid nothing.
+	if s.ar != nil {
+		s.stats.ConservationViolations += s.ar.cons.multi(s.queries, s.outs, s.res.Trace)
 	}
 	s.res.Stats = s.stats
 }
@@ -983,7 +1019,9 @@ func GreedyPointWith(cfg GreedyConfig) PointSolver {
 }
 
 // pointResultFromMulti converts a MultiResult over point queries into the
-// PointResult shape (one sensor per query: the best one committed).
+// PointResult shape: each answered query names the best sensor committed
+// to it and pays its total over every sensor that served it (see
+// PointOutcome).
 func pointResultFromMulti(queries []*query.Point, multi *MultiResult) *PointResult {
 	res := &PointResult{
 		Outcomes:   make(map[string]PointOutcome),

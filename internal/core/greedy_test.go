@@ -152,6 +152,32 @@ func TestGreedyPointAdapter(t *testing.T) {
 	if res.Welfare() > opt.Welfare()+1e-9 {
 		t.Errorf("greedy point %v exceeds optimal %v", res.Welfare(), opt.Welfare())
 	}
+
+	// Sensor 0 commits first for the two queries on it and serves "q"
+	// at theta 0.4; sensor 1 then lifts "q" to 0.8 and serves "b". "q"
+	// pays both commits: its outcome names the better sensor and the
+	// total payment, not that sensor's share alone.
+	offers = makeOffers(geo.Pt(0, 0), geo.Pt(4, 0))
+	queries = []*query.Point{
+		query.NewPoint("a0", geo.Pt(0, 0), 30, 5),
+		query.NewPoint("a1", geo.Pt(0, 0), 30, 5),
+		query.NewPoint("q", geo.Pt(3, 0), 30, 5),
+		query.NewPoint("b", geo.Pt(4, 0), 15, 5),
+	}
+	res = GreedyPoint()(queries, offers)
+	multi := GreedySelect([]query.Query{queries[0], queries[1], queries[2], queries[3]}, offers)
+	paid := multi.Outcomes["q"].Payments
+	if len(res.Selected) != 2 || len(paid) != 2 {
+		t.Fatalf("selected %d sensors, q paid %v: want both sensors paid by q", len(res.Selected), paid)
+	}
+	q := res.Outcomes["q"]
+	if q.Sensor.ID != 1 || q.Payment != paid[0].Amount+paid[1].Amount {
+		t.Errorf("q outcome = sensor %d paying %v; want sensor 1 paying %v + %v",
+			q.Sensor.ID, q.Payment, paid[0].Amount, paid[1].Amount)
+	}
+	if v := res.Stats.ConservationViolations; v != 0 {
+		t.Errorf("%d conservation violations", v)
+	}
 }
 
 func TestGreedyMixedQueryTypes(t *testing.T) {

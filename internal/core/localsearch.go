@@ -221,15 +221,6 @@ func (inst *lsInstance) finish(member []bool) *PointResult {
 			assigned[bestI] = append(assigned[bestI], &inst.groups[l])
 		}
 	}
-	for i, o := range inst.offers {
-		gs := assigned[i]
-		if len(gs) == 0 {
-			continue
-		}
-		value := settlePayments(o.Sensor, o.Cost, gs, res.Outcomes)
-		res.Selected = append(res.Selected, o.Sensor)
-		res.TotalCost += o.Cost
-		res.TotalValue += value
-	}
+	res.settle(inst.offers, inst.groups, assigned)
 	return res
 }

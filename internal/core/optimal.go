@@ -69,16 +69,7 @@ func OptimalPoint(opts OptimalOptions) PointSolver {
 				assignedGroups[f] = append(assignedGroups[f], &groups[l])
 			}
 		}
-		for i, o := range offers {
-			gs := assignedGroups[i]
-			if len(gs) == 0 {
-				continue
-			}
-			value := settlePayments(o.Sensor, o.Cost, gs, res.Outcomes)
-			res.Selected = append(res.Selected, o.Sensor)
-			res.TotalCost += o.Cost
-			res.TotalValue += value
-		}
+		res.settle(offers, groups, assignedGroups)
 		return res
 	}
 }

@@ -96,7 +96,7 @@ type LanePartial struct {
 	Trace       []SelectionStep
 
 	// Outcomes, Continuous and Contributions carry the accounting inputs
-	// (ledger booking and per-type value re-summation).
+	// (per-type value re-summation).
 	Outcomes      map[string]LaneOutcome
 	Continuous    map[string]ContinuousOutcome
 	Contributions map[int]float64
@@ -175,8 +175,8 @@ func partialFromExec(ex *slotExec, selectMs float64) *LanePartial {
 // in-process lanes return their original exec; partials off the wire are
 // rebuilt, resolving sensor IDs against the coordinator's own fleet (the
 // node holds a replica of the same world, so IDs resolve 1:1). The
-// rebuilt MultiOutcomes carry no Sensors slice — reconciliation and the
-// ledger only read Value and Payments.
+// rebuilt MultiOutcomes carry no Sensors slice — reconciliation only
+// reads Value.
 func (p *LanePartial) bind(byID map[int]*sensornet.Sensor) (*slotExec, error) {
 	if p.exec != nil {
 		return p.exec, nil

@@ -32,8 +32,9 @@ import (
 // outcome's payments are a window of one slab.
 //
 // The leading byte names the layout; a decoder that meets another value
-// refuses the partial rather than misread it.
-const lanePartialFormat = 1
+// refuses the partial rather than misread it. Layout 2 appended
+// ConservationViolations to the selection counters.
+const lanePartialFormat = 2
 
 // AppendBinary appends the partial's binary form to b and returns the
 // extended slice.
@@ -109,6 +110,7 @@ func (p *LanePartial) AppendBinary(b []byte) []byte {
 	for _, c := range []int64{
 		s.ValuationCalls, s.SerialEquivCalls, s.LazyReevaluations, s.SubmodularityViolations,
 		s.FallbackRescans, s.GeomCacheHits, s.GeomCacheLookups, s.PosteriorAppends, s.PosteriorRebuilds,
+		s.ConservationViolations,
 	} {
 		b = binary.AppendVarint(b, c)
 	}
@@ -254,6 +256,7 @@ func DecodeLanePartial(data []byte) (*LanePartial, error) {
 	for _, c := range []*int64{
 		&s.ValuationCalls, &s.SerialEquivCalls, &s.LazyReevaluations, &s.SubmodularityViolations,
 		&s.FallbackRescans, &s.GeomCacheHits, &s.GeomCacheLookups, &s.PosteriorAppends, &s.PosteriorRebuilds,
+		&s.ConservationViolations,
 	} {
 		*c = r.varint()
 	}

@@ -361,15 +361,17 @@ func goldenPartial() *LanePartial {
 		Answered: map[string]bool{"lm": true, "idle": false},
 		Events:   []EventNotification{{QueryID: "lm", Slot: 7, Detected: true, Confidence: 0.875, Reading: -1.25}},
 		Selection: SelectionStats{Strategy: "lazy", ValuationCalls: 310, SerialEquivCalls: 900, LazyReevaluations: 12,
-			SubmodularityViolations: 1, FallbackRescans: 1, GeomCacheHits: 40, GeomCacheLookups: 48, PosteriorAppends: 2, PosteriorRebuilds: 1},
+			SubmodularityViolations: 1, FallbackRescans: 1, GeomCacheHits: 40, GeomCacheLookups: 48, PosteriorAppends: 2, PosteriorRebuilds: 1,
+			ConservationViolations: 3},
 		SelectMs: 1.75, StepMs: 0.5,
 	}
 }
 
-// goldenPartialHex is goldenPartial's encoding from when outcome payments
-// were a map from sensor ID to amount: the ascending pair list must
-// encode to the same bytes, and those bytes must decode back.
-const goldenPartialHex = "010ef0010a04540622040a54000000000000f83f000000000000024000060000" +
+// goldenPartialHex is goldenPartial's encoding in layout 2. It was
+// first pinned against the encoder from when outcome payments were a map
+// from sensor ID to amount; layout 2 changed only the leading format byte
+// and appended ConservationViolations to the selection counters.
+const goldenPartialHex = "020ef0010a04540622040a54000000000000f83f000000000000024000060000" +
 	"00000000e83f000000000000e03f12220000000000000040555555555555d53f" +
 	"06056167672d3700000000000046400322000000000000e83f54000000000000" +
 	"f03f0469646c65000000000000000001046c6d2370000000000000f83f00046d" +
@@ -382,11 +384,11 @@ const goldenPartialHex = "010ef0010a04540622040a54000000000000f83f00000000000002
 	"00000000203e400670742d372d31000000000000234005056167672d37000000" +
 	"000000fc3f026c6d000000000000d03f046d702d37000000000000fc3f067074" +
 	"2d372d31000000000000e83f030469646c6500026c6d0102026c6d0e01000000" +
-	"000000ec3f000000000000f4bf046c617a79ec04880e18020250600402000000" +
-	"000000fc3f000000000000e03f"
+	"000000ec3f000000000000f4bf046c617a79ec04880e18020250600402060000" +
+	"00000000fc3f000000000000e03f"
 
-// TestLanePartialGoldenBytes: the wire bytes did not change when outcome
-// payments became a sorted pair list.
+// TestLanePartialGoldenBytes: the wire bytes of layout 2 are fixed, and
+// they decode back to the partial they encode.
 func TestLanePartialGoldenBytes(t *testing.T) {
 	want, err := hex.DecodeString(goldenPartialHex)
 	if err != nil {

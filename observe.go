@@ -29,7 +29,7 @@ const (
 	StageSpanning    = "spanning"     // sharded: cross-shard residual pass
 	StageReconcile   = "reconcile"    // sharded: deterministic merge
 	StageCommit      = "commit"       // Fleet.Commit: data acquisition
-	StageAccounting  = "accounting"   // ledger, stats, retirement
+	StageAccounting  = "accounting"   // stats, retirement
 	StagePublish     = "publish"      // hub fan-out of the slot report
 )
 

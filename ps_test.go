@@ -211,39 +211,29 @@ func TestReportAccessorsOnEmptySlot(t *testing.T) {
 	}
 }
 
-func TestAggregatorLedgerAccounting(t *testing.T) {
-	world := NewRWMWorld(11, 200, SensorConfig{})
-	agg := NewAggregator(world)
-	for slot := 0; slot < 4; slot++ {
-		for i := 0; i < 80; i++ {
-			mustSubmit(t, agg, PointSpec{ID: ids("q", i), Loc: Pt(15+float64((i*31+slot*3)%50), 15+float64((i*17+slot*5)%50)), Budget: 18})
+// TestAggregatorPaymentConservation: four point-only slots and one mix
+// slot pay every committed sensor its cost and charge no query more than
+// its value or budget, under the exact and the greedy point policy.
+func TestAggregatorPaymentConservation(t *testing.T) {
+	for _, sched := range []Scheduling{SchedulingOptimal, SchedulingGreedy} {
+		agg := NewAggregator(NewRWMWorld(11, 200, SensorConfig{}), WithScheduling(sched))
+		var welfare float64
+		for slot := 0; slot < 4; slot++ {
+			for i := 0; i < 80; i++ {
+				mustSubmit(t, agg, PointSpec{ID: ids("q", i), Loc: Pt(15+float64((i*31+slot*3)%50), 15+float64((i*17+slot*5)%50)), Budget: 18})
+			}
+			welfare += agg.RunSlot().Welfare
 		}
-		agg.RunSlot()
-	}
-	l := agg.Ledger()
-	if l.Slots() != 4 {
-		t.Errorf("ledger slots = %d", l.Slots())
-	}
-	if err := l.CheckBalance(1e-6); err != nil {
-		t.Fatal(err)
-	}
-	if l.TotalWelfare() <= 0 {
-		t.Error("ledger welfare should be positive")
-	}
-	if top := l.TopEarners(5); len(top) == 0 || top[0].Earned <= 0 {
-		t.Error("no sensor earnings recorded")
-	}
-	if g := l.GiniOfEarnings(); g < 0 || g > 1 {
-		t.Errorf("gini = %v", g)
-	}
-	// Mixed pipeline also books into the ledger.
-	mustSubmit(t, agg, AggregateSpec{ID: "agg-l", Region: NewRect(20, 20, 45, 45), Budget: 400})
-	agg.RunSlot()
-	if l.Slots() != 5 {
-		t.Errorf("mix slot not recorded: %d", l.Slots())
-	}
-	if err := l.CheckBalance(1e-6); err != nil {
-		t.Fatal(err)
+		if welfare <= 0 {
+			t.Errorf("%v: point-slot welfare %v, want positive", sched, welfare)
+		}
+		mustSubmit(t, agg, AggregateSpec{ID: "agg-l", Region: NewRect(20, 20, 45, 45), Budget: 400})
+		if rep := agg.RunSlot(); !rep.Answered("agg-l") {
+			t.Errorf("%v: mix slot left the aggregate unanswered", sched)
+		}
+		if v := agg.SelectionStats().ConservationViolations; v != 0 {
+			t.Errorf("%v: %d conservation violations", sched, v)
+		}
 	}
 }
 

@@ -143,7 +143,6 @@ type ShardedAggregator struct {
 	sensorsByID map[int]*sensornet.Sensor
 
 	order    shardedOrder
-	ledger   core.Ledger
 	selStats core.SelectionStats
 	// stats accumulates the per-shard breakdown across slots; index
 	// len(shards) is the spanning pass.
@@ -220,13 +219,6 @@ func (sa *ShardedAggregator) sensorIdx() map[int]*sensornet.Sensor {
 	}
 	return sa.sensorsByID
 }
-
-// Partition returns the geographic partitioner routing sensors and
-// queries to shards.
-func (sa *ShardedAggregator) Partition() GridPartition { return sa.part }
-
-// Ledger exposes the cumulative accounting over all shards.
-func (sa *ShardedAggregator) Ledger() *core.Ledger { return &sa.ledger }
 
 // SelectionStats returns the cumulative selection instrumentation summed
 // over every shard and the spanning pass.
@@ -474,16 +466,6 @@ func (sa *ShardedAggregator) RunSlot() *SlotReport {
 	// the union of the lanes' selections.
 	sa.world.Fleet.Commit(selected)
 	tr.Mark(StageCommit)
-	mixes := make([]*core.MixSlotResult, 0, len(execs)+1)
-	for _, ex := range execs {
-		if ex != nil {
-			mixes = append(mixes, ex.mix)
-		}
-	}
-	if spanExec != nil {
-		mixes = append(mixes, spanExec.mix)
-	}
-	sa.ledger.RecordMixResults(mixes...)
 	sa.selStats.Accumulate(rep.Selection)
 	for i, s := range rep.Shards {
 		sa.stats[i].accumulate(s)

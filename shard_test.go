@@ -115,12 +115,9 @@ func TestShardedGoldenEquivalence(t *testing.T) {
 		}
 	}
 
-	// The merged accounting must balance like the unsharded ledger does.
-	if err := pair.sharded.Ledger().CheckBalance(1e-6); err != nil {
-		t.Errorf("sharded ledger: %v", err)
-	}
-	if got, want := pair.sharded.Ledger().Slots(), slots; got != want {
-		t.Errorf("sharded ledger slots = %d, want %d (one per RunSlot, not per shard)", got, want)
+	// Every lane and the spanning pass pay out Eq. 11 exactly.
+	if v := pair.sharded.SelectionStats().ConservationViolations; v != 0 {
+		t.Errorf("sharded: %d conservation violations", v)
 	}
 }
 
@@ -324,8 +321,8 @@ func TestShardedIgnoresBaselinePipeline(t *testing.T) {
 		t.Fatalf("selection not committed: SensorsUsed=%d TotalCost=%v (payments %v)",
 			rep.SensorsUsed, rep.TotalCost, rep.Payment("a"))
 	}
-	if err := sa.Ledger().CheckBalance(1e-6); err != nil {
-		t.Errorf("ledger: %v", err)
+	if v := sa.SelectionStats().ConservationViolations; v != 0 {
+		t.Errorf("%d conservation violations", v)
 	}
 }
 

@@ -26,13 +26,25 @@ func submitAll[A interface {
 	}
 }
 
+// requireConserved fails unless every aggregator's payments so far kept
+// Eq. 11: each committed sensor paid its cost, no query charged above its
+// value or budget.
+func requireConserved(t *testing.T, slot int, aggs []*Aggregator) {
+	t.Helper()
+	for i, a := range aggs {
+		if v := a.SelectionStats().ConservationViolations; v != 0 {
+			t.Fatalf("slot %d, aggregator %d: %d conservation violations", slot, i, v)
+		}
+	}
+}
+
 // TestStrategyEquivalenceAllQueryKinds drives seven of the eight query
 // kinds (everything except region monitoring, which needs a GP-modelled
 // world — see the IntelLab companion test below) through full
 // Aggregator pipelines on seeded random worlds, one aggregator per
 // strategy, and requires every slot report to be bit-identical to the
 // serial scan's: same welfare, per-query values and payments to the
-// last float bit. This is the end-to-end counterpart of the
+// last float bit, and no conservation violation on any of them. This is the end-to-end counterpart of the
 // internal/core strategy tests — it additionally exercises probe
 // generation, continuous-query bookkeeping, event detection and the
 // accounting loops that consume the selection results.
@@ -113,6 +125,7 @@ func TestStrategyEquivalenceAllQueryKinds(t *testing.T) {
 						requireIdentical(t, slot, want, got)
 					})
 				}
+				requireConserved(t, slot, all)
 			}
 		})
 	}
@@ -160,6 +173,7 @@ func TestStrategyEquivalenceRegionMonitoring(t *testing.T) {
 						requireIdentical(t, slot, want, got)
 					})
 				}
+				requireConserved(t, slot, all)
 			}
 		})
 	}

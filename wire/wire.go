@@ -411,6 +411,7 @@ type ShardMetrics struct {
 	ValuationCallsSaved     int64   `json:"valuation_calls_saved"`
 	LazyReevaluations       int64   `json:"lazy_reevaluations"`
 	SubmodularityViolations int64   `json:"submodularity_violations"`
+	ConservationViolations  int64   `json:"conservation_violations"`
 	FallbackRescans         int64   `json:"fallback_rescans"`
 	GeomCacheHits           int64   `json:"geom_cache_hits"`
 	GeomCacheLookups        int64   `json:"geom_cache_lookups"`
@@ -448,6 +449,7 @@ func MetricsFrom(m ps.EngineMetrics, configured string) Metrics {
 			ValuationCallsSaved:     s.Selection.SavedCalls(),
 			LazyReevaluations:       s.Selection.LazyReevaluations,
 			SubmodularityViolations: s.Selection.SubmodularityViolations,
+			ConservationViolations:  s.Selection.ConservationViolations,
 			FallbackRescans:         s.Selection.FallbackRescans,
 			GeomCacheHits:           s.Selection.GeomCacheHits,
 			GeomCacheLookups:        s.Selection.GeomCacheLookups,
