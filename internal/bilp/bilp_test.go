@@ -1,124 +1,11 @@
 package bilp
 
 import (
-	"errors"
 	"math"
 	"testing"
 
 	"repro/internal/rng"
 )
-
-func TestSolveKnapsack(t *testing.T) {
-	// Classic knapsack: values {6,10,12}, weights {1,2,3}, capacity 5 ->
-	// take items 2 and 3 for value 22.
-	p := &Problem{
-		Obj: []float64{6, 10, 12},
-		A:   [][]float64{{1, 2, 3}},
-		B:   []float64{5},
-	}
-	sol, err := p.Solve(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sol.Objective != 22 {
-		t.Errorf("objective = %v want 22", sol.Objective)
-	}
-	if sol.X[0] || !sol.X[1] || !sol.X[2] {
-		t.Errorf("X = %v", sol.X)
-	}
-	if !sol.Exact {
-		t.Error("should be exact")
-	}
-}
-
-func TestSolveUnconstrainedTakesPositives(t *testing.T) {
-	p := &Problem{Obj: []float64{3, -2, 5, 0}, A: nil, B: nil}
-	sol, err := p.Solve(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sol.Objective != 8 {
-		t.Errorf("objective = %v want 8", sol.Objective)
-	}
-}
-
-func TestSolveInfeasible(t *testing.T) {
-	// x1 + x2 <= -1 is unsatisfiable even with both zero.
-	p := &Problem{Obj: []float64{1, 1}, A: [][]float64{{1, 1}}, B: []float64{-1}}
-	if _, err := p.Solve(0); !errors.Is(err, ErrInfeasible) {
-		t.Errorf("expected ErrInfeasible, got %v", err)
-	}
-}
-
-func TestSolveNegativeCoefficientConstraint(t *testing.T) {
-	// Constraint -x1 <= -1 forces x1 = 1 even though its objective is
-	// negative.
-	p := &Problem{Obj: []float64{-5, 2}, A: [][]float64{{-1, 0}}, B: []float64{-1}}
-	sol, err := p.Solve(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sol.X[0] {
-		t.Error("x1 must be forced on")
-	}
-	if sol.Objective != -3 {
-		t.Errorf("objective = %v want -3", sol.Objective)
-	}
-}
-
-func TestValidate(t *testing.T) {
-	p := &Problem{Obj: []float64{1}, A: [][]float64{{1, 2}}, B: []float64{1}}
-	if _, err := p.Solve(0); err == nil {
-		t.Error("row length mismatch should error")
-	}
-	p2 := &Problem{Obj: []float64{1}, A: [][]float64{{1}}, B: nil}
-	if _, err := p2.Solve(0); err == nil {
-		t.Error("rows vs rhs mismatch should error")
-	}
-	if _, err := (&Problem{Obj: make([]float64, 30)}).SolveBrute(); err == nil {
-		t.Error("brute force must refuse n > 25")
-	}
-}
-
-func TestSolveMatchesBruteOnRandomInstances(t *testing.T) {
-	s := rng.New(77, "bilp-random")
-	for trial := 0; trial < 60; trial++ {
-		n := s.IntBetween(1, 10)
-		m := s.IntBetween(0, 4)
-		p := &Problem{Obj: make([]float64, n)}
-		for j := range p.Obj {
-			p.Obj[j] = s.Uniform(-10, 10)
-		}
-		for i := 0; i < m; i++ {
-			row := make([]float64, n)
-			for j := range row {
-				row[j] = s.Uniform(-3, 5)
-			}
-			p.A = append(p.A, row)
-			p.B = append(p.B, s.Uniform(0, 8))
-		}
-		brute, errB := p.SolveBrute()
-		bb, errS := p.Solve(0)
-		if (errB == nil) != (errS == nil) {
-			t.Fatalf("trial %d: err mismatch: brute=%v solve=%v", trial, errB, errS)
-		}
-		if errB != nil {
-			continue
-		}
-		if math.Abs(brute.Objective-bb.Objective) > 1e-9 {
-			t.Fatalf("trial %d: brute %v != solve %v", trial, brute.Objective, bb.Objective)
-		}
-	}
-}
-
-func TestSolveNodeBudget(t *testing.T) {
-	// A tiny node budget must not crash; it may return inexact results.
-	p := &Problem{Obj: []float64{1, 1, 1, 1, 1}}
-	sol, err := p.Solve(2)
-	if err == nil && sol.Exact {
-		t.Log("solved exactly within 2 nodes (fine)")
-	}
-}
 
 func randomFL(s *rng.Stream, nF, nC int) *FLProblem {
 	p := &FLProblem{
@@ -290,19 +177,49 @@ func TestSolveFLMediumInstanceExact(t *testing.T) {
 	}
 }
 
-func TestSortedFacilities(t *testing.T) {
-	p := &FLProblem{
-		OpenCost: []float64{1, 1, 1},
-		Profits: [][]FLProfit{
-			{{Facility: 2, Profit: 10}},
-			{{Facility: 0, Profit: 3}},
-		},
+// FLBrute solves small instances exhaustively; the reference SolveFL is
+// checked against.
+func FLBrute(p *FLProblem) *FLSolution {
+	nF := len(p.OpenCost)
+	if nF > 20 {
+		panic("bilp: FLBrute limited to 20 facilities")
 	}
-	idx := p.SortedFacilities()
-	if idx[0] != 2 {
-		t.Errorf("most profitable facility should sort first: %v", idx)
+	best := math.Inf(-1)
+	var bestOpen []bool
+	open := make([]bool, nF)
+	for mask := 0; mask < 1<<uint(nF); mask++ {
+		for f := 0; f < nF; f++ {
+			open[f] = mask&(1<<uint(f)) != 0
+		}
+		var obj float64
+		for _, edges := range p.Profits {
+			b := 0.0
+			for _, e := range edges {
+				if open[e.Facility] && e.Profit > b {
+					b = e.Profit
+				}
+			}
+			obj += b
+		}
+		for f := 0; f < nF; f++ {
+			if open[f] {
+				obj -= p.OpenCost[f]
+			}
+		}
+		if obj > best {
+			best = obj
+			bestOpen = append(bestOpen[:0:0], open...)
+		}
 	}
-	if len(idx) != 3 {
-		t.Errorf("len=%d", len(idx))
+	sol := &FLSolution{Open: bestOpen, Assign: make([]int, len(p.Profits)), Objective: best, Exact: true}
+	for l, edges := range p.Profits {
+		bp, bf := 0.0, -1
+		for _, e := range edges {
+			if bestOpen[e.Facility] && e.Profit > bp {
+				bp, bf = e.Profit, e.Facility
+			}
+		}
+		sol.Assign[l] = bf
 	}
+	return sol
 }

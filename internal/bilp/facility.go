@@ -1,9 +1,11 @@
+// Package bilp solves the binary integer linear program behind the paper's
+// "Optimal Scheduling" (§3.1.1): problem (9) assigns sensors to queried
+// locations maximizing total valuation minus sensor costs. The paper solves
+// it with an off-the-shelf ILP solver; SolveFL is the from-scratch
+// equivalent, an exact solver specialised to the sensor-assignment structure
+// that exploits connected-component decomposition and a submodularity-based
+// bound to handle the evaluation's instance sizes.
 package bilp
-
-import (
-	"math"
-	"sort"
-)
 
 // The sensor-assignment BILP (9) has uncapacitated-facility-location
 // structure: opening sensor i costs c_i; assigning client (queried
@@ -375,75 +377,4 @@ func flGreedy(clientEdges [][]FLProfit, facClients [][]cp, cost []float64) flGre
 		}
 	}
 	return flGreedyResult{open: open, obj: obj}
-}
-
-// FLBrute solves small instances exhaustively; the testing reference.
-func FLBrute(p *FLProblem) *FLSolution {
-	nF := len(p.OpenCost)
-	if nF > 20 {
-		panic("bilp: FLBrute limited to 20 facilities")
-	}
-	best := math.Inf(-1)
-	var bestOpen []bool
-	open := make([]bool, nF)
-	for mask := 0; mask < 1<<uint(nF); mask++ {
-		for f := 0; f < nF; f++ {
-			open[f] = mask&(1<<uint(f)) != 0
-		}
-		var obj float64
-		for _, edges := range p.Profits {
-			b := 0.0
-			for _, e := range edges {
-				if open[e.Facility] && e.Profit > b {
-					b = e.Profit
-				}
-			}
-			obj += b
-		}
-		for f := 0; f < nF; f++ {
-			if open[f] {
-				obj -= p.OpenCost[f]
-			}
-		}
-		if obj > best {
-			best = obj
-			bestOpen = append(bestOpen[:0:0], open...)
-		}
-	}
-	sol := &FLSolution{Open: bestOpen, Assign: make([]int, len(p.Profits)), Objective: best, Exact: true}
-	for l, edges := range p.Profits {
-		bp, bf := 0.0, -1
-		for _, e := range edges {
-			if bestOpen[e.Facility] && e.Profit > bp {
-				bp, bf = e.Profit, e.Facility
-			}
-		}
-		sol.Assign[l] = bf
-	}
-	return sol
-}
-
-// SortedFacilities returns facility indices ordered by descending total
-// profit minus cost — a deterministic ordering helper used by callers that
-// need stable tie-breaking.
-func (p *FLProblem) SortedFacilities() []int {
-	total := make([]float64, len(p.OpenCost))
-	for _, edges := range p.Profits {
-		for _, e := range edges {
-			total[e.Facility] += e.Profit
-		}
-	}
-	idx := make([]int, len(p.OpenCost))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		da := total[idx[a]] - p.OpenCost[idx[a]]
-		db := total[idx[b]] - p.OpenCost[idx[b]]
-		if da != db {
-			return da > db
-		}
-		return idx[a] < idx[b]
-	})
-	return idx
 }

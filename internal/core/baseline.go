@@ -139,13 +139,3 @@ func BaselineMultiSelect(queries []query.Query, offers []Offer) *MultiResult {
 	}
 	return res
 }
-
-// BaselineAggregates adapts BaselineMultiSelect for aggregate-query
-// batches.
-func BaselineAggregates(queries []*query.Aggregate, offers []Offer) *MultiResult {
-	qs := make([]query.Query, len(queries))
-	for i, q := range queries {
-		qs[i] = q
-	}
-	return BaselineMultiSelect(qs, offers)
-}

@@ -42,9 +42,6 @@ type MixSlotResult struct {
 	// the probes Algorithm 5 generates carry derived IDs, so without
 	// this projection per-query reporting cannot see continuous results.
 	Continuous map[string]ContinuousOutcome
-	// Contributions holds region queries' cost contributions to shared
-	// sensors (payment-adjustment stage).
-	Contributions map[int]float64
 	// TotalCost is the cost of all selected sensors.
 	TotalCost float64
 }
@@ -87,7 +84,6 @@ func RunMixSlotWith(t int, qs MixQueries, offers []Offer, cfg GreedyConfig) *Mix
 	res := &MixSlotResult{
 		PointOutcomes: make(map[string]PointOutcome),
 		Continuous:    make(map[string]ContinuousOutcome),
-		Contributions: make(map[int]float64),
 	}
 
 	// Stage 1a: location monitoring point queries.
@@ -172,7 +168,7 @@ func RunMixSlotWith(t int, qs MixQueries, offers []Offer, cfg GreedyConfig) *Mix
 			return nil, 0, false
 		}
 		return out.Sensors[0], out.TotalPayment(), true
-	}, multi.Selected, true, res.Contributions)
+	}, multi.Selected, true)
 	for _, plan := range rm.plans {
 		co := res.Continuous[plan.q.ID]
 		co.Satisfied = co.Satisfied || plan.satisfied
@@ -208,7 +204,6 @@ func RunMixSlotBaseline(t int, qs MixQueries, offers []Offer) *MixSlotResult {
 	res := &MixSlotResult{
 		PointOutcomes: make(map[string]PointOutcome),
 		Continuous:    make(map[string]ContinuousOutcome),
-		Contributions: make(map[int]float64),
 	}
 
 	multiQs := make([]query.Query, 0, len(qs.Aggregates)+len(qs.Extra))

@@ -51,10 +51,6 @@ type RegMonSlotResult struct {
 	Point *PointResult
 	// ValueGained sums the per-query increases of the Eq. 7 valuation.
 	ValueGained float64
-	// Contributions maps sensor IDs to the total cost contribution made by
-	// region queries for shared sensors — the payment-adjustment input of
-	// Algorithm 5.
-	Contributions map[int]float64
 	// Issued counts the generated point queries.
 	Issued int
 }
@@ -163,8 +159,8 @@ func planRegionMonitoring(t int, queries []*query.RegionMonitoring, offers []Off
 // payment that satisfied a generated point query; each plan records those
 // observations. With share set, a query then contributes to sensors
 // selected for other queries inside its region, best marginal first, up
-// to alpha*(C_t - C-hat_t); the contributions accumulate per sensor ID.
-func (rs *regmonSlot) apply(answered func(pid string) (*sensornet.Sensor, float64, bool), selected []*sensornet.Sensor, share bool, contributions map[int]float64) {
+// to alpha*(C_t - C-hat_t); each contribution is booked in the plan's paid.
+func (rs *regmonSlot) apply(answered func(pid string) (*sensornet.Sensor, float64, bool), selected []*sensornet.Sensor, share bool) {
 	recorded := make(map[*regPlan]map[int]bool, len(rs.plans))
 	for _, plan := range rs.plans {
 		recorded[plan] = make(map[int]bool)
@@ -214,7 +210,6 @@ func (rs *regmonSlot) apply(answered func(pid string) (*sensornet.Sensor, float6
 			}
 			pay := math.Min(c.dv, budget)
 			q.Record(c.s.Pos, q.Theta(c.s), pay)
-			contributions[c.s.ID] += pay
 			budget -= pay
 			plan.paid += pay
 			plan.satisfied = true
@@ -243,7 +238,7 @@ func RunRegionMonitoringSlot(t int, queries []*query.RegionMonitoring, offers []
 		}
 	}
 
-	out := &RegMonSlotResult{Contributions: make(map[int]float64)}
+	out := &RegMonSlotResult{}
 	rs, pts := planRegionMonitoring(t, queries, offers, weight, opts.MaxPlanningTimes)
 	if len(rs.active) == 0 {
 		out.Point = &PointResult{Outcomes: map[string]PointOutcome{}, Exact: true}
@@ -263,7 +258,7 @@ func RunRegionMonitoringSlot(t int, queries []*query.RegionMonitoring, offers []
 	rs.apply(func(pid string) (*sensornet.Sensor, float64, bool) {
 		o, ok := res.Outcomes[pid]
 		return o.Sensor, o.Payment, ok
-	}, res.Selected, opts.ShareSensors, out.Contributions)
+	}, res.Selected, opts.ShareSensors)
 
 	for qi, q := range rs.active {
 		out.ValueGained += q.Value() - rs.before[qi]

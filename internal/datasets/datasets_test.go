@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/geo"
-	"repro/internal/mobility"
 	"repro/internal/sensornet"
 )
 
@@ -179,5 +178,3 @@ func TestReadingAtWithoutPhenomenon(t *testing.T) {
 		t.Errorf("ReadingAt without phenomenon = %v", got)
 	}
 }
-
-var _ = mobility.CountIn // document the dependency used by calibration tests

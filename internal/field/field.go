@@ -7,8 +7,6 @@
 //     a draw from (approximately) that Gaussian process.
 //   - DiurnalSeries: an ozone-like time series standing in for the Zurich
 //     OpenSense trace (§4.5): daily sinusoid + linear trend + AR(1) noise.
-//   - SpatioTemporalField: a GPField modulated over time, for examples that
-//     want evolving phenomena.
 package field
 
 import (
@@ -63,15 +61,6 @@ func (f *GPField) ValueAt(p geo.Point) float64 {
 	return v
 }
 
-// SampleGrid evaluates the field at every cell center of g, row-major.
-func (f *GPField) SampleGrid(g geo.Grid) []float64 {
-	out := make([]float64, g.NumCells())
-	for idx := range out {
-		out[idx] = f.ValueAt(g.CellCenter(g.CellAt(idx)))
-	}
-	return out
-}
-
 // DiurnalSeries generates an ozone-like time series: a daily cycle with
 // configurable period (in slots), amplitude, linear trend and AR(1) noise.
 type DiurnalSeries struct {
@@ -102,29 +91,4 @@ func (d DiurnalSeries) Generate(n int, rnd *rng.Stream) []float64 {
 			noise
 	}
 	return out
-}
-
-// SpatioTemporalField modulates a spatial field with a diurnal series:
-// value(p, t) = spatial(p) + temporal(t) - temporal base.
-type SpatioTemporalField struct {
-	Spatial  *GPField
-	Temporal []float64
-	Base     float64
-}
-
-// NewSpatioTemporal builds an evolving field over n slots.
-func NewSpatioTemporal(spatial *GPField, d DiurnalSeries, n int, rnd *rng.Stream) *SpatioTemporalField {
-	return &SpatioTemporalField{Spatial: spatial, Temporal: d.Generate(n, rnd), Base: d.Base}
-}
-
-// ValueAt returns the field value at p during slot t. Slots past the
-// generated horizon clamp to the last value.
-func (f *SpatioTemporalField) ValueAt(p geo.Point, t int) float64 {
-	if t < 0 {
-		t = 0
-	}
-	if t >= len(f.Temporal) {
-		t = len(f.Temporal) - 1
-	}
-	return f.Spatial.ValueAt(p) + f.Temporal[t] - f.Base
 }

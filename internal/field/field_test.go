@@ -26,9 +26,9 @@ func TestGPFieldDeterministicAndSmooth(t *testing.T) {
 func TestGPFieldStatistics(t *testing.T) {
 	f := NewGPField(20, 4, 3, 128, rng.New(2, "stats"))
 	g := geo.NewUnitGrid(40, 40)
-	vals := f.SampleGrid(g)
-	if len(vals) != 1600 {
-		t.Fatalf("SampleGrid len=%d", len(vals))
+	vals := make([]float64, g.NumCells())
+	for idx := range vals {
+		vals[idx] = f.ValueAt(g.CellCenter(g.CellAt(idx)))
 	}
 	var sum, sumsq float64
 	for _, v := range vals {
@@ -116,22 +116,5 @@ func TestDiurnalSeriesNoiseAutocorrelation(t *testing.T) {
 	}
 	if corr := num / den; corr < 0.5 {
 		t.Errorf("AR(0.9) lag-1 correlation = %v, want > 0.5", corr)
-	}
-}
-
-func TestSpatioTemporalField(t *testing.T) {
-	spatial := NewGPField(10, 2, 3, 32, rng.New(9, "st"))
-	f := NewSpatioTemporal(spatial, DefaultOzone(), 50, rng.New(10, "st-t"))
-	p := geo.Pt(3, 3)
-	// Value changes over time.
-	if f.ValueAt(p, 0) == f.ValueAt(p, 25) {
-		t.Error("spatio-temporal field constant in time")
-	}
-	// Out-of-range slots clamp instead of panicking.
-	if got := f.ValueAt(p, -5); got != f.ValueAt(p, 0) {
-		t.Errorf("negative slot should clamp: %v", got)
-	}
-	if got := f.ValueAt(p, 999); got != f.ValueAt(p, 49) {
-		t.Errorf("past-horizon slot should clamp: %v", got)
 	}
 }

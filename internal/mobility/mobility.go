@@ -223,14 +223,3 @@ func (m *Stationary) N() int { return len(m.Positions) }
 
 // Step implements Model.
 func (m *Stationary) Step() []geo.Point { return m.Positions }
-
-// CountIn returns how many of the given positions fall inside r.
-func CountIn(positions []geo.Point, r geo.Rect) int {
-	n := 0
-	for _, p := range positions {
-		if r.Contains(p) {
-			n++
-		}
-	}
-	return n
-}

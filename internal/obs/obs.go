@@ -155,20 +155,6 @@ var DurationBuckets = []float64{
 // as eviction-run sizes.
 var SizeBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024}
 
-// ExponentialBuckets returns n bounds starting at start, each factor
-// times the previous.
-func ExponentialBuckets(start, factor float64, n int) []float64 {
-	if start <= 0 || factor <= 1 || n < 1 {
-		panic("obs: ExponentialBuckets needs start > 0, factor > 1, n >= 1")
-	}
-	b := make([]float64, n)
-	for i := range b {
-		b[i] = start
-		start *= factor
-	}
-	return b
-}
-
 // Kind is a metric family's type.
 type Kind int
 

@@ -198,16 +198,6 @@ func TestTrace(t *testing.T) {
 	}
 }
 
-func TestExponentialBuckets(t *testing.T) {
-	b := ExponentialBuckets(1, 2, 4)
-	want := []float64{1, 2, 4, 8}
-	for i := range want {
-		if b[i] != want[i] {
-			t.Fatalf("buckets = %v, want %v", b, want)
-		}
-	}
-}
-
 func expose(t *testing.T, r *Registry) string {
 	t.Helper()
 	var b strings.Builder

@@ -240,9 +240,28 @@ func TestBitsetTrajectoryMatchesReference(t *testing.T) {
 				if len(centers) == 0 {
 					return 0
 				}
-				return budget * geo.CoverageFractionOfPoints(q.samples, centers, r) * sumTheta / float64(len(centers))
+				return budget * coverageFractionOfPoints(q.samples, centers, r) * sumTheta / float64(len(centers))
 			})
 	}
+}
+
+// coverageFractionOfPoints is the trajectory reference: the fraction of
+// targets within radius of at least one center.
+func coverageFractionOfPoints(targets, centers []geo.Point, radius float64) float64 {
+	if len(targets) == 0 {
+		return 0
+	}
+	r2 := radius * radius
+	covered := 0
+	for _, t := range targets {
+		for _, s := range centers {
+			if t.Dist2(s) <= r2 {
+				covered++
+				break
+			}
+		}
+	}
+	return float64(covered) / float64(len(targets))
 }
 
 // checkSpans requires the walk's mask and fresh count for every position

@@ -11,7 +11,6 @@ package rng
 
 import (
 	"hash/fnv"
-	"math"
 	"math/rand"
 )
 
@@ -75,53 +74,8 @@ func (s *Stream) Exp(rate float64) float64 {
 	return s.r.ExpFloat64() / rate
 }
 
-// Poisson returns a Poisson-distributed count with the given mean, using
-// Knuth's algorithm for small means and a normal approximation for large.
-func (s *Stream) Poisson(mean float64) int {
-	if mean <= 0 {
-		return 0
-	}
-	if mean > 30 {
-		v := int(math.Round(s.Norm(mean, math.Sqrt(mean))))
-		if v < 0 {
-			v = 0
-		}
-		return v
-	}
-	l := math.Exp(-mean)
-	k := 0
-	p := 1.0
-	for {
-		p *= s.r.Float64()
-		if p <= l {
-			return k
-		}
-		k++
-	}
-}
-
 // Bool returns true with probability p.
 func (s *Stream) Bool(p float64) bool { return s.r.Float64() < p }
-
-// Choice returns a uniform element index weighted by the given non-negative
-// weights. If all weights are zero it returns a uniform index.
-func (s *Stream) Choice(weights []float64) int {
-	var total float64
-	for _, w := range weights {
-		total += w
-	}
-	if total <= 0 {
-		return s.r.Intn(len(weights))
-	}
-	x := s.r.Float64() * total
-	for i, w := range weights {
-		x -= w
-		if x < 0 {
-			return i
-		}
-	}
-	return len(weights) - 1
-}
 
 // Perm returns a random permutation of [0,n).
 func (s *Stream) Perm(n int) []int { return s.r.Perm(n) }

@@ -101,40 +101,6 @@ func TestNormMoments(t *testing.T) {
 	}
 }
 
-func TestPoissonMean(t *testing.T) {
-	s := New(5, "poisson")
-	for _, mean := range []float64{0.5, 3, 12, 60} {
-		n := 5000
-		var sum float64
-		for i := 0; i < n; i++ {
-			sum += float64(s.Poisson(mean))
-		}
-		got := sum / float64(n)
-		if math.Abs(got-mean) > mean*0.1+0.15 {
-			t.Errorf("Poisson(%v) sample mean = %v", mean, got)
-		}
-	}
-	if s.Poisson(0) != 0 || s.Poisson(-1) != 0 {
-		t.Error("non-positive mean should give 0")
-	}
-}
-
-func TestChoiceWeighted(t *testing.T) {
-	s := New(3, "choice")
-	counts := [3]int{}
-	for i := 0; i < 30000; i++ {
-		counts[s.Choice([]float64{1, 2, 1})]++
-	}
-	if counts[1] < counts[0] || counts[1] < counts[2] {
-		t.Errorf("weighted choice not respecting weights: %v", counts)
-	}
-	// All-zero weights fall back to uniform without panicking.
-	idx := s.Choice([]float64{0, 0, 0})
-	if idx < 0 || idx > 2 {
-		t.Errorf("zero-weight choice out of range: %d", idx)
-	}
-}
-
 func TestExpPositive(t *testing.T) {
 	s := New(8, "exp")
 	var sum float64

@@ -121,9 +121,6 @@ func NewSensor(id int, pos geo.Point) *Sensor {
 	}
 }
 
-// Readings returns how many measurements the sensor has provided.
-func (s *Sensor) Readings() int { return s.readings }
-
 // Alive reports whether the sensor can still provide measurements.
 func (s *Sensor) Alive() bool { return s.readings < s.Lifetime }
 

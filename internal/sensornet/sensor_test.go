@@ -88,8 +88,8 @@ func TestLifetimeAndEnergy(t *testing.T) {
 	if s.RemainingEnergy() != 0 {
 		t.Errorf("energy = %v want 0", s.RemainingEnergy())
 	}
-	if s.Readings() != 4 {
-		t.Errorf("readings = %d", s.Readings())
+	if s.readings != 4 {
+		t.Errorf("readings = %d", s.readings)
 	}
 }
 

@@ -26,19 +26,6 @@ func TestMeanKnown(t *testing.T) {
 	}
 }
 
-func TestVarianceStdDev(t *testing.T) {
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	if got := Variance(xs); got != 4 {
-		t.Errorf("Variance=%v want 4", got)
-	}
-	if got := StdDev(xs); got != 2 {
-		t.Errorf("StdDev=%v want 2", got)
-	}
-	if Variance([]float64{5}) != 0 {
-		t.Error("single-element variance != 0")
-	}
-}
-
 func TestMinMax(t *testing.T) {
 	xs := []float64{3, -1, 7, 2}
 	if Min(xs) != -1 || Max(xs) != 7 {
@@ -74,19 +61,6 @@ func TestQuantile(t *testing.T) {
 	}
 }
 
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{1, 2, 3})
-	if s.N != 3 || s.Mean != 2 || s.Min != 1 || s.Max != 3 {
-		t.Errorf("Summary=%+v", s)
-	}
-	if !strings.Contains(s.String(), "mean=2.000") {
-		t.Errorf("Summary.String()=%q", s.String())
-	}
-	if z := Summarize(nil); z.N != 0 {
-		t.Errorf("empty summary = %+v", z)
-	}
-}
-
 func TestMeanBoundsProperty(t *testing.T) {
 	f := func(raw []int8) bool {
 		if len(raw) == 0 {
@@ -98,19 +72,6 @@ func TestMeanBoundsProperty(t *testing.T) {
 		}
 		m := Mean(xs)
 		return m >= Min(xs)-1e-9 && m <= Max(xs)+1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestVarianceNonNegativeProperty(t *testing.T) {
-	f := func(raw []int8) bool {
-		xs := make([]float64, len(raw))
-		for i, v := range raw {
-			xs[i] = float64(v)
-		}
-		return Variance(xs) >= 0
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -71,14 +71,6 @@ type LaneError struct {
 	Err   error
 }
 
-// LaneOutcome is one query's outcome inside a LanePartial: the value it
-// obtained and its per-sensor payments, ascending by sensor ID (the
-// serializable projection of the greedy core's MultiOutcome).
-type LaneOutcome struct {
-	Value    float64
-	Payments []Payment
-}
-
 // LanePartial is one lane's slot result in serializable form — everything
 // the coordinator's reconciliation pass needs from a shard, whether the
 // lane ran in-process or on a remote node. All floats are exact: the
@@ -95,11 +87,11 @@ type LanePartial struct {
 	SelectedIDs []int
 	Trace       []SelectionStep
 
-	// Outcomes, Continuous and Contributions carry the accounting inputs
-	// (per-type value re-summation).
-	Outcomes      map[string]LaneOutcome
-	Continuous    map[string]ContinuousOutcome
-	Contributions map[int]float64
+	// Outcomes (each joint-selection query's value) and Continuous carry
+	// the accounting inputs (per-type value re-summation). The reported
+	// payments travel in Payments below.
+	Outcomes   map[string]float64
+	Continuous map[string]ContinuousOutcome
 
 	TotalCost   float64
 	PointValue  float64
@@ -161,12 +153,11 @@ func partialFromExec(ex *slotExec, selectMs float64) *LanePartial {
 			p.SelectedIDs[i] = s.ID
 		}
 		p.Trace = ex.mix.Multi.Trace
-		p.Outcomes = make(map[string]LaneOutcome, len(ex.mix.Multi.Outcomes))
+		p.Outcomes = make(map[string]float64, len(ex.mix.Multi.Outcomes))
 		for id, out := range ex.mix.Multi.Outcomes {
-			p.Outcomes[id] = LaneOutcome{Value: out.Value, Payments: out.Payments}
+			p.Outcomes[id] = out.Value
 		}
 		p.Continuous = ex.mix.Continuous
-		p.Contributions = ex.mix.Contributions
 	}
 	return p
 }
@@ -175,8 +166,7 @@ func partialFromExec(ex *slotExec, selectMs float64) *LanePartial {
 // in-process lanes return their original exec; partials off the wire are
 // rebuilt, resolving sensor IDs against the coordinator's own fleet (the
 // node holds a replica of the same world, so IDs resolve 1:1). The
-// rebuilt MultiOutcomes carry no Sensors slice — reconciliation only
-// reads Value.
+// rebuilt MultiOutcomes carry only Value — all reconciliation reads.
 func (p *LanePartial) bind(byID map[int]*sensornet.Sensor) (*slotExec, error) {
 	if p.exec != nil {
 		return p.exec, nil
@@ -195,8 +185,8 @@ func (p *LanePartial) bind(byID map[int]*sensornet.Sensor) (*slotExec, error) {
 	}
 	outcomes := make(map[string]*core.MultiOutcome, len(p.Outcomes))
 	outs := make([]core.MultiOutcome, 0, len(p.Outcomes))
-	for id, out := range p.Outcomes {
-		outs = append(outs, core.MultiOutcome{Value: out.Value, Payments: out.Payments})
+	for id, v := range p.Outcomes {
+		outs = append(outs, core.MultiOutcome{Value: v})
 		outcomes[id] = &outs[len(outs)-1]
 	}
 	report := &SlotReport{
@@ -228,14 +218,13 @@ func (p *LanePartial) bind(byID map[int]*sensornet.Sensor) (*slotExec, error) {
 				Outcomes:  outcomes,
 				Stats:     p.Selection,
 			},
-			PointValue:    p.PointValue,
-			AggValue:      p.AggValue,
-			LocMonValue:   p.LocMonValue,
-			RegMonValue:   p.RegMonValue,
-			ExtraValue:    p.ExtraValue,
-			Continuous:    p.Continuous,
-			Contributions: p.Contributions,
-			TotalCost:     p.TotalCost,
+			PointValue:  p.PointValue,
+			AggValue:    p.AggValue,
+			LocMonValue: p.LocMonValue,
+			RegMonValue: p.RegMonValue,
+			ExtraValue:  p.ExtraValue,
+			Continuous:  p.Continuous,
+			TotalCost:   p.TotalCost,
 		},
 	}, nil
 }

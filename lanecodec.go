@@ -20,21 +20,18 @@ import (
 //     for nil, so nil and empty survive the trip as what they were;
 //   - map entries are written in ascending key order, which makes the
 //     encoding a function of the partial alone (equal partials are equal
-//     bytes, and encode∘decode is a fixed point);
-//   - an outcome's payments are a list of (sensor ID, amount) pairs,
-//     ascending by ID: the same bytes a map from sensor ID to amount
-//     would encode to, and a decoder refuses a list whose IDs do not
-//     strictly ascend.
+//     bytes, and encode∘decode is a fixed point).
 //
 // The decoder keeps the number of allocations per partial constant: the
-// outcome and continuous query IDs are substrings of one string, the
-// IDs of the later sections resolve to those same substrings, and every
-// outcome's payments are a window of one slab.
+// outcome and continuous query IDs are substrings of one string, and the
+// IDs of the later sections resolve to those same substrings.
 //
 // The leading byte names the layout; a decoder that meets another value
 // refuses the partial rather than misread it. Layout 2 appended
-// ConservationViolations to the selection counters.
-const lanePartialFormat = 2
+// ConservationViolations to the selection counters. Layout 3 dropped each
+// outcome's per-sensor payments and the region-monitoring contributions,
+// which the coordinator never read.
+const lanePartialFormat = 3
 
 // AppendBinary appends the partial's binary form to b and returns the
 // extended slice.
@@ -61,10 +58,8 @@ func (p *LanePartial) AppendBinary(b []byte) []byte {
 	b = appendCount(b, len(p.Outcomes), p.Outcomes == nil)
 	strs = sortedKeys(p.Outcomes, strs)
 	for _, id := range strs {
-		out := p.Outcomes[id]
 		b = appendString(b, id)
-		b = appendFloat(b, out.Value)
-		b = appendPayments(b, out.Payments)
+		b = appendFloat(b, p.Outcomes[id])
 	}
 	b = appendCount(b, len(p.Continuous), p.Continuous == nil)
 	strs = sortedKeys(p.Continuous, strs)
@@ -75,7 +70,6 @@ func (p *LanePartial) AppendBinary(b []byte) []byte {
 		b = appendFloat(b, co.ValueDelta)
 		b = appendFloat(b, co.Payment)
 	}
-	b = appendIntFloatMap(b, p.Contributions)
 
 	for _, f := range []float64{p.TotalCost, p.PointValue, p.AggValue, p.LocMonValue, p.RegMonValue, p.ExtraValue, p.Welfare} {
 		b = appendFloat(b, f)
@@ -143,24 +137,6 @@ func appendCount(b []byte, n int, isNil bool) []byte {
 	return binary.AppendUvarint(b, uint64(n)+1)
 }
 
-func appendPayments(b []byte, ps []Payment) []byte {
-	b = appendCount(b, len(ps), ps == nil)
-	for _, p := range ps {
-		b = appendInt(b, p.SensorID)
-		b = appendFloat(b, p.Amount)
-	}
-	return b
-}
-
-func appendIntFloatMap(b []byte, m map[int]float64) []byte {
-	b = appendCount(b, len(m), m == nil)
-	for _, k := range sortedKeys(m, nil) {
-		b = appendInt(b, k)
-		b = appendFloat(b, m[k])
-	}
-	return b
-}
-
 // sortedKeys fills buf with m's keys in ascending order.
 func sortedKeys[K cmp.Ordered, V any](m map[K]V, buf []K) []K {
 	buf = buf[:0]
@@ -174,9 +150,8 @@ func sortedKeys[K cmp.Ordered, V any](m map[K]V, buf []K) []K {
 // DecodeLanePartial parses the binary form AppendBinary writes. The input
 // is untrusted: every length is checked against the bytes that remain
 // before anything is allocated for it (so memory stays within a constant
-// factor of len(data)), a repeated map key, an unknown layout byte and
-// trailing bytes are errors, and so is a payments list whose sensor IDs
-// do not strictly ascend; no input panics.
+// factor of len(data)), and a repeated map key, an unknown layout byte and
+// trailing bytes are errors; no input panics.
 func DecodeLanePartial(data []byte) (*LanePartial, error) {
 	r := partialReader{b: data}
 	if format := r.byte(); r.err == nil && format != lanePartialFormat {
@@ -198,15 +173,12 @@ func DecodeLanePartial(data []byte) (*LanePartial, error) {
 		}
 	}
 
-	pays := r.scanIDs()
-	if n, ok := r.count(10); ok {
-		p.Outcomes = make(map[string]LaneOutcome, n)
+	r.scanIDs()
+	if n, ok := r.count(9); ok {
+		p.Outcomes = make(map[string]float64, n)
 		for i := 0; i < n; i++ {
 			id := r.newID()
-			v := r.float()
-			var out []Payment
-			out, pays = r.payments(pays)
-			p.Outcomes[id] = LaneOutcome{Value: v, Payments: out}
+			p.Outcomes[id] = r.float()
 		}
 		r.distinct(len(p.Outcomes), n)
 	}
@@ -218,7 +190,6 @@ func DecodeLanePartial(data []byte) (*LanePartial, error) {
 		}
 		r.distinct(len(p.Continuous), n)
 	}
-	p.Contributions = r.intFloatMap()
 
 	for _, f := range []*float64{&p.TotalCost, &p.PointValue, &p.AggValue, &p.LocMonValue, &p.RegMonValue, &p.ExtraValue, &p.Welfare} {
 		*f = r.float()
@@ -360,26 +331,18 @@ func (r *partialReader) strBytes() []byte {
 
 func (r *partialReader) str() string { return string(r.strBytes()) }
 
-// scanIDs sizes the decode's shared buffers. It reads ahead, without
-// consuming, over the outcome and continuous sections, grows the ID
-// string to hold every ID they name, and returns an empty payments slab
-// with room for every outcome's payments. On malformed input the sizes
-// may come out short; the decode then fails at the same place anyway.
-func (r *partialReader) scanIDs() []Payment {
+// scanIDs sizes the decode's shared ID buffers. It reads ahead, without
+// consuming, over the outcome and continuous sections and grows the ID
+// string to hold every ID they name. On malformed input the sizes may
+// come out short; the decode then fails at the same place anyway.
+func (r *partialReader) scanIDs() {
 	sc := partialReader{b: r.b}
-	var idBytes, ids, pays int
-	if n, ok := sc.count(10); ok {
+	var idBytes, ids int
+	if n, ok := sc.count(9); ok {
 		for i := 0; i < n && sc.err == nil; i++ {
 			idBytes += len(sc.strBytes())
 			ids++
 			sc.take(8)
-			if m, ok := sc.count(9); ok {
-				pays += m
-				for j := 0; j < m && sc.err == nil; j++ {
-					sc.varint()
-					sc.take(8)
-				}
-			}
 		}
 	}
 	if n, ok := sc.count(18); ok {
@@ -391,7 +354,6 @@ func (r *partialReader) scanIDs() []Payment {
 	}
 	r.idBuf.Grow(idBytes)
 	r.ids = make([]string, 0, ids)
-	return make([]Payment, 0, pays)
 }
 
 // newID reads an outcome or continuous query ID into the shared ID
@@ -433,24 +395,6 @@ func (r *partialReader) id() string {
 	return string(b)
 }
 
-// payments reads one outcome's payments list into the slab and returns
-// the list, a window of the slab, with the extended slab.
-func (r *partialReader) payments(slab []Payment) (list, rest []Payment) {
-	n, ok := r.count(9)
-	if !ok {
-		return nil, slab
-	}
-	start := len(slab)
-	for i := 0; i < n && r.err == nil; i++ {
-		p := Payment{SensorID: r.int(), Amount: r.float()}
-		if i > 0 && p.SensorID <= slab[len(slab)-1].SensorID {
-			r.fail("payments to sensor %d after sensor %d", p.SensorID, slab[len(slab)-1].SensorID)
-		}
-		slab = append(slab, p)
-	}
-	return slab[start:len(slab):len(slab)], slab
-}
-
 // count reads a collection's length and reports whether the collection is
 // non-nil. elemMin is the fewest bytes one element can occupy: a length
 // the remaining input cannot hold is refused before the caller allocates.
@@ -472,18 +416,4 @@ func (r *partialReader) distinct(got, want int) {
 	if r.err == nil && got != want {
 		r.fail("map of %d entries repeats a key", want)
 	}
-}
-
-func (r *partialReader) intFloatMap() map[int]float64 {
-	n, ok := r.count(9)
-	if !ok {
-		return nil
-	}
-	m := make(map[int]float64, n)
-	for i := 0; i < n; i++ {
-		k := r.int()
-		m[k] = r.float()
-	}
-	r.distinct(len(m), n)
-	return m
 }

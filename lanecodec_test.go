@@ -127,17 +127,16 @@ func realPartials(t testing.TB) []*LanePartial {
 // TestLanePartialBinaryRoundTripReal: partials from real lanes, every
 // query kind among them, cross the codec unchanged to the last bit.
 func TestLanePartialBinaryRoundTripReal(t *testing.T) {
-	var outcomes, continuous, events, contributions int
+	var outcomes, continuous, events int
 	for i, p := range realPartials(t) {
 		requireRoundTrip(t, fmt.Sprintf("partial %d (slot %d)", i, p.Slot), p)
 		outcomes += len(p.Outcomes)
 		continuous += len(p.Continuous)
 		events += len(p.Events)
-		contributions += len(p.Contributions)
 	}
-	if outcomes == 0 || continuous == 0 || events == 0 || contributions == 0 {
-		t.Fatalf("demand left a section empty: %d outcomes, %d continuous, %d events, %d contributions",
-			outcomes, continuous, events, contributions)
+	if outcomes == 0 || continuous == 0 || events == 0 {
+		t.Fatalf("demand left a section empty: %d outcomes, %d continuous, %d events",
+			outcomes, continuous, events)
 	}
 }
 
@@ -199,16 +198,9 @@ func TestLanePartialBinaryEdgeValues(t *testing.T) {
 		Slot: -1, Offers: math.MaxInt32, Queries: 0,
 		SelectedIDs: []int{},
 		Trace:       nil,
-		Outcomes: map[string]LaneOutcome{
-			"":      {Value: nan, Payments: nil},
-			"q\x00": {Value: negZero, Payments: []Payment{}},
-			"q": {Value: math.Inf(1), Payments: []Payment{
-				{SensorID: -7, Amount: math.Inf(-1)}, {SensorID: 0, Amount: subnormal}, {SensorID: math.MaxInt32, Amount: nan},
-			}},
-		},
-		Continuous:    map[string]ContinuousOutcome{},
-		Contributions: nil,
-		TotalCost:     negZero, PointValue: nan, AggValue: math.Inf(-1), LocMonValue: subnormal,
+		Outcomes:    map[string]float64{"": nan, "q\x00": negZero, "q": math.Inf(1)},
+		Continuous:  map[string]ContinuousOutcome{},
+		TotalCost:   negZero, PointValue: nan, AggValue: math.Inf(-1), LocMonValue: subnormal,
 		RegMonValue: math.MaxFloat64, ExtraValue: math.SmallestNonzeroFloat64, Welfare: -math.MaxFloat64,
 		Values:   map[string]float64{"a": nan, "b": negZero},
 		Payments: map[string]float64{},
@@ -223,19 +215,10 @@ func TestLanePartialBinaryEdgeValues(t *testing.T) {
 	}
 }
 
-// unsortedPayments are payments lists the decoder refuses: a sensor paid
-// twice, or sensor IDs that descend.
-var unsortedPayments = [][]Payment{
-	{{SensorID: 5, Amount: 1}, {SensorID: 5, Amount: 2}},
-	{{SensorID: 9, Amount: 1}, {SensorID: 4, Amount: 2}},
-	{{SensorID: 1, Amount: 1}, {SensorID: 3, Amount: 1}, {SensorID: 2, Amount: 1}},
-}
-
 // TestDecodeLanePartialRejects pins the decoder's refusals: every strict
-// prefix of a valid encoding, trailing bytes, another layout byte, a
-// repeated map key, a payments list whose sensor IDs do not strictly
-// ascend, a bool byte that is neither 0 nor 1, and lengths the input
-// cannot hold.
+// prefix of a valid encoding, trailing bytes, another layout byte (the
+// previous layout among them), a repeated map key, a bool byte that is
+// neither 0 nor 1, and lengths the input cannot hold.
 func TestDecodeLanePartialRejects(t *testing.T) {
 	p := realPartials(t)[0]
 	enc := p.AppendBinary(nil)
@@ -247,10 +230,12 @@ func TestDecodeLanePartialRejects(t *testing.T) {
 	if _, err := DecodeLanePartial(append(bytes.Clone(enc), 0)); err == nil {
 		t.Error("a trailing byte is accepted")
 	}
-	other := bytes.Clone(enc)
-	other[0]++
-	if _, err := DecodeLanePartial(other); err == nil {
-		t.Error("an unknown layout byte is accepted")
+	for _, layout := range []byte{lanePartialFormat - 1, lanePartialFormat + 1} {
+		other := bytes.Clone(enc)
+		other[0] = layout
+		if _, err := DecodeLanePartial(other); err == nil {
+			t.Errorf("layout byte %d is accepted", layout)
+		}
 	}
 
 	dup := (&LanePartial{Values: map[string]float64{"a": 1, "b": 2}}).AppendBinary(nil)
@@ -261,13 +246,6 @@ func TestDecodeLanePartialRejects(t *testing.T) {
 	dup[i+1] = 'a'
 	if _, err := DecodeLanePartial(dup); err == nil {
 		t.Error("a map with a repeated key is accepted")
-	}
-
-	for _, list := range unsortedPayments {
-		enc := (&LanePartial{Outcomes: map[string]LaneOutcome{"q": {Payments: list}}}).AppendBinary(nil)
-		if _, err := DecodeLanePartial(enc); err == nil {
-			t.Errorf("payments %v are accepted", list)
-		}
 	}
 
 	badBool := (&LanePartial{Answered: map[string]bool{"a": true}}).AppendBinary(nil)
@@ -310,9 +288,14 @@ func FuzzDecodeLanePartial(f *testing.F) {
 	f.Add([]byte(nil))
 	f.Add((&LanePartial{}).AppendBinary(nil))
 	f.Add([]byte{lanePartialFormat, 0, 0, 0, 0x80, 0x80, 0x80, 0x80, 0x80, 0x40})
-	for _, list := range unsortedPayments {
-		f.Add((&LanePartial{Outcomes: map[string]LaneOutcome{"q": {Payments: list}}}).AppendBinary(nil))
-	}
+	// Refusals: the previous layout, a repeated map key, and two outcomes
+	// in 17 bytes where each takes at least 9.
+	prev := goldenPartial().AppendBinary(nil)
+	prev[0] = lanePartialFormat - 1
+	f.Add(prev)
+	dup := (&LanePartial{Values: map[string]float64{"a": 1, "b": 2}}).AppendBinary(nil)
+	f.Add(bytes.Replace(dup, []byte{1, 'b'}, []byte{1, 'a'}, 1))
+	f.Add(append([]byte{lanePartialFormat, 0, 0, 0, 0, 0, 3}, make([]byte, 17)...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
@@ -335,8 +318,7 @@ func FuzzDecodeLanePartial(f *testing.F) {
 	})
 }
 
-// goldenPartial exercises every section of the layout, with payments of
-// several sensors per outcome.
+// goldenPartial exercises every section of the layout.
 func goldenPartial() *LanePartial {
 	return &LanePartial{
 		Slot: 7, Offers: 120, Queries: 5,
@@ -346,16 +328,9 @@ func goldenPartial() *LanePartial {
 			{Offer: 0, SensorID: 3, Cost: 0.75, Net: 0.5},
 			{Offer: 9, SensorID: 17, Cost: 2, Net: 1.0 / 3},
 		},
-		Outcomes: map[string]LaneOutcome{
-			"pt-7-1": {Value: 9.5, Payments: []Payment{{SensorID: 3, Amount: 0.75}}},
-			"mp-7":   {Value: 30.125, Payments: []Payment{{SensorID: 3, Amount: 0}, {SensorID: 17, Amount: 1.25}, {SensorID: 42, Amount: 0.5}}},
-			"agg-7":  {Value: 44, Payments: []Payment{{SensorID: 17, Amount: 0.75}, {SensorID: 42, Amount: 1}}},
-			"idle":   {Value: 0, Payments: []Payment{}},
-			"lm#p":   {Value: 1.5},
-		},
-		Continuous:    map[string]ContinuousOutcome{"lm": {Satisfied: true, ValueDelta: 1.5, Payment: 0.25}},
-		Contributions: map[int]float64{17: 0.125, 3: -0.5},
-		TotalCost:     4.25, PointValue: 9.5, AggValue: 44, LocMonValue: 1.5, ExtraValue: 30.125, Welfare: 80.875,
+		Outcomes:   map[string]float64{"pt-7-1": 9.5, "mp-7": 30.125, "agg-7": 44, "idle": 0, "lm#p": 1.5},
+		Continuous: map[string]ContinuousOutcome{"lm": {Satisfied: true, ValueDelta: 1.5, Payment: 0.25}},
+		TotalCost:  4.25, PointValue: 9.5, AggValue: 44, LocMonValue: 1.5, ExtraValue: 30.125, Welfare: 80.875,
 		Values:   map[string]float64{"pt-7-1": 9.5, "mp-7": 30.125, "agg-7": 44, "lm": 1.5},
 		Payments: map[string]float64{"pt-7-1": 0.75, "mp-7": 1.75, "agg-7": 1.75, "lm": 0.25},
 		Answered: map[string]bool{"lm": true, "idle": false},
@@ -367,27 +342,26 @@ func goldenPartial() *LanePartial {
 	}
 }
 
-// goldenPartialHex is goldenPartial's encoding in layout 2. It was
+// goldenPartialHex is goldenPartial's encoding in layout 3. It was
 // first pinned against the encoder from when outcome payments were a map
-// from sensor ID to amount; layout 2 changed only the leading format byte
-// and appended ConservationViolations to the selection counters.
-const goldenPartialHex = "020ef0010a04540622040a54000000000000f83f000000000000024000060000" +
+// from sensor ID to amount. Layout 2 changed only the leading format byte
+// and appended ConservationViolations to the selection counters; layout 3
+// changed only the format byte and dropped each outcome's payments list
+// and the contributions map.
+const goldenPartialHex = "030ef0010a04540622040a54000000000000f83f000000000000024000060000" +
 	"00000000e83f000000000000e03f12220000000000000040555555555555d53f" +
-	"06056167672d3700000000000046400322000000000000e83f54000000000000" +
-	"f03f0469646c65000000000000000001046c6d2370000000000000f83f00046d" +
-	"702d370000000000203e400406000000000000000022000000000000f43f5400" +
-	"0000000000e03f0670742d372d3100000000000023400206000000000000e83f" +
-	"02026c6d01000000000000f83f000000000000d03f0306000000000000e0bf22" +
-	"000000000000c03f000000000000114000000000000023400000000000004640" +
-	"000000000000f83f00000000000000000000000000203e400000000000385440" +
-	"05056167672d370000000000004640026c6d000000000000f83f046d702d3700" +
-	"00000000203e400670742d372d31000000000000234005056167672d37000000" +
-	"000000fc3f026c6d000000000000d03f046d702d37000000000000fc3f067074" +
-	"2d372d31000000000000e83f030469646c6500026c6d0102026c6d0e01000000" +
-	"000000ec3f000000000000f4bf046c617a79ec04880e18020250600402060000" +
-	"00000000fc3f000000000000e03f"
+	"06056167672d3700000000000046400469646c650000000000000000046c6d23" +
+	"70000000000000f83f046d702d370000000000203e400670742d372d31000000" +
+	"000000234002026c6d01000000000000f83f000000000000d03f000000000000" +
+	"114000000000000023400000000000004640000000000000f83f000000000000" +
+	"00000000000000203e40000000000038544005056167672d3700000000000046" +
+	"40026c6d000000000000f83f046d702d370000000000203e400670742d372d31" +
+	"000000000000234005056167672d37000000000000fc3f026c6d000000000000" +
+	"d03f046d702d37000000000000fc3f0670742d372d31000000000000e83f0304" +
+	"69646c6500026c6d0102026c6d0e01000000000000ec3f000000000000f4bf04" +
+	"6c617a79ec04880e1802025060040206000000000000fc3f000000000000e03f"
 
-// TestLanePartialGoldenBytes: the wire bytes of layout 2 are fixed, and
+// TestLanePartialGoldenBytes: the wire bytes of layout 3 are fixed, and
 // they decode back to the partial they encode.
 func TestLanePartialGoldenBytes(t *testing.T) {
 	want, err := hex.DecodeString(goldenPartialHex)
@@ -406,60 +380,46 @@ func TestLanePartialGoldenBytes(t *testing.T) {
 	}
 }
 
-// TestLanePartialPaymentsRoundTrip: payment pairs of random sensors and
-// amounts, edge floats among them, come back in order with the same bits.
+// TestLanePartialPaymentsRoundTrip: the per-query payments the report
+// publishes, random amounts with edge floats among them, come back with
+// the same bits.
 func TestLanePartialPaymentsRoundTrip(t *testing.T) {
 	s := rng.New(3, "payments")
 	edge := []float64{math.Copysign(0, -1), math.Float64frombits(1), math.Inf(1), math.Float64frombits(0x7ff8_0000_0000_0bad)}
-	p := &LanePartial{Outcomes: map[string]LaneOutcome{}}
+	p := &LanePartial{Payments: map[string]float64{}}
 	for q := 0; q < 50; q++ {
-		var list []Payment
-		id := -1000
-		for k := s.Intn(6); k > 0; k-- {
-			id += 1 + s.Intn(500)
-			amount := s.Norm(0, 1e3)
-			if s.Bool(0.2) {
-				amount = edge[s.Intn(len(edge))]
-			}
-			list = append(list, Payment{SensorID: id, Amount: amount})
+		amount := s.Norm(0, 1e3)
+		if s.Bool(0.2) {
+			amount = edge[s.Intn(len(edge))]
 		}
-		p.Outcomes[fmt.Sprintf("q%d", q)] = LaneOutcome{Value: float64(q), Payments: list}
+		p.Payments[fmt.Sprintf("q%d", q)] = amount
 	}
 	back, err := DecodeLanePartial(p.AppendBinary(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for id, out := range p.Outcomes {
-		got := back.Outcomes[id].Payments
-		if (got == nil) != (out.Payments == nil) || len(got) != len(out.Payments) {
-			t.Fatalf("%s: payments %v, want %v", id, got, out.Payments)
-		}
-		for i, want := range out.Payments {
-			if got[i].SensorID != want.SensorID || math.Float64bits(got[i].Amount) != math.Float64bits(want.Amount) {
-				t.Fatalf("%s payment %d = %d: %#x, want %d: %#x", id, i,
-					got[i].SensorID, math.Float64bits(got[i].Amount), want.SensorID, math.Float64bits(want.Amount))
-			}
+	if len(back.Payments) != len(p.Payments) {
+		t.Fatalf("%d payments came back, want %d", len(back.Payments), len(p.Payments))
+	}
+	for id, want := range p.Payments {
+		if got := back.Payments[id]; math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%s payment = %#x, want %#x", id, math.Float64bits(got), math.Float64bits(want))
 		}
 	}
 }
 
 // queriesPartial is an n-query partial shaped like a metro lane's: one
-// outcome per query with one to three payments, and the query's value,
-// payment and answered flag.
+// outcome per query, and the query's value, payment and answered flag.
 func queriesPartial(n int) *LanePartial {
 	p := &LanePartial{
-		Outcomes: make(map[string]LaneOutcome, n),
+		Outcomes: make(map[string]float64, n),
 		Values:   make(map[string]float64, n),
 		Payments: make(map[string]float64, n),
 		Answered: make(map[string]bool, n),
 	}
 	for i := 0; i < n; i++ {
 		id := fmt.Sprintf("s12-point-%d", i)
-		var list []Payment
-		for k := 0; k <= i%3; k++ {
-			list = append(list, Payment{SensorID: 7*i + k, Amount: float64(k) + 0.5})
-		}
-		p.Outcomes[id] = LaneOutcome{Value: float64(i), Payments: list}
+		p.Outcomes[id] = float64(i)
 		p.Values[id], p.Payments[id], p.Answered[id] = float64(i), 0.5, true
 	}
 	return p

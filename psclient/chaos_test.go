@@ -1,7 +1,10 @@
 package psclient
 
 import (
+	"net/http"
 	"net/http/httptest"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -10,23 +13,47 @@ import (
 	"repro/wire"
 )
 
+// dropAfterFlushes severs every response after n flushes by panicking
+// with http.ErrAbortHandler, the one panic value net/http treats as
+// "abort this connection quietly". Streaming handlers flush per frame, so
+// n is a frame count; handlers that never flush are unaffected.
+func dropAfterFlushes(next http.Handler, n int) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		next.ServeHTTP(&droppingWriter{ResponseWriter: w, remaining: n}, r)
+	})
+}
+
+type droppingWriter struct {
+	http.ResponseWriter
+	remaining int
+}
+
+func (d *droppingWriter) Flush() {
+	if d.remaining <= 0 {
+		panic(http.ErrAbortHandler)
+	}
+	d.remaining--
+	d.ResponseWriter.(http.Flusher).Flush()
+}
+
+// Unwrap lets http.ResponseController reach the underlying writer.
+func (d *droppingWriter) Unwrap() http.ResponseWriter { return d.ResponseWriter }
+
 // TestStreamSurvivesChaosDrops runs a multi-slot continuous query behind
-// the serve.Chaos middleware with a 100% mid-stream drop probability:
-// every /watch connection is severed after a handful of frames. The
-// Stream must transparently reconnect from its cursor each time and the
-// caller must still observe every slot in the accepted window exactly
+// a middleware that severs every /watch connection after a few frames.
+// The Stream must transparently reconnect from its cursor each time and
+// the caller must still observe every slot in the accepted window exactly
 // once — either as a slot_update or inside a gap range — ending on the
-// query's terminal frame. Run with -race this also shakes the
-// panic-abort path through the instrument middleware.
+// query's terminal frame. The abort panics pass through serve's metrics
+// middleware, whose deferred accounting must still count every severed
+// request and return the inflight gauge to rest; run with -race this also
+// shakes that path.
 func TestStreamSurvivesChaosDrops(t *testing.T) {
 	world := ps.NewRWMWorld(1, 200, ps.SensorConfig{})
 	eng := ps.NewEngine(ps.NewAggregator(world), ps.WithSlotInterval(5*time.Millisecond))
 	eng.Start()
-	handler := serve.Chaos(
-		serve.New(eng, world, serve.Options{Strategy: ps.StrategyAuto}).Handler(),
-		serve.ChaosConfig{Seed: 7, DropProb: 1, DropAfterMin: 2, DropAfterMax: 4},
-	)
-	ts := httptest.NewServer(handler)
+	h := serve.New(eng, world, serve.Options{Strategy: ps.StrategyAuto}).Handler()
+	ts := httptest.NewServer(dropAfterFlushes(h, 3))
 	t.Cleanup(func() {
 		ts.Close()
 		eng.Stop()
@@ -90,6 +117,45 @@ func TestStreamSurvivesChaosDrops(t *testing.T) {
 	}
 	stats := st.Stats()
 	if stats.Reconnects == 0 {
-		t.Errorf("stats = %+v: chaos with DropProb 1 forced no reconnects", stats)
+		t.Fatalf("stats = %+v: severing every stream forced no reconnects", stats)
 	}
+
+	// Every severed /watch request is counted, and the inflight gauge
+	// settles at 1: the scrape reading it. The last stream's accounting
+	// may still be running when its final frame reaches the client.
+	if watches := scrape(t, h, "ps_http_requests_total", `route="GET /watch"`); watches < float64(stats.Reconnects+1) {
+		t.Errorf("ps_http_requests_total counts %v watch requests, want >= %d", watches, stats.Reconnects+1)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for scrape(t, h, "ps_http_requests_inflight", "") != 1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("ps_http_requests_inflight = %v at rest, want 1 (the scrape)", scrape(t, h, "ps_http_requests_inflight", ""))
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// scrape sums the samples of metric name whose labels contain labelSub
+// in the server's Prometheus exposition.
+func scrape(t *testing.T, h http.Handler, name, labelSub string) float64 {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics?format=prometheus", nil))
+	var sum float64
+	for _, line := range strings.Split(rec.Body.String(), "\n") {
+		sp := strings.LastIndexByte(line, ' ')
+		if sp < 0 {
+			continue
+		}
+		series := line[:sp]
+		if metric, _, _ := strings.Cut(series, "{"); metric != name || !strings.Contains(series, labelSub) {
+			continue
+		}
+		v, err := strconv.ParseFloat(line[sp+1:], 64)
+		if err != nil {
+			t.Fatalf("scrape %q: %v", line, err)
+		}
+		sum += v
+	}
+	return sum
 }

@@ -19,19 +19,26 @@ import (
 // the e2e tests exercise exactly what a remote psclient user hits.
 func newLiveStack(t *testing.T) *Client {
 	t.Helper()
-	world := ps.NewRWMWorld(1, 200, ps.SensorConfig{})
-	eng := ps.NewEngine(ps.NewAggregator(world), ps.WithSlotInterval(2*time.Millisecond))
-	eng.Start()
-	ts := httptest.NewServer(serve.New(eng, world, serve.Options{Strategy: ps.StrategyAuto}).Handler())
-	t.Cleanup(func() {
-		ts.Close()
-		eng.Stop()
-	})
-	c, err := Dial(ts.URL)
+	c, err := Dial(newLiveServer(t, serve.Options{Strategy: ps.StrategyAuto}))
 	if err != nil {
 		t.Fatalf("Dial: %v", err)
 	}
 	return c
+}
+
+// newLiveServer is newLiveStack's server with the given options; it
+// returns the base URL.
+func newLiveServer(t *testing.T, opts serve.Options) string {
+	t.Helper()
+	world := ps.NewRWMWorld(1, 200, ps.SensorConfig{})
+	eng := ps.NewEngine(ps.NewAggregator(world), ps.WithSlotInterval(2*time.Millisecond))
+	eng.Start()
+	ts := httptest.NewServer(serve.New(eng, world, opts).Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		eng.Stop()
+	})
+	return ts.URL
 }
 
 // finalStatus follows the query's stream to its terminal frame and

@@ -45,7 +45,7 @@ func TestReadLineCap(t *testing.T) {
 func TestClusterPartialTravelsAsBinary(t *testing.T) {
 	nan := math.Float64frombits(0x7ff8_0000_0000_beef)
 	sameBits := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
-	p := &ps.LanePartial{Slot: 4, Outcomes: map[string]ps.LaneOutcome{"q": {Value: math.Inf(-1)}}, Welfare: nan}
+	p := &ps.LanePartial{Slot: 4, Outcomes: map[string]float64{"q": math.Inf(-1)}, Welfare: nan}
 	buf, err := MarshalClusterFrame(ClusterFrame{V: ClusterVersion, Type: ClusterPartial, Seq: 9, Epoch: 1, Slot: 4, Applied: 3, Partial: p})
 	if err != nil {
 		t.Fatalf("a partial carrying NaN does not encode: %v", err)
@@ -58,19 +58,19 @@ func TestClusterPartialTravelsAsBinary(t *testing.T) {
 		t.Fatal(err)
 	}
 	if back.Applied != 3 || back.Partial == nil || back.Partial.Slot != 4 ||
-		!sameBits(back.Partial.Welfare, nan) || !sameBits(back.Partial.Outcomes["q"].Value, math.Inf(-1)) {
+		!sameBits(back.Partial.Welfare, nan) || !sameBits(back.Partial.Outcomes["q"], math.Inf(-1)) {
 		t.Fatalf("decoded %+v (partial %+v)", back, back.Partial)
 	}
 }
 
 // metroPartial is a partial the shape of one metro-cluster lane's: ~260
-// one-shot outcomes with a payment each, as many values/payments/answered
-// entries, ~75 committed sensors.
+// one-shot outcomes, as many values/payments/answered entries, ~75
+// committed sensors.
 func metroPartial() *ps.LanePartial {
 	const outcomes, selected = 260, 75
 	p := &ps.LanePartial{
 		Slot: 12, Offers: 5000, Queries: outcomes,
-		Outcomes:  make(map[string]ps.LaneOutcome, outcomes),
+		Outcomes:  make(map[string]float64, outcomes),
 		Values:    make(map[string]float64, outcomes),
 		Payments:  make(map[string]float64, outcomes),
 		Answered:  make(map[string]bool, outcomes),
@@ -85,7 +85,7 @@ func metroPartial() *ps.LanePartial {
 	for i := 0; i < outcomes; i++ {
 		id := fmt.Sprintf("s12-point-%d", i)
 		v := 11.5 + float64(i)/13
-		p.Outcomes[id] = ps.LaneOutcome{Value: v, Payments: []ps.Payment{{SensorID: 17*(i%selected) + 3, Amount: v / 3}}}
+		p.Outcomes[id] = v
 		p.Values[id], p.Payments[id], p.Answered[id] = v, v/3, true
 	}
 	return p

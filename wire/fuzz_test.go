@@ -167,7 +167,7 @@ var clusterSeeds = []string{
 	`{"v":4,"type":"ok","seq":4,"epoch":1,"slot":0,"applied":17,"removed":true}`,
 	`{"v":4,"type":"ok","seq":2,"epoch":2,"slot":0}`,
 	// A partial: slot 3, two committed sensors, one point outcome.
-	`{"v":4,"type":"partial","seq":6,"epoch":1,"slot":3,"applied":4,"partial_bin":"AgYYBAMKBAMICgAAAAAAAOA/AAAAAAAAAkACBAAAAAAAANA/AAAAAAAA+D8CAnExAAAAAAAADEACCgAAAAAAAOA/AAAAAAAAAADoPwAAAAAAAAxAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAGQAICcTEAAAAAAAAMQAICcTEAAAAAAADgPwAAAAAAAAAAAAAAAACamZmZmZnZP5qZmZmZmbk/"}`,
+	`{"v":4,"type":"partial","seq":6,"epoch":1,"slot":3,"applied":4,"partial_bin":"AwYYBAMKBAMICgAAAAAAAOA/AAAAAAAAAkACBAAAAAAAANA/AAAAAAAA+D8CAnExAAAAAAAADEAAAAAAAAAA6D8AAAAAAAAMQAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAABkACAnExAAAAAAAADEACAnExAAAAAAAA4D8AAAAAAAAAAAAAAAAAmpmZmZmZ2T+amZmZmZm5Pw=="}`,
 	`{"v":4,"type":"error","seq":9,"epoch":2,"slot":0,"applied":3,"error":"ps: stale cluster epoch","code":"stale_epoch"}`,
 	`{"v":1,"type":"ping","seq":1,"epoch":1,"slot":0}`,                                                                       // wrong version
 	`{"v":3,"type":"ping","seq":1,"epoch":1,"slot":0}`,                                                                       // wrong version: the one before this
@@ -182,7 +182,7 @@ var clusterSeeds = []string{
 	`{"v":4,"type":"resync","seq":1,"epoch":1,"slot":0,"config":{"world":"rwm","shards":1,"shard":0},"ops":[{"op":"warp"}]}`, // unknown op
 	`{"v":4,"type":"submitted","seq":3,"epoch":1,"slot":0,"id":"a"}`,                                                         // v1's submit reply: gone
 	`{"v":4,"type":"partial","seq":6,"epoch":1,"slot":3,"partial":{"slot":3,"offers":12,"queries":2}}`,                       // v1's JSON partial: gone
-	`{"v":4,"type":"partial","seq":6,"epoch":1,"slot":3,"partial_bin":"AgYYBAMKBAMI"}`,                                       // truncated partial
+	`{"v":4,"type":"partial","seq":6,"epoch":1,"slot":3,"partial_bin":"AwYYBAMKBAMI"}`,                                       // truncated partial
 	`{"v":4,"type":"partial","seq":6,"epoch":1,"slot":3,"partial_bin":"not base64"}`,
 	`{}`, `null`, `[]`, `"ping"`, `{"type":12}`, `{"v":-1,"type":"ping"}`,
 }
