@@ -18,8 +18,6 @@ import (
 // splits costs proportionately and returns what each query obtained.
 type Aggregator struct {
 	world    *World
-	sched    Scheduling
-	baseline bool
 	greedy   core.GreedyConfig
 	selStats core.SelectionStats
 
@@ -65,17 +63,11 @@ func (a *Aggregator) CancelQuery(id string) bool {
 // Option customizes an Aggregator.
 type Option func(*Aggregator)
 
-// WithScheduling selects the point-scheduling policy (default
-// SchedulingOptimal).
-func WithScheduling(s Scheduling) Option {
-	return func(a *Aggregator) { a.sched = s }
-}
-
-// WithBaselinePipeline makes the whole acquisition pipeline use the
-// evaluation's baseline algorithms (sequential execution with data
-// buffering). Useful for comparisons.
-func WithBaselinePipeline() Option {
-	return func(a *Aggregator) { a.baseline = true }
+// WithScheduling does nothing: every slot runs Algorithm 5's greedy
+// selection. It stays only for the benchmark program's two call sites
+// and goes, with Scheduling and SchedulingGreedy, once they drop it.
+func WithScheduling(Scheduling) Option {
+	return func(*Aggregator) {}
 }
 
 // WithGreedyStrategy selects the candidate-evaluation strategy of the
@@ -129,10 +121,7 @@ type SlotReport struct {
 	ExtraValue  float64
 	// Events lists event-detection evaluations of this slot.
 	Events []EventNotification
-	// Selection instruments the slot's greedy sensor selection. Pipelines
-	// that bypass the greedy core leave it zero, except that the optimal,
-	// local-search and egalitarian point policies count
-	// ConservationViolations.
+	// Selection instruments the slot's greedy sensor selection.
 	Selection SelectionStats
 	// Shards is the per-shard breakdown when the slot ran on a
 	// ShardedAggregator (the last entry is the spanning pass); nil on the
@@ -218,17 +207,16 @@ func (r *SlotReport) Outcomes() iter.Seq2[string, QueryOutcome] {
 }
 
 // RunSlot advances the world one time slot and executes the pending and
-// continuous queries: pure point workloads use the configured scheduling
-// policy directly (§3.1); anything else goes through the Algorithm 5
-// query-mix pipeline. Selected sensors are committed (lifetime, privacy
-// history), one-shot queries are consumed, and expired continuous queries
-// are retired.
+// continuous queries through Algorithm 5's greedy query-mix selection,
+// whatever kinds the slot holds. Selected sensors are committed
+// (lifetime, privacy history), one-shot queries are consumed, and expired
+// continuous queries are retired.
 func (a *Aggregator) RunSlot() *SlotReport {
 	tr := obs.StartTrace()
 	offers := a.world.Fleet.Step()
 	t := a.world.Fleet.Slot()
 	tr.Mark(StageOfferGather)
-	ex := a.executeSlot(t, offers, false)
+	ex := a.executeSlot(t, offers)
 	tr.Mark(StageSelection)
 	a.world.Fleet.Commit(ex.selected)
 	tr.Mark(StageCommit)
@@ -250,14 +238,12 @@ type slotExec struct {
 	// queries counts the queries this pass scheduled (user one-shots,
 	// active continuous queries and their generated probes).
 	queries int
-	mix     *core.MixSlotResult // nil on the point-scheduling path
+	mix     *core.MixSlotResult
 }
 
-// executeSlot runs slot t's selection over the given offers without
-// touching the fleet, the stats or the pending-query lists. forceMix
-// routes even pure-point slots through the Algorithm 5 greedy pipeline —
-// the sharded layer needs every shard on the same (decomposable) path.
-func (a *Aggregator) executeSlot(t int, offers []core.Offer, forceMix bool) *slotExec {
+// executeSlot runs slot t's Algorithm 5 selection over the given offers
+// without touching the fleet, the stats or the pending-query lists.
+func (a *Aggregator) executeSlot(t int, offers []core.Offer) *slotExec {
 	report := &SlotReport{
 		Slot:     t,
 		Offers:   len(offers),
@@ -287,150 +273,126 @@ func (a *Aggregator) executeSlot(t int, offers []core.Offer, forceMix bool) *slo
 	activeLM := activeLocMon(a.locMon, t)
 	activeRM := activeRegMon(a.regMon, t)
 	ex.queries = len(a.points) + len(a.aggs) + len(extra) + len(activeLM) + len(activeRM)
-	pureMix := forceMix || len(a.aggs) > 0 || len(extra) > 0 ||
-		len(activeLM) > 0 || len(activeRM) > 0
+	res := core.RunMixSlotWith(t, core.MixQueries{
+		Aggregates: a.aggs,
+		Points:     a.points,
+		LocMon:     a.locMon,
+		RegMon:     a.regMon,
+		Extra:      extra,
+	}, offers, a.greedy)
+	ex.mix = res
+	ex.selected = res.Multi.Selected
+	report.Selection = res.Multi.Stats
+	report.Welfare = res.Welfare()
+	report.TotalCost = res.TotalCost
+	report.SensorsUsed = len(res.Multi.Selected)
+	report.PointValue = res.PointValue
+	report.AggValue = res.AggValue
+	report.LocMonValue = res.LocMonValue
+	report.RegMonValue = res.RegMonValue
+	report.ExtraValue = res.ExtraValue
+	// Record user-submitted one-shots only: the probe queries the
+	// pipeline generates for continuous parents carry derived IDs
+	// (query.PointID), and their value/payments are projected onto
+	// the parent ID below — copying them here too would make
+	// Outcomes() double-count continuous work under phantom IDs.
+	recordUser := func(qid string) {
+		if out := res.Multi.Outcomes[qid]; out != nil && out.Value > 0 {
+			report.values[qid] = out.Value
+			report.payments[qid] = out.TotalPayment()
+		}
+	}
+	for _, q := range a.points {
+		recordUser(q.QID())
+	}
+	for _, q := range a.aggs {
+		recordUser(q.QID())
+	}
+	for _, q := range a.extra {
+		recordUser(q.QID())
+	}
+	for qid, o := range res.PointOutcomes {
+		report.values[qid] = o.Value
+		report.payments[qid] = o.Payment
+	}
+	// Continuous queries report under their own ID: Algorithm 5's
+	// generated probes carry derived IDs, so without this projection
+	// Answered/Value/Payment would never see monitoring results.
+	for qid, co := range res.Continuous {
+		if co.ValueDelta > 0 {
+			report.values[qid] = co.ValueDelta
+		}
+		if co.Payment > 0 {
+			report.payments[qid] += co.Payment
+		}
+		if co.Satisfied {
+			report.answered[qid] = true
+		}
+	}
 
-	if !pureMix {
-		// Point-only slot: honor the configured scheduling policy.
-		res := a.sched.solver(a.greedy)(a.points, offers)
-		ex.selected = res.Selected
-		report.Welfare = res.Welfare()
-		report.TotalCost = res.TotalCost
-		report.SensorsUsed = len(res.Selected)
-		report.PointValue = res.TotalValue
-		report.Selection = res.Stats
-		for qid, o := range res.Outcomes {
-			report.values[qid] = o.Value
-			report.payments[qid] = o.Payment
+	// Evaluate region-event probes: readings plus achieved coverage.
+	// Sorted probe order: several probes can project onto one parent
+	// query ID, so the += below must run in a reproducible order for
+	// SlotReports to stay bit-identical across strategies (floatorder).
+	for _, pid := range slices.Sorted(maps.Keys(regProbes)) {
+		e := regProbes[pid]
+		out := res.Multi.Outcomes[pid]
+		if out == nil || len(out.Sensors) == 0 {
+			continue
 		}
-	} else {
-		mq := core.MixQueries{
-			Aggregates: a.aggs,
-			Points:     a.points,
-			LocMon:     a.locMon,
-			RegMon:     a.regMon,
-			Extra:      extra,
+		if out.Value > 0 {
+			report.values[e.ID] += out.Value
+			report.payments[e.ID] += out.TotalPayment()
 		}
-		var res *core.MixSlotResult
-		if a.baseline {
-			res = core.RunMixSlotBaseline(t, mq, offers)
-		} else {
-			res = core.RunMixSlotWith(t, mq, offers, a.greedy)
-		}
-		ex.mix = res
-		ex.selected = res.Multi.Selected
-		report.Selection = res.Multi.Stats
-		report.Welfare = res.Welfare()
-		report.TotalCost = res.TotalCost
-		report.SensorsUsed = len(res.Multi.Selected)
-		report.PointValue = res.PointValue
-		report.AggValue = res.AggValue
-		report.LocMonValue = res.LocMonValue
-		report.RegMonValue = res.RegMonValue
-		report.ExtraValue = res.ExtraValue
-		// Record user-submitted one-shots only: the probe queries the
-		// pipeline generates for continuous parents carry derived IDs
-		// (query.PointID), and their value/payments are projected onto
-		// the parent ID below — copying them here too would make
-		// Outcomes() double-count continuous work under phantom IDs.
-		recordUser := func(qid string) {
-			if out := res.Multi.Outcomes[qid]; out != nil && out.Value > 0 {
-				report.values[qid] = out.Value
-				report.payments[qid] = out.TotalPayment()
-			}
-		}
-		for _, q := range a.points {
-			recordUser(q.QID())
-		}
-		for _, q := range a.aggs {
-			recordUser(q.QID())
-		}
-		for _, q := range a.extra {
-			recordUser(q.QID())
-		}
-		for qid, o := range res.PointOutcomes {
-			report.values[qid] = o.Value
-			report.payments[qid] = o.Payment
-		}
-		// Continuous queries report under their own ID: Algorithm 5's
-		// generated probes carry derived IDs, so without this projection
-		// Answered/Value/Payment would never see monitoring results.
-		for qid, co := range res.Continuous {
-			if co.ValueDelta > 0 {
-				report.values[qid] = co.ValueDelta
-			}
-			if co.Payment > 0 {
-				report.payments[qid] += co.Payment
-			}
-			if co.Satisfied {
-				report.answered[qid] = true
-			}
-		}
-
-		// Evaluate region-event probes: readings plus achieved coverage.
-		// Sorted probe order: several probes can project onto one parent
-		// query ID, so the += below must run in a reproducible order for
-		// SlotReports to stay bit-identical across strategies (floatorder).
-		for _, pid := range slices.Sorted(maps.Keys(regProbes)) {
-			e := regProbes[pid]
-			out := res.Multi.Outcomes[pid]
-			if out == nil || len(out.Sensors) == 0 {
+		var vals, thetas []float64
+		var centers []Point
+		for _, s := range out.Sensors {
+			th := (1 - s.Inaccuracy) * s.Trust
+			if th <= 0 {
 				continue
 			}
-			if out.Value > 0 {
-				report.values[e.ID] += out.Value
-				report.payments[e.ID] += out.TotalPayment()
-			}
-			var vals, thetas []float64
-			var centers []Point
-			for _, s := range out.Sensors {
-				th := (1 - s.Inaccuracy) * s.Trust
-				if th <= 0 {
-					continue
-				}
-				vals = append(vals, a.world.ReadingAt(s.Pos, t))
-				thetas = append(thetas, th)
-				centers = append(centers, s.Pos)
-			}
-			coverage := a.world.Grid.CoverageFraction(e.Region, centers, e.SensingRange)
-			detected, conf, avg := e.Evaluate(vals, thetas, coverage)
-			report.Events = append(report.Events, EventNotification{
-				QueryID: e.ID, Slot: t, Detected: detected, Confidence: conf, Reading: avg,
-			})
+			vals = append(vals, a.world.ReadingAt(s.Pos, t))
+			thetas = append(thetas, th)
+			centers = append(centers, s.Pos)
 		}
+		coverage := a.world.Grid.CoverageFraction(e.Region, centers, e.SensingRange)
+		detected, conf, avg := e.Evaluate(vals, thetas, coverage)
+		report.Events = append(report.Events, EventNotification{
+			QueryID: e.ID, Slot: t, Detected: detected, Confidence: conf, Reading: avg,
+		})
+	}
 
-		// Evaluate event probes on the acquired readings. Sorted for the
-		// same reason as the region-event loop above.
-		for _, pid := range slices.Sorted(maps.Keys(probes)) {
-			e := probes[pid]
-			out := res.Multi.Outcomes[pid]
-			if out == nil || len(out.Sensors) == 0 {
+	// Evaluate event probes on the acquired readings. Sorted for the
+	// same reason as the region-event loop above.
+	for _, pid := range slices.Sorted(maps.Keys(probes)) {
+		e := probes[pid]
+		out := res.Multi.Outcomes[pid]
+		if out == nil || len(out.Sensors) == 0 {
+			continue
+		}
+		if out.Value > 0 {
+			report.values[e.ID] += out.Value
+			report.payments[e.ID] += out.TotalPayment()
+		}
+		var vals, thetas []float64
+		var wsum, wv float64
+		for _, s := range out.Sensors {
+			th := s.Quality(e.Loc, e.DMax)
+			if th <= 0 {
 				continue
 			}
-			if out.Value > 0 {
-				report.values[e.ID] += out.Value
-				report.payments[e.ID] += out.TotalPayment()
-			}
-			var vals, thetas []float64
-			var wsum, wv float64
-			for _, s := range out.Sensors {
-				th := s.Quality(e.Loc, e.DMax)
-				if th <= 0 {
-					continue
-				}
-				v := a.world.ReadingAt(s.Pos, t)
-				vals = append(vals, v)
-				thetas = append(thetas, th)
-				wsum += th
-				wv += th * v
-			}
-			detected, conf := e.Evaluate(vals, thetas)
-			n := EventNotification{QueryID: e.ID, Slot: t, Detected: detected, Confidence: conf}
-			if wsum > 0 {
-				n.Reading = wv / wsum
-			}
-			report.Events = append(report.Events, n)
+			v := a.world.ReadingAt(s.Pos, t)
+			vals = append(vals, v)
+			thetas = append(thetas, th)
+			wsum += th
+			wv += th * v
 		}
+		detected, conf := e.Evaluate(vals, thetas)
+		n := EventNotification{QueryID: e.ID, Slot: t, Detected: detected, Confidence: conf}
+		if wsum > 0 {
+			n.Reading = wv / wsum
+		}
+		report.Events = append(report.Events, n)
 	}
 
 	// The probe maps above iterate in map order; fix the event order so

@@ -39,9 +39,8 @@ func main() {
 		sensors   = flag.Int("sensors", 200, "sensor count (rwm world only)")
 		seed      = flag.Int64("seed", 1, "world seed")
 		interval  = flag.Duration("interval", time.Second, "slot clock interval")
-		sched     = flag.String("sched", "optimal", "scheduling: optimal, localsearch, baseline, egalitarian or greedy")
 		strategy  = flag.String("strategy", "auto", "greedy selection strategy: auto (serial under 256 offers, lazy above), serial or lazy")
-		shards    = flag.Int("shards", 1, "geographic shards; >1 serves slots through the geo-sharded execution layer (greedy pipeline, -sched ignored)")
+		shards    = flag.Int("shards", 1, "geographic shards; >1 serves slots through the geo-sharded execution layer (the same greedy selection, run per shard)")
 		nodeAddrs = flag.String("node-addrs", "", "comma-separated psnode addresses, one per shard (empty entry = in-process): serves slots through the multi-node cluster coordinator")
 		queue     = flag.Int("queue", 1024, "ingest queue size")
 		drain     = flag.Int("drain", 64, "max slots run at shutdown to drain continuous queries")
@@ -69,11 +68,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "psserve:", err)
 		os.Exit(2)
 	}
-	policy, err := parseScheduling(*sched)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "psserve:", err)
-		os.Exit(2)
-	}
 	strat, err := ps.ParseStrategy(*strategy)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "psserve:", err)
@@ -91,19 +85,9 @@ func main() {
 	if logger != nil {
 		engineOpts = append(engineOpts, ps.WithLogger(logger))
 	}
-	// The sharded and cluster layers always run the greedy Algorithm 5
-	// pipeline; an explicitly chosen -sched would be silently ignored, so
-	// refuse the combination instead of serving misleading comparison
-	// data.
-	schedSet := false
-	flag.Visit(func(f *flag.Flag) { schedSet = schedSet || f.Name == "sched" })
 	var eng *ps.Engine
 	var co *cluster.Coordinator
 	if *nodeAddrs != "" {
-		if schedSet {
-			fmt.Fprintf(os.Stderr, "psserve: -sched %s cannot be combined with -node-addrs: the cluster layer always uses the greedy pipeline\n", *sched)
-			os.Exit(2)
-		}
 		co, err = cluster.New(cluster.Config{
 			World:     *world,
 			Seed:      *seed,
@@ -121,17 +105,13 @@ func main() {
 		w = co.World()
 		eng = ps.NewShardedEngine(co.Sharded(), engineOpts...)
 	} else if *shards > 1 {
-		if schedSet {
-			fmt.Fprintf(os.Stderr, "psserve: -sched %s cannot be combined with -shards %d: the geo-sharded layer always uses the greedy pipeline\n", *sched, *shards)
-			os.Exit(2)
-		}
 		eng = ps.NewShardedEngine(
 			ps.NewShardedAggregator(w, *shards, ps.WithGreedyStrategy(strat)),
 			engineOpts...,
 		)
 	} else {
 		eng = ps.NewEngine(
-			ps.NewAggregator(w, ps.WithScheduling(policy), ps.WithGreedyStrategy(strat)),
+			ps.NewAggregator(w, ps.WithGreedyStrategy(strat)),
 			engineOpts...,
 		)
 	}
@@ -219,22 +199,5 @@ func buildWorld(kind string, seed int64, sensors int) (*ps.World, error) {
 		return ps.NewIntelLabWorld(seed, ps.SensorConfig{}), nil
 	default:
 		return nil, fmt.Errorf("unknown world %q (want rwm, rnc or intellab)", kind)
-	}
-}
-
-func parseScheduling(s string) (ps.Scheduling, error) {
-	switch strings.ToLower(s) {
-	case "optimal":
-		return ps.SchedulingOptimal, nil
-	case "localsearch":
-		return ps.SchedulingLocalSearch, nil
-	case "baseline":
-		return ps.SchedulingBaseline, nil
-	case "egalitarian":
-		return ps.SchedulingEgalitarian, nil
-	case "greedy":
-		return ps.SchedulingGreedy, nil
-	default:
-		return 0, fmt.Errorf("unknown scheduling %q", s)
 	}
 }

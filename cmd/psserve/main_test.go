@@ -39,32 +39,6 @@ func TestBuildWorld(t *testing.T) {
 	}
 }
 
-func TestParseScheduling(t *testing.T) {
-	tests := []struct {
-		name    string
-		want    ps.Scheduling
-		wantErr bool
-	}{
-		{"optimal", ps.SchedulingOptimal, false},
-		{"localsearch", ps.SchedulingLocalSearch, false},
-		{"baseline", ps.SchedulingBaseline, false},
-		{"egalitarian", ps.SchedulingEgalitarian, false},
-		{"greedy", ps.SchedulingGreedy, false},
-		{"Greedy", ps.SchedulingGreedy, false},
-		{"fifo", 0, true},
-	}
-	for _, tc := range tests {
-		got, err := parseScheduling(tc.name)
-		if tc.wantErr != (err != nil) {
-			t.Errorf("parseScheduling(%q): err = %v, wantErr %v", tc.name, err, tc.wantErr)
-			continue
-		}
-		if !tc.wantErr && got != tc.want {
-			t.Errorf("parseScheduling(%q) = %v, want %v", tc.name, got, tc.want)
-		}
-	}
-}
-
 // TestPsserveGracefulShutdownEndToEnd builds the real binary, serves
 // real traffic, and delivers SIGINT mid-stream: the open watch stream
 // must end with a server_closing frame and the process must exit

@@ -1,9 +1,10 @@
 // Command pssim runs a single participatory-sensing simulation and prints
 // per-slot metrics plus a summary — handy for exploring one configuration
-// without the full figure sweep of psbench. It drives the public
-// Aggregator surface: every query goes through the unified QuerySpec
-// submission API (ps.PointSpec -> Aggregator.Submit), the same path the
-// streaming engine and the psserve daemon use.
+// without the full figure sweep of psbench. It compares the paper's point
+// schedulers of §3.1 (the exact BILP, local search, the baseline, the
+// egalitarian objective and Algorithm 1's greedy) by calling each solver
+// directly on the slot's offers, as the figure sweeps do; the serving
+// Aggregator runs only the greedy selection.
 //
 // Usage:
 //
@@ -16,6 +17,7 @@ import (
 	"os"
 
 	ps "repro"
+	"repro/internal/core"
 	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -47,26 +49,24 @@ func main() {
 		os.Exit(2)
 	}
 
-	var policy ps.Scheduling
+	var solver core.PointSolver
 	switch *algorithm {
 	case "optimal":
-		policy = ps.SchedulingOptimal
+		solver = sim.ExactOptimal()
 	case "localsearch":
-		policy = ps.SchedulingLocalSearch
+		solver = core.LocalSearchPoint(core.DefaultLocalSearchEpsilon)
 	case "baseline":
-		policy = ps.SchedulingBaseline
+		solver = core.BaselinePoint()
 	case "egalitarian":
-		policy = ps.SchedulingEgalitarian
+		solver = core.EgalitarianPoint()
 	case "greedy":
-		policy = ps.SchedulingGreedy
+		solver = core.GreedyPoint()
 	default:
 		fmt.Fprintf(os.Stderr, "pssim: unknown algorithm %q\n", *algorithm)
 		os.Exit(2)
 	}
-	agg := ps.NewAggregator(world, ps.WithScheduling(policy))
 
-	// The same deterministic workload stream the figure sweeps use, fed
-	// through the spec-based submission surface.
+	// The same deterministic workload stream the figure sweeps use.
 	wl := sim.PointWorkload{
 		QueriesPerSlot: *queries,
 		BudgetMean:     *budget,
@@ -82,28 +82,19 @@ func main() {
 
 	var utils, sats []float64
 	for t := 0; t < *slots; t++ {
+		offers := world.Fleet.Step()
 		qs := wl.Slot(t, wrnd)
-		for _, q := range qs {
-			if _, err := agg.Submit(ps.PointSpec{ID: q.ID, Loc: q.Loc, Budget: q.B}); err != nil {
-				fmt.Fprintf(os.Stderr, "pssim: submit %s: %v\n", q.ID, err)
-				os.Exit(1)
-			}
-		}
-		rep := agg.RunSlot()
-		utils = append(utils, rep.Welfare)
-		answered := 0
-		for _, o := range rep.Outcomes() {
-			if o.Answered {
-				answered++
-			}
-		}
+		res := solver(qs, offers)
+		world.Fleet.Commit(res.Selected)
+		utils = append(utils, res.Welfare())
+		answered := len(res.Outcomes)
 		sat := 0.0
 		if len(qs) > 0 {
 			sat = float64(answered) / float64(len(qs))
 		}
 		sats = append(sats, sat)
 		fmt.Printf("%-6d %10d %10d %10d %10.1f %10.1f\n",
-			rep.Slot, rep.Offers, rep.SensorsUsed, answered, rep.TotalCost, rep.Welfare)
+			world.Fleet.Slot(), len(offers), len(res.Selected), answered, res.TotalCost, res.Welfare())
 	}
 	fmt.Printf("\nsummary: avg utility/slot %.1f, satisfaction %.3f\n",
 		stats.Mean(utils), stats.Mean(sats))

@@ -21,12 +21,13 @@
 //	report := agg.RunSlot()
 //	fmt.Println(report.Welfare, report.Answered("q1"))
 //
-// The scheduling policies of the paper are selectable via
-// WithScheduling: SchedulingOptimal (the exact BILP of §3.1.1, default),
-// SchedulingLocalSearch (the 1/3-approximation of §3.1.2),
-// SchedulingBaseline (the evaluation's baseline) and
-// SchedulingEgalitarian. Continuous queries persist across slots and are
-// re-planned every slot per Algorithms 2-5.
+// Every slot runs one selection, Algorithm 5's greedy over the whole
+// query mix, whatever kinds of query the slot holds, so a query's outcome
+// never depends on which algorithm its neighbours' demand would pick. The
+// paper's other point schedulers (the exact BILP of §3.1.1, local search,
+// the evaluation's baseline, the egalitarian objective) are evaluation
+// solvers: cmd/pssim and cmd/psbench compare them. Continuous queries
+// persist across slots and are re-planned every slot per Algorithms 2-5.
 //
 // For serving live traffic, Engine wraps an Aggregator into a
 // concurrent, slot-clocked streaming layer: submissions from any

@@ -24,7 +24,7 @@ func TestEngineStress(t *testing.T) {
 	}
 	world := NewRWMWorld(41, 120, SensorConfig{})
 	eng := NewEngine(
-		NewAggregator(world, WithScheduling(SchedulingGreedy)),
+		NewAggregator(world),
 		WithQueueSize(256),
 		// A tiny event log forces the slow-subscriber eviction path
 		// under load.

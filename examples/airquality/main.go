@@ -8,9 +8,10 @@
 //   - a school watches the CO2 level at its gate for a whole morning
 //     (location monitoring query).
 //
-// The example runs the same workload through the Algorithm 5 pipeline and
-// through the sequential baseline and prints the welfare gap — the paper's
-// sustainability argument in one table.
+// The example runs the workload through the aggregator's shared Algorithm 5
+// selection and prints what each application got. For the paper's
+// comparison with the sequential baseline on the §4.7 query mix, run
+// `go run ./cmd/psbench -figure fig10`.
 package main
 
 import (
@@ -21,13 +22,9 @@ import (
 
 const slots = 20
 
-func runCity(baseline bool) (welfare float64, satisfaction float64, school *ps.LocationMonitoringQuery) {
-	opts := []ps.Option{}
-	if baseline {
-		opts = append(opts, ps.WithBaselinePipeline())
-	}
+func runCity() (welfare float64, satisfaction float64, school *ps.LocationMonitoringQuery) {
 	world := ps.NewRNCWorld(2024, ps.SensorConfig{})
-	agg := ps.NewAggregator(world, opts...)
+	agg := ps.NewAggregator(world)
 
 	// The school gate is watched for the whole run; the submitted spec's
 	// Underlying query exposes the monitoring state for the report below.
@@ -76,18 +73,13 @@ func runCity(baseline bool) (welfare float64, satisfaction float64, school *ps.L
 }
 
 func main() {
-	fmt.Println("air-quality city — shared acquisition vs sequential baseline")
+	fmt.Println("air-quality city — three applications sharing one aggregator")
 	fmt.Printf("(%d slots; 150 spot checks + 4 district averages per slot + 1 school monitor)\n\n", slots)
 
-	smartWelfare, smartSat, smartSchool := runCity(false)
-	baseWelfare, baseSat, baseSchool := runCity(true)
+	welfare, sat, school := runCity()
 
-	fmt.Printf("%-22s %14s %12s %16s\n", "pipeline", "total welfare", "spot checks", "school monitor")
-	fmt.Printf("%-22s %14.1f %11.1f%% %15.1f%%\n", "Algorithm 5 (shared)", smartWelfare, 100*smartSat, 100*smartSchool.Quality())
-	fmt.Printf("%-22s %14.1f %11.1f%% %15.1f%%\n", "baseline (sequential)", baseWelfare, 100*baseSat, 100*baseSchool.Quality())
-	if baseWelfare > 0 {
-		fmt.Printf("\nsharing gain: %.1fx welfare\n", smartWelfare/baseWelfare)
-	}
+	fmt.Printf("%14s %12s %16s\n", "total welfare", "spot checks", "school monitor")
+	fmt.Printf("%14.1f %11.1f%% %15.1f%%\n", welfare, 100*sat, 100*school.Quality())
 	fmt.Printf("school monitor sampled %d times (desired %d)\n",
-		len(smartSchool.Sampled), len(smartSchool.Desired))
+		len(school.Sampled), len(school.Desired))
 }

@@ -1,6 +1,7 @@
 // Quickstart: build a world, submit point-query specs through the
-// unified submission API, run a few slots, and compare the three
-// scheduling policies of the paper on identical workloads.
+// unified submission API and run one slot. To compare the paper's point
+// schedulers (exact BILP, local search, baseline) on identical workloads,
+// run `go run ./cmd/pssim -algorithm optimal|localsearch|baseline`.
 package main
 
 import (
@@ -13,7 +14,6 @@ func main() {
 	fmt.Println("participatory sensing — quickstart")
 	fmt.Println()
 
-	// One aggregator with the exact scheduler.
 	world := ps.NewRWMWorld(42, 200, ps.SensorConfig{})
 	agg := ps.NewAggregator(world)
 
@@ -39,36 +39,5 @@ func main() {
 		} else {
 			fmt.Printf("  %s unanswered (no sensor close enough)\n", id)
 		}
-	}
-	fmt.Println()
-
-	// Policy comparison on identical workloads: the same 200 queries per
-	// slot for 10 slots under each scheduling policy.
-	fmt.Println("policy comparison (200 point queries/slot, budget 15, 10 slots):")
-	fmt.Printf("%-13s %14s %14s\n", "policy", "welfare", "answered")
-	for _, pol := range []ps.Scheduling{ps.SchedulingOptimal, ps.SchedulingLocalSearch, ps.SchedulingBaseline} {
-		w := ps.NewRWMWorld(7, 200, ps.SensorConfig{})
-		a := ps.NewAggregator(w, ps.WithScheduling(pol))
-		var welfare float64
-		answered, total := 0, 0
-		for slot := 0; slot < 10; slot++ {
-			for i := 0; i < 200; i++ {
-				x := 15 + float64((i*37+slot*11)%50)
-				y := 15 + float64((i*53+slot*29)%50)
-				if _, err := a.Submit(ps.PointSpec{ID: fmt.Sprintf("q%d", i), Loc: ps.Pt(x, y), Budget: 15}); err != nil {
-					panic(err)
-				}
-			}
-			rep := a.RunSlot()
-			welfare += rep.Welfare
-			total += 200
-			// Outcomes enumerates the slot's per-query results in bulk.
-			for _, o := range rep.Outcomes() {
-				if o.Answered {
-					answered++
-				}
-			}
-		}
-		fmt.Printf("%-13s %14.1f %13.1f%%\n", pol, welfare, 100*float64(answered)/float64(total))
 	}
 }

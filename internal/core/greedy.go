@@ -1004,16 +1004,13 @@ func (s *selection) exhaustiveLoop() {
 
 // GreedyPoint adapts Algorithm 1 to the PointSolver interface so the mix
 // pipeline can schedule point queries through the shared greedy pass.
-func GreedyPoint() PointSolver { return GreedyPointWith(GreedyConfig{}) }
-
-// GreedyPointWith is GreedyPoint with explicit strategy control.
-func GreedyPointWith(cfg GreedyConfig) PointSolver {
+func GreedyPoint() PointSolver {
 	return func(queries []*query.Point, offers []Offer) *PointResult {
 		qs := make([]query.Query, len(queries))
 		for i, q := range queries {
 			qs[i] = q
 		}
-		multi := GreedySelectWith(qs, offers, cfg)
+		multi := GreedySelect(qs, offers)
 		return pointResultFromMulti(queries, multi)
 	}
 }

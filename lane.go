@@ -145,19 +145,17 @@ func partialFromExec(ex *slotExec, selectMs float64) *LanePartial {
 		Events:      ex.report.Events,
 		Selection:   ex.report.Selection,
 		SelectMs:    selectMs,
+		SelectedIDs: make([]int, len(ex.mix.Multi.Selected)),
+		Trace:       ex.mix.Multi.Trace,
+		Outcomes:    make(map[string]float64, len(ex.mix.Multi.Outcomes)),
+		Continuous:  ex.mix.Continuous,
 		exec:        ex,
 	}
-	if ex.mix != nil {
-		p.SelectedIDs = make([]int, len(ex.mix.Multi.Selected))
-		for i, s := range ex.mix.Multi.Selected {
-			p.SelectedIDs[i] = s.ID
-		}
-		p.Trace = ex.mix.Multi.Trace
-		p.Outcomes = make(map[string]float64, len(ex.mix.Multi.Outcomes))
-		for id, out := range ex.mix.Multi.Outcomes {
-			p.Outcomes[id] = out.Value
-		}
-		p.Continuous = ex.mix.Continuous
+	for i, s := range ex.mix.Multi.Selected {
+		p.SelectedIDs[i] = s.ID
+	}
+	for id, out := range ex.mix.Multi.Outcomes {
+		p.Outcomes[id] = out.Value
 	}
 	return p
 }
@@ -257,7 +255,7 @@ func (l *localLane) Cancel(id string) bool { return l.a.CancelQuery(id) }
 
 func (l *localLane) RunLane(t int, offers []Offer) (*LanePartial, error) {
 	start := time.Now()
-	ex := l.a.executeSlot(t, offers, true)
+	ex := l.a.executeSlot(t, offers)
 	ms := float64(time.Since(start).Nanoseconds()) / 1e6
 	return partialFromExec(ex, ms), nil
 }
@@ -302,16 +300,14 @@ func sensorIndex(sensors []*sensornet.Sensor) map[int]*sensornet.Sensor {
 
 // NewNodeLane builds the node-side runtime for one shard of a world
 // partitioned into `shards`. Options mirror NewShardedAggregator's lane
-// configuration: the baseline pipeline is overridden, so a node lane is
-// configured exactly like the in-process lane it replaces.
+// configuration, so a node lane is configured exactly like the in-process
+// lane it replaces.
 func NewNodeLane(world *World, shards, shard int, opts ...Option) *NodeLane {
-	a := NewAggregator(world, opts...)
-	a.baseline = false
 	return &NodeLane{
 		world: world,
 		part:  geo.NewGridPartition(world.Working, shards),
 		shard: shard,
-		agg:   a,
+		agg:   NewAggregator(world, opts...),
 	}
 }
 
@@ -362,7 +358,7 @@ func (n *NodeLane) RunSlot(t int) (*LanePartial, error) {
 		return nil, err
 	}
 	start := time.Now()
-	ex := n.agg.executeSlot(t, n.pending, true)
+	ex := n.agg.executeSlot(t, n.pending)
 	p := partialFromExec(ex, float64(time.Since(start).Nanoseconds())/1e6)
 	p.StepMs = n.stepMs
 	return p, nil

@@ -111,60 +111,11 @@ func NewIntelLabWorld(seed int64, cfg SensorConfig) *World {
 	return datasets.NewIntelLab(seed, cfg)
 }
 
-// Scheduling selects the single-sensor point scheduling policy.
+// Scheduling selects nothing: every slot runs Algorithm 5's greedy
+// selection. The type, SchedulingGreedy and the no-op WithScheduling
+// remain only for the benchmark program's two call sites, and all three
+// go once those drop the option.
 type Scheduling int
 
-// The scheduling policies of §3.1.
-const (
-	// SchedulingOptimal solves the BILP of problem (9) exactly (warm
-	// started by local search).
-	SchedulingOptimal Scheduling = iota
-	// SchedulingLocalSearch is the 1/3-approximate local search.
-	SchedulingLocalSearch
-	// SchedulingBaseline is the evaluation's sequential baseline.
-	SchedulingBaseline
-	// SchedulingEgalitarian maximizes the number of users with positive
-	// utility (§2's alternative objective).
-	SchedulingEgalitarian
-	// SchedulingGreedy schedules point-only slots through Algorithm 1's
-	// greedy pass, honoring the aggregator's selection strategy
-	// (WithGreedyStrategy) — the only policy whose point-only slots
-	// benefit from the lazy fast path and report selection stats.
-	SchedulingGreedy
-)
-
-func (s Scheduling) solver(cfg core.GreedyConfig) core.PointSolver {
-	switch s {
-	case SchedulingLocalSearch:
-		return core.LocalSearchPoint(core.DefaultLocalSearchEpsilon)
-	case SchedulingBaseline:
-		return core.BaselinePoint()
-	case SchedulingEgalitarian:
-		return core.EgalitarianPoint()
-	case SchedulingGreedy:
-		return core.GreedyPointWith(cfg)
-	default:
-		return core.OptimalPoint(core.OptimalOptions{
-			WarmStartWithLocalSearch: true,
-			MaxNodesPerComponent:     200_000,
-		})
-	}
-}
-
-// String implements fmt.Stringer.
-func (s Scheduling) String() string {
-	switch s {
-	case SchedulingOptimal:
-		return "Optimal"
-	case SchedulingLocalSearch:
-		return "LocalSearch"
-	case SchedulingBaseline:
-		return "Baseline"
-	case SchedulingEgalitarian:
-		return "Egalitarian"
-	case SchedulingGreedy:
-		return "Greedy"
-	default:
-		return "Unknown"
-	}
-}
+// SchedulingGreedy names the one selection path every slot takes.
+const SchedulingGreedy Scheduling = 0

@@ -122,11 +122,16 @@ func TestStreamSurvivesChaosDrops(t *testing.T) {
 
 	// Every severed /watch request is counted, and the inflight gauge
 	// settles at 1: the scrape reading it. The last stream's accounting
-	// may still be running when its final frame reaches the client.
-	if watches := scrape(t, h, "ps_http_requests_total", `route="GET /watch"`); watches < float64(stats.Reconnects+1) {
-		t.Errorf("ps_http_requests_total counts %v watch requests, want >= %d", watches, stats.Reconnects+1)
-	}
+	// may still be running when its final frame reaches the client, so
+	// both are polled up to a deadline.
 	deadline := time.Now().Add(5 * time.Second)
+	for scrape(t, h, "ps_http_requests_total", `route="GET /watch"`) < float64(stats.Reconnects+1) {
+		if time.Now().After(deadline) {
+			t.Fatalf("ps_http_requests_total counts %v watch requests, want >= %d",
+				scrape(t, h, "ps_http_requests_total", `route="GET /watch"`), stats.Reconnects+1)
+		}
+		time.Sleep(time.Millisecond)
+	}
 	for scrape(t, h, "ps_http_requests_inflight", "") != 1 {
 		if time.Now().After(deadline) {
 			t.Fatalf("ps_http_requests_inflight = %v at rest, want 1 (the scrape)", scrape(t, h, "ps_http_requests_inflight", ""))

@@ -119,10 +119,9 @@ func (o *shardedOrder) each(f func(*[]shardedEntry)) {
 // per-slot welfare can fall below the unsharded pipeline's (see
 // DESIGN.md, "Sharded execution", for the observed bound).
 //
-// The sharded layer always routes through the greedy Algorithm 5
-// pipeline; the point-only Scheduling policies and the baseline pipeline
-// of the unsharded Aggregator do not decompose by shard and are not
-// honored here.
+// Every lane runs the same Algorithm 5 greedy selection as the unsharded
+// Aggregator, whatever kinds of query it holds; that shared path is what
+// lets the resident passes decompose by shard.
 //
 // Like Aggregator, a ShardedAggregator is confined to one goroutine (the
 // Engine's loop when wrapped via NewShardedEngine); only the slot's
@@ -172,14 +171,6 @@ func NewShardedAggregator(world *World, shards int, opts ...Option) *ShardedAggr
 		sa.shards[k] = NewAggregator(world, opts...)
 	}
 	sa.span = NewAggregator(world, opts...)
-	// The sharded layer always routes through the greedy Algorithm 5
-	// pipeline (see the type comment): the baseline pipeline records no
-	// selection trace, so honoring WithBaselinePipeline here would make
-	// the reconciliation replay commit nothing while payments were still
-	// booked. Override it rather than corrupt results.
-	for _, a := range append(slices.Clone(sa.shards), sa.span) {
-		a.baseline = false
-	}
 	sa.lanes = make([]LaneRunner, n)
 	for k := range sa.lanes {
 		sa.lanes[k] = &localLane{a: sa.shards[k]}
@@ -243,12 +234,6 @@ func (sa *ShardedAggregator) Submit(spec Spec) (SubmittedQuery, error) {
 	if err := spec.Validate(sa.world); err != nil {
 		return SubmittedQuery{}, err
 	}
-	return sa.materializeSpec(spec)
-}
-
-// materializeSpec routes and registers a spec without validation (the
-// deprecated lenient submission path of the Engine wrappers).
-func (sa *ShardedAggregator) materializeSpec(spec Spec) (SubmittedQuery, error) {
 	home := sa.route(spec)
 	var sq SubmittedQuery
 	var err error
@@ -448,7 +433,7 @@ func (sa *ShardedAggregator) RunSlot() *SlotReport {
 		}
 		sa.residualBuf = residual
 		spanStart := time.Now()
-		spanExec = sa.span.executeSlot(t, residual, true)
+		spanExec = sa.span.executeSlot(t, residual)
 		spanMs = float64(time.Since(spanStart).Nanoseconds()) / 1e6
 	}
 	tr.Mark(StageSpanning)

@@ -122,13 +122,13 @@ func TestShardedGoldenEquivalence(t *testing.T) {
 }
 
 // TestShardedGoldenEquivalencePointOnly: a pure point workload routed
-// through the sharded layer (which always uses the greedy mix pipeline)
-// matches the unsharded aggregator under SchedulingGreedy bit for bit.
+// through the sharded layer matches the default unsharded aggregator bit
+// for bit — both run the same Algorithm 5 selection on point-only slots.
 func TestShardedGoldenEquivalencePointOnly(t *testing.T) {
 	const seed, sensors, slots = 33, 200, 6
 	pair := submitPair{
 		t:       t,
-		plain:   NewAggregator(NewRWMWorld(seed, sensors, SensorConfig{}), WithScheduling(SchedulingGreedy)),
+		plain:   NewAggregator(NewRWMWorld(seed, sensors, SensorConfig{})),
 		sharded: NewShardedAggregator(NewRWMWorld(seed, sensors, SensorConfig{}), 4),
 	}
 	for slot := 0; slot < slots; slot++ {
@@ -300,29 +300,6 @@ func TestShardedCancelQuery(t *testing.T) {
 	rep := sa.RunSlot()
 	if rep.Welfare != 0 || rep.SensorsUsed != 0 {
 		t.Errorf("slot after cancellations did work: %+v", rep)
-	}
-}
-
-// TestShardedIgnoresBaselinePipeline: WithBaselinePipeline is not
-// honored by the sharded layer (the baseline pipeline records no
-// selection trace, so the reconciliation would commit nothing while
-// still booking payments). The option must be overridden, not silently
-// corrupt results.
-func TestShardedIgnoresBaselinePipeline(t *testing.T) {
-	sa := NewShardedAggregator(NewRWMWorld(13, 200, SensorConfig{}), 4, WithBaselinePipeline())
-	if _, err := sa.Submit(AggregateSpec{ID: "a", Region: NewRect(22, 22, 33, 33), Budget: 300}); err != nil {
-		t.Fatal(err)
-	}
-	rep := sa.RunSlot()
-	if !rep.Answered("a") {
-		t.Fatal("aggregate unanswered on a dense slot")
-	}
-	if rep.SensorsUsed == 0 || rep.TotalCost <= 0 {
-		t.Fatalf("selection not committed: SensorsUsed=%d TotalCost=%v (payments %v)",
-			rep.SensorsUsed, rep.TotalCost, rep.Payment("a"))
-	}
-	if v := sa.SelectionStats().ConservationViolations; v != 0 {
-		t.Errorf("%d conservation violations", v)
 	}
 }
 
