@@ -2,7 +2,6 @@ package ps
 
 import (
 	"iter"
-	"maps"
 	"slices"
 	"strings"
 
@@ -140,23 +139,82 @@ type SlotReport struct {
 	// before accumulating into EngineMetrics.SlotStages.
 	Stages []StageTiming
 
-	values   map[string]float64
-	payments map[string]float64
-	// answered marks continuous queries whose probe was satisfied this
+	// results holds one entry per query with an outcome this slot,
+	// ascending by ID: the getters binary-search it, Outcomes walks it.
+	results []slotResult
+}
+
+// slotResult is one query's entry in a SlotReport.
+type slotResult struct {
+	id      string
+	value   float64
+	payment float64
+	// paid marks a booked payment, a zero one included: a lane partial's
+	// Payments section lists exactly these entries.
+	paid bool
+	// satisfied marks a continuous query whose probe was satisfied this
 	// slot even when the valuation delta rounds to zero (e.g. a sample
 	// that repeats an already-achieved quality still counts as served).
-	answered map[string]bool
+	satisfied bool
+}
+
+func (e *slotResult) outcome() QueryOutcome {
+	return QueryOutcome{Answered: e.value > 0 || e.satisfied, Value: e.value, Payment: e.payment}
+}
+
+// outcome returns the query's entry, or the zero outcome when it has
+// none.
+func (r *SlotReport) outcome(id string) QueryOutcome {
+	i, j := 0, len(r.results)
+	for i < j {
+		h := int(uint(i+j) >> 1)
+		if r.results[h].id < id {
+			i = h + 1
+		} else {
+			j = h
+		}
+	}
+	if i < len(r.results) && r.results[i].id == id {
+		return r.results[i].outcome()
+	}
+	return QueryOutcome{}
+}
+
+// seal puts the booked results in ID order and folds the entries of a
+// repeated ID into one, adding values and payments in booking order. The
+// Engine keeps query IDs unique, so a slot run under it folds nothing,
+// and a bare Aggregator given one ID twice reports the sum. A lane
+// partial's report is booked one entry per section entry and sealed into
+// one entry per query the same way.
+func (r *SlotReport) seal() {
+	slices.SortStableFunc(r.results, func(a, b slotResult) int { return strings.Compare(a.id, b.id) })
+	w := 0
+	for i := 1; i < len(r.results); i++ {
+		e, last := r.results[i], &r.results[w]
+		if e.id != last.id {
+			w++
+			r.results[w] = e
+			continue
+		}
+		last.value += e.value
+		last.payment += e.payment
+		last.paid = last.paid || e.paid
+		last.satisfied = last.satisfied || e.satisfied
+	}
+	if len(r.results) > 0 {
+		r.results = r.results[:w+1]
+	}
 }
 
 // Answered reports whether the query was served this slot: it obtained
 // positive value, or (for continuous queries) a satisfied sample.
-func (r *SlotReport) Answered(id string) bool { return r.values[id] > 0 || r.answered[id] }
+func (r *SlotReport) Answered(id string) bool { return r.outcome(id).Answered }
 
 // Value returns the valuation the query obtained this slot.
-func (r *SlotReport) Value(id string) float64 { return r.values[id] }
+func (r *SlotReport) Value(id string) float64 { return r.outcome(id).Value }
 
 // Payment returns what the query paid this slot.
-func (r *SlotReport) Payment(id string) float64 { return r.payments[id] }
+func (r *SlotReport) Payment(id string) float64 { return r.outcome(id).Payment }
 
 // QueryOutcome is one query's outcome in one slot, as enumerated by
 // SlotReport.Outcomes.
@@ -170,36 +228,14 @@ type QueryOutcome struct {
 }
 
 // Outcomes iterates over every query with a recorded outcome this slot
-// (id -> answered/value/payment), in unspecified order. It is the bulk
+// (id -> answered/value/payment), in ascending ID order. It is the bulk
 // companion of the per-id Answered/Value/Payment getters — each yielded
 // outcome is exactly what those getters return for the id — so callers
 // can enumerate a slot's results without knowing the live query IDs.
 func (r *SlotReport) Outcomes() iter.Seq2[string, QueryOutcome] {
 	return func(yield func(string, QueryOutcome) bool) {
-		seen := make(map[string]bool, len(r.values))
-		emit := func(id string) bool {
-			if seen[id] {
-				return true
-			}
-			seen[id] = true
-			return yield(id, QueryOutcome{
-				Answered: r.Answered(id),
-				Value:    r.Value(id),
-				Payment:  r.Payment(id),
-			})
-		}
-		for id := range r.values {
-			if !emit(id) {
-				return
-			}
-		}
-		for id := range r.payments {
-			if !emit(id) {
-				return
-			}
-		}
-		for id := range r.answered {
-			if !emit(id) {
+		for i := range r.results {
+			if !yield(r.results[i].id, r.results[i].outcome()) {
 				return
 			}
 		}
@@ -239,34 +275,32 @@ type slotExec struct {
 	// active continuous queries and their generated probes).
 	queries int
 	mix     *core.MixSlotResult
+	// outcomes is the pass's outcome index (outcomeIndex), nil until a
+	// sharded slot needs it.
+	outcomes []LaneValue
 }
 
 // executeSlot runs slot t's Algorithm 5 selection over the given offers
 // without touching the fleet, the stats or the pending-query lists.
 func (a *Aggregator) executeSlot(t int, offers []core.Offer) *slotExec {
-	report := &SlotReport{
-		Slot:     t,
-		Offers:   len(offers),
-		values:   make(map[string]float64),
-		payments: make(map[string]float64),
-		answered: make(map[string]bool),
-	}
+	report := &SlotReport{Slot: t, Offers: len(offers)}
 	ex := &slotExec{report: report}
 
-	// Materialize event-detection probes.
-	probes := make(map[string]*EventDetectionQuery)
-	regProbes := make(map[string]*RegionEventQuery)
+	// Materialize event-detection probes. They join the user extras in
+	// the joint pass, event probes first, in the order of their queries.
 	extra := append([]query.Query(nil), a.extra...)
+	var events []*EventDetectionQuery
+	var regEvents []*RegionEventQuery
 	for _, e := range a.events {
 		if mp, ok := e.CreatePointQuery(t); ok {
 			extra = append(extra, mp)
-			probes[mp.QID()] = e
+			events = append(events, e)
 		}
 	}
 	for _, e := range a.regEvents {
 		if agg, ok := e.CreateProbe(t); ok {
 			extra = append(extra, agg)
-			regProbes[agg.QID()] = e
+			regEvents = append(regEvents, e)
 		}
 	}
 
@@ -291,59 +325,61 @@ func (a *Aggregator) executeSlot(t int, offers []core.Offer) *slotExec {
 	report.LocMonValue = res.LocMonValue
 	report.RegMonValue = res.RegMonValue
 	report.ExtraValue = res.ExtraValue
+
+	// The joint pass lists its outcomes as aggregates, points, extras
+	// (user extras, event probes, region-event probes), then the probes
+	// of continuous queries.
+	aggOuts := res.Multi.Outcomes[:len(a.aggs)]
+	pointOuts := res.Multi.Outcomes[len(a.aggs):][:len(a.points)]
+	extraOuts := res.Multi.Outcomes[len(a.aggs)+len(a.points):][:len(extra)]
+	eventOuts := extraOuts[len(a.extra):][:len(events)]
+	regEventOuts := extraOuts[len(a.extra)+len(events):]
+
+	report.results = make([]slotResult, 0,
+		len(a.points)+len(a.aggs)+len(a.extra)+len(res.Continuous)+len(events)+len(regEvents))
 	// Record user-submitted one-shots only: the probe queries the
 	// pipeline generates for continuous parents carry derived IDs
 	// (query.PointID), and their value/payments are projected onto
 	// the parent ID below — copying them here too would make
 	// Outcomes() double-count continuous work under phantom IDs.
-	recordUser := func(qid string) {
-		if out := res.Multi.Outcomes[qid]; out != nil && out.Value > 0 {
-			report.values[qid] = out.Value
-			report.payments[qid] = out.TotalPayment()
+	record := func(id string, out *core.MultiOutcome) {
+		if out.Value > 0 {
+			report.results = append(report.results,
+				slotResult{id: id, value: out.Value, payment: out.TotalPayment(), paid: true})
 		}
 	}
-	for _, q := range a.points {
-		recordUser(q.QID())
+	for i, q := range a.points {
+		record(q.QID(), &pointOuts[i])
 	}
-	for _, q := range a.aggs {
-		recordUser(q.QID())
+	for i, q := range a.aggs {
+		record(q.QID(), &aggOuts[i])
 	}
-	for _, q := range a.extra {
-		recordUser(q.QID())
-	}
-	for qid, o := range res.PointOutcomes {
-		report.values[qid] = o.Value
-		report.payments[qid] = o.Payment
+	for i, q := range a.extra {
+		record(q.QID(), &extraOuts[i])
 	}
 	// Continuous queries report under their own ID: Algorithm 5's
 	// generated probes carry derived IDs, so without this projection
 	// Answered/Value/Payment would never see monitoring results.
 	for qid, co := range res.Continuous {
+		e := slotResult{id: qid, satisfied: co.Satisfied}
 		if co.ValueDelta > 0 {
-			report.values[qid] = co.ValueDelta
+			e.value = co.ValueDelta
 		}
 		if co.Payment > 0 {
-			report.payments[qid] += co.Payment
+			e.payment, e.paid = co.Payment, true
 		}
-		if co.Satisfied {
-			report.answered[qid] = true
+		if e.value > 0 || e.paid || e.satisfied {
+			report.results = append(report.results, e)
 		}
 	}
 
 	// Evaluate region-event probes: readings plus achieved coverage.
-	// Sorted probe order: several probes can project onto one parent
-	// query ID, so the += below must run in a reproducible order for
-	// SlotReports to stay bit-identical across strategies (floatorder).
-	for _, pid := range slices.Sorted(maps.Keys(regProbes)) {
-		e := regProbes[pid]
-		out := res.Multi.Outcomes[pid]
-		if out == nil || len(out.Sensors) == 0 {
+	for i, e := range regEvents {
+		out := &regEventOuts[i]
+		if len(out.Sensors) == 0 {
 			continue
 		}
-		if out.Value > 0 {
-			report.values[e.ID] += out.Value
-			report.payments[e.ID] += out.TotalPayment()
-		}
+		record(e.ID, out)
 		var vals, thetas []float64
 		var centers []Point
 		for _, s := range out.Sensors {
@@ -362,18 +398,13 @@ func (a *Aggregator) executeSlot(t int, offers []core.Offer) *slotExec {
 		})
 	}
 
-	// Evaluate event probes on the acquired readings. Sorted for the
-	// same reason as the region-event loop above.
-	for _, pid := range slices.Sorted(maps.Keys(probes)) {
-		e := probes[pid]
-		out := res.Multi.Outcomes[pid]
-		if out == nil || len(out.Sensors) == 0 {
+	// Evaluate event probes on the acquired readings.
+	for i, e := range events {
+		out := &eventOuts[i]
+		if len(out.Sensors) == 0 {
 			continue
 		}
-		if out.Value > 0 {
-			report.values[e.ID] += out.Value
-			report.payments[e.ID] += out.TotalPayment()
-		}
+		record(e.ID, out)
 		var vals, thetas []float64
 		var wsum, wv float64
 		for _, s := range out.Sensors {
@@ -394,11 +425,12 @@ func (a *Aggregator) executeSlot(t int, offers []core.Offer) *slotExec {
 		}
 		report.Events = append(report.Events, n)
 	}
+	report.seal()
 
-	// The probe maps above iterate in map order; fix the event order so
-	// reports are deterministic (and so the sharded merge has a canonical
-	// order to preserve). Each event query emits at most one notification
-	// per slot, so sorting by query ID is a total order.
+	// Fix the event order so reports are deterministic (and so the
+	// sharded merge has a canonical order to preserve). Each event query
+	// emits at most one notification per slot, so sorting by query ID is
+	// a total order.
 	slices.SortFunc(report.Events, func(a, b EventNotification) int {
 		return strings.Compare(a.QueryID, b.QueryID)
 	})

@@ -594,11 +594,12 @@ func (h *hub) publishSlot(rep *SlotReport, events map[string][]EventNotification
 	slices.Sort(h.ids)
 	for _, id := range h.ids {
 		t := h.topics[id]
+		out := rep.outcome(id)
 		res := SlotResult{
 			Slot:     rep.Slot,
-			Answered: rep.Answered(id),
-			Value:    rep.Value(id),
-			Payment:  rep.Payment(id),
+			Answered: out.Answered,
+			Value:    out.Value,
+			Payment:  out.Payment,
 			Events:   events[id],
 		}
 		if res.Answered {

@@ -86,17 +86,13 @@ func baselinePointSolve(queries []*query.Point, offers []Offer, preSelected map[
 // the sensors that result in best utility. The cost of the selected
 // sensors is set to zero for the subsequent queries in the time slot."
 func BaselineMultiSelect(queries []query.Query, offers []Offer) *MultiResult {
-	res := &MultiResult{
-		Outcomes: make(map[string]*MultiOutcome, len(queries)),
-		States:   make(map[string]query.State, len(queries)),
-	}
+	res := &MultiResult{Outcomes: make([]MultiOutcome, len(queries))}
 	selected := make(map[int]bool)
 	selectedOffers := make(map[int]Offer)
-	for _, q := range queries {
+	for qi, q := range queries {
 		st := q.NewState()
-		out := &MultiOutcome{Payments: []Payment{}}
-		res.Outcomes[q.QID()] = out
-		res.States[q.QID()] = st
+		out := &res.Outcomes[qi]
+		out.Payments = []Payment{}
 
 		// Per-query greedy: repeatedly add the sensor with the best
 		// marginal utility deltav - effectiveCost while positive.

@@ -83,12 +83,10 @@ type MultiResult struct {
 	Selected   []*sensornet.Sensor
 	TotalCost  float64
 	TotalValue float64
-	// Outcomes by query ID. Every input query has an entry; unserved
-	// queries have empty sensor sets and zero value.
-	Outcomes map[string]*MultiOutcome
-	// States exposes the final valuation state per query ID, so callers
-	// (Algorithm 5) can continue applying results.
-	States map[string]query.State
+	// Outcomes is aligned with the queries argument: Outcomes[i] is
+	// queries[i]'s result. Unserved queries have empty sensor sets and
+	// zero value.
+	Outcomes []MultiOutcome
 	// Trace lists the commits in selection order, one entry per Selected
 	// sensor (greedy strategies only; the baseline pipeline leaves it nil).
 	Trace []SelectionStep
@@ -122,17 +120,20 @@ func DiffMultiResults(want, got *MultiResult) string {
 		return fmt.Sprintf("cost/value %v/%v, want %v/%v",
 			got.TotalCost, got.TotalValue, want.TotalCost, want.TotalValue)
 	}
-	for qid, wo := range want.Outcomes {
-		out := got.Outcomes[qid]
-		if out == nil || out.Value != wo.Value || len(out.Payments) != len(wo.Payments) {
-			return fmt.Sprintf("outcome %s diverged", qid)
+	if len(got.Outcomes) != len(want.Outcomes) {
+		return fmt.Sprintf("%d outcomes, want %d", len(got.Outcomes), len(want.Outcomes))
+	}
+	for qi := range want.Outcomes {
+		wo, out := &want.Outcomes[qi], &got.Outcomes[qi]
+		if out.Value != wo.Value || len(out.Payments) != len(wo.Payments) {
+			return fmt.Sprintf("outcome %d diverged", qi)
 		}
 		// Compare per-sensor payments individually: equal totals can
 		// hide a different split.
 		for i, wp := range wo.Payments {
 			if p := out.Payments[i]; p != wp {
-				return fmt.Sprintf("%s payment %d = sensor %d: %v, want sensor %d: %v",
-					qid, i, p.SensorID, p.Amount, wp.SensorID, wp.Amount)
+				return fmt.Sprintf("outcome %d payment %d = sensor %d: %v, want sensor %d: %v",
+					qi, i, p.SensorID, p.Amount, wp.SensorID, wp.Amount)
 			}
 		}
 	}
@@ -343,7 +344,7 @@ type selection struct {
 	volOff []int32
 	volAt  []int32
 	// outs holds the outcome of each query by query index; finalize
-	// publishes them under their IDs.
+	// publishes it as the result's Outcomes.
 	outs []MultiOutcome
 	// recs books every (query, commit) pair in commit order; finalize
 	// deals them out to outs.
@@ -499,14 +500,10 @@ func newSelection(queries []query.Query, offers []Offer) *selection {
 		offers:  offers,
 		states:  make([]query.State, len(queries)),
 		outs:    make([]MultiOutcome, len(queries)),
-		res: &MultiResult{
-			Outcomes: make(map[string]*MultiOutcome, len(queries)),
-			States:   make(map[string]query.State, len(queries)),
-		},
+		res:     &MultiResult{},
 	}
 	for i, q := range queries {
 		s.states[i] = q.NewState()
-		s.res.States[q.QID()] = s.states[i]
 	}
 	if len(queries) == 0 || len(offers) == 0 {
 		return s
@@ -556,12 +553,6 @@ func newSelection(queries []query.Query, offers []Offer) *selection {
 	return s
 }
 
-// relevanceIndexMinWork is the candidate-pair count (offers × queries)
-// above which buildRelevance buckets query footprints in a grid instead
-// of testing every pair; below it the naive double loop is cheaper than
-// building the index.
-const relevanceIndexMinWork = 1 << 15
-
 // relevanceGridDim is the resolution (per axis) of the footprint bucket
 // grid over the offered sensors' bounding box.
 const relevanceGridDim = 32
@@ -571,14 +562,14 @@ const relevanceGridDim = 32
 // queries advertising query.RelevanceBased yield their PairCached base
 // value as a byproduct of the relevance test, so the pair's first gain
 // evaluation skips the distance/quality math entirely; other pairs get
-// the NaN not-yet-computed sentinel. On large instances it prunes
-// Relevant calls with a footprint grid: queries advertising
-// query.Footprinted are bucketed into the grid cells their footprint
-// overlaps, and each sensor tests only its own cell's bucket (plus the
-// unfootprinted rest). The bucket of a sensor's cell is a superset of
-// its relevant footprinted queries and every candidate still goes
-// through Relevant in ascending query order, so the resulting CSR rows
-// are identical to the naive double loop's.
+// the NaN not-yet-computed sentinel. A footprint grid prunes the
+// Relevant calls: queries advertising query.Footprinted are bucketed into
+// the grid cells their footprint overlaps, and each sensor tests only its
+// own cell's bucket plus the global list of unfootprinted queries. The
+// bucket of a sensor's cell is a superset of its relevant footprinted
+// queries and every candidate still goes through Relevant in ascending
+// query order, so the CSR rows are those of testing every (sensor,
+// query) pair.
 func (s *selection) buildRelevance() {
 	ar := s.ar
 	nq, no := len(s.queries), len(s.offers)
@@ -609,29 +600,6 @@ func (s *selection) buildRelevance() {
 			}
 		}
 		s.relOff[si+1] = int32(len(s.relIdx))
-	}
-
-	useIndex := no*nq >= relevanceIndexMinWork
-	var anyFoot bool
-	if useIndex {
-		for _, q := range s.queries {
-			if _, ok := q.(query.Footprinted); ok {
-				anyFoot = true
-				break
-			}
-		}
-	}
-	if !useIndex || !anyFoot {
-		all := growInt32(ar.merged, nq)
-		for qi := range s.queries {
-			all[qi] = int32(qi)
-		}
-		ar.merged = all
-		for si, o := range s.offers {
-			appendRelevant(si, o, all)
-		}
-		ar.relOff, ar.relIdx, ar.base = s.relOff, s.relIdx, s.base
-		return
 	}
 
 	// Bounding box of the offered sensors; footprints are clipped to it.
@@ -905,12 +873,12 @@ func (s *selection) commit(si int, net float64) {
 // Eq. 11.
 func (s *selection) finalize() {
 	s.dealOutcomes()
-	for i, q := range s.queries {
+	for i := range s.outs {
 		out := &s.outs[i]
 		out.Value = s.states[i].Value()
 		s.res.TotalValue += out.Value
-		s.res.Outcomes[q.QID()] = out
 	}
+	s.res.Outcomes = s.outs
 	// A run without an arena committed nothing, so it paid nothing.
 	if s.ar != nil {
 		s.stats.ConservationViolations += s.ar.cons.multi(s.queries, s.outs, s.res.Trace)
@@ -1028,9 +996,9 @@ func pointResultFromMulti(queries []*query.Point, multi *MultiResult) *PointResu
 		TotalValue: multi.TotalValue,
 		Stats:      multi.Stats,
 	}
-	for _, q := range queries {
-		out := multi.Outcomes[q.QID()]
-		if out == nil || out.Value <= 0 {
+	for i, q := range queries {
+		out := &multi.Outcomes[i]
+		if out.Value <= 0 {
 			continue
 		}
 		// The best sensor committed to the query delivers its value.

@@ -49,8 +49,8 @@ func TestTheorem1Properties(t *testing.T) {
 		// Property 1 (telescoping) is implicit in the state design; verify
 		// value consistency: sum of per-query values equals TotalValue.
 		var sumV float64
-		for _, q := range qs {
-			out := res.Outcomes[q.QID()]
+		for i, q := range qs {
+			out := &res.Outcomes[i]
 			sumV += out.Value
 			// Re-evaluate v_q(S_q) from scratch: must match the state value.
 			replay := query.Value(q, out.Sensors)
@@ -69,8 +69,8 @@ func TestTheorem1Properties(t *testing.T) {
 
 		// Property 3: individual utility non-negative:
 		// v_q(S_q) > sum_s pi_{q,s} for served queries.
-		for _, q := range qs {
-			out := res.Outcomes[q.QID()]
+		for i, q := range qs {
+			out := &res.Outcomes[i]
 			if len(out.Sensors) == 0 {
 				continue
 			}
@@ -85,8 +85,8 @@ func TestTheorem1Properties(t *testing.T) {
 			costByID[o.Sensor.ID] = o.Cost
 		}
 		paid := map[int]float64{}
-		for _, q := range qs {
-			for _, p := range res.Outcomes[q.QID()].Payments {
+		for i := range qs {
+			for _, p := range res.Outcomes[i].Payments {
 				paid[p.SensorID] += p.Amount
 			}
 		}
@@ -166,7 +166,7 @@ func TestGreedyPointAdapter(t *testing.T) {
 	}
 	res = GreedyPoint()(queries, offers)
 	multi := GreedySelect([]query.Query{queries[0], queries[1], queries[2], queries[3]}, offers)
-	paid := multi.Outcomes["q"].Payments
+	paid := multi.Outcomes[2].Payments // "q"
 	if len(res.Selected) != 2 || len(paid) != 2 {
 		t.Fatalf("selected %d sensors, q paid %v: want both sensors paid by q", len(res.Selected), paid)
 	}
@@ -201,8 +201,8 @@ func TestGreedyMixedQueryTypes(t *testing.T) {
 	}
 	// Sensor sharing: at least one sensor serves multiple queries.
 	counts := map[int]int{}
-	for _, q := range []query.Query{agg, pt, traj, mp} {
-		for _, s := range res.Outcomes[q.QID()].Sensors {
+	for i := range []query.Query{agg, pt, traj, mp} {
+		for _, s := range res.Outcomes[i].Sensors {
 			counts[s.ID]++
 		}
 	}
@@ -223,7 +223,6 @@ func TestBaselineMultiSelectPayments(t *testing.T) {
 	// Sum of all payments equals total cost (first query pays, rest free).
 	var paid float64
 	for _, out := range res.Outcomes {
-		//pslint:ignore floatorder tolerance-compared (1e-6) below; map-order float error is ~1 ulp
 		paid += out.TotalPayment()
 	}
 	if math.Abs(paid-res.TotalCost) > 1e-6 {

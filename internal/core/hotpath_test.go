@@ -196,8 +196,9 @@ func TestWarmSelectionAllocations(t *testing.T) {
 	if testing.Short() {
 		t.Skip("-short is how CI runs the race detector, which inflates allocation counts")
 	}
-	// Per query: state, its targets and bitset; per run: the two outcome
-	// slabs, the result's maps, trace growth. ~350 on these demands.
+	// Per query: state, its targets and bitset; per run: the outcome
+	// slice and the two slabs it views, trace growth. ~340 on these
+	// demands.
 	const limit = 450
 	pairs := func(qs []query.Query, offers []Offer) int {
 		n := 0

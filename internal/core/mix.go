@@ -29,13 +29,20 @@ type MixQueries struct {
 type MixSlotResult struct {
 	// Multi is the joint Algorithm 1 result over all (generated) queries.
 	Multi *MultiResult
+	// Queries lists the joint pass's queries, aligned with
+	// Multi.Outcomes. RunMixSlotWith lists the aggregates, the points and
+	// the extras in their MixQueries order, then the probes it generated
+	// for continuous queries.
+	Queries []query.Query
 	// Per-type value obtained this slot.
 	PointValue  float64
 	AggValue    float64
 	LocMonValue float64 // increase of locmon valuations
 	RegMonValue float64 // increase of regmon valuations
 	ExtraValue  float64 // value of Extra queries
-	// PointOutcomes projects the user point queries' results.
+	// PointOutcomes is the baseline pipeline's point-solver outcome of
+	// each answered user point query. RunMixSlotWith leaves it nil: its
+	// points are answered in Multi like every other query.
 	PointOutcomes map[string]PointOutcome
 	// Continuous projects the slot's outcome of each active continuous
 	// query (location/region monitoring) under its *parent* query ID —
@@ -81,35 +88,13 @@ func RunMixSlot(t int, qs MixQueries, offers []Offer) *MixSlotResult {
 // the mix result is bit-identical across strategies, only
 // Multi.Stats differs.
 func RunMixSlotWith(t int, qs MixQueries, offers []Offer, cfg GreedyConfig) *MixSlotResult {
-	res := &MixSlotResult{
-		PointOutcomes: make(map[string]PointOutcome),
-		Continuous:    make(map[string]ContinuousOutcome),
-	}
+	res := &MixSlotResult{Continuous: make(map[string]ContinuousOutcome)}
 
-	// Stage 1a: location monitoring point queries.
-	lmOwners := make(map[string]*query.LocationMonitoring)
-	lmBefore := make(map[string]float64)
-	var generated []query.Query
-	for _, q := range qs.LocMon {
-		if !q.Active(t) {
-			continue
-		}
-		lmBefore[q.ID] = q.Value()
-		if p, ok := q.CreatePointQuery(t); ok {
-			generated = append(generated, p)
-			lmOwners[p.QID()] = q
-		}
-	}
-
-	// Stage 1b: region monitoring point queries (Algorithm 4 planning with
-	// Eq. 18 cost weighting).
-	rm, rmPoints := planRegionMonitoring(t, qs.RegMon, offers, WeightEq18, 0)
-	for _, p := range rmPoints {
-		generated = append(generated, p)
-	}
-
-	// Stage 2: joint sensor selection with Algorithm 1.
-	all := make([]query.Query, 0, len(qs.Aggregates)+len(qs.Points)+len(qs.Extra)+len(generated))
+	// The joint pass's queries: the user queries first, then each probe
+	// appended at the offset its continuous query remembers.
+	pointsAt := len(qs.Aggregates)
+	extraAt := pointsAt + len(qs.Points)
+	all := make([]query.Query, 0, extraAt+len(qs.Extra)+len(qs.LocMon))
 	for _, q := range qs.Aggregates {
 		all = append(all, q)
 	}
@@ -117,38 +102,61 @@ func RunMixSlotWith(t int, qs MixQueries, offers []Offer, cfg GreedyConfig) *Mix
 		all = append(all, q)
 	}
 	all = append(all, qs.Extra...)
-	all = append(all, generated...)
+
+	// Stage 1a: location monitoring point queries.
+	type lmProbe struct {
+		q  *query.LocationMonitoring
+		at int // offset of the probe in all
+	}
+	var lmActive []*query.LocationMonitoring
+	var lmBefore []float64
+	var lmProbes []lmProbe
+	for _, q := range qs.LocMon {
+		if !q.Active(t) {
+			continue
+		}
+		lmActive = append(lmActive, q)
+		lmBefore = append(lmBefore, q.Value())
+		if p, ok := q.CreatePointQuery(t); ok {
+			lmProbes = append(lmProbes, lmProbe{q: q, at: len(all)})
+			all = append(all, p)
+		}
+	}
+
+	// Stage 1b: region monitoring point queries (Algorithm 4 planning with
+	// Eq. 18 cost weighting).
+	rm, rmPoints := planRegionMonitoring(t, qs.RegMon, offers, WeightEq18, 0)
+	rmAt := len(all)
+	for _, p := range rmPoints {
+		all = append(all, p)
+	}
+
+	// Stage 2: joint sensor selection with Algorithm 1.
 	multi := GreedySelectWith(all, offers, cfg)
 	multi.Stats.PosteriorAppends += rm.appended
 	multi.Stats.PosteriorRebuilds += rm.rebuilt
 	res.Multi = multi
+	res.Queries = all
 	res.TotalCost = multi.TotalCost
 
 	// Per-type accounting for user queries.
-	for _, q := range qs.Aggregates {
-		res.AggValue += multi.Outcomes[q.QID()].Value
+	for i := range qs.Aggregates {
+		res.AggValue += multi.Outcomes[i].Value
 	}
-	for _, q := range qs.Extra {
-		res.ExtraValue += multi.Outcomes[q.QID()].Value
+	for i := range qs.Extra {
+		res.ExtraValue += multi.Outcomes[extraAt+i].Value
 	}
-	for _, q := range qs.Points {
-		out := multi.Outcomes[q.QID()]
-		res.PointValue += out.Value
-		if out.Value > 0 {
-			if po, ok := projectPointOutcome(q, out); ok {
-				res.PointOutcomes[q.QID()] = po
-			}
-		}
+	for i := range qs.Points {
+		res.PointValue += multi.Outcomes[pointsAt+i].Value
 	}
 
 	// Stage 3a: apply location monitoring results (Algorithm 2).
-	for pid, q := range lmOwners {
-		out := multi.Outcomes[pid]
+	for _, lp := range lmProbes {
+		q, out := lp.q, &multi.Outcomes[lp.at]
 		co := res.Continuous[q.ID]
-		if out != nil && out.Value > 0 {
-			theta := bestThetaFor(pid, out, lmOwners)
+		if out.Value > 0 {
 			paid := out.TotalPayment()
-			q.ApplyResults(t, true, paid, theta)
+			q.ApplyResults(t, true, paid, bestTheta(q, out))
 			co.Satisfied = true
 			co.Payment += paid
 		} else {
@@ -162,9 +170,9 @@ func RunMixSlotWith(t int, qs MixQueries, offers []Offer, cfg GreedyConfig) *Mix
 	// for a probe is the first sensor of its joint outcome, paid the
 	// outcome's total; RunRegionMonitoringSlot records its point solver's
 	// sensor instead, and each path keeps its own choice.
-	rm.apply(func(pid string) (*sensornet.Sensor, float64, bool) {
-		out := multi.Outcomes[pid]
-		if out == nil || out.Value <= 0 || len(out.Sensors) == 0 {
+	rm.apply(func(k int) (*sensornet.Sensor, float64, bool) {
+		out := &multi.Outcomes[rmAt+k]
+		if out.Value <= 0 || len(out.Sensors) == 0 {
 			return nil, 0, false
 		}
 		return out.Sensors[0], out.TotalPayment(), true
@@ -177,14 +185,12 @@ func RunMixSlotWith(t int, qs MixQueries, offers []Offer, cfg GreedyConfig) *Mix
 	}
 
 	// Value deltas of continuous queries.
-	for _, q := range qs.LocMon {
-		if before, ok := lmBefore[q.ID]; ok {
-			delta := q.Value() - before
-			res.LocMonValue += delta
-			co := res.Continuous[q.ID]
-			co.ValueDelta = delta
-			res.Continuous[q.ID] = co
-		}
+	for i, q := range lmActive {
+		delta := q.Value() - lmBefore[i]
+		res.LocMonValue += delta
+		co := res.Continuous[q.ID]
+		co.ValueDelta = delta
+		res.Continuous[q.ID] = co
 	}
 	for qi, q := range rm.active {
 		delta := q.Value() - rm.before[qi]
@@ -212,11 +218,11 @@ func RunMixSlotBaseline(t int, qs MixQueries, offers []Offer) *MixSlotResult {
 	}
 	multiQs = append(multiQs, qs.Extra...)
 	agg := BaselineMultiSelect(multiQs, offers)
-	for _, q := range qs.Aggregates {
-		res.AggValue += agg.Outcomes[q.QID()].Value
+	for i := range qs.Aggregates {
+		res.AggValue += agg.Outcomes[i].Value
 	}
-	for _, q := range qs.Extra {
-		res.ExtraValue += agg.Outcomes[q.QID()].Value
+	for i := range qs.Extra {
+		res.ExtraValue += agg.Outcomes[len(qs.Aggregates)+i].Value
 	}
 	res.TotalCost = agg.TotalCost
 	pre := make(map[int]bool)
@@ -273,31 +279,14 @@ func RunMixSlotBaseline(t int, qs MixQueries, offers []Offer) *MixSlotResult {
 		TotalCost:  res.TotalCost,
 		TotalValue: res.AggValue + res.ExtraValue + res.PointValue,
 		Outcomes:   agg.Outcomes,
-		States:     agg.States,
 	}
+	res.Queries = multiQs
 	return res
 }
 
-// projectPointOutcome converts a MultiOutcome of a point query into the
-// PointOutcome shape.
-func projectPointOutcome(q *query.Point, out *MultiOutcome) (PointOutcome, bool) {
-	var best *sensornet.Sensor
-	bestV := 0.0
-	for _, s := range out.Sensors {
-		if v := q.ValueSingle(s); v > bestV {
-			bestV, best = v, s
-		}
-	}
-	if best == nil {
-		return PointOutcome{}, false
-	}
-	return PointOutcome{Sensor: best, Payment: out.TotalPayment(), Value: out.Value, Theta: q.Theta(best)}, true
-}
-
-// bestThetaFor extracts the quality delivered to a generated locmon point
-// query.
-func bestThetaFor(pid string, out *MultiOutcome, owners map[string]*query.LocationMonitoring) float64 {
-	q := owners[pid]
+// bestTheta is the quality a location monitoring query's probe obtained:
+// the best of the sensors committed to it.
+func bestTheta(q *query.LocationMonitoring, out *MultiOutcome) float64 {
 	var best float64
 	for _, s := range out.Sensors {
 		if th := s.Quality(q.Loc, q.DMax); th > best {

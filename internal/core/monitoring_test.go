@@ -2,9 +2,7 @@ package core
 
 import (
 	"fmt"
-	"maps"
 	"math"
-	"slices"
 	"strings"
 	"testing"
 
@@ -305,8 +303,8 @@ func TestMixSlotRegMonContributions(t *testing.T) {
 		for _, rm := range []*query.RegionMonitoring{rm1, rm2} {
 			var probes float64
 			prefix := query.PointID(rm.ID, slot, "") + "/"
-			for _, id := range slices.Sorted(maps.Keys(res.Multi.Outcomes)) {
-				if out := res.Multi.Outcomes[id]; strings.HasPrefix(id, prefix) && out.Value > 0 {
+			for i, q := range res.Queries {
+				if out := &res.Multi.Outcomes[i]; strings.HasPrefix(q.QID(), prefix) && out.Value > 0 {
 					probes += out.TotalPayment()
 				}
 			}

@@ -122,8 +122,8 @@ func TestGreedyBudgetBalanceProperty(t *testing.T) {
 		res := GreedySelect(qs, offers)
 
 		paid := map[int]float64{}
-		for _, q := range qs {
-			out := res.Outcomes[q.QID()]
+		for i := range qs {
+			out := &res.Outcomes[i]
 			if out.Value < out.TotalPayment()-1e-9 {
 				return false
 			}

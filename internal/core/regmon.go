@@ -63,11 +63,11 @@ func (r *RegMonSlotResult) Welfare() float64 { return r.ValueGained - r.Point.To
 // applied, what the query paid on it.
 type regPlan struct {
 	q            *query.RegionMonitoring
-	expectedCost float64  // C_t: announced (weighted) cost of planned sensors
-	pointIDs     []string // generated point query IDs
-	spent        float64  // payments for the answered point queries
-	paid         float64  // spent plus the sharing-stage contributions
-	satisfied    bool     // some observation was recorded
+	expectedCost float64 // C_t: announced (weighted) cost of planned sensors
+	probes       []int   // indices of the plan's point queries among the slot's probes
+	spent        float64 // payments for the answered point queries
+	paid         float64 // spent plus the sharing-stage contributions
+	satisfied    bool    // some observation was recorded
 }
 
 // regmonSlot is one slot of Algorithm 3 over the active region queries,
@@ -146,8 +146,8 @@ func planRegionMonitoring(t int, queries []*query.RegionMonitoring, offers []Off
 			s := inRegion[planned[i]].Sensor
 			p := query.NewPoint(query.PointID(q.ID, t, "s"+strconv.Itoa(s.ID)), s.Pos, marginal, RegionProbeDMax)
 			p.ThetaMin = 0.01
+			plan.probes = append(plan.probes, len(pts))
 			pts = append(pts, p)
-			plan.pointIDs = append(plan.pointIDs, p.QID())
 			plan.expectedCost += costs[planned[i]]
 		}
 		rs.plans = append(rs.plans, plan)
@@ -156,16 +156,17 @@ func planRegionMonitoring(t int, queries []*query.RegionMonitoring, offers []Off
 }
 
 // apply is ApplyResults of Algorithm 3. answered reports the sensor and
-// payment that satisfied a generated point query; each plan records those
+// payment that satisfied the k-th generated point query (k indexes the
+// probes planRegionMonitoring returned); each plan records those
 // observations. With share set, a query then contributes to sensors
 // selected for other queries inside its region, best marginal first, up
 // to alpha*(C_t - C-hat_t); each contribution is booked in the plan's paid.
-func (rs *regmonSlot) apply(answered func(pid string) (*sensornet.Sensor, float64, bool), selected []*sensornet.Sensor, share bool) {
+func (rs *regmonSlot) apply(answered func(k int) (*sensornet.Sensor, float64, bool), selected []*sensornet.Sensor, share bool) {
 	recorded := make(map[*regPlan]map[int]bool, len(rs.plans))
 	for _, plan := range rs.plans {
 		recorded[plan] = make(map[int]bool)
-		for _, pid := range plan.pointIDs {
-			s, paid, ok := answered(pid)
+		for _, k := range plan.probes {
+			s, paid, ok := answered(k)
 			if !ok {
 				continue
 			}
@@ -255,8 +256,8 @@ func RunRegionMonitoringSlot(t int, queries []*query.RegionMonitoring, offers []
 	// it. RunMixSlotWith records the first sensor of the probe's joint
 	// outcome instead; the two are kept as they were, since either choice
 	// moves the other path's welfare.
-	rs.apply(func(pid string) (*sensornet.Sensor, float64, bool) {
-		o, ok := res.Outcomes[pid]
+	rs.apply(func(k int) (*sensornet.Sensor, float64, bool) {
+		o, ok := res.Outcomes[pts[k].QID()]
 		return o.Sensor, o.Payment, ok
 	}, res.Selected, opts.ShareSensors)
 

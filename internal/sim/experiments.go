@@ -112,9 +112,8 @@ func RunAggregateSim(world *datasets.World, budgetFactor float64, greedy bool, s
 		}
 		world.Fleet.Commit(res.Selected)
 		utils = append(utils, res.Welfare())
-		for _, a := range aggs {
-			out := res.Outcomes[a.QID()]
-			if out != nil && out.Value > 0 {
+		for i, a := range aggs {
+			if out := &res.Outcomes[i]; out.Value > 0 {
 				qualSum += out.Value / a.Budget()
 				qualN++
 			}
@@ -346,15 +345,24 @@ func RunMixSim(world *datasets.World, budgetFactor float64, alg5 bool, slots int
 		utils = append(utils, res.Welfare())
 
 		total += len(points)
-		for _, q := range points {
-			if o, ok := res.PointOutcomes[q.QID()]; ok {
+		for i, q := range points {
+			// Algorithm 5 answers the points in its joint pass, after the
+			// aggregates; the baseline's point solver lists the points it
+			// answered, each with a positive value.
+			var value float64
+			if alg5 {
+				value = res.Multi.Outcomes[len(aggs)+i].Value
+			} else {
+				value = res.PointOutcomes[q.QID()].Value
+			}
+			if value > 0 {
 				answered++
-				pQual += o.Value / q.Budget()
+				pQual += value / q.Budget()
 				pN++
 			}
 		}
-		for _, a := range aggs {
-			if out := res.Multi.Outcomes[a.QID()]; out != nil && out.Value > 0 {
+		for i, a := range aggs {
+			if out := &res.Multi.Outcomes[i]; out.Value > 0 {
 				aQual += out.Value / a.Budget()
 				aN++
 			}

@@ -3,6 +3,8 @@ package ps
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"strings"
 	"time"
 
 	"repro/internal/core"
@@ -87,10 +89,10 @@ type LanePartial struct {
 	SelectedIDs []int
 	Trace       []SelectionStep
 
-	// Outcomes (each joint-selection query's value) and Continuous carry
-	// the accounting inputs (per-type value re-summation). The reported
-	// payments travel in Payments below.
-	Outcomes   map[string]float64
+	// Outcomes (each joint-selection query's value, ascending by ID) and
+	// Continuous carry the accounting inputs (per-type value
+	// re-summation). The reported payments travel in Payments below.
+	Outcomes   []LaneValue
 	Continuous map[string]ContinuousOutcome
 
 	TotalCost   float64
@@ -101,11 +103,13 @@ type LanePartial struct {
 	ExtraValue  float64
 	Welfare     float64
 
-	// Per-query report projection (SlotReport's values/payments/answered
-	// restricted to the lane's resident queries).
-	Values   map[string]float64
-	Payments map[string]float64
-	Answered map[string]bool
+	// Per-query report projection: the SlotReport results of the lane's
+	// resident queries, as three sections ascending by ID — every
+	// positive value, every booked payment (zero ones included) and every
+	// satisfied continuous sample.
+	Values   []LaneValue
+	Payments []LaneValue
+	Answered []LaneFlag
 
 	Events    []EventNotification
 	Selection SelectionStats
@@ -125,9 +129,23 @@ type LanePartial struct {
 	exec *slotExec
 }
 
+// LaneValue is one entry of a lane partial's per-query sections: a query
+// ID and its value (in Payments, its payment).
+type LaneValue struct {
+	ID    string
+	Value float64
+}
+
+// LaneFlag is one entry of a lane partial's Answered section.
+type LaneFlag struct {
+	ID       string
+	Answered bool
+}
+
 // partialFromExec projects an executed selection pass into its
 // serializable partial.
 func partialFromExec(ex *slotExec, selectMs float64) *LanePartial {
+	values, payments, answered := ex.report.sections()
 	p := &LanePartial{
 		Slot:        ex.report.Slot,
 		Offers:      ex.report.Offers,
@@ -139,32 +157,115 @@ func partialFromExec(ex *slotExec, selectMs float64) *LanePartial {
 		RegMonValue: ex.report.RegMonValue,
 		ExtraValue:  ex.report.ExtraValue,
 		Welfare:     ex.report.Welfare,
-		Values:      ex.report.values,
-		Payments:    ex.report.payments,
-		Answered:    ex.report.answered,
+		Values:      values,
+		Payments:    payments,
+		Answered:    answered,
 		Events:      ex.report.Events,
 		Selection:   ex.report.Selection,
 		SelectMs:    selectMs,
 		SelectedIDs: make([]int, len(ex.mix.Multi.Selected)),
 		Trace:       ex.mix.Multi.Trace,
-		Outcomes:    make(map[string]float64, len(ex.mix.Multi.Outcomes)),
+		Outcomes:    ex.outcomeIndex(),
 		Continuous:  ex.mix.Continuous,
 		exec:        ex,
 	}
 	for i, s := range ex.mix.Multi.Selected {
 		p.SelectedIDs[i] = s.ID
 	}
-	for id, out := range ex.mix.Multi.Outcomes {
-		p.Outcomes[id] = out.Value
-	}
 	return p
+}
+
+// sections splits the report's results into a lane partial's Values,
+// Payments and Answered sections, each non-nil and ascending by ID.
+func (r *SlotReport) sections() (values, payments []LaneValue, answered []LaneFlag) {
+	var nv, np, na int
+	for i := range r.results {
+		e := &r.results[i]
+		if e.value > 0 {
+			nv++
+		}
+		if e.paid {
+			np++
+		}
+		if e.satisfied {
+			na++
+		}
+	}
+	values, payments, answered = make([]LaneValue, 0, nv), make([]LaneValue, 0, np), make([]LaneFlag, 0, na)
+	for i := range r.results {
+		e := &r.results[i]
+		if e.value > 0 {
+			values = append(values, LaneValue{ID: e.id, Value: e.value})
+		}
+		if e.paid {
+			payments = append(payments, LaneValue{ID: e.id, Value: e.payment})
+		}
+		if e.satisfied {
+			answered = append(answered, LaneFlag{ID: e.id, Answered: true})
+		}
+	}
+	return values, payments, answered
+}
+
+// ascendingIDs reports whether the entries' IDs strictly ascend.
+func ascendingIDs[T any](s []T, id func(*T) string) bool {
+	for i := 1; i < len(s); i++ {
+		if id(&s[i-1]) >= id(&s[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+func laneValueID(v *LaneValue) string { return v.ID }
+
+func laneFlagID(f *LaneFlag) string { return f.ID }
+
+// outcomeIndex returns the joint pass's outcome values ascending by query
+// ID, building them on first use: the one ID index of a lane's outcomes,
+// which reconcile searches and a lane partial carries. Of a repeated ID
+// the last query's outcome stays.
+func (ex *slotExec) outcomeIndex() []LaneValue {
+	if ex.outcomes != nil {
+		return ex.outcomes
+	}
+	idx := make([]LaneValue, len(ex.mix.Queries))
+	for i, q := range ex.mix.Queries {
+		idx[i] = LaneValue{ID: q.QID(), Value: ex.mix.Multi.Outcomes[i].Value}
+	}
+	slices.SortStableFunc(idx, func(a, b LaneValue) int { return strings.Compare(a.ID, b.ID) })
+	w := 0
+	for i := 1; i < len(idx); i++ {
+		if idx[i].ID != idx[w].ID {
+			w++
+		}
+		idx[w] = idx[i]
+	}
+	if len(idx) > 0 {
+		idx = idx[:w+1]
+	}
+	ex.outcomes = idx
+	return idx
+}
+
+// outcomeValue returns the value query id obtained in the lane's joint
+// pass, and whether the pass ran it.
+func (ex *slotExec) outcomeValue(id string) (float64, bool) {
+	idx := ex.outcomeIndex()
+	i, ok := slices.BinarySearchFunc(idx, id, func(e LaneValue, id string) int { return strings.Compare(e.ID, id) })
+	if !ok {
+		return 0, false
+	}
+	return idx[i].Value, true
 }
 
 // bind reconstructs the slotExec reconciliation works on. Partials from
 // in-process lanes return their original exec; partials off the wire are
 // rebuilt, resolving sensor IDs against the coordinator's own fleet (the
 // node holds a replica of the same world, so IDs resolve 1:1). The
-// rebuilt MultiOutcomes carry only Value — all reconciliation reads.
+// rebuilt exec keeps the partial's outcome values as its outcome index
+// and builds no per-query MultiOutcomes: reconciliation reads only the
+// values.
 func (p *LanePartial) bind(byID map[int]*sensornet.Sensor) (*slotExec, error) {
 	if p.exec != nil {
 		return p.exec, nil
@@ -181,11 +282,18 @@ func (p *LanePartial) bind(byID map[int]*sensornet.Sensor) (*slotExec, error) {
 		return nil, fmt.Errorf("ps: lane partial trace length %d does not match %d selected sensors",
 			len(p.Trace), len(selected))
 	}
-	outcomes := make(map[string]*core.MultiOutcome, len(p.Outcomes))
-	outs := make([]core.MultiOutcome, 0, len(p.Outcomes))
-	for id, v := range p.Outcomes {
-		outs = append(outs, core.MultiOutcome{Value: v})
-		outcomes[id] = &outs[len(outs)-1]
+	if !ascendingIDs(p.Outcomes, laneValueID) {
+		return nil, errors.New("ps: lane partial outcomes are not in ascending ID order")
+	}
+	results := make([]slotResult, 0, len(p.Values)+len(p.Payments)+len(p.Answered))
+	for _, v := range p.Values {
+		results = append(results, slotResult{id: v.ID, value: v.Value})
+	}
+	for _, v := range p.Payments {
+		results = append(results, slotResult{id: v.ID, payment: v.Value, paid: true})
+	}
+	for _, f := range p.Answered {
+		results = append(results, slotResult{id: f.ID, satisfied: f.Answered})
 	}
 	report := &SlotReport{
 		Slot:        p.Slot,
@@ -200,10 +308,9 @@ func (p *LanePartial) bind(byID map[int]*sensornet.Sensor) (*slotExec, error) {
 		ExtraValue:  p.ExtraValue,
 		Events:      p.Events,
 		Selection:   p.Selection,
-		values:      orEmpty(p.Values),
-		payments:    orEmpty(p.Payments),
-		answered:    orEmptyBool(p.Answered),
+		results:     results,
 	}
+	report.seal()
 	return &slotExec{
 		report:   report,
 		selected: selected,
@@ -213,7 +320,6 @@ func (p *LanePartial) bind(byID map[int]*sensornet.Sensor) (*slotExec, error) {
 				Selected:  selected,
 				TotalCost: p.TotalCost,
 				Trace:     p.Trace,
-				Outcomes:  outcomes,
 				Stats:     p.Selection,
 			},
 			PointValue:  p.PointValue,
@@ -224,21 +330,8 @@ func (p *LanePartial) bind(byID map[int]*sensornet.Sensor) (*slotExec, error) {
 			Continuous:  p.Continuous,
 			TotalCost:   p.TotalCost,
 		},
+		outcomes: p.Outcomes,
 	}, nil
-}
-
-func orEmpty(m map[string]float64) map[string]float64 {
-	if m == nil {
-		return map[string]float64{}
-	}
-	return m
-}
-
-func orEmptyBool(m map[string]bool) map[string]bool {
-	if m == nil {
-		return map[string]bool{}
-	}
-	return m
 }
 
 // localLane adapts a per-shard Aggregator to the LaneRunner seam: the

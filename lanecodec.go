@@ -1,7 +1,6 @@
 package ps
 
 import (
-	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -18,9 +17,11 @@ import (
 //   - a string is a length followed by its bytes, a bool one byte 0 or 1;
 //   - a slice or map is (length + 1) followed by its elements, 0 standing
 //     for nil, so nil and empty survive the trip as what they were;
-//   - map entries are written in ascending key order, which makes the
-//     encoding a function of the partial alone (equal partials are equal
-//     bytes, and encode∘decode is a fixed point).
+//   - every ID-keyed section is written in ascending ID order: the map is
+//     sorted, and the per-query slices are kept in that order, which the
+//     decoder requires. That makes the encoding a function of the partial
+//     alone (equal partials are equal bytes, and encode∘decode is a fixed
+//     point).
 //
 // The decoder keeps the number of allocations per partial constant: the
 // outcome and continuous query IDs are substrings of one string, and the
@@ -36,8 +37,6 @@ const lanePartialFormat = 3
 // AppendBinary appends the partial's binary form to b and returns the
 // extended slice.
 func (p *LanePartial) AppendBinary(b []byte) []byte {
-	var strs []string // key scratch, reused by every string-keyed map
-
 	b = append(b, lanePartialFormat)
 	b = appendInt(b, p.Slot)
 	b = appendInt(b, p.Offers)
@@ -55,15 +54,9 @@ func (p *LanePartial) AppendBinary(b []byte) []byte {
 		b = appendFloat(b, st.Net)
 	}
 
-	b = appendCount(b, len(p.Outcomes), p.Outcomes == nil)
-	strs = sortedKeys(p.Outcomes, strs)
-	for _, id := range strs {
-		b = appendString(b, id)
-		b = appendFloat(b, p.Outcomes[id])
-	}
+	b = appendValues(b, p.Outcomes)
 	b = appendCount(b, len(p.Continuous), p.Continuous == nil)
-	strs = sortedKeys(p.Continuous, strs)
-	for _, id := range strs {
+	for _, id := range sortedKeys(p.Continuous) {
 		co := p.Continuous[id]
 		b = appendString(b, id)
 		b = appendBool(b, co.Satisfied)
@@ -75,19 +68,12 @@ func (p *LanePartial) AppendBinary(b []byte) []byte {
 		b = appendFloat(b, f)
 	}
 
-	for _, m := range []map[string]float64{p.Values, p.Payments} {
-		b = appendCount(b, len(m), m == nil)
-		strs = sortedKeys(m, strs)
-		for _, id := range strs {
-			b = appendString(b, id)
-			b = appendFloat(b, m[id])
-		}
-	}
+	b = appendValues(b, p.Values)
+	b = appendValues(b, p.Payments)
 	b = appendCount(b, len(p.Answered), p.Answered == nil)
-	strs = sortedKeys(p.Answered, strs)
-	for _, id := range strs {
-		b = appendString(b, id)
-		b = appendBool(b, p.Answered[id])
+	for _, f := range p.Answered {
+		b = appendString(b, f.ID)
+		b = appendBool(b, f.Answered)
 	}
 
 	b = appendCount(b, len(p.Events), p.Events == nil)
@@ -110,6 +96,16 @@ func (p *LanePartial) AppendBinary(b []byte) []byte {
 	}
 	b = appendFloat(b, p.SelectMs)
 	return appendFloat(b, p.StepMs)
+}
+
+// appendValues writes one per-query section in its slice order.
+func appendValues(b []byte, vs []LaneValue) []byte {
+	b = appendCount(b, len(vs), vs == nil)
+	for _, v := range vs {
+		b = appendString(b, v.ID)
+		b = appendFloat(b, v.Value)
+	}
+	return b
 }
 
 func appendInt(b []byte, v int) []byte { return binary.AppendVarint(b, int64(v)) }
@@ -137,21 +133,22 @@ func appendCount(b []byte, n int, isNil bool) []byte {
 	return binary.AppendUvarint(b, uint64(n)+1)
 }
 
-// sortedKeys fills buf with m's keys in ascending order.
-func sortedKeys[K cmp.Ordered, V any](m map[K]V, buf []K) []K {
-	buf = buf[:0]
+// sortedKeys returns m's keys in ascending order.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
 	for k := range m {
-		buf = append(buf, k)
+		keys = append(keys, k)
 	}
-	slices.Sort(buf)
-	return buf
+	slices.Sort(keys)
+	return keys
 }
 
 // DecodeLanePartial parses the binary form AppendBinary writes. The input
 // is untrusted: every length is checked against the bytes that remain
 // before anything is allocated for it (so memory stays within a constant
-// factor of len(data)), and a repeated map key, an unknown layout byte and
-// trailing bytes are errors; no input panics.
+// factor of len(data)), and a repeated map key, a per-query section not in
+// strictly ascending ID order, an unknown layout byte and trailing bytes
+// are errors; no input panics.
 func DecodeLanePartial(data []byte) (*LanePartial, error) {
 	r := partialReader{b: data}
 	if format := r.byte(); r.err == nil && format != lanePartialFormat {
@@ -175,12 +172,11 @@ func DecodeLanePartial(data []byte) (*LanePartial, error) {
 
 	r.scanIDs()
 	if n, ok := r.count(9); ok {
-		p.Outcomes = make(map[string]float64, n)
-		for i := 0; i < n; i++ {
-			id := r.newID()
-			p.Outcomes[id] = r.float()
+		p.Outcomes = make([]LaneValue, n)
+		for i := range p.Outcomes {
+			p.Outcomes[i] = LaneValue{ID: r.newID(), Value: r.float()}
 		}
-		r.distinct(len(p.Outcomes), n)
+		r.ordered(ascendingIDs(p.Outcomes, laneValueID))
 	}
 	if n, ok := r.count(18); ok {
 		p.Continuous = make(map[string]ContinuousOutcome, n)
@@ -196,23 +192,14 @@ func DecodeLanePartial(data []byte) (*LanePartial, error) {
 	}
 
 	r.sortIDs()
-	for _, m := range []*map[string]float64{&p.Values, &p.Payments} {
-		if n, ok := r.count(9); ok {
-			*m = make(map[string]float64, n)
-			for i := 0; i < n; i++ {
-				id := r.id()
-				(*m)[id] = r.float()
-			}
-			r.distinct(len(*m), n)
-		}
-	}
+	p.Values = r.values()
+	p.Payments = r.values()
 	if n, ok := r.count(2); ok {
-		p.Answered = make(map[string]bool, n)
-		for i := 0; i < n; i++ {
-			id := r.id()
-			p.Answered[id] = r.bool()
+		p.Answered = make([]LaneFlag, n)
+		for i := range p.Answered {
+			p.Answered[i] = LaneFlag{ID: r.id(), Answered: r.bool()}
 		}
-		r.distinct(len(p.Answered), n)
+		r.ordered(ascendingIDs(p.Answered, laneFlagID))
 	}
 
 	if n, ok := r.count(19); ok {
@@ -408,6 +395,28 @@ func (r *partialReader) count(elemMin int) (int, bool) {
 	}
 	r.fail("%d elements of at least %d bytes, %d remain", v-1, elemMin, len(r.b))
 	return 0, false
+}
+
+// values reads one per-query section of the report projection.
+func (r *partialReader) values() []LaneValue {
+	n, ok := r.count(9)
+	if !ok {
+		return nil
+	}
+	vs := make([]LaneValue, n)
+	for i := range vs {
+		vs[i] = LaneValue{ID: r.id(), Value: r.float()}
+	}
+	r.ordered(ascendingIDs(vs, laneValueID))
+	return vs
+}
+
+// ordered fails the decode unless the per-query section just read
+// ascends strictly by ID, which also rules out a repeated ID.
+func (r *partialReader) ordered(ok bool) {
+	if r.err == nil && !ok {
+		r.fail("a per-query section is not in strictly ascending ID order")
+	}
 }
 
 // distinct fails the decode when a map ended up smaller than its declared

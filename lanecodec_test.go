@@ -150,7 +150,9 @@ func fill(v reflect.Value, next *int) {
 	case reflect.Float64:
 		v.SetFloat(float64(*next) + 0.25)
 	case reflect.String:
-		v.SetString(fmt.Sprintf("s%d", *next))
+		// Zero-padded, so strings made later sort later: the per-query
+		// sections must ascend by ID.
+		v.SetString(fmt.Sprintf("s%04d", *next))
 	case reflect.Bool:
 		v.SetBool(true)
 	case reflect.Struct:
@@ -198,13 +200,13 @@ func TestLanePartialBinaryEdgeValues(t *testing.T) {
 		Slot: -1, Offers: math.MaxInt32, Queries: 0,
 		SelectedIDs: []int{},
 		Trace:       nil,
-		Outcomes:    map[string]float64{"": nan, "q\x00": negZero, "q": math.Inf(1)},
+		Outcomes:    []LaneValue{{"", nan}, {"q", math.Inf(1)}, {"q\x00", negZero}},
 		Continuous:  map[string]ContinuousOutcome{},
 		TotalCost:   negZero, PointValue: nan, AggValue: math.Inf(-1), LocMonValue: subnormal,
 		RegMonValue: math.MaxFloat64, ExtraValue: math.SmallestNonzeroFloat64, Welfare: -math.MaxFloat64,
-		Values:   map[string]float64{"a": nan, "b": negZero},
-		Payments: map[string]float64{},
-		Answered: map[string]bool{"a": false, "b": true},
+		Values:   []LaneValue{{"a", nan}, {"b", negZero}},
+		Payments: []LaneValue{},
+		Answered: []LaneFlag{{"a", false}, {"b", true}},
 		Events:   []EventNotification{},
 		SelectMs: nan, StepMs: negZero,
 	}
@@ -217,8 +219,8 @@ func TestLanePartialBinaryEdgeValues(t *testing.T) {
 
 // TestDecodeLanePartialRejects pins the decoder's refusals: every strict
 // prefix of a valid encoding, trailing bytes, another layout byte (the
-// previous layout among them), a repeated map key, a bool byte that is
-// neither 0 nor 1, and lengths the input cannot hold.
+// previous layout among them), a repeated or out-of-order key, a bool
+// byte that is neither 0 nor 1, and lengths the input cannot hold.
 func TestDecodeLanePartialRejects(t *testing.T) {
 	p := realPartials(t)[0]
 	enc := p.AppendBinary(nil)
@@ -238,17 +240,26 @@ func TestDecodeLanePartialRejects(t *testing.T) {
 		}
 	}
 
-	dup := (&LanePartial{Values: map[string]float64{"a": 1, "b": 2}}).AppendBinary(nil)
+	dup := (&LanePartial{Values: []LaneValue{{"a", 1}, {"b", 2}}}).AppendBinary(nil)
 	i := bytes.Index(dup, []byte{1, 'b'})
 	if i < 0 {
 		t.Fatal("key b not found in the encoding")
 	}
 	dup[i+1] = 'a'
 	if _, err := DecodeLanePartial(dup); err == nil {
-		t.Error("a map with a repeated key is accepted")
+		t.Error("a section with a repeated key is accepted")
+	}
+	for _, swapped := range []*LanePartial{
+		{Outcomes: []LaneValue{{"b", 1}, {"a", 2}}},
+		{Payments: []LaneValue{{"b", 1}, {"a", 2}}},
+		{Answered: []LaneFlag{{"b", true}, {"a", true}}},
+	} {
+		if _, err := DecodeLanePartial(swapped.AppendBinary(nil)); err == nil {
+			t.Errorf("a section out of ID order is accepted: %+v", swapped)
+		}
 	}
 
-	badBool := (&LanePartial{Answered: map[string]bool{"a": true}}).AppendBinary(nil)
+	badBool := (&LanePartial{Answered: []LaneFlag{{"a", true}}}).AppendBinary(nil)
 	i = bytes.Index(badBool, []byte{1, 'a', 1})
 	if i < 0 {
 		t.Fatal("answered entry not found in the encoding")
@@ -293,7 +304,7 @@ func FuzzDecodeLanePartial(f *testing.F) {
 	prev := goldenPartial().AppendBinary(nil)
 	prev[0] = lanePartialFormat - 1
 	f.Add(prev)
-	dup := (&LanePartial{Values: map[string]float64{"a": 1, "b": 2}}).AppendBinary(nil)
+	dup := (&LanePartial{Values: []LaneValue{{"a", 1}, {"b", 2}}}).AppendBinary(nil)
 	f.Add(bytes.Replace(dup, []byte{1, 'b'}, []byte{1, 'a'}, 1))
 	f.Add(append([]byte{lanePartialFormat, 0, 0, 0, 0, 0, 3}, make([]byte, 17)...))
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -328,12 +339,12 @@ func goldenPartial() *LanePartial {
 			{Offer: 0, SensorID: 3, Cost: 0.75, Net: 0.5},
 			{Offer: 9, SensorID: 17, Cost: 2, Net: 1.0 / 3},
 		},
-		Outcomes:   map[string]float64{"pt-7-1": 9.5, "mp-7": 30.125, "agg-7": 44, "idle": 0, "lm#p": 1.5},
+		Outcomes:   []LaneValue{{"agg-7", 44}, {"idle", 0}, {"lm#p", 1.5}, {"mp-7", 30.125}, {"pt-7-1", 9.5}},
 		Continuous: map[string]ContinuousOutcome{"lm": {Satisfied: true, ValueDelta: 1.5, Payment: 0.25}},
 		TotalCost:  4.25, PointValue: 9.5, AggValue: 44, LocMonValue: 1.5, ExtraValue: 30.125, Welfare: 80.875,
-		Values:   map[string]float64{"pt-7-1": 9.5, "mp-7": 30.125, "agg-7": 44, "lm": 1.5},
-		Payments: map[string]float64{"pt-7-1": 0.75, "mp-7": 1.75, "agg-7": 1.75, "lm": 0.25},
-		Answered: map[string]bool{"lm": true, "idle": false},
+		Values:   []LaneValue{{"agg-7", 44}, {"lm", 1.5}, {"mp-7", 30.125}, {"pt-7-1", 9.5}},
+		Payments: []LaneValue{{"agg-7", 1.75}, {"lm", 0.25}, {"mp-7", 1.75}, {"pt-7-1", 0.75}},
+		Answered: []LaneFlag{{"idle", false}, {"lm", true}},
 		Events:   []EventNotification{{QueryID: "lm", Slot: 7, Detected: true, Confidence: 0.875, Reading: -1.25}},
 		Selection: SelectionStats{Strategy: "lazy", ValuationCalls: 310, SerialEquivCalls: 900, LazyReevaluations: 12,
 			SubmodularityViolations: 1, FallbackRescans: 1, GeomCacheHits: 40, GeomCacheLookups: 48, PosteriorAppends: 2, PosteriorRebuilds: 1,
@@ -386,13 +397,13 @@ func TestLanePartialGoldenBytes(t *testing.T) {
 func TestLanePartialPaymentsRoundTrip(t *testing.T) {
 	s := rng.New(3, "payments")
 	edge := []float64{math.Copysign(0, -1), math.Float64frombits(1), math.Inf(1), math.Float64frombits(0x7ff8_0000_0000_0bad)}
-	p := &LanePartial{Payments: map[string]float64{}}
+	p := &LanePartial{Payments: []LaneValue{}}
 	for q := 0; q < 50; q++ {
 		amount := s.Norm(0, 1e3)
 		if s.Bool(0.2) {
 			amount = edge[s.Intn(len(edge))]
 		}
-		p.Payments[fmt.Sprintf("q%d", q)] = amount
+		p.Payments = append(p.Payments, LaneValue{fmt.Sprintf("q%02d", q), amount})
 	}
 	back, err := DecodeLanePartial(p.AppendBinary(nil))
 	if err != nil {
@@ -401,9 +412,9 @@ func TestLanePartialPaymentsRoundTrip(t *testing.T) {
 	if len(back.Payments) != len(p.Payments) {
 		t.Fatalf("%d payments came back, want %d", len(back.Payments), len(p.Payments))
 	}
-	for id, want := range p.Payments {
-		if got := back.Payments[id]; math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("%s payment = %#x, want %#x", id, math.Float64bits(got), math.Float64bits(want))
+	for i, want := range p.Payments {
+		if got := back.Payments[i]; got.ID != want.ID || math.Float64bits(got.Value) != math.Float64bits(want.Value) {
+			t.Fatalf("payment %d = %s %#x, want %s %#x", i, got.ID, math.Float64bits(got.Value), want.ID, math.Float64bits(want.Value))
 		}
 	}
 }
@@ -412,15 +423,15 @@ func TestLanePartialPaymentsRoundTrip(t *testing.T) {
 // outcome per query, and the query's value, payment and answered flag.
 func queriesPartial(n int) *LanePartial {
 	p := &LanePartial{
-		Outcomes: make(map[string]float64, n),
-		Values:   make(map[string]float64, n),
-		Payments: make(map[string]float64, n),
-		Answered: make(map[string]bool, n),
+		Outcomes: make([]LaneValue, n),
+		Values:   make([]LaneValue, n),
+		Payments: make([]LaneValue, n),
+		Answered: make([]LaneFlag, n),
 	}
 	for i := 0; i < n; i++ {
-		id := fmt.Sprintf("s12-point-%d", i)
-		p.Outcomes[id] = float64(i)
-		p.Values[id], p.Payments[id], p.Answered[id] = float64(i), 0.5, true
+		id := fmt.Sprintf("s12-point-%04d", i)
+		p.Outcomes[i] = LaneValue{id, float64(i)}
+		p.Values[i], p.Payments[i], p.Answered[i] = LaneValue{id, float64(i)}, LaneValue{id, 0.5}, LaneFlag{id, true}
 	}
 	return p
 }

@@ -39,7 +39,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/pprof"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -135,6 +135,12 @@ type Server struct {
 	mu      sync.Mutex
 	queries map[string]*queryRecord
 	submits int
+	// listing is the registry sorted by ID, shared by GET /queries pages
+	// until a submit or a sweep changes the registry (changedLocked drops
+	// it). regGen counts those changes, so a listing sorted outside mu is
+	// kept only if none happened meanwhile.
+	listing []*queryRecord
+	regGen  uint64
 
 	// finished queues the records whose stream ended, oldest doneAt
 	// first, for the sweep. finMu also guards every queued record's
@@ -244,12 +250,20 @@ func (s *Server) sweepLocked() (visited int) {
 		// expired leaves the registry.
 		if rec := s.finished[visited]; s.queries[rec.id] == rec {
 			delete(s.queries, rec.id)
+			s.changedLocked()
 		}
 		s.finished[visited] = nil
 		visited++
 	}
 	s.finished = s.finished[visited:]
 	return visited
+}
+
+// changedLocked records a change of the registry's membership: the next
+// GET /queries page sorts it afresh. Caller holds s.mu.
+func (s *Server) changedLocked() {
+	s.regGen++
+	s.listing = nil
 }
 
 // finish marks rec's stream over and queues it for the sweep. It is the
@@ -343,6 +357,7 @@ func (s *Server) submitEnvelope(env wire.Envelope) (id string, status int, err e
 		return id, http.StatusConflict, fmt.Errorf("query %q already exists: %w", id, ps.ErrDuplicateQueryID)
 	}
 	s.queries[id] = rec
+	s.changedLocked()
 	s.submits++
 	if s.submits%sweepEvery == 0 {
 		s.sweepLocked()
@@ -359,6 +374,7 @@ func (s *Server) submitEnvelope(env wire.Envelope) (id string, status int, err e
 		} else {
 			delete(s.queries, id)
 		}
+		s.changedLocked()
 		s.mu.Unlock()
 		status := http.StatusBadRequest
 		if errors.Is(err, ps.ErrQueueFull) {
@@ -667,7 +683,9 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 // handleList serves GET /queries: one page of the registry ordered by
 // query ID, so operators can enumerate live queries instead of guessing
 // IDs. ?offset= and ?limit= paginate; limit defaults to 100, is capped
-// at 1000, and limit=0 returns an empty page with the total only.
+// at 1000, and limit=0 returns an empty page with the total only. Pages
+// share one sorted listing until the registry changes; each record's
+// state is read afresh for every page.
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	offset, err := queryInt(r, "offset", 0)
 	if err != nil || offset < 0 {
@@ -683,13 +701,7 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 		limit = maxListLimit
 	}
 
-	s.mu.Lock()
-	recs := make([]*queryRecord, 0, len(s.queries))
-	for _, rec := range s.queries {
-		recs = append(recs, rec)
-	}
-	s.mu.Unlock()
-	sort.Slice(recs, func(i, j int) bool { return recs[i].id < recs[j].id })
+	recs := s.sortedRecords()
 
 	list := wire.QueryList{Total: len(recs), Offset: offset, Queries: []wire.QuerySummary{}}
 	if offset < len(recs) && limit > 0 {
@@ -708,6 +720,30 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	list.Count = len(list.Queries)
 	w.Header().Set("Content-Type", "application/json")
 	writeJSON(w, list)
+}
+
+// sortedRecords returns the registry's records in ID order: the shared
+// listing, or a fresh one sorted outside s.mu and kept if the registry
+// did not change meanwhile. Callers must not modify the slice.
+func (s *Server) sortedRecords() []*queryRecord {
+	s.mu.Lock()
+	recs, gen := s.listing, s.regGen
+	if recs != nil {
+		s.mu.Unlock()
+		return recs
+	}
+	recs = make([]*queryRecord, 0, len(s.queries))
+	for _, rec := range s.queries {
+		recs = append(recs, rec)
+	}
+	s.mu.Unlock()
+	slices.SortFunc(recs, func(a, b *queryRecord) int { return strings.Compare(a.id, b.id) })
+	s.mu.Lock()
+	if s.regGen == gen {
+		s.listing = recs
+	}
+	s.mu.Unlock()
+	return recs
 }
 
 func queryInt(r *http.Request, key string, def int) (int, error) {

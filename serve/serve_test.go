@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -497,6 +498,96 @@ func TestRegistrySweepVisitsOnlyExpired(t *testing.T) {
 	}
 	if len(s.finished) != 1 || s.finished[0] != fresh {
 		t.Errorf("finished queue = %d entries, want just the unexpired one", len(s.finished))
+	}
+}
+
+// listPage serves one GET /queries page straight from the handler and
+// returns the listed IDs and the total.
+func listPage(t *testing.T, s *Server, offset, limit int) ([]string, int) {
+	t.Helper()
+	rr := httptest.NewRecorder()
+	s.handleList(rr, httptest.NewRequest(http.MethodGet, fmt.Sprintf("/queries?offset=%d&limit=%d", offset, limit), nil))
+	if rr.Code != http.StatusOK {
+		t.Fatalf("GET /queries?offset=%d&limit=%d: status %d", offset, limit, rr.Code)
+	}
+	var list wire.QueryList
+	if err := json.Unmarshal(rr.Body.Bytes(), &list); err != nil {
+		t.Fatal(err)
+	}
+	ids := make([]string, len(list.Queries))
+	for i, q := range list.Queries {
+		ids[i] = q.ID
+	}
+	return ids, list.Total
+}
+
+// TestServeListSortsOncePerChange: paging through a registry of 5 000
+// records that nothing changes reads one sorted listing, and every page
+// holds the IDs a full sort would put at its offsets.
+func TestServeListSortsOncePerChange(t *testing.T) {
+	world := ps.NewRWMWorld(2, 50, ps.SensorConfig{})
+	eng := ps.NewEngine(ps.NewAggregator(world))
+	defer eng.Stop()
+	s := New(eng, world, Options{})
+
+	const n = 5000
+	var want []string
+	for i := 0; i < n; i++ {
+		id := fmt.Sprintf("q%d", i*7919%n) // inserted out of ID order
+		s.queries[id] = &queryRecord{id: id}
+		want = append(want, id)
+	}
+	slices.Sort(want)
+	listPage(t, s, 0, 0)
+	sorted := s.listing
+	for _, limit := range []int{1000, 333} {
+		for offset := 0; offset <= n; offset += limit {
+			ids, total := listPage(t, s, offset, limit)
+			if total != n || !slices.Equal(ids, want[offset:min(offset+limit, n)]) {
+				t.Fatalf("page offset %d limit %d: total %d, IDs %v..., want %d and the sorted slice",
+					offset, limit, total, ids[:min(len(ids), 3)], n)
+			}
+		}
+	}
+	if len(s.listing) != n || &s.listing[0] != &sorted[0] {
+		t.Error("paging an unchanged registry sorted it again")
+	}
+}
+
+// TestServeListSeesChangesBetweenPages: a submit or an eviction between
+// two pages shows in the next page.
+func TestServeListSeesChangesBetweenPages(t *testing.T) {
+	world := ps.NewRWMWorld(2, 50, ps.SensorConfig{})
+	eng := ps.NewEngine(ps.NewAggregator(world))
+	eng.Start()
+	defer eng.Stop()
+	s := New(eng, world, Options{NoRetention: true})
+	for _, id := range []string{"b", "d"} {
+		s.queries[id] = &queryRecord{id: id}
+	}
+	if ids, total := listPage(t, s, 0, 10); total != 2 || !slices.Equal(ids, []string{"b", "d"}) {
+		t.Fatalf("first page = %v (total %d)", ids, total)
+	}
+	if s.listing == nil {
+		t.Fatal("the first page kept no listing for the next")
+	}
+
+	env := wire.Envelope{V: 1, Type: "point", ID: "c", Loc: &wire.XY{X: 30, Y: 30}, Budget: 20}
+	if _, status, err := s.submitEnvelope(env); status != http.StatusAccepted {
+		t.Fatalf("submit: status %d: %v", status, err)
+	}
+	if ids, total := listPage(t, s, 0, 10); total != 3 || !slices.Equal(ids, []string{"b", "c", "d"}) {
+		t.Fatalf("page after a submit = %v (total %d), want b c d", ids, total)
+	}
+
+	expired := s.queries["b"]
+	expired.done, expired.doneAt = true, time.Now().Add(-time.Minute)
+	s.finished = append(s.finished, expired)
+	s.mu.Lock()
+	s.sweepLocked()
+	s.mu.Unlock()
+	if ids, total := listPage(t, s, 0, 10); total != 2 || !slices.Equal(ids, []string{"c", "d"}) {
+		t.Fatalf("page after an eviction = %v (total %d), want c d", ids, total)
 	}
 }
 

@@ -492,13 +492,7 @@ func (sa *ShardedAggregator) RunSlot() *SlotReport {
 //     order (the order registry), the order the unsharded pipeline's
 //     accounting loops iterate in.
 func (sa *ShardedAggregator) reconcile(t, offers int, parts [][]core.Offer, execs []*slotExec, gidx [][]int, spanExec *slotExec, laneMs []float64, spanMs float64) (*SlotReport, []*sensornet.Sensor) {
-	rep := &SlotReport{
-		Slot:     t,
-		Offers:   offers,
-		values:   make(map[string]float64),
-		payments: make(map[string]float64),
-		answered: make(map[string]bool),
-	}
+	rep := &SlotReport{Slot: t, Offers: offers}
 
 	// Replay the global commit order from the shard traces.
 	var selected []*sensornet.Sensor
@@ -540,23 +534,17 @@ func (sa *ShardedAggregator) reconcile(t, offers int, parts [][]core.Offer, exec
 	rep.SensorsUsed = len(selected)
 
 	// Per-type values in global submission order.
-	mixFor := func(home int) *core.MixSlotResult {
+	execFor := func(home int) *slotExec {
 		if home >= 0 {
-			if execs[home] == nil {
-				return nil
-			}
-			return execs[home].mix
+			return execs[home]
 		}
-		if spanExec != nil {
-			return spanExec.mix
-		}
-		return nil
+		return spanExec
 	}
 	sumOutcomes := func(entries []shardedEntry, into *float64) {
 		for _, e := range entries {
-			if m := mixFor(e.home); m != nil {
-				if out := m.Multi.Outcomes[e.id]; out != nil {
-					*into += out.Value
+			if ex := execFor(e.home); ex != nil {
+				if v, ok := ex.outcomeValue(e.id); ok {
+					*into += v
 				}
 			}
 		}
@@ -569,9 +557,9 @@ func (sa *ShardedAggregator) reconcile(t, offers int, parts [][]core.Offer, exec
 	sumOutcomes(sa.order.extra, &rep.ExtraValue)
 	sumProbes := func(entries []shardedEntry, suffix string) {
 		for _, e := range entries {
-			if m := mixFor(e.home); m != nil {
-				if out := m.Multi.Outcomes[query.PointID(e.id, t, suffix)]; out != nil {
-					rep.ExtraValue += out.Value
+			if ex := execFor(e.home); ex != nil {
+				if v, ok := ex.outcomeValue(query.PointID(e.id, t, suffix)); ok {
+					rep.ExtraValue += v
 				}
 			}
 		}
@@ -580,8 +568,8 @@ func (sa *ShardedAggregator) reconcile(t, offers int, parts [][]core.Offer, exec
 	sumProbes(sa.order.regEvents, "rev")
 	sumDeltas := func(entries []shardedEntry, into *float64) {
 		for _, e := range entries {
-			if m := mixFor(e.home); m != nil {
-				if co, ok := m.Continuous[e.id]; ok {
+			if ex := execFor(e.home); ex != nil {
+				if co, ok := ex.mix.Continuous[e.id]; ok {
 					*into += co.ValueDelta
 				}
 			}
@@ -592,18 +580,20 @@ func (sa *ShardedAggregator) reconcile(t, offers int, parts [][]core.Offer, exec
 	rep.Welfare = rep.PointValue + rep.AggValue + rep.LocMonValue +
 		rep.RegMonValue + rep.ExtraValue - rep.TotalCost
 
-	// Per-query outcome maps are disjoint across lanes (every query lives
-	// in exactly one), so the merge is a union.
+	// Per-query results are disjoint across lanes (every query lives in
+	// exactly one), so the merge is a union, sealed into ID order once.
+	n := 0
+	for _, ex := range execs {
+		if ex != nil {
+			n += len(ex.report.results)
+		}
+	}
+	if spanExec != nil {
+		n += len(spanExec.report.results)
+	}
+	rep.results = make([]slotResult, 0, n)
 	mergeLane := func(ex *slotExec, shard int, spanning bool, laneOffers int, selectMs float64) {
-		for id, v := range ex.report.values {
-			rep.values[id] = v
-		}
-		for id, p := range ex.report.payments {
-			rep.payments[id] = p
-		}
-		for id := range ex.report.answered {
-			rep.answered[id] = true
-		}
+		rep.results = append(rep.results, ex.report.results...)
 		rep.Events = append(rep.Events, ex.report.Events...)
 		rep.Selection.Accumulate(ex.report.Selection)
 		rep.Shards = append(rep.Shards, ShardStats{
@@ -631,6 +621,7 @@ func (sa *ShardedAggregator) reconcile(t, offers int, parts [][]core.Offer, exec
 	} else {
 		rep.Shards = append(rep.Shards, ShardStats{Shard: -1, Spanning: true})
 	}
+	rep.seal()
 	slices.SortFunc(rep.Events, func(a, b EventNotification) int {
 		return strings.Compare(a.QueryID, b.QueryID)
 	})

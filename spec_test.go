@@ -3,7 +3,7 @@ package ps
 import (
 	"errors"
 	"fmt"
-	"maps"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -193,9 +193,7 @@ type reportSnapshot struct {
 	regMon      float64
 	extra       float64
 	events      int
-	values      map[string]float64
-	payments    map[string]float64
-	answered    map[string]bool
+	results     []slotResult
 }
 
 func snapshot(r *SlotReport) reportSnapshot {
@@ -211,9 +209,7 @@ func snapshot(r *SlotReport) reportSnapshot {
 		regMon:      r.RegMonValue,
 		extra:       r.ExtraValue,
 		events:      len(r.Events),
-		values:      maps.Clone(r.values),
-		payments:    maps.Clone(r.payments),
-		answered:    maps.Clone(r.answered),
+		results:     slices.Clone(r.results),
 	}
 }
 
@@ -237,14 +233,8 @@ func requireIdentical(t *testing.T, slot int, legacy, spec reportSnapshot) {
 	if legacy.events != spec.events {
 		t.Fatalf("slot %d: event count %d != %d", slot, legacy.events, spec.events)
 	}
-	if !maps.Equal(legacy.values, spec.values) {
-		t.Fatalf("slot %d: values diverged:\n legacy %v\n spec   %v", slot, legacy.values, spec.values)
-	}
-	if !maps.Equal(legacy.payments, spec.payments) {
-		t.Fatalf("slot %d: payments diverged:\n legacy %v\n spec   %v", slot, legacy.payments, spec.payments)
-	}
-	if !maps.Equal(legacy.answered, spec.answered) {
-		t.Fatalf("slot %d: answered diverged:\n legacy %v\n spec   %v", slot, legacy.answered, spec.answered)
+	if !slices.Equal(legacy.results, spec.results) {
+		t.Fatalf("slot %d: per-query results diverged:\n legacy %+v\n spec   %+v", slot, legacy.results, spec.results)
 	}
 }
 

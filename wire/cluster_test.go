@@ -45,7 +45,7 @@ func TestReadLineCap(t *testing.T) {
 func TestClusterPartialTravelsAsBinary(t *testing.T) {
 	nan := math.Float64frombits(0x7ff8_0000_0000_beef)
 	sameBits := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
-	p := &ps.LanePartial{Slot: 4, Outcomes: map[string]float64{"q": math.Inf(-1)}, Welfare: nan}
+	p := &ps.LanePartial{Slot: 4, Outcomes: []ps.LaneValue{{ID: "q", Value: math.Inf(-1)}}, Welfare: nan}
 	buf, err := MarshalClusterFrame(ClusterFrame{V: ClusterVersion, Type: ClusterPartial, Seq: 9, Epoch: 1, Slot: 4, Applied: 3, Partial: p})
 	if err != nil {
 		t.Fatalf("a partial carrying NaN does not encode: %v", err)
@@ -58,7 +58,7 @@ func TestClusterPartialTravelsAsBinary(t *testing.T) {
 		t.Fatal(err)
 	}
 	if back.Applied != 3 || back.Partial == nil || back.Partial.Slot != 4 ||
-		!sameBits(back.Partial.Welfare, nan) || !sameBits(back.Partial.Outcomes["q"], math.Inf(-1)) {
+		!sameBits(back.Partial.Welfare, nan) || len(back.Partial.Outcomes) != 1 || !sameBits(back.Partial.Outcomes[0].Value, math.Inf(-1)) {
 		t.Fatalf("decoded %+v (partial %+v)", back, back.Partial)
 	}
 }
@@ -70,10 +70,10 @@ func metroPartial() *ps.LanePartial {
 	const outcomes, selected = 260, 75
 	p := &ps.LanePartial{
 		Slot: 12, Offers: 5000, Queries: outcomes,
-		Outcomes:  make(map[string]float64, outcomes),
-		Values:    make(map[string]float64, outcomes),
-		Payments:  make(map[string]float64, outcomes),
-		Answered:  make(map[string]bool, outcomes),
+		Outcomes:  make([]ps.LaneValue, outcomes),
+		Values:    make([]ps.LaneValue, outcomes),
+		Payments:  make([]ps.LaneValue, outcomes),
+		Answered:  make([]ps.LaneFlag, outcomes),
 		TotalCost: 812.25, PointValue: 2950.5, AggValue: 890.125, ExtraValue: 120.75, Welfare: 3149.125,
 		Selection: ps.SelectionStats{Strategy: "lazy", ValuationCalls: 812345, SerialEquivCalls: 961234, LazyReevaluations: 15623},
 		SelectMs:  6.9, StepMs: 4.1,
@@ -83,10 +83,11 @@ func metroPartial() *ps.LanePartial {
 		p.Trace = append(p.Trace, ps.SelectionStep{Offer: 61 * i % 5000, SensorID: 17*i + 3, Cost: 9.5 + float64(i)/7, Net: 140.25 - float64(i)/3})
 	}
 	for i := 0; i < outcomes; i++ {
-		id := fmt.Sprintf("s12-point-%d", i)
+		id := fmt.Sprintf("s12-point-%03d", i) // zero-padded: sections ascend by ID
 		v := 11.5 + float64(i)/13
-		p.Outcomes[id] = v
-		p.Values[id], p.Payments[id], p.Answered[id] = v, v/3, true
+		p.Outcomes[i] = ps.LaneValue{ID: id, Value: v}
+		p.Values[i], p.Payments[i] = ps.LaneValue{ID: id, Value: v}, ps.LaneValue{ID: id, Value: v / 3}
+		p.Answered[i] = ps.LaneFlag{ID: id, Answered: true}
 	}
 	return p
 }
