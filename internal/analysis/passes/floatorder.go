@@ -25,9 +25,17 @@ import (
 // once, so order cannot matter). Integer accumulation is ignored. Test
 // files are checked too: golden expectations built in map order corrupt
 // the gates from the other side.
+//
+// The same holds for a goroutine fan-out. Float accumulation inside a
+// `go` statement's function literal into a target declared outside the
+// literal runs in goroutine completion order, exactly like draining a
+// fan-in channel. Allowed there: accumulators local to the goroutine
+// (declared in the literal, its parameters included), and plain writes
+// of a result into an index-addressed slot, which a serial pass then
+// reduces in index order.
 var Floatorder = &analysis.Analyzer{
 	Name: "floatorder",
-	Doc:  "flags order-dependent float accumulation over maps and channels in deterministic packages",
+	Doc:  "flags order-dependent float accumulation over maps, channels and goroutines in deterministic packages",
 	Run:  runFloatorder,
 }
 
@@ -38,6 +46,12 @@ func runFloatorder(pass *analysis.Pass) error {
 	reported := map[token.Pos]bool{} // dedupe under nested map ranges
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
+			if g, ok := n.(*ast.GoStmt); ok {
+				if lit, ok := g.Call.Fun.(*ast.FuncLit); ok {
+					checkGoLiteral(pass, lit, reported)
+				}
+				return true
+			}
 			rng, ok := n.(*ast.RangeStmt)
 			if !ok {
 				return true
@@ -66,6 +80,26 @@ func runFloatorder(pass *analysis.Pass) error {
 		})
 	}
 	return nil
+}
+
+// checkGoLiteral reports float accumulation in a go statement's function
+// literal whose target outlives the literal.
+func checkGoLiteral(pass *analysis.Pass, lit *ast.FuncLit, reported map[token.Pos]bool) {
+	ast.Inspect(lit.Body, func(m ast.Node) bool {
+		as, ok := m.(*ast.AssignStmt)
+		if !ok {
+			return true
+		}
+		lhs, op := floatAccumulation(pass, as)
+		if lhs == nil || reported[as.Pos()] || declaredWithin(pass, lhs, lit) {
+			return true
+		}
+		reported[as.Pos()] = true
+		pass.Reportf(as.Pos(),
+			"float %s accumulation across goroutines runs in completion order, which is nondeterministic; accumulate per goroutine into an index-addressed slot and reduce in index order — see DESIGN.md \"Determinism invariants\"",
+			op)
+		return true
+	})
 }
 
 // keyedByRangeKey reports whether the accumulation target is a map or
@@ -157,9 +191,10 @@ func sameObject(pass *analysis.Pass, a, b ast.Expr) bool {
 }
 
 // declaredWithin reports whether the accumulated operand's base object
-// is declared inside the range statement — a per-iteration accumulator
-// reset each pass, which is order-independent and allowed.
-func declaredWithin(pass *analysis.Pass, lhs ast.Expr, rng *ast.RangeStmt) bool {
+// is declared inside scope — a range statement (a per-iteration
+// accumulator reset each pass) or a goroutine's function literal (a
+// per-goroutine accumulator) — which is order-independent and allowed.
+func declaredWithin(pass *analysis.Pass, lhs ast.Expr, scope ast.Node) bool {
 	base := lhs
 	for {
 		switch e := base.(type) {
@@ -183,5 +218,5 @@ func declaredWithin(pass *analysis.Pass, lhs ast.Expr, rng *ast.RangeStmt) bool 
 		return false
 	}
 	obj := pass.TypesInfo.ObjectOf(id)
-	return obj != nil && obj.Pos() >= rng.Pos() && obj.Pos() <= rng.End()
+	return obj != nil && obj.Pos() >= scope.Pos() && obj.Pos() <= scope.End()
 }

@@ -2,7 +2,10 @@
 // package path (repro/internal/core).
 package det
 
-import "sort"
+import (
+	"sort"
+	"sync"
+)
 
 func mapSum(m map[string]float64) float64 {
 	var sum float64
@@ -95,4 +98,63 @@ func notAnAccumulation(m map[string]float64) float64 {
 		last = v * 2
 	}
 	return last
+}
+
+// goFanIn sums into a total shared by every goroutine: the additions
+// land in completion order.
+func goFanIn(parts [][]float64) float64 {
+	var total float64
+	var mu sync.Mutex
+	var wg sync.WaitGroup
+	for _, p := range parts {
+		wg.Add(1)
+		go func(p []float64) {
+			defer wg.Done()
+			for _, v := range p {
+				mu.Lock()
+				total += v // want "float \\+= accumulation across goroutines"
+				mu.Unlock()
+			}
+		}(p)
+	}
+	wg.Wait()
+	return total
+}
+
+// goSlots is the sanctioned fan-out: each goroutine sums into its own
+// local and writes it to its index-addressed slot, and a serial pass
+// reduces the slots in index order.
+func goSlots(parts [][]float64) float64 {
+	sums := make([]float64, len(parts))
+	var wg sync.WaitGroup
+	for i, p := range parts {
+		wg.Add(1)
+		go func(i int, p []float64) {
+			defer wg.Done()
+			var s float64
+			for _, v := range p {
+				s += v
+			}
+			sums[i] = s
+		}(i, p)
+	}
+	wg.Wait()
+	var total float64
+	for _, s := range sums {
+		total += s
+	}
+	return total
+}
+
+// goParamAccumulator accumulates into the literal's own parameter: a
+// per-goroutine copy.
+func goParamAccumulator(parts [][]float64, out chan<- float64) {
+	for _, p := range parts {
+		go func(p []float64, acc float64) {
+			for _, v := range p {
+				acc += v
+			}
+			out <- acc
+		}(p, 0)
+	}
 }

@@ -441,25 +441,11 @@ func getArena() *selArena {
 	return ar
 }
 
-// growInt32 returns buf resized to n, reallocating only when capacity is
+// grow returns buf resized to n, reallocating only when capacity is
 // short. Contents are unspecified.
-func growInt32(buf []int32, n int) []int32 {
+func grow[T any](buf []T, n int) []T {
 	if cap(buf) < n {
-		return make([]int32, n)
-	}
-	return buf[:n]
-}
-
-func growFloat64(buf []float64, n int) []float64 {
-	if cap(buf) < n {
-		return make([]float64, n)
-	}
-	return buf[:n]
-}
-
-func growBool(buf []bool, n int) []bool {
-	if cap(buf) < n {
-		return make([]bool, n)
+		return make([]T, n)
 	}
 	return buf[:n]
 }
@@ -512,9 +498,9 @@ func newSelection(queries []query.Query, offers []Offer) *selection {
 	ar := getArena()
 	s.ar = ar
 	nq, no := len(queries), len(offers)
-	s.relCount = growInt32(ar.relCount, nq)
-	s.qver = growInt32(ar.qver, nq)
-	s.submod = growBool(ar.submod, nq)
+	s.relCount = grow(ar.relCount, nq)
+	s.qver = grow(ar.qver, nq)
+	s.submod = grow(ar.submod, nq)
 	if cap(ar.pcs) < nq {
 		ar.pcs = make([]query.PairCached, nq)
 		ar.geom = make([]query.GeomCached, nq)
@@ -535,15 +521,15 @@ func newSelection(queries []query.Query, offers []Offer) *selection {
 	s.buildGeometry()
 
 	npairs := len(s.relIdx)
-	s.gains = growFloat64(ar.gains, npairs)
-	s.vers = growInt32(ar.vers, npairs)
+	s.gains = grow(ar.gains, npairs)
+	s.vers = grow(ar.vers, npairs)
 	for i := range s.vers {
 		s.vers[i] = -1
 	}
 	// The exhaustive scan evaluates every relevant pair once up front
 	// (version -1 -> 0).
 	s.stats.SerialEquivCalls += int64(npairs)
-	s.remaining = growBool(ar.remaining, no)
+	s.remaining = grow(ar.remaining, no)
 	for i := range s.remaining {
 		s.remaining[i] = true
 	}
@@ -573,7 +559,7 @@ const relevanceGridDim = 32
 func (s *selection) buildRelevance() {
 	ar := s.ar
 	nq, no := len(s.queries), len(s.offers)
-	s.relOff = growInt32(ar.relOff, no+1)
+	s.relOff = grow(ar.relOff, no+1)
 	s.relIdx = ar.relIdx[:0]
 	s.base = ar.base[:0]
 	s.relOff[0] = 0
@@ -630,7 +616,7 @@ func (s *selection) buildRelevance() {
 	// cellQs[cellOff[c]:cellOff[c+1]], ascending — filled in two passes
 	// over the footprints: count, then deal out.
 	const ncells = relevanceGridDim * relevanceGridDim
-	cellOff := growInt32(ar.cellOff, ncells+1)
+	cellOff := grow(ar.cellOff, ncells+1)
 	ar.cellOff = cellOff
 	clear(cellOff)
 	global := ar.globalQs[:0]
@@ -663,9 +649,9 @@ func (s *selection) buildRelevance() {
 	for c := 0; c < ncells; c++ {
 		cellOff[c+1] += cellOff[c]
 	}
-	cellQs := growInt32(ar.cellQs, int(cellOff[ncells]))
+	cellQs := grow(ar.cellQs, int(cellOff[ncells]))
 	ar.cellQs = cellQs
-	cursor := growInt32(ar.cursor, ncells)
+	cursor := grow(ar.cursor, ncells)
 	ar.cursor = cursor
 	copy(cursor, cellOff[:ncells])
 	eachCell(func(qi int32, cell int) {
@@ -706,8 +692,8 @@ func (s *selection) buildRelevance() {
 // disk. It runs single-threaded before the first round.
 func (s *selection) buildGeometry() {
 	ar := s.ar
-	s.geomWords = growInt32(ar.geomWords, len(s.queries))
-	s.maskOff = growInt32(ar.maskOff, len(s.relIdx))
+	s.geomWords = grow(ar.geomWords, len(s.queries))
+	s.maskOff = grow(ar.maskOff, len(s.relIdx))
 	ar.geomWords, ar.maskOff = s.geomWords, s.maskOff
 	total := 0
 	for qi, gc := range s.geom {
@@ -902,7 +888,7 @@ func (s *selection) dealOutcomes() {
 		return
 	}
 	nq := len(s.queries)
-	off := growInt32(s.ar.cursor, nq+1)
+	off := grow(s.ar.cursor, nq+1)
 	s.ar.cursor = off
 	clear(off)
 	for _, r := range s.recs {

@@ -75,7 +75,7 @@ type lazyHeap struct {
 // reset empties the heap for sensors 0..n-1.
 func (h *lazyHeap) reset(n int) {
 	h.ents = h.ents[:0]
-	h.pos = growInt32(h.pos, n)
+	h.pos = grow(h.pos, n)
 	for i := range h.pos {
 		h.pos[i] = -1
 	}
@@ -233,7 +233,7 @@ func (s *selection) lazyLoop() {
 	}
 	rebuild()
 
-	touched := growBool(ar.touched, len(s.offers))
+	touched := grow(ar.touched, len(s.offers))
 	for i := range touched {
 		touched[i] = false
 	}
@@ -299,7 +299,7 @@ func (s *selection) buildVolatile() bool {
 		return false
 	}
 	ar := s.ar
-	volOff := growInt32(ar.volOff, len(s.queries)+1)
+	volOff := grow(ar.volOff, len(s.queries)+1)
 	clear(volOff)
 	for _, qi := range s.relIdx {
 		if !s.submod[qi] {
@@ -314,8 +314,8 @@ func (s *selection) buildVolatile() bool {
 		ar.vol = make([]volPair, nvol)
 	}
 	s.vol = ar.vol[:nvol]
-	s.volAt = growInt32(ar.volAt, len(s.relIdx))
-	cursor := growInt32(ar.cursor, len(s.queries))
+	s.volAt = grow(ar.volAt, len(s.relIdx))
+	cursor := grow(ar.cursor, len(s.queries))
 	copy(cursor, volOff[:len(s.queries)])
 	for si := range s.offers {
 		for idx := s.relOff[si]; idx < s.relOff[si+1]; idx++ {

@@ -194,7 +194,7 @@ func TestSelectSamplingPointsSpreadsObservations(t *testing.T) {
 		geo.Pt(15, 10), geo.Pt(2, 12), // spread
 	)
 	costs := []float64{10, 10, 10, 10, 10}
-	sel, _, _ := selectSamplingPoints(q, offers, costs, 40, 0, 0)
+	sel, _, _ := selectSamplingPoints(&planArena{}, q, offers, costs, 40, 0, 0)
 	if len(sel) == 0 {
 		t.Fatal("nothing selected")
 	}

@@ -2,8 +2,11 @@ package core
 
 import (
 	"math"
+	"runtime"
 	"sort"
 	"strconv"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/geo"
 	"repro/internal/gp"
@@ -38,7 +41,8 @@ type RegMonOptions struct {
 	// happen to fall inside a query's region (the A_{r,t} stage of
 	// Algorithm 3's ApplyResults).
 	ShareSensors bool
-	// Weight overrides WeightEq18 when non-nil.
+	// Weight overrides WeightEq18 when non-nil. The queries are planned
+	// concurrently, so it must be safe for concurrent use.
 	Weight func(k int) float64
 	// MaxPlanningTimes caps the future time instants Algorithm 4 considers
 	// (the paper iterates t = tc..q.t2; we subsample to bound planning
@@ -81,11 +85,32 @@ type regmonSlot struct {
 	appended, rebuilt int64
 }
 
+// plannedQuery is what planning one active query produced. The worker
+// that planned the query fills it; planRegionMonitoring reads it back in
+// query order.
+type plannedQuery struct {
+	before float64
+	plan   *regPlan // nil when Algorithm 4 selected nothing
+	// points are the plan's probes; plan.probes index them until the
+	// assembly offsets the indices into the slot's probe list.
+	points            []*query.Point
+	appended, rebuilt int64
+}
+
 // planRegionMonitoring is the planning half of Algorithm 3: every active
 // query picks its sampling locations with Algorithm 4 under its remaining
 // budget, on costs weighted by weight(k(s)) (Eq. 18; nil charges the full
 // cost), and CreatePointQueries turns each planned location into a point
 // query worth its leave-one-out marginal v_q(S_t) - v_q(S_t \ {s}).
+//
+// The queries are independent of each other, so they are planned on
+// min(GOMAXPROCS, active) workers, each pulling query indices and owning
+// a planning arena. Planning mutates the query (its base-posterior cache
+// and value memo), so each query is planned by exactly one worker; its
+// results land in its own plannedQuery and are assembled here in query
+// order. Probe order, probe IDs and every sum are therefore those of a
+// serial pass, whatever GOMAXPROCS is. With one worker no goroutine
+// starts.
 func planRegionMonitoring(t int, queries []*query.RegionMonitoring, offers []Offer, weight func(k int) float64, maxTimes int) (*regmonSlot, []*query.Point) {
 	rs := &regmonSlot{}
 	for _, q := range queries {
@@ -97,9 +122,12 @@ func planRegionMonitoring(t int, queries []*query.RegionMonitoring, offers []Off
 	if len(rs.active) == 0 {
 		return rs, nil
 	}
+	ar := getPlanArena()
+	defer putPlanArena(ar)
 
 	// k(s): how many active query regions contain each sensor (Eq. 18).
-	shareCount := make(map[int]int)
+	shareCount := ar.shareCount
+	clear(shareCount)
 	for _, o := range offers {
 		for _, q := range rs.active {
 			if q.Region.Contains(o.Sensor.Pos) {
@@ -108,51 +136,153 @@ func planRegionMonitoring(t int, queries []*query.RegionMonitoring, offers []Off
 		}
 	}
 
-	var pts []*query.Point
-	rs.before = make([]float64, len(rs.active))
-	for qi, q := range rs.active {
-		rs.before[qi] = q.Value()
-		// S_{r,t} and SC_{r,t}: in-region sensors with (weighted) costs.
-		var inRegion []Offer
-		var costs []float64
-		for _, o := range offers {
-			if !q.Region.Contains(o.Sensor.Pos) {
-				continue
+	planned := make([]plannedQuery, len(rs.active))
+	var next atomic.Int32
+	work := func(ar *planArena) {
+		for {
+			qi := int(next.Add(1)) - 1
+			if qi >= len(planned) {
+				return
 			}
-			c := o.Cost
-			if weight != nil {
-				c *= weight(shareCount[o.Sensor.ID])
-			}
-			inRegion = append(inRegion, o)
-			costs = append(costs, c)
+			planQuery(ar, &planned[qi], rs.active[qi], t, offers, shareCount, weight, maxTimes)
 		}
-		planned, appended, rebuilt := selectSamplingPoints(q, inRegion, costs, q.RemainingBudget(), t, maxTimes)
-		rs.appended += appended
-		rs.rebuilt += rebuilt
-		if len(planned) == 0 {
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < min(runtime.GOMAXPROCS(0), len(planned)); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			war := getPlanArena()
+			defer putPlanArena(war)
+			work(war)
+		}()
+	}
+	work(ar)
+	wg.Wait()
+
+	var pts []*query.Point
+	rs.before = make([]float64, len(planned))
+	for qi := range planned {
+		pq := &planned[qi]
+		rs.before[qi] = pq.before
+		rs.appended += pq.appended
+		rs.rebuilt += pq.rebuilt
+		if pq.plan == nil {
 			continue
 		}
-		plan := &regPlan{q: q}
-		pos := make([]geo.Point, len(planned))
-		thetas := make([]float64, len(planned))
-		for i, pi := range planned {
-			pos[i] = inRegion[pi].Sensor.Pos
-			thetas[i] = q.Theta(inRegion[pi].Sensor)
+		for k := range pq.plan.probes {
+			pq.plan.probes[k] += len(pts)
 		}
-		for i, marginal := range q.PlanMarginals(pos, thetas) {
-			if marginal <= 0 {
-				continue
-			}
-			s := inRegion[planned[i]].Sensor
-			p := query.NewPoint(query.PointID(q.ID, t, "s"+strconv.Itoa(s.ID)), s.Pos, marginal, RegionProbeDMax)
-			p.ThetaMin = 0.01
-			plan.probes = append(plan.probes, len(pts))
-			pts = append(pts, p)
-			plan.expectedCost += costs[planned[i]]
-		}
-		rs.plans = append(rs.plans, plan)
+		pts = append(pts, pq.points...)
+		rs.plans = append(rs.plans, pq.plan)
 	}
 	return rs, pts
+}
+
+// planQuery plans one active query into pq on ar: Algorithm 4 over the
+// offers inside its region (S_{r,t}) at their weighted costs (SC_{r,t}),
+// then CreatePointQueries over the current-slot selections. shareCount is
+// k(s) by sensor ID, read only.
+func planQuery(ar *planArena, pq *plannedQuery, q *query.RegionMonitoring, t int, offers []Offer, shareCount map[int]int, weight func(k int) float64, maxTimes int) {
+	pq.before = q.Value()
+	inRegion, costs := ar.inRegion[:0], ar.costs[:0]
+	for _, o := range offers {
+		if !q.Region.Contains(o.Sensor.Pos) {
+			continue
+		}
+		c := o.Cost
+		if weight != nil {
+			c *= weight(shareCount[o.Sensor.ID])
+		}
+		inRegion = append(inRegion, o)
+		costs = append(costs, c)
+	}
+	ar.inRegion, ar.costs = inRegion, costs
+	sel, appended, rebuilt := selectSamplingPoints(ar, q, inRegion, costs, q.RemainingBudget(), t, maxTimes)
+	pq.appended, pq.rebuilt = appended, rebuilt
+	if len(sel) == 0 {
+		return
+	}
+	pos, thetas := ar.planPos[:0], ar.planThetas[:0]
+	for _, si := range sel {
+		pos = append(pos, inRegion[si].Sensor.Pos)
+		thetas = append(thetas, q.Theta(inRegion[si].Sensor))
+	}
+	ar.planPos, ar.planThetas = pos, thetas
+	plan := &regPlan{q: q, probes: make([]int, 0, len(sel))}
+	pq.points = make([]*query.Point, 0, len(sel))
+	for i, marginal := range q.PlanMarginals(pos, thetas, &ar.marginals) {
+		if marginal <= 0 {
+			continue
+		}
+		s := inRegion[sel[i]].Sensor
+		p := query.NewPoint(query.PointID(q.ID, t, "s"+strconv.Itoa(s.ID)), s.Pos, marginal, RegionProbeDMax)
+		p.ThetaMin = 0.01
+		plan.probes = append(plan.probes, len(pq.points))
+		pq.points = append(pq.points, p)
+		plan.expectedCost += costs[sel[i]]
+	}
+	pq.plan = plan
+}
+
+// planArena is one planning worker's scratch: what planQuery, Algorithm 4
+// and CreatePointQueries build for a query and drop before the next one,
+// kept across queries and slots so that warm planning allocates only what
+// it returns. It serves one goroutine at a time.
+type planArena struct {
+	shareCount map[int]int // k(s) of Eq. 18, in the arena of the calling goroutine
+
+	// planQuery: one query's in-region offers with their weighted costs,
+	// and its plan's locations and qualities for PlanMarginals.
+	inRegion   []Offer
+	costs      []float64
+	planPos    []geo.Point
+	planThetas []float64
+	marginals  query.PlanScratch
+
+	// selectSamplingPoints: the time instants, their rows and trackers,
+	// and per candidate its quality. probes, marginal and used hold one
+	// block of candidates for the shared first row, then one block per
+	// time instant for the row that commits there. slab holds the
+	// probes' and the trackers' new rows' vectors.
+	times    []int
+	rows     []planRow
+	trackers []gp.Posterior
+	probes   []gp.Probe
+	marginal []float64
+	used     []bool
+	thetas   []float64
+	sel      []int
+	slab     gp.Slab
+}
+
+// idlePlanArenas holds the arenas of finished planning workers for the
+// next ones, a free list for the reason idleArenas is one: a sync.Pool
+// empties at every GC. It holds at most as many arenas as planning
+// workers ever ran at once.
+var idlePlanArenas struct {
+	sync.Mutex
+	free []*planArena
+}
+
+// getPlanArena takes an idle planning arena, or makes one.
+func getPlanArena() *planArena {
+	idlePlanArenas.Lock()
+	defer idlePlanArenas.Unlock()
+	n := len(idlePlanArenas.free)
+	if n == 0 {
+		return &planArena{shareCount: make(map[int]int)}
+	}
+	ar := idlePlanArenas.free[n-1]
+	idlePlanArenas.free = idlePlanArenas.free[:n-1]
+	return ar
+}
+
+// putPlanArena returns an arena to idlePlanArenas.
+func putPlanArena(ar *planArena) {
+	idlePlanArenas.Lock()
+	idlePlanArenas.free = append(idlePlanArenas.free, ar)
+	idlePlanArenas.Unlock()
 }
 
 // apply is ApplyResults of Algorithm 3. answered reports the sensor and
@@ -301,11 +431,12 @@ func marginalRegionValue(q *query.RegionMonitoring, s *sensornet.Sensor) float64
 // current-time selections are returned. The time-discount factor "is an
 // attempt to increase the chance of selecting sensors for the current
 // time" (§3.3). Marginal F evaluations use the incremental GP posterior.
-// It returns the selected in-region offer indices plus the posterior
-// cache accounting of this call: how many accumulated observations were
-// folded in by rank-1 append vs replayed by a from-scratch rebuild
-// (see query.RegionMonitoring.BasePosterior).
-func selectSamplingPoints(q *query.RegionMonitoring, inRegion []Offer, costs []float64, budget float64, tc, maxTimes int) (sel []int, appended, rebuilt int64) {
+// It works in ar and returns the selected in-region offer indices, in
+// ar's buffer until ar's next use, plus the posterior cache accounting of
+// this call: how many accumulated observations were folded in by rank-1
+// append vs replayed by a from-scratch rebuild (see
+// query.RegionMonitoring.BasePosterior).
+func selectSamplingPoints(ar *planArena, q *query.RegionMonitoring, inRegion []Offer, costs []float64, budget float64, tc, maxTimes int) (sel []int, appended, rebuilt int64) {
 	if len(inRegion) == 0 || budget <= 0 {
 		return nil, 0, 0
 	}
@@ -313,7 +444,7 @@ func selectSamplingPoints(q *query.RegionMonitoring, inRegion []Offer, costs []f
 		maxTimes = 8
 	}
 	horizon := q.End - tc
-	times := []int{tc}
+	times := append(ar.times[:0], tc)
 	if horizon > 0 {
 		step := 1
 		if horizon+1 > maxTimes {
@@ -323,6 +454,7 @@ func selectSamplingPoints(q *query.RegionMonitoring, inRegion []Offer, costs []f
 			times = append(times, tm)
 		}
 	}
+	ar.times = times
 	duration := float64(q.End - q.Start)
 	if duration <= 0 {
 		duration = 1
@@ -343,14 +475,25 @@ func selectSamplingPoints(q *query.RegionMonitoring, inRegion []Offer, costs []f
 	// row's S_t is the base set: such rows share one row of probes and
 	// marginals, computed once, and have no tracker of their own yet.
 	base, appended, rebuilt := q.BasePosterior()
-	first := planRow{probes: make([]gp.Probe, len(inRegion)), marginal: make([]float64, len(inRegion)), used: make([]bool, len(inRegion))}
-	thetas := make([]float64, len(inRegion))
+	ar.slab.Reset()
+	n, blocks := len(inRegion), 1+len(times)
+	ar.probes = grow(ar.probes, blocks*n)
+	ar.marginal = grow(ar.marginal, blocks*n)
+	ar.used = grow(ar.used, blocks*n)
+	ar.thetas = grow(ar.thetas, n)
+	for len(ar.trackers) < len(times) {
+		ar.trackers = append(ar.trackers, gp.Posterior{})
+	}
+	first := planRow{probes: ar.probes[:n:n], marginal: ar.marginal[:n:n], used: ar.used[:n:n]}
+	clear(first.used)
+	thetas := ar.thetas
 	for si, o := range inRegion {
-		first.probes[si] = base.NewProbe(o.Sensor.Pos)
+		first.probes[si] = base.NewProbe(o.Sensor.Pos, &ar.slab)
 		first.marginal[si] = first.probes[si].Reduction()
 		thetas[si] = q.Theta(o.Sensor)
 	}
-	rows := make([]planRow, len(times))
+	ar.rows = grow(ar.rows, len(times))
+	rows := ar.rows
 	for ti, tm := range times {
 		rows[ti] = first
 		rows[ti].timeFactor = float64(q.End-tm) / duration
@@ -361,7 +504,7 @@ func selectSamplingPoints(q *query.RegionMonitoring, inRegion []Offer, costs []f
 		}
 	}
 
-	var currentSel []int
+	currentSel := ar.sel[:0]
 	var spent float64
 	for iter := 0; iter < 200 && spent < budget; iter++ {
 		bestDelta := 1e-9
@@ -384,12 +527,13 @@ func selectSamplingPoints(q *query.RegionMonitoring, inRegion []Offer, costs []f
 		if bestS < 0 {
 			break
 		}
-		rows[bestT].commit(base, bestS)
+		rows[bestT].commit(ar, base, bestT, bestS)
 		spent += costs[bestS]
 		if times[bestT] == tc {
 			currentSel = append(currentSel, bestS)
 		}
 	}
+	ar.sel = currentSel
 	return currentSel, appended, rebuilt
 }
 
@@ -406,20 +550,24 @@ type planRow struct {
 	used     []bool // candidates already in S_t
 }
 
-// commit adds candidate si to the row's set and brings the row's other
-// marginals up to date with it.
-func (r *planRow) commit(base *gp.Posterior, si int) {
+// commit adds candidate si to row ti's set and brings the row's other
+// marginals up to date with it. A row's first commit moves it off the
+// shared first row onto its own tracker and candidate block in ar.
+func (r *planRow) commit(ar *planArena, base *gp.Posterior, ti, si int) {
 	if r.tracker == nil {
-		r.tracker = base.Clone()
+		r.tracker = base.Clone(&ar.trackers[ti])
+		n := len(r.probes)
+		lo, hi := (1+ti)*n, (2+ti)*n
 		shared := r.probes
-		r.probes = make([]gp.Probe, len(shared))
+		r.probes = ar.probes[lo:hi:hi]
 		for i := range shared {
-			r.probes[i] = shared[i].Clone()
+			r.probes[i] = shared[i].Clone(&ar.slab)
 		}
-		r.marginal = append([]float64(nil), r.marginal...)
-		r.used = make([]bool, len(shared))
+		r.marginal = append(ar.marginal[lo:lo:hi], r.marginal...)
+		r.used = ar.used[lo:hi:hi]
+		clear(r.used)
 	}
-	r.tracker.AddProbe(&r.probes[si])
+	r.tracker.AddProbe(&r.probes[si], &ar.slab)
 	r.used[si] = true
 	for i := range r.probes {
 		if pr := &r.probes[i]; !r.used[i] {

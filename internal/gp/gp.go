@@ -20,6 +20,11 @@ import (
 )
 
 // Kernel is a positive-definite covariance function over the plane.
+//
+// Cov and Var must be safe for concurrent use: region-monitoring queries
+// that share one GP model are planned on several goroutines at once (see
+// internal/core's planRegionMonitoring). A pure function of its arguments
+// and fixed parameters, like the kernels below, is.
 type Kernel interface {
 	// Cov returns the covariance between the phenomenon at p and q.
 	Cov(p, q geo.Point) float64
@@ -77,19 +82,42 @@ func New(k Kernel, noise float64) *GP {
 // subset of U is then a matter of copying entries, so a caller valuing
 // many subsets of one set (the leave-one-out marginals of
 // CreatePointQueries) evaluates each point pair's covariance once.
+//
+// A KernelBlocks also keeps the buffers its posterior solves work in, so
+// a caller that holds one across Builds and subsets (Algorithm 4's
+// planning arena) stops allocating once they have grown. The zero value
+// is ready for Build. Not safe for concurrent use.
 type KernelBlocks struct {
 	g       *GP
 	targets []geo.Point
 	pts     []geo.Point
 	kuu     []float64 // kuu[i*n+j] = k(pts[i], pts[j]) for j <= i, without noise
 	ktu     []float64 // ktu[v*n+i] = k(targets[v], pts[i])
+
+	// PosteriorVariances' scratch: the selected indices, K_AA and its
+	// factor, one target's covariances and solve, and the result.
+	idx       []int
+	kaa       linalg.Matrix
+	ch        linalg.Cholesky
+	kv, alpha []float64
+	out       []float64
 }
 
 // NewKernelBlocks evaluates the kernel over pts and targets.
 func (g *GP) NewKernelBlocks(targets, pts []geo.Point) *KernelBlocks {
+	kb := &KernelBlocks{}
+	kb.Build(g, targets, pts)
+	return kb
+}
+
+// Build evaluates g's kernel over pts and targets into kb, reusing its
+// buffers; the blocks of an earlier Build are gone. kb keeps pts and
+// targets, which must not change while it is in use.
+func (kb *KernelBlocks) Build(g *GP, targets, pts []geo.Point) {
 	n := len(pts)
-	kb := &KernelBlocks{g: g, targets: targets, pts: pts,
-		kuu: make([]float64, n*n), ktu: make([]float64, len(targets)*n)}
+	kb.g, kb.targets, kb.pts = g, targets, pts
+	kb.kuu = growFloats(kb.kuu, n*n)
+	kb.ktu = growFloats(kb.ktu, len(targets)*n)
 	for i := 0; i < n; i++ {
 		for j := 0; j <= i; j++ {
 			kb.kuu[i*n+j] = g.Kernel.Cov(pts[i], pts[j])
@@ -100,22 +128,33 @@ func (g *GP) NewKernelBlocks(targets, pts []geo.Point) *KernelBlocks {
 			kb.ktu[v*n+i] = g.Kernel.Cov(t, o)
 		}
 	}
-	return kb
+}
+
+// growFloats returns buf resized to n, reallocating only when its
+// capacity is short. Contents are unspecified.
+func growFloats(buf []float64, n int) []float64 {
+	if cap(buf) < n {
+		return make([]float64, n)
+	}
+	return buf[:n]
 }
 
 // PosteriorVariances returns the predictive variance at each target after
 // observing (noisy) measurements at the points idx selects, ascending
 // indices into the point set; nil selects all of them. With no
-// observations it returns the prior variances.
+// observations it returns the prior variances. The result is kb's own
+// buffer: it is valid until the next call on kb.
 func (kb *KernelBlocks) PosteriorVariances(idx []int) ([]float64, error) {
 	g, stride := kb.g, len(kb.pts)
 	if idx == nil {
-		idx = make([]int, stride)
-		for i := range idx {
-			idx[i] = i
+		kb.idx = kb.idx[:0]
+		for i := 0; i < stride; i++ {
+			kb.idx = append(kb.idx, i)
 		}
+		idx = kb.idx
 	}
-	out := make([]float64, len(kb.targets))
+	kb.out = growFloats(kb.out, len(kb.targets))
+	out := kb.out
 	if len(idx) == 0 {
 		for i, t := range kb.targets {
 			out[i] = g.Kernel.Var(t)
@@ -123,7 +162,8 @@ func (kb *KernelBlocks) PosteriorVariances(idx []int) ([]float64, error) {
 		return out, nil
 	}
 	n := len(idx)
-	kaa := linalg.NewMatrix(n, n)
+	kaa := &kb.kaa
+	kaa.Rows, kaa.Cols, kaa.Data = n, n, growFloats(kaa.Data, n*n)
 	for i := 0; i < n; i++ {
 		for j := 0; j <= i; j++ {
 			v := kb.kuu[idx[i]*stride+idx[j]]
@@ -132,21 +172,21 @@ func (kb *KernelBlocks) PosteriorVariances(idx []int) ([]float64, error) {
 		}
 		kaa.Set(i, i, kaa.At(i, i)+g.Noise)
 	}
-	ch, err := linalg.NewCholesky(kaa)
-	if err != nil {
+	ch := &kb.ch
+	if err := linalg.CholeskyInto(ch, kaa); err != nil {
 		// Retry with jitter: duplicated observation locations make K_AA
 		// singular, which legitimately happens when several sensors stand
-		// on the same grid cell.
-		jittered := kaa.Clone()
+		// on the same grid cell. The failed attempt only read K_AA, so
+		// the jitter goes onto it in place.
 		for i := 0; i < n; i++ {
-			jittered.Set(i, i, jittered.At(i, i)+1e-6*g.Kernel.Var(kb.pts[idx[i]])+1e-9)
+			kaa.Set(i, i, kaa.At(i, i)+1e-6*g.Kernel.Var(kb.pts[idx[i]])+1e-9)
 		}
-		ch, err = linalg.NewCholesky(jittered)
-		if err != nil {
+		if err := linalg.CholeskyInto(ch, kaa); err != nil {
 			return nil, fmt.Errorf("gp: posterior variance: %w", err)
 		}
 	}
-	kv, alpha := make([]float64, n), make([]float64, n)
+	kb.kv, kb.alpha = growFloats(kb.kv, n), growFloats(kb.alpha, n)
+	kv, alpha := kb.kv, kb.alpha
 	for i, t := range kb.targets {
 		for j, u := range idx {
 			kv[j] = kb.ktu[i*stride+u]
@@ -196,7 +236,7 @@ func (kb *KernelBlocks) NormalizedVarianceReduction(idx []int) (float64, error) 
 
 // PosteriorVariances returns the predictive variance at each target
 // location after observing (noisy) measurements at obs. With no
-// observations it returns the prior variances.
+// observations it returns the prior variances. The slice is the caller's.
 func (g *GP) PosteriorVariances(targets, obs []geo.Point) ([]float64, error) {
 	return g.NewKernelBlocks(targets, obs).PosteriorVariances(nil)
 }

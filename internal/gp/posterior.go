@@ -115,15 +115,17 @@ func (p *Posterior) MarginalReduction(s geo.Point) float64 {
 // O(m^2 + m * |targets|). Numerically redundant observations are absorbed
 // as no-ops (reduction 0) rather than corrupting the factorization.
 func (p *Posterior) Add(s geo.Point) {
-	pr := p.NewProbe(s)
+	pr := p.NewProbe(s, nil)
 	p.appendRow(&pr)
 }
 
 // AddProbe is Add(s) for the location pr follows, in O(m + |targets|): the
-// probe already holds what Add solves for. pr stays usable.
-func (p *Posterior) AddProbe(pr *Probe) {
+// probe already holds what Add solves for. pr stays usable. The new row's
+// vectors come from sl (the heap when sl is nil), so with a slab p is
+// unusable after sl's next Reset.
+func (p *Posterior) AddProbe(pr *Probe, sl *Slab) {
 	p.Extend(pr)
-	cp := pr.Clone()
+	cp := pr.Clone(sl)
 	p.appendRow(&cp)
 }
 
@@ -171,25 +173,63 @@ func (p *Posterior) TotalReduction() float64 {
 // so long-lived caches should rebuild instead of appending.
 func (p *Posterior) Degraded() bool { return p.degraded }
 
-// Clone returns an independent copy of the tracker, so branch-and-bound or
-// per-time-instance selections (Algorithm 4 keeps one set per future time
-// slot) can diverge cheaply. The rows of L and W are written once, when
-// their observation is added, and never again, so the clone shares them:
-// its row lists are capped at the current length, which makes the first
-// Add on either side grow a private list instead of writing into a
-// shared one. Only the per-target posterior variances are copied.
-func (p *Posterior) Clone() *Posterior {
-	n := len(p.obs)
-	return &Posterior{
-		gp:       p.gp,
-		targets:  p.targets,
-		obs:      p.obs[:n:n],
-		prior:    p.prior,
-		postVar:  append([]float64(nil), p.postVar...),
-		l:        p.l[:n:n],
-		w:        p.w[:n:n],
-		degraded: p.degraded,
+// Clone makes dst an independent copy of the tracker and returns it (a
+// new tracker when dst is nil), so per-time-instance selections
+// (Algorithm 4 keeps one set per future time slot) can diverge cheaply.
+// The rows of L and W are written once, when their observation is added,
+// and never again, so the clone shares them; it copies the per-target
+// posterior variances and the row lists (one slice header per
+// observation) into dst's own buffers, where an Add on either side
+// cannot reach the other. A dst reused across clones stops allocating
+// once its buffers have grown.
+func (p *Posterior) Clone(dst *Posterior) *Posterior {
+	if dst == nil {
+		dst = &Posterior{}
 	}
+	dst.gp, dst.targets, dst.prior, dst.degraded = p.gp, p.targets, p.prior, p.degraded
+	dst.obs = append(dst.obs[:0], p.obs...)
+	dst.postVar = append(dst.postVar[:0], p.postVar...)
+	dst.l = append(dst.l[:0], p.l...)
+	dst.w = append(dst.w[:0], p.w...)
+	return dst
+}
+
+// Slab hands out the vectors of probes, and of the rows AddProbe appends,
+// from blocks it keeps across uses. A caller that builds and drops many
+// short-lived probes and trackers (Algorithm 4's planner, once per query
+// per slot) stops allocating them once the blocks suffice. Reset takes
+// back every vector handed out since the previous Reset: the probes and
+// trackers holding them must be dead by then. The zero value is ready;
+// a nil *Slab allocates from the heap instead. Not safe for concurrent
+// use.
+type Slab struct {
+	blocks [][]float64
+	cur    int // the block being carved
+	off    int // its carved prefix
+}
+
+// slabBlock is the float count of a Slab block: a few queries' worth of
+// probes over a region's targets.
+const slabBlock = 4096
+
+// Reset takes back every vector the slab handed out.
+func (sl *Slab) Reset() { sl.cur, sl.off = 0, 0 }
+
+// floats returns n floats of unspecified contents, capped at n so that an
+// append past them moves out instead of running into the next vector.
+func (sl *Slab) floats(n int) []float64 {
+	if sl == nil {
+		return make([]float64, n)
+	}
+	for ; sl.cur < len(sl.blocks); sl.cur, sl.off = sl.cur+1, 0 {
+		if b := sl.blocks[sl.cur]; sl.off+n <= len(b) {
+			sl.off += n
+			return b[sl.off-n : sl.off : sl.off]
+		}
+	}
+	sl.blocks = append(sl.blocks, make([]float64, max(n, slabBlock)))
+	sl.off = n
+	return sl.blocks[sl.cur][:n:n]
 }
 
 // Probe follows one candidate location s as a tracker grows. It holds the
@@ -213,9 +253,10 @@ type Probe struct {
 }
 
 // NewProbe starts following s from the tracker's current observations.
-func (p *Posterior) NewProbe(s geo.Point) Probe {
+// Its vectors come from sl, or from the heap when sl is nil.
+func (p *Posterior) NewProbe(s geo.Point, sl *Slab) Probe {
 	pr := Probe{s: s, d: p.gp.Kernel.Var(s) + p.gp.Noise}
-	pr.c, pr.ws = probeBuffers(len(p.targets), len(p.obs))
+	pr.c, pr.ws = probeBuffers(sl, len(p.targets), len(p.obs))
 	for vi, t := range p.targets {
 		pr.c[vi] = p.gp.Kernel.Cov(t, s)
 	}
@@ -223,11 +264,11 @@ func (p *Posterior) NewProbe(s geo.Point) Probe {
 	return pr
 }
 
-// probeBuffers carves a probe's two vectors out of one allocation: c of
+// probeBuffers carves a probe's two vectors out of one piece of sl: c of
 // length v, and an empty ws with room for m entries plus the handful a
 // planning call commits per tracker (past that, append moves ws out).
-func probeBuffers(v, m int) (c, ws []float64) {
-	buf := make([]float64, v+m+4)
+func probeBuffers(sl *Slab, v, m int) (c, ws []float64) {
+	buf := sl.floats(v + m + 4)
 	return buf[:v:v], buf[v:v]
 }
 
@@ -264,10 +305,11 @@ func (pr *Probe) Reduction() float64 {
 }
 
 // Clone returns an independent copy, for a tracker about to diverge from
-// the one pr follows.
-func (pr *Probe) Clone() Probe {
+// the one pr follows. Its vectors come from sl, or from the heap when sl
+// is nil.
+func (pr *Probe) Clone(sl *Slab) Probe {
 	cp := Probe{s: pr.s, d: pr.d}
-	cp.c, cp.ws = probeBuffers(len(pr.c), len(pr.ws))
+	cp.c, cp.ws = probeBuffers(sl, len(pr.c), len(pr.ws))
 	copy(cp.c, pr.c)
 	cp.ws = append(cp.ws, pr.ws...)
 	return cp

@@ -85,7 +85,7 @@ func TestPosteriorCloneIndependent(t *testing.T) {
 	targets := geo.NewUnitGrid(5, 5).CellsIn(geo.NewRect(0, 0, 5, 5))
 	p := g.NewPosterior(targets)
 	p.Add(geo.Pt(1, 1))
-	c := p.Clone()
+	c := p.Clone(nil)
 	c.Add(geo.Pt(3, 3))
 	if len(p.obs) != 1 || len(c.obs) != 2 {
 		t.Fatalf("obs counts: p=%d c=%d", len(p.obs), len(c.obs))
@@ -198,7 +198,7 @@ func TestPosteriorDegradedFallback(t *testing.T) {
 		t.Fatalf("degraded tracker diverged from replay: %v vs %v",
 			p.TotalReduction(), scratch.TotalReduction())
 	}
-	if !p.Clone().Degraded() {
+	if !p.Clone(nil).Degraded() {
 		t.Fatal("Clone dropped the degraded latch")
 	}
 }
@@ -251,7 +251,7 @@ func TestProbeMatchesMarginalReductionBitForBit(t *testing.T) {
 			p, ref := g.NewPosterior(targets), g.NewPosterior(targets)
 			var probes []Probe
 			for i := 0; i < 6; i++ {
-				probes = append(probes, p.NewProbe(pt()))
+				probes = append(probes, p.NewProbe(pt(), nil))
 			}
 			var branch *Posterior // cloned from p midway, then fed its own observations
 			var branchProbes []Probe
@@ -270,8 +270,8 @@ func TestProbeMatchesMarginalReductionBitForBit(t *testing.T) {
 				if step%2 == 0 {
 					p.Add(next)
 				} else {
-					pr := p.NewProbe(next)
-					p.AddProbe(&pr)
+					pr := p.NewProbe(next, nil)
+					p.AddProbe(&pr, nil)
 				}
 				if len(p.obs) == before {
 					noops++
@@ -280,12 +280,12 @@ func TestProbeMatchesMarginalReductionBitForBit(t *testing.T) {
 					t.Fatalf("seed %d step %d: AddProbe and Add left different trackers", seed, step)
 				}
 				if step == 4 {
-					probes = append(probes, p.NewProbe(pt())) // joins midway
+					probes = append(probes, p.NewProbe(pt(), nil)) // joins midway
 				}
 				if step == 6 {
-					branch = p.Clone()
+					branch = p.Clone(nil)
 					for i := range probes {
-						branchProbes = append(branchProbes, probes[i].Clone())
+						branchProbes = append(branchProbes, probes[i].Clone(nil))
 					}
 				}
 				for i := range probes {
@@ -297,7 +297,7 @@ func TestProbeMatchesMarginalReductionBitForBit(t *testing.T) {
 					checks++
 				}
 				if branch != nil && step > 6 {
-					branch.AddProbe(&branchProbes[step%len(branchProbes)])
+					branch.AddProbe(&branchProbes[step%len(branchProbes)], nil)
 					for i := range branchProbes {
 						pr := &branchProbes[i]
 						branch.Extend(pr)
@@ -337,7 +337,7 @@ func TestCloneSharesRowsWithoutAliasingWrites(t *testing.T) {
 		t.Fatal("fixture: base row list has no spare capacity")
 	}
 	baseWas := snap(base)
-	clones := []*Posterior{base.Clone(), base.Clone(), base.Clone()}
+	clones := []*Posterior{base.Clone(nil), base.Clone(nil), base.Clone(nil)}
 	if &clones[0].l[0][0] != &base.l[0][0] || &clones[1].w[6][0] != &base.w[6][0] {
 		t.Fatal("clone copied the factor rows instead of sharing them")
 	}
@@ -386,12 +386,15 @@ func benchTracker(m int) (*Posterior, *rng.Stream) {
 	return p, s
 }
 
+// BenchmarkPosteriorClone clones into one reused tracker, as the planner
+// clones into its arena's.
 func BenchmarkPosteriorClone(b *testing.B) {
 	p, _ := benchTracker(48)
+	var dst Posterior
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.Clone()
+		p.Clone(&dst)
 	}
 }
 
@@ -400,8 +403,8 @@ func BenchmarkPosteriorClone(b *testing.B) {
 func BenchmarkProbeExtend(b *testing.B) {
 	p, s := benchTracker(48)
 	cand := geo.Pt(s.Uniform(0, 8), s.Uniform(0, 6))
-	pr := p.NewProbe(cand)
-	grown := p.Clone()
+	pr := p.NewProbe(cand, nil)
+	grown := p.Clone(nil)
 	grown.Add(geo.Pt(s.Uniform(0, 8), s.Uniform(0, 6)))
 	var sink float64
 	b.Run("probe", func(b *testing.B) {

@@ -118,11 +118,33 @@ type Cholesky struct {
 // Only the lower triangle of a is read. A small jitter can be added by the
 // caller to regularize near-singular kernels.
 func NewCholesky(a *Matrix) (*Cholesky, error) {
+	c := &Cholesky{}
+	if err := CholeskyInto(c, a); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// CholeskyInto is NewCholesky writing the factor into c, reusing c's
+// storage when it is large enough, for callers that factorize many small
+// systems in a row. On error c holds no usable factor.
+func CholeskyInto(c *Cholesky, a *Matrix) error {
 	if a.Rows != a.Cols {
-		return nil, fmt.Errorf("%w: cholesky of %dx%d", ErrShape, a.Rows, a.Cols)
+		return fmt.Errorf("%w: cholesky of %dx%d", ErrShape, a.Rows, a.Cols)
 	}
 	n := a.Rows
-	l := NewMatrix(n, n)
+	if c.L == nil {
+		c.L = &Matrix{}
+	}
+	l := c.L
+	l.Rows, l.Cols = n, n
+	if cap(l.Data) < n*n {
+		l.Data = make([]float64, n*n)
+	} else {
+		l.Data = l.Data[:n*n]
+		clear(l.Data) // the upper part stays zero
+	}
+	c.N = n
 	for j := 0; j < n; j++ {
 		d := a.At(j, j)
 		for k := 0; k < j; k++ {
@@ -130,7 +152,7 @@ func NewCholesky(a *Matrix) (*Cholesky, error) {
 			d -= ljk * ljk
 		}
 		if d <= 0 || math.IsNaN(d) {
-			return nil, fmt.Errorf("%w: pivot %d = %g", ErrNotSPD, j, d)
+			return fmt.Errorf("%w: pivot %d = %g", ErrNotSPD, j, d)
 		}
 		ljj := math.Sqrt(d)
 		l.Set(j, j, ljj)
@@ -142,7 +164,7 @@ func NewCholesky(a *Matrix) (*Cholesky, error) {
 			l.Set(i, j, s/ljj)
 		}
 	}
-	return &Cholesky{N: n, L: l}, nil
+	return nil
 }
 
 // SolveVec solves A x = b for x using the factorization.

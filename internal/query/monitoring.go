@@ -363,14 +363,11 @@ func (q *RegionMonitoring) Value() float64 {
 }
 
 // withPlan returns the accumulated observations (q.S of Algorithm 3)
-// followed by a candidate plan, points and qualities.
-func (q *RegionMonitoring) withPlan(planPts []geo.Point, planThetas []float64) ([]geo.Point, []float64) {
-	pts := make([]geo.Point, 0, len(q.ObsPoints)+len(planPts))
-	pts = append(pts, q.ObsPoints...)
-	pts = append(pts, planPts...)
-	thetas := make([]float64, 0, len(q.Thetas)+len(planThetas))
-	thetas = append(thetas, q.Thetas...)
-	thetas = append(thetas, planThetas...)
+// followed by a candidate plan, points and qualities, written over pts
+// and thetas (nil: new slices).
+func (q *RegionMonitoring) withPlan(pts []geo.Point, thetas []float64, planPts []geo.Point, planThetas []float64) ([]geo.Point, []float64) {
+	pts = append(append(pts[:0], q.ObsPoints...), planPts...)
+	thetas = append(append(thetas[:0], q.Thetas...), planThetas...)
 	return pts, thetas
 }
 
@@ -382,40 +379,60 @@ func (q *RegionMonitoring) PlanValue(planPts []geo.Point, planThetas []float64) 
 	if len(planPts) == 0 {
 		return q.Value()
 	}
-	return q.ValueOf(q.withPlan(planPts, planThetas))
+	return q.ValueOf(q.withPlan(nil, nil, planPts, planThetas))
+}
+
+// PlanScratch holds PlanMarginals' buffers between calls: the kernel
+// blocks with their solve buffers, the plan joined to the accumulated
+// observations, one subset's indices and the marginals. The zero value is
+// ready. Not safe for concurrent use.
+type PlanScratch struct {
+	kb     gp.KernelBlocks
+	pts    []geo.Point
+	thetas []float64
+	idx    []int
+	out    []float64
 }
 
 // PlanMarginals returns, for each point i of a plan, the value the plan
 // loses without it: PlanValue(plan) - PlanValue(plan \ {i}), the worth
 // CreatePointQueries gives the point query generated for i. The 1+len(plan)
 // valuations share one set of kernel entries; each then factorizes and
-// solves its own subset exactly as PlanValue would.
-func (q *RegionMonitoring) PlanMarginals(planPts []geo.Point, planThetas []float64) []float64 {
-	pts, thetas := q.withPlan(planPts, planThetas)
-	kb := q.Model.NewKernelBlocks(q.targets, pts)
+// solves its own subset exactly as PlanValue would. The work happens in
+// sc (a fresh scratch when nil), and the result is sc's buffer, valid
+// until sc's next use.
+func (q *RegionMonitoring) PlanMarginals(planPts []geo.Point, planThetas []float64, sc *PlanScratch) []float64 {
+	if sc == nil {
+		sc = &PlanScratch{}
+	}
+	sc.pts, sc.thetas = q.withPlan(sc.pts, sc.thetas, planPts, planThetas)
+	pts, thetas := sc.pts, sc.thetas
+	kb := &sc.kb
+	kb.Build(q.Model, q.targets, pts)
 	valueWithout := func(skip int) float64 {
-		idx := make([]int, 0, len(pts))
+		sc.idx = sc.idx[:0]
 		var sum float64
 		for i := range pts {
 			if i != skip {
-				idx = append(idx, i)
+				sc.idx = append(sc.idx, i)
 				sum += thetas[i]
 			}
 		}
-		if len(idx) == 0 {
+		if len(sc.idx) == 0 {
 			return 0
 		}
-		return q.B * q.fOn(kb, idx) * sum / float64(len(idx))
+		return q.B * q.fOn(kb, sc.idx) * sum / float64(len(sc.idx))
 	}
 	full := valueWithout(-1)
 	if len(planPts) == 1 {
-		return []float64{full - q.Value()} // the plan without its only point is q.S
+		sc.out = append(sc.out[:0], full-q.Value()) // the plan without its only point is q.S
+		return sc.out
 	}
-	out := make([]float64, len(planPts))
+	sc.out = sc.out[:0]
 	for i := range planPts {
-		out[i] = full - valueWithout(len(q.ObsPoints)+i)
+		sc.out = append(sc.out, full-valueWithout(len(q.ObsPoints)+i))
 	}
-	return out
+	return sc.out
 }
 
 // ResetIfNeeded initializes runtime state at the query's first active slot

@@ -325,7 +325,7 @@ func TestPlanMarginalsMatchLeaveOneOut(t *testing.T) {
 	thetas := []float64{0.9, 0.8, 0.75, 0.95, 0.6}
 	for round := 0; round < 3; round++ {
 		for n := 1; n <= len(plan); n++ {
-			got := q.PlanMarginals(plan[:n], thetas[:n])
+			got := q.PlanMarginals(plan[:n], thetas[:n], nil)
 			full := q.PlanValue(plan[:n], thetas[:n])
 			for i := 0; i < n; i++ {
 				var rest []geo.Point

@@ -1,7 +1,7 @@
 package query
 
 import (
-	"fmt"
+	"strconv"
 
 	"repro/internal/geo"
 	"repro/internal/sensornet"
@@ -257,9 +257,14 @@ func (st *multiPointState) Add(s *sensornet.Sensor) {
 
 // PointID formats the conventional identifier for machine-generated point
 // queries (from monitoring queries), keeping payment traces readable.
+// It is "parent@t<slot>", then "/extra" when extra is not empty, built
+// in one allocation: planning makes one per generated probe.
 func PointID(parent string, slot int, extra string) string {
-	if extra == "" {
-		return fmt.Sprintf("%s@t%d", parent, slot)
+	var buf [64]byte
+	b := append(append(buf[:0], parent...), "@t"...)
+	b = strconv.AppendInt(b, int64(slot), 10)
+	if extra != "" {
+		b = append(append(b, '/'), extra...)
 	}
-	return fmt.Sprintf("%s@t%d/%s", parent, slot, extra)
+	return string(b)
 }
