@@ -16,7 +16,9 @@ import (
 // sensors that maximize social welfare, shares them across queries,
 // splits costs proportionately and returns what each query obtained.
 type Aggregator struct {
-	world    *World
+	world *World
+	// greedy is always the zero config, the lazy greedy, outside tests;
+	// the equivalence tests set the serial reference through it.
 	greedy   core.GreedyConfig
 	selStats core.SelectionStats
 
@@ -67,13 +69,6 @@ type Option func(*Aggregator)
 // and goes, with Scheduling and SchedulingGreedy, once they drop it.
 func WithScheduling(Scheduling) Option {
 	return func(*Aggregator) {}
-}
-
-// WithGreedyStrategy selects the candidate-evaluation strategy of the
-// greedy selection core (default StrategyAuto). Results are bit-identical
-// across strategies; only the per-slot work differs.
-func WithGreedyStrategy(s Strategy) Option {
-	return func(a *Aggregator) { a.greedy.Strategy = s }
 }
 
 // SelectionStats returns the cumulative selection instrumentation over

@@ -304,36 +304,27 @@ func TestClusterHeartbeatRejoin(t *testing.T) {
 	}
 }
 
-// TestClusterNodeRefusesOtherVersions: a hello from a v3 coordinator is
-// answered with an error frame naming the version and a closed
-// connection, and a hello whose config names a removed strategy with the
-// list of the ones left; the node stays up and serves the next
-// coordinator that speaks its version.
+// TestClusterNodeRefusesOtherVersions: a hello from a v4 coordinator,
+// whose config still fixed the lane's selection strategy, is answered
+// with an error frame naming the version and a closed connection; the
+// node stays up and serves the next coordinator that speaks its version.
 func TestClusterNodeRefusesOtherVersions(t *testing.T) {
 	addr := startNode(t, "node0")
 	r := dialRogue(t, addr)
-	const v3Hello = `{"v":3,"type":"hello","seq":1,"epoch":1,"node":"old","slot":0,"config":{"world":"rwm","seed":1,"sensors":10,"shards":1,"shard":0}}`
-	if _, err := r.conn.Write([]byte(v3Hello + "\n")); err != nil {
+	const v4Hello = `{"v":4,"type":"hello","seq":1,"epoch":1,"node":"old","slot":0,"config":{"world":"rwm","seed":1,"sensors":10,"shards":1,"shard":0,"strategy":"serial"}}`
+	if _, err := r.conn.Write([]byte(v4Hello + "\n")); err != nil {
 		t.Fatal(err)
 	}
 	line, err := r.br.ReadBytes('\n')
 	if err != nil {
-		t.Fatalf("no answer to a v3 hello: %v", err)
+		t.Fatalf("no answer to a v4 hello: %v", err)
 	}
-	const want = "unsupported cluster frame version 3 (this build speaks v4)"
+	const want = "unsupported cluster frame version 4 (this build speaks v5)"
 	if resp, err := wire.DecodeClusterFrame(line); err != nil || resp.Type != wire.ClusterError || !strings.Contains(resp.Error, want) {
-		t.Errorf("answer to a v3 hello = %s (%v), want an error frame containing %q", line, err, want)
+		t.Errorf("answer to a v4 hello = %s (%v), want an error frame containing %q", line, err, want)
 	}
 	if _, err := r.br.ReadBytes('\n'); err == nil {
-		t.Error("connection still open after a v3 hello")
-	}
-
-	resp := dialRogue(t, addr).call(wire.ClusterFrame{
-		Type:   wire.ClusterHello,
-		Config: &wire.NodeConfig{World: "rwm", Seed: 1, Sensors: 10, Shards: 1, Shard: 0, Strategy: "lazy-sharded"},
-	}, 1)
-	if resp.Type != wire.ClusterError || !strings.Contains(resp.Error, "want one of auto, serial, lazy") {
-		t.Errorf("hello naming a removed strategy = %+v, want an error listing auto, serial, lazy", resp)
+		t.Error("connection still open after a v4 hello")
 	}
 	hijackNode(t, addr, 2)
 }

@@ -57,9 +57,6 @@ type Config struct {
 	Sensors int
 	// Shards is the grid partition's shard count.
 	Shards int
-	// Strategy optionally names every lane's selection strategy
-	// ("auto", "serial" or "lazy"), fixed at construction; empty is auto.
-	Strategy string
 	// Nodes maps shard index to the shard node's dial address. An empty
 	// entry keeps that shard in-process; a nil/empty slice is a fully
 	// in-process cluster. When non-empty, len(Nodes) must equal Shards.
@@ -126,19 +123,11 @@ func New(cfg Config) (*Coordinator, error) {
 	if cfg.Shards < 1 {
 		return nil, fmt.Errorf("cluster: shard count %d out of range", cfg.Shards)
 	}
-	if _, err := ps.ParseStrategy(cfg.Strategy); err != nil {
-		return nil, fmt.Errorf("cluster: %v", err)
-	}
-	base := wire.NodeConfig{World: cfg.World, Seed: cfg.Seed, Sensors: cfg.Sensors, Shards: cfg.Shards, Strategy: cfg.Strategy}
-	world, err := BuildWorld(base)
+	world, err := BuildWorld(wire.NodeConfig{World: cfg.World, Seed: cfg.Seed, Sensors: cfg.Sensors, Shards: cfg.Shards})
 	if err != nil {
 		return nil, err
 	}
-	opts, err := laneOptions(base)
-	if err != nil {
-		return nil, err
-	}
-	sa := ps.NewShardedAggregator(world, cfg.Shards, opts...)
+	sa := ps.NewShardedAggregator(world, cfg.Shards)
 	if len(cfg.Nodes) != 0 && len(cfg.Nodes) != sa.ShardCount() {
 		return nil, fmt.Errorf("cluster: %d node addresses for %d shards", len(cfg.Nodes), sa.ShardCount())
 	}
@@ -201,12 +190,11 @@ func (co *Coordinator) metrics() *clusterMetrics { return co.m.Load() }
 // nodeConfig is the replica recipe pushed to shard k on hello/resync.
 func (co *Coordinator) nodeConfig(shard int) wire.NodeConfig {
 	return wire.NodeConfig{
-		World:    co.cfg.World,
-		Seed:     co.cfg.Seed,
-		Sensors:  co.cfg.Sensors,
-		Shards:   co.sa.ShardCount(),
-		Shard:    shard,
-		Strategy: co.cfg.Strategy,
+		World:   co.cfg.World,
+		Seed:    co.cfg.Seed,
+		Sensors: co.cfg.Sensors,
+		Shards:  co.sa.ShardCount(),
+		Shard:   shard,
 	}
 }
 

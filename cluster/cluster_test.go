@@ -340,9 +340,6 @@ func TestClusterConfigValidation(t *testing.T) {
 	if _, err := cluster.New(cluster.Config{World: "rwm", Shards: 2}); err == nil {
 		t.Error("rwm world without sensors accepted")
 	}
-	if _, err := cluster.New(cluster.Config{World: "rwm", Sensors: 10, Shards: 2, Strategy: "warp"}); err == nil {
-		t.Error("unknown strategy accepted")
-	}
 	if _, err := cluster.New(cluster.Config{
 		World: "rwm", Sensors: 10, Shards: 1, Nodes: []string{"127.0.0.1:1"},
 		RPCTimeout: 200 * time.Millisecond,

@@ -257,11 +257,7 @@ func buildLane(cfg wire.NodeConfig, ops []wire.ClusterOp) (*ps.NodeLane, error) 
 	if err != nil {
 		return nil, err
 	}
-	opts, err := laneOptions(cfg)
-	if err != nil {
-		return nil, err
-	}
-	lane := ps.NewNodeLane(world, cfg.Shards, cfg.Shard, opts...)
+	lane := ps.NewNodeLane(world, cfg.Shards, cfg.Shard)
 	for i, op := range ops {
 		if err := replayOp(lane, op); err != nil {
 			return nil, fmt.Errorf("cluster: resync replay op %d (%s): %w", i, op.Op, err)

@@ -26,17 +26,3 @@ func BuildWorld(cfg wire.NodeConfig) (*ps.World, error) {
 		return nil, fmt.Errorf("cluster: unknown world %q (want rwm, rnc or intellab)", cfg.World)
 	}
 }
-
-// laneOptions translates a NodeConfig's strategy into aggregator options,
-// shared by the coordinator's sharded layer and the node's lane so both
-// sides configure selection identically.
-func laneOptions(cfg wire.NodeConfig) ([]ps.Option, error) {
-	if cfg.Strategy == "" {
-		return nil, nil
-	}
-	s, err := ps.ParseStrategy(cfg.Strategy)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: %v", err)
-	}
-	return []ps.Option{ps.WithGreedyStrategy(s)}, nil
-}

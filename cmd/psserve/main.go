@@ -7,7 +7,7 @@
 //
 // Example:
 //
-//	psserve -addr :8080 -world rwm -sensors 200 -interval 1s -strategy lazy
+//	psserve -addr :8080 -world rwm -sensors 200 -interval 1s
 //	curl -s -X POST localhost:8080/query -d \
 //	  '{"v":1,"type":"point","loc":{"x":30,"y":30},"budget":15}'
 //	curl -s localhost:8080/query/q1
@@ -39,7 +39,6 @@ func main() {
 		sensors   = flag.Int("sensors", 200, "sensor count (rwm world only)")
 		seed      = flag.Int64("seed", 1, "world seed")
 		interval  = flag.Duration("interval", time.Second, "slot clock interval")
-		strategy  = flag.String("strategy", "auto", "greedy selection strategy: auto (serial under 256 offers, lazy above), serial or lazy")
 		shards    = flag.Int("shards", 1, "geographic shards; >1 serves slots through the geo-sharded execution layer (the same greedy selection, run per shard)")
 		nodeAddrs = flag.String("node-addrs", "", "comma-separated psnode addresses, one per shard (empty entry = in-process): serves slots through the multi-node cluster coordinator")
 		queue     = flag.Int("queue", 1024, "ingest queue size")
@@ -68,11 +67,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "psserve:", err)
 		os.Exit(2)
 	}
-	strat, err := ps.ParseStrategy(*strategy)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "psserve:", err)
-		os.Exit(2)
-	}
 
 	engineOpts := []ps.EngineOption{
 		ps.WithSlotInterval(*interval),
@@ -93,7 +87,6 @@ func main() {
 			Seed:      *seed,
 			Sensors:   *sensors,
 			Shards:    *shards,
-			Strategy:  *strategy,
 			Nodes:     strings.Split(*nodeAddrs, ","),
 			Heartbeat: time.Second,
 		})
@@ -105,15 +98,9 @@ func main() {
 		w = co.World()
 		eng = ps.NewShardedEngine(co.Sharded(), engineOpts...)
 	} else if *shards > 1 {
-		eng = ps.NewShardedEngine(
-			ps.NewShardedAggregator(w, *shards, ps.WithGreedyStrategy(strat)),
-			engineOpts...,
-		)
+		eng = ps.NewShardedEngine(ps.NewShardedAggregator(w, *shards), engineOpts...)
 	} else {
-		eng = ps.NewEngine(
-			ps.NewAggregator(w, ps.WithGreedyStrategy(strat)),
-			engineOpts...,
-		)
+		eng = ps.NewEngine(ps.NewAggregator(w), engineOpts...)
 	}
 	eng.Start()
 	if co != nil {
@@ -125,7 +112,6 @@ func main() {
 	sopts := serve.Options{
 		Retain:              *retain,
 		NoRetention:         *retain <= 0,
-		Strategy:            strat,
 		Logger:              logger,
 		Debug:               *debug,
 		RateLimit:           *rateLimit,
@@ -140,8 +126,8 @@ func main() {
 	api := serve.New(eng, w, sopts)
 	srv := &http.Server{Addr: *addr, Handler: api.Handler()}
 	go func() {
-		log.Printf("psserve: serving %s world (%d sensors) on %s, slot every %v, strategy %s, %d shard(s)",
-			*world, *sensors, *addr, *interval, strat, *shards)
+		log.Printf("psserve: serving %s world (%d sensors) on %s, slot every %v, %d shard(s)",
+			*world, *sensors, *addr, *interval, *shards)
 		if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 			log.Fatalf("psserve: %v", err)
 		}

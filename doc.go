@@ -53,15 +53,12 @@
 // Package wire defines the JSON wire format of that HTTP API, and
 // package psclient is the matching Go SDK.
 //
-// Selection performance never affects results: the greedy core's
-// candidate-evaluation strategy (WithGreedyStrategy — the serial
-// reference scan or lazy-greedy/CELF pruning; by default serial below
-// 256 offers and lazy from there up, resolved by every aggregator and
-// shard lane against its own offer count) changes only how much work a
-// slot does; both are bit-identical in welfare, values and payments, and
-// the strategy-equivalence tests gate that. See PERFORMANCE.md for the
-// cost model, the valuation caches and their invalidation rules, and
-// strategy-selection guidance.
+// Selection performance never affects results: every aggregator and
+// shard lane selects with the lazy (CELF) greedy, which prunes valuation
+// calls but is bit-identical in welfare, values and payments to the
+// exhaustive serial scan the strategy-equivalence tests keep as the
+// reference. See PERFORMANCE.md for the cost model and the valuation
+// caches and their invalidation rules.
 //
 // See DESIGN.md for the package inventory and the engine architecture
 // (ingest, event loop, slot clock, fan-out, geo-sharded lanes).

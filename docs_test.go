@@ -80,8 +80,8 @@ func TestDocsNameExistingIdentifiers(t *testing.T) {
 			exported[name] = true
 		}
 	}
-	if !exported["NewAggregator"] || !exported["StrategyAuto"] {
-		t.Fatalf("parsed %d identifiers of package ps, NewAggregator or StrategyAuto not among them", len(exported))
+	if !exported["NewAggregator"] || !exported["SelectionStats"] {
+		t.Fatalf("parsed %d identifiers of package ps, NewAggregator or SelectionStats not among them", len(exported))
 	}
 	// A trailing * (`ps.Err*`) names a family: some identifier must
 	// start with it.
@@ -121,6 +121,7 @@ func TestNoTestOnlyExports(t *testing.T) {
 		"core.DiffMultiResults":       "the canonical bit-for-bit MultiResult comparison; tests in core and the root package share it, so it cannot live in one package's _test.go",
 		"engine.NewVirtualClock":      "the deterministic test clock; ROADMAP item 3's simulator builds on it",
 		"gp.Posterior.TotalReduction": "F(S) of Eq. 6 over the tracked targets; ROADMAP item 9(c) gives it a production caller",
+		"linalg.LeastSquares":         "the design-matrix fit that regression's tests check FitLinear's 2x2 solve against; tests in linalg and regression share it",
 		"mobility.NewStationary":      "a fixed-position fleet that tests in sensornet and the root package build on",
 	}
 	fset := token.NewFileSet()

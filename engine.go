@@ -180,10 +180,8 @@ type EngineMetrics struct {
 	GapEvents       int64
 	// Selection instrumentation accumulated over all slots: valuation
 	// calls the greedy core made, what an exhaustive scan would have
-	// made (their difference is the lazy strategy's pruning), lazy-heap
-	// re-evaluations and non-submodular fallback rescans. Strategy is
-	// the label of the most recent slot's effective strategy.
-	Strategy                string
+	// made (their difference is the lazy heap's pruning), lazy-heap
+	// re-evaluations and non-submodular fallback rescans.
 	ValuationCalls          int64
 	ValuationCallsSaved     int64
 	LazyReevaluations       int64
@@ -531,9 +529,6 @@ func (e *Engine) onSlot(rep *SlotReport, dur time.Duration) {
 	e.mu.Lock()
 	e.m.LastSlot = rep.Slot
 	e.m.LastWelfare = rep.Welfare
-	if rep.Selection.Strategy != "" {
-		e.m.Strategy = rep.Selection.Strategy
-	}
 	e.m.ValuationCalls += rep.Selection.ValuationCalls
 	e.m.ValuationCallsSaved += rep.Selection.SavedCalls()
 	e.m.LazyReevaluations += rep.Selection.LazyReevaluations

@@ -439,11 +439,10 @@ func TestEngineRealClock(t *testing.T) {
 }
 
 // TestEngineSelectionStrategyAndStats: the engine accumulates the greedy
-// core's instrumentation across slots and reports the strategy it was
-// built with.
+// core's instrumentation across slots.
 func TestEngineSelectionStrategyAndStats(t *testing.T) {
 	world := NewRWMWorld(1, 300, SensorConfig{})
-	e := NewEngine(NewAggregator(world, WithGreedyStrategy(StrategyLazy)))
+	e := NewEngine(NewAggregator(world))
 	e.Start()
 	t.Cleanup(e.Stop)
 
@@ -464,15 +463,9 @@ func TestEngineSelectionStrategyAndStats(t *testing.T) {
 	if m.ValuationCalls <= 0 {
 		t.Errorf("ValuationCalls = %d, want > 0", m.ValuationCalls)
 	}
-	if m.Strategy != "lazy" {
-		t.Errorf("Strategy = %q, want lazy", m.Strategy)
-	}
 
 	submitSlot(1)
 	m2 := e.Metrics()
-	if m2.Strategy != "lazy" {
-		t.Errorf("Strategy after a second slot = %q, want lazy", m2.Strategy)
-	}
 	if m2.ValuationCalls <= m.ValuationCalls {
 		t.Errorf("ValuationCalls did not accumulate: %d -> %d", m.ValuationCalls, m2.ValuationCalls)
 	}

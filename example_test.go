@@ -82,36 +82,10 @@ func ExampleEngine_Watch() {
 	// final
 }
 
-// ExampleWithGreedyStrategy runs the same workload under the serial
-// reference scan and the lazy-greedy (CELF) strategy: the reports are
-// bit-identical — strategies only change how much work a slot does, never
-// its outcome — while the lazy run makes fewer valuation calls.
-func ExampleWithGreedyStrategy() {
-	mk := func(s ps.Strategy) *ps.Aggregator {
-		return ps.NewAggregator(ps.NewRWMWorld(7, 300, ps.SensorConfig{}),
-			ps.WithGreedyStrategy(s))
-	}
-	serial, lazy := mk(ps.StrategySerial), mk(ps.StrategyLazy)
-
-	for _, agg := range []*ps.Aggregator{serial, lazy} {
-		agg.Submit(ps.AggregateSpec{ID: "a", Region: ps.NewRect(10, 10, 60, 60), Budget: 200})
-		agg.Submit(ps.PointSpec{ID: "p", Loc: ps.Pt(40, 40), Budget: 12})
-	}
-	rs, rl := serial.RunSlot(), lazy.RunSlot()
-
-	fmt.Println("welfare identical:", rs.Welfare == rl.Welfare)
-	ss, sl := serial.SelectionStats(), lazy.SelectionStats()
-	fmt.Println("lazy made fewer valuation calls:", sl.ValuationCalls < ss.ValuationCalls)
-	// Output:
-	// welfare identical: true
-	// lazy made fewer valuation calls: true
-}
-
-// ExampleShardedAggregator_RunSlot shows the default strategy resolving
-// per lane: each shard of the geo-sharded layer picks serial or lazy from
-// its own offer count every slot, so a busy shard runs lazy-greedy while
-// a quiet one stays on the serial scan — with no per-shard setting, and
-// never a different result.
+// ExampleShardedAggregator_RunSlot shows each shard lane of the
+// geo-sharded layer running the one lazy greedy on its own offers: a busy
+// downtown shard and a quiet suburb alike, with no per-shard setting, and
+// each lane's heap skipping valuation calls an exhaustive scan would make.
 func ExampleShardedAggregator_RunSlot() {
 	// A fleet standing still: 300 sensors downtown (the south-west
 	// shard), 60 in the north-east suburb.
@@ -132,13 +106,14 @@ func ExampleShardedAggregator_RunSlot() {
 
 	report := sa.RunSlot()
 	for _, sh := range report.Shards {
-		if sh.Selection.Strategy != "" {
-			fmt.Printf("shard %d: %d offers, %s\n", sh.Shard, sh.Offers, sh.Selection.Strategy)
+		if sh.Offers > 0 {
+			fmt.Printf("shard %d: %d offers, %d of %d valuation calls saved\n",
+				sh.Shard, sh.Offers, sh.Selection.SavedCalls(), sh.Selection.SerialEquivCalls)
 		}
 	}
 	fmt.Println("both answered:", report.Answered("downtown") && report.Answered("suburb"))
 	// Output:
-	// shard 0: 300 offers, lazy
-	// shard 3: 60 offers, serial
+	// shard 0: 300 offers, 39 of 89 valuation calls saved
+	// shard 3: 60 offers, 33 of 79 valuation calls saved
 	// both answered: true
 }

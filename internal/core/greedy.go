@@ -88,10 +88,10 @@ type MultiResult struct {
 	// zero value.
 	Outcomes []MultiOutcome
 	// Trace lists the commits in selection order, one entry per Selected
-	// sensor (greedy strategies only; the baseline pipeline leaves it nil).
+	// sensor.
 	Trace []SelectionStep
 	// Stats instruments the selection run: how many valuation calls the
-	// chosen strategy made versus what an exhaustive version-cached scan
+	// run made versus what an exhaustive version-cached scan
 	// would have made, plus the lazy heap's bookkeeping.
 	Stats SelectionStats
 }
@@ -104,8 +104,8 @@ func (r *MultiResult) Welfare() float64 { return r.TotalValue - r.TotalCost }
 // order, totals, per-query values and per-sensor payments (exact float
 // equality; Stats are intentionally excluded) — and describes the first
 // divergence, or returns "" when identical. It backs the
-// strategy-equivalence tests: every GreedyConfig.Strategy must produce
-// results for which this returns "".
+// strategy-equivalence tests: the lazy path must produce results for
+// which this returns "" against the serial reference.
 func DiffMultiResults(want, got *MultiResult) string {
 	if len(got.Selected) != len(want.Selected) {
 		return fmt.Sprintf("%d sensors selected, want %d", len(got.Selected), len(want.Selected))
@@ -146,15 +146,12 @@ func DiffMultiResults(want, got *MultiResult) string {
 // of GreedySelect would have invoked on the same instance, so
 // SavedCalls() is the lazy strategy's pruning effect.
 type SelectionStats struct {
-	// Strategy is the effective strategy label of the last run
-	// ("serial" or "lazy").
-	Strategy string
 	// ValuationCalls counts marginal-gain evaluations actually made —
 	// State.Gain invocations plus PairCached fast-path recombinations.
 	ValuationCalls int64
 	// SerialEquivCalls counts the Gain invocations an exhaustive scan
 	// with the same per-(sensor, query) version cache would have made.
-	// For the serial strategy the two are equal.
+	// For the serial reference the two are equal.
 	SerialEquivCalls int64
 	// LazyReevaluations counts heap candidates popped stale and
 	// re-evaluated against the current states.
@@ -188,7 +185,7 @@ type SelectionStats struct {
 	PosteriorRebuilds int64
 }
 
-// SavedCalls is the number of valuation calls the strategy avoided
+// SavedCalls is the number of valuation calls the lazy heap avoided
 // relative to the exhaustive version-cached scan (never negative).
 func (s SelectionStats) SavedCalls() int64 {
 	if s.SerialEquivCalls > s.ValuationCalls {
@@ -197,12 +194,9 @@ func (s SelectionStats) SavedCalls() int64 {
 	return 0
 }
 
-// Accumulate folds another run's counters into s (keeping the most recent
-// strategy label), for callers aggregating across slots.
+// Accumulate folds another run's counters into s, for callers
+// aggregating across slots.
 func (s *SelectionStats) Accumulate(o SelectionStats) {
-	if o.Strategy != "" {
-		s.Strategy = o.Strategy
-	}
 	s.ValuationCalls += o.ValuationCalls
 	s.SerialEquivCalls += o.SerialEquivCalls
 	s.LazyReevaluations += o.LazyReevaluations
@@ -223,41 +217,26 @@ func (s *SelectionStats) Accumulate(o SelectionStats) {
 // cost sharing). It stops when no sensor yields positive net benefit.
 //
 // The loop structure makes O(|Q| |S|^2) valuation calls (Theorem 1,
-// property 4); the per-query incremental states keep each call cheap. On
-// large fleets the lazy-greedy fast path prunes most candidate
-// evaluations entirely (see GreedySelectWith); every strategy is
-// bit-identical to the serial path.
+// property 4); the per-query incremental states keep each call cheap.
+// The candidates are evaluated lazily (CELF, lazygreedy.go): cached net
+// benefits in a max-heap, re-evaluated only when a relevant query's
+// state changed, with an exhaustive-rescan fallback when a valuation
+// proves non-submodular. The result is bit-identical to the serial scan
+// GreedySelectWith keeps as the reference.
 func GreedySelect(queries []query.Query, offers []Offer) *MultiResult {
 	return GreedySelectWith(queries, offers, GreedyConfig{})
 }
 
-// GreedyConfig selects the candidate-evaluation strategy of GreedySelect.
+// GreedyConfig selects the candidate-evaluation strategy of
+// GreedySelectWith; the zero value is GreedySelect's lazy path.
 type GreedyConfig struct {
-	// Strategy selects the candidate-evaluation algorithm; the zero
-	// value (StrategyAuto) is a serial scan below lazyThreshold offers
-	// and lazy-greedy from it upwards.
 	Strategy Strategy
 }
 
-// resolve returns the effective strategy for an instance of n offers.
-func (cfg GreedyConfig) resolve(n int) Strategy {
-	if cfg.Strategy != StrategyAuto {
-		return cfg.Strategy
-	}
-	if n < lazyThreshold {
-		return StrategySerial
-	}
-	return StrategyLazy
-}
-
-// GreedySelectWith is GreedySelect with explicit strategy control. Both
-// strategies produce identical selections, payments and welfare:
-//
-//   - StrategySerial scans every remaining sensor each round.
-//   - StrategyLazy runs the CELF-style lazy-greedy fast path of
-//     lazygreedy.go: cached net benefits in a max-heap, re-evaluated only
-//     when a relevant query's state changed, with an exhaustive-rescan
-//     fallback when a valuation proves non-submodular.
+// GreedySelectWith is GreedySelect with the serial reference scan
+// available: StrategySerial scans every remaining sensor each round,
+// which the equivalence tests and the benchmark's probe compare the lazy
+// path against. Both produce identical selections, payments and welfare.
 func GreedySelectWith(queries []query.Query, offers []Offer, cfg GreedyConfig) *MultiResult {
 	s := newSelection(queries, offers)
 	defer s.release()
@@ -265,22 +244,14 @@ func GreedySelectWith(queries []query.Query, offers []Offer, cfg GreedyConfig) *
 		s.finalize()
 		return s.res
 	}
-	if cfg.resolve(len(offers)) == StrategyLazy {
-		s.stats.Strategy = StrategyLazy.String()
-		s.lazyLoop()
-	} else {
-		s.stats.Strategy = StrategySerial.String()
+	if cfg.Strategy == StrategySerial {
 		s.exhaustiveLoop()
+	} else {
+		s.lazyLoop()
 	}
 	s.finalize()
 	return s.res
 }
-
-// lazyThreshold is the offer count from which StrategyAuto runs
-// lazy-greedy: it keeps the paper-scale evaluations (200-635 sensors,
-// fewer offers per slot) on the serial scan, where building the heap
-// costs more than the scan itself.
-const lazyThreshold = 256
 
 // submodularTolerance is the slack above which a re-evaluated marginal
 // gain exceeding its cached value counts as a submodularity violation.

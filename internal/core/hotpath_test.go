@@ -46,8 +46,8 @@ func coverageHeavyScenario(seed int64, nSensors int) ([]query.Query, []Offer) {
 	return qs, offers
 }
 
-// TestStrategiesBitIdenticalOnCoverageDemand: serial, the default and
-// lazy return the exact same floats on aggregate- and trajectory-heavy
+// TestStrategiesBitIdenticalOnCoverageDemand: the lazy greedy returns the
+// serial reference's exact floats on aggregate- and trajectory-heavy
 // demand.
 func TestStrategiesBitIdenticalOnCoverageDemand(t *testing.T) {
 	seeds := int64(5)
@@ -64,38 +64,7 @@ func TestStrategiesBitIdenticalOnCoverageDemand(t *testing.T) {
 			t.Errorf("seed %d: geometry probes %d hits / %d lookups, want 0 < hits < lookups",
 				seed, serial.Stats.GeomCacheHits, serial.Stats.GeomCacheLookups)
 		}
-		for _, cfg := range []GreedyConfig{
-			{},
-			{Strategy: StrategyLazy},
-		} {
-			got := GreedySelectWith(qs, offers, cfg)
-			assertSameMultiResult(t, fmt.Sprintf("seed %d strategy %s", seed, cfg.Strategy), serial, got)
-		}
-	}
-}
-
-// TestAutoResolution: the default is a serial scan on paper-scale
-// instances and lazy-greedy from 256 offers upwards; an explicit
-// strategy is honoured at any size.
-func TestAutoResolution(t *testing.T) {
-	for _, tc := range []struct {
-		cfg  GreedyConfig
-		n    int
-		want Strategy
-	}{
-		{GreedyConfig{}, 255, StrategySerial},
-		{GreedyConfig{}, 256, StrategyLazy},
-		{GreedyConfig{}, 5000, StrategyLazy},
-		{GreedyConfig{Strategy: StrategyLazy}, 3, StrategyLazy},
-		{GreedyConfig{Strategy: StrategySerial}, 5000, StrategySerial},
-	} {
-		if got := tc.cfg.resolve(tc.n); got != tc.want {
-			t.Errorf("%+v on %d offers resolves to %s, want %s", tc.cfg, tc.n, got, tc.want)
-		}
-	}
-	qs, offers := coverageHeavyScenario(1, 600)
-	if got := GreedySelect(qs, offers).Stats.Strategy; got != "lazy" {
-		t.Errorf("default strategy on 600 offers ran %q, want lazy", got)
+		assertSameMultiResult(t, fmt.Sprintf("seed %d", seed), serial, GreedySelect(qs, offers))
 	}
 }
 

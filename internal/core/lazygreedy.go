@@ -1,54 +1,26 @@
 package core
 
-import (
-	"fmt"
-	"strings"
-)
-
 // Strategy selects how Algorithm 1 evaluates candidate sensors. Both
 // strategies return bit-identical results; they differ only in how much
 // work they do to find each round's argmax.
 type Strategy int
 
 const (
-	// StrategyAuto is the default: a serial scan below lazyThreshold
-	// offers, StrategyLazy from it upwards.
-	StrategyAuto Strategy = iota
+	// StrategyLazy, the zero value and the one production path, is the
+	// CELF-style lazy-greedy: cached net benefits in a max-heap,
+	// re-evaluated only when stale.
+	StrategyLazy Strategy = iota
 	// StrategySerial scans every remaining sensor each round. It is the
 	// reference the equivalence tests compare against.
 	StrategySerial
-	// StrategyLazy is the CELF-style lazy-greedy fast path: cached net
-	// benefits in a max-heap, re-evaluated only when stale.
-	StrategyLazy
 )
 
 // String implements fmt.Stringer.
 func (s Strategy) String() string {
-	switch s {
-	case StrategyAuto:
-		return "auto"
-	case StrategySerial:
+	if s == StrategySerial {
 		return "serial"
-	case StrategyLazy:
-		return "lazy"
-	default:
-		return "unknown"
 	}
-}
-
-// ParseStrategy parses a strategy name as accepted by the CLIs and the
-// cluster node config ("auto", "serial", "lazy").
-func ParseStrategy(s string) (Strategy, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "", "auto":
-		return StrategyAuto, nil
-	case "serial":
-		return StrategySerial, nil
-	case "lazy", "celf":
-		return StrategyLazy, nil
-	default:
-		return StrategyAuto, fmt.Errorf("unknown strategy %q (want one of auto, serial, lazy)", s)
-	}
+	return "lazy"
 }
 
 // lazyEntry is one heap candidate: a sensor and its last evaluated net

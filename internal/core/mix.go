@@ -83,10 +83,10 @@ func RunMixSlot(t int, qs MixQueries, offers []Offer) *MixSlotResult {
 	return RunMixSlotWith(t, qs, offers, GreedyConfig{})
 }
 
-// RunMixSlotWith is RunMixSlot with explicit control over the joint
-// Algorithm 1 pass's candidate-evaluation strategy (see GreedyConfig);
-// the mix result is bit-identical across strategies, only
-// Multi.Stats differs.
+// RunMixSlotWith is RunMixSlot with the joint Algorithm 1 pass's
+// candidate evaluation chosen by cfg (see GreedyConfig); the mix result
+// is bit-identical against the serial reference, only Multi.Stats
+// differs.
 func RunMixSlotWith(t int, qs MixQueries, offers []Offer, cfg GreedyConfig) *MixSlotResult {
 	res := &MixSlotResult{Continuous: make(map[string]ContinuousOutcome)}
 

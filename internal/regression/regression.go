@@ -17,8 +17,6 @@ package regression
 import (
 	"fmt"
 	"math"
-
-	"repro/internal/linalg"
 )
 
 // Series is a historical univariate trace: Values[i] observed at Times[i].
@@ -46,34 +44,24 @@ type LinearModel struct {
 	Trained bool
 }
 
-// FitLinear fits a linear model on the subset of s whose indices are given.
-// With zero indices the model is untrained; with one index the model is the
-// constant through that point. A tiny ridge keeps duplicate timestamps from
-// making the normal equations singular.
+// fitRidge is FitLinear's ridge: it keeps duplicate timestamps from making
+// the normal equations singular.
+const fitRidge = 1e-9
+
+// FitLinear fits a linear model on the subset of s whose indices are given,
+// by least squares over the ridge-regularized normal equations. With zero
+// indices the model is untrained; with one index the model is the constant
+// through that point.
 func FitLinear(s *Series, idx []int) LinearModel {
-	switch len(idx) {
-	case 0:
+	if len(idx) == 0 {
 		return LinearModel{}
-	case 1:
-		return LinearModel{Alpha: s.Values[idx[0]], Beta: 0, Trained: true}
 	}
-	x := linalg.NewMatrix(len(idx), 2)
-	y := make([]float64, len(idx))
-	for r, i := range idx {
-		x.Set(r, 0, 1)
-		x.Set(r, 1, s.Times[i])
-		y[r] = s.Values[i]
+	var f prefixFit
+	last := idx[len(idx)-1]
+	for _, i := range idx[:len(idx)-1] {
+		f.add(s.Times[i], s.Values[i])
 	}
-	beta, err := linalg.LeastSquares(x, y, 1e-9)
-	if err != nil {
-		// Fall back to the mean: still a valid (constant) linear model.
-		var mean float64
-		for _, v := range y {
-			mean += v
-		}
-		return LinearModel{Alpha: mean / float64(len(y)), Beta: 0, Trained: true}
-	}
-	return LinearModel{Alpha: beta[0], Beta: beta[1], Trained: true}
+	return f.with(s.Times[last], s.Values[last])
 }
 
 // Predict evaluates the model at time t.
@@ -172,6 +160,15 @@ func Quality(s *Series, desired, sampled []float64) float64 {
 // based on the values at the sampling times and the model given all the
 // historical data is minimized"; the number of sampling times is fixed and
 // given.
+//
+// Each round picks the first candidate i (in index order) whose
+// ResidualSumSquares(s, FitLinear(s, chosen+[i])) is strictly smallest.
+// Computing that for every candidate is O(n) per candidate and O(k n^2)
+// in all, so a round instead fits every candidate in O(1) from running
+// normal-equation sums (prefixFit), brackets its RSS in O(1) from
+// whole-series sums (rssBounds), and runs the exact O(n) sum only for the
+// candidates the brackets cannot rule out. The indices, and so the times,
+// are the exhaustive loop's bit for bit.
 func SelectSamplingTimes(s *Series, k int) []float64 {
 	n := s.Len()
 	if k >= n {
@@ -181,17 +178,33 @@ func SelectSamplingTimes(s *Series, k int) []float64 {
 	if k <= 0 || n == 0 {
 		return nil
 	}
+	bounds := newRSSBounds(s)
+	var fit prefixFit
 	chosen := make([]int, 0, k)
 	used := make([]bool, n)
+	models := make([]LinearModel, n)
+	lo := make([]float64, n)
 	for len(chosen) < k {
-		bestIdx, bestRSS := -1, math.Inf(1)
+		// Bracket every candidate's RSS; upper is the least upper end, so
+		// the minimum RSS is at most upper.
+		upper := math.Inf(1)
 		for i := 0; i < n; i++ {
 			if used[i] {
 				continue
 			}
-			cand := append(chosen, i)
-			rss := ResidualSumSquares(s, FitLinear(s, cand))
-			if rss < bestRSS {
+			models[i] = fit.with(s.Times[i], s.Values[i])
+			var hi float64
+			lo[i], hi = bounds.bracket(models[i])
+			upper = min(upper, hi)
+		}
+		// The exhaustive loop's scan over the candidates the brackets keep:
+		// one whose RSS is at least lo[i] cannot beat upper or bestRSS.
+		bestIdx, bestRSS := -1, math.Inf(1)
+		for i := 0; i < n; i++ {
+			if used[i] || lo[i] > upper || lo[i] >= bestRSS {
+				continue
+			}
+			if rss := ResidualSumSquares(s, models[i]); rss < bestRSS {
 				bestRSS, bestIdx = rss, i
 			}
 		}
@@ -200,10 +213,143 @@ func SelectSamplingTimes(s *Series, k int) []float64 {
 		}
 		used[bestIdx] = true
 		chosen = append(chosen, bestIdx)
+		fit.add(s.Times[bestIdx], s.Values[bestIdx])
 	}
 	out := make([]float64, len(chosen))
 	for i, idx := range chosen {
 		out[i] = s.Times[idx]
 	}
 	return out
+}
+
+// prefixFit holds the normal-equation sums of the rows added so far, in
+// their order, so that the fit of those rows plus one more costs O(1):
+// FitLinear is one prefixFit, and SelectSamplingTimes keeps one for the
+// chosen rows and asks it for every candidate.
+type prefixFit struct {
+	rows             int
+	st, stt, sy, sty float64
+}
+
+// add appends row (t, y).
+func (f *prefixFit) add(t, y float64) {
+	f.rows++
+	f.st += t
+	f.stt += t * t
+	f.sy += y
+	f.sty += t * y
+}
+
+// with returns the fit of the added rows followed by row (t, y): the
+// constant through (t, y) if no row was added, else the solution of
+//
+//	[n+ridge  St       ] [Alpha]   [Sy ]
+//	[St       Stt+ridge] [Beta ] = [Sty]
+//
+// by Cholesky, or the mean of y if the system is not positive definite.
+func (f *prefixFit) with(t, y float64) LinearModel {
+	if f.rows == 0 {
+		return LinearModel{Alpha: y, Beta: 0, Trained: true}
+	}
+	rows := float64(f.rows + 1)
+	st := f.st + t
+	stt := f.stt
+	stt += t * t
+	sy := f.sy + y
+	sty := f.sty
+	sty += t * y
+	// L = [l00 0; l10 l11] with L L^T the matrix above, then L z = b and
+	// L^T x = z.
+	l00 := math.Sqrt(rows + fitRidge)
+	l10 := st / l00
+	d := stt + fitRidge
+	d -= l10 * l10
+	if !(d > 0) {
+		return LinearModel{Alpha: sy / rows, Beta: 0, Trained: true}
+	}
+	l11 := math.Sqrt(d)
+	z0 := sy / l00
+	z1 := sty
+	z1 -= l10 * z0
+	beta := z1 / l11 / l11
+	alpha := z0
+	alpha -= l10 * beta
+	return LinearModel{Alpha: alpha / l00, Beta: beta, Trained: true}
+}
+
+// rssBounds brackets ResidualSumSquares(s, m) for any trained model m in
+// O(1) from sums over the whole series, taken in coordinates moved to its
+// first item (t' = t - t0, y' = y - y0) so that their rounding follows the
+// spread of the data, not their distance from the origin: window times are
+// absolute slot numbers. There model m is y' = a' + b t' with
+// a' = a + b t0 - y0, and
+//
+//	R' = sum (y' - a' - b t')^2 = Syy - 2a' Sy - 2b Sty + n a'^2 + 2a'b St + b^2 Stt.
+//
+// With u = 2^-53, mag(a, b) = sum (|y'| + |a| + |b t'|)^2 and the usual
+// a-priori bounds for rounded sums and products:
+//
+//   - the closed form in floats is within wA = (n+12)u mag(a', b) of R';
+//   - rounding t', y' and a' (the last by at most d) moves residual i by
+//     e_i with sum e_i^2 <= E = 4(u^2 (Syy + b^2 Stt) + n d^2), so the real
+//     sum of squares R of m is within wC = 2 sqrt(R' E) + E of R';
+//   - ResidualSumSquares rounds residual i by at most 4u (|y|+|a|+|b t|),
+//     whose squares sum to at most M = mag(|y0|+|a|+|b t0|, b) up to a
+//     factor 1+u, so its float loop is within
+//     wB = (n+2)u R + 8u sqrt(R M) + 16u^2 M of R.
+//
+// The bracket is R' ± 2(wA + wB + wC), the factor 2 covering the rounding
+// of the bound itself, plus an absolute term for underflow.
+type rssBounds struct {
+	n, t0, y0             float64
+	sy, syy, st, stt, sty float64
+	ay, at, aty           float64 // sums of |y'|, |t'|, |t' y'|
+}
+
+func newRSSBounds(s *Series) rssBounds {
+	b := rssBounds{n: float64(len(s.Times))}
+	if len(s.Times) > 0 {
+		b.t0, b.y0 = s.Times[0], s.Values[0]
+	}
+	for i, t := range s.Times {
+		dt, dy := t-b.t0, s.Values[i]-b.y0
+		b.sy += dy
+		b.syy += dy * dy
+		b.st += dt
+		b.stt += dt * dt
+		b.sty += dt * dy
+		b.ay += math.Abs(dy)
+		b.at += math.Abs(dt)
+		b.aty += math.Abs(dt * dy)
+	}
+	return b
+}
+
+// mag is sum (|y'| + |a| + |c t'|)^2.
+func (b *rssBounds) mag(a, c float64) float64 {
+	return b.syy + 2*math.Abs(a)*b.ay + 2*math.Abs(c)*b.aty + b.n*(a*a) + 2*math.Abs(a*c)*b.at + c*c*b.stt
+}
+
+// bracket returns lo <= ResidualSumSquares(s, m) <= hi. A model or series
+// whose sums are not finite, or too large to square safely, gets the
+// trivial bracket [0, +Inf].
+func (b *rssBounds) bracket(m LinearModel) (lo, hi float64) {
+	const u = 0x1p-53
+	a, c := m.Alpha, m.Beta
+	ct0 := c * b.t0
+	ap := a + ct0 - b.y0
+	est := b.syy - 2*ap*b.sy - 2*c*b.sty + b.n*(ap*ap) + 2*ap*c*b.st + c*c*b.stt
+	magA, magM := b.mag(ap, c), b.mag(math.Abs(b.y0)+math.Abs(a)+math.Abs(ct0), c)
+	if !(max(magA, magM) < 0x1p1000) || math.IsNaN(est) {
+		return 0, math.Inf(1)
+	}
+	d := 2 * u * (math.Abs(ap) + math.Abs(a) + 2*math.Abs(ct0))
+	e := 4 * (u*u*(b.syy+c*c*b.stt) + b.n*d*d)
+	wA := (b.n + 12) * u * magA
+	rp := max(est, 0) + wA // >= R'
+	wC := 2*math.Sqrt(rp)*math.Sqrt(e) + e
+	r := rp + wC // >= R
+	wB := (b.n+2)*u*r + 8*u*math.Sqrt(r)*math.Sqrt(magM) + 16*u*u*magM
+	width := 2*(wA+wB+wC) + (4*b.n+64)*0x1p-1022
+	return max(0, est-width), est + width
 }

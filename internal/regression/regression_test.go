@@ -1,10 +1,14 @@
 package regression
 
 import (
+	"fmt"
 	"math"
 	"sort"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/linalg"
+	"repro/internal/rng"
 )
 
 func linearSeries(n int, a, b float64) *Series {
@@ -256,5 +260,251 @@ func TestIndicesOf(t *testing.T) {
 				break
 			}
 		}
+	}
+}
+
+// fitLinearReference is FitLinear on the general n x 2 design matrix: the
+// normal equations X^T X + ridge I by linalg's dense products and Cholesky,
+// the mean if they are not positive definite. FitLinear must return its
+// model bit for bit.
+func fitLinearReference(s *Series, idx []int) LinearModel {
+	switch len(idx) {
+	case 0:
+		return LinearModel{}
+	case 1:
+		return LinearModel{Alpha: s.Values[idx[0]], Beta: 0, Trained: true}
+	}
+	x := linalg.NewMatrix(len(idx), 2)
+	y := make([]float64, len(idx))
+	for r, i := range idx {
+		x.Set(r, 0, 1)
+		x.Set(r, 1, s.Times[i])
+		y[r] = s.Values[i]
+	}
+	beta, err := linalg.LeastSquares(x, y, fitRidge)
+	if err != nil {
+		var mean float64
+		for _, v := range y {
+			mean += v
+		}
+		return LinearModel{Alpha: mean / float64(len(y)), Beta: 0, Trained: true}
+	}
+	return LinearModel{Alpha: beta[0], Beta: beta[1], Trained: true}
+}
+
+// TestFitLinearMatchesReference: on seeded index lists over every
+// differential shape, window start and a few degenerate series, FitLinear
+// returns the design-matrix fit's coefficients bit for bit.
+func TestFitLinearMatchesReference(t *testing.T) {
+	series := []*Series{
+		{Times: []float64{1, 1, 1}, Values: []float64{2, 4, 6}},
+		{Times: []float64{0, 0}, Values: []float64{1, 3}},
+		{Times: []float64{1e300, -1e300, 2}, Values: []float64{1, 2, 3}},
+		{Times: []float64{math.NaN(), 1, 2}, Values: []float64{1, 2, 3}},
+		{Times: []float64{math.Inf(1), 1, 2}, Values: []float64{1, 2, 3}},
+	}
+	for _, shape := range []string{"random", "quantized", "mirrored", "constant", "duplicate-times"} {
+		for _, start := range []float64{0, 1e6, 1e8} {
+			series = append(series, differentialSeries(shape, 1, start, 200))
+		}
+	}
+	r := rng.New(1, "fit-linear-reference")
+	for si, s := range series {
+		for trial := 0; trial < 40; trial++ {
+			idx := make([]int, r.Intn(min(s.Len(), 12)+1))
+			for j := range idx {
+				idx[j] = r.Intn(s.Len())
+			}
+			got, want := FitLinear(s, idx), fitLinearReference(s, idx)
+			if math.Float64bits(got.Alpha) != math.Float64bits(want.Alpha) ||
+				math.Float64bits(got.Beta) != math.Float64bits(want.Beta) || got.Trained != want.Trained {
+				t.Fatalf("series %d idx %v: FitLinear %+v, reference %+v", si, idx, got, want)
+			}
+		}
+	}
+}
+
+// selectSamplingTimesReference is SelectSamplingTimes' exhaustive loop:
+// each round fits every unused candidate on the design matrix and sums its
+// residuals over the whole series, O(k n^2) in all. SelectSamplingTimes
+// must choose its indices exactly.
+func selectSamplingTimesReference(s *Series, k int) []float64 {
+	n := s.Len()
+	if k >= n {
+		out := append([]float64(nil), s.Times...)
+		return out
+	}
+	if k <= 0 || n == 0 {
+		return nil
+	}
+	chosen := make([]int, 0, k)
+	used := make([]bool, n)
+	for len(chosen) < k {
+		bestIdx, bestRSS := -1, math.Inf(1)
+		for i := 0; i < n; i++ {
+			if used[i] {
+				continue
+			}
+			cand := append(chosen, i)
+			rss := ResidualSumSquares(s, fitLinearReference(s, cand))
+			if rss < bestRSS {
+				bestRSS, bestIdx = rss, i
+			}
+		}
+		if bestIdx < 0 {
+			break
+		}
+		used[bestIdx] = true
+		chosen = append(chosen, bestIdx)
+	}
+	out := make([]float64, len(chosen))
+	for i, idx := range chosen {
+		out[i] = s.Times[idx]
+	}
+	return out
+}
+
+// differentialSeries builds the series shapes the differential test runs,
+// over a window of n slots from start (a location-monitoring window keeps
+// absolute slot numbers): a noisy diurnal trace like the worlds'
+// histories, the same with values rounded to one decimal (exact ties
+// between candidates), the same with its second half the first half
+// mirrored about the base (candidates whose sums of squares agree up to
+// rounding, so the bracket decides), a constant, and a trace whose
+// timestamps repeat in threes.
+func differentialSeries(shape string, seed int64, start float64, n int) *Series {
+	r := rng.New(seed, "sampling-times-"+shape)
+	base, amp := r.Uniform(40, 80), r.Uniform(15, 35)
+	s := &Series{Times: make([]float64, n), Values: make([]float64, n)}
+	for i := range n {
+		t := float64(i)
+		if shape == "duplicate-times" {
+			t = float64(i / 3)
+		}
+		y := base + amp*math.Sin(2*math.Pi*t/float64(max(n, 1))) + r.Norm(0, 3)
+		switch shape {
+		case "quantized":
+			y = math.Round(y*10) / 10
+		case "constant":
+			y = base
+		case "mirrored":
+			if h := (n + 1) / 2; i >= h {
+				y = 2*base - s.Values[i-h]
+			}
+		}
+		s.Times[i], s.Values[i] = start+t, y
+	}
+	return s
+}
+
+// TestSelectSamplingTimesMatchesReference: on seeded random, tied,
+// mirrored, constant and duplicate-time series of up to 10 001 items, in windows
+// starting at slot 0, 10^6 and 10^8, and for k up to 10, the bound-screened
+// selection returns the exhaustive loop's times, bit for bit and in its
+// order.
+func TestSelectSamplingTimesMatchesReference(t *testing.T) {
+	type tc struct {
+		shape string
+		start float64
+		n     int
+		ks    []int
+	}
+	cases := []tc{
+		{"random", 0, 0, []int{0, 1, 3}},
+		{"random", 0, 1, []int{0, 1, 2}},
+		{"random", 0, 2, []int{1, 2}},
+		{"random", 0, 3, []int{1, 2, 3}},
+		{"random", 0, 17, []int{1, 5, 10}},
+		{"random", 0, 400, []int{1, 2, 10}},
+		{"random", 0, 2000, []int{10}},
+		{"quantized", 0, 17, []int{10}},
+		{"quantized", 0, 600, []int{10}},
+		{"mirrored", 0, 16, []int{1, 4}},
+		{"mirrored", 0, 600, []int{1, 2, 10}},
+		{"constant", 0, 1, []int{1}},
+		{"constant", 0, 5, []int{2, 4}},
+		{"constant", 0, 300, []int{10}},
+		{"duplicate-times", 0, 9, []int{3, 8}},
+		{"duplicate-times", 0, 601, []int{10}},
+	}
+	for _, start := range []float64{1e6, 1e8} {
+		cases = append(cases,
+			tc{"random", start, 17, []int{1, 5, 10}},
+			tc{"random", start, 400, []int{1, 2, 10}},
+			tc{"quantized", start, 600, []int{10}},
+			tc{"mirrored", start, 600, []int{1, 2, 10}},
+			tc{"constant", start, 300, []int{10}},
+			tc{"duplicate-times", start, 601, []int{10}},
+		)
+	}
+	if !testing.Short() {
+		for _, start := range []float64{0, 1e6, 1e8} {
+			cases = append(cases, tc{"random", start, 10_001, []int{10}})
+		}
+	}
+	for _, c := range cases {
+		for seed := int64(1); seed <= 3; seed++ {
+			s := differentialSeries(c.shape, seed, c.start, c.n)
+			for _, k := range c.ks {
+				want := selectSamplingTimesReference(s, k)
+				got := SelectSamplingTimes(s, k)
+				if len(got) != len(want) {
+					t.Fatalf("%s start %g n=%d seed %d k=%d: %d times, want %d", c.shape, c.start, c.n, seed, k, len(got), len(want))
+				}
+				for i := range want {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("%s start %g n=%d seed %d k=%d: time %d = %v, want %v (got %v, want %v)",
+							c.shape, c.start, c.n, seed, k, i, got[i], want[i], got, want)
+					}
+				}
+			}
+			if c.n == 10_001 {
+				break // one seed: the reference alone takes seconds
+			}
+		}
+	}
+}
+
+// TestRSSBracketHolds: for fits of random index lists, and for models far
+// from any fit (slopes up to 10^3, intercepts up to 10^12), over every
+// differential shape and window start, the bracket holds the exact loop's
+// sum of squares.
+func TestRSSBracketHolds(t *testing.T) {
+	r := rng.New(1, "rss-bracket")
+	for _, shape := range []string{"random", "quantized", "mirrored", "constant", "duplicate-times"} {
+		for _, start := range []float64{0, 1e6, 1e8} {
+			s := differentialSeries(shape, 2, start, 300)
+			b := newRSSBounds(s)
+			for trial := 0; trial < 200; trial++ {
+				idx := make([]int, r.Intn(10)+1)
+				for j := range idx {
+					idx[j] = r.Intn(s.Len())
+				}
+				m := FitLinear(s, idx)
+				if trial%2 == 1 {
+					m.Beta = r.Uniform(-1, 1) * math.Pow(10, r.Uniform(-9, 3))
+					m.Alpha = r.Uniform(-1, 1) * math.Pow(10, r.Uniform(-3, 12))
+				}
+				lo, hi := b.bracket(m)
+				if rss := ResidualSumSquares(s, m); !(lo <= rss && rss <= hi) {
+					t.Fatalf("%s start %g model %+v: RSS %v outside [%v, %v]", shape, start, m, rss, lo, hi)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkSelectSamplingTimes times a 10 001-slot window with k = 10, the
+// shape of a long location-monitoring submit, at window starts 0, 10^6 and
+// 10^8: the bracket's width, and so the number of exact O(n) sums, must
+// not grow with the slot number.
+func BenchmarkSelectSamplingTimes(b *testing.B) {
+	for _, start := range []float64{0, 1e6, 1e8} {
+		s := differentialSeries("random", 1, start, 10_001)
+		b.Run(fmt.Sprintf("start=%g", start), func(b *testing.B) {
+			for range b.N {
+				SelectSamplingTimes(s, 10)
+			}
+		})
 	}
 }

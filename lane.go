@@ -392,15 +392,14 @@ func sensorIndex(sensors []*sensornet.Sensor) map[int]*sensornet.Sensor {
 }
 
 // NewNodeLane builds the node-side runtime for one shard of a world
-// partitioned into `shards`. Options mirror NewShardedAggregator's lane
-// configuration, so a node lane is configured exactly like the in-process
-// lane it replaces.
-func NewNodeLane(world *World, shards, shard int, opts ...Option) *NodeLane {
+// partitioned into `shards`, selecting exactly like the in-process lane
+// it replaces.
+func NewNodeLane(world *World, shards, shard int) *NodeLane {
 	return &NodeLane{
 		world: world,
 		part:  geo.NewGridPartition(world.Working, shards),
 		shard: shard,
-		agg:   NewAggregator(world, opts...),
+		agg:   NewAggregator(world),
 	}
 }
 

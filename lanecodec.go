@@ -31,8 +31,9 @@ import (
 // refuses the partial rather than misread it. Layout 2 appended
 // ConservationViolations to the selection counters. Layout 3 dropped each
 // outcome's per-sensor payments and the region-monitoring contributions,
-// which the coordinator never read.
-const lanePartialFormat = 3
+// which the coordinator never read. Layout 4 dropped the selection
+// strategy label: every lane runs the one lazy greedy.
+const lanePartialFormat = 4
 
 // AppendBinary appends the partial's binary form to b and returns the
 // extended slice.
@@ -86,7 +87,6 @@ func (p *LanePartial) AppendBinary(b []byte) []byte {
 	}
 
 	s := p.Selection
-	b = appendString(b, s.Strategy)
 	for _, c := range []int64{
 		s.ValuationCalls, s.SerialEquivCalls, s.LazyReevaluations, s.SubmodularityViolations,
 		s.FallbackRescans, s.GeomCacheHits, s.GeomCacheLookups, s.PosteriorAppends, s.PosteriorRebuilds,
@@ -210,7 +210,6 @@ func DecodeLanePartial(data []byte) (*LanePartial, error) {
 	}
 
 	s := &p.Selection
-	s.Strategy = r.id()
 	for _, c := range []*int64{
 		&s.ValuationCalls, &s.SerialEquivCalls, &s.LazyReevaluations, &s.SubmodularityViolations,
 		&s.FallbackRescans, &s.GeomCacheHits, &s.GeomCacheLookups, &s.PosteriorAppends, &s.PosteriorRebuilds,

@@ -299,8 +299,10 @@ func FuzzDecodeLanePartial(f *testing.F) {
 	f.Add([]byte(nil))
 	f.Add((&LanePartial{}).AppendBinary(nil))
 	f.Add([]byte{lanePartialFormat, 0, 0, 0, 0x80, 0x80, 0x80, 0x80, 0x80, 0x40})
-	// Refusals: the previous layout, a repeated map key, and two outcomes
-	// in 17 bytes where each takes at least 9.
+	// Refusals: the previous layout's format byte (layout 4: strategy
+	// label removed, so a layout 3 partial is refused, never misread), a
+	// repeated map key, and two outcomes in 17 bytes where each takes at
+	// least 9.
 	prev := goldenPartial().AppendBinary(nil)
 	prev[0] = lanePartialFormat - 1
 	f.Add(prev)
@@ -346,20 +348,22 @@ func goldenPartial() *LanePartial {
 		Payments: []LaneValue{{"agg-7", 1.75}, {"lm", 0.25}, {"mp-7", 1.75}, {"pt-7-1", 0.75}},
 		Answered: []LaneFlag{{"idle", false}, {"lm", true}},
 		Events:   []EventNotification{{QueryID: "lm", Slot: 7, Detected: true, Confidence: 0.875, Reading: -1.25}},
-		Selection: SelectionStats{Strategy: "lazy", ValuationCalls: 310, SerialEquivCalls: 900, LazyReevaluations: 12,
+		Selection: SelectionStats{ValuationCalls: 310, SerialEquivCalls: 900, LazyReevaluations: 12,
 			SubmodularityViolations: 1, FallbackRescans: 1, GeomCacheHits: 40, GeomCacheLookups: 48, PosteriorAppends: 2, PosteriorRebuilds: 1,
 			ConservationViolations: 3},
 		SelectMs: 1.75, StepMs: 0.5,
 	}
 }
 
-// goldenPartialHex is goldenPartial's encoding in layout 3. It was
+// goldenPartialHex is goldenPartial's encoding in layout 4. It was
 // first pinned against the encoder from when outcome payments were a map
 // from sensor ID to amount. Layout 2 changed only the leading format byte
 // and appended ConservationViolations to the selection counters; layout 3
 // changed only the format byte and dropped each outcome's payments list
-// and the contributions map.
-const goldenPartialHex = "030ef0010a04540622040a54000000000000f83f000000000000024000060000" +
+// and the contributions map; layout 4 (strategy label removed) changed
+// only the format byte and dropped the selection counters' leading
+// strategy string.
+const goldenPartialHex = "040ef0010a04540622040a54000000000000f83f000000000000024000060000" +
 	"00000000e83f000000000000e03f12220000000000000040555555555555d53f" +
 	"06056167672d3700000000000046400469646c650000000000000000046c6d23" +
 	"70000000000000f83f046d702d370000000000203e400670742d372d31000000" +
@@ -369,10 +373,10 @@ const goldenPartialHex = "030ef0010a04540622040a54000000000000f83f00000000000002
 	"40026c6d000000000000f83f046d702d370000000000203e400670742d372d31" +
 	"000000000000234005056167672d37000000000000fc3f026c6d000000000000" +
 	"d03f046d702d37000000000000fc3f0670742d372d31000000000000e83f0304" +
-	"69646c6500026c6d0102026c6d0e01000000000000ec3f000000000000f4bf04" +
-	"6c617a79ec04880e1802025060040206000000000000fc3f000000000000e03f"
+	"69646c6500026c6d0102026c6d0e01000000000000ec3f000000000000f4bfec" +
+	"04880e1802025060040206000000000000fc3f000000000000e03f"
 
-// TestLanePartialGoldenBytes: the wire bytes of layout 3 are fixed, and
+// TestLanePartialGoldenBytes: the wire bytes of layout 4 are fixed, and
 // they decode back to the partial they encode.
 func TestLanePartialGoldenBytes(t *testing.T) {
 	want, err := hex.DecodeString(goldenPartialHex)

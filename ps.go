@@ -47,33 +47,9 @@ type (
 	RegionEventQuery = query.RegionEvent
 )
 
-// Selection-strategy surface of the greedy core (Algorithm 1). Both
-// strategies return bit-identical selections, payments and welfare; they
-// differ only in how much work they do per slot.
-type (
-	// Strategy selects the candidate-evaluation algorithm of the greedy
-	// selection core.
-	Strategy = core.Strategy
-	// SelectionStats counts valuation calls, lazy-heap re-evaluations
-	// and non-submodular fallbacks of one or many selection runs.
-	SelectionStats = core.SelectionStats
-)
-
-// The candidate-evaluation strategies.
-const (
-	// StrategyAuto is the default: serial below 256 offers, lazy-greedy
-	// from there upwards, resolved per selection run.
-	StrategyAuto = core.StrategyAuto
-	// StrategySerial scans every remaining sensor each round — the
-	// reference every other evaluation is compared against.
-	StrategySerial = core.StrategySerial
-	// StrategyLazy is the CELF-style lazy-greedy fast path.
-	StrategyLazy = core.StrategyLazy
-)
-
-// ParseStrategy parses a strategy name ("auto", "serial", "lazy") as
-// accepted by the CLIs and the cluster node config.
-func ParseStrategy(s string) (Strategy, error) { return core.ParseStrategy(s) }
+// SelectionStats counts valuation calls, lazy-heap re-evaluations and
+// non-submodular fallbacks of one or many greedy selection runs.
+type SelectionStats = core.SelectionStats
 
 // Pt is shorthand for a Point.
 func Pt(x, y float64) Point { return geo.Pt(x, y) }

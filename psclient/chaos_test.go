@@ -52,7 +52,7 @@ func TestStreamSurvivesChaosDrops(t *testing.T) {
 	world := ps.NewRWMWorld(1, 200, ps.SensorConfig{})
 	eng := ps.NewEngine(ps.NewAggregator(world), ps.WithSlotInterval(5*time.Millisecond))
 	eng.Start()
-	h := serve.New(eng, world, serve.Options{Strategy: ps.StrategyAuto}).Handler()
+	h := serve.New(eng, world, serve.Options{}).Handler()
 	ts := httptest.NewServer(dropAfterFlushes(h, 3))
 	t.Cleanup(func() {
 		ts.Close()

@@ -18,7 +18,7 @@ import (
 // different WithClientID identities.
 func TestWithClientIDSeparatesAdmissionBuckets(t *testing.T) {
 	// One token per client, refilled once every ~17 minutes.
-	url := newLiveServer(t, serve.Options{Strategy: ps.StrategyAuto, RateLimit: 0.001, RateBurst: 1})
+	url := newLiveServer(t, serve.Options{RateLimit: 0.001, RateBurst: 1})
 	ctx := testCtx(t)
 	submit := func(c *Client, id string) error {
 		_, err := c.Submit(ctx, ps.PointSpec{ID: id, Loc: ps.Pt(30, 30), Budget: 15})
@@ -117,7 +117,7 @@ func (ct *countingTransport) RoundTrip(r *http.Request) (*http.Response, error) 
 // TestWithHTTPClientTransportIsUsed: every request the client makes —
 // submit, watch, status — goes through the WithHTTPClient client.
 func TestWithHTTPClientTransportIsUsed(t *testing.T) {
-	url := newLiveServer(t, serve.Options{Strategy: ps.StrategyAuto})
+	url := newLiveServer(t, serve.Options{})
 	ct := &countingTransport{}
 	c, err := Dial(url, WithHTTPClient(&http.Client{Transport: ct}))
 	if err != nil {

@@ -25,7 +25,7 @@ func TestStreamFanoutNoPolls(t *testing.T) {
 	// The default 1024-deep queue holds the batch and the RunSlots command.
 	eng := ps.NewEngine(ps.NewAggregator(world))
 	eng.Start()
-	api := serve.New(eng, world, serve.Options{Strategy: ps.StrategyAuto}).Handler()
+	api := serve.New(eng, world, serve.Options{}).Handler()
 	var polls, watches atomic.Int64
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		switch {

@@ -148,7 +148,7 @@ func TestServeAdmissionHTTP(t *testing.T) {
 	world := ps.NewRWMWorld(1, 200, ps.SensorConfig{})
 	eng := ps.NewEngine(ps.NewAggregator(world))
 	eng.Start()
-	srv := New(eng, world, Options{Strategy: ps.StrategyAuto, RateLimit: 0.001, RateBurst: 1})
+	srv := New(eng, world, Options{RateLimit: 0.001, RateBurst: 1})
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() {
 		ts.Close()

@@ -202,7 +202,7 @@ func getBody(t *testing.T, url string, accept string) (int, string, http.Header)
 // exposition carrying the slot-stage latency histograms and the hub
 // subscriber-lag gauge; every histogram round-trips consistently.
 func TestMetricsPrometheusRoundTrip(t *testing.T) {
-	_, _, ts := observedStack(t, Options{Strategy: ps.StrategyAuto})
+	_, _, ts := observedStack(t, Options{})
 
 	// One scrape to populate the HTTP families, then the scrape under test.
 	getBody(t, ts.URL+"/metrics", "text/plain")
@@ -257,7 +257,7 @@ func TestMetricsPrometheusRoundTrip(t *testing.T) {
 // The default /metrics representation stays the JSON document, and the
 // explicit format override works both ways.
 func TestMetricsContentNegotiation(t *testing.T) {
-	_, _, ts := observedStack(t, Options{Strategy: ps.StrategyAuto})
+	_, _, ts := observedStack(t, Options{})
 
 	status, m := getJSON(t, ts.URL+"/metrics")
 	if status != http.StatusOK || m["slots"].(float64) != 2 {
@@ -280,7 +280,7 @@ func TestMetricsContentNegotiation(t *testing.T) {
 // Every metric in a fully wired server (engine + hub + HTTP layers)
 // passes the naming lint: prefix, suffix and charset conventions.
 func TestMetricNamingLint(t *testing.T) {
-	eng, _, ts := observedStack(t, Options{Strategy: ps.StrategyAuto})
+	eng, _, ts := observedStack(t, Options{})
 	getBody(t, ts.URL+"/metrics", "text/plain") // populate HTTP families
 	if err := eng.Observability().Validate(); err != nil {
 		t.Fatalf("metric naming violations:\n%v", err)
@@ -289,7 +289,7 @@ func TestMetricNamingLint(t *testing.T) {
 
 // /healthz reports build identity and uptime alongside liveness.
 func TestHealthzBuildInfo(t *testing.T) {
-	_, _, ts := observedStack(t, Options{Strategy: ps.StrategyAuto})
+	_, _, ts := observedStack(t, Options{})
 	status, h := getJSON(t, ts.URL+"/healthz")
 	if status != http.StatusOK || h["ok"] != true {
 		t.Fatalf("healthz: status %d body %v", status, h)
@@ -306,14 +306,14 @@ func TestHealthzBuildInfo(t *testing.T) {
 // The pprof and expvar surfaces are mounted only when Options.Debug is
 // set.
 func TestDebugEndpointsGated(t *testing.T) {
-	_, _, off := observedStack(t, Options{Strategy: ps.StrategyAuto})
+	_, _, off := observedStack(t, Options{})
 	for _, path := range []string{"/debug/pprof/", "/debug/vars"} {
 		if status, _, _ := getBody(t, off.URL+path, ""); status != http.StatusNotFound {
 			t.Errorf("debug off: GET %s status %d, want 404", path, status)
 		}
 	}
 
-	_, _, on := observedStack(t, Options{Strategy: ps.StrategyAuto, Debug: true})
+	_, _, on := observedStack(t, Options{Debug: true})
 	for _, path := range []string{"/debug/pprof/", "/debug/pprof/goroutine?debug=1", "/debug/vars"} {
 		status, body, _ := getBody(t, on.URL+path, "")
 		if status != http.StatusOK {

@@ -59,9 +59,6 @@ type Options struct {
 	// NoRetention makes finished records evict at the next sweep instead
 	// of being retained for polling.
 	NoRetention bool
-	// Strategy is the selection strategy the engine was built with,
-	// displayed by /metrics.
-	Strategy ps.Strategy
 	// Logger receives structured request and query-lifecycle logs. Nil
 	// discards them.
 	Logger *slog.Logger
@@ -116,9 +113,6 @@ type Server struct {
 	world  *ps.World
 	retain time.Duration
 	autoID atomic.Int64
-	// strategy names the engine's configured selection strategy for
-	// /metrics.
-	strategy string
 
 	log     *slog.Logger
 	obs     *serverObs
@@ -175,17 +169,16 @@ func New(eng *ps.Engine, world *ps.World, opts Options) *Server {
 		logger = discardLogger()
 	}
 	s := &Server{
-		eng:      eng,
-		world:    world,
-		retain:   retain,
-		strategy: opts.Strategy.String(),
-		log:      logger,
-		obs:      newServerObs(eng.Observability()),
-		cluster:  opts.Cluster,
-		start:    time.Now(),
-		debug:    opts.Debug,
-		closing:  make(chan struct{}),
-		queries:  make(map[string]*queryRecord),
+		eng:     eng,
+		world:   world,
+		retain:  retain,
+		log:     logger,
+		obs:     newServerObs(eng.Observability()),
+		cluster: opts.Cluster,
+		start:   time.Now(),
+		debug:   opts.Debug,
+		closing: make(chan struct{}),
+		queries: make(map[string]*queryRecord),
 	}
 	s.adm = newAdmission(opts, eng.QueueStats)
 	s.adm.onEvict = func(client string) {
@@ -789,7 +782,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	m := wire.MetricsFrom(s.eng.Metrics(), s.strategy)
+	m := wire.MetricsFrom(s.eng.Metrics())
 	w.Header().Set("Content-Type", "application/json")
 	writeJSON(w, m)
 }

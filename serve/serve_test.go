@@ -20,12 +20,12 @@ import (
 
 // newTestStack builds a virtual-clock engine behind the HTTP handler so
 // the test controls slot execution deterministically.
-func newTestStack(t *testing.T, opts ...ps.Option) (*ps.Engine, *httptest.Server) {
+func newTestStack(t *testing.T) (*ps.Engine, *httptest.Server) {
 	t.Helper()
 	world := ps.NewRWMWorld(1, 200, ps.SensorConfig{})
-	eng := ps.NewEngine(ps.NewAggregator(world, opts...))
+	eng := ps.NewEngine(ps.NewAggregator(world))
 	eng.Start()
-	ts := httptest.NewServer(New(eng, world, Options{Strategy: ps.StrategyAuto}).Handler())
+	ts := httptest.NewServer(New(eng, world, Options{}).Handler())
 	t.Cleanup(func() {
 		ts.Close()
 		eng.Stop()
@@ -348,11 +348,11 @@ func TestServeListQueries(t *testing.T) {
 }
 
 // TestServeStrategyAndSelectionMetrics drives a mixed slot through the
-// lazy strategy and checks that /metrics exposes the valuation-call and
-// lazy-heap counters next to the configured and the last-run strategy,
-// and that the removed /strategy endpoint is gone.
+// greedy core and checks that /metrics exposes the valuation-call and
+// lazy-heap counters, names no selection strategy, and that the removed
+// /strategy endpoint is gone.
 func TestServeStrategyAndSelectionMetrics(t *testing.T) {
-	eng, ts := newTestStack(t, ps.WithGreedyStrategy(ps.StrategyLazy))
+	eng, ts := newTestStack(t)
 
 	// An aggregate query routes the slot through the greedy mix pipeline.
 	status, _ := postJSON(t, ts.URL+"/query", map[string]any{
@@ -376,18 +376,17 @@ func TestServeStrategyAndSelectionMetrics(t *testing.T) {
 	if m["valuation_calls"].(float64) <= 0 {
 		t.Errorf("valuation_calls = %v, want > 0", m["valuation_calls"])
 	}
-	if m["strategy_last_slot"] != "lazy" {
-		t.Errorf("strategy_last_slot = %v, want lazy", m["strategy_last_slot"])
-	}
 	for _, key := range []string{"valuation_calls_saved", "lazy_reevaluations", "submodularity_violations", "fallback_rescans"} {
 		if _, ok := m[key].(float64); !ok {
 			t.Errorf("metrics missing %s: %v", key, m[key])
 		}
 	}
 
-	// The configured strategy is a construction-time display value.
-	if m["strategy"] != "auto" {
-		t.Errorf("strategy = %v, want the auto the server was built with", m["strategy"])
+	// Lazy greedy is the one selection path: nothing names a strategy.
+	for _, key := range []string{"strategy", "strategy_last_slot"} {
+		if v, ok := m[key]; ok {
+			t.Errorf("metrics carries removed %s = %v", key, v)
+		}
 	}
 
 	// The runtime switch is gone: /strategy answers 404 to both methods.
@@ -990,7 +989,7 @@ func TestServeGracefulShutdown(t *testing.T) {
 	world := ps.NewRWMWorld(8, 200, ps.SensorConfig{})
 	eng := ps.NewEngine(ps.NewAggregator(world))
 	eng.Start()
-	srv := New(eng, world, Options{Strategy: ps.StrategyAuto})
+	srv := New(eng, world, Options{})
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() {
 		ts.Close()
@@ -1300,7 +1299,7 @@ func TestServeWatchOfRolledBackSubmission(t *testing.T) {
 	// queue, the second fails with ErrQueueFull after its registry
 	// reservation.
 	eng := ps.NewEngine(ps.NewAggregator(world), ps.WithQueueSize(1))
-	srv := New(eng, world, Options{Strategy: ps.StrategyAuto})
+	srv := New(eng, world, Options{})
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() {
 		ts.Close()
@@ -1347,7 +1346,6 @@ func TestServeWatchOverloadLadder(t *testing.T) {
 	world := ps.NewRWMWorld(23, 200, ps.SensorConfig{})
 	eng := ps.NewEngine(ps.NewAggregator(world), ps.WithQueueSize(4), ps.WithShedOldest())
 	ts := httptest.NewServer(New(eng, world, Options{
-		Strategy: ps.StrategyAuto,
 		// One burst of six per client, refilled at one token a minute: a
 		// client's second batch is over the limit however slow the run.
 		RateLimit: 1.0 / 60, RateBurst: 6,

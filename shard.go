@@ -159,9 +159,7 @@ type ShardedAggregator struct {
 
 // NewShardedAggregator builds a sharded execution layer over a world with
 // the given shard count. Options apply to every shard lane (and the
-// spanning lane). Under the default StrategyAuto each lane resolves the
-// strategy against its own offer count every slot, so a hot shard runs
-// lazy-greedy while a cold one stays on the serial scan.
+// spanning lane).
 func NewShardedAggregator(world *World, shards int, opts ...Option) *ShardedAggregator {
 	part := geo.NewGridPartition(world.Working, shards)
 	sa := &ShardedAggregator{world: world, part: part}

@@ -2,13 +2,9 @@ package ps
 
 import (
 	"fmt"
-	"math"
 	"reflect"
 	"slices"
 	"testing"
-
-	"repro/internal/mobility"
-	"repro/internal/sensornet"
 )
 
 // quadrantInner are interior boxes of the four shards of the RWM working
@@ -354,63 +350,5 @@ func TestShardedEngine(t *testing.T) {
 	}
 	if calls == 0 || calls != m.ValuationCalls {
 		t.Errorf("per-shard valuation calls %d do not add up to the total %d", calls, m.ValuationCalls)
-	}
-}
-
-// skewedWorld is an RWM world whose fleet stands still: `hot` sensors
-// spread over shard 0's interior box and `cold` ones over shard 3's, so
-// two lanes of a four-shard layer see offer counts on either side of the
-// lazy threshold in the same slot.
-func skewedWorld(seed int64, hot, cold int) *World {
-	w := NewRWMWorld(seed, hot+cold, SensorConfig{})
-	pos := make([]Point, hot+cold)
-	for i := range pos {
-		box, j, n := quadrantInner[0], i, hot
-		if i >= hot {
-			box, j, n = quadrantInner[3], i-hot, cold
-		}
-		f := float64(j) / float64(n)
-		pos[i] = Pt(box.MinX+box.Width()*f, box.MinY+box.Height()*math.Mod(f*17, 1))
-	}
-	w.Fleet = sensornet.NewFleet(w.Fleet.Sensors, mobility.NewStationary(pos), w.Working)
-	return w
-}
-
-// TestAutoResolvesPerLane: under the default StrategyAuto every lane
-// resolves the strategy against its own offer count, so in one slot a
-// hot shard (>= 256 offers) runs lazy-greedy while a cold one stays on
-// the serial scan, and the merged report is bit-identical to an
-// all-serial run.
-func TestAutoResolvesPerLane(t *testing.T) {
-	const seed, hot, cold = 9, 320, 90
-	auto := NewShardedAggregator(skewedWorld(seed, hot, cold), 4)
-	serial := NewShardedAggregator(skewedWorld(seed, hot, cold), 4, WithGreedyStrategy(StrategySerial))
-	both := []*ShardedAggregator{auto, serial}
-	for slot := 0; slot < 3; slot++ {
-		for _, k := range []int{0, 3} {
-			box := quadrantInner[k]
-			submitAll(t, both, AggregateSpec{ID: fmt.Sprintf("agg-%d-%d", slot, k), Region: box, Budget: 300})
-			for i := 0; i < 8; i++ {
-				loc := Pt(box.MinX+float64(i), box.MinY+float64((i*5)%13))
-				submitAll(t, both, MultiPointSpec{ID: fmt.Sprintf("mp-%d-%d-%d", slot, k, i), Loc: loc, Budget: 40, K: 3})
-			}
-		}
-		ar, sr := auto.RunSlot(), serial.RunSlot()
-		if ar.SensorsUsed == 0 {
-			t.Fatalf("slot %d: nothing selected; the scenario is too thin to compare", slot)
-		}
-		requireIdentical(t, slot, snapshot(sr), snapshot(ar))
-		for k, want := range map[int]string{0: "lazy", 3: "serial"} {
-			sh := ar.Shards[k]
-			if (sh.Offers >= 256) != (want == "lazy") {
-				t.Fatalf("slot %d shard %d: %d offers, on the wrong side of the threshold for %s", slot, k, sh.Offers, want)
-			}
-			if got := sh.Selection.Strategy; got != want {
-				t.Errorf("slot %d shard %d (%d offers) ran %q under auto, want %q", slot, k, sh.Offers, got, want)
-			}
-			if got := sr.Shards[k].Selection.Strategy; got != "serial" {
-				t.Errorf("slot %d shard %d ran %q in the all-serial run", slot, k, got)
-			}
-		}
 	}
 }

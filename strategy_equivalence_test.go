@@ -4,15 +4,32 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/rng"
 )
 
-// strategiesUnderTest are the candidate-evaluation strategies whose
-// SlotReports must be bit-identical to the serial scan's. Serial is the
-// reference; auto resolves to serial or lazy by each run's offer count;
-// serial again is a rerun, so a slot pipeline that is not a pure function
-// of its seed (a map-order float sum, say) fails here too.
-var strategiesUnderTest = []Strategy{StrategyLazy, StrategyAuto, StrategySerial}
+// withStrategy makes an aggregator (every lane of a sharded one) run its
+// selections with the given candidate evaluation. Production code has
+// one, the lazy greedy of the zero GreedyConfig; tests reach the serial
+// reference scan through this option.
+func withStrategy(s core.Strategy) Option {
+	return func(a *Aggregator) { a.greedy.Strategy = s }
+}
+
+// columnsUnderTest are the aggregators whose SlotReports must be
+// bit-identical to the serial reference's. "lazy" names the lazy path
+// explicitly; "auto" is built with no option at all, the one production
+// construction; "serial" is a rerun of the reference, so a slot pipeline
+// that is not a pure function of its seed (a map-order float sum, say)
+// fails here too.
+var columnsUnderTest = []struct {
+	name string
+	opts []Option
+}{
+	{"lazy", []Option{withStrategy(core.StrategyLazy)}},
+	{"auto", nil},
+	{"serial", []Option{withStrategy(core.StrategySerial)}},
+}
 
 // submitAll submits one spec to every aggregator in the slice.
 func submitAll[A interface {
@@ -42,8 +59,8 @@ func requireConserved(t *testing.T, slot int, aggs []*Aggregator) {
 // kinds (everything except region monitoring, which needs a GP-modelled
 // world — see the IntelLab companion test below) through full
 // Aggregator pipelines on seeded random worlds, one aggregator per
-// strategy, and requires every slot report to be bit-identical to the
-// serial scan's: same welfare, per-query values and payments to the
+// column, and requires every slot report to be bit-identical to the
+// serial reference's: same welfare, per-query values and payments to the
 // last float bit, and no conservation violation on any of them. This is the end-to-end counterpart of the
 // internal/core strategy tests — it additionally exercises probe
 // generation, continuous-query bookkeeping, event detection and the
@@ -53,11 +70,10 @@ func TestStrategyEquivalenceAllQueryKinds(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			ref := NewAggregator(NewRWMWorld(seed, sensors, SensorConfig{}),
-				WithGreedyStrategy(StrategySerial))
+				withStrategy(core.StrategySerial))
 			var others []*Aggregator
-			for _, strat := range strategiesUnderTest {
-				others = append(others, NewAggregator(NewRWMWorld(seed, sensors, SensorConfig{}),
-					WithGreedyStrategy(strat)))
+			for _, col := range columnsUnderTest {
+				others = append(others, NewAggregator(NewRWMWorld(seed, sensors, SensorConfig{}), col.opts...))
 			}
 			all := append([]*Aggregator{ref}, others...)
 			s := rng.New(seed, "strategy-equivalence")
@@ -121,7 +137,7 @@ func TestStrategyEquivalenceAllQueryKinds(t *testing.T) {
 				want := snapshot(ref.RunSlot())
 				for oi, other := range others {
 					got := snapshot(other.RunSlot())
-					t.Run(fmt.Sprintf("slot%d-%s", slot, strategiesUnderTest[oi]), func(t *testing.T) {
+					t.Run(fmt.Sprintf("slot%d-%s", slot, columnsUnderTest[oi].name), func(t *testing.T) {
 						requireIdentical(t, slot, want, got)
 					})
 				}
@@ -133,18 +149,17 @@ func TestStrategyEquivalenceAllQueryKinds(t *testing.T) {
 
 // TestStrategyEquivalenceRegionMonitoring covers the eighth kind: region
 // monitoring runs on the IntelLab world (the only built-in world with a
-// fitted GP model) and exercises the rank-1 base-posterior cache under
-// every strategy — appends and rebuilds must not perturb selections.
+// fitted GP model) and exercises the rank-1 base-posterior cache in
+// every column — appends and rebuilds must not perturb selections.
 func TestStrategyEquivalenceRegionMonitoring(t *testing.T) {
 	const slots = 6
 	for seed := int64(1); seed <= 3; seed++ {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			ref := NewAggregator(NewIntelLabWorld(seed, SensorConfig{}),
-				WithGreedyStrategy(StrategySerial))
+				withStrategy(core.StrategySerial))
 			var others []*Aggregator
-			for _, strat := range strategiesUnderTest {
-				others = append(others, NewAggregator(NewIntelLabWorld(seed, SensorConfig{}),
-					WithGreedyStrategy(strat)))
+			for _, col := range columnsUnderTest {
+				others = append(others, NewAggregator(NewIntelLabWorld(seed, SensorConfig{}), col.opts...))
 			}
 			all := append([]*Aggregator{ref}, others...)
 			s := rng.New(seed, "strategy-equivalence-regmon")
@@ -169,12 +184,49 @@ func TestStrategyEquivalenceRegionMonitoring(t *testing.T) {
 				want := snapshot(ref.RunSlot())
 				for oi, other := range others {
 					got := snapshot(other.RunSlot())
-					t.Run(fmt.Sprintf("slot%d-%s", slot, strategiesUnderTest[oi]), func(t *testing.T) {
+					t.Run(fmt.Sprintf("slot%d-%s", slot, columnsUnderTest[oi].name), func(t *testing.T) {
 						requireIdentical(t, slot, want, got)
 					})
 				}
 				requireConserved(t, slot, all)
 			}
 		})
+	}
+}
+
+// TestAggregatorSelectionPrunesBelow256Offers: on one slot of a
+// 200-sensor Aggregator, below the 256 offers where a size-based policy
+// once ran the serial scan, the default selection skips valuation calls
+// and still returns the serial reference's exact MultiResult.
+func TestAggregatorSelectionPrunesBelow256Offers(t *testing.T) {
+	run := func(opts ...Option) *slotExec {
+		a := NewAggregator(NewRWMWorld(3, 200, SensorConfig{}), opts...)
+		specs := []Spec{
+			AggregateSpec{ID: "agg-sw", Region: NewRect(18, 18, 40, 40), Budget: 300},
+			AggregateSpec{ID: "agg-ne", Region: NewRect(38, 38, 62, 62), Budget: 250},
+			MultiPointSpec{ID: "mp", Loc: Pt(30, 50), Budget: 60, K: 3},
+		}
+		for i := 0; i < 12; i++ {
+			specs = append(specs, PointSpec{ID: fmt.Sprintf("pt%d", i), Loc: Pt(18+4*float64(i), 60-3*float64(i)), Budget: 20})
+		}
+		for _, spec := range specs {
+			submitAll(t, []*Aggregator{a}, spec)
+		}
+		offers := a.world.Fleet.Step()
+		return a.executeSlot(a.world.Fleet.Slot(), offers)
+	}
+	got, want := run(), run(withStrategy(core.StrategySerial))
+	if n := got.report.Offers; n >= 256 {
+		t.Fatalf("%d offers; the slot must stay below 256", n)
+	}
+	if sel := got.report.Selection; sel.SavedCalls() <= 0 {
+		t.Errorf("default selection on %d offers saved %d of %d valuation calls, want > 0",
+			got.report.Offers, sel.SavedCalls(), sel.SerialEquivCalls)
+	}
+	if len(got.selected) == 0 {
+		t.Fatal("nothing selected; the slot is too thin to compare")
+	}
+	if d := core.DiffMultiResults(want.mix.Multi, got.mix.Multi); d != "" {
+		t.Errorf("default selection differs from the serial reference: %s", d)
 	}
 }

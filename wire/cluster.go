@@ -55,9 +55,10 @@ import (
 // made submit and commit posted frames and the partial binary; version 3
 // removed the frame and the oplog op that switched a lane's strategy at
 // runtime (the hello/resync config fixes it); version 4 replaced the
-// per-query JSON submit frame and oplog op with the binary submits batch.
-// A peer speaking another version is refused at hello.
-const ClusterVersion = 4
+// per-query JSON submit frame and oplog op with the binary submits batch;
+// version 5 dropped the hello/resync config's strategy and carries lane
+// partial layout 4. A peer speaking another version is refused at hello.
+const ClusterVersion = 5
 
 // MaxClusterFrame bounds one frame line, newline included. Both ends
 // refuse to buffer a longer one (ReadClusterLine).
@@ -122,9 +123,6 @@ type NodeConfig struct {
 	// Shards and Shard select the node's slice of the grid partition.
 	Shards int `json:"shards"`
 	Shard  int `json:"shard"`
-	// Strategy optionally names the lane's selection strategy ("auto",
-	// "serial" or "lazy"), fixed for the lane's lifetime.
-	Strategy string `json:"strategy,omitempty"`
 }
 
 // Fact is one membership assertion with a time-to-live, exchanged on

@@ -75,7 +75,7 @@ func metroPartial() *ps.LanePartial {
 		Payments:  make([]ps.LaneValue, outcomes),
 		Answered:  make([]ps.LaneFlag, outcomes),
 		TotalCost: 812.25, PointValue: 2950.5, AggValue: 890.125, ExtraValue: 120.75, Welfare: 3149.125,
-		Selection: ps.SelectionStats{Strategy: "lazy", ValuationCalls: 812345, SerialEquivCalls: 961234, LazyReevaluations: 15623},
+		Selection: ps.SelectionStats{ValuationCalls: 812345, SerialEquivCalls: 961234, LazyReevaluations: 15623},
 		SelectMs:  6.9, StepMs: 4.1,
 	}
 	for i := 0; i < selected; i++ {

@@ -156,34 +156,34 @@ func TestFrameSeedsDecode(t *testing.T) {
 // clusterSeeds are valid (and near-valid) cluster frames covering every
 // frame type, the oplog shapes and the documented error cases.
 var clusterSeeds = []string{
-	`{"v":4,"type":"hello","seq":1,"epoch":1,"node":"n0","slot":0,"config":{"world":"rwm","seed":21,"sensors":220,"shards":4,"shard":0}}`,
-	`{"v":4,"type":"resync","seq":2,"epoch":2,"node":"n0","slot":0,"config":{"world":"intellab","seed":7,"shards":2,"shard":1,"strategy":"lazy"},"ops":[{"op":"submits","specs_bin":"AQACcTEAAAAAAAA+QAAAAAAAAD5AAAAAAAAALkA="},{"op":"cancel","id":"q2"},{"op":"slot","slot":0,"selected":[3,1,7],"ran":true},{"op":"slot","slot":1,"ran":false}]}`,
+	`{"v":5,"type":"hello","seq":1,"epoch":1,"node":"n0","slot":0,"config":{"world":"rwm","seed":21,"sensors":220,"shards":4,"shard":0}}`,
+	`{"v":5,"type":"resync","seq":2,"epoch":2,"node":"n0","slot":0,"config":{"world":"intellab","seed":7,"shards":2,"shard":1},"ops":[{"op":"submits","specs_bin":"AQACcTEAAAAAAAA+QAAAAAAAAD5AAAAAAAAALkA="},{"op":"cancel","id":"q2"},{"op":"slot","slot":0,"selected":[3,1,7],"ran":true},{"op":"slot","slot":1,"ran":false}]}`,
 	// A batch of two specs: an aggregate and a two-waypoint trajectory.
-	`{"v":4,"type":"submits","seq":3,"epoch":1,"slot":0,"specs_bin":"AQIBYQAAAAAAADRAAAAAAAAANEAAAAAAAABEQAAAAAAAAERAAAAAAABAb0ABAwF0AwAAAAAAADlAAAAAAAAARUAAAAAAAIBLQAAAAAAAAEVAAAAAAADAYkA="}`,
-	`{"v":4,"type":"cancel","seq":4,"epoch":1,"slot":0,"id":"q1"}`,
-	`{"v":4,"type":"run_slot","seq":6,"epoch":1,"slot":3}`,
-	`{"v":4,"type":"commit","seq":7,"epoch":1,"slot":3,"selected":[5,2,9]}`,
-	`{"v":4,"type":"ping","seq":8,"epoch":1,"slot":0,"facts":[{"subject":"n0","attribute":"alive","value":"1","ttl_ms":1500}]}`,
-	`{"v":4,"type":"ok","seq":4,"epoch":1,"slot":0,"applied":17,"removed":true}`,
-	`{"v":4,"type":"ok","seq":2,"epoch":2,"slot":0}`,
+	`{"v":5,"type":"submits","seq":3,"epoch":1,"slot":0,"specs_bin":"AQIBYQAAAAAAADRAAAAAAAAANEAAAAAAAABEQAAAAAAAAERAAAAAAABAb0ABAwF0AwAAAAAAADlAAAAAAAAARUAAAAAAAIBLQAAAAAAAAEVAAAAAAADAYkA="}`,
+	`{"v":5,"type":"cancel","seq":4,"epoch":1,"slot":0,"id":"q1"}`,
+	`{"v":5,"type":"run_slot","seq":6,"epoch":1,"slot":3}`,
+	`{"v":5,"type":"commit","seq":7,"epoch":1,"slot":3,"selected":[5,2,9]}`,
+	`{"v":5,"type":"ping","seq":8,"epoch":1,"slot":0,"facts":[{"subject":"n0","attribute":"alive","value":"1","ttl_ms":1500}]}`,
+	`{"v":5,"type":"ok","seq":4,"epoch":1,"slot":0,"applied":17,"removed":true}`,
+	`{"v":5,"type":"ok","seq":2,"epoch":2,"slot":0}`,
 	// A partial: slot 3, two committed sensors, one point outcome.
-	`{"v":4,"type":"partial","seq":6,"epoch":1,"slot":3,"applied":4,"partial_bin":"AwYYBAMKBAMICgAAAAAAAOA/AAAAAAAAAkACBAAAAAAAANA/AAAAAAAA+D8CAnExAAAAAAAADEAAAAAAAAAA6D8AAAAAAAAMQAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAABkACAnExAAAAAAAADEACAnExAAAAAAAA4D8AAAAAAAAAAAAAAAAAmpmZmZmZ2T+amZmZmZm5Pw=="}`,
-	`{"v":4,"type":"error","seq":9,"epoch":2,"slot":0,"applied":3,"error":"ps: stale cluster epoch","code":"stale_epoch"}`,
+	`{"v":5,"type":"partial","seq":6,"epoch":1,"slot":3,"applied":4,"partial_bin":"BAYYBAMKBAMICgAAAAAAAOA/AAAAAAAAAkACBAAAAAAAANA/AAAAAAAA+D8CAnExAAAAAAAADEAAAAAAAAAA6D8AAAAAAAAMQAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAABkACAnExAAAAAAAADEACAnExAAAAAAAA4D8AAAAAAAAAAAAAAACamZmZmZnZP5qZmZmZmbk/"}`,
+	`{"v":5,"type":"error","seq":9,"epoch":2,"slot":0,"applied":3,"error":"ps: stale cluster epoch","code":"stale_epoch"}`,
 	`{"v":1,"type":"ping","seq":1,"epoch":1,"slot":0}`,                                                                       // wrong version
-	`{"v":3,"type":"ping","seq":1,"epoch":1,"slot":0}`,                                                                       // wrong version: the one before this
-	`{"v":4,"type":"warp","seq":1,"epoch":1,"slot":0}`,                                                                       // unknown type
-	`{"v":4,"type":"hello","seq":1,"epoch":1,"slot":0}`,                                                                      // missing config
-	`{"v":4,"type":"hello","seq":1,"epoch":1,"slot":0,"config":{"world":"moon","shards":1,"shard":0}}`,                       // unknown world
-	`{"v":4,"type":"hello","seq":1,"epoch":1,"slot":0,"config":{"world":"rwm","shards":2,"shard":2}}`,                        // shard out of range
-	`{"v":4,"type":"submits","seq":1,"epoch":1,"slot":0}`,                                                                    // missing batch
-	`{"v":4,"type":"cancel","seq":1,"epoch":1,"slot":0}`,                                                                     // missing id
-	`{"v":4,"type":"partial","seq":1,"epoch":1,"slot":0}`,                                                                    // missing partial
-	`{"v":4,"type":"error","seq":1,"epoch":1,"slot":0}`,                                                                      // missing error text
-	`{"v":4,"type":"resync","seq":1,"epoch":1,"slot":0,"config":{"world":"rwm","shards":1,"shard":0},"ops":[{"op":"warp"}]}`, // unknown op
-	`{"v":4,"type":"submitted","seq":3,"epoch":1,"slot":0,"id":"a"}`,                                                         // v1's submit reply: gone
-	`{"v":4,"type":"partial","seq":6,"epoch":1,"slot":3,"partial":{"slot":3,"offers":12,"queries":2}}`,                       // v1's JSON partial: gone
-	`{"v":4,"type":"partial","seq":6,"epoch":1,"slot":3,"partial_bin":"AwYYBAMKBAMI"}`,                                       // truncated partial
-	`{"v":4,"type":"partial","seq":6,"epoch":1,"slot":3,"partial_bin":"not base64"}`,
+	`{"v":4,"type":"ping","seq":1,"epoch":1,"slot":0}`,                                                                       // wrong version: the one before this
+	`{"v":5,"type":"warp","seq":1,"epoch":1,"slot":0}`,                                                                       // unknown type
+	`{"v":5,"type":"hello","seq":1,"epoch":1,"slot":0}`,                                                                      // missing config
+	`{"v":5,"type":"hello","seq":1,"epoch":1,"slot":0,"config":{"world":"moon","shards":1,"shard":0}}`,                       // unknown world
+	`{"v":5,"type":"hello","seq":1,"epoch":1,"slot":0,"config":{"world":"rwm","shards":2,"shard":2}}`,                        // shard out of range
+	`{"v":5,"type":"submits","seq":1,"epoch":1,"slot":0}`,                                                                    // missing batch
+	`{"v":5,"type":"cancel","seq":1,"epoch":1,"slot":0}`,                                                                     // missing id
+	`{"v":5,"type":"partial","seq":1,"epoch":1,"slot":0}`,                                                                    // missing partial
+	`{"v":5,"type":"error","seq":1,"epoch":1,"slot":0}`,                                                                      // missing error text
+	`{"v":5,"type":"resync","seq":1,"epoch":1,"slot":0,"config":{"world":"rwm","shards":1,"shard":0},"ops":[{"op":"warp"}]}`, // unknown op
+	`{"v":5,"type":"submitted","seq":3,"epoch":1,"slot":0,"id":"a"}`,                                                         // v1's submit reply: gone
+	`{"v":5,"type":"partial","seq":6,"epoch":1,"slot":3,"partial":{"slot":3,"offers":12,"queries":2}}`,                       // v1's JSON partial: gone
+	`{"v":5,"type":"partial","seq":6,"epoch":1,"slot":3,"partial_bin":"BAYYBAMKBAMI"}`,                                       // truncated partial
+	`{"v":5,"type":"partial","seq":6,"epoch":1,"slot":3,"partial_bin":"not base64"}`,
 	`{}`, `null`, `[]`, `"ping"`, `{"type":12}`, `{"v":-1,"type":"ping"}`,
 }
 
@@ -199,7 +199,7 @@ func FuzzDecodeClusterFrame(f *testing.F) {
 		f.Add([]byte(tc.frame))
 	}
 	f.Add([]byte(nil))
-	f.Add([]byte(`{"v":4,"type":"commit","seq":18446744073709551615,"epoch":1,"slot":-9,"selected":[0,0,0]}`))
+	f.Add([]byte(`{"v":5,"type":"commit","seq":18446744073709551615,"epoch":1,"slot":-9,"selected":[0,0,0]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		frame, err := wire.DecodeClusterFrame(data)
 		if err != nil {
@@ -238,15 +238,17 @@ func TestClusterSeedsDecode(t *testing.T) {
 }
 
 // removedClusterSeeds are what a v2 peer used to switch a lane's strategy
-// at runtime, v3's per-query JSON submit frame and oplog op, and hellos
-// of both versions: each must be refused, for the reason given.
+// at runtime, v3's per-query JSON submit frame and oplog op, hellos of
+// both versions, and a v4 hello fixing the lane's strategy in its config:
+// each must be refused, for the reason given.
 var removedClusterSeeds = []struct{ frame, wantErr string }{
-	{`{"v":4,"type":"set_strategy","seq":5,"epoch":1,"slot":0,"strategy":"lazy"}`, "unknown cluster frame type"},
-	{`{"v":4,"type":"resync","seq":1,"epoch":1,"slot":0,"config":{"world":"rwm","shards":1,"shard":0},"ops":[{"op":"strategy","strategy":"serial"}]}`, `unknown cluster op "strategy"`},
-	{`{"v":4,"type":"submit","seq":3,"epoch":1,"slot":0,"spec":{"v":1,"type":"point","id":"q1","loc":{"x":30,"y":30},"budget":15}}`, "unknown cluster frame type"},
-	{`{"v":4,"type":"resync","seq":1,"epoch":1,"slot":0,"config":{"world":"rwm","shards":1,"shard":0},"ops":[{"op":"submit","spec":{"v":1,"type":"point","id":"q1","loc":{"x":30,"y":30},"budget":15}}]}`, `unknown cluster op "submit"`},
-	{`{"v":2,"type":"hello","seq":1,"epoch":1,"slot":0,"config":{"world":"rwm","seed":21,"sensors":220,"shards":4,"shard":0}}`, "unsupported cluster frame version 2 (this build speaks v4)"},
-	{`{"v":3,"type":"hello","seq":1,"epoch":1,"slot":0,"config":{"world":"rwm","seed":21,"sensors":220,"shards":4,"shard":0}}`, "unsupported cluster frame version 3 (this build speaks v4)"},
+	{`{"v":5,"type":"set_strategy","seq":5,"epoch":1,"slot":0,"strategy":"lazy"}`, "unknown cluster frame type"},
+	{`{"v":5,"type":"resync","seq":1,"epoch":1,"slot":0,"config":{"world":"rwm","shards":1,"shard":0},"ops":[{"op":"strategy","strategy":"serial"}]}`, `unknown cluster op "strategy"`},
+	{`{"v":5,"type":"submit","seq":3,"epoch":1,"slot":0,"spec":{"v":1,"type":"point","id":"q1","loc":{"x":30,"y":30},"budget":15}}`, "unknown cluster frame type"},
+	{`{"v":5,"type":"resync","seq":1,"epoch":1,"slot":0,"config":{"world":"rwm","shards":1,"shard":0},"ops":[{"op":"submit","spec":{"v":1,"type":"point","id":"q1","loc":{"x":30,"y":30},"budget":15}}]}`, `unknown cluster op "submit"`},
+	{`{"v":2,"type":"hello","seq":1,"epoch":1,"slot":0,"config":{"world":"rwm","seed":21,"sensors":220,"shards":4,"shard":0}}`, "unsupported cluster frame version 2 (this build speaks v5)"},
+	{`{"v":3,"type":"hello","seq":1,"epoch":1,"slot":0,"config":{"world":"rwm","seed":21,"sensors":220,"shards":4,"shard":0}}`, "unsupported cluster frame version 3 (this build speaks v5)"},
+	{`{"v":4,"type":"hello","seq":1,"epoch":1,"slot":0,"config":{"world":"rwm","seed":21,"sensors":220,"shards":4,"shard":0,"strategy":"serial"}}`, "unsupported cluster frame version 4 (this build speaks v5)"},
 }
 
 func TestClusterFrameRefusesRemovedStrategySurface(t *testing.T) {

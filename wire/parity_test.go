@@ -8,18 +8,6 @@ import (
 	ps "repro"
 )
 
-// wireParityExceptions are leaves of ps.EngineMetrics that deliberately
-// do not surface in the wire Metrics document. Keep this list short and
-// justified: everything else must round-trip, so a renamed or forgotten
-// field fails the test instead of silently vanishing from /metrics
-// (which is exactly how the ResultsDelivered→EventsDelivered rename
-// nearly shipped as a silent drop).
-var wireParityExceptions = map[string]string{
-	// Every shard runs the engine-level strategy; the per-shard label
-	// would be N copies of the top-level "strategy" field.
-	"Shards[0].Selection.Strategy": "redundant with top-level strategy",
-}
-
 // setLeaf assigns a non-zero value to a scalar leaf.
 func setLeaf(t *testing.T, v reflect.Value, path string) {
 	t.Helper()
@@ -85,7 +73,7 @@ func TestEngineMetricsWireParity(t *testing.T) {
 		return m
 	}
 	marshal := func(m ps.EngineMetrics) string {
-		b, err := json.Marshal(MetricsFrom(m, "auto"))
+		b, err := json.Marshal(MetricsFrom(m))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,7 +90,6 @@ func TestEngineMetricsWireParity(t *testing.T) {
 		t.Fatalf("only %d leaves found — reflection walk broken?", len(leaves))
 	}
 
-	covered := make(map[string]bool)
 	for _, leaf := range leaves {
 		m := shaped()
 		v := reflect.ValueOf(&m).Elem()
@@ -114,21 +101,8 @@ func TestEngineMetricsWireParity(t *testing.T) {
 			}
 		}
 		setLeaf(t, v, leaf.name)
-		changed := marshal(m) != base
-		if why, excepted := wireParityExceptions[leaf.name]; excepted {
-			covered[leaf.name] = true
-			if changed {
-				t.Errorf("EngineMetrics.%s is excepted (%s) but now surfaces in wire.Metrics — drop the exception", leaf.name, why)
-			}
-			continue
-		}
-		if !changed {
+		if marshal(m) == base {
 			t.Errorf("EngineMetrics.%s does not surface in wire.Metrics — MetricsFrom dropped it", leaf.name)
-		}
-	}
-	for name := range wireParityExceptions {
-		if !covered[name] {
-			t.Errorf("stale parity exception %q: no such EngineMetrics leaf", name)
 		}
 	}
 }

@@ -363,13 +363,11 @@ type Metrics struct {
 	SlotLatencyAvg   string  `json:"slot_latency_avg"`
 	SlotLatencyMax   string  `json:"slot_latency_max"`
 	// Greedy selection core instrumentation (see ps.SelectionStats).
-	Strategy                string `json:"strategy"`
-	StrategyLastSlot        string `json:"strategy_last_slot"`
-	ValuationCalls          int64  `json:"valuation_calls"`
-	ValuationCallsSaved     int64  `json:"valuation_calls_saved"`
-	LazyReevaluations       int64  `json:"lazy_reevaluations"`
-	SubmodularityViolations int64  `json:"submodularity_violations"`
-	FallbackRescans         int64  `json:"fallback_rescans"`
+	ValuationCalls          int64 `json:"valuation_calls"`
+	ValuationCallsSaved     int64 `json:"valuation_calls_saved"`
+	LazyReevaluations       int64 `json:"lazy_reevaluations"`
+	SubmodularityViolations int64 `json:"submodularity_violations"`
+	FallbackRescans         int64 `json:"fallback_rescans"`
 	// Valuation-cache instrumentation: footprint-geometry cache probes
 	// and GP base-posterior observation accounting (rank-1 appends vs
 	// exact from-scratch rebuilds).
@@ -420,9 +418,7 @@ type ShardMetrics struct {
 }
 
 // MetricsFrom converts an engine metrics snapshot to its wire form.
-// configured is the server's configured selection strategy (the engine
-// snapshot only knows the last executed slot's).
-func MetricsFrom(m ps.EngineMetrics, configured string) Metrics {
+func MetricsFrom(m ps.EngineMetrics) Metrics {
 	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 	var stages []StageMetrics
 	for _, s := range m.SlotStages {
@@ -482,8 +478,6 @@ func MetricsFrom(m ps.EngineMetrics, configured string) Metrics {
 		SlotLatencyLast:         m.SlotLatencyLast.String(),
 		SlotLatencyAvg:          m.SlotLatencyAvg.String(),
 		SlotLatencyMax:          m.SlotLatencyMax.String(),
-		Strategy:                configured,
-		StrategyLastSlot:        m.Strategy,
 		ValuationCalls:          m.ValuationCalls,
 		ValuationCallsSaved:     m.ValuationCallsSaved,
 		LazyReevaluations:       m.LazyReevaluations,
