@@ -355,8 +355,8 @@ func (a *Aggregator) executeSlot(t int, offers []core.Offer) *slotExec {
 	// Continuous queries report under their own ID: Algorithm 5's
 	// generated probes carry derived IDs, so without this projection
 	// Answered/Value/Payment would never see monitoring results.
-	for qid, co := range res.Continuous {
-		e := slotResult{id: qid, satisfied: co.Satisfied}
+	for _, co := range res.Continuous {
+		e := slotResult{id: co.ID, satisfied: co.Satisfied}
 		if co.ValueDelta > 0 {
 			e.value = co.ValueDelta
 		}
@@ -386,7 +386,7 @@ func (a *Aggregator) executeSlot(t int, offers []core.Offer) *slotExec {
 			thetas = append(thetas, th)
 			centers = append(centers, s.Pos)
 		}
-		coverage := a.world.Grid.CoverageFraction(e.Region, centers, e.SensingRange)
+		coverage := e.Coverage(centers)
 		detected, conf, avg := e.Evaluate(vals, thetas, coverage)
 		report.Events = append(report.Events, EventNotification{
 			QueryID: e.ID, Slot: t, Detected: detected, Confidence: conf, Reading: avg,

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"slices"
+	"strings"
+
 	"repro/internal/query"
 	"repro/internal/sensornet"
 )
@@ -48,13 +51,16 @@ type MixSlotResult struct {
 	// query (location/region monitoring) under its *parent* query ID —
 	// the probes Algorithm 5 generates carry derived IDs, so without
 	// this projection per-query reporting cannot see continuous results.
-	Continuous map[string]ContinuousOutcome
+	// One entry per ID, ascending by ID; never nil.
+	Continuous []ContinuousOutcome
 	// TotalCost is the cost of all selected sensors.
 	TotalCost float64
 }
 
 // ContinuousOutcome is one continuous query's slot outcome.
 type ContinuousOutcome struct {
+	// ID is the continuous query's own ID.
+	ID string
 	// Satisfied reports whether any probe of the query was answered.
 	Satisfied bool
 	// ValueDelta is the increase of the query's valuation this slot.
@@ -88,7 +94,7 @@ func RunMixSlot(t int, qs MixQueries, offers []Offer) *MixSlotResult {
 // is bit-identical against the serial reference, only Multi.Stats
 // differs.
 func RunMixSlotWith(t int, qs MixQueries, offers []Offer, cfg GreedyConfig) *MixSlotResult {
-	res := &MixSlotResult{Continuous: make(map[string]ContinuousOutcome)}
+	res := &MixSlotResult{}
 
 	// The joint pass's queries: the user queries first, then each probe
 	// appended at the offset its continuous query remembers.
@@ -106,6 +112,7 @@ func RunMixSlotWith(t int, qs MixQueries, offers []Offer, cfg GreedyConfig) *Mix
 	// Stage 1a: location monitoring point queries.
 	type lmProbe struct {
 		q  *query.LocationMonitoring
+		li int // index of q in lmActive
 		at int // offset of the probe in all
 	}
 	var lmActive []*query.LocationMonitoring
@@ -118,7 +125,7 @@ func RunMixSlotWith(t int, qs MixQueries, offers []Offer, cfg GreedyConfig) *Mix
 		lmActive = append(lmActive, q)
 		lmBefore = append(lmBefore, q.Value())
 		if p, ok := q.CreatePointQuery(t); ok {
-			lmProbes = append(lmProbes, lmProbe{q: q, at: len(all)})
+			lmProbes = append(lmProbes, lmProbe{q: q, li: len(lmActive) - 1, at: len(all)})
 			all = append(all, p)
 		}
 	}
@@ -150,10 +157,14 @@ func RunMixSlotWith(t int, qs MixQueries, offers []Offer, cfg GreedyConfig) *Mix
 		res.PointValue += multi.Outcomes[pointsAt+i].Value
 	}
 
+	// The continuous outcomes by position: each active location monitor,
+	// then each active region monitor.
+	cont := make([]ContinuousOutcome, len(lmActive)+len(rm.active))
+	lmCont, rmCont := cont[:len(lmActive)], cont[len(lmActive):]
+
 	// Stage 3a: apply location monitoring results (Algorithm 2).
 	for _, lp := range lmProbes {
-		q, out := lp.q, &multi.Outcomes[lp.at]
-		co := res.Continuous[q.ID]
+		q, out, co := lp.q, &multi.Outcomes[lp.at], &lmCont[lp.li]
 		if out.Value > 0 {
 			paid := out.TotalPayment()
 			q.ApplyResults(t, true, paid, bestTheta(q, out))
@@ -162,7 +173,6 @@ func RunMixSlotWith(t int, qs MixQueries, offers []Offer, cfg GreedyConfig) *Mix
 		} else {
 			q.ApplyResults(t, false, 0, 0)
 		}
-		res.Continuous[q.ID] = co
 	}
 
 	// Stage 3b: apply region monitoring results (Algorithm 3), including
@@ -178,28 +188,47 @@ func RunMixSlotWith(t int, qs MixQueries, offers []Offer, cfg GreedyConfig) *Mix
 		return out.Sensors[0], out.TotalPayment(), true
 	}, multi.Selected, true)
 	for _, plan := range rm.plans {
-		co := res.Continuous[plan.q.ID]
+		co := &rmCont[plan.active]
 		co.Satisfied = co.Satisfied || plan.satisfied
 		co.Payment += plan.paid
-		res.Continuous[plan.q.ID] = co
 	}
 
 	// Value deltas of continuous queries.
 	for i, q := range lmActive {
 		delta := q.Value() - lmBefore[i]
 		res.LocMonValue += delta
-		co := res.Continuous[q.ID]
-		co.ValueDelta = delta
-		res.Continuous[q.ID] = co
+		lmCont[i].ID, lmCont[i].ValueDelta = q.ID, delta
 	}
 	for qi, q := range rm.active {
 		delta := q.Value() - rm.before[qi]
 		res.RegMonValue += delta
-		co := res.Continuous[q.ID]
-		co.ValueDelta = delta
-		res.Continuous[q.ID] = co
+		rmCont[qi].ID, rmCont[qi].ValueDelta = q.ID, delta
 	}
+	res.Continuous = continuousByID(cont)
 	return res
+}
+
+// continuousByID sorts a slot's continuous outcomes by ID, stably, and
+// merges the outcomes of queries that share an ID into one, the way a
+// single entry per ID would have accumulated them in the same order:
+// satisfied when any was, payments summed in order, the last value delta.
+func continuousByID(cs []ContinuousOutcome) []ContinuousOutcome {
+	if len(cs) == 0 {
+		return cs
+	}
+	slices.SortStableFunc(cs, func(a, b ContinuousOutcome) int { return strings.Compare(a.ID, b.ID) })
+	w := 0
+	for _, c := range cs[1:] {
+		if c.ID != cs[w].ID {
+			w++
+			cs[w] = c
+			continue
+		}
+		cs[w].Satisfied = cs[w].Satisfied || c.Satisfied
+		cs[w].Payment += c.Payment
+		cs[w].ValueDelta = c.ValueDelta
+	}
+	return cs[:w+1]
 }
 
 // RunMixSlotBaseline is the §4.7 baseline: aggregate queries are executed
@@ -207,10 +236,7 @@ func RunMixSlotWith(t int, qs MixQueries, offers []Offer, cfg GreedyConfig) *Mix
 // zero, then the continuous queries' (desired-time-only) point queries and
 // the user point queries run through the baseline point algorithm.
 func RunMixSlotBaseline(t int, qs MixQueries, offers []Offer) *MixSlotResult {
-	res := &MixSlotResult{
-		PointOutcomes: make(map[string]PointOutcome),
-		Continuous:    make(map[string]ContinuousOutcome),
-	}
+	res := &MixSlotResult{PointOutcomes: make(map[string]PointOutcome)}
 
 	multiQs := make([]query.Query, 0, len(qs.Aggregates)+len(qs.Extra))
 	for _, q := range qs.Aggregates {
@@ -232,16 +258,22 @@ func RunMixSlotBaseline(t int, qs MixQueries, offers []Offer) *MixSlotResult {
 
 	// Point queries for continuous queries: desired sampling times only.
 	pts := append([]*query.Point(nil), qs.Points...)
-	lmOwners := make(map[string]*query.LocationMonitoring)
-	lmBefore := make(map[string]float64)
+	type lmProbe struct {
+		pid string
+		li  int // index of the probe's query in lmActive
+	}
+	var lmActive []*query.LocationMonitoring
+	var lmBefore []float64
+	var lmProbes []lmProbe
 	for _, q := range qs.LocMon {
 		if !q.Active(t) {
 			continue
 		}
-		lmBefore[q.ID] = q.Value()
+		lmActive = append(lmActive, q)
+		lmBefore = append(lmBefore, q.Value())
 		if p, ok := q.CreatePointQueryBaseline(t); ok {
 			pts = append(pts, p)
-			lmOwners[p.QID()] = q
+			lmProbes = append(lmProbes, lmProbe{pid: p.QID(), li: len(lmActive) - 1})
 		}
 	}
 
@@ -253,26 +285,23 @@ func RunMixSlotBaseline(t int, qs MixQueries, offers []Offer) *MixSlotResult {
 			res.PointOutcomes[q.QID()] = o
 		}
 	}
-	for pid, q := range lmOwners {
-		co := res.Continuous[q.ID]
-		if o, ok := ptRes.Outcomes[pid]; ok {
+	cont := make([]ContinuousOutcome, len(lmActive))
+	for _, lp := range lmProbes {
+		q, co := lmActive[lp.li], &cont[lp.li]
+		if o, ok := ptRes.Outcomes[lp.pid]; ok {
 			q.ApplyResults(t, true, o.Payment, o.Theta)
 			co.Satisfied = true
 			co.Payment += o.Payment
 		} else {
 			q.ApplyResults(t, false, 0, 0)
 		}
-		res.Continuous[q.ID] = co
 	}
-	for _, q := range qs.LocMon {
-		if before, ok := lmBefore[q.ID]; ok {
-			delta := q.Value() - before
-			res.LocMonValue += delta
-			co := res.Continuous[q.ID]
-			co.ValueDelta = delta
-			res.Continuous[q.ID] = co
-		}
+	for i, q := range lmActive {
+		delta := q.Value() - lmBefore[i]
+		res.LocMonValue += delta
+		cont[i].ID, cont[i].ValueDelta = q.ID, delta
 	}
+	res.Continuous = continuousByID(cont)
 	// Merge selected sensors for the caller's Commit.
 	res.Multi = &MultiResult{
 		Selected:   append(append([]*sensornet.Sensor(nil), agg.Selected...), ptRes.Selected...),

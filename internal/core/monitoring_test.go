@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -308,7 +309,7 @@ func TestMixSlotRegMonContributions(t *testing.T) {
 					probes += out.TotalPayment()
 				}
 			}
-			if res.Continuous[rm.ID].Payment > probes+1e-9 {
+			if i, ok := slices.BinarySearchFunc(res.Continuous, rm.ID, func(c ContinuousOutcome, id string) int { return strings.Compare(c.ID, id) }); ok && res.Continuous[i].Payment > probes+1e-9 {
 				shared++
 			}
 		}
@@ -371,5 +372,30 @@ func TestMixBaselineWithLocMonAndExtra(t *testing.T) {
 	}
 	if len(lm.Sampled) == 0 {
 		t.Error("baseline mix never sampled the locmon query at desired times")
+	}
+}
+
+// TestContinuousByIDMergesRepeatedIDs: the slot's continuous outcomes
+// come out ascending by ID, one per ID. Outcomes of queries sharing an ID
+// merge the way one entry per ID accumulated them in position order:
+// satisfied when any was, payments summed in order, the last value delta.
+func TestContinuousByIDMergesRepeatedIDs(t *testing.T) {
+	got := continuousByID([]ContinuousOutcome{
+		{ID: "lm-b", ValueDelta: 1, Payment: 0.5},
+		{ID: "lm-a", ValueDelta: 2, Payment: 0.25, Satisfied: true},
+		{ID: "rm-a", ValueDelta: 3},
+		{ID: "lm-b", ValueDelta: 4, Payment: 0.125, Satisfied: true},
+		{ID: "lm-b", ValueDelta: 5, Payment: 0.0625},
+	})
+	want := []ContinuousOutcome{
+		{ID: "lm-a", ValueDelta: 2, Payment: 0.25, Satisfied: true},
+		{ID: "lm-b", ValueDelta: 5, Payment: 0.5 + 0.125 + 0.0625, Satisfied: true},
+		{ID: "rm-a", ValueDelta: 3},
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("got %+v, want %+v", got, want)
+	}
+	if got := continuousByID([]ContinuousOutcome{}); got == nil || len(got) != 0 {
+		t.Errorf("no continuous queries: got %#v, want an empty non-nil slice", got)
 	}
 }

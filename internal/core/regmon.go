@@ -67,6 +67,7 @@ func (r *RegMonSlotResult) Welfare() float64 { return r.ValueGained - r.Point.To
 // applied, what the query paid on it.
 type regPlan struct {
 	q            *query.RegionMonitoring
+	active       int     // index of q in regmonSlot.active
 	expectedCost float64 // C_t: announced (weighted) cost of planned sensors
 	probes       []int   // indices of the plan's point queries among the slot's probes
 	spent        float64 // payments for the answered point queries
@@ -170,6 +171,7 @@ func planRegionMonitoring(t int, queries []*query.RegionMonitoring, offers []Off
 		if pq.plan == nil {
 			continue
 		}
+		pq.plan.active = qi
 		for k := range pq.plan.probes {
 			pq.plan.probes[k] += len(pts)
 		}
@@ -310,6 +312,7 @@ func (rs *regmonSlot) apply(answered func(k int) (*sensornet.Sensor, float64, bo
 	if !share {
 		return
 	}
+	var sc query.PlanScratch
 	for _, plan := range rs.plans {
 		q := plan.q
 		budget := q.Alpha * (plan.expectedCost - plan.spent)
@@ -325,7 +328,7 @@ func (rs *regmonSlot) apply(answered func(k int) (*sensornet.Sensor, float64, bo
 			if !q.Region.Contains(s.Pos) || recorded[plan][s.ID] {
 				continue
 			}
-			if dv := marginalRegionValue(q, s); dv > 0 {
+			if dv := marginalRegionValue(q, s, &sc); dv > 0 {
 				cands = append(cands, cand{s: s, dv: dv})
 			}
 		}
@@ -409,15 +412,10 @@ func RunRegionMonitoringSlotBaseline(t int, queries []*query.RegionMonitoring, o
 }
 
 // marginalRegionValue computes v_q(S ∪ {s}) - v_q(S) on the query's
-// accumulated observation state.
-func marginalRegionValue(q *query.RegionMonitoring, s *sensornet.Sensor) float64 {
-	afterPts := make([]geo.Point, 0, len(q.ObsPoints)+1)
-	afterPts = append(afterPts, q.ObsPoints...)
-	afterPts = append(afterPts, s.Pos)
-	afterThetas := make([]float64, 0, len(q.Thetas)+1)
-	afterThetas = append(afterThetas, q.Thetas...)
-	afterThetas = append(afterThetas, q.Theta(s))
-	return q.ValueOf(afterPts, afterThetas) - q.Value()
+// accumulated observation state: the marginal of a one-point plan, on
+// the query's kept kernel blocks, in sc.
+func marginalRegionValue(q *query.RegionMonitoring, s *sensornet.Sensor, sc *query.PlanScratch) float64 {
+	return q.PlanMarginals([]geo.Point{s.Pos}, []float64{q.Theta(s)}, sc)[0]
 }
 
 // selectSamplingPoints is Algorithm 4: greedy sampling-point selection for

@@ -230,13 +230,12 @@ func (g Grid) CellBlock(r Rect) (cells []Point, cols int) {
 	return cells, cols
 }
 
-// CoverageFraction returns the fraction of grid-cell centers inside region
-// that are within radius of at least one of the given centers. It is the
-// coverage function G_q used by the spatial-aggregate valuation (Eq. 5):
-// a simple coverage that "calculates the fraction of the area covered by
-// the sensors".
-func (g Grid) CoverageFraction(region Rect, centers []Point, radius float64) float64 {
-	cells := g.CellsIn(region)
+// CoverageFraction returns the fraction of cells (the grid-cell centers
+// of a region, Grid.CellsIn) that are within radius of at least one of
+// the given centers. It is the coverage function G_q used by the
+// spatial-aggregate valuation (Eq. 5): a simple coverage that
+// "calculates the fraction of the area covered by the sensors".
+func CoverageFraction(cells, centers []Point, radius float64) float64 {
 	if len(cells) == 0 {
 		return 0
 	}

@@ -242,15 +242,15 @@ func TestCoverageFraction(t *testing.T) {
 	g := NewUnitGrid(10, 10)
 	region := NewRect(0, 0, 10, 10)
 	// One sensor at the center with huge radius covers everything.
-	if got := g.CoverageFraction(region, []Point{Pt(5, 5)}, 100); got != 1 {
+	if got := CoverageFraction(g.CellsIn(region), []Point{Pt(5, 5)}, 100); got != 1 {
 		t.Errorf("full coverage = %v", got)
 	}
 	// No sensors covers nothing.
-	if got := g.CoverageFraction(region, nil, 5); got != 0 {
+	if got := CoverageFraction(g.CellsIn(region), nil, 5); got != 0 {
 		t.Errorf("empty coverage = %v", got)
 	}
 	// Radius 0.9 from a cell center covers exactly that cell center.
-	if got := g.CoverageFraction(region, []Point{Pt(5.5, 5.5)}, 0.9); got != 0.01 {
+	if got := CoverageFraction(g.CellsIn(region), []Point{Pt(5.5, 5.5)}, 0.9); got != 0.01 {
 		t.Errorf("single cell coverage = %v want 0.01", got)
 	}
 }
@@ -262,8 +262,8 @@ func TestCoverageFractionMonotoneProperty(t *testing.T) {
 	f := func(x1, y1, x2, y2 uint8) bool {
 		a := Pt(float64(x1%20), float64(y1%20))
 		b := Pt(float64(x2%20), float64(y2%20))
-		one := g.CoverageFraction(region, []Point{a}, 3)
-		two := g.CoverageFraction(region, []Point{a, b}, 3)
+		one := CoverageFraction(g.CellsIn(region), []Point{a}, 3)
+		two := CoverageFraction(g.CellsIn(region), []Point{a, b}, 3)
 		return two >= one
 	}
 	if err := quick.Check(f, nil); err != nil {

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 
 	"repro/internal/geo"
 	"repro/internal/linalg"
@@ -83,58 +84,110 @@ func New(k Kernel, noise float64) *GP {
 // many subsets of one set (the leave-one-out marginals of
 // CreatePointQueries) evaluates each point pair's covariance once.
 //
-// A KernelBlocks also keeps the buffers its posterior solves work in, so
-// a caller that holds one across Builds and subsets (Algorithm 4's
-// planning arena) stops allocating once they have grown. The zero value
-// is ready for Build. Not safe for concurrent use.
+// The point set grows at its end (Extend) and shrinks back (Truncate);
+// the entries of the points kept stay where they are, so a caller whose
+// point set only grows, like a region-monitoring query's observations,
+// evaluates the kernel for each new point alone.
+//
+// A KernelBlocks keeps its selected indices and its result between
+// calls; the larger buffers of a solve come from a free list the blocks
+// of every caller share, so many long-lived blocks, one per query, do not
+// each hold their own. The zero value is ready for Reset. Not
+// safe for concurrent use.
 type KernelBlocks struct {
 	g       *GP
 	targets []geo.Point
 	pts     []geo.Point
-	kuu     []float64 // kuu[i*n+j] = k(pts[i], pts[j]) for j <= i, without noise
-	ktu     []float64 // ktu[v*n+i] = k(targets[v], pts[i])
+	kuu     []float64 // packed lower triangle: kuu[i*(i+1)/2+j] = k(pts[i], pts[j]) for j <= i, without noise
+	ktu     []float64 // one row per point: ktu[i*len(targets)+v] = k(targets[v], pts[i])
 
-	// PosteriorVariances' scratch: the selected indices, K_AA and its
-	// factor, one target's covariances and solve, and the result.
-	idx       []int
+	idx []int     // PosteriorVariances(nil)'s selection: every point
+	out []float64 // PosteriorVariances' result
+}
+
+// solveBuffers are the buffers of one PosteriorVariances call: K_AA and
+// its factor, the targets' covariances with the selected points and
+// their solves (one row per selected point, one column per target), and
+// the dots of the two.
+type solveBuffers struct {
 	kaa       linalg.Matrix
 	ch        linalg.Cholesky
 	kv, alpha []float64
-	out       []float64
+	dots      []float64
+}
+
+// idleSolveBuffers holds the solve buffers no call is using, a free list
+// for the reason core's planning arenas keep one: a sync.Pool empties at
+// every GC. It holds at most as many as calls ever ran at once.
+var idleSolveBuffers struct {
+	sync.Mutex
+	free []*solveBuffers
+}
+
+func getSolveBuffers() *solveBuffers {
+	idleSolveBuffers.Lock()
+	defer idleSolveBuffers.Unlock()
+	n := len(idleSolveBuffers.free)
+	if n == 0 {
+		return &solveBuffers{}
+	}
+	sb := idleSolveBuffers.free[n-1]
+	idleSolveBuffers.free = idleSolveBuffers.free[:n-1]
+	return sb
+}
+
+func putSolveBuffers(sb *solveBuffers) {
+	idleSolveBuffers.Lock()
+	idleSolveBuffers.free = append(idleSolveBuffers.free, sb)
+	idleSolveBuffers.Unlock()
 }
 
 // NewKernelBlocks evaluates the kernel over pts and targets.
 func (g *GP) NewKernelBlocks(targets, pts []geo.Point) *KernelBlocks {
 	kb := &KernelBlocks{}
-	kb.Build(g, targets, pts)
+	kb.Reset(g, targets)
+	kb.Extend(pts...)
 	return kb
 }
 
-// Build evaluates g's kernel over pts and targets into kb, reusing its
-// buffers; the blocks of an earlier Build are gone. kb keeps pts and
-// targets, which must not change while it is in use.
-func (kb *KernelBlocks) Build(g *GP, targets, pts []geo.Point) {
-	n := len(pts)
-	kb.g, kb.targets, kb.pts = g, targets, pts
-	kb.kuu = growFloats(kb.kuu, n*n)
-	kb.ktu = growFloats(kb.ktu, len(targets)*n)
-	for i := 0; i < n; i++ {
-		for j := 0; j <= i; j++ {
-			kb.kuu[i*n+j] = g.Kernel.Cov(pts[i], pts[j])
+// Reset empties kb's point set and binds it to g and targets, keeping
+// its buffers. kb keeps targets, which must not change while it is in
+// use.
+func (kb *KernelBlocks) Reset(g *GP, targets []geo.Point) {
+	kb.g, kb.targets = g, targets
+	kb.pts, kb.kuu, kb.ktu = kb.pts[:0], kb.kuu[:0], kb.ktu[:0]
+}
+
+// Extend appends pts to kb's point set, evaluating the kernel between
+// each new point and every point before it, itself and each target.
+func (kb *KernelBlocks) Extend(pts ...geo.Point) {
+	k := kb.g.Kernel
+	for _, p := range pts {
+		kb.pts = append(kb.pts, p)
+		for _, o := range kb.pts {
+			kb.kuu = append(kb.kuu, k.Cov(p, o))
 		}
-	}
-	for v, t := range targets {
-		for i, o := range pts {
-			kb.ktu[v*n+i] = g.Kernel.Cov(t, o)
+		for _, t := range kb.targets {
+			kb.ktu = append(kb.ktu, k.Cov(t, p))
 		}
 	}
 }
 
+// Truncate shrinks kb's point set to its first n points.
+func (kb *KernelBlocks) Truncate(n int) {
+	kb.pts, kb.kuu, kb.ktu = kb.pts[:n], kb.kuu[:n*(n+1)/2], kb.ktu[:n*len(kb.targets)]
+}
+
+// Len returns the size of kb's point set.
+func (kb *KernelBlocks) Len() int { return len(kb.pts) }
+
 // growFloats returns buf resized to n, reallocating only when its
-// capacity is short. Contents are unspecified.
+// capacity is short, and then to at least twice it, so a buffer that
+// follows a growing point set is reallocated a logarithmic number of
+// times. Contents are unspecified.
 func growFloats(buf []float64, n int) []float64 {
 	if cap(buf) < n {
-		return make([]float64, n)
+		return make([]float64, n, max(n, 2*cap(buf)))
 	}
 	return buf[:n]
 }
@@ -144,16 +197,22 @@ func growFloats(buf []float64, n int) []float64 {
 // indices into the point set; nil selects all of them. With no
 // observations it returns the prior variances. The result is kb's own
 // buffer: it is valid until the next call on kb.
+//
+// One factorization of K_AA serves every target: the targets'
+// covariance vectors are the columns of one matrix, solved and dotted
+// four at a time (linalg.Cholesky.SolveInto, linalg.ColumnDots), and each
+// target's variance is bit-identical to a one-vector solve and dot
+// product of its own.
 func (kb *KernelBlocks) PosteriorVariances(idx []int) ([]float64, error) {
-	g, stride := kb.g, len(kb.pts)
+	g, nt := kb.g, len(kb.targets)
 	if idx == nil {
 		kb.idx = kb.idx[:0]
-		for i := 0; i < stride; i++ {
+		for i := range kb.pts {
 			kb.idx = append(kb.idx, i)
 		}
 		idx = kb.idx
 	}
-	kb.out = growFloats(kb.out, len(kb.targets))
+	kb.out = growFloats(kb.out, nt)
 	out := kb.out
 	if len(idx) == 0 {
 		for i, t := range kb.targets {
@@ -161,18 +220,21 @@ func (kb *KernelBlocks) PosteriorVariances(idx []int) ([]float64, error) {
 		}
 		return out, nil
 	}
+	sb := getSolveBuffers()
+	defer putSolveBuffers(sb)
 	n := len(idx)
-	kaa := &kb.kaa
+	kaa := &sb.kaa
 	kaa.Rows, kaa.Cols, kaa.Data = n, n, growFloats(kaa.Data, n*n)
-	for i := 0; i < n; i++ {
-		for j := 0; j <= i; j++ {
-			v := kb.kuu[idx[i]*stride+idx[j]]
+	for i, u := range idx {
+		row := kb.kuu[u*(u+1)/2:]
+		for j, w := range idx[:i+1] {
+			v := row[w]
 			kaa.Set(i, j, v)
 			kaa.Set(j, i, v)
 		}
 		kaa.Set(i, i, kaa.At(i, i)+g.Noise)
 	}
-	ch := &kb.ch
+	ch := &sb.ch
 	if err := linalg.CholeskyInto(ch, kaa); err != nil {
 		// Retry with jitter: duplicated observation locations make K_AA
 		// singular, which legitimately happens when several sensors stand
@@ -185,16 +247,27 @@ func (kb *KernelBlocks) PosteriorVariances(idx []int) ([]float64, error) {
 			return nil, fmt.Errorf("gp: posterior variance: %w", err)
 		}
 	}
-	kb.kv, kb.alpha = growFloats(kb.kv, n), growFloats(kb.alpha, n)
-	kv, alpha := kb.kv, kb.alpha
-	for i, t := range kb.targets {
+	if nt == 0 {
+		return out, nil
+	}
+	// Ascending and distinct, idx selects the first n points when its
+	// last is n-1: their rows of ktu are already the matrix to solve.
+	kv := kb.ktu[:n*nt]
+	if idx[n-1] != n-1 {
+		sb.kv = growFloats(sb.kv, n*nt)
+		kv = sb.kv
 		for j, u := range idx {
-			kv[j] = kb.ktu[i*stride+u]
+			copy(kv[j*nt:(j+1)*nt], kb.ktu[u*nt:(u+1)*nt])
 		}
-		if err := ch.SolveVecInto(alpha, kv); err != nil {
-			return nil, err
-		}
-		v := g.Kernel.Var(t) - linalg.Dot(kv, alpha)
+	}
+	sb.alpha = growFloats(sb.alpha, n*nt)
+	if err := ch.SolveInto(sb.alpha, kv, nt); err != nil {
+		return nil, err
+	}
+	sb.dots = growFloats(sb.dots, nt)
+	linalg.ColumnDots(sb.dots, kv, sb.alpha)
+	for i, t := range kb.targets {
+		v := g.Kernel.Var(t) - sb.dots[i]
 		if v < 0 {
 			v = 0 // numerical floor
 		}

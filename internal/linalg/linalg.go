@@ -99,15 +99,6 @@ func MulVec(a *Matrix, x []float64) ([]float64, error) {
 	return out, nil
 }
 
-// Dot returns the inner product of two equal-length vectors.
-func Dot(a, b []float64) float64 {
-	var s float64
-	for i := range a {
-		s += a[i] * b[i]
-	}
-	return s
-}
-
 // Cholesky holds the lower-triangular factor L with A = L*L^T.
 type Cholesky struct {
 	N int
@@ -139,7 +130,9 @@ func CholeskyInto(c *Cholesky, a *Matrix) error {
 	l := c.L
 	l.Rows, l.Cols = n, n
 	if cap(l.Data) < n*n {
-		l.Data = make([]float64, n*n)
+		// Twice the old capacity when that is more: a caller factorizing
+		// ever larger systems reallocates a logarithmic number of times.
+		l.Data = make([]float64, n*n, max(n*n, 2*cap(l.Data)))
 	} else {
 		l.Data = l.Data[:n*n]
 		clear(l.Data) // the upper part stays zero
@@ -174,30 +167,121 @@ func (c *Cholesky) SolveVec(b []float64) ([]float64, error) {
 }
 
 // SolveVecInto is SolveVec writing x into dst, for callers that solve
-// against one factorization many times. dst must not overlap b.
+// against one factorization many times. dst must not overlap b. It is
+// SolveInto with one right-hand side.
 func (c *Cholesky) SolveVecInto(dst, b []float64) error {
-	if len(b) != c.N || len(dst) != c.N {
-		return fmt.Errorf("%w: solve with vec(%d) into vec(%d), n=%d", ErrShape, len(b), len(dst), c.N)
+	return c.SolveInto(dst, b, 1)
+}
+
+// SolveInto solves A X = B for r right-hand sides at once. b and dst
+// hold n×r matrices row-major, so column k of b is the k-th right-hand
+// side and column k of dst its solution; dst must not overlap b.
+//
+// The columns are solved four at a time: one pass over the factor serves
+// four columns, each carried in its own accumulator, and the last r mod 4
+// columns are solved one at a time. Every column sees exactly the
+// operations, in exactly the order, of a solve with that column alone, so
+// each result is bit-identical whatever r is and wherever the column
+// sits.
+func (c *Cholesky) SolveInto(dst, b []float64, r int) error {
+	n := c.N
+	if r < 1 || len(b) != n*r || len(dst) != n*r {
+		return fmt.Errorf("%w: solve with %d values into %d, n=%d, %d right-hand sides", ErrShape, len(b), len(dst), n, r)
 	}
+	col := 0
+	for ; col+4 <= r; col += 4 {
+		c.solve4(dst, b, r, col)
+	}
+	for ; col < r; col++ {
+		c.solve1(dst, b, r, col)
+	}
+	return nil
+}
+
+// solve1 solves column col of the n×r system b into dst.
+func (c *Cholesky) solve1(dst, b []float64, r, col int) {
 	n, l := c.N, c.L.Data
 	// Forward solve L y = b, y held in dst.
 	for i := 0; i < n; i++ {
-		s := b[i]
+		s := b[i*r+col]
 		for k, v := range l[i*n : i*n+i] {
-			s -= v * dst[k]
+			s -= v * dst[k*r+col]
 		}
-		dst[i] = s / l[i*n+i]
+		dst[i*r+col] = s / l[i*n+i]
 	}
 	// Backward solve L^T x = y in place: step i reads y[i] and the
 	// already final x[i+1:], then overwrites y[i] with x[i].
 	for i := n - 1; i >= 0; i-- {
-		s := dst[i]
+		s := dst[i*r+col]
 		for k := i + 1; k < n; k++ {
-			s -= l[k*n+i] * dst[k]
+			s -= l[k*n+i] * dst[k*r+col]
 		}
-		dst[i] = s / l[i*n+i]
+		dst[i*r+col] = s / l[i*n+i]
 	}
-	return nil
+}
+
+// solve4 is solve1 for columns col..col+3, one accumulator per column.
+func (c *Cholesky) solve4(dst, b []float64, r, col int) {
+	n, l := c.N, c.L.Data
+	for i := 0; i < n; i++ {
+		bi := b[i*r+col : i*r+col+4]
+		s0, s1, s2, s3 := bi[0], bi[1], bi[2], bi[3]
+		for k, v := range l[i*n : i*n+i] {
+			y := dst[k*r+col : k*r+col+4]
+			s0 -= v * y[0]
+			s1 -= v * y[1]
+			s2 -= v * y[2]
+			s3 -= v * y[3]
+		}
+		d := l[i*n+i]
+		y := dst[i*r+col : i*r+col+4]
+		y[0], y[1], y[2], y[3] = s0/d, s1/d, s2/d, s3/d
+	}
+	for i := n - 1; i >= 0; i-- {
+		x := dst[i*r+col : i*r+col+4]
+		s0, s1, s2, s3 := x[0], x[1], x[2], x[3]
+		for k := i + 1; k < n; k++ {
+			v := l[k*n+i]
+			xk := dst[k*r+col : k*r+col+4]
+			s0 -= v * xk[0]
+			s1 -= v * xk[1]
+			s2 -= v * xk[2]
+			s3 -= v * xk[3]
+		}
+		d := l[i*n+i]
+		x[0], x[1], x[2], x[3] = s0/d, s1/d, s2/d, s3/d
+	}
+}
+
+// ColumnDots writes into each dst[k] the inner product of column k of a
+// and column k of b, two row-major matrices of len(dst) columns, summed
+// in ascending row order; four columns are carried at a time, each in its
+// own accumulator. With one column it is the dot product of two vectors.
+func ColumnDots(dst, a, b []float64) {
+	r := len(dst)
+	if r == 0 {
+		return
+	}
+	n := len(a) / r
+	col := 0
+	for ; col+4 <= r; col += 4 {
+		var s0, s1, s2, s3 float64
+		for i := 0; i < n; i++ {
+			x, y := a[i*r+col:i*r+col+4], b[i*r+col:i*r+col+4]
+			s0 += x[0] * y[0]
+			s1 += x[1] * y[1]
+			s2 += x[2] * y[2]
+			s3 += x[3] * y[3]
+		}
+		dst[col], dst[col+1], dst[col+2], dst[col+3] = s0, s1, s2, s3
+	}
+	for ; col < r; col++ {
+		var s float64
+		for i := 0; i < n; i++ {
+			s += a[i*r+col] * b[i*r+col]
+		}
+		dst[col] = s
+	}
 }
 
 // SolveSPD solves A x = b for a symmetric positive-definite A with optional

@@ -83,7 +83,8 @@ func TestMulVec(t *testing.T) {
 }
 
 func TestDot(t *testing.T) {
-	if Dot([]float64{1, 2, 3}, []float64{4, 5, 6}) != 32 {
+	var d [1]float64
+	if ColumnDots(d[:], []float64{1, 2, 3}, []float64{4, 5, 6}); d[0] != 32 {
 		t.Error("Dot wrong")
 	}
 }

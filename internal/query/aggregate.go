@@ -30,6 +30,11 @@ type Aggregate struct {
 	// MaxDist is how far outside the region a sensor may sit while still
 	// contributing coverage; sensors farther than this are irrelevant.
 	MaxDist float64
+
+	// cells and cols, when cells is non-nil, are Grid.CellBlock(Region)
+	// derived by the caller (a region event's probe), read only.
+	cells []geo.Point
+	cols  int
 }
 
 // NewAggregate builds a spatial aggregate query over region.
@@ -73,7 +78,10 @@ func (a *Aggregate) RelevanceFootprint() geo.Rect {
 // therefore refreshes aggregate gains after every commit rather than
 // trusting cached ones, settling most refreshes with GainBound.
 func (a *Aggregate) NewState() State {
-	cells, cols := a.Grid.CellBlock(a.Region)
+	cells, cols := a.cells, a.cols
+	if cells == nil {
+		cells, cols = a.Grid.CellBlock(a.Region)
+	}
 	return newCoverageState(a, a.B, cells, cols, a.SensingRange)
 }
 

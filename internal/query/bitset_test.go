@@ -133,14 +133,14 @@ func checkAggregate(t *testing.T, label string, grid geo.Grid, region geo.Rect, 
 			if len(centers) == 0 {
 				return 0
 			}
-			return budget * grid.CoverageFraction(region, centers, r) * sumTheta / float64(len(centers))
+			return budget * geo.CoverageFraction(grid.CellsIn(region), centers, r) * sumTheta / float64(len(centers))
 		})
 }
 
 // TestBitsetCoverageMatchesReference: on random grids, regions and sensor
 // sets the bitset kernel's gains and values — by disk walk and by
 // prebuilt mask — equal a naive per-target walk and
-// geo.Grid.CoverageFraction, bit for bit.
+// geo.CoverageFraction, bit for bit.
 func TestBitsetCoverageMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
 		s := rng.New(seed, "bitset-aggregate")

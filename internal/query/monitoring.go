@@ -282,6 +282,15 @@ type RegionMonitoring struct {
 	basePost *gp.Posterior
 	baseObs  int
 
+	// kb holds the kernel entries of ObsPoints[:kb.Len()] over the
+	// targets, valid while kbOK, so Value and PlanMarginals evaluate the
+	// kernel only for points it does not hold yet: the observations
+	// Record appended since the last use, and a candidate plan, which
+	// PlanMarginals appends and truncates again. ResetIfNeeded drops it,
+	// as it drops basePost; its buffers stay for the next window.
+	kb   gp.KernelBlocks
+	kbOK bool
+
 	// value memoises Value() for the current ObsPoints: the valuation is
 	// asked for several times a slot (before planning, after applying
 	// results, by every sharing candidate) and only Record and
@@ -354,12 +363,31 @@ func (q *RegionMonitoring) ValueOf(obs []geo.Point, thetas []float64) float64 {
 	return q.B * q.F(obs) * sum / float64(len(obs))
 }
 
-// Value returns the valuation of everything observed so far.
+// Value returns the valuation of everything observed so far: ValueOf
+// the accumulated observations, on the query's own kernel blocks.
 func (q *RegionMonitoring) Value() float64 {
 	if !q.valueOK {
-		q.value, q.valueOK = q.ValueOf(q.ObsPoints, q.Thetas), true
+		q.value, q.valueOK = 0, true
+		if n := len(q.ObsPoints); n > 0 {
+			var sum float64
+			for _, t := range q.Thetas {
+				sum += t
+			}
+			q.value = q.B * q.fOn(q.obsBlocks(), nil) * sum / float64(n)
+		}
 	}
 	return q.value
+}
+
+// obsBlocks returns the query's kernel blocks over all of ObsPoints,
+// extended by the observations recorded since their last use.
+func (q *RegionMonitoring) obsBlocks() *gp.KernelBlocks {
+	if !q.kbOK {
+		q.kb.Reset(q.Model, q.targets)
+		q.kbOK = true
+	}
+	q.kb.Extend(q.ObsPoints[q.kb.Len():]...)
+	return &q.kb
 }
 
 // withPlan returns the accumulated observations (q.S of Algorithm 3)
@@ -382,13 +410,11 @@ func (q *RegionMonitoring) PlanValue(planPts []geo.Point, planThetas []float64) 
 	return q.ValueOf(q.withPlan(nil, nil, planPts, planThetas))
 }
 
-// PlanScratch holds PlanMarginals' buffers between calls: the kernel
-// blocks with their solve buffers, the plan joined to the accumulated
-// observations, one subset's indices and the marginals. The zero value is
-// ready. Not safe for concurrent use.
+// PlanScratch holds PlanMarginals' buffers between calls: the qualities
+// of the plan joined to the accumulated observations, one subset's
+// indices and the marginals. The zero value is ready. Not safe for
+// concurrent use.
 type PlanScratch struct {
-	kb     gp.KernelBlocks
-	pts    []geo.Point
 	thetas []float64
 	idx    []int
 	out    []float64
@@ -397,22 +423,24 @@ type PlanScratch struct {
 // PlanMarginals returns, for each point i of a plan, the value the plan
 // loses without it: PlanValue(plan) - PlanValue(plan \ {i}), the worth
 // CreatePointQueries gives the point query generated for i. The 1+len(plan)
-// valuations share one set of kernel entries; each then factorizes and
-// solves its own subset exactly as PlanValue would. The work happens in
-// sc (a fresh scratch when nil), and the result is sc's buffer, valid
-// until sc's next use.
+// valuations share one set of kernel entries, the query's own extended by
+// the plan, so the kernel is evaluated for the plan's points alone; each
+// valuation then factorizes and solves its own subset exactly as
+// PlanValue would. The work happens in sc (a fresh scratch when nil), and
+// the result is sc's buffer, valid until sc's next use.
 func (q *RegionMonitoring) PlanMarginals(planPts []geo.Point, planThetas []float64, sc *PlanScratch) []float64 {
 	if sc == nil {
 		sc = &PlanScratch{}
 	}
-	sc.pts, sc.thetas = q.withPlan(sc.pts, sc.thetas, planPts, planThetas)
-	pts, thetas := sc.pts, sc.thetas
-	kb := &sc.kb
-	kb.Build(q.Model, q.targets, pts)
+	kb := q.obsBlocks()
+	nObs := kb.Len()
+	kb.Extend(planPts...)
+	sc.thetas = append(append(sc.thetas[:0], q.Thetas...), planThetas...)
+	thetas := sc.thetas
 	valueWithout := func(skip int) float64 {
 		sc.idx = sc.idx[:0]
 		var sum float64
-		for i := range pts {
+		for i := range thetas {
 			if i != skip {
 				sc.idx = append(sc.idx, i)
 				sum += thetas[i]
@@ -424,14 +452,16 @@ func (q *RegionMonitoring) PlanMarginals(planPts []geo.Point, planThetas []float
 		return q.B * q.fOn(kb, sc.idx) * sum / float64(len(sc.idx))
 	}
 	full := valueWithout(-1)
+	sc.out = sc.out[:0]
 	if len(planPts) == 1 {
-		sc.out = append(sc.out[:0], full-q.Value()) // the plan without its only point is q.S
+		kb.Truncate(nObs)
+		sc.out = append(sc.out, full-q.Value()) // the plan without its only point is q.S
 		return sc.out
 	}
-	sc.out = sc.out[:0]
 	for i := range planPts {
-		sc.out = append(sc.out, full-valueWithout(len(q.ObsPoints)+i))
+		sc.out = append(sc.out, full-valueWithout(nObs+i))
 	}
+	kb.Truncate(nObs)
 	return sc.out
 }
 
@@ -445,6 +475,7 @@ func (q *RegionMonitoring) ResetIfNeeded(t int) {
 		q.inited = true
 		q.basePost = nil
 		q.baseObs = 0
+		q.kbOK = false
 		q.valueOK = false
 	}
 }

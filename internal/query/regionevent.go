@@ -27,6 +27,11 @@ type RegionEvent struct {
 	SensingRange float64
 	// Grid discretizes coverage computation.
 	Grid geo.Grid
+
+	// cells and cols are Grid.CellBlock(Region), derived once: every
+	// slot's probe states and coverage count read them, none writes.
+	cells []geo.Point
+	cols  int
 }
 
 // NewRegionEvent builds a region event-detection query.
@@ -37,7 +42,7 @@ func NewRegionEvent(id string, region geo.Rect, start, end int, threshold, confi
 	if confidence >= 1 {
 		confidence = 0.999
 	}
-	return &RegionEvent{
+	e := &RegionEvent{
 		ID:            id,
 		Region:        region,
 		Start:         start,
@@ -48,6 +53,8 @@ func NewRegionEvent(id string, region geo.Rect, start, end int, threshold, confi
 		SensingRange:  sensingRange,
 		Grid:          grid,
 	}
+	e.cells, e.cols = grid.CellBlock(region)
+	return e
 }
 
 // Active reports whether the query runs during slot t.
@@ -61,7 +68,16 @@ func (e *RegionEvent) CreateProbe(t int) (*Aggregate, bool) {
 	if !e.Active(t) {
 		return nil, false
 	}
-	return NewAggregate(PointID(e.ID, t, "rev"), e.Region, e.BudgetPerSlot, e.SensingRange, e.Grid), true
+	a := NewAggregate(PointID(e.ID, t, "rev"), e.Region, e.BudgetPerSlot, e.SensingRange, e.Grid)
+	a.cells, a.cols = e.cells, e.cols
+	return a, true
+}
+
+// Coverage returns the fraction of the region's grid cells within
+// sensing range of a reading's position (geo.CoverageFraction), the
+// coverage DetectionConfidence fuses.
+func (e *RegionEvent) Coverage(positions []geo.Point) float64 {
+	return geo.CoverageFraction(e.cells, positions, e.SensingRange)
 }
 
 // DetectionConfidence fuses reading qualities and achieved coverage:

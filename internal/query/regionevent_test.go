@@ -2,6 +2,7 @@ package query
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/geo"
@@ -99,5 +100,39 @@ func TestRegionEventWeightedAverage(t *testing.T) {
 	_, _, avg := e.Evaluate([]float64{10, 20}, []float64{0.9, 0.1}, 1)
 	if math.Abs(avg-11) > 1e-9 {
 		t.Errorf("weighted avg = %v want 11", avg)
+	}
+}
+
+// TestRegionEventProbeAllocations: a region event derives its grid
+// cells once. Each slot's probe state takes them as its coverage targets
+// and the coverage count reads them, so neither builds a cell list: a
+// probe state makes only its own two allocations (the state and its
+// coverage bitset), and the count makes none. Both give what a freshly
+// derived cell list gives.
+func TestRegionEventProbeAllocations(t *testing.T) {
+	if testing.Short() {
+		t.Skip("-short is how CI runs the race detector, which inflates allocation counts")
+	}
+	grid := geo.NewUnitGrid(30, 20)
+	region := geo.NewRect(3, 2, 17, 13)
+	e := NewRegionEvent("re", region, 0, 9, 0.5, 0.8, 40, 4, grid)
+	probe, ok := e.CreateProbe(3)
+	if !ok {
+		t.Fatal("no probe in an active slot")
+	}
+	cells, cols := grid.CellBlock(region)
+	st := probe.NewState().(*coverageState)
+	if !slices.Equal(st.targets, cells) || st.cols != cols || &st.targets[0] != &e.cells[0] {
+		t.Fatalf("probe state targets: %d cells in rows of %d, want the event's %d in rows of %d", len(st.targets), st.cols, len(cells), cols)
+	}
+	positions := []geo.Point{geo.Pt(5, 5), geo.Pt(12, 9), geo.Pt(16, 3)}
+	if got, want := e.Coverage(positions), geo.CoverageFraction(cells, positions, 4); got != want || got <= 0 {
+		t.Fatalf("Coverage %v, from a fresh cell list %v", got, want)
+	}
+	if n := testing.AllocsPerRun(100, func() { probe.NewState() }); n > 2 {
+		t.Errorf("a probe state made %v allocations, want 2 (state and bitset)", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { e.Coverage(positions) }); n != 0 {
+		t.Errorf("the coverage count made %v allocations, want 0", n)
 	}
 }

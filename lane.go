@@ -89,11 +89,12 @@ type LanePartial struct {
 	SelectedIDs []int
 	Trace       []SelectionStep
 
-	// Outcomes (each joint-selection query's value, ascending by ID) and
-	// Continuous carry the accounting inputs (per-type value
-	// re-summation). The reported payments travel in Payments below.
+	// Outcomes (each joint-selection query's value) and Continuous (each
+	// continuous query's outcome), both ascending by ID, carry the
+	// accounting inputs (per-type value re-summation). The reported
+	// payments travel in Payments below.
 	Outcomes   []LaneValue
-	Continuous map[string]ContinuousOutcome
+	Continuous []ContinuousOutcome
 
 	TotalCost   float64
 	PointValue  float64
@@ -221,6 +222,8 @@ func laneValueID(v *LaneValue) string { return v.ID }
 
 func laneFlagID(f *LaneFlag) string { return f.ID }
 
+func continuousID(c *ContinuousOutcome) string { return c.ID }
+
 // outcomeIndex returns the joint pass's outcome values ascending by query
 // ID, building them on first use: the one ID index of a lane's outcomes,
 // which reconcile searches and a lane partial carries. Of a repeated ID
@@ -257,6 +260,17 @@ func (ex *slotExec) outcomeValue(id string) (float64, bool) {
 		return 0, false
 	}
 	return idx[i].Value, true
+}
+
+// continuousDelta returns the slot's value delta of the continuous query
+// id, and whether the lane ran it.
+func (ex *slotExec) continuousDelta(id string) (float64, bool) {
+	cs := ex.mix.Continuous
+	i, ok := slices.BinarySearchFunc(cs, id, func(c ContinuousOutcome, id string) int { return strings.Compare(c.ID, id) })
+	if !ok {
+		return 0, false
+	}
+	return cs[i].ValueDelta, true
 }
 
 // bind reconstructs the slotExec reconciliation works on. Partials from

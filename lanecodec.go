@@ -15,13 +15,12 @@ import (
 //   - a float64 is its math.Float64bits, little-endian — bit-exact by
 //     construction, NaN payloads, -0, infinities and subnormals included;
 //   - a string is a length followed by its bytes, a bool one byte 0 or 1;
-//   - a slice or map is (length + 1) followed by its elements, 0 standing
-//     for nil, so nil and empty survive the trip as what they were;
-//   - every ID-keyed section is written in ascending ID order: the map is
-//     sorted, and the per-query slices are kept in that order, which the
-//     decoder requires. That makes the encoding a function of the partial
-//     alone (equal partials are equal bytes, and encode∘decode is a fixed
-//     point).
+//   - a slice is (length + 1) followed by its elements, 0 standing for
+//     nil, so nil and empty survive the trip as what they were;
+//   - every ID-keyed section is a slice kept in ascending ID order, which
+//     the decoder requires. That makes the encoding a function of the
+//     partial alone (equal partials are equal bytes, and encode∘decode is
+//     a fixed point).
 //
 // The decoder keeps the number of allocations per partial constant: the
 // outcome and continuous query IDs are substrings of one string, and the
@@ -57,9 +56,8 @@ func (p *LanePartial) AppendBinary(b []byte) []byte {
 
 	b = appendValues(b, p.Outcomes)
 	b = appendCount(b, len(p.Continuous), p.Continuous == nil)
-	for _, id := range sortedKeys(p.Continuous) {
-		co := p.Continuous[id]
-		b = appendString(b, id)
+	for _, co := range p.Continuous {
+		b = appendString(b, co.ID)
 		b = appendBool(b, co.Satisfied)
 		b = appendFloat(b, co.ValueDelta)
 		b = appendFloat(b, co.Payment)
@@ -133,22 +131,12 @@ func appendCount(b []byte, n int, isNil bool) []byte {
 	return binary.AppendUvarint(b, uint64(n)+1)
 }
 
-// sortedKeys returns m's keys in ascending order.
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	return keys
-}
-
 // DecodeLanePartial parses the binary form AppendBinary writes. The input
 // is untrusted: every length is checked against the bytes that remain
 // before anything is allocated for it (so memory stays within a constant
-// factor of len(data)), and a repeated map key, a per-query section not in
-// strictly ascending ID order, an unknown layout byte and trailing bytes
-// are errors; no input panics.
+// factor of len(data)), and an ID-keyed section not in strictly ascending
+// ID order (a repeated ID among them), an unknown layout byte and trailing
+// bytes are errors; no input panics.
 func DecodeLanePartial(data []byte) (*LanePartial, error) {
 	r := partialReader{b: data}
 	if format := r.byte(); r.err == nil && format != lanePartialFormat {
@@ -179,12 +167,11 @@ func DecodeLanePartial(data []byte) (*LanePartial, error) {
 		r.ordered(ascendingIDs(p.Outcomes, laneValueID))
 	}
 	if n, ok := r.count(18); ok {
-		p.Continuous = make(map[string]ContinuousOutcome, n)
-		for i := 0; i < n; i++ {
-			id := r.newID()
-			p.Continuous[id] = ContinuousOutcome{Satisfied: r.bool(), ValueDelta: r.float(), Payment: r.float()}
+		p.Continuous = make([]ContinuousOutcome, n)
+		for i := range p.Continuous {
+			p.Continuous[i] = ContinuousOutcome{ID: r.newID(), Satisfied: r.bool(), ValueDelta: r.float(), Payment: r.float()}
 		}
-		r.distinct(len(p.Continuous), n)
+		r.ordered(ascendingIDs(p.Continuous, continuousID))
 	}
 
 	for _, f := range []*float64{&p.TotalCost, &p.PointValue, &p.AggValue, &p.LocMonValue, &p.RegMonValue, &p.ExtraValue, &p.Welfare} {
@@ -415,13 +402,5 @@ func (r *partialReader) values() []LaneValue {
 func (r *partialReader) ordered(ok bool) {
 	if r.err == nil && !ok {
 		r.fail("a per-query section is not in strictly ascending ID order")
-	}
-}
-
-// distinct fails the decode when a map ended up smaller than its declared
-// length, i.e. a key was repeated.
-func (r *partialReader) distinct(got, want int) {
-	if r.err == nil && got != want {
-		r.fail("map of %d entries repeats a key", want)
 	}
 }

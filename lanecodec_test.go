@@ -201,7 +201,7 @@ func TestLanePartialBinaryEdgeValues(t *testing.T) {
 		SelectedIDs: []int{},
 		Trace:       nil,
 		Outcomes:    []LaneValue{{"", nan}, {"q", math.Inf(1)}, {"q\x00", negZero}},
-		Continuous:  map[string]ContinuousOutcome{},
+		Continuous:  []ContinuousOutcome{},
 		TotalCost:   negZero, PointValue: nan, AggValue: math.Inf(-1), LocMonValue: subnormal,
 		RegMonValue: math.MaxFloat64, ExtraValue: math.SmallestNonzeroFloat64, Welfare: -math.MaxFloat64,
 		Values:   []LaneValue{{"a", nan}, {"b", negZero}},
@@ -251,6 +251,7 @@ func TestDecodeLanePartialRejects(t *testing.T) {
 	}
 	for _, swapped := range []*LanePartial{
 		{Outcomes: []LaneValue{{"b", 1}, {"a", 2}}},
+		{Continuous: []ContinuousOutcome{{ID: "b"}, {ID: "a"}}},
 		{Payments: []LaneValue{{"b", 1}, {"a", 2}}},
 		{Answered: []LaneFlag{{"b", true}, {"a", true}}},
 	} {
@@ -342,7 +343,7 @@ func goldenPartial() *LanePartial {
 			{Offer: 9, SensorID: 17, Cost: 2, Net: 1.0 / 3},
 		},
 		Outcomes:   []LaneValue{{"agg-7", 44}, {"idle", 0}, {"lm#p", 1.5}, {"mp-7", 30.125}, {"pt-7-1", 9.5}},
-		Continuous: map[string]ContinuousOutcome{"lm": {Satisfied: true, ValueDelta: 1.5, Payment: 0.25}},
+		Continuous: []ContinuousOutcome{{ID: "lm", Satisfied: true, ValueDelta: 1.5, Payment: 0.25}},
 		TotalCost:  4.25, PointValue: 9.5, AggValue: 44, LocMonValue: 1.5, ExtraValue: 30.125, Welfare: 80.875,
 		Values:   []LaneValue{{"agg-7", 44}, {"lm", 1.5}, {"mp-7", 30.125}, {"pt-7-1", 9.5}},
 		Payments: []LaneValue{{"agg-7", 1.75}, {"lm", 0.25}, {"mp-7", 1.75}, {"pt-7-1", 0.75}},

@@ -567,8 +567,8 @@ func (sa *ShardedAggregator) reconcile(t, offers int, parts [][]core.Offer, exec
 	sumDeltas := func(entries []shardedEntry, into *float64) {
 		for _, e := range entries {
 			if ex := execFor(e.home); ex != nil {
-				if co, ok := ex.mix.Continuous[e.id]; ok {
-					*into += co.ValueDelta
+				if delta, ok := ex.continuousDelta(e.id); ok {
+					*into += delta
 				}
 			}
 		}
