@@ -54,7 +54,13 @@ func (a *Aggregator) CancelQuery(id string) bool {
 	a.aggs = slices.DeleteFunc(a.aggs, func(q *AggregateQuery) bool { return q.QID() == id })
 	a.extra = slices.DeleteFunc(a.extra, func(q query.Query) bool { return q.QID() == id })
 	a.locMon = slices.DeleteFunc(a.locMon, func(q *LocationMonitoringQuery) bool { return q.ID == id })
-	a.regMon = slices.DeleteFunc(a.regMon, func(q *RegionMonitoringQuery) bool { return q.ID == id })
+	a.regMon = slices.DeleteFunc(a.regMon, func(q *RegionMonitoringQuery) bool {
+		if q.ID != id {
+			return false
+		}
+		q.Release()
+		return true
+	})
 	a.events = slices.DeleteFunc(a.events, func(q *EventDetectionQuery) bool { return q.ID == id })
 	a.regEvents = slices.DeleteFunc(a.regEvents, func(q *RegionEventQuery) bool { return q.ID == id })
 	return len(a.points)+len(a.aggs)+len(a.extra)+len(a.locMon)+
@@ -498,11 +504,15 @@ func pruneLocMon(qs []*LocationMonitoringQuery, t int) []*LocationMonitoringQuer
 	return kept
 }
 
+// pruneRegMon drops the queries whose window ended at t, handing their
+// kernel blocks on to the next region-monitoring query that starts.
 func pruneRegMon(qs []*RegionMonitoringQuery, t int) []*RegionMonitoringQuery {
 	kept := qs[:0]
 	for _, q := range qs {
 		if q.End > t {
 			kept = append(kept, q)
+		} else {
+			q.Release()
 		}
 	}
 	return kept

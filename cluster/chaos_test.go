@@ -2,7 +2,6 @@ package cluster_test
 
 import (
 	"bufio"
-	"bytes"
 	"errors"
 	"fmt"
 	"net"
@@ -17,13 +16,13 @@ import (
 )
 
 // killerProxy sits between the coordinator and one node, forwarding
-// NDJSON frames line for line, each direction on its own (posted frames
+// cluster frames one by one, each direction on its own (posted frames
 // have no reply to wait for). While armed it drops the connection the
 // moment a run_slot frame arrives — a deterministic node death exactly
 // between offer gather and partial return; while armedBatch it drops it
-// halfway through a submits line, so the node is left holding half a
+// halfway through a submits frame, so the node is left holding half a
 // frame. It also counts the frames the node sends back and shows every
-// coordinator line to tap, if set before the first connection.
+// coordinator frame to tap, if set before the first connection.
 type killerProxy struct {
 	ln         net.Listener
 	backend    string
@@ -31,7 +30,7 @@ type killerProxy struct {
 	armedBatch atomic.Bool
 	kills      atomic.Int32
 	replies    atomic.Int64 // node -> coordinator frames
-	tap        func(line []byte)
+	tap        func(frame []byte)
 }
 
 func startKillerProxy(t *testing.T, backend string) *killerProxy {
@@ -68,43 +67,54 @@ func (p *killerProxy) handle(conn net.Conn) {
 	go func() { // node -> coordinator
 		defer close(back)
 		defer conn.Close()
-		br := bufio.NewReader(backend)
+		br := bufio.NewReaderSize(backend, wire.ClusterFrameBuffer)
 		for {
-			line, err := br.ReadBytes('\n')
+			frame, err := wire.ReadClusterFrame(br)
 			if err != nil {
 				return
 			}
 			p.replies.Add(1)
-			if _, err := conn.Write(line); err != nil {
+			if _, err := conn.Write(frame); err != nil {
 				return
 			}
 		}
 	}()
-	cr := bufio.NewReader(conn)
+	cr := bufio.NewReaderSize(conn, wire.ClusterFrameBuffer)
 	for {
-		line, err := cr.ReadBytes('\n')
+		frame, err := wire.ReadClusterFrame(cr)
 		if err != nil {
 			break
 		}
 		if p.tap != nil {
-			p.tap(line)
+			p.tap(frame)
 		}
-		if p.armed.Load() && bytes.Contains(line, []byte(`"run_slot"`)) {
+		typ := frameType(frame)
+		if p.armed.Load() && typ == wire.ClusterRunSlot {
 			p.kills.Add(1)
 			break // both connections close: the node sees EOF, the coordinator a dead read
 		}
-		if p.armedBatch.Load() && bytes.Contains(line, []byte(`"submits"`)) {
+		if p.armedBatch.Load() && typ == wire.ClusterSubmits {
 			p.kills.Add(1)
-			backend.Write(line[:len(line)/2])
+			backend.Write(frame[:len(frame)/2])
 			break
 		}
-		if _, err := backend.Write(line); err != nil {
+		if _, err := backend.Write(frame); err != nil {
 			break
 		}
 	}
 	conn.Close()
 	backend.Close()
 	<-back
+}
+
+// frameType is the type of an encoded frame, "" for one that does not
+// decode.
+func frameType(frame []byte) string {
+	f, err := wire.DecodeClusterFrame(frame)
+	if err != nil {
+		return ""
+	}
+	return f.Type
 }
 
 // rogueConn is a raw connection to a node, as a foreign or zombie
@@ -135,7 +145,7 @@ func (r *rogueConn) post(f wire.ClusterFrame, epoch uint64) {
 	if err != nil {
 		r.t.Fatal(err)
 	}
-	if _, err := r.conn.Write(append(buf, '\n')); err != nil {
+	if _, err := r.conn.Write(buf); err != nil {
 		r.t.Fatal(err)
 	}
 }
@@ -145,11 +155,11 @@ func (r *rogueConn) post(f wire.ClusterFrame, epoch uint64) {
 func (r *rogueConn) call(f wire.ClusterFrame, epoch uint64) wire.ClusterFrame {
 	r.t.Helper()
 	r.post(f, epoch)
-	line, err := r.br.ReadBytes('\n')
+	frame, err := wire.ReadClusterFrame(r.br)
 	if err != nil {
 		r.t.Fatal(err)
 	}
-	resp, err := wire.DecodeClusterFrame(line)
+	resp, err := wire.DecodeClusterFrame(frame)
 	if err != nil {
 		r.t.Fatal(err)
 	}
@@ -304,27 +314,27 @@ func TestClusterHeartbeatRejoin(t *testing.T) {
 	}
 }
 
-// TestClusterNodeRefusesOtherVersions: a hello from a v4 coordinator,
-// whose config still fixed the lane's selection strategy, is answered
-// with an error frame naming the version and a closed connection; the
-// node stays up and serves the next coordinator that speaks its version.
+// TestClusterNodeRefusesOtherVersions: a hello from a v5 coordinator, an
+// NDJSON line, is answered with exactly one error frame naming the
+// version and a closed connection; the node stays up and serves the next
+// coordinator that speaks its version.
 func TestClusterNodeRefusesOtherVersions(t *testing.T) {
 	addr := startNode(t, "node0")
 	r := dialRogue(t, addr)
-	const v4Hello = `{"v":4,"type":"hello","seq":1,"epoch":1,"node":"old","slot":0,"config":{"world":"rwm","seed":1,"sensors":10,"shards":1,"shard":0,"strategy":"serial"}}`
-	if _, err := r.conn.Write([]byte(v4Hello + "\n")); err != nil {
+	const v5Hello = `{"v":5,"type":"hello","seq":1,"epoch":1,"node":"old","slot":0,"config":{"world":"rwm","seed":1,"sensors":10,"shards":1,"shard":0}}`
+	if _, err := r.conn.Write([]byte(v5Hello + "\n")); err != nil {
 		t.Fatal(err)
 	}
-	line, err := r.br.ReadBytes('\n')
+	frame, err := wire.ReadClusterFrame(r.br)
 	if err != nil {
-		t.Fatalf("no answer to a v4 hello: %v", err)
+		t.Fatalf("no answer to a v5 hello: %v", err)
 	}
-	const want = "unsupported cluster frame version 4 (this build speaks v5)"
-	if resp, err := wire.DecodeClusterFrame(line); err != nil || resp.Type != wire.ClusterError || !strings.Contains(resp.Error, want) {
-		t.Errorf("answer to a v4 hello = %s (%v), want an error frame containing %q", line, err, want)
+	const want = "unsupported cluster frame version 5 (this build speaks v6)"
+	if resp, err := wire.DecodeClusterFrame(frame); err != nil || resp.Type != wire.ClusterError || !strings.Contains(resp.Error, want) {
+		t.Errorf("answer to a v5 hello = %x (%v), want an error frame containing %q", frame, err, want)
 	}
-	if _, err := r.br.ReadBytes('\n'); err == nil {
-		t.Error("connection still open after a v4 hello")
+	if _, err := r.br.ReadByte(); err == nil {
+		t.Error("connection still open after a v5 hello")
 	}
 	hijackNode(t, addr, 2)
 }

@@ -13,12 +13,12 @@ import (
 )
 
 // networkLane is the coordinator-side LaneRunner for a remote shard: one
-// TCP connection speaking NDJSON cluster frames, plus the oplog that lets
+// TCP connection speaking binary cluster frames, plus the oplog that lets
 // a dead node rebuild the lane's exact state.
 //
 // The connection is write-behind with a fence (see repro/wire's cluster
-// surface): submits and commit are posted — written through a buffered
-// writer, counted, never answered — and every other request is a round
+// surface): submits and commit are posted — encoded into the connection's
+// output buffer, counted, never answered — and every other request is a round
 // trip whose response must report as many posted frames applied as the
 // lane has written. Submitted specs gather in an open batch that is cut
 // into one submits frame in front of the next frame the lane writes, so
@@ -41,10 +41,13 @@ type networkLane struct {
 	name  string
 	addr  string
 
-	mu    sync.Mutex
-	conn  net.Conn
-	br    *bufio.Reader
-	bw    *bufio.Writer
+	mu   sync.Mutex
+	conn net.Conn
+	br   *bufio.Reader
+	// out holds the frames written since the last flush, encoded back to
+	// back; a flush hands them to the socket in one write and keeps the
+	// buffer for the next ones.
+	out   []byte
 	seq   uint64
 	epoch uint64
 	// posted counts the submits and commit frames written on this
@@ -64,24 +67,14 @@ type networkLane struct {
 }
 
 // batchCut is the size past which the open batch is cut without waiting
-// for the next frame: a burst of submits becomes several lines, each
-// about half the node's read buffer (wire.ClusterLineBuffer) once base64,
-// never one line near wire.MaxClusterFrame.
-const batchCut = 24 << 10
+// for the next frame: a burst of submits becomes several frames, each
+// about half the node's read buffer (wire.ClusterFrameBuffer), never one
+// frame near wire.MaxClusterFrame.
+const batchCut = wire.ClusterFrameBuffer / 2
 
-// deadlineWriter arms the lane's RPC timeout on every socket write, which
-// with a buffered writer in front is once per flush, not once per frame.
-type deadlineWriter struct {
-	conn    net.Conn
-	timeout time.Duration
-}
-
-func (w deadlineWriter) Write(p []byte) (int, error) {
-	if err := w.conn.SetWriteDeadline(time.Now().Add(w.timeout)); err != nil {
-		return 0, err
-	}
-	return w.conn.Write(p)
-}
+// keptOut is the largest output buffer a flush keeps: a resync frame,
+// which carries the whole oplog, may grow it far past a slot's frames.
+const keptOut = 4 * wire.ClusterFrameBuffer
 
 func newNetworkLane(co *Coordinator, shard int, name, addr string) *networkLane {
 	return &networkLane{co: co, shard: shard, name: name, addr: addr, ranSlot: -1}
@@ -118,9 +111,7 @@ func (l *networkLane) ensure() error {
 	// the oplog the resync ships.
 	_ = l.cut()
 	l.conn = conn
-	l.br = bufio.NewReaderSize(conn, wire.ClusterLineBuffer)
-	// Sized so that a slot's batch and the fence behind it leave in one write.
-	l.bw = bufio.NewWriterSize(deadlineWriter{conn, l.co.rpcTimeout}, wire.ClusterLineBuffer)
+	l.br = bufio.NewReaderSize(conn, wire.ClusterFrameBuffer)
 	l.posted = 0
 	cfg := l.co.nodeConfig(l.shard)
 	f := wire.ClusterFrame{Type: wire.ClusterHello, Config: &cfg}
@@ -141,7 +132,7 @@ func (l *networkLane) breakConn() {
 	if l.conn != nil {
 		l.conn.Close()
 	}
-	l.conn, l.br, l.bw = nil, nil, nil
+	l.conn, l.br, l.out = nil, nil, l.out[:0]
 }
 
 // transportErr breaks the lane and wraps the fault as node-unavailable.
@@ -169,42 +160,49 @@ func (l *networkLane) cut() error {
 }
 
 // write cuts the open batch in front of f, stamps f with the next
-// sequence number and the given epoch and hands it to the buffered
-// writer. Callers hold mu.
+// sequence number and the given epoch and encodes it into the output
+// buffer. Callers hold mu.
 func (l *networkLane) write(f wire.ClusterFrame, epoch uint64) error {
 	if err := l.cut(); err != nil {
 		return err
 	}
 	l.seq++
 	f.V, f.Seq, f.Epoch, f.Node = wire.ClusterVersion, l.seq, epoch, l.co.name
-	buf, err := wire.MarshalClusterFrame(f)
+	out, err := wire.AppendClusterFrame(l.out, f)
 	if err != nil {
 		return fmt.Errorf("cluster: lane %d (%s) encode %s: %w", l.shard, l.name, f.Type, err)
 	}
-	if _, err = l.bw.Write(buf); err == nil {
-		err = l.bw.WriteByte('\n')
-	}
-	if err != nil {
-		return l.transportErr("write "+f.Type, err)
-	}
+	l.out = out
 	return nil
 }
 
-// post writes a one-way frame (submits, commit). A nil return means the
-// frame is in the connection's buffer, not that the node has it: a frame
-// the node never applies shows up as a short applied count at the next
-// fence. Callers hold mu.
+// post writes a one-way frame (submits, commit), flushing once the output
+// buffer holds a read buffer's worth. A nil return means the frame is on
+// its way, not that the node has it: a frame the node never applies shows
+// up as a short applied count at the next fence. Callers hold mu.
 func (l *networkLane) post(f wire.ClusterFrame) error {
 	if err := l.write(f, l.epoch); err != nil {
 		return err
 	}
 	l.posted++
+	if len(l.out) >= wire.ClusterFrameBuffer {
+		return l.flush()
+	}
 	return nil
 }
 
-// flush pushes buffered frames to the socket. Callers hold mu.
+// flush writes the buffered frames to the socket in one write, under the
+// lane's RPC timeout. Callers hold mu.
 func (l *networkLane) flush() error {
-	if err := l.bw.Flush(); err != nil {
+	err := l.conn.SetWriteDeadline(time.Now().Add(l.co.rpcTimeout))
+	if err == nil {
+		_, err = l.conn.Write(l.out)
+	}
+	if cap(l.out) > keptOut {
+		l.out = nil
+	}
+	l.out = l.out[:0]
+	if err != nil {
 		return l.transportErr("flush", err)
 	}
 	return nil
@@ -227,11 +225,11 @@ func (l *networkLane) call(f wire.ClusterFrame, epoch uint64, want string) (wire
 	if err := l.conn.SetReadDeadline(time.Now().Add(l.co.rpcTimeout)); err != nil {
 		return wire.ClusterFrame{}, l.transportErr("deadline", err)
 	}
-	line, err := wire.ReadClusterLine(l.br)
+	frame, err := wire.ReadClusterFrame(l.br)
 	if err != nil {
 		return wire.ClusterFrame{}, l.transportErr("read "+f.Type+" response", err)
 	}
-	resp, err := wire.DecodeClusterFrame(line)
+	resp, err := wire.DecodeClusterFrame(frame)
 	if err != nil {
 		return wire.ClusterFrame{}, l.transportErr("decode "+f.Type+" response", err)
 	}

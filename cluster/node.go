@@ -11,7 +11,7 @@ import (
 	"repro/wire"
 )
 
-// NodeServer is one shard node: a config-free NDJSON server that builds
+// NodeServer is one shard node: a config-free frame server that builds
 // its world replica and lane when a coordinator says hello (or resync)
 // and then executes that coordinator's slot commands. All lane state is
 // guarded by one mutex — a connection's frames are handled one at a time,
@@ -100,12 +100,13 @@ type connState struct {
 }
 
 // handleConn runs one connection's frame loop: posted frames are applied
-// silently, every other frame is answered. An oversized line closes the
-// connection; so does a line that does not decode — a malformed frame, a
+// silently, every other frame is answered. An oversized frame closes the
+// connection; so does a frame that does not decode — a malformed frame, a
 // peer built from another wire.ClusterVersion, a frame type this build
 // does not have — after one error frame saying why (with sequence number
 // zero: there is none to echo). Either way the coordinator sees a
-// transport fault and resyncs.
+// transport fault and resyncs. Each frame is handled, its spec batch
+// submitted, before the next read: the frame is a view into br.
 func (s *NodeServer) handleConn(conn net.Conn) {
 	defer func() {
 		s.connMu.Lock()
@@ -114,29 +115,25 @@ func (s *NodeServer) handleConn(conn net.Conn) {
 		conn.Close()
 		s.wg.Done()
 	}()
-	br := bufio.NewReaderSize(conn, wire.ClusterLineBuffer)
-	// Sized so that a metro-scale partial line leaves in one write.
-	bw := bufio.NewWriterSize(conn, wire.ClusterLineBuffer)
+	br := bufio.NewReaderSize(conn, wire.ClusterFrameBuffer)
+	// out is the connection's encode buffer: each response is encoded
+	// into it and leaves in one write.
+	var out []byte
 	send := func(resp wire.ClusterFrame) error {
-		buf, err := wire.MarshalClusterFrame(resp)
-		if err != nil {
+		var err error
+		if out, err = wire.AppendClusterFrame(out[:0], resp); err != nil {
 			return err
 		}
-		if _, err = bw.Write(buf); err == nil {
-			err = bw.WriteByte('\n')
-		}
-		if err == nil {
-			err = bw.Flush()
-		}
+		_, err = conn.Write(out)
 		return err
 	}
 	var cs connState
 	for {
-		line, err := wire.ReadClusterLine(br)
+		frame, err := wire.ReadClusterFrame(br)
 		if err != nil {
 			return
 		}
-		f, err := wire.DecodeClusterFrame(line)
+		f, err := wire.DecodeClusterFrame(frame)
 		if err != nil {
 			_ = send(errFrame(wire.ClusterFrame{V: wire.ClusterVersion, Node: s.name}, err))
 			return

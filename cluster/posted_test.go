@@ -1,6 +1,7 @@
 package cluster_test
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -297,8 +298,8 @@ func TestClusterPostedBurstIsCutIntoFrames(t *testing.T) {
 		ids     []string
 	)
 	proxy := startKillerProxy(t, startNode(t, "node0"))
-	proxy.tap = func(line []byte) {
-		f, err := wire.DecodeClusterFrame(line)
+	proxy.tap = func(frame []byte) {
+		f, err := wire.DecodeClusterFrame(frame)
 		if err != nil || f.Type != wire.ClusterSubmits {
 			return
 		}
@@ -309,7 +310,7 @@ func TestClusterPostedBurstIsCutIntoFrames(t *testing.T) {
 		mu.Lock()
 		defer mu.Unlock()
 		frames++
-		longest = max(longest, len(line))
+		longest = max(longest, len(frame))
 		for _, spec := range specs {
 			ids = append(ids, spec.QueryID())
 		}
@@ -334,8 +335,8 @@ func TestClusterPostedBurstIsCutIntoFrames(t *testing.T) {
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	if frames < 3 || longest > wire.ClusterLineBuffer/2+1024 {
-		t.Errorf("%d specs crossed as %d frames, the longest %d bytes; want several, each about half of the node's %d-byte buffer", burst, frames, longest, wire.ClusterLineBuffer)
+	if frames < 3 || longest > wire.ClusterFrameBuffer/2+1024 {
+		t.Errorf("%d specs crossed as %d frames, the longest %d bytes; want several, each about half of the node's %d-byte buffer", burst, frames, longest, wire.ClusterFrameBuffer)
 	}
 	if len(ids) != burst {
 		t.Fatalf("%d specs crossed, want %d", len(ids), burst)
@@ -343,6 +344,50 @@ func TestClusterPostedBurstIsCutIntoFrames(t *testing.T) {
 	for i, id := range ids {
 		if want := fmt.Sprintf("pt-%05d", i); id != want {
 			t.Fatalf("spec %d on the wire is %q, want %q: the frames are out of order", i, id, want)
+		}
+	}
+}
+
+// TestClusterPostedBatchViewsEndAtNextRead: the node decodes a submits
+// frame's spec batch as a view into its read buffer, so it must submit
+// the batch before it reads the next frame. Forty batches posted in one
+// write, five times that buffer, make the node refill it over batches it
+// has already read; every batch must still land whole, each query under
+// its own ID.
+func TestClusterPostedBatchViewsEndAtNextRead(t *testing.T) {
+	const batches, perBatch = 40, 40
+	r := hijackNode(t, startNode(t, "node0"), 1)
+	pad := strings.Repeat("x", 160)
+	id := func(b, i int) string { return fmt.Sprintf("b%02d-%02d-%s", b, i, pad) }
+	var stream []byte
+	for b := 0; b < batches; b++ {
+		specs := make([]ps.Spec, perBatch)
+		for i := range specs {
+			specs[i] = ps.PointSpec{ID: id(b, i), Loc: ps.Pt(20+float64(i%30), 30), Budget: 10}
+		}
+		r.seq++
+		var err error
+		stream, err = wire.AppendClusterFrame(stream, wire.ClusterFrame{
+			V: wire.ClusterVersion, Type: wire.ClusterSubmits, Seq: r.seq, Epoch: 1, Specs: specBatch(t, specs...),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(stream) < 4*wire.ClusterFrameBuffer {
+		t.Fatalf("%d bytes posted, want several read buffers", len(stream))
+	}
+	if _, err := r.conn.Write(stream); err != nil {
+		t.Fatal(err)
+	}
+	if resp := r.call(wire.ClusterFrame{Type: wire.ClusterPing}, 1); resp.Type != wire.ClusterOK || resp.Applied != batches {
+		t.Fatalf("fence after %d batches = %+v, want ok with all applied", batches, resp)
+	}
+	for b := 0; b < batches; b++ {
+		for i := 0; i < perBatch; i++ {
+			if resp := r.call(wire.ClusterFrame{Type: wire.ClusterCancel, ID: id(b, i)}, 1); resp.Type != wire.ClusterOK || !resp.Removed {
+				t.Fatalf("query %d of batch %d is not on the lane: %+v", i, b, resp)
+			}
 		}
 	}
 }
@@ -408,36 +453,28 @@ func TestClusterDivergedReplicaHeals(t *testing.T) {
 	}
 }
 
-// zeros is an endless stream of newline-free bytes.
-type zeros struct{}
-
-func (zeros) Read(p []byte) (int, error) {
-	clear(p)
-	return len(p), nil
+// oversizedFrame is the start of a frame one byte past
+// wire.MaxClusterFrame: its length prefix and a little of its body.
+func oversizedFrame() []byte {
+	head := binary.BigEndian.AppendUint32(nil, wire.MaxClusterFrame-3)
+	return append(head, "pscpscpsc"...)
 }
 
-// TestClusterOversizedFrame: neither end buffers a line past
-// wire.MaxClusterFrame. A node hangs up on a peer that sends one; a
-// coordinator that is sent one counts it a transport fault.
+// TestClusterOversizedFrame: neither end buffers a frame past
+// wire.MaxClusterFrame; its length prefix is enough to refuse it. A node
+// hangs up on a peer that sends one, without an answer; a coordinator
+// that is sent one counts it a transport fault.
 func TestClusterOversizedFrame(t *testing.T) {
-	if testing.Short() {
-		t.Skip("moves 2x64 MiB over loopback")
-	}
-	// The cap plus more than either end's read buffer, so that the reader
-	// sees the excess without waiting for bytes that never come.
-	const oversized = wire.MaxClusterFrame + 1<<20
-
 	rogue := dialRogue(t, startNode(t, "node0"))
-	if _, err := io.Copy(rogue.conn, io.LimitReader(zeros{}, oversized)); err != nil {
-		// The node may hang up before the last byte is written.
-		t.Logf("write stopped early: %v", err)
+	if _, err := rogue.conn.Write(oversizedFrame()); err != nil {
+		t.Fatal(err)
 	}
 	rogue.conn.SetReadDeadline(time.Now().Add(30 * time.Second))
 	if _, err := rogue.br.ReadByte(); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
 		t.Fatalf("node kept the connection after an oversized frame (read err = %v)", err)
 	}
 
-	// A fake node that answers hello with an endless line.
+	// A fake node that answers hello with an oversized frame.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -449,8 +486,8 @@ func TestClusterOversizedFrame(t *testing.T) {
 			return
 		}
 		defer conn.Close()
-		io.Copy(conn, io.LimitReader(zeros{}, oversized))
-		io.Copy(io.Discard, conn) // hold the line until the coordinator hangs up
+		conn.Write(oversizedFrame())
+		io.Copy(io.Discard, conn) // hold the frame open until the coordinator hangs up
 	}()
 	_, err = cluster.New(cluster.Config{
 		World: "rwm", Seed: 1, Sensors: 10, Shards: 1,

@@ -1,5 +1,5 @@
 // Command psnode runs one cluster shard node: a config-free TCP server
-// speaking the cluster NDJSON frames in package wire. The node builds its
+// speaking the binary cluster frames in package wire. The node builds its
 // deterministic world replica when a coordinator says hello, so the only
 // deployment inputs are where to listen and what to call itself in
 // membership facts.

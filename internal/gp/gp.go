@@ -142,20 +142,66 @@ func putSolveBuffers(sb *solveBuffers) {
 	idleSolveBuffers.Unlock()
 }
 
-// NewKernelBlocks evaluates the kernel over pts and targets.
+// blockBuffers are the buffers a KernelBlocks owns, emptied.
+type blockBuffers struct {
+	pts      []geo.Point
+	kuu, ktu []float64
+	idx      []int
+	out      []float64
+}
+
+// idleBlockBuffers holds the buffers of released KernelBlocks (Release)
+// for the next Reset of blocks that have none: a region-monitoring
+// window that ends hands its grown buffers to the query that starts
+// next, instead of every window growing its own by append doubling. It
+// keeps at most maxIdleBlocks; buffers past that are left to the
+// collector.
+var idleBlockBuffers struct {
+	sync.Mutex
+	free []blockBuffers
+}
+
+const maxIdleBlocks = 64
+
+// NewKernelBlocks evaluates the kernel over pts and targets, in buffers
+// of its own.
 func (g *GP) NewKernelBlocks(targets, pts []geo.Point) *KernelBlocks {
-	kb := &KernelBlocks{}
-	kb.Reset(g, targets)
+	kb := &KernelBlocks{g: g, targets: targets}
 	kb.Extend(pts...)
 	return kb
 }
 
 // Reset empties kb's point set and binds it to g and targets, keeping
-// its buffers. kb keeps targets, which must not change while it is in
-// use.
+// its buffers; blocks without buffers take a released one's. kb keeps
+// targets, which must not change while it is in use.
 func (kb *KernelBlocks) Reset(g *GP, targets []geo.Point) {
 	kb.g, kb.targets = g, targets
+	if cap(kb.kuu) == 0 {
+		idleBlockBuffers.Lock()
+		if n := len(idleBlockBuffers.free); n > 0 {
+			bb := idleBlockBuffers.free[n-1]
+			idleBlockBuffers.free = idleBlockBuffers.free[:n-1]
+			kb.pts, kb.kuu, kb.ktu, kb.idx, kb.out = bb.pts, bb.kuu, bb.ktu, bb.idx, bb.out
+		}
+		idleBlockBuffers.Unlock()
+	}
 	kb.pts, kb.kuu, kb.ktu = kb.pts[:0], kb.kuu[:0], kb.ktu[:0]
+}
+
+// Release empties kb and hands its buffers on to the next Reset of
+// blocks that have none. kb holds nothing afterwards; only a Reset makes
+// it usable again.
+func (kb *KernelBlocks) Release() {
+	bb := blockBuffers{kb.pts[:0], kb.kuu[:0], kb.ktu[:0], kb.idx[:0], kb.out[:0]}
+	*kb = KernelBlocks{}
+	if cap(bb.kuu) == 0 {
+		return
+	}
+	idleBlockBuffers.Lock()
+	if len(idleBlockBuffers.free) < maxIdleBlocks {
+		idleBlockBuffers.free = append(idleBlockBuffers.free, bb)
+	}
+	idleBlockBuffers.Unlock()
 }
 
 // Extend appends pts to kb's point set, evaluating the kernel between

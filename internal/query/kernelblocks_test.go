@@ -125,3 +125,49 @@ func TestWarmRegionValueAllocations(t *testing.T) {
 		}
 	}
 }
+
+// TestWarmWindowStartAllocations: a query that starts after another one
+// was released takes the released query's kernel blocks, so its first
+// window grows no kernel-block buffer — each Value recompute after a
+// Record allocates nothing, from the first observation on.
+func TestWarmWindowStartAllocations(t *testing.T) {
+	if testing.Short() {
+		t.Skip("-short is how CI runs the race detector, which inflates allocation counts")
+	}
+	grid := geo.NewUnitGrid(20, 15)
+	model := gp.New(gp.SquaredExponential{Sigma2: 4, Length: 3}, 0.1)
+	region := geo.NewRect(2, 2, 10, 8)
+	s := rng.New(23, "warm-window")
+	in := func() geo.Point {
+		return geo.Pt(s.Uniform(region.MinX, region.MaxX), s.Uniform(region.MinY, region.MaxY))
+	}
+	window := func(q *RegionMonitoring, measure bool) {
+		q.ResetIfNeeded(q.Start)
+		var before, after runtime.MemStats
+		for k := 0; k < 12; k++ {
+			q.Record(in(), 0.8, 1)
+			runtime.ReadMemStats(&before)
+			v := q.Value()
+			runtime.ReadMemStats(&after)
+			if n := after.Mallocs - before.Mallocs; measure && n != 0 {
+				t.Errorf("observation %d of a warm window start: the Value recompute made %d allocations, want 0", k+1, n)
+			}
+			if v <= 0 {
+				t.Fatalf("observation %d: Value %v", k+1, v)
+			}
+		}
+	}
+	first := NewRegionMonitoring("rm-1", region, 0, 9, 100, model, grid)
+	window(first, false) // grows the blocks and the shared solve buffers
+	first.Release()
+	second := NewRegionMonitoring("rm-2", region, 10, 19, 100, model, grid)
+	window(second, true)
+	// A late recompute on the released query rebuilds its blocks and
+	// leaves the buffers the second query took alone.
+	for _, q := range []*RegionMonitoring{first, second, first} {
+		q.Record(in(), 0.7, 1)
+		if v, want := q.Value(), q.ValueOf(q.ObsPoints, q.Thetas); v != want {
+			t.Errorf("%s after the release: Value %v, fresh blocks give %v", q.ID, v, want)
+		}
+	}
+}

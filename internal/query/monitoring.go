@@ -287,7 +287,8 @@ type RegionMonitoring struct {
 	// kernel only for points it does not hold yet: the observations
 	// Record appended since the last use, and a candidate plan, which
 	// PlanMarginals appends and truncates again. ResetIfNeeded drops it,
-	// as it drops basePost; its buffers stay for the next window.
+	// as it drops basePost; its buffers stay for the next window, or go
+	// to the next query's when Release retires this one.
 	kb   gp.KernelBlocks
 	kbOK bool
 
@@ -478,6 +479,15 @@ func (q *RegionMonitoring) ResetIfNeeded(t int) {
 		q.kbOK = false
 		q.valueOK = false
 	}
+}
+
+// Release hands the query's kernel blocks on to the next region-monitoring
+// query that starts (gp.KernelBlocks.Release); the aggregator calls it
+// when it drops the query. A later Value rebuilds the blocks rather than
+// read buffers another query now owns.
+func (q *RegionMonitoring) Release() {
+	q.kb.Release()
+	q.kbOK = false
 }
 
 // BasePosterior returns the GP posterior over Targets() conditioned on

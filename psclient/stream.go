@@ -106,6 +106,14 @@ func (s *Stream) closeBody() error {
 	return err
 }
 
+// A watch connection's line buffer starts at streamBufStart: a frame is
+// a few hundred bytes, and the scanner doubles the buffer, up to
+// maxStreamFrame, only for a longer one.
+const (
+	streamBufStart = 4 << 10
+	maxStreamFrame = 1 << 20
+)
+
 // connect dials GET /watch with the current cursor.
 func (s *Stream) connect(ctx context.Context) error {
 	path := "/watch?id=" + url.QueryEscape(s.id)
@@ -132,7 +140,7 @@ func (s *Stream) connect(ctx context.Context) error {
 	}
 	s.body = resp.Body
 	s.sc = bufio.NewScanner(resp.Body)
-	s.sc.Buffer(make([]byte, 64*1024), 1<<20)
+	s.sc.Buffer(make([]byte, streamBufStart), maxStreamFrame)
 	s.dials++
 	if s.dials > 1 {
 		s.stats.Reconnects++

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -266,6 +267,32 @@ func TestServeBadRequests(t *testing.T) {
 	if status, _ := postJSON(t, ts.URL+"/query", body); status != http.StatusConflict {
 		t.Errorf("duplicate live id: status %d, want 409", status)
 	}
+}
+
+// TestServeRefusesUnboundedDuration: a window longer than ps.MaxDuration
+// — math.MaxInt used to panic the engine's loop goroutine, and with it
+// psserve — is a synchronous 400 with code bad_duration, and the server
+// goes on answering.
+func TestServeRefusesUnboundedDuration(t *testing.T) {
+	eng, ts := newTestStack(t)
+	for _, d := range []int{ps.MaxDuration + 1, math.MaxInt} {
+		status, resp := postJSON(t, ts.URL+"/query", map[string]any{
+			"type": "locmon", "loc": map[string]float64{"x": 30, "y": 30}, "budget": 100, "duration": d, "samples": 4,
+		})
+		if status != http.StatusBadRequest || resp["code"] != wire.CodeBadDuration {
+			t.Errorf("duration %d: status %d, body %v; want 400 %s", d, status, resp, wire.CodeBadDuration)
+		}
+	}
+	status, _ := postJSON(t, ts.URL+"/query", map[string]any{
+		"type": "point", "id": "after", "loc": map[string]float64{"x": 30, "y": 30}, "budget": 15,
+	})
+	if status != http.StatusAccepted {
+		t.Fatalf("the next submit: status %d, want 202", status)
+	}
+	if err := eng.RunSlots(1); err != nil {
+		t.Fatalf("RunSlots: %v", err)
+	}
+	waitForResults(t, ts.URL, "after", 1)
 }
 
 // TestServeListQueries: GET /queries pages through the registry in ID

@@ -186,8 +186,8 @@ var (
 	// ErrNegativeBudget rejects a negative budget (or budget_per_slot).
 	ErrNegativeBudget = errors.New("negative budget")
 	// ErrBadDuration rejects a continuous spec whose window is shorter
-	// than one slot.
-	ErrBadDuration = errors.New("duration must be at least 1 slot")
+	// than one slot or longer than MaxDuration.
+	ErrBadDuration = fmt.Errorf("duration must be 1 to %d slots", MaxDuration)
 	// ErrBadTrajectory rejects a trajectory with fewer than two waypoints.
 	ErrBadTrajectory = errors.New("trajectory needs at least 2 waypoints")
 	// ErrNegativeRedundancy rejects a multipoint spec with k < 0.
@@ -214,9 +214,18 @@ func validateCommon(kind QueryKind, id string, budget float64, field string) err
 	return nil
 }
 
+// MaxDuration is the longest window, in slots, a continuous spec may
+// ask for. A location-monitoring query builds the whole history of its
+// window when it is submitted, on the engine's loop, one time/value pair
+// per slot from slot 0 to its end; an unbounded duration is an unbounded
+// allocation there (math.MaxInt does not fit a slice at all). 1<<16
+// slots keeps that history near 1 MiB and is still 45 days of one-minute
+// slots, far past the paper's windows of tens of slots.
+const MaxDuration = 1 << 16
+
 // validateDuration checks a continuous kind's window length.
 func validateDuration(kind QueryKind, id string, duration int) error {
-	if duration < 1 {
+	if duration < 1 || duration > MaxDuration {
 		return fmt.Errorf("ps: %s spec %q: duration %d: %w", kind, id, duration, ErrBadDuration)
 	}
 	return nil

@@ -3,6 +3,7 @@ package ps
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"testing"
@@ -177,6 +178,45 @@ func TestSpecValidateSentinels(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestMaxDurationBoundsEveryWindow: every windowed kind accepts a window
+// of MaxDuration slots at the Aggregator and refuses one slot more, and
+// math.MaxInt — which used to panic the location-monitoring history's
+// make — with ErrBadDuration.
+func TestMaxDurationBoundsEveryWindow(t *testing.T) {
+	rwm := NewRWMWorld(1, 50, SensorConfig{})
+	intel := NewIntelLabWorld(1, SensorConfig{})
+	region := NewRect(20, 20, 40, 40)
+	specs := []struct {
+		world *World
+		spec  func(id string, d int) Spec
+	}{
+		{rwm, func(id string, d int) Spec {
+			return LocationMonitoringSpec{ID: id, Loc: Pt(30, 30), Duration: d, Budget: 5, Samples: 4}
+		}},
+		{intel, func(id string, d int) Spec {
+			return RegionMonitoringSpec{ID: id, Region: intel.Region, Duration: d, Budget: 5}
+		}},
+		{rwm, func(id string, d int) Spec {
+			return EventDetectionSpec{ID: id, Loc: Pt(30, 30), Duration: d, Threshold: 50, Confidence: 0.5, BudgetPerSlot: 5}
+		}},
+		{rwm, func(id string, d int) Spec {
+			return RegionEventSpec{ID: id, Region: region, Duration: d, Threshold: 50, Confidence: 0.5, BudgetPerSlot: 5}
+		}},
+	}
+	for _, tc := range specs {
+		a := NewAggregator(tc.world)
+		kind := tc.spec("", 1).Kind()
+		if _, err := a.Submit(tc.spec("max", MaxDuration)); err != nil {
+			t.Errorf("%s: a %d-slot window refused: %v", kind, MaxDuration, err)
+		}
+		for _, d := range []int{MaxDuration + 1, math.MaxInt} {
+			if _, err := a.Submit(tc.spec(fmt.Sprint(d), d)); !errors.Is(err, ErrBadDuration) {
+				t.Errorf("%s: a %d-slot window: err = %v, want ErrBadDuration", kind, d, err)
+			}
+		}
 	}
 }
 

@@ -1,5 +1,5 @@
-// The cluster wire surface: versioned NDJSON frames between the
-// coordinator and its shard nodes, one JSON object per line.
+// The cluster wire surface: versioned, length-prefixed binary frames
+// between the coordinator and its shard nodes.
 //
 // The coordinator -> node direction is write-behind with a fence. submits
 // and commit are posted frames: the coordinator writes them and moves on,
@@ -32,21 +32,56 @@
 //     stale node can never contribute to a slot it did not run under the
 //     current generation.
 //
-// The two bulk payloads, a submits frame's spec batch (also what a resync's
-// submits ops carry) and the run_slot response's LanePartial, travel in
-// ps's binary layouts (bit-exact floats, NaN included) as base64 strings
-// inside the same JSON line; everything else is plain JSON.
-//
 // Membership rides on the same frames: ping requests and their replies
 // exchange facts (subject/attribute/value/TTL, wirelink-style); the
 // coordinator expires them by TTL to drive live/suspect/dead states.
+//
+// # Framing
+//
+// A frame is a 4-byte big-endian length, counting the bytes after it,
+// then the body:
+//
+//	body     = "psc" version type seq epoch slot applied section*
+//	version  = one byte, ClusterVersion
+//	type     = one byte, the frame type's code
+//	seq, epoch, applied = uvarints; slot = a zig-zag varint
+//	section  = tag payload, tags strictly ascending, each at most once
+//
+// The sections are node, config, ops, specs, id, selected, partial,
+// facts, removed, error and code, in that order (tag 1 to 11); a field
+// at its zero value is left out. Strings and counts are uvarint-length
+// prefixed, ints zig-zag varints. The two bulk payloads, a submits
+// frame's spec batch (also what a resync's submits ops carry) and the
+// run_slot response's LanePartial, are raw bytes behind a 4-byte
+// big-endian length, in ps's binary layouts (bit-exact floats, NaN
+// included): the encoder writes the partial straight into the frame, and
+// the decoder hands the spec batch on as it lies in the frame.
+//
+// # Views
+//
+// Both ends read a connection through a bufio.Reader sized with
+// ClusterFrameBuffer. ReadClusterFrame returns a frame that fits that
+// buffer as a view into it, valid until the next read, and
+// DecodeClusterFrame's Specs (a frame's and each op's) are views into the
+// frame it decodes. So a frame is decoded, and its spec batches applied,
+// before the next read: the node submits a batch as it handles its
+// frame. Everything else a decode returns is the caller's own.
+//
+// # Versions
+//
+// A node refuses a frame of any other version with one error frame that
+// names it, then closes the connection. Frames before version 6 were JSON
+// lines; their version is read from the line's leading {"v":N, so a
+// coordinator built from an older release gets the same answer.
 package wire
 
 import (
 	"bufio"
-	"encoding/json"
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 
 	ps "repro"
 )
@@ -57,18 +92,20 @@ import (
 // runtime (the hello/resync config fixes it); version 4 replaced the
 // per-query JSON submit frame and oplog op with the binary submits batch;
 // version 5 dropped the hello/resync config's strategy and carries lane
-// partial layout 4. A peer speaking another version is refused at hello.
-const ClusterVersion = 5
+// partial layout 4; version 6 replaced the NDJSON lines, whose payloads
+// rode as base64, with length-prefixed binary frames. A peer speaking
+// another version is refused at hello.
+const ClusterVersion = 6
 
-// MaxClusterFrame bounds one frame line, newline included. Both ends
-// refuse to buffer a longer one (ReadClusterLine).
+// MaxClusterFrame bounds one frame, its length prefix included. Both ends
+// refuse a longer one before they buffer any of it (ReadClusterFrame).
 const MaxClusterFrame = 64 << 20
 
-// ClusterLineBuffer sizes both ends' buffered readers and writers, so that
-// the lines of a slot — a spec batch, a metro-scale partial (tens of KB) —
-// leave in one write, arrive in one or two reads and are decoded in place
-// (ReadClusterLine).
-const ClusterLineBuffer = 64 << 10
+// ClusterFrameBuffer sizes both ends' buffered readers, so that the
+// frames of a slot — a spec batch, a metro-scale partial (tens of KB) —
+// arrive in one or two reads and are decoded in place
+// (ReadClusterFrame).
+const ClusterFrameBuffer = 64 << 10
 
 // Cluster frame type names. Coordinator -> node: hello/resync configure or
 // rebuild the node's lane, submits/cancel manage queries,
@@ -88,19 +125,25 @@ const (
 	ClusterError   = "error"
 )
 
-// clusterTypes enumerates every valid ClusterFrame.Type value.
-var clusterTypes = map[string]bool{
-	ClusterHello:   true,
-	ClusterResync:  true,
-	ClusterSubmits: true,
-	ClusterCancel:  true,
-	ClusterRunSlot: true,
-	ClusterCommit:  true,
-	ClusterPing:    true,
+// clusterTypes lists every frame type; a type's wire code is its index
+// plus one.
+var clusterTypes = [...]string{
+	ClusterHello, ClusterResync, ClusterSubmits, ClusterCancel, ClusterRunSlot, ClusterCommit, ClusterPing,
+	ClusterOK, ClusterPartial, ClusterError,
+}
 
-	ClusterOK:      true,
-	ClusterPartial: true,
-	ClusterError:   true,
+// clusterOpKinds lists the replayable oplog operations; an op's wire code
+// is its index plus one.
+var clusterOpKinds = [...]string{"submits", "cancel", "slot"}
+
+// codeOf returns name's wire code in names, 0 for none.
+func codeOf(names []string, name string) byte {
+	for i, n := range names {
+		if n == name {
+			return byte(i + 1)
+		}
+	}
+	return 0
 }
 
 // ClusterPosted reports whether frames of the given type are posted:
@@ -114,15 +157,15 @@ func ClusterPosted(typ string) bool { return typ == ClusterSubmits || typ == Clu
 type NodeConfig struct {
 	// World names the deterministic world factory: "rwm", "rnc" or
 	// "intellab".
-	World string `json:"world"`
+	World string
 	// Seed is the world's random seed; identical seeds produce identical
 	// replicas, the foundation of the lockstep model.
-	Seed int64 `json:"seed"`
+	Seed int64
 	// Sensors is the fleet size (rwm only; the other worlds fix it).
-	Sensors int `json:"sensors,omitempty"`
+	Sensors int
 	// Shards and Shard select the node's slice of the grid partition.
-	Shards int `json:"shards"`
-	Shard  int `json:"shard"`
+	Shards int
+	Shard  int
 }
 
 // Fact is one membership assertion with a time-to-live, exchanged on
@@ -130,10 +173,10 @@ type NodeConfig struct {
 // The receiver expires facts locally; an expired liveness fact is what
 // turns a node suspect.
 type Fact struct {
-	Subject   string `json:"subject"`
-	Attribute string `json:"attribute"`
-	Value     string `json:"value"`
-	TTLMs     int64  `json:"ttl_ms"`
+	Subject   string
+	Attribute string
+	Value     string
+	TTLMs     int64
 }
 
 // ClusterOp is one replayable operation of a lane's oplog. A resync
@@ -144,18 +187,18 @@ type Fact struct {
 // timeline the coordinator served).
 type ClusterOp struct {
 	// Op is "submits", "cancel" or "slot".
-	Op string `json:"op"`
+	Op string
 	// Specs is one posted batch, the very bytes of its submits frame
 	// (submits ops).
-	Specs []byte `json:"specs_bin,omitempty"`
+	Specs []byte
 	// ID names the canceled query (cancel ops).
-	ID string `json:"id,omitempty"`
+	ID string
 	// Slot, Selected and Ran describe one executed slot (slot ops):
 	// the slot number, the global commit in replay order, and whether
 	// this lane's partial made it into the merge.
-	Slot     int   `json:"slot,omitempty"`
-	Selected []int `json:"selected,omitempty"`
-	Ran      bool  `json:"ran,omitempty"`
+	Slot     int
+	Selected []int
+	Ran      bool
 }
 
 // ClusterMember is one node's membership row as reported by /healthz.
@@ -175,7 +218,7 @@ type ClusterMember struct {
 //
 //	hello         config                          -> ok
 //	resync        config, ops                     -> ok
-//	submits       specs_bin                       posted
+//	submits       specs                           posted
 //	cancel        id                              -> ok (removed)
 //	run_slot      slot                            -> partial (slot, partial)
 //	commit        slot, selected                  posted
@@ -185,85 +228,260 @@ type ClusterMember struct {
 // Every frame carries V, Type, Seq and Epoch; responses echo the
 // request's Seq, the node's current Epoch and its Applied count.
 type ClusterFrame struct {
-	V     int    `json:"v"`
-	Type  string `json:"type"`
-	Seq   uint64 `json:"seq"`
-	Epoch uint64 `json:"epoch"`
-	Node  string `json:"node,omitempty"`
+	V     int
+	Type  string
+	Seq   uint64
+	Epoch uint64
+	Node  string
 
-	Config *NodeConfig `json:"config,omitempty"`
-	Ops    []ClusterOp `json:"ops,omitempty"`
-	// Specs is a submits frame's batch in ps's binary spec layout, base64
-	// on the wire like any JSON []byte. The frame codec carries it as it
-	// is; the node decodes it when it applies the frame.
-	Specs []byte `json:"specs_bin,omitempty"`
-	ID    string `json:"id,omitempty"`
+	Config *NodeConfig
+	Ops    []ClusterOp
+	// Specs is a submits frame's batch in ps's binary spec layout. The
+	// frame codec carries it as it is; the node decodes it when it
+	// applies the frame.
+	Specs []byte
+	ID    string
 
-	Slot     int   `json:"slot"`
-	Selected []int `json:"selected,omitempty"`
-	// Partial is the run_slot result. On the wire it is the "partial_bin"
-	// field: the partial's binary layout, base64 like any JSON []byte.
-	Partial *ps.LanePartial `json:"-"`
+	Slot     int
+	Selected []int
+	// Partial is the run_slot result, in the partial's binary layout on
+	// the wire.
+	Partial *ps.LanePartial
 
-	Facts []Fact `json:"facts,omitempty"`
+	Facts []Fact
 
 	// Applied is how many posted frames the node has applied on this
 	// connection since the last hello/resync (responses only).
-	Applied uint64 `json:"applied,omitempty"`
-	Removed bool   `json:"removed,omitempty"`
-	Error   string `json:"error,omitempty"`
-	Code    string `json:"code,omitempty"`
+	Applied uint64
+	Removed bool
+	Error   string
+	Code    string
 }
 
-// clusterFrameJSON is a frame's JSON shape: the frame's own fields plus
-// the encoded partial.
-type clusterFrameJSON struct {
-	ClusterFrame
-	PartialBin []byte `json:"partial_bin,omitempty"`
-}
+// frameMagic opens every frame body, ahead of its version byte.
+const frameMagic = "psc"
 
-// MarshalClusterFrame encodes a frame as one JSON object (no trailing
-// newline; NDJSON writers add it).
-func MarshalClusterFrame(f ClusterFrame) ([]byte, error) {
+// The section tags, in the order a frame carries its sections.
+const (
+	tagNode = iota + 1
+	tagConfig
+	tagOps
+	tagSpecs
+	tagID
+	tagSelected
+	tagPartial
+	tagFacts
+	tagRemoved
+	tagError
+	tagCode
+)
+
+// MarshalClusterFrame encodes a frame, length prefix included, into a
+// fresh buffer: AppendClusterFrame(nil, f).
+func MarshalClusterFrame(f ClusterFrame) ([]byte, error) { return AppendClusterFrame(nil, f) }
+
+// AppendClusterFrame appends f's encoding, length prefix included, to dst
+// and returns the extended slice; on an error it returns dst unchanged.
+// Appending to a buffer with room for the frame allocates nothing, so a
+// connection that keeps its buffer encodes every frame in place.
+func AppendClusterFrame(dst []byte, f ClusterFrame) ([]byte, error) {
 	if f.V != ClusterVersion {
-		return nil, fmt.Errorf("wire: cluster frame version %d (this build speaks v%d)", f.V, ClusterVersion)
+		return dst, fmt.Errorf("wire: cluster frame version %d (this build speaks v%d)", f.V, ClusterVersion)
 	}
-	if !clusterTypes[f.Type] {
-		return nil, fmt.Errorf("wire: unknown cluster frame type %q", f.Type)
+	typ := codeOf(clusterTypes[:], f.Type)
+	if typ == 0 {
+		return dst, fmt.Errorf("wire: unknown cluster frame type %q", f.Type)
 	}
-	j := clusterFrameJSON{ClusterFrame: f}
-	if f.Partial != nil {
-		j.PartialBin = f.Partial.AppendBinary(nil)
-	}
-	return json.Marshal(j)
-}
-
-// DecodeClusterFrame decodes and shape-checks one cluster frame: the
-// version must match, the type must be known, and per-type required
-// fields are checked so a consumer can rely on them.
-func DecodeClusterFrame(data []byte) (ClusterFrame, error) {
-	var j clusterFrameJSON
-	if err := json.Unmarshal(data, &j); err != nil {
-		return ClusterFrame{}, fmt.Errorf("wire: bad cluster frame JSON: %v", err)
-	}
-	f := j.ClusterFrame
-	if f.V != ClusterVersion {
-		return ClusterFrame{}, fmt.Errorf("wire: unsupported cluster frame version %d (this build speaks v%d)", f.V, ClusterVersion)
-	}
-	if !clusterTypes[f.Type] {
-		return ClusterFrame{}, fmt.Errorf("wire: unknown cluster frame type %q", f.Type)
-	}
-	if j.PartialBin != nil {
-		p, err := ps.DecodeLanePartial(j.PartialBin)
-		if err != nil {
-			return ClusterFrame{}, fmt.Errorf("wire: %s frame: %v", f.Type, err)
+	for _, op := range f.Ops {
+		if codeOf(clusterOpKinds[:], op.Op) == 0 {
+			return dst, fmt.Errorf("wire: unknown cluster op %q", op.Op)
 		}
-		f.Partial = p
+	}
+	start := len(dst)
+	b := append(dst, 0, 0, 0, 0)
+	b = append(b, frameMagic...)
+	b = append(b, ClusterVersion, typ)
+	b = binary.AppendUvarint(b, f.Seq)
+	b = binary.AppendUvarint(b, f.Epoch)
+	b = binary.AppendVarint(b, int64(f.Slot))
+	b = binary.AppendUvarint(b, f.Applied)
+	if f.Node != "" {
+		b = appendStr(append(b, tagNode), f.Node)
+	}
+	if c := f.Config; c != nil {
+		b = appendStr(append(b, tagConfig), c.World)
+		b = binary.AppendVarint(b, c.Seed)
+		b = binary.AppendVarint(b, int64(c.Sensors))
+		b = binary.AppendVarint(b, int64(c.Shards))
+		b = binary.AppendVarint(b, int64(c.Shard))
+	}
+	if len(f.Ops) > 0 {
+		b = binary.AppendUvarint(append(b, tagOps), uint64(len(f.Ops)))
+		for _, op := range f.Ops {
+			b = append(b, codeOf(clusterOpKinds[:], op.Op))
+			b = appendBlob(b, op.Specs)
+			b = appendStr(b, op.ID)
+			b = binary.AppendVarint(b, int64(op.Slot))
+			b = appendInts(b, op.Selected)
+			b = appendFlag(b, op.Ran)
+		}
+	}
+	if len(f.Specs) > 0 {
+		b = appendBlob(append(b, tagSpecs), f.Specs)
+	}
+	if f.ID != "" {
+		b = appendStr(append(b, tagID), f.ID)
+	}
+	if len(f.Selected) > 0 {
+		b = appendInts(append(b, tagSelected), f.Selected)
+	}
+	if f.Partial != nil {
+		b = append(b, tagPartial, 0, 0, 0, 0)
+		at := len(b)
+		b = f.Partial.AppendBinary(b)
+		binary.BigEndian.PutUint32(b[at-4:], uint32(len(b)-at))
+	}
+	if len(f.Facts) > 0 {
+		b = binary.AppendUvarint(append(b, tagFacts), uint64(len(f.Facts)))
+		for _, fa := range f.Facts {
+			b = appendStr(b, fa.Subject)
+			b = appendStr(b, fa.Attribute)
+			b = appendStr(b, fa.Value)
+			b = binary.AppendVarint(b, fa.TTLMs)
+		}
+	}
+	if f.Removed {
+		b = append(b, tagRemoved)
+	}
+	if f.Error != "" {
+		b = appendStr(append(b, tagError), f.Error)
+	}
+	if f.Code != "" {
+		b = appendStr(append(b, tagCode), f.Code)
+	}
+	if len(b)-start > MaxClusterFrame {
+		return dst, ErrClusterFrameTooLarge
+	}
+	binary.BigEndian.PutUint32(b[start:], uint32(len(b)-start-4))
+	return b, nil
+}
+
+func appendStr(b []byte, s string) []byte {
+	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
+}
+
+func appendBlob(b, blob []byte) []byte {
+	return append(binary.BigEndian.AppendUint32(b, uint32(len(blob))), blob...)
+}
+
+func appendInts(b []byte, vs []int) []byte {
+	b = binary.AppendUvarint(b, uint64(len(vs)))
+	for _, v := range vs {
+		b = binary.AppendVarint(b, int64(v))
+	}
+	return b
+}
+
+func appendFlag(b []byte, v bool) []byte {
+	if v {
+		return append(b, 1)
+	}
+	return append(b, 0)
+}
+
+// DecodeClusterFrame decodes and shape-checks one frame, length prefix
+// included: the version must match, the type must be known, and per-type
+// required fields are checked so a consumer can rely on them. The input
+// is untrusted: every count is checked against the bytes that remain
+// before anything is allocated for it, and no input panics. The Specs of
+// the frame and of its ops are views into data.
+func DecodeClusterFrame(data []byte) (ClusterFrame, error) {
+	if v, ok := jsonFrameVersion(data); ok {
+		return ClusterFrame{}, versionErr(v)
+	}
+	if len(data) < 4 {
+		return ClusterFrame{}, fmt.Errorf("wire: cluster frame of %d bytes has no length prefix", len(data))
+	}
+	if n := binary.BigEndian.Uint32(data); uint64(n) != uint64(len(data)-4) {
+		return ClusterFrame{}, fmt.Errorf("wire: cluster frame length prefix says %d bytes, %d follow", n, len(data)-4)
+	}
+	r := frameReader{b: data[4:]}
+	if !bytes.HasPrefix(r.b, []byte(frameMagic)) {
+		return ClusterFrame{}, errors.New("wire: not a cluster frame (bad magic)")
+	}
+	r.take(len(frameMagic))
+	var f ClusterFrame
+	if f.V = int(r.byte()); r.err == nil && f.V != ClusterVersion {
+		return ClusterFrame{}, versionErr(f.V)
+	}
+	typ := r.byte()
+	if r.err == nil && (typ == 0 || int(typ) > len(clusterTypes)) {
+		return ClusterFrame{}, fmt.Errorf("wire: unknown cluster frame type code %d", typ)
+	}
+	if r.err == nil {
+		f.Type = clusterTypes[typ-1]
+	}
+	f.Seq = r.uvarint()
+	f.Epoch = r.uvarint()
+	f.Slot = r.int()
+	f.Applied = r.uvarint()
+	last := 0
+	for r.err == nil && len(r.b) > 0 {
+		tag := int(r.byte())
+		if tag <= last || tag > tagCode {
+			return ClusterFrame{}, fmt.Errorf("wire: %s frame: section tag %d after %d", f.Type, tag, last)
+		}
+		last = tag
+		switch tag {
+		case tagNode:
+			f.Node = r.str()
+		case tagConfig:
+			f.Config = &NodeConfig{World: r.str(), Seed: r.varint(), Sensors: r.int(), Shards: r.int(), Shard: r.int()}
+		case tagOps:
+			// An op is at least 9 bytes: code, 4-byte blob length, id,
+			// slot, selected count, ran.
+			if n, ok := r.count(9); ok {
+				f.Ops = make([]ClusterOp, n)
+				for i := range f.Ops {
+					f.Ops[i] = r.op()
+				}
+			}
+		case tagSpecs:
+			f.Specs = r.blob()
+		case tagID:
+			f.ID = r.str()
+		case tagSelected:
+			f.Selected = r.ints()
+		case tagPartial:
+			if blob := r.blob(); r.err == nil {
+				p, err := ps.DecodeLanePartial(blob)
+				if err != nil {
+					return ClusterFrame{}, fmt.Errorf("wire: %s frame: %v", f.Type, err)
+				}
+				f.Partial = p
+			}
+		case tagFacts:
+			if n, ok := r.count(4); ok {
+				f.Facts = make([]Fact, n)
+				for i := range f.Facts {
+					f.Facts[i] = Fact{Subject: r.str(), Attribute: r.str(), Value: r.str(), TTLMs: r.varint()}
+				}
+			}
+		case tagRemoved:
+			f.Removed = true
+		case tagError:
+			f.Error = r.str()
+		case tagCode:
+			f.Code = r.str()
+		}
+	}
+	if r.err != nil {
+		return ClusterFrame{}, fmt.Errorf("wire: bad cluster frame: %v", r.err)
 	}
 	switch f.Type {
 	case ClusterHello, ClusterResync:
 		if f.Config == nil {
-			return ClusterFrame{}, fmt.Errorf(`wire: %s frame without a "config"`, f.Type)
+			return ClusterFrame{}, fmt.Errorf(`wire: %s frame without a config`, f.Type)
 		}
 		if !clusterWorlds[f.Config.World] {
 			return ClusterFrame{}, fmt.Errorf("wire: %s frame names unknown world %q", f.Type, f.Config.World)
@@ -274,63 +492,206 @@ func DecodeClusterFrame(data []byte) (ClusterFrame, error) {
 		}
 	case ClusterSubmits:
 		if len(f.Specs) == 0 {
-			return ClusterFrame{}, errors.New(`wire: submits frame without a "specs_bin"`)
+			return ClusterFrame{}, errors.New("wire: submits frame without a spec batch")
 		}
 	case ClusterCancel:
 		if f.ID == "" {
-			return ClusterFrame{}, errors.New(`wire: cancel frame without an "id"`)
+			return ClusterFrame{}, errors.New("wire: cancel frame without an id")
 		}
 	case ClusterPartial:
 		if f.Partial == nil {
-			return ClusterFrame{}, errors.New(`wire: partial frame without a "partial_bin"`)
+			return ClusterFrame{}, errors.New("wire: partial frame without a partial")
 		}
 	case ClusterError:
 		if f.Error == "" {
-			return ClusterFrame{}, errors.New(`wire: error frame without an "error"`)
-		}
-	}
-	for _, op := range f.Ops {
-		if !clusterOpKinds[op.Op] {
-			return ClusterFrame{}, fmt.Errorf("wire: unknown cluster op %q", op.Op)
+			return ClusterFrame{}, errors.New("wire: error frame without an error")
 		}
 	}
 	return f, nil
 }
 
-// ErrClusterFrameTooLarge reports a frame line longer than MaxClusterFrame.
+func versionErr(v int) error {
+	return fmt.Errorf("wire: unsupported cluster frame version %d (this build speaks v%d)", v, ClusterVersion)
+}
+
+// jsonFrameVersion reads the version of a frame from before version 6: a
+// JSON line that encoding/json opened with its "v" field.
+func jsonFrameVersion(data []byte) (int, bool) {
+	rest, ok := bytes.CutPrefix(data, []byte(`{"v":`))
+	v, digits := 0, 0
+	for ; ok && digits < len(rest) && digits < 9 && '0' <= rest[digits] && rest[digits] <= '9'; digits++ {
+		v = 10*v + int(rest[digits]-'0')
+	}
+	return v, digits > 0
+}
+
+// frameReader reads a frame body's fields; the first fault sticks and
+// every later read returns zero values.
+type frameReader struct {
+	b   []byte
+	err error
+}
+
+func (r *frameReader) fail(format string, args ...any) {
+	if r.err == nil {
+		r.err = fmt.Errorf(format, args...)
+	}
+	r.b = nil
+}
+
+func (r *frameReader) take(n int) []byte {
+	if r.err != nil || n > len(r.b) {
+		r.fail("truncated: want %d bytes, %d remain", n, len(r.b))
+		return nil
+	}
+	out := r.b[:n:n]
+	r.b = r.b[n:]
+	return out
+}
+
+func (r *frameReader) byte() byte {
+	if b := r.take(1); b != nil {
+		return b[0]
+	}
+	return 0
+}
+
+func (r *frameReader) uvarint() uint64 {
+	v, n := binary.Uvarint(r.b)
+	if n <= 0 {
+		r.fail("bad uvarint")
+		return 0
+	}
+	r.b = r.b[n:]
+	return v
+}
+
+func (r *frameReader) varint() int64 {
+	v, n := binary.Varint(r.b)
+	if n <= 0 {
+		r.fail("bad varint")
+		return 0
+	}
+	r.b = r.b[n:]
+	return v
+}
+
+func (r *frameReader) int() int { return int(r.varint()) }
+
+// count reads a collection's length, refusing one the remaining input
+// cannot hold at elemMin bytes an element before the caller allocates.
+func (r *frameReader) count(elemMin int) (int, bool) {
+	n := r.uvarint()
+	if r.err != nil || n == 0 {
+		return 0, false
+	}
+	if n > uint64(len(r.b)/elemMin) {
+		r.fail("%d elements of at least %d bytes, %d remain", n, elemMin, len(r.b))
+		return 0, false
+	}
+	return int(n), true
+}
+
+func (r *frameReader) str() string {
+	n := r.uvarint()
+	if n > uint64(len(r.b)) {
+		r.fail("string of %d bytes, %d remain", n, len(r.b))
+		return ""
+	}
+	return string(r.take(int(n)))
+}
+
+// blob reads a 4-byte length and returns that many bytes in place; an
+// empty blob is nil.
+func (r *frameReader) blob() []byte {
+	b := r.take(4)
+	if b == nil {
+		return nil
+	}
+	if n := binary.BigEndian.Uint32(b); n > 0 {
+		return r.take(int(n))
+	}
+	return nil
+}
+
+func (r *frameReader) ints() []int {
+	n, ok := r.count(1)
+	if !ok {
+		return nil
+	}
+	vs := make([]int, n)
+	for i := range vs {
+		vs[i] = r.int()
+	}
+	return vs
+}
+
+func (r *frameReader) op() ClusterOp {
+	code := r.byte()
+	if r.err == nil && (code == 0 || int(code) > len(clusterOpKinds)) {
+		r.fail("unknown cluster op code %d", code)
+		return ClusterOp{}
+	}
+	op := ClusterOp{Specs: r.blob(), ID: r.str(), Slot: r.int(), Selected: r.ints()}
+	switch ran := r.byte(); {
+	case ran > 1:
+		r.fail("ran byte %d", ran)
+	case r.err == nil:
+		op.Op, op.Ran = clusterOpKinds[code-1], ran == 1
+	}
+	return op
+}
+
+// ErrClusterFrameTooLarge reports a frame longer than MaxClusterFrame.
 var ErrClusterFrameTooLarge = fmt.Errorf("wire: cluster frame exceeds %d bytes", MaxClusterFrame)
 
-// ReadClusterLine reads one newline-terminated frame from br, refusing to
-// buffer more than MaxClusterFrame bytes of it. A line that fits br's own
-// buffer is returned as a view into it, valid until the next read; only a
-// longer one is copied. Both ends rely on the view — the lane for a slot's
-// partial, the node for a slot's spec batch — which is why both size br
-// with ClusterLineBuffer and decode a line before they read the next.
-func ReadClusterLine(br *bufio.Reader) ([]byte, error) { return readLine(br, MaxClusterFrame) }
+// jsonFramePeek is how much of a pre-v6 JSON frame ReadClusterFrame
+// returns: enough for its {"v":N.
+const jsonFramePeek = 16
 
-func readLine(br *bufio.Reader, limit int) ([]byte, error) {
-	var long []byte
-	for {
-		chunk, err := br.ReadSlice('\n')
-		if len(long)+len(chunk) > limit {
-			return nil, ErrClusterFrameTooLarge
-		}
-		if err == nil && long == nil {
-			return chunk, nil
-		}
-		long = append(long, chunk...)
-		if err == nil {
-			return long, nil
-		}
-		if err != bufio.ErrBufferFull {
+// ReadClusterFrame reads one frame, length prefix included, from br,
+// refusing one longer than MaxClusterFrame before it buffers any of it. A
+// frame that fits br's buffer is returned as a view into it, valid until
+// the next read; only a longer one is copied. Both ends rely on the view —
+// the lane for a slot's partial, the node for a slot's spec batch — which
+// is why both size br with ClusterFrameBuffer and decode a frame before
+// they read the next.
+//
+// A peer from before version 6 sends a JSON line instead, whose first
+// byte no valid length begins with; ReadClusterFrame returns the line's
+// start, so that DecodeClusterFrame names its version.
+func ReadClusterFrame(br *bufio.Reader) ([]byte, error) { return readFrame(br, MaxClusterFrame) }
+
+func readFrame(br *bufio.Reader, limit int) ([]byte, error) {
+	head, err := br.Peek(4)
+	if len(head) > 0 && head[0] == '{' {
+		line, _ := br.Peek(jsonFramePeek) // every JSON frame was longer
+		_, _ = br.Discard(len(line))
+		return line, nil
+	}
+	if err != nil {
+		return nil, err
+	}
+	n := binary.BigEndian.Uint32(head)
+	if uint64(n) > uint64(limit-4) {
+		return nil, ErrClusterFrameTooLarge
+	}
+	size := 4 + int(n)
+	if size <= br.Size() {
+		frame, err := br.Peek(size)
+		if err != nil {
 			return nil, err
 		}
+		_, _ = br.Discard(size) // cannot fail: the bytes are buffered
+		return frame, nil
 	}
+	frame := make([]byte, size)
+	if _, err := io.ReadFull(br, frame); err != nil {
+		return nil, err
+	}
+	return frame, nil
 }
 
 // clusterWorlds enumerates the deterministic world factories a NodeConfig
 // may name.
 var clusterWorlds = map[string]bool{"rwm": true, "rnc": true, "intellab": true}
-
-// clusterOpKinds enumerates the replayable oplog operations.
-var clusterOpKinds = map[string]bool{"submits": true, "cancel": true, "slot": true}

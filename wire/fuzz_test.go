@@ -2,6 +2,7 @@ package wire_test
 
 import (
 	"bytes"
+	"encoding/hex"
 	"reflect"
 	"strings"
 	"testing"
@@ -153,38 +154,47 @@ func TestFrameSeedsDecode(t *testing.T) {
 	}
 }
 
-// clusterSeeds are valid (and near-valid) cluster frames covering every
-// frame type, the oplog shapes and the documented error cases.
+// clusterSeeds are valid (and near-valid) cluster frames, hex-encoded,
+// covering every frame type, the oplog shapes and the documented error
+// cases. The first eleven are the frames of TestClusterFrameGolden.
 var clusterSeeds = []string{
-	`{"v":5,"type":"hello","seq":1,"epoch":1,"node":"n0","slot":0,"config":{"world":"rwm","seed":21,"sensors":220,"shards":4,"shard":0}}`,
-	`{"v":5,"type":"resync","seq":2,"epoch":2,"node":"n0","slot":0,"config":{"world":"intellab","seed":7,"shards":2,"shard":1},"ops":[{"op":"submits","specs_bin":"AQACcTEAAAAAAAA+QAAAAAAAAD5AAAAAAAAALkA="},{"op":"cancel","id":"q2"},{"op":"slot","slot":0,"selected":[3,1,7],"ran":true},{"op":"slot","slot":1,"ran":false}]}`,
-	// A batch of two specs: an aggregate and a two-waypoint trajectory.
-	`{"v":5,"type":"submits","seq":3,"epoch":1,"slot":0,"specs_bin":"AQIBYQAAAAAAADRAAAAAAAAANEAAAAAAAABEQAAAAAAAAERAAAAAAABAb0ABAwF0AwAAAAAAADlAAAAAAAAARUAAAAAAAIBLQAAAAAAAAEVAAAAAAADAYkA="}`,
-	`{"v":5,"type":"cancel","seq":4,"epoch":1,"slot":0,"id":"q1"}`,
-	`{"v":5,"type":"run_slot","seq":6,"epoch":1,"slot":3}`,
-	`{"v":5,"type":"commit","seq":7,"epoch":1,"slot":3,"selected":[5,2,9]}`,
-	`{"v":5,"type":"ping","seq":8,"epoch":1,"slot":0,"facts":[{"subject":"n0","attribute":"alive","value":"1","ttl_ms":1500}]}`,
-	`{"v":5,"type":"ok","seq":4,"epoch":1,"slot":0,"applied":17,"removed":true}`,
-	`{"v":5,"type":"ok","seq":2,"epoch":2,"slot":0}`,
-	// A partial: slot 3, two committed sensors, one point outcome.
-	`{"v":5,"type":"partial","seq":6,"epoch":1,"slot":3,"applied":4,"partial_bin":"BAYYBAMKBAMICgAAAAAAAOA/AAAAAAAAAkACBAAAAAAAANA/AAAAAAAA+D8CAnExAAAAAAAADEAAAAAAAAAA6D8AAAAAAAAMQAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAABkACAnExAAAAAAAADEACAnExAAAAAAAA4D8AAAAAAAAAAAAAAACamZmZmZnZP5qZmZmZmbk/"}`,
-	`{"v":5,"type":"error","seq":9,"epoch":2,"slot":0,"applied":3,"error":"ps: stale cluster epoch","code":"stale_epoch"}`,
-	`{"v":1,"type":"ping","seq":1,"epoch":1,"slot":0}`,                                                                       // wrong version
-	`{"v":4,"type":"ping","seq":1,"epoch":1,"slot":0}`,                                                                       // wrong version: the one before this
-	`{"v":5,"type":"warp","seq":1,"epoch":1,"slot":0}`,                                                                       // unknown type
-	`{"v":5,"type":"hello","seq":1,"epoch":1,"slot":0}`,                                                                      // missing config
-	`{"v":5,"type":"hello","seq":1,"epoch":1,"slot":0,"config":{"world":"moon","shards":1,"shard":0}}`,                       // unknown world
-	`{"v":5,"type":"hello","seq":1,"epoch":1,"slot":0,"config":{"world":"rwm","shards":2,"shard":2}}`,                        // shard out of range
-	`{"v":5,"type":"submits","seq":1,"epoch":1,"slot":0}`,                                                                    // missing batch
-	`{"v":5,"type":"cancel","seq":1,"epoch":1,"slot":0}`,                                                                     // missing id
-	`{"v":5,"type":"partial","seq":1,"epoch":1,"slot":0}`,                                                                    // missing partial
-	`{"v":5,"type":"error","seq":1,"epoch":1,"slot":0}`,                                                                      // missing error text
-	`{"v":5,"type":"resync","seq":1,"epoch":1,"slot":0,"config":{"world":"rwm","shards":1,"shard":0},"ops":[{"op":"warp"}]}`, // unknown op
-	`{"v":5,"type":"submitted","seq":3,"epoch":1,"slot":0,"id":"a"}`,                                                         // v1's submit reply: gone
-	`{"v":5,"type":"partial","seq":6,"epoch":1,"slot":3,"partial":{"slot":3,"offers":12,"queries":2}}`,                       // v1's JSON partial: gone
-	`{"v":5,"type":"partial","seq":6,"epoch":1,"slot":3,"partial_bin":"BAYYBAMKBAMI"}`,                                       // truncated partial
-	`{"v":5,"type":"partial","seq":6,"epoch":1,"slot":3,"partial_bin":"not base64"}`,
-	`{}`, `null`, `[]`, `"ping"`, `{"type":12}`, `{"v":-1,"type":"ping"}`,
+	// hello: node n0, config rwm seed 21, 220 sensors, shard 0 of 4.
+	"0000001770736306010101000001026e30020372776d2ab8030800",
+	// resync: intellab seed 7, shard 1 of 2; ops: a one-spec batch (point
+	// q1), cancel q2, slot 0 ran selecting [3 1 7], slot 1 degraded.
+	"0000006370736306020202000001026e300208696e74656c6c61620e0004020304010000001d01000271310000000000003e400000000000003e400000000000002e40000000000200000000027132000000030000000000000306020e01030000000000020000",
+	// submits: a batch of two specs, an aggregate and a two-waypoint
+	// trajectory.
+	"0000006770736306030301000004000000590102016100000000000034400000000000003440000000000000444000000000000044400000000000406f400103017403000000000000394000000000000045400000000000804b4000000000000045400000000000c06240",
+	"0000000d70736306040401000005027131",                       // cancel q1
+	"00000009707363060506010600",                               // run_slot 3
+	"0000000e70736306060701060006030a0412",                     // commit slot 3, selected [5 2 9]
+	"000000187073630607080100000801026e3005616c6976650131b817", // ping: n0 alive 1, 1500 ms
+	"0000000a70736306080401001109",                             // ok: applied 17, removed
+	"00000009707363060802020000",                               // ok
+	// partial: slot 3, two committed sensors, one point outcome.
+	"000000b370736306090601060407000000a504061804030a0403080a000000000000e03f00000000000002400204000000000000d03f000000000000f83f020271310000000000000c4000000000000000e83f0000000000000c4000000000000000000000000000000000000000000000000000000000000000000000000000000640020271310000000000000c4002027131000000000000e03f0000000000000000000000009a9999999999d93f9a9999999999b93f",
+	"0000002f707363060a090200030a1770733a207374616c6520636c75737465722065706f63680b0b7374616c655f65706f6368", // error: stale_epoch
+
+	"00000009707363050708010000",                                         // wrong version: the one before this, in binary
+	"00000009707363060b01010000",                                         // unknown type code
+	"00000009707363060101010000",                                         // hello without a config
+	"0000001370736306010101000002046d6f6f6e00000200",                     // unknown world
+	"00000012707363060101010000020372776d00000404",                       // shard out of range
+	"00000009707363060301010000",                                         // submits without a batch
+	"00000009707363060401010000",                                         // cancel without an id
+	"00000009707363060901010000",                                         // partial without a partial
+	"00000009707363060a01010000",                                         // error without its text
+	"0000001d707363060201010000020372776d000002000301040000000000000000", // unknown op code
+	"000000147073630609060106040700000006040618040303",                   // truncated partial
+	"0000000978797a060701010000",                                         // bad magic
+	"0000000a707363060701010000",                                         // length prefix past the frame
+	"000000117073630604010100000502713101026e30",                         // sections out of order
+	"0000000a7073630607010100000c",                                       // unknown section tag
+	"00000010707363060301010000040000ffff0102",                           // batch longer than the frame
+	"00000015707363060201010000020372776d0000020003ff01",                 // more ops than bytes
+	"0000000470736306",                                                   // header cut short
+	"000000",                                                             // length prefix cut short
 }
 
 // FuzzDecodeClusterFrame: arbitrary bytes never panic the cluster frame
@@ -193,13 +203,17 @@ var clusterSeeds = []string{
 // output), mirroring FuzzDecodeEventFrame.
 func FuzzDecodeClusterFrame(f *testing.F) {
 	for _, s := range clusterSeeds {
-		f.Add([]byte(s))
+		f.Add(mustHex(f, s))
 	}
 	for _, tc := range removedClusterSeeds {
 		f.Add([]byte(tc.frame))
 	}
+	for _, s := range []string{`{}`, `null`, `[]`, `"ping"`, `{"type":12}`, `{"v":-1,"type":"ping"}`} {
+		f.Add([]byte(s))
+	}
 	f.Add([]byte(nil))
-	f.Add([]byte(`{"v":5,"type":"commit","seq":18446744073709551615,"epoch":1,"slot":-9,"selected":[0,0,0]}`))
+	// commit: seq 2^64-1, slot -9, selected [0 0 0].
+	f.Add(mustHex(f, "000000177073630606ffffffffffffffffff01011100"+"0603000000"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		frame, err := wire.DecodeClusterFrame(data)
 		if err != nil {
@@ -211,16 +225,25 @@ func FuzzDecodeClusterFrame(f *testing.F) {
 		}
 		back, err := wire.DecodeClusterFrame(encoded)
 		if err != nil {
-			t.Fatalf("re-decode of %s: %v", encoded, err)
+			t.Fatalf("re-decode of %x: %v", encoded, err)
 		}
 		encoded2, err := wire.MarshalClusterFrame(back)
 		if err != nil {
-			t.Fatalf("re-encode of %s: %v", encoded, err)
+			t.Fatalf("re-encode of %x: %v", encoded, err)
 		}
 		if !bytes.Equal(encoded, encoded2) {
-			t.Fatalf("frame encoding is not a fixed point:\n first  %s\n second %s", encoded, encoded2)
+			t.Fatalf("frame encoding is not a fixed point:\n first  %x\n second %x", encoded, encoded2)
 		}
 	})
+}
+
+func mustHex(tb testing.TB, s string) []byte {
+	tb.Helper()
+	b, err := hex.DecodeString(s)
+	if err != nil {
+		tb.Fatalf("seed %q: %v", s, err)
+	}
+	return b
 }
 
 // TestClusterSeedsDecode pins which cluster seeds are valid, keeping the
@@ -228,7 +251,7 @@ func FuzzDecodeClusterFrame(f *testing.F) {
 func TestClusterSeedsDecode(t *testing.T) {
 	decoded := 0
 	for _, s := range clusterSeeds {
-		if _, err := wire.DecodeClusterFrame([]byte(s)); err == nil {
+		if _, err := wire.DecodeClusterFrame(mustHex(t, s)); err == nil {
 			decoded++
 		}
 	}
@@ -237,25 +260,47 @@ func TestClusterSeedsDecode(t *testing.T) {
 	}
 }
 
-// removedClusterSeeds are what a v2 peer used to switch a lane's strategy
-// at runtime, v3's per-query JSON submit frame and oplog op, hellos of
-// both versions, and a v4 hello fixing the lane's strategy in its config:
-// each must be refused, for the reason given.
+// removedClusterSeeds are JSON frames of versions 2 to 5: what a v2 peer
+// used to switch a lane's strategy at runtime, v3's per-query JSON submit
+// frame and oplog op, hellos of v2 to v4, a v4 hello fixing the lane's
+// strategy in its config, and v5's own hello and partial. Each must be
+// refused by its version.
 var removedClusterSeeds = []struct{ frame, wantErr string }{
-	{`{"v":5,"type":"set_strategy","seq":5,"epoch":1,"slot":0,"strategy":"lazy"}`, "unknown cluster frame type"},
-	{`{"v":5,"type":"resync","seq":1,"epoch":1,"slot":0,"config":{"world":"rwm","shards":1,"shard":0},"ops":[{"op":"strategy","strategy":"serial"}]}`, `unknown cluster op "strategy"`},
-	{`{"v":5,"type":"submit","seq":3,"epoch":1,"slot":0,"spec":{"v":1,"type":"point","id":"q1","loc":{"x":30,"y":30},"budget":15}}`, "unknown cluster frame type"},
-	{`{"v":5,"type":"resync","seq":1,"epoch":1,"slot":0,"config":{"world":"rwm","shards":1,"shard":0},"ops":[{"op":"submit","spec":{"v":1,"type":"point","id":"q1","loc":{"x":30,"y":30},"budget":15}}]}`, `unknown cluster op "submit"`},
-	{`{"v":2,"type":"hello","seq":1,"epoch":1,"slot":0,"config":{"world":"rwm","seed":21,"sensors":220,"shards":4,"shard":0}}`, "unsupported cluster frame version 2 (this build speaks v5)"},
-	{`{"v":3,"type":"hello","seq":1,"epoch":1,"slot":0,"config":{"world":"rwm","seed":21,"sensors":220,"shards":4,"shard":0}}`, "unsupported cluster frame version 3 (this build speaks v5)"},
-	{`{"v":4,"type":"hello","seq":1,"epoch":1,"slot":0,"config":{"world":"rwm","seed":21,"sensors":220,"shards":4,"shard":0,"strategy":"serial"}}`, "unsupported cluster frame version 4 (this build speaks v5)"},
+	{`{"v":2,"type":"set_strategy","seq":5,"epoch":1,"slot":0,"strategy":"lazy"}`, "unsupported cluster frame version 2 (this build speaks v6)"},
+	{`{"v":2,"type":"resync","seq":1,"epoch":1,"slot":0,"config":{"world":"rwm","shards":1,"shard":0},"ops":[{"op":"strategy","strategy":"serial"}]}`, "unsupported cluster frame version 2 (this build speaks v6)"},
+	{`{"v":3,"type":"submit","seq":3,"epoch":1,"slot":0,"spec":{"v":1,"type":"point","id":"q1","loc":{"x":30,"y":30},"budget":15}}`, "unsupported cluster frame version 3 (this build speaks v6)"},
+	{`{"v":3,"type":"resync","seq":1,"epoch":1,"slot":0,"config":{"world":"rwm","shards":1,"shard":0},"ops":[{"op":"submit","spec":{"v":1,"type":"point","id":"q1","loc":{"x":30,"y":30},"budget":15}}]}`, "unsupported cluster frame version 3 (this build speaks v6)"},
+	{`{"v":2,"type":"hello","seq":1,"epoch":1,"slot":0,"config":{"world":"rwm","seed":21,"sensors":220,"shards":4,"shard":0}}`, "unsupported cluster frame version 2 (this build speaks v6)"},
+	{`{"v":3,"type":"hello","seq":1,"epoch":1,"slot":0,"config":{"world":"rwm","seed":21,"sensors":220,"shards":4,"shard":0}}`, "unsupported cluster frame version 3 (this build speaks v6)"},
+	{`{"v":4,"type":"hello","seq":1,"epoch":1,"slot":0,"config":{"world":"rwm","seed":21,"sensors":220,"shards":4,"shard":0,"strategy":"serial"}}`, "unsupported cluster frame version 4 (this build speaks v6)"},
+	{`{"v":5,"type":"hello","seq":1,"epoch":1,"node":"n0","slot":0,"config":{"world":"rwm","seed":21,"sensors":220,"shards":4,"shard":0}}`, "unsupported cluster frame version 5 (this build speaks v6)"},
+	{`{"v":5,"type":"partial","seq":6,"epoch":1,"slot":3,"applied":4,"partial_bin":"BAYYBAMKBAMI"}`, "unsupported cluster frame version 5 (this build speaks v6)"},
 }
 
+// TestClusterFrameRefusesRemovedStrategySurface: the JSON frames of
+// versions 2 to 5 are refused by their version, and the frame types and
+// oplog ops earlier versions removed (set_strategy, the per-query submit,
+// the strategy op) do not encode.
 func TestClusterFrameRefusesRemovedStrategySurface(t *testing.T) {
 	for _, tc := range removedClusterSeeds {
 		_, err := wire.DecodeClusterFrame([]byte(tc.frame))
 		if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 			t.Errorf("DecodeClusterFrame(%s) = %v, want an error containing %q", tc.frame, err, tc.wantErr)
+		}
+	}
+	cfg := &wire.NodeConfig{World: "rwm", Shards: 1}
+	for _, tc := range []struct {
+		frame   wire.ClusterFrame
+		wantErr string
+	}{
+		{wire.ClusterFrame{Type: "set_strategy"}, `unknown cluster frame type "set_strategy"`},
+		{wire.ClusterFrame{Type: "submit", ID: "q1"}, `unknown cluster frame type "submit"`},
+		{wire.ClusterFrame{Type: wire.ClusterResync, Config: cfg, Ops: []wire.ClusterOp{{Op: "strategy"}}}, `unknown cluster op "strategy"`},
+		{wire.ClusterFrame{Type: wire.ClusterResync, Config: cfg, Ops: []wire.ClusterOp{{Op: "submit"}}}, `unknown cluster op "submit"`},
+	} {
+		tc.frame.V = wire.ClusterVersion
+		if _, err := wire.MarshalClusterFrame(tc.frame); err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+			t.Errorf("MarshalClusterFrame(%+v) = %v, want an error containing %q", tc.frame, err, tc.wantErr)
 		}
 	}
 }
