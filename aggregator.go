@@ -19,8 +19,7 @@ type Aggregator struct {
 	world *World
 	// greedy is always the zero config, the lazy greedy, outside tests;
 	// the equivalence tests set the serial reference through it.
-	greedy   core.GreedyConfig
-	selStats core.SelectionStats
+	greedy core.GreedyConfig
 
 	points    []*PointQuery
 	aggs      []*AggregateQuery
@@ -35,8 +34,8 @@ type Aggregator struct {
 // streaming Engine: everything the engine's event loop needs from the
 // aggregator is the ability to execute the next slot and to name it. The
 // engine wraps an Aggregator behind this interface; richer access (query
-// submission, selection stats) stays on the concrete type and is confined to
-// the loop goroutine.
+// submission) stays on the concrete type and is confined to the loop
+// goroutine.
 type slotRunner interface {
 	RunSlot() *SlotReport
 	NextSlot() int
@@ -76,11 +75,6 @@ type Option func(*Aggregator)
 func WithScheduling(Scheduling) Option {
 	return func(*Aggregator) {}
 }
-
-// SelectionStats returns the cumulative selection instrumentation over
-// all executed slots: valuation calls made vs the exhaustive-scan
-// equivalent, lazy-heap re-evaluations and non-submodular fallbacks.
-func (a *Aggregator) SelectionStats() SelectionStats { return a.selStats }
 
 // NewAggregator creates an aggregator over a world.
 func NewAggregator(world *World, opts ...Option) *Aggregator {
@@ -136,8 +130,8 @@ type SlotReport struct {
 	// Stages is the slot's per-stage latency trace in pipeline order —
 	// offer_gather/selection/commit/accounting on the unsharded pipeline,
 	// with the sharded pipeline's route/shard_select/spanning/reconcile
-	// replacing selection. The engine prepends ingest and appends publish
-	// before accumulating into EngineMetrics.SlotStages.
+	// replacing selection. The engine books ingest, these stages and
+	// publish into its metrics registry (EngineMetrics.SlotStages).
 	Stages []StageTiming
 
 	// results holds one entry per query with an outcome this slot,
@@ -257,7 +251,6 @@ func (a *Aggregator) RunSlot() *SlotReport {
 	tr.Mark(StageSelection)
 	a.world.Fleet.Commit(ex.selected)
 	tr.Mark(StageCommit)
-	a.selStats.Accumulate(ex.report.Selection)
 	a.retire(t)
 	tr.Mark(StageAccounting)
 	ex.report.Stages = tr.Spans()

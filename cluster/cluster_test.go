@@ -77,6 +77,15 @@ func snap(rep *ps.SlotReport) reportSnap {
 // requireIdentical compares two snapshots with exact float equality: the
 // two paths must have executed the same arithmetic, not similar
 // arithmetic.
+// requireConserved fails unless the slot's published payments kept Eq.
+// 11 on every lane, the spanning pass included.
+func requireConserved(t *testing.T, slot int, rep *ps.SlotReport) {
+	t.Helper()
+	if v := rep.Selection.ConservationViolations; v != 0 {
+		t.Fatalf("slot %d: %d conservation violations", slot, v)
+	}
+}
+
 func requireIdentical(t *testing.T, slot int, local, clustered reportSnap) {
 	t.Helper()
 	if local.Slot != clustered.Slot || local.Offers != clustered.Offers ||
@@ -166,12 +175,10 @@ func TestClusterGoldenEquivalence(t *testing.T) {
 		}
 		lr, cr := local.RunSlot(), clustered.RunSlot()
 		requireIdentical(t, slot, snap(lr), snap(cr))
+		requireConserved(t, slot, cr)
 		if len(cr.Degraded) != 0 {
 			t.Fatalf("slot %d: degraded lanes %v on a healthy cluster", slot, cr.Degraded)
 		}
-	}
-	if v := clustered.SelectionStats().ConservationViolations; v != 0 {
-		t.Errorf("cluster: %d conservation violations", v)
 	}
 	for _, m := range co.Membership() {
 		if m.State != "live" || m.Epoch != 1 {

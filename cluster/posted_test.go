@@ -417,7 +417,9 @@ func TestClusterDivergedReplicaHeals(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if rep := sa.RunSlot(); len(rep.Degraded) != 0 {
+	rep := sa.RunSlot()
+	requireConserved(t, 0, rep)
+	if len(rep.Degraded) != 0 {
 		t.Fatalf("slot 0 degraded: %v", rep.Degraded)
 	}
 	// A fence on every lane: slot 0's posted commits are applied before
@@ -429,14 +431,17 @@ func TestClusterDivergedReplicaHeals(t *testing.T) {
 		t.Fatalf("rogue run_slot: %+v", resp)
 	}
 
-	rep := sa.RunSlot()
+	rep = sa.RunSlot()
+	requireConserved(t, 1, rep)
 	if len(rep.Degraded) != 1 || rep.Degraded[0].Shard != victim {
 		t.Fatalf("slot 1 Degraded = %v, want exactly shard %d", rep.Degraded, victim)
 	}
 	if !strings.Contains(rep.Degraded[0].Err.Error(), "lockstep") {
 		t.Fatalf("slot 1 degraded with %v, want the replica's lockstep error", rep.Degraded[0].Err)
 	}
-	if rep := sa.RunSlot(); len(rep.Degraded) != 0 {
+	rep = sa.RunSlot()
+	requireConserved(t, 2, rep)
+	if len(rep.Degraded) != 0 {
 		t.Fatalf("slot 2 degraded, the diverged replica did not heal: %v", rep.Degraded)
 	}
 	for k := range addrs {
@@ -447,9 +452,6 @@ func TestClusterDivergedReplicaHeals(t *testing.T) {
 		if m := memberOf(t, co, k); m.State != "live" || m.Epoch != want {
 			t.Errorf("member %+v, want live at epoch %d", m, want)
 		}
-	}
-	if v := sa.SelectionStats().ConservationViolations; v != 0 {
-		t.Errorf("%d conservation violations", v)
 	}
 }
 

@@ -121,7 +121,6 @@ func TestNoTestOnlyExports(t *testing.T) {
 		"core.DiffMultiResults":       "the canonical bit-for-bit MultiResult comparison; tests in core and the root package share it, so it cannot live in one package's _test.go",
 		"engine.NewVirtualClock":      "the deterministic test clock; ROADMAP item 3's simulator builds on it",
 		"gp.Posterior.TotalReduction": "F(S) of Eq. 6 over the tracked targets; ROADMAP item 9(c) gives it a production caller",
-		"linalg.LeastSquares":         "the design-matrix fit that regression's tests check FitLinear's 2x2 solve against; tests in linalg and regression share it",
 		"mobility.NewStationary":      "a fixed-position fleet that tests in sensornet and the root package build on",
 	}
 	fset := token.NewFileSet()

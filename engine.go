@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -135,81 +134,82 @@ func (h *QueryHandle) Cancel() error {
 			return // already expired, replaced, or canceled
 		}
 		e.agg.CancelQuery(h.id)
-		e.mu.Lock()
-		e.m.QueriesCanceled++
-		e.m.ActiveQueries = e.hub.liveCount()
-		e.mu.Unlock()
 		e.obs.queriesCanceled.Inc()
-		e.obs.queriesActive.Set(float64(e.hub.liveCount()))
 	}))
 }
 
-// EngineMetrics is a point-in-time snapshot of the engine's counters.
+// EngineMetrics is a point-in-time snapshot of the engine's counters,
+// read from its metrics registry (Engine.Observability): GET /metrics
+// renders this struct as JSON and the registry as Prometheus text, so
+// the two read the same values. Durations marshal as integer
+// nanoseconds.
 type EngineMetrics struct {
 	// Slots executed and the last executed slot number.
-	Slots    int
-	LastSlot int
+	Slots    int `json:"slots"`
+	LastSlot int `json:"last_slot"`
 	// Welfare, payments, cost and sensor usage accumulated over all slots.
-	TotalWelfare  float64
-	LastWelfare   float64
-	TotalPayments float64
-	TotalCost     float64
-	SensorsUsed   int64
+	TotalWelfare  float64 `json:"total_welfare"`
+	LastWelfare   float64 `json:"last_welfare"`
+	TotalPayments float64 `json:"total_payments"`
+	TotalCost     float64 `json:"total_cost"`
+	SensorsUsed   int64   `json:"sensors_used"`
 	// Query lifecycle counters: Submitted counts queries that became
 	// live; Rejected counts submissions that never did (queue overflow,
 	// duplicate ID, registration error).
-	QueriesSubmitted int64
-	QueriesRejected  int64
+	QueriesSubmitted int64 `json:"queries_submitted"`
+	QueriesRejected  int64 `json:"queries_rejected"`
 	// QueriesShed counts submissions accepted into the ingest queue but
 	// evicted by the shed-oldest overflow policy before going live (not
 	// included in QueriesRejected — a shed submission was admitted, then
 	// sacrificed to newer work).
-	QueriesShed     int64
-	QueriesCanceled int64
-	ActiveQueries   int
+	QueriesShed     int64 `json:"queries_shed"`
+	QueriesCanceled int64 `json:"queries_canceled"`
+	ActiveQueries   int   `json:"active_queries"`
 	// Per-(query, slot) delivery counters: Answered counts results with
 	// positive value, Starved results delivered with none.
-	Answered int64
-	Starved  int64
+	Answered int64 `json:"answered"`
+	Starved  int64 `json:"starved"`
 	// EventsDelivered counts events times the readers attached when each
 	// was published; EventsDropped counts events a reader lost because
 	// the query's log evicted them before it got there (each such run is
 	// reported to that reader by one of the GapEvents frames).
-	EventsDelivered int64
-	EventsDropped   int64
-	GapEvents       int64
-	// Selection instrumentation accumulated over all slots: valuation
-	// calls the greedy core made, what an exhaustive scan would have
-	// made (their difference is the lazy heap's pruning), lazy-heap
-	// re-evaluations and non-submodular fallback rescans.
-	ValuationCalls          int64
-	ValuationCallsSaved     int64
-	LazyReevaluations       int64
-	SubmodularityViolations int64
-	FallbackRescans         int64
+	EventsDelivered int64 `json:"events_delivered"`
+	EventsDropped   int64 `json:"events_dropped"`
+	GapEvents       int64 `json:"gap_events"`
+	// Selection instrumentation summed over all slots: valuation calls
+	// the greedy core made, what an exhaustive scan would have made
+	// beyond them (the lazy heap's pruning), lazy-heap re-evaluations,
+	// non-submodular fallback rescans, and failed Eq. 11 checks on
+	// published payments (ConservationViolations, which must read 0).
+	ValuationCalls          int64 `json:"valuation_calls"`
+	ValuationCallsSaved     int64 `json:"valuation_calls_saved"`
+	LazyReevaluations       int64 `json:"lazy_reevaluations"`
+	SubmodularityViolations int64 `json:"submodularity_violations"`
+	ConservationViolations  int64 `json:"conservation_violations"`
+	FallbackRescans         int64 `json:"fallback_rescans"`
 	// Valuation-cache instrumentation (see core.SelectionStats): probe
 	// counts of the per-sensor footprint-geometry caches and the GP
 	// base-posterior observation accounting (rank-1 appends vs exact
 	// from-scratch rebuilds).
-	GeomCacheHits     int64
-	GeomCacheLookups  int64
-	PosteriorAppends  int64
-	PosteriorRebuilds int64
-	// Shards is the cumulative per-shard breakdown when the engine drives
-	// a ShardedAggregator (the last entry is the spanning pass); nil on an
-	// unsharded engine.
-	Shards []ShardStats
-	// SlotStages is the cumulative per-stage slot latency breakdown, in
-	// first-seen pipeline order (ingest, offer_gather, selection or the
-	// sharded passes, commit, accounting, publish). Empty until the first
-	// slot executes.
-	SlotStages []StageStats
-	// Ingest queue occupancy and slot execution latency.
-	QueueDepth      int
-	QueueCap        int
-	SlotLatencyLast time.Duration
-	SlotLatencyAvg  time.Duration
-	SlotLatencyMax  time.Duration
+	GeomCacheHits     int64 `json:"geom_cache_hits"`
+	GeomCacheLookups  int64 `json:"geom_cache_lookups"`
+	PosteriorAppends  int64 `json:"posterior_appends"`
+	PosteriorRebuilds int64 `json:"posterior_rebuilds"`
+	// Shards is the per-shard breakdown summed over slots when the engine
+	// drives a ShardedAggregator (the last entry is the spanning pass);
+	// nil on an unsharded engine.
+	Shards []ShardStats `json:"shards,omitempty"`
+	// SlotStages is the per-stage slot latency breakdown, in first-seen
+	// pipeline order (ingest, offer_gather, selection or the sharded
+	// passes, commit, accounting, publish). Empty until the first slot
+	// executes.
+	SlotStages []StageStats `json:"slot_stages,omitempty"`
+	// Ingest queue occupancy, read live, and slot execution latency.
+	QueueDepth      int           `json:"queue_depth"`
+	QueueCap        int           `json:"queue_cap"`
+	SlotLatencyLast time.Duration `json:"slot_latency_last_ns"`
+	SlotLatencyAvg  time.Duration `json:"slot_latency_avg_ns"`
+	SlotLatencyMax  time.Duration `json:"slot_latency_max_ns"`
 }
 
 type engineConfig struct {
@@ -307,11 +307,6 @@ type Engine struct {
 	// ingestNanos accumulates time spent executing queued submissions and
 	// cancels between slots; onSlot drains it into the "ingest" stage.
 	ingestNanos atomic.Int64
-	// stageIdx maps stage name -> index into m.SlotStages (guarded by mu).
-	stageIdx map[string]int
-
-	mu sync.Mutex
-	m  EngineMetrics
 }
 
 // NewEngine wraps an aggregator into a streaming engine. Call Start to
@@ -336,13 +331,9 @@ func newEngine(agg queryRuntime, opts []EngineOption) *Engine {
 	e := &Engine{
 		agg:        agg,
 		runner:     agg,
-		hub:        newHub(cfg.eventBuffer),
 		drainSlots: cfg.drainSlots,
-		obs:        newEngineObs(),
 		log:        cfg.logger,
-		stageIdx:   make(map[string]int),
 	}
-	e.hub.obs = &e.obs.hub
 	lc := engine.Config{QueueSize: cfg.queueSize}
 	if cfg.shedOldest {
 		lc.Overflow = engine.OverflowShedOldest
@@ -351,6 +342,8 @@ func newEngine(agg queryRuntime, opts []EngineOption) *Engine {
 		lc.Clock = engine.NewRealClock(cfg.interval)
 	}
 	e.loop = engine.New[*SlotReport](e.runner, lc, e.onSlot, e.drain)
+	e.obs = newEngineObs(func() int { return e.hub.liveCount() }, e.loop.QueueDepth, e.loop.QueueCap)
+	e.hub = newHub(cfg.eventBuffer, &e.obs.hub)
 	return e
 }
 
@@ -378,36 +371,7 @@ func (e *Engine) Flush() error { return e.loop.StepSlots(0) }
 // cheap snapshot admission layers poll on every request, without copying
 // the full EngineMetrics.
 func (e *Engine) QueueStats() (depth, capacity int) {
-	s := e.loop.Stats()
-	return s.QueueDepth, s.QueueCap
-}
-
-// Metrics returns a snapshot of the engine-wide counters.
-func (e *Engine) Metrics() EngineMetrics {
-	s := e.loop.Stats()
-	e.mu.Lock()
-	m := e.m
-	m.Shards = append([]ShardStats(nil), e.m.Shards...)
-	m.SlotStages = append([]StageStats(nil), e.m.SlotStages...)
-	e.mu.Unlock()
-	m.EventsDropped = e.hub.dropped.Load()
-	m.GapEvents = e.hub.gapEvents.Load()
-	m.Slots = s.Slots
-	m.QueueDepth = s.QueueDepth
-	m.QueueCap = s.QueueCap
-	m.SlotLatencyLast = s.SlotLast
-	m.SlotLatencyAvg = s.SlotAvg()
-	m.SlotLatencyMax = s.SlotMax
-	return m
-}
-
-// countRejected accounts for a submission that never became a live query:
-// queue overflow, duplicate ID, or a registration error.
-func (e *Engine) countRejected() {
-	e.mu.Lock()
-	e.m.QueriesRejected++
-	e.mu.Unlock()
-	e.obs.queriesRejected.Inc()
+	return e.loop.QueueDepth(), e.loop.QueueCap()
 }
 
 // timedIngest wraps a queued command so the time the loop spends
@@ -442,22 +406,17 @@ func (e *Engine) Submit(spec Spec) (*QueryHandle, error) {
 		defer e.ingested(time.Now())
 		if e.hub.live(id) {
 			h.fail(ErrDuplicateQueryID)
-			e.countRejected()
+			e.obs.queriesRejected.Inc()
 			return
 		}
 		sq, err := e.agg.Submit(spec)
 		if err != nil {
 			h.fail(err)
-			e.countRejected()
+			e.obs.queriesRejected.Inc()
 			return
 		}
 		e.hub.register(h.sub.t, sq.Start, sq.End, time.Now())
-		e.mu.Lock()
-		e.m.QueriesSubmitted++
-		e.m.ActiveQueries = e.hub.liveCount()
-		e.mu.Unlock()
 		e.obs.queriesSubmitted.Inc()
-		e.obs.queriesActive.Set(float64(e.hub.liveCount()))
 	}, func() {
 		// Shed by the overflow policy before the submission ran (see
 		// WithShedOldest): end the never-registered stream so the
@@ -466,13 +425,10 @@ func (e *Engine) Submit(spec Spec) (*QueryHandle, error) {
 		// shed; h.fail only takes the topic's lock, safe off the loop
 		// goroutine.
 		h.fail(ErrShed)
-		e.mu.Lock()
-		e.m.QueriesShed++
-		e.mu.Unlock()
 		e.obs.queriesShed.Inc()
 	})
 	if err != nil {
-		e.countRejected()
+		e.obs.queriesRejected.Inc()
 		return nil, err
 	}
 	return h, nil
@@ -504,9 +460,10 @@ func (e *Engine) Watch(id string) (*Subscription, error) {
 }
 
 // onSlot publishes a slot report through the subscription hub and
-// updates the engine-wide metrics. dur is the loop's authoritative
-// end-to-end slot latency (it covers the aggregator's RunSlot; the hub
-// publish below is timed separately). Loop goroutine only.
+// books the slot into the engine's registry. dur is the loop's
+// authoritative end-to-end slot latency (it covers the aggregator's
+// RunSlot; the hub publish below is timed separately). Loop goroutine
+// only.
 func (e *Engine) onSlot(rep *SlotReport, dur time.Duration) {
 	var events map[string][]EventNotification
 	if len(rep.Events) > 0 {
@@ -517,53 +474,11 @@ func (e *Engine) onSlot(rep *SlotReport, dur time.Duration) {
 	}
 	pubStart := time.Now()
 	st := e.hub.publishSlot(rep, events, pubStart)
-	publishDur := time.Since(pubStart)
-
-	// Assemble the slot's full stage trace: ingest work drained since the
-	// previous slot, the aggregator's own trace, then the hub fan-out.
-	stages := make([]StageTiming, 0, len(rep.Stages)+2)
-	stages = append(stages, StageTiming{Stage: StageIngest, Duration: time.Duration(e.ingestNanos.Swap(0))})
-	stages = append(stages, rep.Stages...)
-	stages = append(stages, StageTiming{Stage: StagePublish, Duration: publishDur})
-
-	e.mu.Lock()
-	e.m.LastSlot = rep.Slot
-	e.m.LastWelfare = rep.Welfare
-	e.m.ValuationCalls += rep.Selection.ValuationCalls
-	e.m.ValuationCallsSaved += rep.Selection.SavedCalls()
-	e.m.LazyReevaluations += rep.Selection.LazyReevaluations
-	e.m.SubmodularityViolations += rep.Selection.SubmodularityViolations
-	e.m.FallbackRescans += rep.Selection.FallbackRescans
-	e.m.GeomCacheHits += rep.Selection.GeomCacheHits
-	e.m.GeomCacheLookups += rep.Selection.GeomCacheLookups
-	e.m.PosteriorAppends += rep.Selection.PosteriorAppends
-	e.m.PosteriorRebuilds += rep.Selection.PosteriorRebuilds
-	if len(rep.Shards) > 0 {
-		if len(e.m.Shards) != len(rep.Shards) {
-			e.m.Shards = make([]ShardStats, len(rep.Shards))
-			for i, s := range rep.Shards {
-				e.m.Shards[i].Shard = s.Shard
-				e.m.Shards[i].Spanning = s.Spanning
-			}
-		}
-		for i, s := range rep.Shards {
-			e.m.Shards[i].accumulate(s)
-		}
-	}
-	e.m.TotalWelfare += rep.Welfare
-	e.m.TotalCost += rep.TotalCost
-	e.m.TotalPayments += st.payments
-	e.m.SensorsUsed += int64(rep.SensorsUsed)
-	e.m.Answered += st.answered
-	e.m.Starved += st.starved
-	e.m.EventsDelivered += st.delivered
-	e.m.ActiveQueries = st.active
-	e.accumulateStages(stages)
-	totalWelfare := e.m.TotalWelfare
-	e.mu.Unlock()
-
-	e.observeSlot(dur, rep, st, stages)
-	e.obs.welfare.Set(totalWelfare)
+	publish := time.Since(pubStart)
+	// Ingest work drained since the previous slot, the aggregator's own
+	// trace, then the hub fan-out: the slot's full stage trace.
+	ingest := time.Duration(e.ingestNanos.Swap(0))
+	e.obs.bookSlot(rep, st, dur, ingest, publish)
 
 	if e.log != nil && e.log.Enabled(context.Background(), slog.LevelDebug) {
 		attrs := []any{
@@ -572,10 +487,12 @@ func (e *Engine) onSlot(rep *SlotReport, dur time.Duration) {
 			"sensors", rep.SensorsUsed,
 			"active", st.active,
 			"duration", dur,
+			"stage_" + StageIngest, ingest,
 		}
-		for _, sp := range stages {
+		for _, sp := range rep.Stages {
 			attrs = append(attrs, "stage_"+sp.Stage, sp.Duration)
 		}
+		attrs = append(attrs, "stage_"+StagePublish, publish)
 		e.log.Debug("slot executed", attrs...)
 	}
 }
@@ -588,7 +505,4 @@ func (e *Engine) drain(step func()) {
 		step()
 	}
 	e.hub.closeAll(ErrEngineStopped, time.Now())
-	e.mu.Lock()
-	e.m.ActiveQueries = 0
-	e.mu.Unlock()
 }

@@ -7,7 +7,6 @@ import (
 	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -412,15 +411,11 @@ func (ev *QueryEvent) terminal() bool {
 type hub struct {
 	// bound is the most events one query's log retains.
 	bound int
-	// gapEvents counts Gap frames handed to readers hub-wide, dropped the
-	// events those frames reported lost.
-	gapEvents, dropped atomic.Int64
-	// obs, when set, receives eviction and query-lifecycle observations
-	// (a couple of atomic ops each).
+	// obs receives gap, eviction and query-lifecycle observations (a
+	// couple of atomic ops each).
 	obs *hubObs
 
-	// mu guards topics. It is deliberately separate from the engine's
-	// metrics mutex.
+	// mu guards topics.
 	mu     sync.Mutex
 	topics map[string]*topic
 	// Scratch of the loop goroutine, reused across slots: the live query
@@ -430,13 +425,13 @@ type hub struct {
 	ended []func()
 }
 
-func newHub(bound int) *hub {
+func newHub(bound int, o *hubObs) *hub {
 	if bound < 2 {
 		// The terminal event must fit behind the event a resuming reader
 		// is told the log continues with.
 		bound = 2
 	}
-	return &hub{bound: bound, topics: make(map[string]*topic)}
+	return &hub{bound: bound, obs: o, topics: make(map[string]*topic)}
 }
 
 // newTopic builds an unregistered topic with its owner attached (used by
@@ -451,13 +446,9 @@ func (h *hub) newTopic(id string) *topic {
 
 // countGap accounts one Gap frame reporting n lost events.
 func (h *hub) countGap(n int) {
-	h.gapEvents.Add(1)
-	h.dropped.Add(int64(n))
-	if o := h.obs; o != nil {
-		o.gapFrames.Inc()
-		o.eventsDropped.Add(float64(n))
-		o.evictionRun.Observe(float64(n))
-	}
+	h.obs.gapFrames.Inc()
+	h.obs.eventsDropped.Add(float64(n))
+	h.obs.evictionRun.Observe(float64(n))
 }
 
 // live reports whether id has a live topic.
@@ -519,9 +510,7 @@ func (h *hub) terminate(t *topic, cause error, at time.Time) (attached int, onDo
 		ev.Type = EventCanceled
 	}
 	attached = t.publish(ev)
-	if h.obs != nil {
-		h.obs.lifetime.Observe(at.Sub(t.acceptedAt).Seconds())
-	}
+	h.obs.lifetime.Observe(at.Sub(t.acceptedAt).Seconds())
 	return attached, t.finish(cause)
 }
 
@@ -611,7 +600,7 @@ func (h *hub) publishSlot(rep *SlotReport, events map[string][]EventNotification
 
 		t.mu.Lock()
 		res.Final = rep.Slot >= t.end
-		if h.obs != nil && t.base+len(t.log) == 1 { // only Accepted so far
+		if t.base+len(t.log) == 1 { // only Accepted so far
 			h.obs.firstUpdate.Observe(at.Sub(t.acceptedAt).Seconds())
 		}
 		st.delivered += int64(t.publish(QueryEvent{

@@ -36,6 +36,7 @@ var obsConstructors = map[string]struct {
 }{
 	"Counter":      {obs.KindCounter, -1},
 	"Gauge":        {obs.KindGauge, -1},
+	"GaugeFunc":    {obs.KindGauge, -1},
 	"Histogram":    {obs.KindHistogram, -1},
 	"CounterVec":   {obs.KindCounter, 2},
 	"GaugeVec":     {obs.KindGauge, 2},

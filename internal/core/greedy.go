@@ -148,41 +148,41 @@ func DiffMultiResults(want, got *MultiResult) string {
 type SelectionStats struct {
 	// ValuationCalls counts marginal-gain evaluations actually made —
 	// State.Gain invocations plus PairCached fast-path recombinations.
-	ValuationCalls int64
+	ValuationCalls int64 `json:"valuation_calls"`
 	// SerialEquivCalls counts the Gain invocations an exhaustive scan
 	// with the same per-(sensor, query) version cache would have made.
 	// For the serial reference the two are equal.
-	SerialEquivCalls int64
+	SerialEquivCalls int64 `json:"serial_equiv_calls"`
 	// LazyReevaluations counts heap candidates popped stale and
 	// re-evaluated against the current states.
-	LazyReevaluations int64
+	LazyReevaluations int64 `json:"lazy_reevaluations"`
 	// SubmodularityViolations counts re-evaluations where a cached
 	// marginal gain *increased* — evidence the valuation is not
 	// submodular, so cached heap priorities are not upper bounds.
-	SubmodularityViolations int64
+	SubmodularityViolations int64 `json:"submodularity_violations"`
 	// ConservationViolations counts failed Eq. 11 checks on published
 	// payments: a committed sensor not paid its announced cost, a payment
 	// to a sensor that was not committed, or a query paying more than its
 	// value or budget. It must read 0.
-	ConservationViolations int64
+	ConservationViolations int64 `json:"conservation_violations"`
 	// FallbackRescans counts rounds the lazy strategy re-scanned every
 	// remaining candidate exhaustively after observing a violation.
-	FallbackRescans int64
+	FallbackRescans int64 `json:"fallback_rescans"`
 	// GeomCacheHits / GeomCacheLookups count the selection's use of
 	// per-sensor geometry masks (query.GeomCached: which coverage cells
 	// or trajectory samples a sensor's sensing disk reaches). Every mask
 	// build, masked gain evaluation and masked commit is a lookup; the
 	// gains and commits are the hits (popcounts over a prebuilt mask),
 	// the builds are the misses (one disk walk each).
-	GeomCacheHits    int64
-	GeomCacheLookups int64
+	GeomCacheHits    int64 `json:"geom_cache_hits"`
+	GeomCacheLookups int64 `json:"geom_cache_lookups"`
 	// PosteriorAppends counts GP observations folded into a region-
 	// monitoring base posterior by rank-1 incremental update;
 	// PosteriorRebuilds counts observations replayed by an exact
 	// from-scratch recompute (cold cache, query reset, or conditioning
 	// degradation).
-	PosteriorAppends  int64
-	PosteriorRebuilds int64
+	PosteriorAppends  int64 `json:"posterior_appends"`
+	PosteriorRebuilds int64 `json:"posterior_rebuilds"`
 }
 
 // SavedCalls is the number of valuation calls the lazy heap avoided

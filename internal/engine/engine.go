@@ -67,35 +67,6 @@ type Config struct {
 	Clock Clock
 }
 
-// Stats is a point-in-time snapshot of the loop's own counters; the
-// wrapping layer composes it with domain metrics (welfare, payments).
-type Stats struct {
-	// Slots is the number of slots the loop has executed.
-	Slots int
-	// Enqueued and Rejected count Do calls accepted into/refused by the
-	// ingest queue.
-	Enqueued int64
-	Rejected int64
-	// Shed counts queued sheddable commands evicted (their onShed run
-	// instead) by OverflowShedOldest to make room for newer work.
-	Shed int64
-	// QueueDepth/QueueCap describe the ingest queue at snapshot time.
-	QueueDepth int
-	QueueCap   int
-	// Slot execution latencies.
-	SlotLast  time.Duration
-	SlotMax   time.Duration
-	SlotTotal time.Duration
-}
-
-// SlotAvg returns the mean slot execution latency.
-func (s Stats) SlotAvg() time.Duration {
-	if s.Slots == 0 {
-		return 0
-	}
-	return s.SlotTotal / time.Duration(s.Slots)
-}
-
 // Loop is the single-goroutine event loop owning a Runner. All runner
 // state is confined to the loop goroutine; concurrency enters only
 // through the bounded command queue and the clock.
@@ -120,9 +91,6 @@ type Loop[R any] struct {
 	// command is ever silently dropped.
 	sendMu  sync.RWMutex
 	stopped bool
-
-	mu    sync.Mutex
-	stats Stats
 }
 
 // New builds a Loop. onSlot (may be nil) is invoked on the loop goroutine
@@ -134,7 +102,7 @@ func New[R any](runner Runner[R], cfg Config, onSlot func(R, time.Duration), fin
 	if cfg.QueueSize <= 0 {
 		cfg.QueueSize = 1024
 	}
-	l := &Loop[R]{
+	return &Loop[R]{
 		runner:   runner,
 		onSlot:   onSlot,
 		finalize: finalize,
@@ -144,8 +112,6 @@ func New[R any](runner Runner[R], cfg Config, onSlot func(R, time.Duration), fin
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
 	}
-	l.stats.QueueCap = cfg.QueueSize
-	return l
 }
 
 // Start launches the loop goroutine. Safe to call once; subsequent calls
@@ -213,24 +179,15 @@ func (l *Loop[R]) enqueue(c command) error {
 	switch l.overflow {
 	case OverflowShedOldest:
 		if !l.sendShedding(c) {
-			l.mu.Lock()
-			l.stats.Rejected++
-			l.mu.Unlock()
 			return ErrQueueFull
 		}
 	default:
 		select {
 		case l.cmds <- c:
 		default:
-			l.mu.Lock()
-			l.stats.Rejected++
-			l.mu.Unlock()
 			return ErrQueueFull
 		}
 	}
-	l.mu.Lock()
-	l.stats.Enqueued++
-	l.mu.Unlock()
 	return nil
 }
 
@@ -251,9 +208,6 @@ func (l *Loop[R]) sendShedding(c command) bool {
 		select {
 		case old := <-l.cmds:
 			if old.onShed != nil {
-				l.mu.Lock()
-				l.stats.Shed++
-				l.mu.Unlock()
 				old.onShed()
 			} else {
 				l.cmds <- old
@@ -293,14 +247,11 @@ func (l *Loop[R]) StepSlots(n int) error {
 	}
 }
 
-// Stats returns a snapshot of the loop's counters.
-func (l *Loop[R]) Stats() Stats {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	s := l.stats
-	s.QueueDepth = len(l.cmds)
-	return s
-}
+// QueueDepth reports how many commands wait in the ingest queue now.
+func (l *Loop[R]) QueueDepth() int { return len(l.cmds) }
+
+// QueueCap reports the ingest queue's capacity.
+func (l *Loop[R]) QueueCap() int { return cap(l.cmds) }
 
 func (l *Loop[R]) run() {
 	defer close(l.done)
@@ -341,16 +292,6 @@ func (l *Loop[R]) runSlot() {
 	start := time.Now()
 	r := l.runner.RunSlot()
 	dur := time.Since(start)
-
-	l.mu.Lock()
-	l.stats.Slots++
-	l.stats.SlotLast = dur
-	l.stats.SlotTotal += dur
-	if dur > l.stats.SlotMax {
-		l.stats.SlotMax = dur
-	}
-	l.mu.Unlock()
-
 	if l.onSlot != nil {
 		l.onSlot(r, dur)
 	}

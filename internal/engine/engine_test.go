@@ -25,9 +25,6 @@ func TestLoopStepSlots(t *testing.T) {
 	if len(got) != 3 || got[2] != 3 {
 		t.Fatalf("onSlot results = %v, want [1 2 3]", got)
 	}
-	if s := l.Stats(); s.Slots != 3 || s.SlotAvg() <= 0 {
-		t.Fatalf("stats = %+v", s)
-	}
 }
 
 func TestLoopVirtualClock(t *testing.T) {
@@ -75,9 +72,8 @@ func TestLoopOverflowReject(t *testing.T) {
 	if err := l.Do(func() {}); err != ErrQueueFull {
 		t.Fatalf("second Do = %v, want ErrQueueFull", err)
 	}
-	s := l.Stats()
-	if s.Enqueued != 1 || s.Rejected != 1 || s.QueueDepth != 1 || s.QueueCap != 1 {
-		t.Fatalf("stats = %+v", s)
+	if d, c := l.QueueDepth(), l.QueueCap(); d != 1 || c != 1 {
+		t.Fatalf("queue depth %d, capacity %d, want 1 and 1", d, c)
 	}
 	l.Stop() // drains the queued command
 }
@@ -142,7 +138,7 @@ func TestLoopConcurrentDo(t *testing.T) {
 	if ran.Load() != 800 {
 		t.Fatalf("ran %d commands, want 800", ran.Load())
 	}
-	if s := l.Stats(); s.Slots != 10 {
-		t.Fatalf("slots = %d, want 10", s.Slots)
+	if r.slots != 10 {
+		t.Fatalf("slots = %d, want 10", r.slots)
 	}
 }

@@ -24,7 +24,7 @@ func posteriorVariancesReference(g *GP, targets, obs []geo.Point) ([]float64, er
 		}
 		return out, nil
 	}
-	kaa := linalg.NewMatrix(n, n)
+	kaa := &linalg.Matrix{Rows: n, Cols: n, Data: make([]float64, n*n)}
 	for i := 0; i < n; i++ {
 		for j := 0; j <= i; j++ {
 			v := g.Kernel.Cov(obs[i], obs[j])
@@ -33,12 +33,12 @@ func posteriorVariancesReference(g *GP, targets, obs []geo.Point) ([]float64, er
 		}
 		kaa.Set(i, i, kaa.At(i, i)+g.Noise)
 	}
-	ch, err := linalg.NewCholesky(kaa)
-	if err != nil {
+	ch := &linalg.Cholesky{}
+	if err := linalg.CholeskyInto(ch, kaa); err != nil {
 		for i := 0; i < n; i++ {
 			kaa.Set(i, i, kaa.At(i, i)+1e-6*g.Kernel.Var(obs[i])+1e-9)
 		}
-		if ch, err = linalg.NewCholesky(kaa); err != nil {
+		if err := linalg.CholeskyInto(ch, kaa); err != nil {
 			return nil, err
 		}
 	}

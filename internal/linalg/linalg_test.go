@@ -2,10 +2,144 @@ package linalg
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
 )
+
+// The constructors, dense products and solves below serve only these
+// tests: production code factors with CholeskyInto and solves with
+// SolveInto alone.
+
+// NewMatrix allocates a zero matrix.
+func NewMatrix(rows, cols int) *Matrix {
+	if rows < 0 || cols < 0 {
+		panic("linalg: negative dimension")
+	}
+	return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
+}
+
+// Clone returns a deep copy of m.
+func (m *Matrix) Clone() *Matrix {
+	out := NewMatrix(m.Rows, m.Cols)
+	copy(out.Data, m.Data)
+	return out
+}
+
+// T returns the transpose of m as a new matrix.
+func (m *Matrix) T() *Matrix {
+	out := NewMatrix(m.Cols, m.Rows)
+	for i := 0; i < m.Rows; i++ {
+		for j := 0; j < m.Cols; j++ {
+			out.Set(j, i, m.At(i, j))
+		}
+	}
+	return out
+}
+
+// NewCholesky factors the symmetric positive-definite matrix a.
+// Only the lower triangle of a is read. A small jitter can be added by the
+// caller to regularize near-singular kernels.
+func NewCholesky(a *Matrix) (*Cholesky, error) {
+	c := &Cholesky{}
+	if err := CholeskyInto(c, a); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// SolveVec solves A x = b for x using the factorization.
+func (c *Cholesky) SolveVec(b []float64) ([]float64, error) {
+	x := make([]float64, len(b))
+	return x, c.SolveVecInto(x, b)
+}
+
+// SolveVecInto is SolveVec writing x into dst, for callers that solve
+// against one factorization many times. dst must not overlap b. It is
+// SolveInto with one right-hand side.
+func (c *Cholesky) SolveVecInto(dst, b []float64) error {
+	return c.SolveInto(dst, b, 1)
+}
+
+// Mul returns a*b.
+func Mul(a, b *Matrix) (*Matrix, error) {
+	if a.Cols != b.Rows {
+		return nil, fmt.Errorf("%w: (%dx%d)*(%dx%d)", ErrShape, a.Rows, a.Cols, b.Rows, b.Cols)
+	}
+	out := NewMatrix(a.Rows, b.Cols)
+	for i := 0; i < a.Rows; i++ {
+		for k := 0; k < a.Cols; k++ {
+			aik := a.At(i, k)
+			if aik == 0 {
+				continue
+			}
+			rowB := b.Data[k*b.Cols : (k+1)*b.Cols]
+			rowOut := out.Data[i*out.Cols : (i+1)*out.Cols]
+			for j, bv := range rowB {
+				rowOut[j] += aik * bv
+			}
+		}
+	}
+	return out, nil
+}
+
+// MulVec returns a*x for a vector x.
+func MulVec(a *Matrix, x []float64) ([]float64, error) {
+	if a.Cols != len(x) {
+		return nil, fmt.Errorf("%w: (%dx%d)*vec(%d)", ErrShape, a.Rows, a.Cols, len(x))
+	}
+	out := make([]float64, a.Rows)
+	for i := 0; i < a.Rows; i++ {
+		row := a.Data[i*a.Cols : (i+1)*a.Cols]
+		var s float64
+		for j, v := range row {
+			s += v * x[j]
+		}
+		out[i] = s
+	}
+	return out, nil
+}
+
+// SolveSPD solves A x = b for a symmetric positive-definite A with optional
+// diagonal jitter for numerical robustness.
+func SolveSPD(a *Matrix, b []float64, jitter float64) ([]float64, error) {
+	work := a
+	if jitter > 0 {
+		work = a.Clone()
+		for i := 0; i < work.Rows; i++ {
+			work.Set(i, i, work.At(i, i)+jitter)
+		}
+	}
+	ch, err := NewCholesky(work)
+	if err != nil {
+		return nil, err
+	}
+	return ch.SolveVec(b)
+}
+
+// LeastSquares solves min ||X beta - y||^2 via the normal equations
+// (X^T X + ridge*I) beta = X^T y. A small ridge keeps the system SPD when X
+// has (near) collinear columns, which happens with degenerate sampling-time
+// subsets in the location-monitoring valuation.
+func LeastSquares(x *Matrix, y []float64, ridge float64) ([]float64, error) {
+	if x.Rows != len(y) {
+		return nil, fmt.Errorf("%w: lstsq X %dx%d, y %d", ErrShape, x.Rows, x.Cols, len(y))
+	}
+	xt := x.T()
+	xtx, err := Mul(xt, x)
+	if err != nil {
+		return nil, err
+	}
+	for i := 0; i < xtx.Rows; i++ {
+		xtx.Set(i, i, xtx.At(i, i)+ridge)
+	}
+	xty, err := MulVec(xt, y)
+	if err != nil {
+		return nil, err
+	}
+	return SolveSPD(xtx, xty, 0)
+}
 
 func matFrom(rows, cols int, vals ...float64) *Matrix {
 	m := NewMatrix(rows, cols)

@@ -77,6 +77,14 @@ func (g *Gauge) Add(v float64) {
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
+// GaugeFunc is a gauge read from a function at each read: live state
+// another component owns (a queue's depth, the live query count) is
+// reported as it is, with no copy to keep current.
+type GaugeFunc struct{ fn func() float64 }
+
+// Value calls the gauge's function.
+func (g *GaugeFunc) Value() float64 { return g.fn() }
+
 // Histogram counts observations into fixed buckets. Buckets are upper
 // bounds (exclusive of +Inf, which is implicit); counts are stored
 // per-bucket and cumulated only at exposition time.
@@ -283,6 +291,20 @@ func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
 	return r.lookup(name, help, KindHistogram, buckets, nil).child(nil).(*Histogram)
 }
 
+// GaugeFunc registers the named label-less gauge read from fn. Asking
+// again for the same name returns the first registration's gauge.
+func (r *Registry) GaugeFunc(name, help string, fn func() float64) *GaugeFunc {
+	f := r.lookup(name, help, KindGauge, nil, nil)
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if c, ok := f.children[""]; ok {
+		return c.(*GaugeFunc)
+	}
+	g := &GaugeFunc{fn: fn}
+	f.children[""] = g
+	return g
+}
+
 // CounterVec is a counter family with labels.
 type CounterVec struct{ f *family }
 
@@ -369,6 +391,8 @@ func (f *family) write(b *strings.Builder) {
 		case *Counter:
 			fmt.Fprintf(b, "%s%s %s\n", f.name, labelSet(f.labels, values, "", ""), formatFloat(c.Value()))
 		case *Gauge:
+			fmt.Fprintf(b, "%s%s %s\n", f.name, labelSet(f.labels, values, "", ""), formatFloat(c.Value()))
+		case *GaugeFunc:
 			fmt.Fprintf(b, "%s%s %s\n", f.name, labelSet(f.labels, values, "", ""), formatFloat(c.Value()))
 		case *Histogram:
 			var cum uint64

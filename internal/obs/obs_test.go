@@ -138,6 +138,24 @@ func TestWritePrometheusFormat(t *testing.T) {
 	}
 }
 
+// A GaugeFunc renders its function's value at each exposition, and a
+// second registration under its name returns the first.
+func TestGaugeFuncReadsLive(t *testing.T) {
+	r := NewRegistry()
+	depth := 3
+	g := r.GaugeFunc("ps_depth", "depth", func() float64 { return float64(depth) })
+	if !strings.Contains(expose(t, r), "ps_depth 3\n") {
+		t.Fatalf("exposition missing ps_depth 3:\n%s", expose(t, r))
+	}
+	depth = 5
+	if g.Value() != 5 || !strings.Contains(expose(t, r), "ps_depth 5\n") {
+		t.Fatalf("gauge func not live: Value %v, exposition:\n%s", g.Value(), expose(t, r))
+	}
+	if again := r.GaugeFunc("ps_depth", "depth", func() float64 { return 0 }); again != g {
+		t.Fatal("second GaugeFunc registration returned a new gauge")
+	}
+}
+
 func TestLabelEscaping(t *testing.T) {
 	r := NewRegistry()
 	r.CounterVec("ps_esc_total", "e", "v").With("a\"b\\c\nd").Inc()

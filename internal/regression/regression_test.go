@@ -7,7 +7,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/linalg"
 	"repro/internal/rng"
 )
 
@@ -263,10 +262,11 @@ func TestIndicesOf(t *testing.T) {
 	}
 }
 
-// fitLinearReference is FitLinear on the general n x 2 design matrix: the
-// normal equations X^T X + ridge I by linalg's dense products and Cholesky,
-// the mean if they are not positive definite. FitLinear must return its
-// model bit for bit.
+// fitLinearReference is FitLinear on the general n x 2 design matrix
+// X = [1 t]: the normal equations (X^T X + ridge I) beta = X^T y, each
+// sum taken in index order, solved by a 2x2 Cholesky factor with a
+// forward and a backward substitution; the mean if they are not positive
+// definite. FitLinear must return its model bit for bit.
 func fitLinearReference(s *Series, idx []int) LinearModel {
 	switch len(idx) {
 	case 0:
@@ -274,22 +274,33 @@ func fitLinearReference(s *Series, idx []int) LinearModel {
 	case 1:
 		return LinearModel{Alpha: s.Values[idx[0]], Beta: 0, Trained: true}
 	}
-	x := linalg.NewMatrix(len(idx), 2)
-	y := make([]float64, len(idx))
-	for r, i := range idx {
-		x.Set(r, 0, 1)
-		x.Set(r, 1, s.Times[i])
-		y[r] = s.Values[i]
+	var a00, a10, a11, b0, b1, mean float64
+	for _, i := range idx {
+		t, y := s.Times[i], s.Values[i]
+		a00 += 1 * 1
+		a10 += t * 1
+		a11 += t * t
+		b0 += 1 * y
+		b1 += t * y
+		mean += y
 	}
-	beta, err := linalg.LeastSquares(x, y, fitRidge)
-	if err != nil {
-		var mean float64
-		for _, v := range y {
-			mean += v
-		}
-		return LinearModel{Alpha: mean / float64(len(y)), Beta: 0, Trained: true}
+	a00 += fitRidge
+	a11 += fitRidge
+	if a00 <= 0 || math.IsNaN(a00) {
+		return LinearModel{Alpha: mean / float64(len(idx)), Beta: 0, Trained: true}
 	}
-	return LinearModel{Alpha: beta[0], Beta: beta[1], Trained: true}
+	l00 := math.Sqrt(a00)
+	l10 := a10 / l00
+	d := a11 - l10*l10
+	if d <= 0 || math.IsNaN(d) {
+		return LinearModel{Alpha: mean / float64(len(idx)), Beta: 0, Trained: true}
+	}
+	l11 := math.Sqrt(d)
+	y0 := b0 / l00
+	y1 := (b1 - l10*y0) / l11
+	beta := y1 / l11
+	alpha := (y0 - l10*beta) / l00
+	return LinearModel{Alpha: alpha, Beta: beta, Trained: true}
 }
 
 // TestFitLinearMatchesReference: on seeded index lists over every

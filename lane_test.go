@@ -110,6 +110,7 @@ func TestRemoteLaneGoldenEquivalence(t *testing.T) {
 		}
 		lr, wr := local.RunSlot(), wired.RunSlot()
 		requireIdentical(t, slot, snapshot(lr), snapshot(wr))
+		requireConserved(t, slot, wr)
 		if len(wr.Degraded) != 0 {
 			t.Fatalf("slot %d: unexpected degraded lanes %v", slot, wr.Degraded)
 		}
@@ -122,26 +123,26 @@ func TestRemoteLaneGoldenEquivalence(t *testing.T) {
 			t.Fatalf("slot %d: stages %v missing %s/%s", slot, wr.Stages, StageLaneRPC, StageGather)
 		}
 	}
-	if v := wired.SelectionStats().ConservationViolations; v != 0 {
-		t.Errorf("wire lanes: %d conservation violations", v)
-	}
 }
 
 // TestLaneConservationViolationsReachCoordinator: a violation a node
-// counts crosses the codec into the coordinator's SelectionStats, once
-// per slot and lane, on slots with work and without.
+// counts crosses the codec into the coordinator's slot report, once per
+// slot and lane, on slots with work and without.
 func TestLaneConservationViolationsReachCoordinator(t *testing.T) {
 	sa := newWireSharded(5, 120, 4)
 	sa.lanes[2].(*wireLane).forged = 2
 	if _, err := sa.Submit(PointSpec{ID: "p", Loc: quadrantInner[2].Center(), Budget: 15}); err != nil {
 		t.Fatal(err)
 	}
+	var got int64
 	for slot := 0; slot < 2; slot++ {
-		if rep := sa.RunSlot(); len(rep.Degraded) != 0 {
+		rep := sa.RunSlot()
+		if len(rep.Degraded) != 0 {
 			t.Fatalf("slot %d: degraded lanes %v", slot, rep.Degraded)
 		}
+		got += rep.Selection.ConservationViolations
 	}
-	if got := sa.SelectionStats().ConservationViolations; got != 4 {
+	if got != 4 {
 		t.Fatalf("coordinator counts %d conservation violations, want 2 slots x 2", got)
 	}
 }
@@ -178,6 +179,7 @@ func TestShardedDegradedLane(t *testing.T) {
 			}
 		}
 		rep := sa.RunSlot()
+		requireConserved(t, slot, rep)
 		if slot != down {
 			if len(rep.Degraded) != 0 {
 				t.Fatalf("slot %d: unexpected degraded lanes %v", slot, rep.Degraded)
@@ -203,9 +205,6 @@ func TestShardedDegradedLane(t *testing.T) {
 		if len(rep.Shards) != 5 || rep.Shards[2].Shard != 2 || rep.Shards[2].Queries != 0 {
 			t.Fatalf("slot %d: shard stats misaligned: %+v", slot, rep.Shards)
 		}
-	}
-	if v := sa.SelectionStats().ConservationViolations; v != 0 {
-		t.Errorf("%d conservation violations after a degraded slot", v)
 	}
 }
 

@@ -3,14 +3,16 @@ package ps
 import (
 	"strings"
 	"testing"
+	"time"
 )
 
 // The unsharded slot trace covers the canonical stage set in pipeline
-// order, and the engine prepends ingest / appends publish before
-// accumulating into EngineMetrics.SlotStages.
+// order, the engine books ingest before it and publish after it into
+// EngineMetrics.SlotStages, and each stage's Last is the last slot's.
 func TestSlotStageTraceUnsharded(t *testing.T) {
 	w := NewRWMWorld(7, 200, SensorConfig{})
-	eng := NewEngine(NewAggregator(w))
+	runner := &lastReport{queryRuntime: NewAggregator(w)}
+	eng := newEngine(runner, nil)
 	eng.Start()
 	defer eng.Stop()
 
@@ -39,6 +41,43 @@ func TestSlotStageTraceUnsharded(t *testing.T) {
 	}
 
 	requireStagesWithinSlot(t, m)
+	requireLastStages(t, m, runner.rep)
+}
+
+// lastReport is a slot runner that keeps the last report it ran.
+type lastReport struct {
+	queryRuntime
+	rep *SlotReport
+}
+
+func (l *lastReport) RunSlot() *SlotReport {
+	l.rep = l.queryRuntime.RunSlot()
+	return l.rep
+}
+
+// requireLastStages checks that each aggregator stage's Last is the last
+// slot's duration of that stage to the nanosecond, and that the slot
+// number and welfare are the last report's.
+func requireLastStages(t *testing.T, m EngineMetrics, last *SlotReport) {
+	t.Helper()
+	if m.LastSlot != last.Slot || m.LastWelfare != last.Welfare {
+		t.Errorf("LastSlot %d, LastWelfare %v; the last report has slot %d, welfare %v",
+			m.LastSlot, m.LastWelfare, last.Slot, last.Welfare)
+	}
+	for _, want := range last.Stages {
+		found := false
+		for _, s := range m.SlotStages {
+			if s.Stage == want.Stage {
+				found = true
+				if s.Last != want.Duration {
+					t.Errorf("stage %q: Last %d ns, the last slot took %d ns", s.Stage, s.Last, want.Duration)
+				}
+			}
+		}
+		if !found {
+			t.Errorf("stage %q of the last slot is missing from SlotStages", want.Stage)
+		}
+	}
 }
 
 // requireStagesWithinSlot checks that the aggregator's stages are
@@ -63,7 +102,8 @@ func requireStagesWithinSlot(t *testing.T, m EngineMetrics) {
 
 func TestSlotStageTraceSharded(t *testing.T) {
 	w := NewRWMWorld(8, 200, SensorConfig{})
-	eng := NewShardedEngine(NewShardedAggregator(w, 4))
+	runner := &lastReport{queryRuntime: NewShardedAggregator(w, 4)}
+	eng := newEngine(runner, nil)
 	eng.Start()
 	defer eng.Stop()
 	if err := eng.RunSlots(2); err != nil {
@@ -84,6 +124,46 @@ func TestSlotStageTraceSharded(t *testing.T) {
 	// The shard lanes run concurrently, but shard_select is the wall time
 	// of the whole fan-out, so the sharded stages sum within the slot too.
 	requireStagesWithinSlot(t, m)
+	requireLastStages(t, m, runner.rep)
+}
+
+// TestSlotBookingAllocations: booking a warm slot into the registry —
+// its stages, counters and gauges, and on a sharded engine every lane's
+// series — allocates nothing.
+func TestSlotBookingAllocations(t *testing.T) {
+	if testing.Short() {
+		t.Skip("-short is how CI runs the race detector, which inflates allocation counts")
+	}
+	for _, tc := range []struct {
+		name string
+		agg  func(*World) queryRuntime
+	}{
+		{"unsharded", func(w *World) queryRuntime { return NewAggregator(w) }},
+		{"4 shards", func(w *World) queryRuntime { return NewShardedAggregator(w, 4) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			runner := &lastReport{queryRuntime: tc.agg(NewRWMWorld(3, 200, SensorConfig{}))}
+			eng := newEngine(runner, nil)
+			eng.Start()
+			defer eng.Stop()
+			if _, err := eng.Submit(AggregateSpec{ID: "a", Region: NewRect(20, 20, 45, 45), Budget: 300}); err != nil {
+				t.Fatal(err)
+			}
+			if err := eng.RunSlots(2); err != nil {
+				t.Fatal(err)
+			}
+			rep := runner.rep
+			if tc.name != "unsharded" && len(rep.Shards) != 5 {
+				t.Fatalf("sharded report has %d shard entries, want 5", len(rep.Shards))
+			}
+			st := slotDelivery{answered: 1, payments: 2.5, subscribers: 1, bufCap: 4}
+			if allocs := testing.AllocsPerRun(100, func() {
+				eng.obs.bookSlot(rep, st, time.Millisecond, time.Microsecond, time.Microsecond)
+			}); allocs != 0 {
+				t.Errorf("booking a warm slot allocates %.0f times, want 0", allocs)
+			}
+		})
+	}
 }
 
 // The engine's registry carries the slot/stage histograms and hub

@@ -1,8 +1,14 @@
 package ps
 
 import (
+	"fmt"
 	"math"
+	"reflect"
+	"strings"
 	"testing"
+
+	"repro/internal/mobility"
+	"repro/internal/sensornet"
 )
 
 func TestAggregatorPointLifecycle(t *testing.T) {
@@ -158,18 +164,19 @@ func TestAggregatorPaymentConservation(t *testing.T) {
 		for i := 0; i < 80; i++ {
 			mustSubmit(t, agg, PointSpec{ID: ids("q", i), Loc: Pt(15+float64((i*31+slot*3)%50), 15+float64((i*17+slot*5)%50)), Budget: 18})
 		}
-		welfare += agg.RunSlot().Welfare
+		rep := agg.RunSlot()
+		requireConserved(t, slot, rep)
+		welfare += rep.Welfare
 	}
 	if welfare <= 0 {
 		t.Errorf("point-slot welfare %v, want positive", welfare)
 	}
 	mustSubmit(t, agg, AggregateSpec{ID: "agg-l", Region: NewRect(20, 20, 45, 45), Budget: 400})
-	if rep := agg.RunSlot(); !rep.Answered("agg-l") {
+	rep := agg.RunSlot()
+	if !rep.Answered("agg-l") {
 		t.Error("mix slot left the aggregate unanswered")
 	}
-	if v := agg.SelectionStats().ConservationViolations; v != 0 {
-		t.Errorf("%d conservation violations", v)
-	}
+	requireConserved(t, 4, rep)
 }
 
 func TestAggregatorRegionEvent(t *testing.T) {
@@ -215,32 +222,145 @@ func TestAggregatorRegionEvent(t *testing.T) {
 	}
 }
 
-// TestPointOutcomeIgnoresUnrelatedDemand: a point query's outcome depends
-// on the points competing for its sensors, not on an aggregate whose
-// footprint is disjoint from every point's. Every slot runs the same
-// Algorithm 5 selection, so adding that aggregate leaves each point's
-// answered flag, value and payment unchanged to the last bit.
-func TestPointOutcomeIgnoresUnrelatedDemand(t *testing.T) {
-	run := func(seed int64, withAggregate bool) *SlotReport {
-		agg := NewAggregator(NewRWMWorld(seed, 200, SensorConfig{}))
-		for i := 0; i < 80; i++ {
-			mustSubmit(t, agg, PointSpec{ID: ids("q", i), Loc: Pt(15+float64((i*31)%25), 15+float64((i*17)%25)), Budget: 15})
-		}
-		if withAggregate {
-			mustSubmit(t, agg, AggregateSpec{ID: "far", Region: NewRect(55, 55, 65, 65), Budget: 300})
-		}
-		return agg.RunSlot()
+// cornerDemand is one query of every kind in a 7.5 x 5 corner of the
+// IntelLab region whose south-west corner is (ox, oy), for the given
+// slot: the one-shots are issued anew each slot, the continuous queries
+// once at slot 0 for the whole run. Every footprint (DMax 2 around each
+// location, region and path) stays inside (ox-1.5, oy-1.5)-(ox+9.5, oy+7).
+func cornerDemand(prefix string, ox, oy float64, slot, slots int) []Spec {
+	at := func(x, y float64) Point { return Pt(ox+x, oy+y) }
+	box := func(x0, y0, x1, y1 float64) Rect { return NewRect(ox+x0, oy+y0, ox+x1, oy+y1) }
+	id := func(kind string) string { return fmt.Sprintf("%s-%s-%d", prefix, kind, slot) }
+	specs := []Spec{
+		PointSpec{ID: id("pt0"), Loc: at(1, 1.5), Budget: 18},
+		PointSpec{ID: id("pt1"), Loc: at(5, 3), Budget: 15},
+		MultiPointSpec{ID: id("mp"), Loc: at(3, 2), Budget: 60, K: 2},
+		AggregateSpec{ID: id("agg"), Region: box(0.5, 0.5, 5.5, 4), Budget: 120},
+		TrajectorySpec{ID: id("tr"), Path: Trajectory{Waypoints: []Point{at(1, 0.5), at(6.5, 4.5)}}, Budget: 60},
 	}
-	for seed := int64(1); seed <= 5; seed++ {
-		alone, mixed := run(seed, false), run(seed, true)
-		for i := 0; i < 80; i++ {
-			id := ids("q", i)
-			if alone.Answered(id) != mixed.Answered(id) ||
-				math.Float64bits(alone.Value(id)) != math.Float64bits(mixed.Value(id)) ||
-				math.Float64bits(alone.Payment(id)) != math.Float64bits(mixed.Payment(id)) {
-				t.Errorf("seed %d %s: alone (answered %v, value %v, paid %v), with the aggregate (answered %v, value %v, paid %v)",
-					seed, id, alone.Answered(id), alone.Value(id), alone.Payment(id),
-					mixed.Answered(id), mixed.Value(id), mixed.Payment(id))
+	if slot == 0 {
+		specs = append(specs,
+			LocationMonitoringSpec{ID: prefix + "-lm", Loc: at(3.5, 2.5), Duration: slots, Budget: 80, Samples: 3},
+			RegionMonitoringSpec{ID: prefix + "-rm", Region: box(0.5, 0.5, 4.5, 3.5), Duration: slots, Budget: 150},
+			EventDetectionSpec{ID: prefix + "-ev", Loc: at(2, 3.5), Duration: slots,
+				Threshold: 15, Confidence: 0.5, BudgetPerSlot: 20},
+			RegionEventSpec{ID: prefix + "-re", Region: box(2.5, 0.5, 7.5, 4), Duration: slots,
+				Threshold: 15, Confidence: 0.5, BudgetPerSlot: 40},
+		)
+	}
+	return specs
+}
+
+// TestOutcomesIgnoreUnrelatedDemand: a query's outcome depends on the
+// demand competing for its sensors, not on a query whose footprint is
+// disjoint from every other's. Base demand of all eight kinds sits in
+// the south-west corner of a fleet standing still; a query of one kind
+// is added in the north-east corner, each kind in turn. Over several
+// slots, on an Aggregator and on a 4-shard ShardedAggregator, every base
+// query's answered flag, value, payment and event evaluations stay
+// identical to the last bit. The fleet stands still because a sensor the
+// far query paid would otherwise carry its changed privacy history, and
+// so its price, into the base corner.
+func TestOutcomesIgnoreUnrelatedDemand(t *testing.T) {
+	const slots = 4
+	world := func() *World {
+		w := NewIntelLabWorld(5, SensorConfig{})
+		pos := make([]Point, len(w.Fleet.Sensors))
+		for i := range pos {
+			x, y := 1+1.5*float64(i%5), 1+1.5*float64((i/5)%3)
+			if i >= len(pos)/2 {
+				x, y = x+12, y+9.5
+			}
+			pos[i] = Pt(x, y)
+		}
+		w.Fleet = sensornet.NewFleet(w.Fleet.Sensors, mobility.NewStationary(pos), w.Working)
+		return w
+	}
+	type runtime interface {
+		Submit(Spec) (SubmittedQuery, error)
+		RunSlot() *SlotReport
+	}
+	// run drives the base demand, plus the far corner's query of kind
+	// far when far >= 0, and returns each slot's report with the IDs of
+	// the far query's outcomes.
+	run := func(newRuntime func(*World) runtime, far QueryKind) (reps []*SlotReport, farIDs []string) {
+		r := newRuntime(world())
+		for slot := 0; slot < slots; slot++ {
+			specs := cornerDemand("base", 0, 0, slot, slots)
+			for _, sp := range cornerDemand("far", 12, 9.5, slot, slots) {
+				if sp.Kind() == far {
+					specs = append(specs, sp)
+					farIDs = append(farIDs, sp.QueryID())
+				}
+			}
+			for _, sp := range specs {
+				if _, err := r.Submit(sp); err != nil {
+					t.Fatalf("Submit(%s %q): %v", sp.Kind(), sp.QueryID(), err)
+				}
+			}
+			reps = append(reps, r.RunSlot())
+		}
+		return reps, farIDs
+	}
+	var baseIDs []string
+	kindOf := map[string]QueryKind{}
+	for slot := 0; slot < slots; slot++ {
+		for _, sp := range cornerDemand("base", 0, 0, slot, slots) {
+			baseIDs = append(baseIDs, sp.QueryID())
+			kindOf[sp.QueryID()] = sp.Kind()
+		}
+	}
+	baseEvents := func(rep *SlotReport) []EventNotification {
+		var evs []EventNotification
+		for _, ev := range rep.Events {
+			if strings.HasPrefix(ev.QueryID, "base-") {
+				evs = append(evs, ev)
+			}
+		}
+		return evs
+	}
+	for _, layer := range []struct {
+		name string
+		new  func(*World) runtime
+	}{
+		{"aggregator", func(w *World) runtime { return NewAggregator(w) }},
+		{"sharded", func(w *World) runtime { return NewShardedAggregator(w, 4) }},
+	} {
+		alone, _ := run(layer.new, -1)
+		answered := map[QueryKind]bool{}
+		for _, rep := range alone {
+			for _, id := range baseIDs {
+				if rep.Answered(id) {
+					answered[kindOf[id]] = true
+				}
+			}
+		}
+		if len(answered) != 8 {
+			t.Fatalf("%s: base kinds answered %v; every kind must be served for the comparison to mean anything", layer.name, answered)
+		}
+		for kind := KindPoint; kind <= KindRegionEvent; kind++ {
+			mixed, farIDs := run(layer.new, kind)
+			farServed := false
+			for slot, rep := range mixed {
+				for _, id := range farIDs {
+					farServed = farServed || rep.Answered(id)
+				}
+				a := alone[slot]
+				for _, id := range baseIDs {
+					if a.Answered(id) != rep.Answered(id) ||
+						math.Float64bits(a.Value(id)) != math.Float64bits(rep.Value(id)) ||
+						math.Float64bits(a.Payment(id)) != math.Float64bits(rep.Payment(id)) {
+						t.Errorf("%s, far %s, slot %d, %s: alone (answered %v, value %v, paid %v), with it (answered %v, value %v, paid %v)",
+							layer.name, kind, slot, id, a.Answered(id), a.Value(id), a.Payment(id),
+							rep.Answered(id), rep.Value(id), rep.Payment(id))
+					}
+				}
+				if ae, me := baseEvents(a), baseEvents(rep); !reflect.DeepEqual(ae, me) {
+					t.Errorf("%s, far %s, slot %d: base events alone %+v, with it %+v", layer.name, kind, slot, ae, me)
+				}
+			}
+			if !farServed {
+				t.Errorf("%s: the far %s query was never answered, so it competed for nothing", layer.name, kind)
 			}
 		}
 	}

@@ -420,8 +420,8 @@ func (c *Client) Queries(ctx context.Context, offset, limit int) (*wire.QueryLis
 }
 
 // Metrics fetches the engine-wide metrics snapshot.
-func (c *Client) Metrics(ctx context.Context) (*wire.Metrics, error) {
-	var m wire.Metrics
+func (c *Client) Metrics(ctx context.Context) (*ps.EngineMetrics, error) {
+	var m ps.EngineMetrics
 	if err := c.do(ctx, http.MethodGet, "/metrics", nil, &m); err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
@@ -359,5 +360,184 @@ func TestDefaultLoggerIsSilent(t *testing.T) {
 		if !strings.Contains(buf.String(), want) {
 			t.Errorf("caller-supplied logger got %q, want it to contain %q", buf.String(), want)
 		}
+	}
+}
+
+// renderings reads one server's metrics three ways — EngineMetrics, the
+// GET /metrics JSON body and its Prometheus text — and fails unless the
+// facts the three share read the same in each. The Prometheus samples
+// are keyed by name plus label block, histogram buckets left out.
+func renderings(t *testing.T, eng *ps.Engine, url string) (ps.EngineMetrics, map[string]any, map[string]float64) {
+	t.Helper()
+	m := eng.Metrics()
+	status, js := getJSON(t, url+"/metrics")
+	if status != http.StatusOK {
+		t.Fatalf("GET /metrics: status %d", status)
+	}
+	_, body, _ := getBody(t, url+"/metrics", "text/plain")
+	_, samples := parseProm(t, body)
+	prom := make(map[string]float64)
+	for _, s := range samples {
+		if s.le != "" {
+			continue
+		}
+		key := s.name
+		if s.labels != "" {
+			key += "{" + s.labels + "}"
+		}
+		prom[key] = s.value
+	}
+	for _, f := range []struct {
+		json, prom string
+		engine     float64
+	}{
+		{"slots", "ps_slots_total", float64(m.Slots)},
+		{"active_queries", "ps_queries_active", float64(m.ActiveQueries)},
+		{"queue_depth", "ps_ingest_queue_depth", float64(m.QueueDepth)},
+		{"queue_cap", "ps_ingest_queue_capacity", float64(m.QueueCap)},
+		{"total_welfare", "ps_welfare", m.TotalWelfare},
+		{"answered", "ps_results_answered_total", float64(m.Answered)},
+		{"valuation_calls", "ps_valuation_calls_total", float64(m.ValuationCalls)},
+		{"conservation_violations", "ps_conservation_violations_total", float64(m.ConservationViolations)},
+	} {
+		j, jok := js[f.json].(float64)
+		p, pok := prom[f.prom]
+		if !jok || !pok || j != f.engine || p != f.engine {
+			t.Errorf("EngineMetrics reads %v; JSON %s reads %v (present %v); Prometheus %s reads %v (present %v)",
+				f.engine, f.json, js[f.json], jok, f.prom, p, pok)
+		}
+	}
+	return m, js, prom
+}
+
+// TestMetricsRenderingsAgreeAfterDrain: Stop drains one slot and closes
+// the three location-monitoring queries still live, and every rendering
+// then reads no active query.
+func TestMetricsRenderingsAgreeAfterDrain(t *testing.T) {
+	world := ps.NewRWMWorld(1, 200, ps.SensorConfig{})
+	eng := ps.NewEngine(ps.NewAggregator(world), ps.WithDrainSlots(1))
+	eng.Start()
+	ts := httptest.NewServer(New(eng, world, Options{}).Handler())
+	defer ts.Close()
+	defer eng.Stop()
+	for i := 0; i < 3; i++ {
+		if _, err := eng.Submit(ps.LocationMonitoringSpec{
+			ID: fmt.Sprintf("lm%d", i), Loc: ps.Pt(25+10*float64(i), 30), Duration: 50, Budget: 100, Samples: 5,
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := eng.RunSlots(2); err != nil {
+		t.Fatal(err)
+	}
+	if m, _, _ := renderings(t, eng, ts.URL); m.ActiveQueries != 3 {
+		t.Fatalf("%d active queries before Stop, want 3", m.ActiveQueries)
+	}
+	eng.Stop()
+	if m, _, _ := renderings(t, eng, ts.URL); m.ActiveQueries != 0 || m.Slots != 3 {
+		t.Fatalf("after Stop: %d active queries over %d slots, want 0 over 3 (one drain slot)", m.ActiveQueries, m.Slots)
+	}
+}
+
+// TestMetricsRenderingsAgreeOnQueuedSubmits: five submissions wait in
+// the ingest queue of an engine that has run no slot, and every
+// rendering reads the queue as it is: depth 5 of capacity 1024.
+func TestMetricsRenderingsAgreeOnQueuedSubmits(t *testing.T) {
+	world := ps.NewRWMWorld(1, 200, ps.SensorConfig{})
+	eng := ps.NewEngine(ps.NewAggregator(world))
+	ts := httptest.NewServer(New(eng, world, Options{}).Handler())
+	defer ts.Close()
+	defer eng.Stop()
+	for i := 0; i < 5; i++ {
+		if _, err := eng.Submit(ps.PointSpec{ID: fmt.Sprintf("q%d", i), Loc: ps.Pt(30, 30), Budget: 15}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if m, _, _ := renderings(t, eng, ts.URL); m.QueueDepth != 5 || m.QueueCap != 1024 {
+		t.Fatalf("queue depth %d, capacity %d, want 5 and 1024", m.QueueDepth, m.QueueCap)
+	}
+}
+
+// TestMetricsConservationReadsZero: a mixed run — points, aggregates, a
+// trajectory and location monitoring — on an unsharded and on a
+// 4-shard engine pays every committed sensor its cost, and the three
+// renderings say so: Eq. 11's violation count reads 0 engine-wide and,
+// sharded, for every lane and the spanning pass.
+func TestMetricsConservationReadsZero(t *testing.T) {
+	for _, shards := range []int{0, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			world := ps.NewRWMWorld(2, 300, ps.SensorConfig{})
+			eng := ps.NewEngine(ps.NewAggregator(world))
+			if shards > 0 {
+				eng = ps.NewShardedEngine(ps.NewShardedAggregator(world, shards))
+			}
+			eng.Start()
+			ts := httptest.NewServer(New(eng, world, Options{}).Handler())
+			defer ts.Close()
+			defer eng.Stop()
+			submit := func(spec ps.Spec) {
+				t.Helper()
+				if _, err := eng.Submit(spec); err != nil {
+					t.Fatal(err)
+				}
+			}
+			submit(ps.LocationMonitoringSpec{ID: "lm", Loc: ps.Pt(30, 50), Duration: 4, Budget: 120, Samples: 2})
+			for slot := 0; slot < 4; slot++ {
+				for i := 0; i < 12; i++ {
+					submit(ps.PointSpec{
+						ID:     fmt.Sprintf("p-%d-%d", slot, i),
+						Loc:    ps.Pt(17+float64((i*31+slot*7)%46), 17+float64((i*17+slot*11)%46)),
+						Budget: 12 + float64(i%5),
+					})
+				}
+				submit(ps.AggregateSpec{ID: fmt.Sprintf("a-%d", slot), Region: ps.NewRect(20, 20, 35, 35), Budget: 250})
+				submit(ps.TrajectorySpec{
+					ID:     fmt.Sprintf("t-%d", slot),
+					Path:   ps.Trajectory{Waypoints: []ps.Point{ps.Pt(25, 40), ps.Pt(55, 40)}},
+					Budget: 120,
+				})
+				if err := eng.RunSlots(1); err != nil {
+					t.Fatal(err)
+				}
+			}
+			m, js, prom := renderings(t, eng, ts.URL)
+			if m.ConservationViolations != 0 || m.ValuationCalls == 0 || m.Answered == 0 {
+				t.Fatalf("%d conservation violations over %d valuation calls and %d answers, want 0 over a working run",
+					m.ConservationViolations, m.ValuationCalls, m.Answered)
+			}
+			if shards == 0 {
+				if _, ok := js["shards"]; ok {
+					t.Errorf("unsharded JSON carries shards: %v", js["shards"])
+				}
+				return
+			}
+			jsShards, _ := js["shards"].([]any)
+			if len(m.Shards) != shards+1 || len(jsShards) != shards+1 {
+				t.Fatalf("%d shard entries in EngineMetrics and %d in JSON, want %d", len(m.Shards), len(jsShards), shards+1)
+			}
+			for i, sh := range m.Shards {
+				label := strconv.Itoa(sh.Shard)
+				if sh.Spanning {
+					label = "spanning"
+				}
+				sel, _ := jsShards[i].(map[string]any)["selection"].(map[string]any)
+				for _, f := range []struct {
+					json, prom string
+					engine     int64
+				}{
+					{"conservation_violations", "ps_shard_conservation_violations_total", sh.Selection.ConservationViolations},
+					{"valuation_calls", "ps_shard_valuation_calls_total", sh.Selection.ValuationCalls},
+				} {
+					p, ok := prom[f.prom+`{shard="`+label+`"}`]
+					if j, _ := sel[f.json].(float64); !ok || j != float64(f.engine) || p != float64(f.engine) {
+						t.Errorf("shard %s %s: EngineMetrics %d, JSON %v, Prometheus %v (present %v)",
+							label, f.json, f.engine, sel[f.json], p, ok)
+					}
+				}
+				if sh.Selection.ConservationViolations != 0 {
+					t.Errorf("shard %s: %d conservation violations", label, sh.Selection.ConservationViolations)
+				}
+			}
+		})
 	}
 }

@@ -770,10 +770,11 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, wire.SubmitAck{ID: rec.id, Status: "canceling"})
 }
 
-// handleMetrics serves the engine metrics in two representations from
-// one endpoint: the JSON document (default, unchanged wire format) and
-// the Prometheus text exposition, selected by Accept: text/plain (what
-// a Prometheus scrape sends) or ?format=prometheus.
+// handleMetrics serves the engine's metrics registry in two
+// representations from one endpoint: the ps.EngineMetrics JSON document
+// (default) and the Prometheus text exposition, selected by Accept:
+// text/plain (what a Prometheus scrape sends) or ?format=prometheus.
+// Both read the same registry, so they agree.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if wantsPrometheus(r) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -782,9 +783,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	m := wire.MetricsFrom(s.eng.Metrics())
 	w.Header().Set("Content-Type", "application/json")
-	writeJSON(w, m)
+	writeJSON(w, s.eng.Metrics())
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {

@@ -20,25 +20,25 @@ import (
 // layer (see internal/geo).
 type GridPartition = geo.GridPartition
 
-// ShardStats describes one shard's contribution to a slot — or, when
-// accumulated across slots (EngineMetrics.Shards), its running totals.
+// ShardStats describes one shard's contribution to a slot — or, in
+// EngineMetrics.Shards, its totals across slots.
 type ShardStats struct {
 	// Shard is the shard index, or -1 for the dedicated spanning pass.
-	Shard int
+	Shard int `json:"shard"`
 	// Spanning marks the cross-shard reconciliation pass that serves
 	// queries whose footprint intersects several shards.
-	Spanning bool
+	Spanning bool `json:"spanning,omitempty"`
 	// Offers is how many sensor offers were routed to this shard.
-	Offers int
+	Offers int `json:"offers"`
 	// Queries is how many queries (one-shots, active continuous queries
 	// and generated probes) the shard scheduled.
-	Queries int
+	Queries int `json:"queries"`
 	// SensorsUsed counts the shard's selected sensors.
-	SensorsUsed int
+	SensorsUsed int `json:"sensors_used"`
 	// Welfare is the shard's social-welfare contribution.
-	Welfare float64
+	Welfare float64 `json:"welfare"`
 	// SelectMs is the wall time of the lane's selection pass, in
-	// milliseconds (accumulated across slots in running totals). Lanes
+	// milliseconds (summed across slots in EngineMetrics.Shards). Lanes
 	// execute concurrently, so the slot's shard_select stage tracks the
 	// slowest lane on machines with a core per lane and the *sum* of the
 	// lanes when they time-slice one core; recording both lets consumers
@@ -46,26 +46,15 @@ type ShardStats struct {
 	// lanes run sequentially (the outcome is identical — they share no
 	// mutable state — and goroutine interleaving would otherwise inflate
 	// every lane's measured wall time).
-	SelectMs float64
+	SelectMs float64 `json:"select_ms"`
 	// StepMs is the wall time a remote shard node spent stepping its world
 	// replica and filtering the shard's offers (LanePartial.StepMs); with
 	// SelectMs it splits the lane_rpc stage into replica step, selection
 	// and what is left for the wire. In-process lanes and the spanning
 	// pass report 0.
-	StepMs float64
+	StepMs float64 `json:"step_ms,omitempty"`
 	// Selection instruments the shard's greedy pass.
-	Selection SelectionStats
-}
-
-// accumulate folds one slot's shard stats into a running total.
-func (s *ShardStats) accumulate(o ShardStats) {
-	s.Offers += o.Offers
-	s.Queries += o.Queries
-	s.SensorsUsed += o.SensorsUsed
-	s.Welfare += o.Welfare
-	s.SelectMs += o.SelectMs
-	s.StepMs += o.StepMs
-	s.Selection.Accumulate(o.Selection)
+	Selection SelectionStats `json:"selection"`
 }
 
 // shardedEntry is one routed query in the sharded layer's global
@@ -141,11 +130,7 @@ type ShardedAggregator struct {
 	// membership is fixed for a world's lifetime).
 	sensorsByID map[int]*sensornet.Sensor
 
-	order    shardedOrder
-	selStats core.SelectionStats
-	// stats accumulates the per-shard breakdown across slots; index
-	// len(shards) is the spanning pass.
-	stats []ShardStats
+	order shardedOrder
 
 	// Per-slot routing scratch, reused across RunSlot calls: at metro
 	// scale rebuilding these every slot re-allocates tens of thousands of
@@ -173,11 +158,6 @@ func NewShardedAggregator(world *World, shards int, opts ...Option) *ShardedAggr
 	for k := range sa.lanes {
 		sa.lanes[k] = &localLane{a: sa.shards[k]}
 	}
-	sa.stats = make([]ShardStats, n+1)
-	for k := range sa.stats {
-		sa.stats[k].Shard = k
-	}
-	sa.stats[n] = ShardStats{Shard: -1, Spanning: true}
 	return sa
 }
 
@@ -207,16 +187,6 @@ func (sa *ShardedAggregator) sensorIdx() map[int]*sensornet.Sensor {
 		sa.sensorsByID = sensorIndex(sa.world.Fleet.Sensors)
 	}
 	return sa.sensorsByID
-}
-
-// SelectionStats returns the cumulative selection instrumentation summed
-// over every shard and the spanning pass.
-func (sa *ShardedAggregator) SelectionStats() SelectionStats { return sa.selStats }
-
-// ShardStats returns the cumulative per-shard breakdown; the last entry
-// is the spanning pass.
-func (sa *ShardedAggregator) ShardStats() []ShardStats {
-	return slices.Clone(sa.stats)
 }
 
 // NextSlot returns the slot number the next RunSlot call will execute.
@@ -449,10 +419,6 @@ func (sa *ShardedAggregator) RunSlot() *SlotReport {
 	// the union of the lanes' selections.
 	sa.world.Fleet.Commit(selected)
 	tr.Mark(StageCommit)
-	sa.selStats.Accumulate(rep.Selection)
-	for i, s := range rep.Shards {
-		sa.stats[i].accumulate(s)
-	}
 
 	// Propagate the slot's global commit to every lane: in-process lanes
 	// retire consumed queries; network lanes forward the commit so node
@@ -607,8 +573,8 @@ func (sa *ShardedAggregator) reconcile(t, offers int, parts [][]core.Offer, exec
 	}
 	for k, ex := range execs {
 		if ex == nil {
-			// Keep rep.Shards index-aligned for the stats accumulation:
-			// a degraded lane contributes zeros this slot.
+			// Keep rep.Shards index-aligned, one entry per lane: a
+			// degraded lane contributes zeros this slot.
 			rep.Shards = append(rep.Shards, ShardStats{Shard: k})
 			continue
 		}

@@ -96,6 +96,8 @@ func TestShardedGoldenEquivalence(t *testing.T) {
 		}
 		lr, sr := pair.plain.RunSlot(), pair.sharded.RunSlot()
 		requireIdentical(t, slot, snapshot(lr), snapshot(sr))
+		// Every lane and the spanning pass pay out Eq. 11 exactly.
+		requireConserved(t, slot, sr)
 
 		if len(sr.Shards) != 5 {
 			t.Fatalf("slot %d: %d shard entries, want 4 shards + spanning", slot, len(sr.Shards))
@@ -109,11 +111,6 @@ func TestShardedGoldenEquivalence(t *testing.T) {
 				t.Fatalf("slot %d: shard %d stats = %+v, want live per-shard work", slot, k, s)
 			}
 		}
-	}
-
-	// Every lane and the spanning pass pay out Eq. 11 exactly.
-	if v := pair.sharded.SelectionStats().ConservationViolations; v != 0 {
-		t.Errorf("sharded: %d conservation violations", v)
 	}
 }
 

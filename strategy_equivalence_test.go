@@ -43,14 +43,14 @@ func submitAll[A interface {
 	}
 }
 
-// requireConserved fails unless every aggregator's payments so far kept
-// Eq. 11: each committed sensor paid its cost, no query charged above its
-// value or budget.
-func requireConserved(t *testing.T, slot int, aggs []*Aggregator) {
+// requireConserved fails unless every report's payments kept Eq. 11:
+// each committed sensor paid its cost, no query charged above its value
+// or budget.
+func requireConserved(t *testing.T, slot int, reps ...*SlotReport) {
 	t.Helper()
-	for i, a := range aggs {
-		if v := a.SelectionStats().ConservationViolations; v != 0 {
-			t.Fatalf("slot %d, aggregator %d: %d conservation violations", slot, i, v)
+	for i, rep := range reps {
+		if v := rep.Selection.ConservationViolations; v != 0 {
+			t.Fatalf("slot %d, report %d: %d conservation violations", slot, i, v)
 		}
 	}
 }
@@ -134,14 +134,16 @@ func TestStrategyEquivalenceAllQueryKinds(t *testing.T) {
 					Budget: 80 + s.Uniform(0, 60),
 				})
 
-				want := snapshot(ref.RunSlot())
+				reps := []*SlotReport{ref.RunSlot()}
+				want := snapshot(reps[0])
 				for oi, other := range others {
-					got := snapshot(other.RunSlot())
+					reps = append(reps, other.RunSlot())
+					got := snapshot(reps[len(reps)-1])
 					t.Run(fmt.Sprintf("slot%d-%s", slot, columnsUnderTest[oi].name), func(t *testing.T) {
 						requireIdentical(t, slot, want, got)
 					})
 				}
-				requireConserved(t, slot, all)
+				requireConserved(t, slot, reps...)
 			}
 		})
 	}
@@ -181,14 +183,16 @@ func TestStrategyEquivalenceRegionMonitoring(t *testing.T) {
 						Budget: 10 + s.Uniform(0, 10),
 					})
 				}
-				want := snapshot(ref.RunSlot())
+				reps := []*SlotReport{ref.RunSlot()}
+				want := snapshot(reps[0])
 				for oi, other := range others {
-					got := snapshot(other.RunSlot())
+					reps = append(reps, other.RunSlot())
+					got := snapshot(reps[len(reps)-1])
 					t.Run(fmt.Sprintf("slot%d-%s", slot, columnsUnderTest[oi].name), func(t *testing.T) {
 						requireIdentical(t, slot, want, got)
 					})
 				}
-				requireConserved(t, slot, all)
+				requireConserved(t, slot, reps...)
 			}
 		})
 	}

@@ -1,7 +1,8 @@
 // Package wire defines the versioned JSON wire format shared by the
 // psserve HTTP daemon (package serve) and the psclient Go SDK: the query
 // submission envelope, and the marshaled forms of per-slot results, query
-// status, query listings, engine metrics and errors.
+// status, query listings and errors. It does not define the GET /metrics
+// body: that is ps.EngineMetrics itself, marshaled by its own JSON tags.
 //
 // # The v1 submission envelope
 //
@@ -46,7 +47,6 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
-	"time"
 
 	ps "repro"
 )
@@ -336,158 +336,6 @@ type QueryList struct {
 	Offset  int            `json:"offset"`
 	Count   int            `json:"count"`
 	Queries []QuerySummary `json:"queries"`
-}
-
-// Metrics is the body of GET /metrics.
-type Metrics struct {
-	Slots            int     `json:"slots"`
-	LastSlot         int     `json:"last_slot"`
-	TotalWelfare     float64 `json:"total_welfare"`
-	LastWelfare      float64 `json:"last_welfare"`
-	TotalPayments    float64 `json:"total_payments"`
-	TotalCost        float64 `json:"total_cost"`
-	SensorsUsed      int64   `json:"sensors_used"`
-	QueriesSubmitted int64   `json:"queries_submitted"`
-	QueriesRejected  int64   `json:"queries_rejected"`
-	QueriesShed      int64   `json:"queries_shed"`
-	QueriesCanceled  int64   `json:"queries_canceled"`
-	ActiveQueries    int     `json:"active_queries"`
-	Answered         int64   `json:"answered"`
-	Starved          int64   `json:"starved"`
-	EventsDelivered  int64   `json:"events_delivered"`
-	EventsDropped    int64   `json:"events_dropped"`
-	GapEvents        int64   `json:"gap_events"`
-	QueueDepth       int     `json:"queue_depth"`
-	QueueCap         int     `json:"queue_cap"`
-	SlotLatencyLast  string  `json:"slot_latency_last"`
-	SlotLatencyAvg   string  `json:"slot_latency_avg"`
-	SlotLatencyMax   string  `json:"slot_latency_max"`
-	// Greedy selection core instrumentation (see ps.SelectionStats).
-	ValuationCalls          int64 `json:"valuation_calls"`
-	ValuationCallsSaved     int64 `json:"valuation_calls_saved"`
-	LazyReevaluations       int64 `json:"lazy_reevaluations"`
-	SubmodularityViolations int64 `json:"submodularity_violations"`
-	FallbackRescans         int64 `json:"fallback_rescans"`
-	// Valuation-cache instrumentation: footprint-geometry cache probes
-	// and GP base-posterior observation accounting (rank-1 appends vs
-	// exact from-scratch rebuilds).
-	GeomCacheHits     int64 `json:"geom_cache_hits"`
-	GeomCacheLookups  int64 `json:"geom_cache_lookups"`
-	PosteriorAppends  int64 `json:"posterior_appends"`
-	PosteriorRebuilds int64 `json:"posterior_rebuilds"`
-	// Shards is the cumulative per-shard breakdown of a geo-sharded
-	// engine (the entry with "spanning":true is the cross-shard pass);
-	// absent on an unsharded engine.
-	Shards []ShardMetrics `json:"shards,omitempty"`
-	// SlotStages is the cumulative per-stage slot latency breakdown in
-	// pipeline order; absent before the first executed slot.
-	SlotStages []StageMetrics `json:"slot_stages,omitempty"`
-}
-
-// StageMetrics is one pipeline stage's cumulative latency inside
-// Metrics (see ps.StageStats).
-type StageMetrics struct {
-	Stage   string  `json:"stage"`
-	Count   int64   `json:"count"`
-	TotalMs float64 `json:"total_ms"`
-	LastMs  float64 `json:"last_ms"`
-	MaxMs   float64 `json:"max_ms"`
-}
-
-// ShardMetrics is one geographic shard's cumulative contribution inside
-// Metrics.
-type ShardMetrics struct {
-	Shard                   int     `json:"shard"`
-	Spanning                bool    `json:"spanning,omitempty"`
-	Offers                  int     `json:"offers"`
-	Queries                 int     `json:"queries"`
-	SensorsUsed             int     `json:"sensors_used"`
-	Welfare                 float64 `json:"welfare"`
-	SelectMs                float64 `json:"select_ms"`
-	StepMs                  float64 `json:"step_ms,omitempty"`
-	ValuationCalls          int64   `json:"valuation_calls"`
-	ValuationCallsSaved     int64   `json:"valuation_calls_saved"`
-	LazyReevaluations       int64   `json:"lazy_reevaluations"`
-	SubmodularityViolations int64   `json:"submodularity_violations"`
-	ConservationViolations  int64   `json:"conservation_violations"`
-	FallbackRescans         int64   `json:"fallback_rescans"`
-	GeomCacheHits           int64   `json:"geom_cache_hits"`
-	GeomCacheLookups        int64   `json:"geom_cache_lookups"`
-	PosteriorAppends        int64   `json:"posterior_appends"`
-	PosteriorRebuilds       int64   `json:"posterior_rebuilds"`
-}
-
-// MetricsFrom converts an engine metrics snapshot to its wire form.
-func MetricsFrom(m ps.EngineMetrics) Metrics {
-	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-	var stages []StageMetrics
-	for _, s := range m.SlotStages {
-		stages = append(stages, StageMetrics{
-			Stage:   s.Stage,
-			Count:   s.Count,
-			TotalMs: ms(s.Total),
-			LastMs:  ms(s.Last),
-			MaxMs:   ms(s.Max),
-		})
-	}
-	var shards []ShardMetrics
-	for _, s := range m.Shards {
-		shards = append(shards, ShardMetrics{
-			Shard:                   s.Shard,
-			Spanning:                s.Spanning,
-			Offers:                  s.Offers,
-			Queries:                 s.Queries,
-			SensorsUsed:             s.SensorsUsed,
-			Welfare:                 s.Welfare,
-			SelectMs:                s.SelectMs,
-			StepMs:                  s.StepMs,
-			ValuationCalls:          s.Selection.ValuationCalls,
-			ValuationCallsSaved:     s.Selection.SavedCalls(),
-			LazyReevaluations:       s.Selection.LazyReevaluations,
-			SubmodularityViolations: s.Selection.SubmodularityViolations,
-			ConservationViolations:  s.Selection.ConservationViolations,
-			FallbackRescans:         s.Selection.FallbackRescans,
-			GeomCacheHits:           s.Selection.GeomCacheHits,
-			GeomCacheLookups:        s.Selection.GeomCacheLookups,
-			PosteriorAppends:        s.Selection.PosteriorAppends,
-			PosteriorRebuilds:       s.Selection.PosteriorRebuilds,
-		})
-	}
-	return Metrics{
-		Shards:                  shards,
-		SlotStages:              stages,
-		Slots:                   m.Slots,
-		LastSlot:                m.LastSlot,
-		TotalWelfare:            m.TotalWelfare,
-		LastWelfare:             m.LastWelfare,
-		TotalPayments:           m.TotalPayments,
-		TotalCost:               m.TotalCost,
-		SensorsUsed:             m.SensorsUsed,
-		QueriesSubmitted:        m.QueriesSubmitted,
-		QueriesRejected:         m.QueriesRejected,
-		QueriesShed:             m.QueriesShed,
-		QueriesCanceled:         m.QueriesCanceled,
-		ActiveQueries:           m.ActiveQueries,
-		Answered:                m.Answered,
-		Starved:                 m.Starved,
-		EventsDelivered:         m.EventsDelivered,
-		EventsDropped:           m.EventsDropped,
-		GapEvents:               m.GapEvents,
-		QueueDepth:              m.QueueDepth,
-		QueueCap:                m.QueueCap,
-		SlotLatencyLast:         m.SlotLatencyLast.String(),
-		SlotLatencyAvg:          m.SlotLatencyAvg.String(),
-		SlotLatencyMax:          m.SlotLatencyMax.String(),
-		ValuationCalls:          m.ValuationCalls,
-		ValuationCallsSaved:     m.ValuationCallsSaved,
-		LazyReevaluations:       m.LazyReevaluations,
-		SubmodularityViolations: m.SubmodularityViolations,
-		FallbackRescans:         m.FallbackRescans,
-		GeomCacheHits:           m.GeomCacheHits,
-		GeomCacheLookups:        m.GeomCacheLookups,
-		PosteriorAppends:        m.PosteriorAppends,
-		PosteriorRebuilds:       m.PosteriorRebuilds,
-	}
 }
 
 // Healthz is the body of GET /healthz: liveness plus the serving
