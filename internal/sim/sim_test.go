@@ -1,12 +1,16 @@
 package sim
 
 import (
+	"flag"
 	"math"
+	"os"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/datasets"
 	"repro/internal/rng"
+	"repro/internal/stats"
 )
 
 // Reduced-scale parameters keep the test suite fast while preserving the
@@ -211,9 +215,55 @@ func TestFigureRegistry(t *testing.T) {
 	}
 }
 
+var update = flag.Bool("update", false, "rewrite testdata/figures_tiny.golden.csv from this run")
+
+const figuresGolden = "testdata/figures_tiny.golden.csv"
+
+// checkFigureGolden compares one figure's tables, as CSV, with its section
+// of figuresGolden, or with -update writes that section. A section starts
+// with a "== <figure ID>" line; the file lists the sections in registry
+// order.
+func checkFigureGolden(t *testing.T, id string, tables []stats.Table) {
+	t.Helper()
+	var got strings.Builder
+	for _, tab := range tables {
+		got.WriteString(tab.CSV())
+	}
+	sections := map[string]string{}
+	if data, err := os.ReadFile(figuresGolden); err == nil {
+		for _, sec := range strings.Split(string(data), "== ")[1:] {
+			head, body, _ := strings.Cut(sec, "\n")
+			sections[head] = body
+		}
+	} else if !*update {
+		t.Fatal(err)
+	}
+	if !*update {
+		if want, ok := sections[id]; !ok {
+			t.Errorf("%s has no %s section (run with -update)", figuresGolden, id)
+		} else if got.String() != want {
+			t.Errorf("%s tables differ from %s:\n--- got\n%s--- want\n%s", id, figuresGolden, got.String(), want)
+		}
+		return
+	}
+	sections[id] = got.String()
+	var out strings.Builder
+	for _, f := range Figures {
+		if body, ok := sections[f.ID]; ok {
+			out.WriteString("== " + f.ID + "\n" + body)
+		}
+	}
+	if err := os.MkdirAll("testdata", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(figuresGolden, []byte(out.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestFigureRunsAtTinyScale(t *testing.T) {
-	// Every registered figure must run end to end at tiny scale and emit
-	// well-formed tables.
+	// Every registered figure must run end to end at tiny scale, emit
+	// well-formed tables, and reproduce its golden CSV bit for bit.
 	opts := Options{Slots: 3, Seed: 1, Budgets: []float64{10, 15}, QueriesPerSlot: 40}
 	for _, f := range Figures {
 		if f.ID == "fig5" {
@@ -221,6 +271,7 @@ func TestFigureRunsAtTinyScale(t *testing.T) {
 			continue
 		}
 		tables := f.Run(opts)
+		checkFigureGolden(t, f.ID, tables)
 		if len(tables) == 0 {
 			t.Errorf("%s produced no tables", f.ID)
 			continue
@@ -254,6 +305,7 @@ func TestFig5TinyScale(t *testing.T) {
 	if len(tables) != 2 {
 		t.Fatalf("fig5 tables = %d", len(tables))
 	}
+	checkFigureGolden(t, "fig5", tables)
 	for _, tab := range tables {
 		if len(tab.Series) != 3 {
 			t.Errorf("fig5 table %q series = %d want 3", tab.Title, len(tab.Series))
