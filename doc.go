@@ -26,7 +26,7 @@
 // never depends on which algorithm its neighbours' demand would pick. The
 // paper's other point schedulers (the exact BILP of §3.1.1, local search,
 // the evaluation's baseline, the egalitarian objective) are evaluation
-// solvers: cmd/pssim and cmd/psbench compare them. Continuous queries
+// solvers in internal/sim, which cmd/psbench runs. Continuous queries
 // persist across slots and are re-planned every slot per Algorithms 2-5.
 //
 // For serving live traffic, Engine wraps an Aggregator into a
@@ -62,7 +62,8 @@
 //
 // See DESIGN.md for the package inventory and the engine architecture
 // (ingest, event loop, slot clock, fan-out, geo-sharded lanes).
-// cmd/psbench regenerates the paper's figures, bench_test.go tracks both
-// speed and solution quality, and the benchmark program (./benchmark)
-// measures the serving stack end to end.
+// cmd/psbench regenerates the paper's figures (internal/sim's
+// benchmarks track their speed and solution quality) and runs single
+// point-query simulations with -algorithm; the benchmark program
+// (./benchmark) measures the serving stack end to end.
 package ps

@@ -6,6 +6,7 @@ import (
 	"go/token"
 	"io/fs"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"regexp"
 	"strings"
@@ -187,6 +188,26 @@ func TestNoTestOnlyExports(t *testing.T) {
 	}
 	for d := range keep {
 		t.Errorf("keep lists %s, which is gone or has a caller now: drop the entry", d)
+	}
+}
+
+// TestServingBinariesLeaveComparatorsOut: the serving daemons build only
+// the serving path. The paper's comparators and figure runs
+// (internal/sim) and the exact BILP they solve (internal/bilp) must not
+// be among psserve's or psnode's dependencies.
+func TestServingBinariesLeaveComparatorsOut(t *testing.T) {
+	out, err := exec.Command("go", "list", "-deps", "./cmd/psserve", "./cmd/psnode").CombinedOutput()
+	if err != nil {
+		t.Fatalf("go list: %v\n%s", err, out)
+	}
+	deps := strings.Fields(string(out))
+	if len(deps) < 10 {
+		t.Fatalf("go list named only %d packages: %q", len(deps), deps)
+	}
+	for _, dep := range deps {
+		if dep == "repro/internal/bilp" || dep == "repro/internal/sim" {
+			t.Errorf("psserve or psnode depends on %s", dep)
+		}
 	}
 }
 

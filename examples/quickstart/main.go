@@ -1,7 +1,7 @@
 // Quickstart: build a world, submit point-query specs through the
 // unified submission API and run one slot. To compare the paper's point
 // schedulers (exact BILP, local search, baseline) on identical workloads,
-// run `go run ./cmd/pssim -algorithm optimal|localsearch|baseline`.
+// run `go run ./cmd/psbench -algorithm optimal|localsearch|baseline`.
 package main
 
 import (

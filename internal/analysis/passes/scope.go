@@ -29,12 +29,14 @@ func All() []*analysis.Analyzer {
 // interface, the QueryKind enum and the Err* sentinels all live there.
 const rootPkg = "repro"
 
-// DeterministicPkgs is the set of packages whose slot-path code must be
-// bit-reproducible across strategies and (per ROADMAP) cluster nodes:
-// the root package (aggregator, specs, sharded execution) and the pure
-// selection/valuation kernels it drives. floatorder and wallclock scope
-// to this set; serve, cmd/*, psclient and the simulation packages run
-// off the slot path and are exempt.
+// DeterministicPkgs is the set of packages whose code must be
+// bit-reproducible: the root package (aggregator, specs, sharded
+// execution) and the pure selection/valuation kernels it drives, which
+// must agree across strategies and (per ROADMAP) cluster nodes, and the
+// paper's comparators and figure runs (internal/sim, with the exact BILP
+// of internal/bilp), whose figure output is pinned bit for bit.
+// floatorder and wallclock scope to this set; serve, cmd/* and psclient
+// are exempt.
 var DeterministicPkgs = map[string]bool{
 	rootPkg:                 true,
 	"repro/internal/core":   true,
@@ -42,6 +44,8 @@ var DeterministicPkgs = map[string]bool{
 	"repro/internal/query":  true,
 	"repro/internal/geo":    true,
 	"repro/internal/linalg": true,
+	"repro/internal/sim":    true,
+	"repro/internal/bilp":   true,
 }
 
 // deterministic reports whether the pass's package is in the

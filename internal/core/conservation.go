@@ -76,6 +76,15 @@ func (c *conservation) settle() int64 {
 	return c.violations
 }
 
+// CheckConservation checks Eq. 11 on published payments and returns the
+// number of failed checks: outs[i] answers queries[i], and commits lists
+// the committed sensors. Selection runs check themselves; this is the same
+// check for a schedule built elsewhere.
+func CheckConservation(queries []query.Query, outs []MultiOutcome, commits []SelectionStep) int64 {
+	var c conservation
+	return c.multi(queries, outs, commits)
+}
+
 // multi checks one greedy run's published outcomes: outs[i] answers
 // queries[i], and commits lists the committed sensors.
 func (c *conservation) multi(queries []query.Query, outs []MultiOutcome, commits []SelectionStep) int64 {
@@ -86,21 +95,6 @@ func (c *conservation) multi(queries []query.Query, outs []MultiOutcome, commits
 			c.pay(p.SensorID, p.Amount)
 		}
 		c.charge(out.TotalPayment(), out.Value, queries[i].Budget())
-	}
-	return c.settle()
-}
-
-// point checks a single-sensor point schedule: each answered query of
-// the groups pays its one sensor.
-func (c *conservation) point(groups []locationGroup, commits []SelectionStep, outcomes map[string]PointOutcome) int64 {
-	c.begin(commits)
-	for _, g := range groups {
-		for _, q := range g.queries {
-			if o, ok := outcomes[q.QID()]; ok {
-				c.pay(o.Sensor.ID, o.Payment)
-				c.charge(o.Payment, o.Value, q.Budget())
-			}
-		}
 	}
 	return c.settle()
 }

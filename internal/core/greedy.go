@@ -926,55 +926,3 @@ func (s *selection) exhaustiveLoop() {
 		s.commit(bestS, bestNet)
 	}
 }
-
-// GreedyPoint adapts Algorithm 1 to the PointSolver interface so the mix
-// pipeline can schedule point queries through the shared greedy pass.
-func GreedyPoint() PointSolver {
-	return func(queries []*query.Point, offers []Offer) *PointResult {
-		qs := make([]query.Query, len(queries))
-		for i, q := range queries {
-			qs[i] = q
-		}
-		multi := GreedySelect(qs, offers)
-		return pointResultFromMulti(queries, multi)
-	}
-}
-
-// pointResultFromMulti converts a MultiResult over point queries into the
-// PointResult shape: each answered query names the best sensor committed
-// to it and pays its total over every sensor that served it (see
-// PointOutcome).
-func pointResultFromMulti(queries []*query.Point, multi *MultiResult) *PointResult {
-	res := &PointResult{
-		Outcomes:   make(map[string]PointOutcome),
-		Exact:      true,
-		Selected:   multi.Selected,
-		TotalCost:  multi.TotalCost,
-		TotalValue: multi.TotalValue,
-		Stats:      multi.Stats,
-	}
-	for i, q := range queries {
-		out := &multi.Outcomes[i]
-		if out.Value <= 0 {
-			continue
-		}
-		// The best sensor committed to the query delivers its value.
-		var best *sensornet.Sensor
-		bestV := 0.0
-		for _, s := range out.Sensors {
-			if v := q.ValueSingle(s); v > bestV {
-				bestV, best = v, s
-			}
-		}
-		if best == nil {
-			continue
-		}
-		res.Outcomes[q.QID()] = PointOutcome{
-			Sensor:  best,
-			Payment: out.TotalPayment(),
-			Value:   out.Value,
-			Theta:   q.Theta(best),
-		}
-	}
-	return res
-}

@@ -112,20 +112,6 @@ func TestGreedyStopsWhenNoPositiveNet(t *testing.T) {
 	}
 }
 
-func TestGreedyBeatsBaselineOnSharedRegions(t *testing.T) {
-	// Overlapping regions let the greedy share sensors; sequential
-	// baseline buys per query. Greedy welfare must dominate on aggregate.
-	var sumG, sumB float64
-	for seed := int64(20); seed < 30; seed++ {
-		qs, offers := randomAggScenario(seed, 30, 10, 60)
-		sumG += GreedySelect(qs, offers).Welfare()
-		sumB += BaselineMultiSelect(qs, offers).Welfare()
-	}
-	if sumG <= sumB {
-		t.Errorf("greedy total welfare %v <= baseline %v", sumG, sumB)
-	}
-}
-
 func TestGreedyComplexityGuard(t *testing.T) {
 	// O(|Q||S|^2) valuation calls: on a 40x10 instance this must finish
 	// fast and select a bounded number of sensors.
@@ -133,50 +119,6 @@ func TestGreedyComplexityGuard(t *testing.T) {
 	res := GreedySelect(qs, offers)
 	if len(res.Selected) > len(offers) {
 		t.Error("selected more sensors than exist")
-	}
-}
-
-func TestGreedyPointAdapter(t *testing.T) {
-	queries, offers := randomScenario(5, 20, 40, 15)
-	res := GreedyPoint()(queries, offers)
-	for qid, o := range res.Outcomes {
-		if o.Value <= 0 {
-			t.Errorf("outcome %s has value %v", qid, o.Value)
-		}
-		if o.Sensor == nil {
-			t.Errorf("outcome %s missing sensor", qid)
-		}
-	}
-	// Welfare should be positive and within range of optimal.
-	opt := OptimalPoint(OptimalOptions{})(queries, offers)
-	if res.Welfare() > opt.Welfare()+1e-9 {
-		t.Errorf("greedy point %v exceeds optimal %v", res.Welfare(), opt.Welfare())
-	}
-
-	// Sensor 0 commits first for the two queries on it and serves "q"
-	// at theta 0.4; sensor 1 then lifts "q" to 0.8 and serves "b". "q"
-	// pays both commits: its outcome names the better sensor and the
-	// total payment, not that sensor's share alone.
-	offers = makeOffers(geo.Pt(0, 0), geo.Pt(4, 0))
-	queries = []*query.Point{
-		query.NewPoint("a0", geo.Pt(0, 0), 30, 5),
-		query.NewPoint("a1", geo.Pt(0, 0), 30, 5),
-		query.NewPoint("q", geo.Pt(3, 0), 30, 5),
-		query.NewPoint("b", geo.Pt(4, 0), 15, 5),
-	}
-	res = GreedyPoint()(queries, offers)
-	multi := GreedySelect([]query.Query{queries[0], queries[1], queries[2], queries[3]}, offers)
-	paid := multi.Outcomes[2].Payments // "q"
-	if len(res.Selected) != 2 || len(paid) != 2 {
-		t.Fatalf("selected %d sensors, q paid %v: want both sensors paid by q", len(res.Selected), paid)
-	}
-	q := res.Outcomes["q"]
-	if q.Sensor.ID != 1 || q.Payment != paid[0].Amount+paid[1].Amount {
-		t.Errorf("q outcome = sensor %d paying %v; want sensor 1 paying %v + %v",
-			q.Sensor.ID, q.Payment, paid[0].Amount, paid[1].Amount)
-	}
-	if v := res.Stats.ConservationViolations; v != 0 {
-		t.Errorf("%d conservation violations", v)
 	}
 }
 
@@ -214,18 +156,5 @@ func TestGreedyMixedQueryTypes(t *testing.T) {
 	}
 	if !shared {
 		t.Error("no sensor shared across queries in a heavily overlapping scenario")
-	}
-}
-
-func TestBaselineMultiSelectPayments(t *testing.T) {
-	qs, offers := randomAggScenario(8, 20, 6, 80)
-	res := BaselineMultiSelect(qs, offers)
-	// Sum of all payments equals total cost (first query pays, rest free).
-	var paid float64
-	for _, out := range res.Outcomes {
-		paid += out.TotalPayment()
-	}
-	if math.Abs(paid-res.TotalCost) > 1e-6 {
-		t.Errorf("payments %v != total cost %v", paid, res.TotalCost)
 	}
 }

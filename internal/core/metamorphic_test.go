@@ -5,6 +5,8 @@ import (
 	"math"
 	"slices"
 	"testing"
+
+	"repro/internal/query"
 )
 
 // scaledResult is r with every cost, net, value and payment multiplied by
@@ -129,4 +131,56 @@ func TestDefaultSelectionPrunesBelow256Offers(t *testing.T) {
 			t.Errorf("seed %d: default selection differs from the serial reference: %s", seed, d)
 		}
 	}
+}
+
+// TestGreedyBudgetMonotonicity: raising the budget of an answered point
+// query that shares none of its relevant offers with another query leaves
+// it answered. Such a query's nets are its own value of a sensor less the
+// sensor's cost, and a larger budget only raises that value, so the
+// sensor that served it stays profitable. Checked on randomMixedScenario
+// seeds 1-20 at 60, 120 and 300 offers, budgets times 1.01, 1.5, 2 and 8.
+func TestGreedyBudgetMonotonicity(t *testing.T) {
+	isolated := 0
+	for _, n := range []int{60, 120, 300} {
+		for seed := int64(1); seed <= 20; seed++ {
+			qs, offers := randomMixedScenario(seed, n)
+			base := GreedySelect(qs, offers)
+			for qi, q := range qs {
+				p, ok := q.(*query.Point)
+				if !ok || base.Outcomes[qi].Value <= 0 || !isolatedQuery(qs, qi, offers) {
+					continue
+				}
+				isolated++
+				for _, f := range []float64{1.01, 1.5, 2, 8} {
+					raised := *p
+					raised.B *= f
+					rq := slices.Clone(qs)
+					rq[qi] = &raised
+					if v := GreedySelect(rq, offers).Outcomes[qi].Value; v <= 0 {
+						t.Errorf("n=%d seed %d: %s answered at budget %v, unanswered at %v", n, seed, p.ID, p.B, raised.B)
+					}
+				}
+			}
+		}
+	}
+	if isolated < 100 {
+		t.Fatalf("only %d answered point queries with offers of their own; the relation checks too little", isolated)
+	}
+	t.Logf("%d answered point queries with offers of their own, each raised 4 times", isolated)
+}
+
+// isolatedQuery reports whether no query but qs[qi] finds any offer that
+// qs[qi] finds relevant relevant.
+func isolatedQuery(qs []query.Query, qi int, offers []Offer) bool {
+	for _, o := range offers {
+		if !qs[qi].Relevant(o.Sensor) {
+			continue
+		}
+		for j, other := range qs {
+			if j != qi && other.Relevant(o.Sensor) {
+				return false
+			}
+		}
+	}
+	return true
 }

@@ -43,10 +43,6 @@ type MixSlotResult struct {
 	LocMonValue float64 // increase of locmon valuations
 	RegMonValue float64 // increase of regmon valuations
 	ExtraValue  float64 // value of Extra queries
-	// PointOutcomes is the baseline pipeline's point-solver outcome of
-	// each answered user point query. RunMixSlotWith leaves it nil: its
-	// points are answered in Multi like every other query.
-	PointOutcomes map[string]PointOutcome
 	// Continuous projects the slot's outcome of each active continuous
 	// query (location/region monitoring) under its *parent* query ID —
 	// the probes Algorithm 5 generates carry derived IDs, so without
@@ -132,7 +128,7 @@ func RunMixSlotWith(t int, qs MixQueries, offers []Offer, cfg GreedyConfig) *Mix
 
 	// Stage 1b: region monitoring point queries (Algorithm 4 planning with
 	// Eq. 18 cost weighting).
-	rm, rmPoints := planRegionMonitoring(t, qs.RegMon, offers, WeightEq18, 0)
+	rm, rmPoints := PlanRegionMonitoring(t, qs.RegMon, offers, WeightEq18)
 	rmAt := len(all)
 	for _, p := range rmPoints {
 		all = append(all, p)
@@ -178,9 +174,9 @@ func RunMixSlotWith(t int, qs MixQueries, offers []Offer, cfg GreedyConfig) *Mix
 	// Stage 3b: apply region monitoring results (Algorithm 3), including
 	// the sharing contributions that feed stage 4. The observation recorded
 	// for a probe is the first sensor of its joint outcome, paid the
-	// outcome's total; RunRegionMonitoringSlot records its point solver's
-	// sensor instead, and each path keeps its own choice.
-	rm.apply(func(k int) (*sensornet.Sensor, float64, bool) {
+	// outcome's total; the §4.6 Algorithm 3 driver in internal/sim records
+	// its point solver's sensor instead, and each path keeps its own choice.
+	rm.Apply(func(k int) (*sensornet.Sensor, float64, bool) {
 		out := &multi.Outcomes[rmAt+k]
 		if out.Value <= 0 || len(out.Sensors) == 0 {
 			return nil, 0, false
@@ -229,88 +225,6 @@ func continuousByID(cs []ContinuousOutcome) []ContinuousOutcome {
 		cs[w].ValueDelta = c.ValueDelta
 	}
 	return cs[:w+1]
-}
-
-// RunMixSlotBaseline is the §4.7 baseline: aggregate queries are executed
-// first with the sequential baseline, the selected sensors' costs drop to
-// zero, then the continuous queries' (desired-time-only) point queries and
-// the user point queries run through the baseline point algorithm.
-func RunMixSlotBaseline(t int, qs MixQueries, offers []Offer) *MixSlotResult {
-	res := &MixSlotResult{PointOutcomes: make(map[string]PointOutcome)}
-
-	multiQs := make([]query.Query, 0, len(qs.Aggregates)+len(qs.Extra))
-	for _, q := range qs.Aggregates {
-		multiQs = append(multiQs, q)
-	}
-	multiQs = append(multiQs, qs.Extra...)
-	agg := BaselineMultiSelect(multiQs, offers)
-	for i := range qs.Aggregates {
-		res.AggValue += agg.Outcomes[i].Value
-	}
-	for i := range qs.Extra {
-		res.ExtraValue += agg.Outcomes[len(qs.Aggregates)+i].Value
-	}
-	res.TotalCost = agg.TotalCost
-	pre := make(map[int]bool)
-	for _, s := range agg.Selected {
-		pre[s.ID] = true
-	}
-
-	// Point queries for continuous queries: desired sampling times only.
-	pts := append([]*query.Point(nil), qs.Points...)
-	type lmProbe struct {
-		pid string
-		li  int // index of the probe's query in lmActive
-	}
-	var lmActive []*query.LocationMonitoring
-	var lmBefore []float64
-	var lmProbes []lmProbe
-	for _, q := range qs.LocMon {
-		if !q.Active(t) {
-			continue
-		}
-		lmActive = append(lmActive, q)
-		lmBefore = append(lmBefore, q.Value())
-		if p, ok := q.CreatePointQueryBaseline(t); ok {
-			pts = append(pts, p)
-			lmProbes = append(lmProbes, lmProbe{pid: p.QID(), li: len(lmActive) - 1})
-		}
-	}
-
-	ptRes := baselinePointSolve(pts, offers, pre)
-	res.TotalCost += ptRes.TotalCost
-	for _, q := range qs.Points {
-		if o, ok := ptRes.Outcomes[q.QID()]; ok {
-			res.PointValue += o.Value
-			res.PointOutcomes[q.QID()] = o
-		}
-	}
-	cont := make([]ContinuousOutcome, len(lmActive))
-	for _, lp := range lmProbes {
-		q, co := lmActive[lp.li], &cont[lp.li]
-		if o, ok := ptRes.Outcomes[lp.pid]; ok {
-			q.ApplyResults(t, true, o.Payment, o.Theta)
-			co.Satisfied = true
-			co.Payment += o.Payment
-		} else {
-			q.ApplyResults(t, false, 0, 0)
-		}
-	}
-	for i, q := range lmActive {
-		delta := q.Value() - lmBefore[i]
-		res.LocMonValue += delta
-		cont[i].ID, cont[i].ValueDelta = q.ID, delta
-	}
-	res.Continuous = continuousByID(cont)
-	// Merge selected sensors for the caller's Commit.
-	res.Multi = &MultiResult{
-		Selected:   append(append([]*sensornet.Sensor(nil), agg.Selected...), ptRes.Selected...),
-		TotalCost:  res.TotalCost,
-		TotalValue: res.AggValue + res.ExtraValue + res.PointValue,
-		Outcomes:   agg.Outcomes,
-	}
-	res.Queries = multiQs
-	return res
 }
 
 // bestTheta is the quality a location monitoring query's probe obtained:

@@ -30,44 +30,11 @@ func WeightEq18(k int) float64 {
 	return float64(11-k) / 10
 }
 
-// RegMonOptions configures region-monitoring acquisition.
-type RegMonOptions struct {
-	// Solver schedules the generated point queries (Optimal in §4.6).
-	Solver PointSolver
-	// CostWeighting enables the w(k) discount of Eq. 18 on sensors shared
-	// by several region queries.
-	CostWeighting bool
-	// ShareSensors enables using sensors selected for other queries that
-	// happen to fall inside a query's region (the A_{r,t} stage of
-	// Algorithm 3's ApplyResults).
-	ShareSensors bool
-	// Weight overrides WeightEq18 when non-nil. The queries are planned
-	// concurrently, so it must be safe for concurrent use.
-	Weight func(k int) float64
-	// MaxPlanningTimes caps the future time instants Algorithm 4 considers
-	// (the paper iterates t = tc..q.t2; we subsample to bound planning
-	// cost). 0 means 8.
-	MaxPlanningTimes int
-}
-
-// RegMonSlotResult is the outcome of one slot of Algorithm 3.
-type RegMonSlotResult struct {
-	Point *PointResult
-	// ValueGained sums the per-query increases of the Eq. 7 valuation.
-	ValueGained float64
-	// Issued counts the generated point queries.
-	Issued int
-}
-
-// Welfare returns the slot's contribution to social welfare; cost
-// contributions are transfers between queries, not welfare.
-func (r *RegMonSlotResult) Welfare() float64 { return r.ValueGained - r.Point.TotalCost }
-
 // regPlan is one query's sampling plan for the current slot and, once
 // applied, what the query paid on it.
 type regPlan struct {
 	q            *query.RegionMonitoring
-	active       int     // index of q in regmonSlot.active
+	active       int     // index of q in RegMonSlot.active
 	expectedCost float64 // C_t: announced (weighted) cost of planned sensors
 	probes       []int   // indices of the plan's point queries among the slot's probes
 	spent        float64 // payments for the answered point queries
@@ -75,10 +42,17 @@ type regPlan struct {
 	satisfied    bool    // some observation was recorded
 }
 
-// regmonSlot is one slot of Algorithm 3 over the active region queries,
-// between planning (planRegionMonitoring) and applying the joint
-// selection's results (apply).
-type regmonSlot struct {
+// maxPlanningTimes caps the future time instants Algorithm 4 considers:
+// the paper iterates t = tc..q.t2, and planning subsamples that horizon to
+// this many instants to bound its cost.
+const maxPlanningTimes = 8
+
+// RegMonSlot is one slot of Algorithm 3 over the active region queries,
+// between planning (PlanRegionMonitoring) and applying a selection's
+// results (Apply). Algorithm 5 plans and applies it around its joint
+// pass; the paper's standalone Algorithm 3 driver (internal/sim) around
+// a point solver.
+type RegMonSlot struct {
 	active []*query.RegionMonitoring
 	before []float64 // Eq. 7 valuation of each active query before the slot
 	plans  []*regPlan
@@ -87,7 +61,7 @@ type regmonSlot struct {
 }
 
 // plannedQuery is what planning one active query produced. The worker
-// that planned the query fills it; planRegionMonitoring reads it back in
+// that planned the query fills it; PlanRegionMonitoring reads it back in
 // query order.
 type plannedQuery struct {
 	before float64
@@ -98,7 +72,7 @@ type plannedQuery struct {
 	appended, rebuilt int64
 }
 
-// planRegionMonitoring is the planning half of Algorithm 3: every active
+// PlanRegionMonitoring is the planning half of Algorithm 3: every active
 // query picks its sampling locations with Algorithm 4 under its remaining
 // budget, on costs weighted by weight(k(s)) (Eq. 18; nil charges the full
 // cost), and CreatePointQueries turns each planned location into a point
@@ -112,8 +86,8 @@ type plannedQuery struct {
 // order. Probe order, probe IDs and every sum are therefore those of a
 // serial pass, whatever GOMAXPROCS is. With one worker no goroutine
 // starts.
-func planRegionMonitoring(t int, queries []*query.RegionMonitoring, offers []Offer, weight func(k int) float64, maxTimes int) (*regmonSlot, []*query.Point) {
-	rs := &regmonSlot{}
+func PlanRegionMonitoring(t int, queries []*query.RegionMonitoring, offers []Offer, weight func(k int) float64) (*RegMonSlot, []*query.Point) {
+	rs := &RegMonSlot{}
 	for _, q := range queries {
 		if q.Active(t) {
 			q.ResetIfNeeded(t)
@@ -145,7 +119,7 @@ func planRegionMonitoring(t int, queries []*query.RegionMonitoring, offers []Off
 			if qi >= len(planned) {
 				return
 			}
-			planQuery(ar, &planned[qi], rs.active[qi], t, offers, shareCount, weight, maxTimes)
+			planQuery(ar, &planned[qi], rs.active[qi], t, offers, shareCount, weight)
 		}
 	}
 	var wg sync.WaitGroup
@@ -185,7 +159,7 @@ func planRegionMonitoring(t int, queries []*query.RegionMonitoring, offers []Off
 // offers inside its region (S_{r,t}) at their weighted costs (SC_{r,t}),
 // then CreatePointQueries over the current-slot selections. shareCount is
 // k(s) by sensor ID, read only.
-func planQuery(ar *planArena, pq *plannedQuery, q *query.RegionMonitoring, t int, offers []Offer, shareCount map[int]int, weight func(k int) float64, maxTimes int) {
+func planQuery(ar *planArena, pq *plannedQuery, q *query.RegionMonitoring, t int, offers []Offer, shareCount map[int]int, weight func(k int) float64) {
 	pq.before = q.Value()
 	inRegion, costs := ar.inRegion[:0], ar.costs[:0]
 	for _, o := range offers {
@@ -200,7 +174,7 @@ func planQuery(ar *planArena, pq *plannedQuery, q *query.RegionMonitoring, t int
 		costs = append(costs, c)
 	}
 	ar.inRegion, ar.costs = inRegion, costs
-	sel, appended, rebuilt := selectSamplingPoints(ar, q, inRegion, costs, q.RemainingBudget(), t, maxTimes)
+	sel, appended, rebuilt := selectSamplingPoints(ar, q, inRegion, costs, q.RemainingBudget(), t)
 	pq.appended, pq.rebuilt = appended, rebuilt
 	if len(sel) == 0 {
 		return
@@ -287,13 +261,13 @@ func putPlanArena(ar *planArena) {
 	idlePlanArenas.Unlock()
 }
 
-// apply is ApplyResults of Algorithm 3. answered reports the sensor and
+// Apply is ApplyResults of Algorithm 3. answered reports the sensor and
 // payment that satisfied the k-th generated point query (k indexes the
-// probes planRegionMonitoring returned); each plan records those
+// probes PlanRegionMonitoring returned); each plan records those
 // observations. With share set, a query then contributes to sensors
 // selected for other queries inside its region, best marginal first, up
 // to alpha*(C_t - C-hat_t); each contribution is booked in the plan's paid.
-func (rs *regmonSlot) apply(answered func(k int) (*sensornet.Sensor, float64, bool), selected []*sensornet.Sensor, share bool) {
+func (rs *RegMonSlot) Apply(answered func(k int) (*sensornet.Sensor, float64, bool), selected []*sensornet.Sensor, share bool) {
 	recorded := make(map[*regPlan]map[int]bool, len(rs.plans))
 	for _, plan := range rs.plans {
 		recorded[plan] = make(map[int]bool)
@@ -351,64 +325,14 @@ func (rs *regmonSlot) apply(answered func(k int) (*sensornet.Sensor, float64, bo
 	}
 }
 
-// RunRegionMonitoringSlot is Algorithm 3 with Algorithm 4 as the
-// query-specific sampling-point selector f_q: each active region
-// monitoring query plans its best sampling locations under the remaining
-// budget, materializes one point query per planned location valued at its
-// marginal contribution v_q(S_t) - v_q(S_t \ {s}) (CreatePointQueries),
-// all point queries are scheduled jointly, results are applied, and each
-// query may opportunistically contribute to sensors selected for other
-// queries inside its region, capped at alpha*(C_t - C-hat_t)
-// (ApplyResults).
-func RunRegionMonitoringSlot(t int, queries []*query.RegionMonitoring, offers []Offer, opts RegMonOptions) *RegMonSlotResult {
-	if opts.Solver == nil {
-		opts.Solver = OptimalPoint(OptimalOptions{})
-	}
-	var weight func(int) float64
-	if opts.CostWeighting {
-		weight = opts.Weight
-		if weight == nil {
-			weight = WeightEq18
-		}
-	}
-
-	out := &RegMonSlotResult{}
-	rs, pts := planRegionMonitoring(t, queries, offers, weight, opts.MaxPlanningTimes)
-	if len(rs.active) == 0 {
-		out.Point = &PointResult{Outcomes: map[string]PointOutcome{}, Exact: true}
-		return out
-	}
-	out.Issued = len(pts)
-
-	res := opts.Solver(pts, offers)
-	out.Point = res
-	out.Point.Stats.PosteriorAppends += rs.appended
-	out.Point.Stats.PosteriorRebuilds += rs.rebuilt
-
-	// The observation recorded for a probe is the point solver's sensor for
-	// it. RunMixSlotWith records the first sensor of the probe's joint
-	// outcome instead; the two are kept as they were, since either choice
-	// moves the other path's welfare.
-	rs.apply(func(k int) (*sensornet.Sensor, float64, bool) {
-		o, ok := res.Outcomes[pts[k].QID()]
-		return o.Sensor, o.Payment, ok
-	}, res.Selected, opts.ShareSensors)
-
+// ValueGained sums, over the slot's active queries, the increase of the
+// Eq. 7 valuation since planning.
+func (rs *RegMonSlot) ValueGained() float64 {
+	var sum float64
 	for qi, q := range rs.active {
-		out.ValueGained += q.Value() - rs.before[qi]
+		sum += q.Value() - rs.before[qi]
 	}
-	return out
-}
-
-// RunRegionMonitoringSlotBaseline is the §4.6 baseline: no cost weighting,
-// no sensor sharing, and the baseline point algorithm for the generated
-// point queries.
-func RunRegionMonitoringSlotBaseline(t int, queries []*query.RegionMonitoring, offers []Offer) *RegMonSlotResult {
-	return RunRegionMonitoringSlot(t, queries, offers, RegMonOptions{
-		Solver:        BaselinePoint(),
-		CostWeighting: false,
-		ShareSensors:  false,
-	})
+	return sum
 }
 
 // marginalRegionValue computes v_q(S ∪ {s}) - v_q(S) on the query's
@@ -434,19 +358,16 @@ func marginalRegionValue(q *query.RegionMonitoring, s *sensornet.Sensor, sc *que
 // this call: how many accumulated observations were folded in by rank-1
 // append vs replayed by a from-scratch rebuild (see
 // query.RegionMonitoring.BasePosterior).
-func selectSamplingPoints(ar *planArena, q *query.RegionMonitoring, inRegion []Offer, costs []float64, budget float64, tc, maxTimes int) (sel []int, appended, rebuilt int64) {
+func selectSamplingPoints(ar *planArena, q *query.RegionMonitoring, inRegion []Offer, costs []float64, budget float64, tc int) (sel []int, appended, rebuilt int64) {
 	if len(inRegion) == 0 || budget <= 0 {
 		return nil, 0, 0
-	}
-	if maxTimes <= 0 {
-		maxTimes = 8
 	}
 	horizon := q.End - tc
 	times := append(ar.times[:0], tc)
 	if horizon > 0 {
 		step := 1
-		if horizon+1 > maxTimes {
-			step = (horizon + maxTimes - 1) / maxTimes
+		if horizon+1 > maxPlanningTimes {
+			step = (horizon + maxPlanningTimes - 1) / maxPlanningTimes
 		}
 		for tm := tc + step; tm <= q.End; tm += step {
 			times = append(times, tm)

@@ -55,14 +55,14 @@ func TestWarmRegionPlanningAllocations(t *testing.T) {
 	qs, offers := regionPlanningFixture(regModel())
 	var probes int
 	for i := 0; i < 20; i++ { // warm every arena the workers may take
-		_, pts := planRegionMonitoring(1, qs, offers, WeightEq18, 0)
+		_, pts := PlanRegionMonitoring(1, qs, offers, WeightEq18)
 		probes = len(pts)
 	}
 	if probes < len(qs) {
 		t.Fatalf("fixture: only %d probes for %d queries", probes, len(qs))
 	}
 	allocs := testing.AllocsPerRun(20, func() {
-		planRegionMonitoring(1, qs, offers, WeightEq18, 0)
+		PlanRegionMonitoring(1, qs, offers, WeightEq18)
 	})
 	limit := 12 + 3*len(qs) + 3*probes
 	t.Logf("%.0f allocations per planning pass over %d queries and %d probes (limit %d)", allocs, len(qs), probes, limit)
@@ -101,7 +101,7 @@ func TestRegionPlanningFanOut(t *testing.T) {
 		model.Kernel = goroutineKernel{Kernel: model.Kernel, most: &most}
 		qs, offers := regionPlanningFixture(model)
 		before := int64(runtime.NumGoroutine())
-		_, pts := planRegionMonitoring(1, qs, offers, WeightEq18, 0)
+		_, pts := PlanRegionMonitoring(1, qs, offers, WeightEq18)
 		switch started := most.Load() - before; {
 		case procs == 1 && started != 0:
 			t.Errorf("GOMAXPROCS 1: %d more goroutines ran during planning, want none", started)
@@ -127,10 +127,10 @@ func TestRegionPlanningFanOut(t *testing.T) {
 // regionPlanningFixture; run it with -cpu 1,2 to see the fan-out.
 func BenchmarkRegionPlanning(b *testing.B) {
 	qs, offers := regionPlanningFixture(regModel())
-	planRegionMonitoring(1, qs, offers, WeightEq18, 0)
+	PlanRegionMonitoring(1, qs, offers, WeightEq18)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		planRegionMonitoring(1, qs, offers, WeightEq18, 0)
+		PlanRegionMonitoring(1, qs, offers, WeightEq18)
 	}
 }

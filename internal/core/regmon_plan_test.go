@@ -106,7 +106,6 @@ type planFixture struct {
 	pending []geo.Point // recorded on the query after the first planning call
 	budget  float64
 	tc      int
-	maxT    int
 }
 
 // newPlanFixture draws an instance. The same (seed, obs, candidates) gives
@@ -129,7 +128,7 @@ func newPlanFixture(seed int64, obs, candidates int) planFixture {
 	for _, p := range all[:early] {
 		q.Record(p, s.Uniform(0.5, 1), 1)
 	}
-	f := planFixture{q: q, pending: all[early:], tc: s.IntBetween(0, 10), maxT: s.IntBetween(1, 8)}
+	f := planFixture{q: q, pending: all[early:], tc: s.IntBetween(0, 10)}
 	for i := 0; i < candidates; i++ {
 		p := pt()
 		switch {
@@ -164,8 +163,8 @@ func TestSelectSamplingPointsMatchesNaive(t *testing.T) {
 			n := 1 + int(seed)%15
 			got, want := newPlanFixture(seed, obs, n), newPlanFixture(seed, obs, n)
 			for call := 0; call < 2; call++ {
-				gs, ga, gr := selectSamplingPoints(ar, got.q, got.offers, got.costs, got.budget, got.tc, got.maxT)
-				ws, wa, wr := selectSamplingPointsNaive(want.q, want.offers, want.costs, want.budget, want.tc, want.maxT)
+				gs, ga, gr := selectSamplingPoints(ar, got.q, got.offers, got.costs, got.budget, got.tc)
+				ws, wa, wr := selectSamplingPointsNaive(want.q, want.offers, want.costs, want.budget, want.tc, maxPlanningTimes)
 				if !slices.Equal(gs, ws) || ga != wa || gr != wr {
 					t.Fatalf("obs %d seed %d call %d: selected %v (appended %d, rebuilt %d), naive %v (%d, %d)",
 						obs, seed, call, gs, ga, gr, ws, wa, wr)
@@ -196,7 +195,7 @@ func benchPlanFixture(m int) planFixture {
 	for _, p := range f.pending {
 		f.q.Record(p, 0.8, 1)
 	}
-	f.tc, f.maxT, f.budget = 0, 8, 40
+	f.tc, f.budget = 0, 40
 	return f
 }
 
@@ -204,10 +203,12 @@ func BenchmarkSelectSamplingPoints(b *testing.B) {
 	ar := &planArena{}
 	for _, impl := range []struct {
 		name string
-		fn   func(*query.RegionMonitoring, []Offer, []float64, float64, int, int) ([]int, int64, int64)
-	}{{"incremental", func(q *query.RegionMonitoring, offers []Offer, costs []float64, budget float64, tc, maxT int) ([]int, int64, int64) {
-		return selectSamplingPoints(ar, q, offers, costs, budget, tc, maxT)
-	}}, {"naive", selectSamplingPointsNaive}} {
+		fn   func(*query.RegionMonitoring, []Offer, []float64, float64, int) ([]int, int64, int64)
+	}{{"incremental", func(q *query.RegionMonitoring, offers []Offer, costs []float64, budget float64, tc int) ([]int, int64, int64) {
+		return selectSamplingPoints(ar, q, offers, costs, budget, tc)
+	}}, {"naive", func(q *query.RegionMonitoring, offers []Offer, costs []float64, budget float64, tc int) ([]int, int64, int64) {
+		return selectSamplingPointsNaive(q, offers, costs, budget, tc, maxPlanningTimes)
+	}}} {
 		for _, m := range []int{0, 16, 48} {
 			b.Run(fmt.Sprintf("%s/m=%d", impl.name, m), func(b *testing.B) {
 				f := benchPlanFixture(m)
@@ -215,7 +216,7 @@ func BenchmarkSelectSamplingPoints(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					impl.fn(f.q, f.offers, f.costs, f.budget, f.tc, f.maxT)
+					impl.fn(f.q, f.offers, f.costs, f.budget, f.tc)
 				}
 			})
 		}
@@ -233,15 +234,15 @@ func TestPlannerAllocations(t *testing.T) {
 	}
 	f := benchPlanFixture(16)
 	ar := &planArena{}
-	sel, _, _ := selectSamplingPoints(ar, f.q, f.offers, f.costs, f.budget, f.tc, f.maxT) // rebuilds the base, warms the arena
+	sel, _, _ := selectSamplingPoints(ar, f.q, f.offers, f.costs, f.budget, f.tc) // rebuilds the base, warms the arena
 	if len(sel) < 2 {
 		t.Fatalf("fixture: only %d current-slot selections", len(sel))
 	}
 	allocs := testing.AllocsPerRun(10, func() {
-		selectSamplingPoints(ar, f.q, f.offers, f.costs, f.budget, f.tc, f.maxT)
+		selectSamplingPoints(ar, f.q, f.offers, f.costs, f.budget, f.tc)
 	})
 	naive := testing.AllocsPerRun(10, func() {
-		selectSamplingPointsNaive(f.q, f.offers, f.costs, f.budget, f.tc, f.maxT)
+		selectSamplingPointsNaive(f.q, f.offers, f.costs, f.budget, f.tc, maxPlanningTimes)
 	})
 	t.Logf("%.0f allocations per planning call (naive loop: %.0f)", allocs, naive)
 	const limit = 4

@@ -24,7 +24,7 @@ import (
 //
 // Cov and Var must be safe for concurrent use: region-monitoring queries
 // that share one GP model are planned on several goroutines at once (see
-// internal/core's planRegionMonitoring). A pure function of its arguments
+// internal/core's PlanRegionMonitoring). A pure function of its arguments
 // and fixed parameters, like the kernels below, is.
 type Kernel interface {
 	// Cov returns the covariance between the phenomenon at p and q.

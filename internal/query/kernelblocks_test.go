@@ -111,6 +111,10 @@ func TestWarmRegionValueAllocations(t *testing.T) {
 		q.Value()
 	}
 	q.ResetIfNeeded(0)
+	// ReadMemStats stops and restarts the world, and a restart may start
+	// an OS thread whose runtime objects land in the window; with one P
+	// it has no idle P to start one for.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var before, after runtime.MemStats
 	for k := 0; k < 12; k++ {
 		q.Record(in(), 0.8, 1)
@@ -161,7 +165,10 @@ func TestWarmWindowStartAllocations(t *testing.T) {
 	window(first, false) // grows the blocks and the shared solve buffers
 	first.Release()
 	second := NewRegionMonitoring("rm-2", region, 10, 19, 100, model, grid)
+	// One P for the measured window, as in TestWarmRegionValueAllocations.
+	prev := runtime.GOMAXPROCS(1)
 	window(second, true)
+	runtime.GOMAXPROCS(prev)
 	// A late recompute on the released query rebuilds its blocks and
 	// leaves the buffers the second query took alone.
 	for _, q := range []*RegionMonitoring{first, second, first} {

@@ -1,7 +1,12 @@
-package core
+package sim
 
 import (
+	"cmp"
+	"slices"
+
+	"repro/internal/core"
 	"repro/internal/query"
+	"repro/internal/sensornet"
 )
 
 // BaselinePoint is the evaluation's baseline for single-sensor point
@@ -12,7 +17,7 @@ import (
 // remaining queries." It resembles execution on query arrival with data
 // buffering for the duration of a time slot.
 func BaselinePoint() PointSolver {
-	return func(queries []*query.Point, offers []Offer) *PointResult {
+	return func(queries []*query.Point, offers []core.Offer) *PointResult {
 		return baselinePointSolve(queries, offers, nil)
 	}
 }
@@ -20,14 +25,14 @@ func BaselinePoint() PointSolver {
 // baselinePointSolve runs the baseline with an optional set of sensors
 // already paid for earlier in the slot (their cost is zero), which the
 // baseline query-mix pipeline uses after executing aggregates.
-func baselinePointSolve(queries []*query.Point, offers []Offer, preSelected map[int]bool) *PointResult {
+func baselinePointSolve(queries []*query.Point, offers []core.Offer, preSelected map[int]bool) *PointResult {
 	res := &PointResult{Outcomes: make(map[string]PointOutcome), Exact: true}
 	selected := make(map[int]bool, len(preSelected)) // sensor ID -> already paid for
 	for id := range preSelected {
 		selected[id] = true
 	}
 	// effective cost: zero once selected.
-	cost := func(o Offer) float64 {
+	cost := func(o core.Offer) float64 {
 		if selected[o.Sensor.ID] {
 			return 0
 		}
@@ -85,14 +90,13 @@ func baselinePointSolve(queries []*query.Point, offers []Offer, preSelected map[
 // buffering — "it takes the queries one by one and for each query selects
 // the sensors that result in best utility. The cost of the selected
 // sensors is set to zero for the subsequent queries in the time slot."
-func BaselineMultiSelect(queries []query.Query, offers []Offer) *MultiResult {
-	res := &MultiResult{Outcomes: make([]MultiOutcome, len(queries))}
+func BaselineMultiSelect(queries []query.Query, offers []core.Offer) *core.MultiResult {
+	res := &core.MultiResult{Outcomes: make([]core.MultiOutcome, len(queries))}
 	selected := make(map[int]bool)
-	selectedOffers := make(map[int]Offer)
 	for qi, q := range queries {
 		st := q.NewState()
 		out := &res.Outcomes[qi]
-		out.Payments = []Payment{}
+		out.Payments = []core.Payment{}
 
 		// Per-query greedy: repeatedly add the sensor with the best
 		// marginal utility deltav - effectiveCost while positive.
@@ -121,17 +125,102 @@ func BaselineMultiSelect(queries []query.Query, offers []Offer) *MultiResult {
 				pay = 0
 			} else {
 				selected[o.Sensor.ID] = true
-				selectedOffers[o.Sensor.ID] = o
 				res.Selected = append(res.Selected, o.Sensor)
 				res.TotalCost += o.Cost
 			}
 			st.Add(o.Sensor)
 			out.Sensors = append(out.Sensors, o.Sensor)
-			out.Payments = append(out.Payments, Payment{SensorID: o.Sensor.ID, Amount: pay})
+			out.Payments = append(out.Payments, core.Payment{SensorID: o.Sensor.ID, Amount: pay})
 		}
-		out.Payments = sortPayments(out.Payments)
+		// A query pays each sensor once, so ordering by ID is all
+		// the payment order of core.MultiOutcome asks for.
+		slices.SortFunc(out.Payments, func(a, b core.Payment) int { return cmp.Compare(a.SensorID, b.SensorID) })
 		out.Value = st.Value()
 		res.TotalValue += out.Value
+	}
+	return res
+}
+
+// RunMixSlotBaseline is the §4.7 baseline: aggregate queries are executed
+// first with the sequential baseline, the selected sensors' costs drop to
+// zero, then the continuous queries' (desired-time-only) point queries and
+// the user point queries run through the baseline point algorithm. Its
+// Multi.Outcomes list the aggregates, the user points and the extras in
+// their MixQueries order, as Algorithm 5's do; it leaves Queries and
+// Continuous nil.
+func RunMixSlotBaseline(t int, qs core.MixQueries, offers []core.Offer) *core.MixSlotResult {
+	res := &core.MixSlotResult{}
+
+	multiQs := make([]query.Query, 0, len(qs.Aggregates)+len(qs.Extra))
+	for _, q := range qs.Aggregates {
+		multiQs = append(multiQs, q)
+	}
+	multiQs = append(multiQs, qs.Extra...)
+	agg := BaselineMultiSelect(multiQs, offers)
+	for i := range qs.Aggregates {
+		res.AggValue += agg.Outcomes[i].Value
+	}
+	for i := range qs.Extra {
+		res.ExtraValue += agg.Outcomes[len(qs.Aggregates)+i].Value
+	}
+	res.TotalCost = agg.TotalCost
+	pre := make(map[int]bool)
+	for _, s := range agg.Selected {
+		pre[s.ID] = true
+	}
+
+	// Point queries for continuous queries: desired sampling times only.
+	pts := append([]*query.Point(nil), qs.Points...)
+	type lmProbe struct {
+		q   *query.LocationMonitoring
+		pid string
+	}
+	var lmActive []*query.LocationMonitoring
+	var lmBefore []float64
+	var lmProbes []lmProbe
+	for _, q := range qs.LocMon {
+		if !q.Active(t) {
+			continue
+		}
+		lmActive = append(lmActive, q)
+		lmBefore = append(lmBefore, q.Value())
+		if p, ok := q.CreatePointQueryBaseline(t); ok {
+			pts = append(pts, p)
+			lmProbes = append(lmProbes, lmProbe{q: q, pid: p.QID()})
+		}
+	}
+
+	ptRes := baselinePointSolve(pts, offers, pre)
+	res.TotalCost += ptRes.TotalCost
+	points := make([]core.MultiOutcome, len(qs.Points))
+	for i, q := range qs.Points {
+		if o, ok := ptRes.Outcomes[q.QID()]; ok {
+			res.PointValue += o.Value
+			points[i] = core.MultiOutcome{
+				Sensors:  []*sensornet.Sensor{o.Sensor},
+				Payments: []core.Payment{{SensorID: o.Sensor.ID, Amount: o.Payment}},
+				Value:    o.Value,
+			}
+		}
+	}
+	for _, lp := range lmProbes {
+		if o, ok := ptRes.Outcomes[lp.pid]; ok {
+			lp.q.ApplyResults(t, true, o.Payment, o.Theta)
+		} else {
+			lp.q.ApplyResults(t, false, 0, 0)
+		}
+	}
+	for i, q := range lmActive {
+		res.LocMonValue += q.Value() - lmBefore[i]
+	}
+
+	// Merge selected sensors for the caller's Commit.
+	na := len(qs.Aggregates)
+	res.Multi = &core.MultiResult{
+		Selected:   append(append([]*sensornet.Sensor(nil), agg.Selected...), ptRes.Selected...),
+		TotalCost:  res.TotalCost,
+		TotalValue: res.AggValue + res.ExtraValue + res.PointValue,
+		Outcomes:   slices.Concat(agg.Outcomes[:na], points, agg.Outcomes[na:]),
 	}
 	return res
 }

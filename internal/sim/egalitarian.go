@@ -1,6 +1,7 @@
-package core
+package sim
 
 import (
+	"repro/internal/core"
 	"repro/internal/query"
 )
 
@@ -15,7 +16,7 @@ import (
 // against the welfare-maximizing schedulers (satisfaction up, welfare
 // down).
 func EgalitarianPoint() PointSolver {
-	return func(queries []*query.Point, offers []Offer) *PointResult {
+	return func(queries []*query.Point, offers []core.Offer) *PointResult {
 		res := &PointResult{Outcomes: make(map[string]PointOutcome), Exact: true}
 		groups := groupByLocation(queries)
 

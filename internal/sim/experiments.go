@@ -21,24 +21,37 @@ type Result struct {
 	PointQuality  float64
 	AggQuality    float64
 	LocMonQuality float64
+	// Slots lists a point-query run's slots in order (RunPointSim only).
+	Slots []PointSlot
+}
+
+// PointSlot is one slot of a point-query run.
+type PointSlot struct {
+	Slot     int // the fleet's slot number
+	Offers   int // sensors offering a reading
+	Queries  int // point queries issued
+	Selected int // sensors selected
+	Answered int // queries answered
+	Cost     float64
+	Welfare  float64
 }
 
 // ExactOptimal returns the Optimal scheduler configured for experiments:
 // warm-started with Local Search and with a generous node budget, so the
 // Optimal series dominates Local Search by construction even if a rare
 // component exhausts its budget.
-func ExactOptimal() core.PointSolver {
-	return core.OptimalPoint(core.OptimalOptions{
+func ExactOptimal() PointSolver {
+	return OptimalPoint(OptimalOptions{
 		WarmStartWithLocalSearch: true,
 		MaxNodesPerComponent:     200_000,
 	})
 }
 
 // RunPointSim simulates a point-query workload (Figs 2-6) for `slots`
-// slots and returns the aggregate metrics. The workload stream is
-// deterministic in `seed` and independent of the solver, so all algorithm
-// series see identical queries.
-func RunPointSim(world *datasets.World, queriesPerSlot int, budgetMean, budgetJitter float64, solver core.PointSolver, slots int, seed int64) Result {
+// slots and returns the aggregate metrics and the per-slot rows. The
+// workload stream is deterministic in `seed` and independent of the
+// solver, so all algorithm series see identical queries.
+func RunPointSim(world *datasets.World, queriesPerSlot int, budgetMean, budgetJitter float64, solver PointSolver, slots int, seed int64) Result {
 	wl := &PointWorkload{
 		QueriesPerSlot: queriesPerSlot,
 		BudgetMean:     budgetMean,
@@ -52,6 +65,7 @@ func RunPointSim(world *datasets.World, queriesPerSlot int, budgetMean, budgetJi
 	answered, total := 0, 0
 	var qualSum float64
 	qualN := 0
+	rows := make([]PointSlot, 0, slots)
 	for t := 0; t < slots; t++ {
 		offers := world.Fleet.Step()
 		queries := wl.Slot(t, wrnd)
@@ -59,15 +73,21 @@ func RunPointSim(world *datasets.World, queriesPerSlot int, budgetMean, budgetJi
 		world.Fleet.Commit(res.Selected)
 		utils = append(utils, res.Welfare())
 		total += len(queries)
+		row := PointSlot{
+			Slot: world.Fleet.Slot(), Offers: len(offers), Queries: len(queries), Selected: len(res.Selected),
+			Cost: res.TotalCost, Welfare: res.Welfare(),
+		}
 		for _, q := range queries {
 			if o, ok := res.Outcomes[q.QID()]; ok {
-				answered++
+				row.Answered++
 				qualSum += o.Value / q.Budget()
 				qualN++
 			}
 		}
+		answered += row.Answered
+		rows = append(rows, row)
 	}
-	r := Result{AvgUtility: stats.Mean(utils)}
+	r := Result{AvgUtility: stats.Mean(utils), Slots: rows}
 	if total > 0 {
 		r.Satisfaction = float64(answered) / float64(total)
 	}
@@ -108,7 +128,7 @@ func RunAggregateSim(world *datasets.World, budgetFactor float64, greedy bool, s
 		if greedy {
 			res = core.GreedySelect(qs, offers)
 		} else {
-			res = core.BaselineMultiSelect(qs, offers)
+			res = BaselineMultiSelect(qs, offers)
 		}
 		world.Fleet.Commit(res.Selected)
 		utils = append(utils, res.Welfare())
@@ -136,19 +156,11 @@ const (
 	LocMonBaseline                           // Baseline
 )
 
-// RunLocMonSim simulates the location-monitoring workload of §4.5.
-// Query quality is collected when a query expires.
-func RunLocMonSim(world *datasets.World, budgetFactor float64, alg LocMonAlgorithm, slots int, seed int64) Result {
-	return runLocMonSim(world, budgetFactor, alg, slots, seed, 0.5)
-}
-
-// RunLocMonSimAlpha exposes the alpha control parameter for the ablation
-// bench (§3.3 discusses choosing alpha; the evaluation fixes 0.5).
-func RunLocMonSimAlpha(world *datasets.World, budgetFactor float64, alg LocMonAlgorithm, slots int, seed int64, alpha float64) Result {
-	return runLocMonSim(world, budgetFactor, alg, slots, seed, alpha)
-}
-
-func runLocMonSim(world *datasets.World, budgetFactor float64, alg LocMonAlgorithm, slots int, seed int64, alpha float64) Result {
+// RunLocMonSim simulates the location-monitoring workload of §4.5 with
+// the extra-budget control alpha of Algorithm 2 (§3.3 discusses choosing
+// it; the evaluation fixes 0.5). Query quality is collected when a query
+// expires.
+func RunLocMonSim(world *datasets.World, budgetFactor float64, alg LocMonAlgorithm, slots int, seed int64, alpha float64) Result {
 	wl := &LocMonWorkload{
 		MaxActive:    100,
 		ArrivalsMin:  2,
@@ -173,7 +185,7 @@ func runLocMonSim(world *datasets.World, budgetFactor float64, alg LocMonAlgorit
 
 	solver := ExactOptimal()
 	if alg == LocMonLocalSearch {
-		solver = core.LocalSearchPoint(core.DefaultLocalSearchEpsilon)
+		solver = LocalSearchPoint(DefaultLocalSearchEpsilon)
 	}
 
 	for t := 0; t < slots; t++ {
@@ -184,11 +196,11 @@ func runLocMonSim(world *datasets.World, budgetFactor float64, alg LocMonAlgorit
 		}
 		active = append(active, newQs...)
 
-		var res *core.LocMonSlotResult
+		var res *LocMonSlotResult
 		if alg == LocMonBaseline {
-			res = core.RunLocationMonitoringSlotBaseline(t, active, offers)
+			res = RunLocationMonitoringSlotBaseline(t, active, offers)
 		} else {
-			res = core.RunLocationMonitoringSlot(t, active, offers, solver)
+			res = RunLocationMonitoringSlot(t, active, offers, solver)
 		}
 		world.Fleet.Commit(res.Point.Selected)
 		utils = append(utils, res.Welfare())
@@ -218,19 +230,10 @@ func runLocMonSim(world *datasets.World, budgetFactor float64, alg LocMonAlgorit
 }
 
 // RunRegMonSim simulates the region-monitoring workload of §4.6 with
-// Algorithm 3 (alg3=true: cost weighting + sharing + optimal point
-// solving) or the baseline.
-func RunRegMonSim(world *datasets.World, budgetFactor float64, alg3 bool, slots int, seed int64) Result {
-	return runRegMonSim(world, budgetFactor, alg3, true, slots, seed)
-}
-
-// RunRegMonSimNoWeighting is the cost-weighting ablation: Algorithm 3
-// machinery with w(k) disabled.
-func RunRegMonSimNoWeighting(world *datasets.World, budgetFactor float64, slots int, seed int64) Result {
-	return runRegMonSim(world, budgetFactor, true, false, slots, seed)
-}
-
-func runRegMonSim(world *datasets.World, budgetFactor float64, alg3, weighting bool, slots int, seed int64) Result {
+// Algorithm 3 (alg3=true: sharing + optimal point solving, plus the w(k)
+// cost weighting of Eq. 18 when weighting is set; the evaluation sets it,
+// the cost-weighting ablation does not) or the baseline.
+func RunRegMonSim(world *datasets.World, budgetFactor float64, alg3, weighting bool, slots int, seed int64) Result {
 	wl := &RegMonWorkload{
 		BudgetFactor: budgetFactor,
 		RS:           2,
@@ -251,15 +254,15 @@ func runRegMonSim(world *datasets.World, budgetFactor float64, alg3, weighting b
 		if q := wl.Spawn(t, wrnd); q != nil {
 			active = append(active, q)
 		}
-		var res *core.RegMonSlotResult
+		var res *RegMonSlotResult
 		if alg3 {
-			res = core.RunRegionMonitoringSlot(t, active, offers, core.RegMonOptions{
+			res = RunRegionMonitoringSlot(t, active, offers, RegMonOptions{
 				Solver:        ExactOptimal(),
 				CostWeighting: weighting,
 				ShareSensors:  true,
 			})
 		} else {
-			res = core.RunRegionMonitoringSlotBaseline(t, active, offers)
+			res = RunRegionMonitoringSlotBaseline(t, active, offers)
 		}
 		world.Fleet.Commit(res.Point.Selected)
 		utils = append(utils, res.Welfare())
@@ -339,23 +342,16 @@ func RunMixSim(world *datasets.World, budgetFactor float64, alg5 bool, slots int
 		if alg5 {
 			res = core.RunMixSlot(t, mq, offers)
 		} else {
-			res = core.RunMixSlotBaseline(t, mq, offers)
+			res = RunMixSlotBaseline(t, mq, offers)
 		}
 		world.Fleet.Commit(res.Multi.Selected)
 		utils = append(utils, res.Welfare())
 
 		total += len(points)
 		for i, q := range points {
-			// Algorithm 5 answers the points in its joint pass, after the
-			// aggregates; the baseline's point solver lists the points it
-			// answered, each with a positive value.
-			var value float64
-			if alg5 {
-				value = res.Multi.Outcomes[len(aggs)+i].Value
-			} else {
-				value = res.PointOutcomes[q.QID()].Value
-			}
-			if value > 0 {
+			// Both pipelines list the points' outcomes after the
+			// aggregates'.
+			if value := res.Multi.Outcomes[len(aggs)+i].Value; value > 0 {
 				answered++
 				pQual += value / q.Budget()
 				pN++

@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/datasets"
 	"repro/internal/stats"
 )
@@ -44,15 +43,15 @@ type Figure struct {
 // pointSolvers are the three series of Figs 2-6.
 func pointSolvers() []struct {
 	name   string
-	solver core.PointSolver
+	solver PointSolver
 } {
 	return []struct {
 		name   string
-		solver core.PointSolver
+		solver PointSolver
 	}{
 		{"Optimal", ExactOptimal()},
-		{"LocalSearch", core.LocalSearchPoint(core.DefaultLocalSearchEpsilon)},
-		{"Baseline", core.BaselinePoint()},
+		{"LocalSearch", LocalSearchPoint(DefaultLocalSearchEpsilon)},
+		{"Baseline", BaselinePoint()},
 	}
 }
 
@@ -160,7 +159,7 @@ func fig8(o Options) []stats.Table {
 		var utility, quality []float64
 		for _, b := range o.Budgets {
 			world := datasets.NewRNC(o.Seed, datasets.SensorConfig{})
-			res := RunLocMonSim(world, b, alg.alg, o.Slots, o.Seed)
+			res := RunLocMonSim(world, b, alg.alg, o.Slots, o.Seed, 0.5)
 			utility = append(utility, res.AvgUtility)
 			quality = append(quality, res.AvgQuality)
 		}
@@ -181,7 +180,7 @@ func fig9(o Options) []stats.Table {
 		var utility, quality []float64
 		for _, b := range o.Budgets {
 			world := datasets.NewIntelLab(o.Seed, datasets.SensorConfig{})
-			res := RunRegMonSim(world, b, alg.alg3, o.Slots, o.Seed)
+			res := RunRegMonSim(world, b, alg.alg3, true, o.Slots, o.Seed)
 			utility = append(utility, res.AvgUtility)
 			quality = append(quality, res.AvgQuality)
 		}
@@ -246,12 +245,12 @@ func ablationLocalSearch(o Options) []stats.Table {
 	t := stats.Table{Title: "Ablation A1: local-search variants [RNC]", XLabel: "budget", XS: o.Budgets}
 	algs := []struct {
 		name   string
-		solver core.PointSolver
+		solver PointSolver
 	}{
-		{"LS eps=0.01", core.LocalSearchPoint(0.01)},
-		{"LS eps=0.5", core.LocalSearchPoint(0.5)},
-		{"RandLS x3", core.RandomizedLocalSearchPoint(0.01, 3, 7)},
-		{"Greedy", core.GreedyPoint()},
+		{"LS eps=0.01", LocalSearchPoint(0.01)},
+		{"LS eps=0.5", LocalSearchPoint(0.5)},
+		{"RandLS x3", RandomizedLocalSearchPoint(0.01, 3, 7)},
+		{"Greedy", GreedyPoint()},
 	}
 	for _, alg := range algs {
 		var utility []float64
@@ -272,9 +271,9 @@ func ablationCostWeighting(o Options) []stats.Table {
 	var with, without []float64
 	for _, b := range o.Budgets {
 		w1 := datasets.NewIntelLab(o.Seed, datasets.SensorConfig{})
-		with = append(with, RunRegMonSim(w1, b, true, o.Slots, o.Seed).AvgUtility)
+		with = append(with, RunRegMonSim(w1, b, true, true, o.Slots, o.Seed).AvgUtility)
 		w2 := datasets.NewIntelLab(o.Seed, datasets.SensorConfig{})
-		without = append(without, RunRegMonSimNoWeighting(w2, b, o.Slots, o.Seed).AvgUtility)
+		without = append(without, RunRegMonSim(w2, b, true, false, o.Slots, o.Seed).AvgUtility)
 	}
 	t.AddSeries("w(k) on", with)
 	t.AddSeries("w(k) off", without)
@@ -288,7 +287,7 @@ func ablationAlpha(o Options) []stats.Table {
 	var utility, quality []float64
 	for _, a := range o.Budgets {
 		world := datasets.NewRNC(o.Seed, datasets.SensorConfig{})
-		res := RunLocMonSimAlpha(world, 15, LocMonOptimal, o.Slots, o.Seed, a)
+		res := RunLocMonSim(world, 15, LocMonOptimal, o.Slots, o.Seed, a)
 		utility = append(utility, res.AvgUtility)
 		quality = append(quality, res.AvgQuality)
 	}
@@ -304,10 +303,10 @@ func ablationEgalitarian(o Options) []stats.Table {
 	ts := stats.Table{Title: "Ablation A4: welfare vs egalitarian — satisfaction", XLabel: "budget", XS: o.Budgets}
 	algs := []struct {
 		name   string
-		solver core.PointSolver
+		solver PointSolver
 	}{
 		{"Optimal", ExactOptimal()},
-		{"Egalitarian", core.EgalitarianPoint()},
+		{"Egalitarian", EgalitarianPoint()},
 	}
 	for _, alg := range algs {
 		var utility, satisfaction []float64

@@ -1,6 +1,7 @@
-package core
+package sim
 
 import (
+	"repro/internal/core"
 	"repro/internal/query"
 	"repro/internal/rng"
 )
@@ -16,14 +17,14 @@ const DefaultLocalSearchEpsilon = 0.01
 //
 //	u(S') = sum_l max_{s in S'} v_l(s) - sum_{s in S'} c_s.
 type lsInstance struct {
-	offers []Offer
+	offers []core.Offer
 	groups []locationGroup
 	// value[l][i] is v_l(offers[i].Sensor); cand[l] lists i with value>0.
 	value [][]float64
 	cand  [][]int
 }
 
-func newLSInstance(queries []*query.Point, offers []Offer) *lsInstance {
+func newLSInstance(queries []*query.Point, offers []core.Offer) *lsInstance {
 	inst := &lsInstance{offers: offers, groups: groupByLocation(queries)}
 	inst.value = make([][]float64, len(inst.groups))
 	inst.cand = make([][]int, len(inst.groups))
@@ -67,7 +68,7 @@ func (inst *lsInstance) utility(member []bool) float64 {
 // until stable; finally it returns the better of W and its complement
 // (or the empty set when both have negative utility).
 func LocalSearchPoint(eps float64) PointSolver {
-	return func(queries []*query.Point, offers []Offer) *PointResult {
+	return func(queries []*query.Point, offers []core.Offer) *PointResult {
 		inst := newLSInstance(queries, offers)
 		member := localSearch(inst, eps, nil)
 		return inst.finish(member)
@@ -83,7 +84,7 @@ func RandomizedLocalSearchPoint(eps float64, restarts int, seed int64) PointSolv
 	if restarts < 1 {
 		restarts = 3
 	}
-	return func(queries []*query.Point, offers []Offer) *PointResult {
+	return func(queries []*query.Point, offers []core.Offer) *PointResult {
 		inst := newLSInstance(queries, offers)
 		rnd := rng.New(seed, "randomized-local-search")
 		var best []bool

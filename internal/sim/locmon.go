@@ -1,6 +1,7 @@
-package core
+package sim
 
 import (
+	"repro/internal/core"
 	"repro/internal/query"
 )
 
@@ -25,18 +26,18 @@ func (r *LocMonSlotResult) Welfare() float64 { return r.ValueGained - r.Point.To
 // CreatePointQuery; the batch is scheduled with the supplied point solver
 // (Optimal or Local Search in the evaluation); ApplyResults feeds
 // payments and reading qualities back into each query's state.
-func RunLocationMonitoringSlot(t int, queries []*query.LocationMonitoring, offers []Offer, solve PointSolver) *LocMonSlotResult {
+func RunLocationMonitoringSlot(t int, queries []*query.LocationMonitoring, offers []core.Offer, solve PointSolver) *LocMonSlotResult {
 	return runLocMonSlot(t, queries, offers, solve, false)
 }
 
 // RunLocationMonitoringSlotBaseline is the §4.5 baseline: point queries
 // are generated only at the desired sampling times and scheduled with the
 // baseline point algorithm.
-func RunLocationMonitoringSlotBaseline(t int, queries []*query.LocationMonitoring, offers []Offer) *LocMonSlotResult {
+func RunLocationMonitoringSlotBaseline(t int, queries []*query.LocationMonitoring, offers []core.Offer) *LocMonSlotResult {
 	return runLocMonSlot(t, queries, offers, BaselinePoint(), true)
 }
 
-func runLocMonSlot(t int, queries []*query.LocationMonitoring, offers []Offer, solve PointSolver, baseline bool) *LocMonSlotResult {
+func runLocMonSlot(t int, queries []*query.LocationMonitoring, offers []core.Offer, solve PointSolver, baseline bool) *LocMonSlotResult {
 	var pts []*query.Point
 	owners := make(map[string]*query.LocationMonitoring)
 	valueBefore := make(map[string]float64)

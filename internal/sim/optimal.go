@@ -1,7 +1,8 @@
-package core
+package sim
 
 import (
 	"repro/internal/bilp"
+	"repro/internal/core"
 	"repro/internal/query"
 )
 
@@ -23,7 +24,7 @@ type OptimalOptions struct {
 // locations with profits v_l(s_i) — and solves it with the exact
 // branch-and-bound of internal/bilp. Payments follow Eq. 11.
 func OptimalPoint(opts OptimalOptions) PointSolver {
-	return func(queries []*query.Point, offers []Offer) *PointResult {
+	return func(queries []*query.Point, offers []core.Offer) *PointResult {
 		res := &PointResult{Outcomes: make(map[string]PointOutcome), Exact: true}
 		if len(queries) == 0 || len(offers) == 0 {
 			return res

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/datasets"
 	"repro/internal/rng"
 	"repro/internal/stats"
@@ -99,8 +98,8 @@ func TestRunPointSimOrderingHolds(t *testing.T) {
 	mk := func() *datasets.World { return datasets.NewRWM(2, 200, datasets.SensorConfig{}) }
 	const q = 300
 	opt7 := RunPointSim(mk(), q, 7, 0, ExactOptimal(), testSlots, 2)
-	ls7 := RunPointSim(mk(), q, 7, 0, core.LocalSearchPoint(core.DefaultLocalSearchEpsilon), testSlots, 2)
-	base7 := RunPointSim(mk(), q, 7, 0, core.BaselinePoint(), testSlots, 2)
+	ls7 := RunPointSim(mk(), q, 7, 0, LocalSearchPoint(DefaultLocalSearchEpsilon), testSlots, 2)
+	base7 := RunPointSim(mk(), q, 7, 0, BaselinePoint(), testSlots, 2)
 
 	if base7.Satisfaction != 0 {
 		t.Errorf("baseline at budget 7 answered %.2f of queries, want 0", base7.Satisfaction)
@@ -152,8 +151,8 @@ func TestRunAggregateSimGreedyBeatsBaseline(t *testing.T) {
 }
 
 func TestRunLocMonSimOrdering(t *testing.T) {
-	o := RunLocMonSim(datasets.NewRNC(6, datasets.SensorConfig{}), 15, LocMonOptimal, testSlots, 6)
-	b := RunLocMonSim(datasets.NewRNC(6, datasets.SensorConfig{}), 15, LocMonBaseline, testSlots, 6)
+	o := RunLocMonSim(datasets.NewRNC(6, datasets.SensorConfig{}), 15, LocMonOptimal, testSlots, 6, 0.5)
+	b := RunLocMonSim(datasets.NewRNC(6, datasets.SensorConfig{}), 15, LocMonBaseline, testSlots, 6, 0.5)
 	if o.AvgUtility < b.AvgUtility {
 		t.Errorf("Alg2-O %v below baseline %v", o.AvgUtility, b.AvgUtility)
 	}
@@ -163,8 +162,8 @@ func TestRunLocMonSimOrdering(t *testing.T) {
 }
 
 func TestRunRegMonSimOrdering(t *testing.T) {
-	a := RunRegMonSim(datasets.NewIntelLab(7, datasets.SensorConfig{}), 15, true, testSlots, 7)
-	b := RunRegMonSim(datasets.NewIntelLab(7, datasets.SensorConfig{}), 15, false, testSlots, 7)
+	a := RunRegMonSim(datasets.NewIntelLab(7, datasets.SensorConfig{}), 15, true, true, testSlots, 7)
+	b := RunRegMonSim(datasets.NewIntelLab(7, datasets.SensorConfig{}), 15, false, true, testSlots, 7)
 	if a.AvgUtility < b.AvgUtility-1e-9 {
 		t.Errorf("Alg3 %v below baseline %v", a.AvgUtility, b.AvgUtility)
 	}
