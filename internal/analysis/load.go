@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -53,6 +54,11 @@ func (l *Loader) Fset() *token.FileSet { return l.fset }
 // resolved location — the analysistest harness uses that to check
 // fixtures under the package paths the analyzers scope by.
 func (l *Loader) LoadFiles(pkgPath string, filenames []string) (*Package, error) {
+	return l.loadFiles(pkgPath, filenames, l.imp)
+}
+
+// loadFiles is LoadFiles resolving the unit's imports through imp.
+func (l *Loader) loadFiles(pkgPath string, filenames []string, imp types.Importer) (*Package, error) {
 	var files []*ast.File
 	for _, fn := range filenames {
 		f, err := parser.ParseFile(l.fset, fn, nil, parser.ParseComments|parser.SkipObjectResolution)
@@ -70,7 +76,7 @@ func (l *Loader) LoadFiles(pkgPath string, filenames []string) (*Package, error)
 		Uses:       map[*ast.Ident]types.Object{},
 		Selections: map[*ast.SelectorExpr]*types.Selection{},
 	}
-	conf := types.Config{Importer: l.imp}
+	conf := types.Config{Importer: imp}
 	tpkg, err := conf.Check(pkgPath, l.fset, files, info)
 	if err != nil {
 		return nil, fmt.Errorf("analysis: type-checking %s: %w", pkgPath, err)
@@ -134,7 +140,8 @@ func goList(patterns []string) ([]listedPackage, error) {
 // the analyzers over each, returning all surviving diagnostics in
 // position order. Each listed package contributes up to two units: its
 // Go files plus in-package test files (checked under the import path),
-// and the external test package when present (checked under path+"_test").
+// and the external test package when present (checked under path+"_test",
+// against the first unit, as `go test` builds it — see testImporter).
 // Test files are included deliberately — the floatorder invariant covers
 // golden-test expectation building, which is how PR 3's map-order float
 // bug originally slipped in. known is the full directive-name set passed
@@ -157,11 +164,12 @@ func RunPatterns(patterns []string, analyzers []*Analyzer, known map[string]bool
 			{lp.ImportPath, join(lp.Dir, lp.GoFiles, lp.TestGoFiles)},
 			{lp.ImportPath + "_test", join(lp.Dir, lp.XTestGoFiles)},
 		}
+		imp := l.imp
 		for _, u := range units {
 			if len(u.files) == 0 {
 				continue
 			}
-			pkg, err := l.LoadFiles(u.path, u.files)
+			pkg, err := l.loadFiles(u.path, u.files, imp)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -170,10 +178,65 @@ func RunPatterns(patterns []string, analyzers []*Analyzer, known map[string]bool
 				return nil, nil, err
 			}
 			all = append(all, diags...)
+			imp = &testImporter{l: l, under: pkg.Types, dir: lp.Dir, done: map[string]*types.Package{}}
 		}
 	}
 	SortDiagnostics(l.fset, all)
 	return all, l.fset, nil
+}
+
+// testImporter resolves an external test unit's imports the way `go
+// test` builds them. The package under test is its in-package unit, test
+// files included, so an export_test.go bridge is visible. A module
+// package that imports the package under test, directly or not, is
+// type-checked again from source through this importer, so the test sees
+// one package under test whichever way it reaches it. Every other import
+// comes from the loader's shared importer.
+type testImporter struct {
+	l     *Loader
+	under *types.Package
+	dir   string // the package's directory, where go/build resolves imports
+	done  map[string]*types.Package
+}
+
+func (ti *testImporter) Import(path string) (*types.Package, error) {
+	if path == ti.under.Path() {
+		return ti.under, nil
+	}
+	if p, ok := ti.done[path]; ok {
+		return p, nil
+	}
+	p, err := ti.l.imp.Import(path)
+	if err != nil || !importsPath(p, ti.under.Path(), map[*types.Package]bool{}) {
+		return p, err
+	}
+	bp, err := build.Import(path, ti.dir, 0)
+	if err != nil {
+		return nil, err
+	}
+	pkg, err := ti.l.loadFiles(path, join(bp.Dir, bp.GoFiles), ti)
+	if err != nil {
+		return nil, err
+	}
+	ti.done[path] = pkg.Types
+	return pkg.Types, nil
+}
+
+// importsPath reports whether p imports the package at path, directly or
+// not; seen holds the packages already searched.
+func importsPath(p *types.Package, path string, seen map[*types.Package]bool) bool {
+	for _, q := range p.Imports() {
+		if q.Path() == path {
+			return true
+		}
+		if !seen[q] {
+			seen[q] = true
+			if importsPath(q, path, seen) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 func join(dir string, lists ...[]string) []string {

@@ -81,8 +81,10 @@ func New(k Kernel, noise float64) *GP {
 // KernelBlocks holds every kernel entry Eq. 6 needs for a point set U
 // against a target set: k(U,U) and k(targets,U). The posterior of any
 // subset of U is then a matter of copying entries, so a caller valuing
-// many subsets of one set (the leave-one-out marginals of
-// CreatePointQueries) evaluates each point pair's covariance once.
+// many subsets of one set evaluates each point pair's covariance once.
+// The leave-one-out subsets of CreatePointQueries' marginals share more:
+// LeaveOneOut values U and every U∖{j} from one forward sweep over U's
+// factor.
 //
 // The point set grows at its end (Extend) and shrinks back (Truncate);
 // the entries of the points kept stay where they are, so a caller whose
@@ -101,19 +103,31 @@ type KernelBlocks struct {
 	kuu     []float64 // packed lower triangle: kuu[i*(i+1)/2+j] = k(pts[i], pts[j]) for j <= i, without noise
 	ktu     []float64 // one row per point: ktu[i*len(targets)+v] = k(targets[v], pts[i])
 
-	idx []int     // PosteriorVariances(nil)'s selection: every point
-	out []float64 // PosteriorVariances' result
+	idx []int     // PosteriorVariances(nil)'s selection, or LeaveOneOut's fallback subset
+	out []float64 // PosteriorVariances' result, or LeaveOneOut's variances of one set
 }
 
-// solveBuffers are the buffers of one PosteriorVariances call: K_AA and
-// its factor, the targets' covariances with the selected points and
-// their solves (one row per selected point, one column per target), and
-// the dots of the two.
+// solveBuffers are the buffers of one PosteriorVariances or LeaveOneOut
+// call: K_AA and its factor, the targets' covariances with the selected
+// points and their forward solves (one row per selected point, one
+// column per target), the targets' sums of squares, and LeaveOneOut's
+// copy of one subset's trailing rows.
 type solveBuffers struct {
-	kaa       linalg.Matrix
-	ch        linalg.Cholesky
-	kv, alpha []float64
-	dots      []float64
+	kaa   linalg.Matrix
+	ch    linalg.Cholesky
+	kv, y []float64
+	ss    []float64
+	sub   sweep
+}
+
+// sweep is a right-looking elimination in progress: the lower triangle
+// of an n×n system a, the n×r rows y of its right-hand sides and the
+// running sums of squares ss of the rows already eliminated.
+type sweep struct {
+	n, r int
+	a, y []float64
+	ss   []float64
+	done int // rows eliminated
 }
 
 // idleSolveBuffers holds the solve buffers no call is using, a free list
@@ -244,11 +258,13 @@ func growFloats(buf []float64, n int) []float64 {
 // observations it returns the prior variances. The result is kb's own
 // buffer: it is valid until the next call on kb.
 //
-// One factorization of K_AA serves every target: the targets'
-// covariance vectors are the columns of one matrix, solved and dotted
-// four at a time (linalg.Cholesky.SolveInto, linalg.ColumnDots), and each
-// target's variance is bit-identical to a one-vector solve and dot
-// product of its own.
+// Eq. 6 is taken in its forward-only form: with K_AA = L Lᵀ and
+// y = L⁻¹k_A(t), the posterior variance is k(t,t) − ‖y‖², floored at 0.
+// One factorization serves every target: the targets' covariance vectors
+// are the columns of one matrix, forward-solved four at a time
+// (linalg.Cholesky.ForwardInto), and each column's squares are summed in
+// ascending row order (linalg.ColumnDots), so each target's variance is
+// bit-identical to a one-vector forward substitution of its own.
 func (kb *KernelBlocks) PosteriorVariances(idx []int) ([]float64, error) {
 	g, nt := kb.g, len(kb.targets)
 	if idx == nil {
@@ -259,12 +275,9 @@ func (kb *KernelBlocks) PosteriorVariances(idx []int) ([]float64, error) {
 		idx = kb.idx
 	}
 	kb.out = growFloats(kb.out, nt)
-	out := kb.out
 	if len(idx) == 0 {
-		for i, t := range kb.targets {
-			out[i] = g.Kernel.Var(t)
-		}
-		return out, nil
+		kb.variances(kb.out, nil)
+		return kb.out, nil
 	}
 	sb := getSolveBuffers()
 	defer putSolveBuffers(sb)
@@ -294,7 +307,7 @@ func (kb *KernelBlocks) PosteriorVariances(idx []int) ([]float64, error) {
 		}
 	}
 	if nt == 0 {
-		return out, nil
+		return kb.out, nil
 	}
 	// Ascending and distinct, idx selects the first n points when its
 	// last is n-1: their rows of ktu are already the matrix to solve.
@@ -306,20 +319,30 @@ func (kb *KernelBlocks) PosteriorVariances(idx []int) ([]float64, error) {
 			copy(kv[j*nt:(j+1)*nt], kb.ktu[u*nt:(u+1)*nt])
 		}
 	}
-	sb.alpha = growFloats(sb.alpha, n*nt)
-	if err := ch.SolveInto(sb.alpha, kv, nt); err != nil {
+	sb.y = growFloats(sb.y, n*nt)
+	if err := ch.ForwardInto(sb.y, kv, nt); err != nil {
 		return nil, err
 	}
-	sb.dots = growFloats(sb.dots, nt)
-	linalg.ColumnDots(sb.dots, kv, sb.alpha)
+	sb.ss = growFloats(sb.ss, nt)
+	linalg.ColumnDots(sb.ss, sb.y, sb.y)
+	kb.variances(kb.out, sb.ss)
+	return kb.out, nil
+}
+
+// variances writes into out each target's posterior variance k(t,t) −
+// ss[t], floored at 0 against rounding; nil ss (no observations) gives
+// the prior variances.
+func (kb *KernelBlocks) variances(out, ss []float64) {
 	for i, t := range kb.targets {
-		v := g.Kernel.Var(t) - sb.dots[i]
+		v := kb.g.Kernel.Var(t)
+		if ss != nil {
+			v -= ss[i]
+		}
 		if v < 0 {
 			v = 0 // numerical floor
 		}
 		out[i] = v
 	}
-	return out, nil
 }
 
 // reduction returns F of Eq. 6 for the points idx selects — total prior
@@ -330,6 +353,12 @@ func (kb *KernelBlocks) reduction(idx []int) (red, prior float64, err error) {
 	if err != nil {
 		return 0, 0, err
 	}
+	red, prior = kb.reductionOf(post)
+	return red, prior, nil
+}
+
+// reductionOf is reduction for the targets' posterior variances post.
+func (kb *KernelBlocks) reductionOf(post []float64) (red, prior float64) {
 	var posterior float64
 	for i, t := range kb.targets {
 		prior += kb.g.Kernel.Var(t)
@@ -339,7 +368,15 @@ func (kb *KernelBlocks) reduction(idx []int) (red, prior float64, err error) {
 	if red < 0 {
 		red = 0
 	}
-	return red, prior, nil
+	return red, prior
+}
+
+// normalized is F divided by the total prior variance, 0 when that is.
+func normalized(red, prior float64) float64 {
+	if prior == 0 {
+		return 0
+	}
+	return red / prior
 }
 
 // NormalizedVarianceReduction returns F of Eq. 6 for the points idx
@@ -347,10 +384,156 @@ func (kb *KernelBlocks) reduction(idx []int) (red, prior float64, err error) {
 // uncertainty removed, in [0,1].
 func (kb *KernelBlocks) NormalizedVarianceReduction(idx []int) (float64, error) {
 	red, prior, err := kb.reduction(idx)
-	if err != nil || prior == 0 {
+	if err != nil {
 		return 0, err
 	}
-	return red / prior, nil
+	return normalized(red, prior), nil
+}
+
+// LeaveOneOut returns, in dst grown to 1+Len()-from values, the
+// normalized variance reduction of kb's whole point set followed, for
+// each j from `from` (0 <= from <= Len()) to Len()-1, by that of the set
+// without point j: NormalizedVarianceReduction(nil) and
+// NormalizedVarianceReduction of every index but j, bit for bit. An entry
+// whose factorization fails even with jitter is 0, as there, and the
+// first such error is returned.
+//
+// One forward sweep serves them all. The full set is eliminated
+// right-looking: step k finishes row k of the factor L and of
+// y = L⁻¹K_{A,V}, adds row k's squares to the targets' running sums, and
+// subtracts its share from every later row. Before step j the later rows
+// hold exactly the partial sums the set without j has at its own row j,
+// since rows < j of its factor, of its y and of its running sums are the
+// full set's. So the subset without j finishes a copy of those trailing
+// rows alone. Every entry is still its left-looking sum, the same terms
+// subtracted in the same ascending order as CholeskyInto and
+// ForwardInto, and every sum of squares ColumnDots', which is what
+// keeps the results bit-identical to a from-scratch valuation of each
+// set. Where the full set meets a pivot CholeskyInto rejects, or a
+// subset's trailing rows do, that set falls back to
+// NormalizedVarianceReduction and its jitter retry.
+func (kb *KernelBlocks) LeaveOneOut(dst []float64, from int) ([]float64, error) {
+	n, nt := len(kb.pts), len(kb.targets)
+	dst = growFloats(dst, 1+n-from)
+	sb := getSolveBuffers()
+	defer putSolveBuffers(sb)
+	full := &sweep{n: n, r: nt}
+	full.a = growFloats(sb.kaa.Data, n*n)
+	sb.kaa.Data = full.a
+	for i := 0; i < n; i++ {
+		copy(full.a[i*n:i*n+i+1], kb.kuu[i*(i+1)/2:])
+		full.a[i*n+i] += kb.g.Noise
+	}
+	sb.y = growFloats(sb.y, n*nt)
+	full.y = sb.y
+	copy(full.y, kb.ktu[:n*nt])
+	sb.ss = growFloats(sb.ss, nt)
+	full.ss = sb.ss
+	clear(full.ss)
+	kb.out = growFloats(kb.out, nt)
+	var firstErr error
+	fallback := func(skip int) float64 {
+		var idx []int // nil: the whole set
+		if skip >= 0 {
+			kb.idx = kb.idx[:0]
+			for i := 0; i < n; i++ {
+				if i != skip {
+					kb.idx = append(kb.idx, i)
+				}
+			}
+			idx = kb.idx
+		}
+		v, err := kb.NormalizedVarianceReduction(idx)
+		if err != nil && firstErr == nil {
+			firstErr = err
+		}
+		return v
+	}
+	value := func(sw *sweep) float64 {
+		kb.variances(kb.out, sw.ss)
+		return normalized(kb.reductionOf(kb.out))
+	}
+	for j := 0; j < n; j++ {
+		if j >= from {
+			sub := full.trailing(&sb.sub, j)
+			if sub.finish() {
+				dst[1+j-from] = value(sub)
+			} else {
+				dst[1+j-from] = fallback(j)
+			}
+		}
+		if !full.step() {
+			for k := max(j+1, from); k < n; k++ {
+				dst[1+k-from] = fallback(k)
+			}
+			dst[0] = fallback(-1)
+			return dst, firstErr
+		}
+	}
+	dst[0] = value(full)
+	return dst, firstErr
+}
+
+// step eliminates the sweep's next row k: it turns a's pivot into L's
+// and row k of y into that of L⁻¹Y, adds y[k]² to ss, and subtracts row
+// k's share from every later row of a and y. It reports false, changing
+// nothing, on a pivot CholeskyInto rejects.
+func (sw *sweep) step() bool {
+	k, n, r, a := sw.done, sw.n, sw.r, sw.a
+	d := a[k*n+k]
+	if d <= 0 || math.IsNaN(d) {
+		return false
+	}
+	lkk := math.Sqrt(d)
+	a[k*n+k] = lkk
+	yk := sw.y[k*r : (k+1)*r]
+	for t, v := range yk {
+		v /= lkk
+		yk[t] = v
+		sw.ss[t] += v * v
+	}
+	for i := k + 1; i < n; i++ {
+		a[i*n+k] /= lkk
+		lik := a[i*n+k]
+		for c := k + 1; c <= i; c++ {
+			a[i*n+c] -= lik * a[c*n+k]
+		}
+		yi := sw.y[i*r : (i+1)*r]
+		for t, v := range yk {
+			yi[t] -= lik * v
+		}
+	}
+	sw.done++
+	return true
+}
+
+// finish eliminates every row the sweep has left, reporting false on a
+// rejected pivot.
+func (sw *sweep) finish() bool {
+	for sw.done < sw.n {
+		if !sw.step() {
+			return false
+		}
+	}
+	return true
+}
+
+// trailing writes into dst, reusing its buffers, the sweep of the set
+// without row j, taken before step j eliminates it: rows < j are this
+// sweep's (eliminated, summed in ss), and rows > j are copies of this
+// sweep's, with column j left out.
+func (sw *sweep) trailing(dst *sweep, j int) *sweep {
+	n, r, m := sw.n, sw.r, sw.n-1-j
+	dst.n, dst.r, dst.done = m, r, 0
+	dst.a = growFloats(dst.a, m*m)
+	for i := 0; i < m; i++ {
+		copy(dst.a[i*m:i*m+i+1], sw.a[(j+1+i)*n+j+1:])
+	}
+	dst.y = growFloats(dst.y, m*r)
+	copy(dst.y, sw.y[(j+1)*r:])
+	dst.ss = growFloats(dst.ss, r)
+	copy(dst.ss, sw.ss)
+	return dst
 }
 
 // PosteriorVariances returns the predictive variance at each target

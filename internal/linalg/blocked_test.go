@@ -7,22 +7,15 @@ import (
 	"testing"
 )
 
-// solveVecReference is the one-right-hand-side Cholesky solve SolveInto
-// must reproduce bit for bit: forward then backward substitution, each
-// row's sum taken in ascending column order.
-func solveVecReference(c *Cholesky, dst, b []float64) {
+// forwardVecReference is the one-right-hand-side forward substitution
+// ForwardInto must reproduce bit for bit: L y = b, each row's sum taken
+// in ascending column order.
+func forwardVecReference(c *Cholesky, dst, b []float64) {
 	n, l := c.N, c.L.Data
 	for i := 0; i < n; i++ {
 		s := b[i]
 		for k, v := range l[i*n : i*n+i] {
 			s -= v * dst[k]
-		}
-		dst[i] = s / l[i*n+i]
-	}
-	for i := n - 1; i >= 0; i-- {
-		s := dst[i]
-		for k := i + 1; k < n; k++ {
-			s -= l[k*n+i] * dst[k]
 		}
 		dst[i] = s / l[i*n+i]
 	}
@@ -72,11 +65,13 @@ func sameBits(a, b []float64) bool {
 	return true
 }
 
-// TestSolveIntoMatchesSolveVecBitForBit: every column of a blocked solve
-// is the one-vector solve of that column, bit for bit, for n = 1..40 and
-// r = 1..9 right-hand sides — every width of the tail after the blocks of
-// four — and ColumnDots gives each column pair's one-vector dot product.
-func TestSolveIntoMatchesSolveVecBitForBit(t *testing.T) {
+// TestForwardIntoMatchesForwardVecBitForBit: every column of a blocked
+// forward solve is the one-vector forward substitution of that column,
+// bit for bit, for n = 1..40 and r = 1..9 right-hand sides — every width
+// of the tail after the blocks of four — and ColumnDots gives each column
+// pair's one-vector dot product. With one column, SolveVec's forward half
+// is that substitution too.
+func TestForwardIntoMatchesForwardVecBitForBit(t *testing.T) {
 	rnd := rand.New(rand.NewSource(7))
 	for n := 1; n <= 40; n++ {
 		ch, err := NewCholesky(randomSPD(rnd, n))
@@ -88,34 +83,27 @@ func TestSolveIntoMatchesSolveVecBitForBit(t *testing.T) {
 			for i := range b {
 				b[i] = rnd.NormFloat64()
 			}
-			x := make([]float64, n*r)
-			if err := ch.SolveInto(x, b, r); err != nil {
+			y := make([]float64, n*r)
+			if err := ch.ForwardInto(y, b, r); err != nil {
 				t.Fatal(err)
 			}
 			dots := make([]float64, r)
-			ColumnDots(dots, b, x)
+			ColumnDots(dots, y, y)
 			for k := 0; k < r; k++ {
-				bk := column(b, r, k)
 				want := make([]float64, n)
-				solveVecReference(ch, want, bk)
-				if got := column(x, r, k); !sameBits(got, want) {
-					t.Fatalf("n=%d r=%d column %d: blocked solve %v, one-vector solve %v", n, r, k, got, want)
+				forwardVecReference(ch, want, column(b, r, k))
+				if got := column(y, r, k); !sameBits(got, want) {
+					t.Fatalf("n=%d r=%d column %d: blocked forward %v, one-vector forward %v", n, r, k, got, want)
 				}
-				if d := dotReference(bk, want); math.Float64bits(dots[k]) != math.Float64bits(d) {
+				if d := dotReference(want, want); math.Float64bits(dots[k]) != math.Float64bits(d) {
 					t.Fatalf("n=%d r=%d column %d: ColumnDots %v, one-vector dot %v", n, r, k, dots[k], d)
-				}
-			}
-			if r == 1 {
-				got := make([]float64, n)
-				if err := ch.SolveVecInto(got, b); err != nil || !sameBits(got, x) {
-					t.Fatalf("n=%d: SolveVecInto %v (%v), SolveInto with one column %v", n, got, err, x)
 				}
 			}
 		}
 	}
 }
 
-func TestSolveIntoShapeMismatch(t *testing.T) {
+func TestForwardIntoShapeMismatch(t *testing.T) {
 	ch, err := NewCholesky(matFrom(2, 2, 2, 0, 0, 2))
 	if err != nil {
 		t.Fatal(err)
@@ -124,7 +112,7 @@ func TestSolveIntoShapeMismatch(t *testing.T) {
 		dst, b int
 		r      int
 	}{{4, 4, 0}, {4, 6, 2}, {6, 6, 2}, {3, 3, 1}} {
-		if err := ch.SolveInto(make([]float64, tc.dst), make([]float64, tc.b), tc.r); !errors.Is(err, ErrShape) {
+		if err := ch.ForwardInto(make([]float64, tc.dst), make([]float64, tc.b), tc.r); !errors.Is(err, ErrShape) {
 			t.Errorf("dst %d, b %d, r %d: got %v, want ErrShape", tc.dst, tc.b, tc.r, err)
 		}
 	}

@@ -1,7 +1,9 @@
 // Package linalg implements the dense linear algebra the Gaussian-process
 // substrate needs: row-major matrices, Cholesky factorization of symmetric
-// positive-definite systems, and triangular solves for many right-hand
-// sides at once.
+// positive-definite systems, the forward substitution L⁻¹B for many
+// right-hand sides at once, and column-wise dot products. Eq. 6's
+// posterior variance k(t,t) − ‖L⁻¹k_A(t)‖² needs no backward
+// substitution, so the package has none.
 //
 // The library is deliberately small: the paper's models need SPD solves of
 // at most a few hundred dimensions, for which straightforward O(n^3)
@@ -85,84 +87,50 @@ func CholeskyInto(c *Cholesky, a *Matrix) error {
 	return nil
 }
 
-// SolveInto solves A X = B for r right-hand sides at once. b and dst
-// hold n×r matrices row-major, so column k of b is the k-th right-hand
-// side and column k of dst its solution; dst must not overlap b.
+// ForwardInto solves L Y = B for r right-hand sides at once, the forward
+// half of a Cholesky solve: Y = L⁻¹B. b and dst hold n×r matrices
+// row-major, so column k of b is the k-th right-hand side and column k
+// of dst its solution; dst must not overlap b.
 //
 // The columns are solved four at a time: one pass over the factor serves
 // four columns, each carried in its own accumulator, and the last r mod 4
 // columns are solved one at a time. Every column sees exactly the
-// operations, in exactly the order, of a solve with that column alone, so
-// each result is bit-identical whatever r is and wherever the column
-// sits.
-func (c *Cholesky) SolveInto(dst, b []float64, r int) error {
-	n := c.N
+// operations, in exactly the order, of a forward substitution with that
+// column alone — row i is b[i] minus l[i][k]·y[k] for k ascending,
+// divided by l[i][i] — so each result is bit-identical whatever r is and
+// wherever the column sits.
+func (c *Cholesky) ForwardInto(dst, b []float64, r int) error {
+	n, l := c.N, c.L.Data
 	if r < 1 || len(b) != n*r || len(dst) != n*r {
-		return fmt.Errorf("%w: solve with %d values into %d, n=%d, %d right-hand sides", ErrShape, len(b), len(dst), n, r)
+		return fmt.Errorf("%w: forward solve with %d values into %d, n=%d, %d right-hand sides", ErrShape, len(b), len(dst), n, r)
 	}
 	col := 0
 	for ; col+4 <= r; col += 4 {
-		c.solve4(dst, b, r, col)
+		for i := 0; i < n; i++ {
+			bi := b[i*r+col : i*r+col+4]
+			s0, s1, s2, s3 := bi[0], bi[1], bi[2], bi[3]
+			for k, v := range l[i*n : i*n+i] {
+				y := dst[k*r+col : k*r+col+4]
+				s0 -= v * y[0]
+				s1 -= v * y[1]
+				s2 -= v * y[2]
+				s3 -= v * y[3]
+			}
+			d := l[i*n+i]
+			y := dst[i*r+col : i*r+col+4]
+			y[0], y[1], y[2], y[3] = s0/d, s1/d, s2/d, s3/d
+		}
 	}
 	for ; col < r; col++ {
-		c.solve1(dst, b, r, col)
+		for i := 0; i < n; i++ {
+			s := b[i*r+col]
+			for k, v := range l[i*n : i*n+i] {
+				s -= v * dst[k*r+col]
+			}
+			dst[i*r+col] = s / l[i*n+i]
+		}
 	}
 	return nil
-}
-
-// solve1 solves column col of the n×r system b into dst.
-func (c *Cholesky) solve1(dst, b []float64, r, col int) {
-	n, l := c.N, c.L.Data
-	// Forward solve L y = b, y held in dst.
-	for i := 0; i < n; i++ {
-		s := b[i*r+col]
-		for k, v := range l[i*n : i*n+i] {
-			s -= v * dst[k*r+col]
-		}
-		dst[i*r+col] = s / l[i*n+i]
-	}
-	// Backward solve L^T x = y in place: step i reads y[i] and the
-	// already final x[i+1:], then overwrites y[i] with x[i].
-	for i := n - 1; i >= 0; i-- {
-		s := dst[i*r+col]
-		for k := i + 1; k < n; k++ {
-			s -= l[k*n+i] * dst[k*r+col]
-		}
-		dst[i*r+col] = s / l[i*n+i]
-	}
-}
-
-// solve4 is solve1 for columns col..col+3, one accumulator per column.
-func (c *Cholesky) solve4(dst, b []float64, r, col int) {
-	n, l := c.N, c.L.Data
-	for i := 0; i < n; i++ {
-		bi := b[i*r+col : i*r+col+4]
-		s0, s1, s2, s3 := bi[0], bi[1], bi[2], bi[3]
-		for k, v := range l[i*n : i*n+i] {
-			y := dst[k*r+col : k*r+col+4]
-			s0 -= v * y[0]
-			s1 -= v * y[1]
-			s2 -= v * y[2]
-			s3 -= v * y[3]
-		}
-		d := l[i*n+i]
-		y := dst[i*r+col : i*r+col+4]
-		y[0], y[1], y[2], y[3] = s0/d, s1/d, s2/d, s3/d
-	}
-	for i := n - 1; i >= 0; i-- {
-		x := dst[i*r+col : i*r+col+4]
-		s0, s1, s2, s3 := x[0], x[1], x[2], x[3]
-		for k := i + 1; k < n; k++ {
-			v := l[k*n+i]
-			xk := dst[k*r+col : k*r+col+4]
-			s0 -= v * xk[0]
-			s1 -= v * xk[1]
-			s2 -= v * xk[2]
-			s3 -= v * xk[3]
-		}
-		d := l[i*n+i]
-		x[0], x[1], x[2], x[3] = s0/d, s1/d, s2/d, s3/d
-	}
 }
 
 // ColumnDots writes into each dst[k] the inner product of column k of a

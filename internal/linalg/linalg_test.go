@@ -9,8 +9,8 @@ import (
 )
 
 // The constructors, dense products and solves below serve only these
-// tests: production code factors with CholeskyInto and solves with
-// SolveInto alone.
+// tests: production code factors with CholeskyInto and runs only the
+// forward half of a solve, ForwardInto.
 
 // NewMatrix allocates a zero matrix.
 func NewMatrix(rows, cols int) *Matrix {
@@ -49,17 +49,23 @@ func NewCholesky(a *Matrix) (*Cholesky, error) {
 	return c, nil
 }
 
-// SolveVec solves A x = b for x using the factorization.
+// SolveVec solves A x = b for x using the factorization: ForwardInto
+// with one right-hand side, then the backward substitution L^T x = y in
+// place.
 func (c *Cholesky) SolveVec(b []float64) ([]float64, error) {
 	x := make([]float64, len(b))
-	return x, c.SolveVecInto(x, b)
-}
-
-// SolveVecInto is SolveVec writing x into dst, for callers that solve
-// against one factorization many times. dst must not overlap b. It is
-// SolveInto with one right-hand side.
-func (c *Cholesky) SolveVecInto(dst, b []float64) error {
-	return c.SolveInto(dst, b, 1)
+	if err := c.ForwardInto(x, b, 1); err != nil {
+		return nil, err
+	}
+	n, l := c.N, c.L.Data
+	for i := n - 1; i >= 0; i-- {
+		s := x[i]
+		for k := i + 1; k < n; k++ {
+			s -= l[k*n+i] * x[k]
+		}
+		x[i] = s / l[i*n+i]
+	}
+	return x, nil
 }
 
 // Mul returns a*b.

@@ -178,3 +178,54 @@ func TestWarmWindowStartAllocations(t *testing.T) {
 		}
 	}
 }
+
+// TestWarmPlanMarginalsAllocations: once the query's kept kernel blocks,
+// the plan scratch and the shared solve buffers have grown,
+// PlanMarginals — which extends the blocks by the plan, runs the
+// leave-one-out sweep and truncates them again — allocates nothing.
+func TestWarmPlanMarginalsAllocations(t *testing.T) {
+	if testing.Short() {
+		t.Skip("-short is how CI runs the race detector, which inflates allocation counts")
+	}
+	grid := geo.NewUnitGrid(20, 15)
+	model := gp.New(gp.SquaredExponential{Sigma2: 4, Length: 3}, 0.1)
+	region := geo.NewRect(2, 2, 10, 8)
+	q := NewRegionMonitoring("rm", region, 0, 9, 100, model, grid)
+	s := rng.New(29, "warm-marginals")
+	in := func() geo.Point {
+		return geo.Pt(s.Uniform(region.MinX, region.MaxX), s.Uniform(region.MinY, region.MaxY))
+	}
+	plan := make([]geo.Point, 6)
+	thetas := make([]float64, len(plan))
+	var sc PlanScratch
+	q.ResetIfNeeded(0)
+	for k := 0; k < 12; k++ { // grows every buffer
+		q.Record(in(), 0.8, 1)
+		for i := range plan {
+			plan[i], thetas[i] = in(), s.Uniform(0.5, 1)
+		}
+		q.PlanMarginals(plan, thetas, &sc)
+	}
+	q.ResetIfNeeded(0)
+	// One P for the measured calls, as in TestWarmRegionValueAllocations.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	for k := 0; k < 12; k++ {
+		q.Record(in(), 0.8, 1)
+		q.Value() // extends the kept blocks by the new observation
+		for n := 1; n <= len(plan); n++ {
+			for i := range plan[:n] {
+				plan[i], thetas[i] = in(), s.Uniform(0.5, 1)
+			}
+			runtime.ReadMemStats(&before)
+			m := q.PlanMarginals(plan[:n], thetas[:n], &sc)
+			runtime.ReadMemStats(&after)
+			if a := after.Mallocs - before.Mallocs; a != 0 {
+				t.Errorf("observation %d, plan of %d: PlanMarginals made %d allocations, want 0", k+1, n, a)
+			}
+			if len(m) != n {
+				t.Fatalf("observation %d, plan of %d: %d marginals", k+1, n, len(m))
+			}
+		}
+	}
+}

@@ -412,23 +412,25 @@ func (q *RegionMonitoring) PlanValue(planPts []geo.Point, planThetas []float64) 
 }
 
 // PlanScratch holds PlanMarginals' buffers between calls: the qualities
-// of the plan joined to the accumulated observations, one subset's
-// indices and the marginals. The zero value is ready. Not safe for
-// concurrent use.
+// of the plan joined to the accumulated observations, the normalized
+// reductions of the plan and its leave-one-out subsets, and the
+// marginals. The zero value is ready. Not safe for concurrent use.
 type PlanScratch struct {
 	thetas []float64
-	idx    []int
+	norms  []float64
 	out    []float64
 }
 
 // PlanMarginals returns, for each point i of a plan, the value the plan
 // loses without it: PlanValue(plan) - PlanValue(plan \ {i}), the worth
-// CreatePointQueries gives the point query generated for i. The 1+len(plan)
-// valuations share one set of kernel entries, the query's own extended by
-// the plan, so the kernel is evaluated for the plan's points alone; each
-// valuation then factorizes and solves its own subset exactly as
-// PlanValue would. The work happens in sc (a fresh scratch when nil), and
-// the result is sc's buffer, valid until sc's next use.
+// CreatePointQueries gives the point query generated for i. The
+// query's kernel blocks, extended by the plan, give the plan's Eq. 6
+// reduction and each leave-one-out subset's from one forward sweep
+// (gp.KernelBlocks.LeaveOneOut): the subsets share the plan's factor,
+// forward rows and sums up to the dropped point, and the kernel is
+// evaluated for the plan's points alone. Every valuation is still the
+// float PlanValue computes. The work happens in sc (a fresh scratch
+// when nil), and the result is sc's buffer, valid until sc's next use.
 func (q *RegionMonitoring) PlanMarginals(planPts []geo.Point, planThetas []float64, sc *PlanScratch) []float64 {
 	if sc == nil {
 		sc = &PlanScratch{}
@@ -436,33 +438,30 @@ func (q *RegionMonitoring) PlanMarginals(planPts []geo.Point, planThetas []float
 	kb := q.obsBlocks()
 	nObs := kb.Len()
 	kb.Extend(planPts...)
+	sc.norms, _ = kb.LeaveOneOut(sc.norms, nObs) // a failed factorization values its set at 0, as fOn does
+	kb.Truncate(nObs)
 	sc.thetas = append(append(sc.thetas[:0], q.Thetas...), planThetas...)
-	thetas := sc.thetas
-	valueWithout := func(skip int) float64 {
-		sc.idx = sc.idx[:0]
+	// valueWithout is Eq. 7 for every point but skip (-1: none), whose
+	// normalized reduction is norm.
+	valueWithout := func(skip int, norm float64) float64 {
 		var sum float64
-		for i := range thetas {
+		n := 0
+		for i, th := range sc.thetas {
 			if i != skip {
-				sc.idx = append(sc.idx, i)
-				sum += thetas[i]
+				sum += th
+				n++
 			}
 		}
-		if len(sc.idx) == 0 {
+		if n == 0 {
 			return 0
 		}
-		return q.B * q.fOn(kb, sc.idx) * sum / float64(len(sc.idx))
+		return q.B * (norm / q.RefFraction) * sum / float64(n)
 	}
-	full := valueWithout(-1)
+	full := valueWithout(-1, sc.norms[0])
 	sc.out = sc.out[:0]
-	if len(planPts) == 1 {
-		kb.Truncate(nObs)
-		sc.out = append(sc.out, full-q.Value()) // the plan without its only point is q.S
-		return sc.out
-	}
 	for i := range planPts {
-		sc.out = append(sc.out, full-valueWithout(nObs+i))
+		sc.out = append(sc.out, full-valueWithout(nObs+i, sc.norms[1+i]))
 	}
-	kb.Truncate(nObs)
 	return sc.out
 }
 

@@ -312,36 +312,42 @@ func TestRegionMonitoringValueMemo(t *testing.T) {
 	}
 }
 
-// TestPlanMarginalsMatchLeaveOneOut: the marginals computed over one set
-// of kernel entries are exactly PlanValue(plan) - PlanValue(plan \ {i}),
+// TestPlanMarginalsMatchLeaveOneOut: the marginals computed from one
+// forward sweep are exactly PlanValue(plan) - PlanValue(plan \ {i}),
 // with and without accumulated observations, for plans of one and several
-// points, including a plan point on an observed spot.
+// points, including a plan point on an observed spot and a plan that
+// holds one point twice — with observation noise, and without, where the
+// duplicate makes K_AA singular and only the jitter retry factorizes it.
 func TestPlanMarginalsMatchLeaveOneOut(t *testing.T) {
 	grid := geo.NewUnitGrid(20, 15)
-	model := gp.New(gp.SquaredExponential{Sigma2: 4, Length: 3}, 0.1)
-	q := NewRegionMonitoring("rm", geo.NewRect(2, 2, 10, 8), 0, 10, 100, model, grid)
-	q.ResetIfNeeded(0)
-	plan := []geo.Point{geo.Pt(4, 4), geo.Pt(7, 6), geo.Pt(3, 7), geo.Pt(9, 3), geo.Pt(6, 5)}
-	thetas := []float64{0.9, 0.8, 0.75, 0.95, 0.6}
-	for round := 0; round < 3; round++ {
-		for n := 1; n <= len(plan); n++ {
-			got := q.PlanMarginals(plan[:n], thetas[:n], nil)
-			full := q.PlanValue(plan[:n], thetas[:n])
-			for i := 0; i < n; i++ {
-				var rest []geo.Point
-				var restThetas []float64
-				for j := 0; j < n; j++ {
-					if j != i {
-						rest = append(rest, plan[j])
-						restThetas = append(restThetas, thetas[j])
+	plan := []geo.Point{geo.Pt(4, 4), geo.Pt(7, 6), geo.Pt(3, 7), geo.Pt(9, 3), geo.Pt(6, 5), geo.Pt(7, 6)}
+	thetas := []float64{0.9, 0.8, 0.75, 0.95, 0.6, 0.7}
+	for _, model := range []*gp.GP{
+		gp.New(gp.SquaredExponential{Sigma2: 4, Length: 3}, 0.1),
+		{Kernel: gp.SquaredExponential{Sigma2: 4, Length: 3}},
+	} {
+		q := NewRegionMonitoring("rm", geo.NewRect(2, 2, 10, 8), 0, 10, 100, model, grid)
+		q.ResetIfNeeded(0)
+		for round := 0; round < 3; round++ {
+			for n := 1; n <= len(plan); n++ {
+				got := q.PlanMarginals(plan[:n], thetas[:n], nil)
+				full := q.PlanValue(plan[:n], thetas[:n])
+				for i := 0; i < n; i++ {
+					var rest []geo.Point
+					var restThetas []float64
+					for j := 0; j < n; j++ {
+						if j != i {
+							rest = append(rest, plan[j])
+							restThetas = append(restThetas, thetas[j])
+						}
+					}
+					if want := full - q.PlanValue(rest, restThetas); got[i] != want {
+						t.Fatalf("noise %g, %d observations, plan of %d: marginal %d = %v, leave-one-out %v", model.Noise, len(q.ObsPoints), n, i, got[i], want)
 					}
 				}
-				if want := full - q.PlanValue(rest, restThetas); got[i] != want {
-					t.Fatalf("%d observations, plan of %d: marginal %d = %v, leave-one-out %v", len(q.ObsPoints), n, i, got[i], want)
-				}
 			}
+			q.Record(geo.Pt(5+float64(round), 5), 0.85, 3)
+			q.Record(plan[4], 0.6, 2)
 		}
-		q.Record(geo.Pt(5+float64(round), 5), 0.85, 3)
-		q.Record(plan[4], 0.6, 2)
 	}
 }

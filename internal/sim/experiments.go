@@ -169,8 +169,7 @@ func RunLocMonSim(world *datasets.World, budgetFactor float64, alg LocMonAlgorit
 		// The paper attributes Fig 8's small utilities to "the lack of
 		// enough sensors close to the queried locations"; the synthetic
 		// trace is denser than the real one, so the experiment uses a
-		// tighter per-query sensing distance to recreate that scarcity
-		// (see EXPERIMENTS.md).
+		// tighter per-query sensing distance to recreate that scarcity.
 		DMax:    world.DMax * 0.4,
 		Working: world.Working,
 		Grid:    world.Grid,

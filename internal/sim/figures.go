@@ -323,7 +323,8 @@ func ablationEgalitarian(o Options) []stats.Table {
 }
 
 // Figures is the registry of every reproduced figure and extension
-// experiment; cmd/psbench and the benchmark harness iterate it.
+// experiment; cmd/psbench iterates it, and the tiny-scale golden test
+// (TestFigureRunsAtTinyScale) runs every entry.
 var Figures = []Figure{
 	{ID: "fig2", Title: "Single-sensor point queries, RWM (Fig 2)", Run: fig2},
 	{ID: "fig3", Title: "Single-sensor point queries, RNC (Fig 3)", Run: fig3},
