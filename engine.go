@@ -130,11 +130,14 @@ func (h *QueryHandle) OnDone(fn func()) {
 func (h *QueryHandle) Cancel() error {
 	e := h.eng
 	return e.loop.Do(e.timedIngest(func() {
-		if !e.hub.cancel(h.sub.t, ErrCanceled, time.Now()) {
+		if !e.hub.owns(h.sub.t) {
 			return // already expired, replaced, or canceled
 		}
+		// Withdraw and book before the Canceled event is published, so a
+		// watcher that sees it reads the counter already moved.
 		e.agg.CancelQuery(h.id)
 		e.obs.queriesCanceled.Inc()
+		e.hub.cancel(h.sub.t, ErrCanceled, time.Now())
 	}))
 }
 

@@ -514,16 +514,20 @@ func (h *hub) terminate(t *topic, cause error, at time.Time) (attached int, onDo
 	return attached, t.finish(cause)
 }
 
-// cancel tears t down if it still is the live topic of its ID (a reused
-// ID must not let a stale handle cancel its successor), publishing the
-// Canceled terminal. Loop goroutine only. Reports whether a live topic
-// was canceled.
-func (h *hub) cancel(t *topic, cause error, at time.Time) bool {
+// owns reports whether t still is the live topic of its ID (a reused ID
+// must not let a stale handle cancel its successor). Only the loop
+// goroutine changes the live set, so on it the answer holds until it
+// changes the set itself.
+func (h *hub) owns(t *topic) bool {
 	h.mu.Lock()
-	if h.topics[t.id] != t {
-		h.mu.Unlock()
-		return false
-	}
+	defer h.mu.Unlock()
+	return h.topics[t.id] == t
+}
+
+// cancel tears down t, which owns reports live, publishing the Canceled
+// terminal. Loop goroutine only.
+func (h *hub) cancel(t *topic, cause error, at time.Time) {
+	h.mu.Lock()
 	t.mu.Lock()
 	_, onDone := h.terminate(t, cause, at)
 	t.mu.Unlock()
@@ -531,7 +535,6 @@ func (h *hub) cancel(t *topic, cause error, at time.Time) bool {
 	if onDone != nil {
 		onDone()
 	}
-	return true
 }
 
 // liveCount returns the number of live topics.

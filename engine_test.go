@@ -3,6 +3,7 @@ package ps
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -202,6 +203,47 @@ func TestEngineCancelMidFlight(t *testing.T) {
 	}
 	if m := e.Metrics(); m.QueriesCanceled != 1 || m.ActiveQueries != 0 {
 		t.Fatalf("metrics after cancel = %+v", m)
+	}
+}
+
+// TestCancelBooksBeforeCanceledEvent: Cancel withdraws the query and
+// books QueriesCanceled before it publishes the Canceled event, so a
+// watcher that has just read that event already sees the counter moved.
+func TestCancelBooksBeforeCanceledEvent(t *testing.T) {
+	e := newTestEngine(t)
+	for i := 0; i < 200; i++ {
+		h, err := e.Submit(LocationMonitoringSpec{ID: fmt.Sprintf("lm%d", i), Loc: Pt(30, 30), Duration: 10, Budget: 120, Samples: 5})
+		if err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+		sub := h.Subscription()
+		booked := make(chan int64, 1)
+		go func() {
+			// Poll rather than wait on Ready, so the event is read the
+			// moment the log lock releases it.
+			deadline := time.Now().Add(10 * time.Second)
+			for time.Now().Before(deadline) {
+				ev, ok := sub.Next()
+				if !ok {
+					runtime.Gosched()
+					continue
+				}
+				if ev.Type == EventCanceled {
+					// The counter Metrics().QueriesCanceled reports, read
+					// alone: the snapshot reads much else first, which
+					// would give the loop time to catch up.
+					booked <- int64(e.obs.queriesCanceled.Value())
+					return
+				}
+			}
+			booked <- -1
+		}()
+		if err := h.Cancel(); err != nil {
+			t.Fatalf("cancel %d: %v", i, err)
+		}
+		if got := <-booked; got != int64(i+1) {
+			t.Fatalf("cancel %d: watcher read QueriesCanceled = %d after the Canceled event, want %d", i, got, i+1)
+		}
 	}
 }
 

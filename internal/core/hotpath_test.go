@@ -8,6 +8,7 @@ import (
 	"repro/internal/geo"
 	"repro/internal/query"
 	"repro/internal/rng"
+	"repro/internal/sensornet"
 )
 
 // coverageHeavyScenario is demand dominated by the two Eq. 5 coverage
@@ -154,6 +155,68 @@ func urbanShape(seed int64, n, wide int) ([]query.Query, []Offer) {
 			geo.NewRect(x, y, x+s.Uniform(10, 25), y+s.Uniform(10, 25)), float64(wide)*s.Uniform(200, 400), 10, grid))
 	}
 	return qs, offers
+}
+
+// metroLaneShape is one shard lane's slot of the benchmark's
+// metro-sharded demand: n sensors over the lane's 25x25 quarter of the
+// RWM working region (about 1950 of the workload's 20000 fall in each),
+// inaccuracies from [0, 0.2], and 250 points, 4 multipoints of k=6 and 2
+// aggregates 6 to 10 wide inside the quarter's inset, all at RWM's dmax
+// of 5.
+func metroLaneShape(seed int64, n int) ([]query.Query, []Offer) {
+	s := rng.New(seed, "metro-lane-shape")
+	grid := geo.NewUnitGrid(80, 80)
+	var positions []geo.Point
+	for i := 0; i < n; i++ {
+		positions = append(positions, geo.Pt(s.Uniform(15, 40), s.Uniform(15, 40)))
+	}
+	offers := makeOffers(positions...)
+	for _, o := range offers {
+		o.Sensor.Inaccuracy = s.Uniform(0, 0.2)
+	}
+	loc := func() geo.Point { return geo.Pt(s.Uniform(21, 34), s.Uniform(21, 34)) }
+	var qs []query.Query
+	for i := 0; i < 250; i++ {
+		qs = append(qs, query.NewPoint(fmt.Sprintf("pt%d", i), loc(), 8+s.Uniform(0, 6), 5))
+	}
+	for i := 0; i < 4; i++ {
+		qs = append(qs, query.NewMultiPoint(fmt.Sprintf("mp%d", i), loc(), 100+s.Uniform(0, 150), 5, 6))
+	}
+	for i := 0; i < 2; i++ {
+		x, y := s.Uniform(21, 24), s.Uniform(21, 24)
+		qs = append(qs, query.NewAggregate(fmt.Sprintf("agg%d", i),
+			geo.NewRect(x, y, x+s.Uniform(6, 10), y+s.Uniform(6, 10)), 250+s.Uniform(0, 200), 5, grid))
+	}
+	return qs, offers
+}
+
+// countedQuery counts the relevance tests the index makes against a
+// footprinted query. It hides RelevantBase, so every candidate goes
+// through Relevant, which accepts the same sensors.
+type countedQuery struct {
+	query.Query
+	fp    query.Footprinted
+	tests *int
+}
+
+func (c countedQuery) RelevanceFootprint() geo.Rect { return c.fp.RelevanceFootprint() }
+
+func (c countedQuery) Relevant(s *sensornet.Sensor) bool {
+	*c.tests++
+	return c.Query.Relevant(s)
+}
+
+// relevanceWork returns the candidate (sensor, query) tests one
+// relevance build makes and the pairs it keeps.
+func relevanceWork(qs []query.Query, offers []Offer) (tests, kept int) {
+	counted := make([]query.Query, len(qs))
+	for i, q := range qs {
+		counted[i] = countedQuery{Query: q, fp: q.(query.Footprinted), tests: &tests}
+	}
+	s := newSelection(counted, offers)
+	kept = len(s.relIdx)
+	s.release()
+	return tests, kept
 }
 
 // TestWarmSelectionAllocations: with a warm arena a selection run
@@ -339,4 +402,32 @@ func BenchmarkBuildRelevance(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		newSelection(qs, offers).release()
 	}
+}
+
+// BenchmarkMetroLaneSetup times everything newSelection does before the
+// first round — relevance index, geometry masks, arena — on one metro
+// lane's slot, where the point queries' footprints dominate the index.
+func BenchmarkMetroLaneSetup(b *testing.B) {
+	qs, offers := metroLaneShape(1, 1950)
+	tests, kept := relevanceWork(qs, offers)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		newSelection(qs, offers).release()
+	}
+	b.ReportMetric(float64(tests), "tests/op")
+	b.ReportMetric(float64(kept), "pairs/op")
+}
+
+// BenchmarkMetroLaneSelection times one metro lane's whole GreedySelect.
+func BenchmarkMetroLaneSelection(b *testing.B) {
+	qs, offers := metroLaneShape(1, 1950)
+	tests, kept := relevanceWork(qs, offers)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		GreedySelect(qs, offers)
+	}
+	b.ReportMetric(float64(tests), "tests/op")
+	b.ReportMetric(float64(kept), "pairs/op")
 }

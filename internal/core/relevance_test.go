@@ -26,9 +26,10 @@ func (h hiddenFootprint) RelevantBase(s *sensornet.Sensor) (bool, float64) {
 }
 
 // relevanceInstance draws one random instance: n sensors (all on one
-// position when stacked) and a mix of footprinted queries, footprints
-// that miss every sensor, and queries without a footprint — with and
-// without seeded base values.
+// position when stacked), a third of them fully accurate and trusted and
+// the rest with inaccuracy and trust drawn from [0, 1], and a mix of
+// footprinted queries, footprints that miss every sensor, and queries
+// without a footprint — with and without seeded base values.
 func relevanceInstance(seed int64, n int, stacked bool) ([]query.Query, []Offer) {
 	s := rng.New(seed, "relevance-reference")
 	grid := geo.NewUnitGrid(100, 100)
@@ -41,6 +42,12 @@ func relevanceInstance(seed int64, n int, stacked bool) ([]query.Query, []Offer)
 		positions = append(positions, pos)
 	}
 	offers := makeOffers(positions...)
+	quality := rng.New(seed, "relevance-quality")
+	for _, o := range offers {
+		if quality.Intn(3) > 0 {
+			o.Sensor.Inaccuracy, o.Sensor.Trust = quality.Uniform(0, 1), quality.Uniform(0, 1)
+		}
+	}
 	near := func() geo.Point {
 		if stacked && s.Bool(0.5) {
 			return positions[0]

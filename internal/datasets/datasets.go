@@ -41,8 +41,24 @@ type SensorConfig struct {
 	// uniformly from [0,4]; otherwise the fixed cost model.
 	LinearEnergy bool
 	// TrustMin/TrustMax bound the uniform trust distribution; both zero
-	// means fully trusted sensors (the default of §4.1).
+	// means fully trusted sensors (the default of §4.1). Both must lie in
+	// [0, 1] with TrustMin <= TrustMax, or building a world panics: the
+	// point queries' relevance footprints rely on trust at most 1 (see
+	// query.Footprinted).
 	TrustMin, TrustMax float64
+}
+
+// checkTrust panics unless the trust bounds are a range within [0, 1].
+func (c SensorConfig) checkTrust() {
+	if !(c.TrustMin >= 0 && c.TrustMin <= 1) {
+		panic(fmt.Sprintf("datasets: SensorConfig.TrustMin = %v, want a value in [0, 1]", c.TrustMin))
+	}
+	if !(c.TrustMax >= 0 && c.TrustMax <= 1) {
+		panic(fmt.Sprintf("datasets: SensorConfig.TrustMax = %v, want a value in [0, 1]", c.TrustMax))
+	}
+	if c.TrustMin > c.TrustMax {
+		panic(fmt.Sprintf("datasets: SensorConfig.TrustMin = %v exceeds TrustMax = %v", c.TrustMin, c.TrustMax))
+	}
 }
 
 func (c SensorConfig) lifetime() int {
@@ -75,8 +91,10 @@ type World struct {
 	histCache map[geo.Point]*regression.Series
 }
 
-// applySensorConfig draws per-sensor parameters deterministically.
+// applySensorConfig draws per-sensor parameters deterministically. It
+// panics on trust bounds outside [0, 1] (SensorConfig.TrustMin).
 func applySensorConfig(sensors []*sensornet.Sensor, cfg SensorConfig, rnd *rng.Stream) {
+	cfg.checkTrust()
 	for _, s := range sensors {
 		s.Inaccuracy = rnd.Uniform(0, 0.2)
 		s.Lifetime = cfg.lifetime()

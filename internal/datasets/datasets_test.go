@@ -1,6 +1,8 @@
 package datasets
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/geo"
@@ -176,5 +178,40 @@ func TestReadingAtWithoutPhenomenon(t *testing.T) {
 	w := NewRWM(1, 10, SensorConfig{})
 	if got := w.ReadingAt(geo.Pt(1, 1), 0); got != 0 {
 		t.Errorf("ReadingAt without phenomenon = %v", got)
+	}
+}
+
+// TestTrustBoundsOutsideUnitPanic: trust bounds outside [0, 1], NaN or
+// inverted, panic with a message naming the field, in every world
+// builder; bounds inside [0, 1] build.
+func TestTrustBoundsOutsideUnitPanic(t *testing.T) {
+	builders := map[string]func(SensorConfig){
+		"RWM":      func(c SensorConfig) { NewRWM(1, 20, c) },
+		"RNC":      func(c SensorConfig) { NewRNC(1, c) },
+		"IntelLab": func(c SensorConfig) { NewIntelLab(1, c) },
+	}
+	for _, c := range []struct {
+		min, max float64
+		field    string // "" builds
+	}{
+		{0, 0, ""}, {0.2, 0.4, ""}, {0, 1, ""}, {1, 1, ""},
+		{-0.05, 0.15, "TrustMin"}, {0.95, 1.05, "TrustMax"}, {math.NaN(), 1, "TrustMin"},
+		{0, math.Inf(1), "TrustMax"}, {0.5, 0, "TrustMin"}, {0.6, 0.4, "TrustMin"},
+	} {
+		for name, build := range builders {
+			cfg := SensorConfig{TrustMin: c.min, TrustMax: c.max}
+			var got any
+			func() {
+				defer func() { got = recover() }()
+				build(cfg)
+			}()
+			msg, _ := got.(string)
+			switch {
+			case c.field == "" && got != nil:
+				t.Errorf("%s, trust [%v, %v]: panicked with %v", name, c.min, c.max, got)
+			case c.field != "" && !strings.Contains(msg, "SensorConfig."+c.field):
+				t.Errorf("%s, trust [%v, %v]: recovered %v, want a panic naming SensorConfig.%s", name, c.min, c.max, got, c.field)
+			}
+		}
 	}
 }

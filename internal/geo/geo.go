@@ -113,8 +113,14 @@ func (r Rect) DistToPoint(p Point) float64 {
 
 // Expand returns r grown by d on every side, so that
 // r.DistToPoint(p) <= d implies r.Expand(d).Contains(p). Negative d
-// shrinks the rectangle (and may invert it).
+// shrinks the rectangle (and may invert it). A positive d is padded by
+// 2⁻⁵⁰ of d plus the largest bound's magnitude, a few ulps: the edge
+// r.MinX-d rounds, and so does the p.X-r.MinX that DistToPoint measures,
+// so a point just past an edge grown by exactly d can still measure d.
 func (r Rect) Expand(d float64) Rect {
+	if d > 0 {
+		d += (d + max(math.Abs(r.MinX), math.Abs(r.MaxX), math.Abs(r.MinY), math.Abs(r.MaxY))) * 0x1p-50
+	}
 	return Rect{MinX: r.MinX - d, MinY: r.MinY - d, MaxX: r.MaxX + d, MaxY: r.MaxY + d}
 }
 

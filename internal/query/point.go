@@ -1,6 +1,7 @@
 package query
 
 import (
+	"math"
 	"strconv"
 
 	"repro/internal/geo"
@@ -58,22 +59,20 @@ func (p *Point) Relevant(s *sensornet.Sensor) bool {
 
 // RelevantBase implements RelevanceBased: the relevance test evaluates
 // v_q(s) (Eq. 3), which is exactly the pointState base value. A sensor
-// beyond DMax has theta 0 and so no value; outOfRange rejects most of
-// them before Quality's square root.
+// beyond the reach has theta below ThetaMin and so no value; outOfRange
+// rejects most of them before Quality's square root.
 func (p *Point) RelevantBase(s *sensornet.Sensor) (bool, float64) {
-	if outOfRange(s.Pos, p.Loc, p.DMax) {
+	if outOfRange(s.Pos, p.Loc, reach(p.DMax, p.ThetaMin)) {
 		return false, 0
 	}
 	v := p.ValueSingle(s)
 	return v > 0, v
 }
 
-// RelevanceFootprint implements Footprinted: quality (Eq. 4) is zero for
-// sensors farther than DMax from the query location, so the footprint is
-// the DMax box around Loc.
+// RelevanceFootprint implements Footprinted: the box of half-width
+// reach(DMax, ThetaMin) around Loc.
 func (p *Point) RelevanceFootprint() geo.Rect {
-	return geo.Rect{MinX: p.Loc.X - p.DMax, MinY: p.Loc.Y - p.DMax,
-		MaxX: p.Loc.X + p.DMax, MaxY: p.Loc.Y + p.DMax}
+	return reachBox(p.Loc, reach(p.DMax, p.ThetaMin))
 }
 
 // NewState implements Query. As a set valuation a point query is worth the
@@ -111,17 +110,40 @@ func (st *pointState) Add(s *sensornet.Sensor) {
 	}
 }
 
+// reach is the distance from a point-kind query's location beyond which
+// no sensor is relevant: Eq. 4's quality is at most (1 - d/dmax) while
+// (1-gamma)*tau <= 1, so it falls below a thetaMin in (0, 1) past
+// dmax*(1-thetaMin). The slack of 1e-9*dmax, far above the few ulps of
+// rounding in Quality, keeps a sensor whose computed quality still meets
+// thetaMin inside; the result never exceeds dmax, where quality is 0. Any
+// other thetaMin, or a dmax too small for the slack to be a normal float
+// (below 2⁻⁹⁹⁰), infinite or NaN, leaves dmax. It runs once per relevance
+// test, so it takes no builtin min, whose NaN handling costs branches.
+func reach(dmax, thetaMin float64) float64 {
+	if !(thetaMin > 0 && thetaMin < 1 && dmax >= 0x1p-990 && dmax <= math.MaxFloat64) {
+		return dmax
+	}
+	if r := dmax*(1-thetaMin) + dmax*1e-9; r < dmax {
+		return r
+	}
+	return dmax
+}
+
+// reachBox is the closed box of half-width r around loc.
+func reachBox(loc geo.Point, r float64) geo.Rect {
+	return geo.Rect{MinX: loc.X - r, MinY: loc.Y - r, MaxX: loc.X + r, MaxY: loc.Y + r}
+}
+
 // outOfRange reports that sensor position pos is certainly farther than
-// dmax from loc, so that Sensor.Quality(loc, dmax) is 0, without the
-// square root Quality takes. Quality compares the rounded square root of
-// the same dx*dx + dy*dy with dmax, and a Dist2 above dmax² puts that
-// root at or above dmax, where the quality is 0. The margin of 2⁻⁴⁰
-// absorbs a compiler that fuses the multiply-add in Dist2 differently
-// from the one in Dist, as Go allows; a relative margin covers that only
-// while dmax² is a normal float, so below that the test defers to
-// Quality.
-func outOfRange(pos, loc geo.Point, dmax float64) bool {
-	lim := dmax * dmax * (1 + 0x1p-40)
+// r from loc, without the square root Sensor.Quality takes. Quality
+// compares the rounded square root of the same dx*dx + dy*dy with dmax,
+// and a Dist2 above r² puts that root at or above r, past the reach (or
+// at or past dmax, where the quality is 0). The margin of 2⁻⁴⁰ absorbs a
+// compiler that fuses the multiply-add in Dist2 differently from the one
+// in Dist, as Go allows; a relative margin covers that only while r² is
+// a normal float, so below that the test defers to Quality.
+func outOfRange(pos, loc geo.Point, r float64) bool {
+	lim := r * r * (1 + 0x1p-40)
 	return lim >= 0x1p-1022 && pos.Dist2(loc) > lim
 }
 
@@ -155,31 +177,34 @@ func (m *MultiPoint) QID() string { return m.ID }
 // Budget implements Query.
 func (m *MultiPoint) Budget() float64 { return m.B }
 
-// Relevant implements Query.
+// Relevant implements Query: a reading is relevant when its quality is
+// positive and meets ThetaMin. A zero-quality reading adds no value, and
+// requiring a positive one keeps a ThetaMin <= 0 query from counting
+// sensors beyond DMax as relevant.
 func (m *MultiPoint) Relevant(s *sensornet.Sensor) bool {
-	return s.Quality(m.Loc, m.DMax) >= m.ThetaMin
+	t := s.Quality(m.Loc, m.DMax)
+	return t > 0 && t >= m.ThetaMin
 }
 
 // RelevantBase implements RelevanceBased: the relevance threshold test
 // computes the thresholded quality that is the multiPointState base. A
-// sensor beyond DMax has quality 0, below a positive ThetaMin; outOfRange
+// sensor beyond the reach has quality below ThetaMin, or 0; outOfRange
 // rejects most of them before Quality's square root.
 func (m *MultiPoint) RelevantBase(s *sensornet.Sensor) (bool, float64) {
-	if m.ThetaMin > 0 && outOfRange(s.Pos, m.Loc, m.DMax) {
+	if outOfRange(s.Pos, m.Loc, reach(m.DMax, m.ThetaMin)) {
 		return false, 0
 	}
 	t := s.Quality(m.Loc, m.DMax)
-	if !(t >= m.ThetaMin) { // Relevant's test, NaN included
+	if !(t > 0 && t >= m.ThetaMin) { // Relevant's test, NaN included
 		return false, 0
 	}
 	return true, t
 }
 
-// RelevanceFootprint implements Footprinted: quality is zero beyond DMax
-// of the query location.
+// RelevanceFootprint implements Footprinted: the box of half-width
+// reach(DMax, ThetaMin) around Loc.
 func (m *MultiPoint) RelevanceFootprint() geo.Rect {
-	return geo.Rect{MinX: m.Loc.X - m.DMax, MinY: m.Loc.Y - m.DMax,
-		MaxX: m.Loc.X + m.DMax, MaxY: m.Loc.Y + m.DMax}
+	return reachBox(m.Loc, reach(m.DMax, m.ThetaMin))
 }
 
 // NewState implements Query.

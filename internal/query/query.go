@@ -79,6 +79,15 @@ func IsSubmodular(q Query) bool {
 // sensors outside the rect, so the contract must be truthful — a rect
 // that is too small silently drops relevant (sensor, query) pairs from
 // selection. A too-large rect only costs extra Relevant calls.
+//
+// The point kinds (Point, MultiPoint, and the probes location and
+// region monitoring and event detection build from them) cut their box
+// at the reach, dmax*(1-ThetaMin) plus a 1e-9*dmax slack, not at dmax:
+// Eq. 4 gives quality (1-gamma)*(1 - d/dmax)*tau, which stays below
+// ThetaMin past the reach only while (1-gamma)*tau <= 1. That is the
+// range sensornet.Sensor documents, and datasets.SensorConfig rejects
+// trust bounds outside [0, 1]; a sensor built with (1-gamma)*tau > 1
+// could be relevant outside the box and be dropped from selection.
 type Footprinted interface {
 	// RelevanceFootprint returns a closed rectangle containing every
 	// sensor position the query could consider relevant.

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/geo"
+	"repro/internal/rng"
 	"repro/internal/sensornet"
 )
 
@@ -327,3 +328,113 @@ func TestRelevantBaseMatchesRelevant(t *testing.T) {
 		}
 	}
 }
+
+// TestFootprintContainsEveryRelevantSensor: every Footprinted kind's
+// footprint holds each sensor its Relevant accepts. Sensors sit one ulp
+// either side of the footprint's edges and corners and, for the point
+// kinds, on rings at dmax*(1-ThetaMin), at the footprint's half-width
+// and at dmax, with inaccuracy and trust at 0, 1 or random in [0, 1].
+// The point kinds' RelevantBase must agree with Relevant, and for a
+// ThetaMin in (0, 1) their footprint must be cut to the reach and still
+// hold a perfect sensor just inside dmax*(1-ThetaMin).
+func TestFootprintContainsEveryRelevantSensor(t *testing.T) {
+	rnd := rng.New(1, "footprint-reach")
+	var quality [][2]float64 // (gamma, tau)
+	for _, g := range []float64{0, 1, -1} {
+		for _, tau := range []float64{0, 1, -1} {
+			quality = append(quality, [2]float64{g, tau})
+		}
+	}
+	draw := func(v float64) float64 {
+		if v < 0 {
+			return rnd.Uniform(0, 1)
+		}
+		return v
+	}
+	ulps := func(v float64) []float64 {
+		return []float64{math.Nextafter(v, math.Inf(-1)), v, math.Nextafter(v, math.Inf(1))}
+	}
+	thetaMins := []float64{-1, 0, 1e-300, 0.2, 0.5, 1 - 0x1p-52, 1, 2, math.NaN()}
+	grid := geo.NewUnitGrid(10, 10)
+	relevantSeen := 0
+	for _, dmax := range []float64{1e-9, 5, 1e6} {
+		for _, loc := range []geo.Point{geo.Pt(0, 0), geo.Pt(37.3, -12.9), geo.Pt(1e6+0.1, -3e5)} {
+			for _, thetaMin := range thetaMins {
+				p := NewPoint("p", loc, 20, dmax)
+				p.ThetaMin = thetaMin
+				m := NewMultiPoint("m", loc, 20, dmax, 2)
+				m.ThetaMin = thetaMin
+				agg := NewAggregate("a", geo.NewRect(loc.X, loc.Y, loc.X+3*dmax, loc.Y+dmax), 20, dmax, grid)
+				path := geo.Trajectory{Waypoints: []geo.Point{loc, geo.Pt(loc.X+2*dmax, loc.Y+dmax)}}
+				tr := &Trajectory{ID: "t", Path: path, B: 20, SensingRange: dmax, SampleStep: dmax / 4}
+				tr.samples = path.SamplePoints(tr.SampleStep)
+				for _, q := range []Query{p, m, agg, tr} {
+					fp, ok := Footprint(q)
+					if !ok {
+						t.Fatalf("%s: no footprint", q.QID())
+					}
+					// Every pairing of an edge's three ulps, the location
+					// and the middle on each axis: corners, edges, inside.
+					var positions []geo.Point
+					xs := append(append(ulps(fp.MinX), ulps(fp.MaxX)...), loc.X, (fp.MinX+fp.MaxX)/2)
+					ys := append(append(ulps(fp.MinY), ulps(fp.MaxY)...), loc.Y, (fp.MinY+fp.MaxY)/2)
+					for _, x := range xs {
+						for _, y := range ys {
+							positions = append(positions, geo.Pt(x, y))
+						}
+					}
+					rb, pointKind := q.(RelevanceBased)
+					if pointKind {
+						half := fp.MaxX - loc.X
+						for _, rho := range []float64{dmax * (1 - thetaMin), half, dmax} {
+							for _, r := range ulps(rho) {
+								for k := 0; k < 16; k++ {
+									a := 2 * math.Pi * (float64(k) + rnd.Uniform(0, 1)) / 16
+									positions = append(positions, geo.Pt(loc.X+r*math.Cos(a), loc.Y+r*math.Sin(a)))
+								}
+								positions = append(positions, geo.Pt(loc.X+r, loc.Y), geo.Pt(loc.X, loc.Y-r))
+							}
+						}
+						if thetaMin > 0 && thetaMin < 1 && half > dmax*(1-thetaMin)+2e-9*dmax+2*ulp(loc.X) {
+							t.Errorf("%s dmax %v thetaMin %v: footprint half-width %v, want the reach %v",
+								q.QID(), dmax, thetaMin, half, dmax*(1-thetaMin))
+						}
+						if (thetaMin == 0.2 || thetaMin == 0.5) && ulp(loc.X) < 1e-9*dmax {
+							s := sensornet.NewSensor(0, geo.Pt(loc.X+dmax*(1-thetaMin)*(1-1e-6), loc.Y))
+							if !q.Relevant(s) || !fp.Contains(s.Pos) {
+								t.Errorf("%s dmax %v thetaMin %v: a perfect sensor at %v, just inside dmax*(1-thetaMin), is not relevant inside %v",
+									q.QID(), dmax, thetaMin, s.Pos, fp)
+							}
+						}
+					}
+					for _, pos := range positions {
+						for _, gt := range quality {
+							s := sensornet.NewSensor(0, pos)
+							s.Inaccuracy, s.Trust = draw(gt[0]), draw(gt[1])
+							rel := q.Relevant(s)
+							if rel {
+								relevantSeen++
+							}
+							if rel && !fp.Contains(pos) {
+								t.Fatalf("%s dmax %v thetaMin %v loc %v: sensor at %v (gamma %v, tau %v) is relevant outside the footprint %v",
+									q.QID(), dmax, thetaMin, loc, pos, s.Inaccuracy, s.Trust, fp)
+							}
+							if pointKind {
+								if ok, _ := rb.RelevantBase(s); ok != rel {
+									t.Fatalf("%s dmax %v thetaMin %v: sensor at %v: RelevantBase says %v, Relevant %v",
+										q.QID(), dmax, thetaMin, pos, ok, rel)
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	if relevantSeen == 0 {
+		t.Fatal("no sensor was relevant: the fixture tests nothing")
+	}
+}
+
+// ulp is the spacing of floats at v.
+func ulp(v float64) float64 { return math.Nextafter(math.Abs(v), math.Inf(1)) - math.Abs(v) }

@@ -88,7 +88,7 @@ type Sensor struct {
 	ID         int
 	Pos        geo.Point
 	Inaccuracy float64 // gamma_s in [0,1], drawn from [0,0.2] in §4.1
-	Trust      float64 // tau_s in [0,1]
+	Trust      float64 // tau_s in [0,1]; (1-gamma_s)*tau_s <= 1 bounds the point footprints (query.Footprinted)
 	BasePrice  float64 // C_s, 10 in all experiments
 	Privacy    PrivacyLevel
 	Energy     EnergyCostModel

@@ -227,7 +227,9 @@ func trustSweep(o Options) []stats.Table {
 	for _, mean := range o.Budgets {
 		cfg := datasets.SensorConfig{}
 		if mean < 1 {
-			cfg.TrustMin, cfg.TrustMax = mean-0.1, mean+0.1
+			// Trust lies in [0, 1] (datasets.SensorConfig panics
+			// otherwise), so a -budgets mean near either end is clipped.
+			cfg.TrustMin, cfg.TrustMax = min(max(mean-0.1, 0), 1), min(max(mean+0.1, 0), 1)
 		} else {
 			cfg.TrustMin, cfg.TrustMax = 0.999, 1.0
 		}

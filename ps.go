@@ -20,7 +20,8 @@ type (
 	// World is a ready-to-simulate participatory-sensing environment.
 	World = datasets.World
 	// SensorConfig controls per-sensor parameters (lifetime, privacy
-	// sensitivity, energy cost model, trust distribution).
+	// sensitivity, energy cost model, trust distribution). Its trust
+	// bounds must lie in [0, 1]; the world constructors panic otherwise.
 	SensorConfig = datasets.SensorConfig
 	// Sensor is a participant's sensing device.
 	Sensor = sensornet.Sensor
