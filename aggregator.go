@@ -136,25 +136,25 @@ type SlotReport struct {
 
 	// results holds one entry per query with an outcome this slot,
 	// ascending by ID: the getters binary-search it, Outcomes walks it.
-	results []slotResult
+	results []LaneResult
 }
 
-// slotResult is one query's entry in a SlotReport.
-type slotResult struct {
-	id      string
-	value   float64
-	payment float64
-	// paid marks a booked payment, a zero one included: a lane partial's
-	// Payments section lists exactly these entries.
-	paid bool
-	// satisfied marks a continuous query whose probe was satisfied this
+// LaneResult is one query's entry in a SlotReport, and what a lane
+// partial's Results section carries of it.
+type LaneResult struct {
+	ID      string
+	Value   float64
+	Payment float64
+	// Paid marks a booked payment, a zero one included.
+	Paid bool
+	// Satisfied marks a continuous query whose probe was satisfied this
 	// slot even when the valuation delta rounds to zero (e.g. a sample
 	// that repeats an already-achieved quality still counts as served).
-	satisfied bool
+	Satisfied bool
 }
 
-func (e *slotResult) outcome() QueryOutcome {
-	return QueryOutcome{Answered: e.value > 0 || e.satisfied, Value: e.value, Payment: e.payment}
+func (e *LaneResult) outcome() QueryOutcome {
+	return QueryOutcome{Answered: e.Value > 0 || e.Satisfied, Value: e.Value, Payment: e.Payment}
 }
 
 // outcome returns the query's entry, or the zero outcome when it has
@@ -163,13 +163,13 @@ func (r *SlotReport) outcome(id string) QueryOutcome {
 	i, j := 0, len(r.results)
 	for i < j {
 		h := int(uint(i+j) >> 1)
-		if r.results[h].id < id {
+		if r.results[h].ID < id {
 			i = h + 1
 		} else {
 			j = h
 		}
 	}
-	if i < len(r.results) && r.results[i].id == id {
+	if i < len(r.results) && r.results[i].ID == id {
 		return r.results[i].outcome()
 	}
 	return QueryOutcome{}
@@ -178,23 +178,21 @@ func (r *SlotReport) outcome(id string) QueryOutcome {
 // seal puts the booked results in ID order and folds the entries of a
 // repeated ID into one, adding values and payments in booking order. The
 // Engine keeps query IDs unique, so a slot run under it folds nothing,
-// and a bare Aggregator given one ID twice reports the sum. A lane
-// partial's report is booked one entry per section entry and sealed into
-// one entry per query the same way.
+// and a bare Aggregator given one ID twice reports the sum.
 func (r *SlotReport) seal() {
-	slices.SortStableFunc(r.results, func(a, b slotResult) int { return strings.Compare(a.id, b.id) })
+	slices.SortStableFunc(r.results, func(a, b LaneResult) int { return strings.Compare(a.ID, b.ID) })
 	w := 0
 	for i := 1; i < len(r.results); i++ {
 		e, last := r.results[i], &r.results[w]
-		if e.id != last.id {
+		if e.ID != last.ID {
 			w++
 			r.results[w] = e
 			continue
 		}
-		last.value += e.value
-		last.payment += e.payment
-		last.paid = last.paid || e.paid
-		last.satisfied = last.satisfied || e.satisfied
+		last.Value += e.Value
+		last.Payment += e.Payment
+		last.Paid = last.Paid || e.Paid
+		last.Satisfied = last.Satisfied || e.Satisfied
 	}
 	if len(r.results) > 0 {
 		r.results = r.results[:w+1]
@@ -230,7 +228,7 @@ type QueryOutcome struct {
 func (r *SlotReport) Outcomes() iter.Seq2[string, QueryOutcome] {
 	return func(yield func(string, QueryOutcome) bool) {
 		for i := range r.results {
-			if !yield(r.results[i].id, r.results[i].outcome()) {
+			if !yield(r.results[i].ID, r.results[i].outcome()) {
 				return
 			}
 		}
@@ -269,9 +267,6 @@ type slotExec struct {
 	// active continuous queries and their generated probes).
 	queries int
 	mix     *core.MixSlotResult
-	// outcomes is the pass's outcome index (outcomeIndex), nil until a
-	// sharded slot needs it.
-	outcomes []LaneValue
 }
 
 // executeSlot runs slot t's Algorithm 5 selection over the given offers
@@ -329,7 +324,7 @@ func (a *Aggregator) executeSlot(t int, offers []core.Offer) *slotExec {
 	eventOuts := extraOuts[len(a.extra):][:len(events)]
 	regEventOuts := extraOuts[len(a.extra)+len(events):]
 
-	report.results = make([]slotResult, 0,
+	report.results = make([]LaneResult, 0,
 		len(a.points)+len(a.aggs)+len(a.extra)+len(res.Continuous)+len(events)+len(regEvents))
 	// Record user-submitted one-shots only: the probe queries the
 	// pipeline generates for continuous parents carry derived IDs
@@ -339,7 +334,7 @@ func (a *Aggregator) executeSlot(t int, offers []core.Offer) *slotExec {
 	record := func(id string, out *core.MultiOutcome) {
 		if out.Value > 0 {
 			report.results = append(report.results,
-				slotResult{id: id, value: out.Value, payment: out.TotalPayment(), paid: true})
+				LaneResult{ID: id, Value: out.Value, Payment: out.TotalPayment(), Paid: true})
 		}
 	}
 	for i, q := range a.points {
@@ -355,14 +350,14 @@ func (a *Aggregator) executeSlot(t int, offers []core.Offer) *slotExec {
 	// generated probes carry derived IDs, so without this projection
 	// Answered/Value/Payment would never see monitoring results.
 	for _, co := range res.Continuous {
-		e := slotResult{id: co.ID, satisfied: co.Satisfied}
+		e := LaneResult{ID: co.ID, Satisfied: co.Satisfied}
 		if co.ValueDelta > 0 {
-			e.value = co.ValueDelta
+			e.Value = co.ValueDelta
 		}
 		if co.Payment > 0 {
-			e.payment, e.paid = co.Payment, true
+			e.Payment, e.Paid = co.Payment, true
 		}
-		if e.value > 0 || e.paid || e.satisfied {
+		if e.Value > 0 || e.Paid || e.Satisfied {
 			report.results = append(report.results, e)
 		}
 	}

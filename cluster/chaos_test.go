@@ -2,6 +2,7 @@ package cluster_test
 
 import (
 	"bufio"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"net"
@@ -271,8 +272,8 @@ func TestClusterNodeFailureMidSlot(t *testing.T) {
 }
 
 // TestClusterHeartbeatRejoin: with heartbeats on, a killed node rejoins
-// between slots (the ping path redials and resyncs) and its liveness
-// fact recovers without any slot traffic.
+// between slots (the ping path redials and resyncs) and reads live again
+// without any slot traffic.
 func TestClusterHeartbeatRejoin(t *testing.T) {
 	const seed, sensors = 9, 80
 	addr := startNode(t, "node0")
@@ -313,26 +314,38 @@ func TestClusterHeartbeatRejoin(t *testing.T) {
 }
 
 // TestClusterNodeRefusesOtherVersions: a hello from a v5 coordinator, an
-// NDJSON line, is answered with exactly one error frame naming the
-// version and a closed connection; the node stays up and serves the next
-// coordinator that speaks its version.
+// NDJSON line, and one from a v6 coordinator, a binary frame, are each
+// answered with exactly one error frame naming the version and a closed
+// connection; the node stays up and serves the next coordinator that
+// speaks its version.
 func TestClusterNodeRefusesOtherVersions(t *testing.T) {
 	addr := startNode(t, "node0")
-	r := dialRogue(t, addr)
-	const v5Hello = `{"v":5,"type":"hello","seq":1,"epoch":1,"node":"old","slot":0,"config":{"world":"rwm","seed":1,"sensors":10,"shards":1,"shard":0}}`
-	if _, err := r.conn.Write([]byte(v5Hello + "\n")); err != nil {
+	v6Hello, err := hex.DecodeString("0000001770736306010101000001026e30020372776d2ab8030800")
+	if err != nil {
 		t.Fatal(err)
 	}
-	frame, err := wire.ReadClusterFrame(r.br)
-	if err != nil {
-		t.Fatalf("no answer to a v5 hello: %v", err)
-	}
-	const want = "unsupported cluster frame version 5 (this build speaks v6)"
-	if resp, err := wire.DecodeClusterFrame(frame); err != nil || resp.Type != wire.ClusterError || !strings.Contains(resp.Error, want) {
-		t.Errorf("answer to a v5 hello = %x (%v), want an error frame containing %q", frame, err, want)
-	}
-	if _, err := r.br.ReadByte(); err == nil {
-		t.Error("connection still open after a v5 hello")
+	for _, tc := range []struct {
+		v     int
+		hello []byte
+	}{
+		{5, []byte(`{"v":5,"type":"hello","seq":1,"epoch":1,"node":"old","slot":0,"config":{"world":"rwm","seed":1,"sensors":10,"shards":1,"shard":0}}` + "\n")},
+		{6, v6Hello},
+	} {
+		r := dialRogue(t, addr)
+		if _, err := r.conn.Write(tc.hello); err != nil {
+			t.Fatal(err)
+		}
+		frame, err := wire.ReadClusterFrame(r.br)
+		if err != nil {
+			t.Fatalf("no answer to a v%d hello: %v", tc.v, err)
+		}
+		want := fmt.Sprintf("unsupported cluster frame version %d (this build speaks v7)", tc.v)
+		if resp, err := wire.DecodeClusterFrame(frame); err != nil || resp.Type != wire.ClusterError || !strings.Contains(resp.Error, want) {
+			t.Errorf("answer to a v%d hello = %x (%v), want an error frame containing %q", tc.v, frame, err, want)
+		}
+		if _, err := r.br.ReadByte(); err == nil {
+			t.Errorf("connection still open after a v%d hello", tc.v)
+		}
 	}
 	hijackNode(t, addr, 2)
 }

@@ -1,7 +1,7 @@
 // Package cluster is the multi-node execution layer: a coordinator that
-// owns the world clock and drives remote shard nodes over versioned
-// NDJSON frames (see repro/wire's cluster surface), plus the node server
-// those frames talk to.
+// owns the world clock and drives remote shard nodes over versioned,
+// length-prefixed binary frames (see repro/wire's cluster surface), plus
+// the node server those frames talk to.
 //
 // The model is world-replica lockstep. Every node holds a full
 // deterministic replica of the coordinator's world, built from the same
@@ -32,8 +32,9 @@
 // its per-lane oplog (submits, cancels, and every slot's global commit)
 // against a fresh replica, bumping the lane epoch so anything a stale
 // node generation answers is fenced off
-// (ps.ErrStaleEpoch). Membership rides on periodic ping frames exchanging
-// TTL'd facts; expired liveness facts turn a node suspect, then dead.
+// (ps.ErrStaleEpoch). Membership is each lane's last good answer: a node
+// silent for longer than FactTTL turns suspect, then dead; periodic pings
+// keep an idle node's answers coming.
 package cluster
 
 import (
@@ -66,9 +67,9 @@ type Config struct {
 	Heartbeat time.Duration
 	// RPCTimeout bounds every lane round trip (default 5s).
 	RPCTimeout time.Duration
-	// FactTTL is the lifetime of a liveness fact (default 5s). A node
-	// whose fact expired is suspect; one expired past twice the TTL is
-	// dead.
+	// FactTTL is how long a node stays live after its last good answer
+	// (default 5s). A node silent for longer is suspect; one silent for
+	// more than three times FactTTL, or that never answered, is dead.
 	FactTTL time.Duration
 }
 
@@ -85,8 +86,8 @@ type clusterMetrics struct {
 
 func newClusterMetrics(r *obs.Registry) *clusterMetrics {
 	return &clusterMetrics{
-		nodesLive:       r.Gauge("ps_cluster_nodes_live", "Remote shard nodes with a fresh liveness fact."),
-		nodesSuspect:    r.Gauge("ps_cluster_nodes_suspect", "Remote shard nodes whose liveness fact has expired but not yet aged out."),
+		nodesLive:       r.Gauge("ps_cluster_nodes_live", "Remote shard nodes that answered within FactTTL."),
+		nodesSuspect:    r.Gauge("ps_cluster_nodes_suspect", "Remote shard nodes silent for longer than FactTTL but not yet dead."),
 		epochRejections: r.Counter("ps_cluster_epoch_rejections_total", "Cluster frames discarded by epoch fencing (stale node generations)."),
 		partialRTT:      r.Histogram("ps_cluster_partial_rtt_seconds", "Round-trip time of run_slot partial exchanges per lane.", nil),
 		replicaStep:     r.Histogram("ps_cluster_replica_step_seconds", "Node-side time to step the world replica and filter the shard's offers, per lane and slot.", nil),
@@ -102,7 +103,6 @@ type Coordinator struct {
 	world *ps.World
 	sa    *ps.ShardedAggregator
 	lanes map[int]*networkLane
-	facts *factTable
 
 	rpcTimeout time.Duration
 	factTTL    time.Duration
@@ -143,7 +143,6 @@ func New(cfg Config) (*Coordinator, error) {
 		world:      world,
 		sa:         sa,
 		lanes:      map[int]*networkLane{},
-		facts:      newFactTable(),
 		rpcTimeout: cfg.RPCTimeout,
 		factTTL:    cfg.FactTTL,
 		stop:       make(chan struct{}),
@@ -198,30 +197,24 @@ func (co *Coordinator) nodeConfig(shard int) wire.NodeConfig {
 	}
 }
 
-// noteAlive refreshes a node's liveness fact; only a response from the
-// node is evidence for it (a posted write proves nothing).
-func (co *Coordinator) noteAlive(node string) {
-	co.facts.upsert(wire.Fact{Subject: node, Attribute: "alive", Value: "1", TTLMs: co.factTTL.Milliseconds()}, time.Now())
-}
-
-// stateOf maps a lane's liveness fact to a membership state.
+// stateOf grades a lane by how long ago its node last answered a fence.
 func (co *Coordinator) stateOf(l *networkLane, now time.Time) string {
-	stale, ok := co.facts.staleFor(l.name, "alive", now)
-	switch {
-	case !ok:
+	last := l.lastAnswer.Load()
+	if last == 0 {
 		return "dead"
-	case stale <= 0:
+	}
+	switch silent := now.Sub(time.Unix(0, last)); {
+	case silent <= co.factTTL:
 		return "live"
-	case stale <= 2*co.factTTL:
+	case silent <= 3*co.factTTL:
 		return "suspect"
 	default:
 		return "dead"
 	}
 }
 
-// sweep is the pre-slot membership pass: expire facts past their grace
-// window and publish the live/suspect gauges. Its wall time shows up as
-// the slot trace's membership stage.
+// sweep is the pre-slot membership pass: it publishes the live/suspect
+// gauges. Its wall time shows up as the slot trace's membership stage.
 func (co *Coordinator) sweep() {
 	now := time.Now()
 	live, suspect := 0, 0
@@ -236,7 +229,6 @@ func (co *Coordinator) sweep() {
 	m := co.metrics()
 	m.nodesLive.Set(float64(live))
 	m.nodesSuspect.Set(float64(suspect))
-	co.facts.prune(now, 2*co.factTTL)
 }
 
 // Membership reports every shard's row: in-process lanes as "local",
@@ -257,10 +249,10 @@ func (co *Coordinator) Membership() []wire.ClusterMember {
 	return members
 }
 
-// heartbeat pings every remote lane each period, gossiping the
-// coordinator's fact view and merging the nodes' replies. A ping to a
-// broken lane redials and resyncs it, so dead nodes rejoin between slots
-// instead of stalling the next RunSlot.
+// heartbeat pings every remote lane each period, so an idle node's
+// answers keep it live. A ping to a broken lane redials and resyncs it,
+// so dead nodes rejoin between slots instead of stalling the next
+// RunSlot.
 func (co *Coordinator) heartbeat() {
 	defer close(co.hbDone)
 	t := time.NewTicker(co.cfg.Heartbeat)
@@ -270,9 +262,8 @@ func (co *Coordinator) heartbeat() {
 		case <-co.stop:
 			return
 		case <-t.C:
-			facts := co.facts.snapshot(time.Now())
 			for _, l := range co.lanes {
-				l.ping(facts)
+				l.ping()
 			}
 		}
 	}

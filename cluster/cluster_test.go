@@ -354,3 +354,59 @@ func TestClusterConfigValidation(t *testing.T) {
 		t.Errorf("unreachable node at startup: err = %v, want ps.ErrNodeUnavailable", err)
 	}
 }
+
+// TestClusterMembershipStates: with no heartbeat, a node's membership
+// state follows the silence since its last good answer — live up to
+// FactTTL, suspect up to three times FactTTL, dead after — and the next
+// slot's answer makes it live again. Every state read is checked against
+// the silence bounds measured around the slot that last heard the node.
+func TestClusterMembershipStates(t *testing.T) {
+	const ttl = 50 * time.Millisecond
+	co, err := cluster.New(cluster.Config{
+		World: "rwm", Seed: 9, Sensors: 80, Shards: 1,
+		Nodes: startNodes(t, 1), FactTTL: ttl,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer co.Close()
+	grade := func(silent time.Duration) string {
+		switch {
+		case silent <= ttl:
+			return "live"
+		case silent <= 3*ttl:
+			return "suspect"
+		default:
+			return "dead"
+		}
+	}
+	// runSlot runs a slot and returns the bounds of the node's last answer.
+	runSlot := func() (time.Time, time.Time) {
+		before := time.Now()
+		if rep := co.Sharded().RunSlot(); len(rep.Degraded) != 0 {
+			t.Fatalf("slot degraded: %v", rep.Degraded)
+		}
+		return before, time.Now()
+	}
+
+	before, after := runSlot()
+	var seen []string
+	for end := after.Add(4 * ttl); time.Now().Before(end); time.Sleep(5 * time.Millisecond) {
+		got := memberOf(t, co, 0).State
+		now := time.Now()
+		// Check the read wherever the silence bounds straddle no threshold.
+		if want := grade(now.Sub(after)); want == grade(now.Sub(before)) && got != want {
+			t.Fatalf("%v after the slot the node reads %q, want %q", now.Sub(after).Round(time.Millisecond), got, want)
+		}
+		if len(seen) == 0 || seen[len(seen)-1] != got {
+			seen = append(seen, got)
+		}
+	}
+	if fmt.Sprint(seen) != "[live suspect dead]" {
+		t.Fatalf("silence took the node through %v, want [live suspect dead]", seen)
+	}
+	runSlot()
+	if got := memberOf(t, co, 0).State; got != "live" {
+		t.Fatalf("the slot after a dead spell leaves the node %q, want live", got)
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	ps "repro"
@@ -64,6 +65,9 @@ type networkLane struct {
 	// ranSlot is the last slot whose RunLane partial was delivered; a
 	// FinishSlot for any other slot records Ran=false (degraded slot).
 	ranSlot int
+	// lastAnswer is when the node last answered a fence well, in Unix
+	// nanoseconds (0: never). Membership reads it without mu.
+	lastAnswer atomic.Int64
 }
 
 // batchCut is the size past which the open batch is cut without waiting
@@ -213,8 +217,8 @@ func (l *networkLane) flush() error {
 // number echoed, the same epoch (a mismatch, or an explicit stale_epoch
 // rejection, counts an epoch rejection and surfaces ps.ErrStaleEpoch),
 // every posted frame applied, not an error frame, and of the wanted type.
-// Any failure breaks the lane. A good response is also what refreshes the
-// node's liveness fact. Callers hold mu.
+// Any failure breaks the lane. A good response is also what keeps the
+// node live (lastAnswer). Callers hold mu.
 func (l *networkLane) call(f wire.ClusterFrame, epoch uint64, want string) (wire.ClusterFrame, error) {
 	if err := l.write(f, epoch); err != nil {
 		return wire.ClusterFrame{}, err
@@ -266,7 +270,7 @@ func (l *networkLane) call(f wire.ClusterFrame, epoch uint64, want string) (wire
 	if resp.Type != want {
 		return wire.ClusterFrame{}, l.transportErr(f.Type, fmt.Errorf("unexpected %s response", resp.Type))
 	}
-	l.co.noteAlive(l.name)
+	l.lastAnswer.Store(time.Now().UnixNano())
 	return resp, nil
 }
 
@@ -364,19 +368,16 @@ func (l *networkLane) FinishSlot(t int, selectedIDs []int) error {
 	return l.flush()
 }
 
-// ping exchanges membership facts on the heartbeat. A broken lane is
-// redialed (and resynced) first, so rejoins happen between slots.
-func (l *networkLane) ping(facts []wire.Fact) {
+// ping is the heartbeat's empty fence: its answer keeps the node live. A
+// broken lane is redialed (and resynced) first, so rejoins happen between
+// slots.
+func (l *networkLane) ping() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if err := l.ensure(); err != nil {
 		return
 	}
-	resp, err := l.call(wire.ClusterFrame{Type: wire.ClusterPing, Facts: facts}, l.epoch, wire.ClusterOK)
-	if err != nil {
-		return
-	}
-	l.co.facts.merge(resp.Facts, time.Now())
+	_, _ = l.call(wire.ClusterFrame{Type: wire.ClusterPing}, l.epoch, wire.ClusterOK)
 }
 
 // close shuts the connection without clearing lane state.

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"net"
-	"strconv"
 	"sync"
 
 	ps "repro"
@@ -32,8 +31,8 @@ type NodeServer struct {
 	wg     sync.WaitGroup
 }
 
-// NewNodeServer builds a node that will introduce itself by name in
-// membership facts.
+// NewNodeServer builds a node that names itself by name in the frames it
+// answers with.
 func NewNodeServer(name string) *NodeServer {
 	return &NodeServer{name: name, conns: map[net.Conn]struct{}{}}
 }
@@ -198,14 +197,7 @@ func (s *NodeServer) dispatch(f wire.ClusterFrame, cs *connState) (wire.ClusterF
 		resp.Type = wire.ClusterPartial
 		resp.Slot, resp.Partial = f.Slot, p
 	case wire.ClusterPing:
-		// The node's self-report; the coordinator's fact table carries the
-		// TTL policy, so a short node-chosen TTL is merely a floor.
 		resp.Type = wire.ClusterOK
-		resp.Facts = []wire.Fact{
-			{Subject: s.name, Attribute: "alive", Value: "1", TTLMs: 2000},
-			{Subject: s.name, Attribute: "epoch", Value: strconv.FormatUint(s.epoch, 10), TTLMs: 2000},
-			{Subject: s.name, Attribute: "slot", Value: strconv.Itoa(s.lane.Slot()), TTLMs: 2000},
-		}
 	default:
 		return errFrame(resp, fmt.Errorf("frame type %q is not a request", f.Type)), true
 	}

@@ -1,8 +1,8 @@
 // Command psnode runs one cluster shard node: a config-free TCP server
 // speaking the binary cluster frames in package wire. The node builds its
 // deterministic world replica when a coordinator says hello, so the only
-// deployment inputs are where to listen and what to call itself in
-// membership facts.
+// deployment inputs are where to listen and what to call itself in its
+// answers and error messages.
 //
 // Example (one shard of a 2-node loopback cluster):
 //
@@ -25,7 +25,7 @@ import (
 func main() {
 	var (
 		listen = flag.String("listen", "127.0.0.1:9101", "TCP listen address for coordinator connections")
-		name   = flag.String("name", "", "node name in membership facts (default: the listen address)")
+		name   = flag.String("name", "", "node name the node's answers and error messages carry (default: the listen address)")
 	)
 	flag.Parse()
 

@@ -74,14 +74,13 @@ type LaneError struct {
 }
 
 // LanePartial is one lane's slot result in serializable form — everything
-// the coordinator's reconciliation pass needs from a shard, whether the
-// lane ran in-process or on a remote node. All floats are exact: the
-// binary codec (AppendBinary / DecodeLanePartial) carries a float64 as its
-// 64 bits, so a partial that crossed the network merges into the same
-// SlotReport an in-process lane would have produced.
+// the coordinator's reconciliation pass reads of a lane, whether the lane
+// ran in-process or on a remote node, and of the spanning pass. All floats
+// are exact: the binary codec (AppendBinary / DecodeLanePartial) carries a
+// float64 as its 64 bits, so a partial that crossed the network merges
+// into the same SlotReport an in-process lane would have produced.
 type LanePartial struct {
 	Slot    int
-	Offers  int
 	Queries int
 
 	// SelectedIDs lists the committed sensors in selection order, aligned
@@ -90,27 +89,17 @@ type LanePartial struct {
 	Trace       []SelectionStep
 
 	// Outcomes (each joint-selection query's value) and Continuous (each
-	// continuous query's outcome), both ascending by ID, carry the
-	// accounting inputs (per-type value re-summation). The reported
-	// payments travel in Payments below.
+	// continuous query's outcome), both ascending by ID, are what
+	// reconciliation re-sums the per-type values from.
 	Outcomes   []LaneValue
 	Continuous []ContinuousOutcome
 
-	TotalCost   float64
-	PointValue  float64
-	AggValue    float64
-	LocMonValue float64
-	RegMonValue float64
-	ExtraValue  float64
-	Welfare     float64
+	Welfare float64
 
-	// Per-query report projection: the SlotReport results of the lane's
-	// resident queries, as three sections ascending by ID — every
-	// positive value, every booked payment (zero ones included) and every
-	// satisfied continuous sample.
-	Values   []LaneValue
-	Payments []LaneValue
-	Answered []LaneFlag
+	// Results is the lane report's per-query results, ascending by ID:
+	// every query with a positive value, a booked payment or a satisfied
+	// continuous sample.
+	Results []LaneResult
 
 	Events    []EventNotification
 	Selection SelectionStats
@@ -123,44 +112,23 @@ type LanePartial struct {
 	// in milliseconds. In-process lanes leave it 0: they are handed the
 	// offers the coordinator's own step produced.
 	StepMs float64
-
-	// exec is the in-process fast path: a partial produced by a local
-	// lane keeps the original slotExec so reconciliation skips the
-	// rebuild. Partials decoded off the wire leave it nil.
-	exec *slotExec
 }
 
-// LaneValue is one entry of a lane partial's per-query sections: a query
-// ID and its value (in Payments, its payment).
+// LaneValue is one entry of a lane partial's Outcomes: a query ID and the
+// value the joint pass obtained for it.
 type LaneValue struct {
 	ID    string
 	Value float64
 }
 
-// LaneFlag is one entry of a lane partial's Answered section.
-type LaneFlag struct {
-	ID       string
-	Answered bool
-}
-
 // partialFromExec projects an executed selection pass into its
-// serializable partial.
+// serializable partial. Results shares the report's sealed results.
 func partialFromExec(ex *slotExec, selectMs float64) *LanePartial {
-	values, payments, answered := ex.report.sections()
 	p := &LanePartial{
 		Slot:        ex.report.Slot,
-		Offers:      ex.report.Offers,
 		Queries:     ex.queries,
-		TotalCost:   ex.report.TotalCost,
-		PointValue:  ex.report.PointValue,
-		AggValue:    ex.report.AggValue,
-		LocMonValue: ex.report.LocMonValue,
-		RegMonValue: ex.report.RegMonValue,
-		ExtraValue:  ex.report.ExtraValue,
 		Welfare:     ex.report.Welfare,
-		Values:      values,
-		Payments:    payments,
-		Answered:    answered,
+		Results:     ex.report.results,
 		Events:      ex.report.Events,
 		Selection:   ex.report.Selection,
 		SelectMs:    selectMs,
@@ -168,44 +136,11 @@ func partialFromExec(ex *slotExec, selectMs float64) *LanePartial {
 		Trace:       ex.mix.Multi.Trace,
 		Outcomes:    ex.outcomeIndex(),
 		Continuous:  ex.mix.Continuous,
-		exec:        ex,
 	}
 	for i, s := range ex.mix.Multi.Selected {
 		p.SelectedIDs[i] = s.ID
 	}
 	return p
-}
-
-// sections splits the report's results into a lane partial's Values,
-// Payments and Answered sections, each non-nil and ascending by ID.
-func (r *SlotReport) sections() (values, payments []LaneValue, answered []LaneFlag) {
-	var nv, np, na int
-	for i := range r.results {
-		e := &r.results[i]
-		if e.value > 0 {
-			nv++
-		}
-		if e.paid {
-			np++
-		}
-		if e.satisfied {
-			na++
-		}
-	}
-	values, payments, answered = make([]LaneValue, 0, nv), make([]LaneValue, 0, np), make([]LaneFlag, 0, na)
-	for i := range r.results {
-		e := &r.results[i]
-		if e.value > 0 {
-			values = append(values, LaneValue{ID: e.id, Value: e.value})
-		}
-		if e.paid {
-			payments = append(payments, LaneValue{ID: e.id, Value: e.payment})
-		}
-		if e.satisfied {
-			answered = append(answered, LaneFlag{ID: e.id, Answered: true})
-		}
-	}
-	return values, payments, answered
 }
 
 // ascendingIDs reports whether the entries' IDs strictly ascend.
@@ -220,18 +155,14 @@ func ascendingIDs[T any](s []T, id func(*T) string) bool {
 
 func laneValueID(v *LaneValue) string { return v.ID }
 
-func laneFlagID(f *LaneFlag) string { return f.ID }
+func laneResultID(r *LaneResult) string { return r.ID }
 
 func continuousID(c *ContinuousOutcome) string { return c.ID }
 
 // outcomeIndex returns the joint pass's outcome values ascending by query
-// ID, building them on first use: the one ID index of a lane's outcomes,
-// which reconcile searches and a lane partial carries. Of a repeated ID
-// the last query's outcome stays.
+// ID: a lane partial's Outcomes. Of a repeated ID the last query's
+// outcome stays.
 func (ex *slotExec) outcomeIndex() []LaneValue {
-	if ex.outcomes != nil {
-		return ex.outcomes
-	}
 	idx := make([]LaneValue, len(ex.mix.Queries))
 	for i, q := range ex.mix.Queries {
 		idx[i] = LaneValue{ID: q.QID(), Value: ex.mix.Multi.Outcomes[i].Value}
@@ -247,25 +178,23 @@ func (ex *slotExec) outcomeIndex() []LaneValue {
 	if len(idx) > 0 {
 		idx = idx[:w+1]
 	}
-	ex.outcomes = idx
 	return idx
 }
 
 // outcomeValue returns the value query id obtained in the lane's joint
 // pass, and whether the pass ran it.
-func (ex *slotExec) outcomeValue(id string) (float64, bool) {
-	idx := ex.outcomeIndex()
-	i, ok := slices.BinarySearchFunc(idx, id, func(e LaneValue, id string) int { return strings.Compare(e.ID, id) })
+func (p *LanePartial) outcomeValue(id string) (float64, bool) {
+	i, ok := slices.BinarySearchFunc(p.Outcomes, id, func(e LaneValue, id string) int { return strings.Compare(e.ID, id) })
 	if !ok {
 		return 0, false
 	}
-	return idx[i].Value, true
+	return p.Outcomes[i].Value, true
 }
 
 // continuousDelta returns the slot's value delta of the continuous query
 // id, and whether the lane ran it.
-func (ex *slotExec) continuousDelta(id string) (float64, bool) {
-	cs := ex.mix.Continuous
+func (p *LanePartial) continuousDelta(id string) (float64, bool) {
+	cs := p.Continuous
 	i, ok := slices.BinarySearchFunc(cs, id, func(c ContinuousOutcome, id string) int { return strings.Compare(c.ID, id) })
 	if !ok {
 		return 0, false
@@ -273,79 +202,35 @@ func (ex *slotExec) continuousDelta(id string) (float64, bool) {
 	return cs[i].ValueDelta, true
 }
 
-// bind reconstructs the slotExec reconciliation works on. Partials from
-// in-process lanes return their original exec; partials off the wire are
-// rebuilt, resolving sensor IDs against the coordinator's own fleet (the
-// node holds a replica of the same world, so IDs resolve 1:1). The
-// rebuilt exec keeps the partial's outcome values as its outcome index
-// and builds no per-query MultiOutcomes: reconciliation reads only the
-// values.
-func (p *LanePartial) bind(byID map[int]*sensornet.Sensor) (*slotExec, error) {
-	if p.exec != nil {
-		return p.exec, nil
+// check vets a lane's partial for slot t against the offers the lane was
+// routed, before reconciliation reads it: every trace step must name one
+// of those offers and the sensor the selection lists at its index, and
+// the ID-keyed sections must ascend strictly. A remote node's partial is
+// untrusted input; one that fails degrades its lane instead of merging.
+func (p *LanePartial) check(t int, offers []Offer) error {
+	if p == nil {
+		return errors.New("ps: lane returned no partial")
 	}
-	selected := make([]*sensornet.Sensor, len(p.SelectedIDs))
-	for i, id := range p.SelectedIDs {
-		s := byID[id]
-		if s == nil {
-			return nil, fmt.Errorf("ps: lane partial selects unknown sensor %d", id)
+	if p.Slot != t {
+		return fmt.Errorf("ps: lane partial for slot %d, want %d", p.Slot, t)
+	}
+	if len(p.Trace) != len(p.SelectedIDs) {
+		return fmt.Errorf("ps: lane partial trace length %d does not match %d selected sensors",
+			len(p.Trace), len(p.SelectedIDs))
+	}
+	for i, st := range p.Trace {
+		if st.Offer < 0 || st.Offer >= len(offers) {
+			return fmt.Errorf("ps: lane partial commits offer %d of %d", st.Offer, len(offers))
 		}
-		selected[i] = s
+		if id := offers[st.Offer].Sensor.ID; id != p.SelectedIDs[i] {
+			return fmt.Errorf("ps: lane partial commits offer %d (sensor %d) as sensor %d", st.Offer, id, p.SelectedIDs[i])
+		}
 	}
-	if len(p.Trace) != len(selected) {
-		return nil, fmt.Errorf("ps: lane partial trace length %d does not match %d selected sensors",
-			len(p.Trace), len(selected))
+	if !ascendingIDs(p.Outcomes, laneValueID) || !ascendingIDs(p.Continuous, continuousID) ||
+		!ascendingIDs(p.Results, laneResultID) {
+		return errors.New("ps: lane partial sections are not in strictly ascending ID order")
 	}
-	if !ascendingIDs(p.Outcomes, laneValueID) {
-		return nil, errors.New("ps: lane partial outcomes are not in ascending ID order")
-	}
-	results := make([]slotResult, 0, len(p.Values)+len(p.Payments)+len(p.Answered))
-	for _, v := range p.Values {
-		results = append(results, slotResult{id: v.ID, value: v.Value})
-	}
-	for _, v := range p.Payments {
-		results = append(results, slotResult{id: v.ID, payment: v.Value, paid: true})
-	}
-	for _, f := range p.Answered {
-		results = append(results, slotResult{id: f.ID, satisfied: f.Answered})
-	}
-	report := &SlotReport{
-		Slot:        p.Slot,
-		Welfare:     p.Welfare,
-		TotalCost:   p.TotalCost,
-		SensorsUsed: len(selected),
-		Offers:      p.Offers,
-		PointValue:  p.PointValue,
-		AggValue:    p.AggValue,
-		LocMonValue: p.LocMonValue,
-		RegMonValue: p.RegMonValue,
-		ExtraValue:  p.ExtraValue,
-		Events:      p.Events,
-		Selection:   p.Selection,
-		results:     results,
-	}
-	report.seal()
-	return &slotExec{
-		report:   report,
-		selected: selected,
-		queries:  p.Queries,
-		mix: &core.MixSlotResult{
-			Multi: &core.MultiResult{
-				Selected:  selected,
-				TotalCost: p.TotalCost,
-				Trace:     p.Trace,
-				Stats:     p.Selection,
-			},
-			PointValue:  p.PointValue,
-			AggValue:    p.AggValue,
-			LocMonValue: p.LocMonValue,
-			RegMonValue: p.RegMonValue,
-			ExtraValue:  p.ExtraValue,
-			Continuous:  p.Continuous,
-			TotalCost:   p.TotalCost,
-		},
-		outcomes: p.Outcomes,
-	}, nil
+	return nil
 }
 
 // localLane adapts a per-shard Aggregator to the LaneRunner seam: the
@@ -419,9 +304,6 @@ func NewNodeLane(world *World, shards, shard int) *NodeLane {
 
 // Shard returns the shard index the lane serves.
 func (n *NodeLane) Shard() int { return n.shard }
-
-// Slot returns the replica's current slot (-1 before the first Advance).
-func (n *NodeLane) Slot() int { return n.world.Fleet.Slot() }
 
 // Submit materializes an already-validated spec on the lane. Lockstep
 // makes the bound window identical to what the coordinator recorded.

@@ -3,14 +3,15 @@ package ps
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 )
 
 // wireLane wraps a NodeLane behind a codec round-trip of every partial —
 // the in-process stand-in for a remote shard node. Because it is not a
 // *localLane, RunSlot dispatches it on the remote fan-out path (lane_rpc
-// and gather stages) and reconciliation binds its partials exactly as it
-// would bind ones decoded off a socket. The NodeLane holds its own world
+// and gather stages) and reconciliation reads its partials exactly as it
+// would read ones decoded off a socket. The NodeLane holds its own world
 // replica, so this also exercises the lockstep model end to end.
 type wireLane struct {
 	n *NodeLane
@@ -21,6 +22,9 @@ type wireLane struct {
 	// forged is added to every partial's ConservationViolations before
 	// encoding, standing in for a node whose selection counted them.
 	forged int64
+	// corrupt, when set, edits each decoded partial before the
+	// coordinator sees it, standing in for a node that sends garbage.
+	corrupt func(t int, p *LanePartial)
 }
 
 func (w *wireLane) Submit(spec Spec) (SubmittedQuery, error) { return w.n.Submit(spec) }
@@ -36,11 +40,15 @@ func (w *wireLane) RunLane(t int, _ []Offer) (*LanePartial, error) {
 		return nil, err
 	}
 	p.Selection.ConservationViolations += w.forged
-	return DecodeLanePartial(p.AppendBinary(nil))
+	back, err := DecodeLanePartial(p.AppendBinary(nil))
+	if err == nil && w.corrupt != nil {
+		w.corrupt(t, back)
+	}
+	return back, err
 }
 
 func (w *wireLane) FinishSlot(t int, selectedIDs []int) error {
-	if w.n.Slot() != t {
+	if w.n.world.Fleet.Slot() != t {
 		// The replica missed this slot's execution (RunLane failed); it
 		// still steps and commits so the next slot stays in lockstep.
 		if err := w.n.Advance(t); err != nil {
@@ -208,20 +216,115 @@ func TestShardedDegradedLane(t *testing.T) {
 	}
 }
 
-// TestLanePartialBindRejectsCorruptPartials pins bind's defenses: a
-// partial naming a sensor the coordinator does not know, or whose trace
-// disagrees with its selection, must degrade rather than merge.
-func TestLanePartialBindRejectsCorruptPartials(t *testing.T) {
-	world := NewRWMWorld(3, 40, SensorConfig{})
-	byID := sensorIndex(world.Fleet.Sensors)
-	bad := &LanePartial{Slot: 0, SelectedIDs: []int{999999}, Trace: make([]SelectionStep, 1)}
-	if _, err := bad.bind(byID); err == nil {
-		t.Error("bind accepted a partial selecting an unknown sensor")
+// TestLanePartialCheckRejectsCorruptPartials pins check's defenses: a
+// partial for another slot, none at all, one whose trace disagrees with
+// its selection, commits an offer the lane was never routed or names
+// another sensor than the offer's, or carries a section out of ID order
+// must degrade rather than merge. A sound partial passes.
+func TestLanePartialCheckRejectsCorruptPartials(t *testing.T) {
+	n := NewNodeLane(NewRWMWorld(21, 1000, SensorConfig{}), 1, 0)
+	for _, spec := range quadrantPoints(0) {
+		if _, err := n.Submit(spec); err != nil {
+			t.Fatal(err)
+		}
 	}
-	mismatch := &LanePartial{Slot: 0, SelectedIDs: []int{world.Fleet.Sensors[0].ID}}
-	if _, err := mismatch.bind(byID); err == nil {
-		t.Error("bind accepted a trace/selection length mismatch")
+	sound, err := n.RunSlot(0)
+	if err != nil {
+		t.Fatal(err)
 	}
+	offers := n.pending
+	if len(sound.Trace) < 2 {
+		t.Fatalf("the lane selected %d sensors, the test needs two", len(sound.Trace))
+	}
+	if err := sound.check(0, offers); err != nil {
+		t.Fatalf("a sound partial is refused: %v", err)
+	}
+	edited := func(edit func(p *LanePartial)) *LanePartial {
+		p := *sound
+		p.Trace = slices.Clone(sound.Trace)
+		p.SelectedIDs = slices.Clone(sound.SelectedIDs)
+		p.Results = slices.Clone(sound.Results)
+		edit(&p)
+		return &p
+	}
+	for _, tc := range []struct {
+		name string
+		p    *LanePartial
+		slot int
+	}{
+		{"an out-of-range offer", edited(func(p *LanePartial) { p.Trace[0].Offer = len(offers) }), 0},
+		{"a negative offer", edited(func(p *LanePartial) { p.Trace[0].Offer = -1 }), 0},
+		{"an offer naming another sensor", edited(func(p *LanePartial) { p.Trace[0].Offer = p.Trace[1].Offer }), 0},
+		{"a trace/selection length mismatch", edited(func(p *LanePartial) { p.SelectedIDs = p.SelectedIDs[1:] }), 0},
+		{"results out of ID order", edited(func(p *LanePartial) { slices.Reverse(p.Results) }), 0},
+		{"the wrong slot", sound, 1},
+		{"a nil partial", nil, 0},
+	} {
+		if err := tc.p.check(tc.slot, offers); err == nil {
+			t.Errorf("check accepted %s", tc.name)
+		}
+	}
+}
+
+// TestShardedCorruptPartialDegrades: a node whose partial commits an
+// offer far outside the lane's routed slice degrades that lane's slot —
+// no panic — while every healthy lane merges, and the lane merges again
+// the next slot.
+func TestShardedCorruptPartialDegrades(t *testing.T) {
+	const bad, badSlot = 1, 1
+	sa := newWireSharded(21, 1000, 4)
+	sa.lanes[bad].(*wireLane).corrupt = func(t int, p *LanePartial) {
+		if t == badSlot && len(p.Trace) > 0 {
+			p.Trace[0].Offer = 1 << 30
+		}
+	}
+	for slot := 0; slot < 3; slot++ {
+		for _, spec := range quadrantPoints(slot) {
+			if _, err := sa.Submit(spec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rep := sa.RunSlot()
+		requireConserved(t, slot, rep)
+		if slot != badSlot {
+			if len(rep.Degraded) != 0 {
+				t.Fatalf("slot %d: unexpected degraded lanes %v", slot, rep.Degraded)
+			}
+			continue
+		}
+		if len(rep.Degraded) != 1 || rep.Degraded[0].Shard != bad {
+			t.Fatalf("slot %d: Degraded = %v, want exactly shard %d", slot, rep.Degraded, bad)
+		}
+		for q := range quadrantInner {
+			answered := 0
+			for i := 0; i < 6; i++ {
+				if rep.Answered(fmt.Sprintf("pt-%d-%d-%d", slot, q, i)) {
+					answered++
+				}
+			}
+			if q == bad && (answered != 0 || rep.Shards[q].SensorsUsed != 0) {
+				t.Fatalf("slot %d: the corrupt lane merged %d answers", slot, answered)
+			}
+			if q != bad && (answered == 0 || rep.Shards[q].SensorsUsed == 0) {
+				t.Fatalf("slot %d: healthy lane %d did not merge", slot, q)
+			}
+		}
+	}
+}
+
+// quadrantPoints is six point queries in each quadrant's inner box for
+// the given slot, enough demand that every lane of a 1000-sensor RWM
+// world commits sensors.
+func quadrantPoints(slot int) []Spec {
+	var specs []Spec
+	for q, box := range quadrantInner {
+		for i := 0; i < 6; i++ {
+			x := box.MinX + float64((i*37+slot*11+q*5)%13)
+			y := box.MinY + float64((i*53+slot*29+q*3)%13)
+			specs = append(specs, PointSpec{ID: fmt.Sprintf("pt-%d-%d-%d", slot, q, i), Loc: Pt(x, y), Budget: 40})
+		}
+	}
+	return specs
 }
 
 // TestNodeLaneLockstepGuards pins the replica discipline: commands for

@@ -31,15 +31,17 @@ import (
 // ConservationViolations to the selection counters. Layout 3 dropped each
 // outcome's per-sensor payments and the region-monitoring contributions,
 // which the coordinator never read. Layout 4 dropped the selection
-// strategy label: every lane runs the one lazy greedy.
-const lanePartialFormat = 4
+// strategy label: every lane runs the one lazy greedy. Layout 5 carries
+// the report's results as one Results section in place of the Values,
+// Payments and Answered sections, and drops the offer count, the total
+// cost and the five per-type values, which reconciliation re-derives.
+const lanePartialFormat = 5
 
 // AppendBinary appends the partial's binary form to b and returns the
 // extended slice.
 func (p *LanePartial) AppendBinary(b []byte) []byte {
 	b = append(b, lanePartialFormat)
 	b = appendInt(b, p.Slot)
-	b = appendInt(b, p.Offers)
 	b = appendInt(b, p.Queries)
 
 	b = appendCount(b, len(p.SelectedIDs), p.SelectedIDs == nil)
@@ -54,7 +56,11 @@ func (p *LanePartial) AppendBinary(b []byte) []byte {
 		b = appendFloat(b, st.Net)
 	}
 
-	b = appendValues(b, p.Outcomes)
+	b = appendCount(b, len(p.Outcomes), p.Outcomes == nil)
+	for _, v := range p.Outcomes {
+		b = appendString(b, v.ID)
+		b = appendFloat(b, v.Value)
+	}
 	b = appendCount(b, len(p.Continuous), p.Continuous == nil)
 	for _, co := range p.Continuous {
 		b = appendString(b, co.ID)
@@ -63,16 +69,15 @@ func (p *LanePartial) AppendBinary(b []byte) []byte {
 		b = appendFloat(b, co.Payment)
 	}
 
-	for _, f := range []float64{p.TotalCost, p.PointValue, p.AggValue, p.LocMonValue, p.RegMonValue, p.ExtraValue, p.Welfare} {
-		b = appendFloat(b, f)
-	}
+	b = appendFloat(b, p.Welfare)
 
-	b = appendValues(b, p.Values)
-	b = appendValues(b, p.Payments)
-	b = appendCount(b, len(p.Answered), p.Answered == nil)
-	for _, f := range p.Answered {
-		b = appendString(b, f.ID)
-		b = appendBool(b, f.Answered)
+	b = appendCount(b, len(p.Results), p.Results == nil)
+	for _, e := range p.Results {
+		b = appendString(b, e.ID)
+		b = appendFloat(b, e.Value)
+		b = appendFloat(b, e.Payment)
+		b = appendBool(b, e.Paid)
+		b = appendBool(b, e.Satisfied)
 	}
 
 	b = appendCount(b, len(p.Events), p.Events == nil)
@@ -94,16 +99,6 @@ func (p *LanePartial) AppendBinary(b []byte) []byte {
 	}
 	b = appendFloat(b, p.SelectMs)
 	return appendFloat(b, p.StepMs)
-}
-
-// appendValues writes one per-query section in its slice order.
-func appendValues(b []byte, vs []LaneValue) []byte {
-	b = appendCount(b, len(vs), vs == nil)
-	for _, v := range vs {
-		b = appendString(b, v.ID)
-		b = appendFloat(b, v.Value)
-	}
-	return b
 }
 
 func appendInt(b []byte, v int) []byte { return binary.AppendVarint(b, int64(v)) }
@@ -143,7 +138,7 @@ func DecodeLanePartial(data []byte) (*LanePartial, error) {
 		return nil, fmt.Errorf("ps: lane partial layout %d (this build reads %d)", format, lanePartialFormat)
 	}
 	p := &LanePartial{}
-	p.Slot, p.Offers, p.Queries = r.int(), r.int(), r.int()
+	p.Slot, p.Queries = r.int(), r.int()
 
 	if n, ok := r.count(1); ok {
 		p.SelectedIDs = make([]int, n)
@@ -174,19 +169,15 @@ func DecodeLanePartial(data []byte) (*LanePartial, error) {
 		r.ordered(ascendingIDs(p.Continuous, continuousID))
 	}
 
-	for _, f := range []*float64{&p.TotalCost, &p.PointValue, &p.AggValue, &p.LocMonValue, &p.RegMonValue, &p.ExtraValue, &p.Welfare} {
-		*f = r.float()
-	}
+	p.Welfare = r.float()
 
 	r.sortIDs()
-	p.Values = r.values()
-	p.Payments = r.values()
-	if n, ok := r.count(2); ok {
-		p.Answered = make([]LaneFlag, n)
-		for i := range p.Answered {
-			p.Answered[i] = LaneFlag{ID: r.id(), Answered: r.bool()}
+	if n, ok := r.count(19); ok {
+		p.Results = make([]LaneResult, n)
+		for i := range p.Results {
+			p.Results[i] = LaneResult{ID: r.id(), Value: r.float(), Payment: r.float(), Paid: r.bool(), Satisfied: r.bool()}
 		}
-		r.ordered(ascendingIDs(p.Answered, laneFlagID))
+		r.ordered(ascendingIDs(p.Results, laneResultID))
 	}
 
 	if n, ok := r.count(19); ok {
@@ -381,20 +372,6 @@ func (r *partialReader) count(elemMin int) (int, bool) {
 	}
 	r.fail("%d elements of at least %d bytes, %d remain", v-1, elemMin, len(r.b))
 	return 0, false
-}
-
-// values reads one per-query section of the report projection.
-func (r *partialReader) values() []LaneValue {
-	n, ok := r.count(9)
-	if !ok {
-		return nil
-	}
-	vs := make([]LaneValue, n)
-	for i := range vs {
-		vs[i] = LaneValue{ID: r.id(), Value: r.float()}
-	}
-	r.ordered(ascendingIDs(vs, laneValueID))
-	return vs
 }
 
 // ordered fails the decode unless the per-query section just read

@@ -15,7 +15,7 @@ import (
 // bitDiff walks two values of the same type and reports the first place
 // they differ, comparing floats by their bits (so NaN equals the same NaN
 // and 0 differs from -0) and keeping nil apart from empty. Unexported
-// fields are skipped: LanePartial.exec never crosses the wire.
+// fields are skipped.
 func bitDiff(path string, a, b reflect.Value) error {
 	switch a.Kind() {
 	case reflect.Float64:
@@ -197,16 +197,17 @@ func TestLanePartialBinaryEdgeValues(t *testing.T) {
 	subnormal := math.Float64frombits(1)
 	negZero := math.Copysign(0, -1)
 	edge := &LanePartial{
-		Slot: -1, Offers: math.MaxInt32, Queries: 0,
+		Slot: -1, Queries: math.MaxInt32,
 		SelectedIDs: []int{},
 		Trace:       nil,
 		Outcomes:    []LaneValue{{"", nan}, {"q", math.Inf(1)}, {"q\x00", negZero}},
 		Continuous:  []ContinuousOutcome{},
-		TotalCost:   negZero, PointValue: nan, AggValue: math.Inf(-1), LocMonValue: subnormal,
-		RegMonValue: math.MaxFloat64, ExtraValue: math.SmallestNonzeroFloat64, Welfare: -math.MaxFloat64,
-		Values:   []LaneValue{{"a", nan}, {"b", negZero}},
-		Payments: []LaneValue{},
-		Answered: []LaneFlag{{"a", false}, {"b", true}},
+		Welfare:     -math.MaxFloat64,
+		Results: []LaneResult{
+			{ID: "a", Value: nan, Payment: math.Inf(-1), Satisfied: true},
+			{ID: "b", Value: negZero, Payment: subnormal, Paid: true},
+			{ID: "c", Value: math.MaxFloat64, Payment: math.SmallestNonzeroFloat64},
+		},
 		Events:   []EventNotification{},
 		SelectMs: nan, StepMs: negZero,
 	}
@@ -240,7 +241,7 @@ func TestDecodeLanePartialRejects(t *testing.T) {
 		}
 	}
 
-	dup := (&LanePartial{Values: []LaneValue{{"a", 1}, {"b", 2}}}).AppendBinary(nil)
+	dup := (&LanePartial{Results: []LaneResult{{ID: "a"}, {ID: "b"}}}).AppendBinary(nil)
 	i := bytes.Index(dup, []byte{1, 'b'})
 	if i < 0 {
 		t.Fatal("key b not found in the encoding")
@@ -252,26 +253,25 @@ func TestDecodeLanePartialRejects(t *testing.T) {
 	for _, swapped := range []*LanePartial{
 		{Outcomes: []LaneValue{{"b", 1}, {"a", 2}}},
 		{Continuous: []ContinuousOutcome{{ID: "b"}, {ID: "a"}}},
-		{Payments: []LaneValue{{"b", 1}, {"a", 2}}},
-		{Answered: []LaneFlag{{"b", true}, {"a", true}}},
+		{Results: []LaneResult{{ID: "b"}, {ID: "a"}}},
 	} {
 		if _, err := DecodeLanePartial(swapped.AppendBinary(nil)); err == nil {
 			t.Errorf("a section out of ID order is accepted: %+v", swapped)
 		}
 	}
 
-	badBool := (&LanePartial{Answered: []LaneFlag{{"a", true}}}).AppendBinary(nil)
-	i = bytes.Index(badBool, []byte{1, 'a', 1})
+	badBool := (&LanePartial{Results: []LaneResult{{ID: "a", Satisfied: true}}}).AppendBinary(nil)
+	i = bytes.Index(badBool, []byte{1, 'a'})
 	if i < 0 {
-		t.Fatal("answered entry not found in the encoding")
+		t.Fatal("result entry not found in the encoding")
 	}
-	badBool[i+2] = 2
+	badBool[i+2+8+8+1] = 2 // the satisfied byte
 	if _, err := DecodeLanePartial(badBool); err == nil {
 		t.Error("bool byte 2 is accepted")
 	}
 
-	// Slot, offers, queries, then a selected-IDs length of 2^40.
-	huge := []byte{lanePartialFormat, 0, 0, 0, 0x80, 0x80, 0x80, 0x80, 0x80, 0x40}
+	// Slot, queries, then a selected-IDs length of 2^40.
+	huge := []byte{lanePartialFormat, 0, 0, 0x80, 0x80, 0x80, 0x80, 0x80, 0x40}
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
 	_, err := DecodeLanePartial(huge)
@@ -280,7 +280,7 @@ func TestDecodeLanePartialRejects(t *testing.T) {
 		t.Error("a length beyond the input is accepted")
 	}
 	if grew := m1.TotalAlloc - m0.TotalAlloc; grew > 1<<16 {
-		t.Errorf("refusing a 10-byte input allocated %d bytes", grew)
+		t.Errorf("refusing a 9-byte input allocated %d bytes", grew)
 	}
 }
 
@@ -299,17 +299,17 @@ func FuzzDecodeLanePartial(f *testing.F) {
 	}
 	f.Add([]byte(nil))
 	f.Add((&LanePartial{}).AppendBinary(nil))
-	f.Add([]byte{lanePartialFormat, 0, 0, 0, 0x80, 0x80, 0x80, 0x80, 0x80, 0x40})
-	// Refusals: the previous layout's format byte (layout 4: strategy
-	// label removed, so a layout 3 partial is refused, never misread), a
-	// repeated map key, and two outcomes in 17 bytes where each takes at
+	f.Add([]byte{lanePartialFormat, 0, 0, 0x80, 0x80, 0x80, 0x80, 0x80, 0x40})
+	// Refusals: the previous layout's format byte (layout 5: one Results
+	// section, so a layout 4 partial is refused, never misread), a
+	// repeated key, and two outcomes in 17 bytes where each takes at
 	// least 9.
 	prev := goldenPartial().AppendBinary(nil)
 	prev[0] = lanePartialFormat - 1
 	f.Add(prev)
-	dup := (&LanePartial{Values: []LaneValue{{"a", 1}, {"b", 2}}}).AppendBinary(nil)
+	dup := (&LanePartial{Results: []LaneResult{{ID: "a"}, {ID: "b"}}}).AppendBinary(nil)
 	f.Add(bytes.Replace(dup, []byte{1, 'b'}, []byte{1, 'a'}, 1))
-	f.Add(append([]byte{lanePartialFormat, 0, 0, 0, 0, 0, 3}, make([]byte, 17)...))
+	f.Add(append([]byte{lanePartialFormat, 0, 0, 0, 0, 3}, make([]byte, 17)...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
@@ -335,7 +335,7 @@ func FuzzDecodeLanePartial(f *testing.F) {
 // goldenPartial exercises every section of the layout.
 func goldenPartial() *LanePartial {
 	return &LanePartial{
-		Slot: 7, Offers: 120, Queries: 5,
+		Slot: 7, Queries: 5,
 		SelectedIDs: []int{42, 3, 17},
 		Trace: []SelectionStep{
 			{Offer: 5, SensorID: 42, Cost: 1.5, Net: 2.25},
@@ -344,11 +344,15 @@ func goldenPartial() *LanePartial {
 		},
 		Outcomes:   []LaneValue{{"agg-7", 44}, {"idle", 0}, {"lm#p", 1.5}, {"mp-7", 30.125}, {"pt-7-1", 9.5}},
 		Continuous: []ContinuousOutcome{{ID: "lm", Satisfied: true, ValueDelta: 1.5, Payment: 0.25}},
-		TotalCost:  4.25, PointValue: 9.5, AggValue: 44, LocMonValue: 1.5, ExtraValue: 30.125, Welfare: 80.875,
-		Values:   []LaneValue{{"agg-7", 44}, {"lm", 1.5}, {"mp-7", 30.125}, {"pt-7-1", 9.5}},
-		Payments: []LaneValue{{"agg-7", 1.75}, {"lm", 0.25}, {"mp-7", 1.75}, {"pt-7-1", 0.75}},
-		Answered: []LaneFlag{{"idle", false}, {"lm", true}},
-		Events:   []EventNotification{{QueryID: "lm", Slot: 7, Detected: true, Confidence: 0.875, Reading: -1.25}},
+		Welfare:    80.875,
+		Results: []LaneResult{
+			{ID: "agg-7", Value: 44, Payment: 1.75, Paid: true},
+			{ID: "idle"},
+			{ID: "lm", Value: 1.5, Payment: 0.25, Paid: true, Satisfied: true},
+			{ID: "mp-7", Value: 30.125, Payment: 1.75, Paid: true},
+			{ID: "pt-7-1", Value: 9.5, Payment: 0.75, Paid: true},
+		},
+		Events: []EventNotification{{QueryID: "lm", Slot: 7, Detected: true, Confidence: 0.875, Reading: -1.25}},
 		Selection: SelectionStats{ValuationCalls: 310, SerialEquivCalls: 900, LazyReevaluations: 12,
 			SubmodularityViolations: 1, FallbackRescans: 1, GeomCacheHits: 40, GeomCacheLookups: 48, PosteriorAppends: 2, PosteriorRebuilds: 1,
 			ConservationViolations: 3},
@@ -356,28 +360,29 @@ func goldenPartial() *LanePartial {
 	}
 }
 
-// goldenPartialHex is goldenPartial's encoding in layout 4. It was
+// goldenPartialHex is goldenPartial's encoding in layout 5. It was
 // first pinned against the encoder from when outcome payments were a map
 // from sensor ID to amount. Layout 2 changed only the leading format byte
 // and appended ConservationViolations to the selection counters; layout 3
 // changed only the format byte and dropped each outcome's payments list
 // and the contributions map; layout 4 (strategy label removed) changed
 // only the format byte and dropped the selection counters' leading
-// strategy string.
-const goldenPartialHex = "040ef0010a04540622040a54000000000000f83f000000000000024000060000" +
-	"00000000e83f000000000000e03f12220000000000000040555555555555d53f" +
-	"06056167672d3700000000000046400469646c650000000000000000046c6d23" +
-	"70000000000000f83f046d702d370000000000203e400670742d372d31000000" +
-	"000000234002026c6d01000000000000f83f000000000000d03f000000000000" +
-	"114000000000000023400000000000004640000000000000f83f000000000000" +
-	"00000000000000203e40000000000038544005056167672d3700000000000046" +
-	"40026c6d000000000000f83f046d702d370000000000203e400670742d372d31" +
-	"000000000000234005056167672d37000000000000fc3f026c6d000000000000" +
-	"d03f046d702d37000000000000fc3f0670742d372d31000000000000e83f0304" +
-	"69646c6500026c6d0102026c6d0e01000000000000ec3f000000000000f4bfec" +
-	"04880e1802025060040206000000000000fc3f000000000000e03f"
+// strategy string; layout 5 dropped the offer count, the total cost and
+// the five per-type values, and replaced the Values, Payments and
+// Answered sections with the one Results section.
+const goldenPartialHex = "050e0a04540622040a54000000000000f83f0000000000000240000600000000" +
+	"0000e83f000000000000e03f12220000000000000040555555555555d53f0605" +
+	"6167672d3700000000000046400469646c650000000000000000046c6d237000" +
+	"0000000000f83f046d702d370000000000203e400670742d372d310000000000" +
+	"00234002026c6d01000000000000f83f000000000000d03f0000000000385440" +
+	"06056167672d370000000000004640000000000000fc3f01000469646c650000" +
+	"00000000000000000000000000000000026c6d000000000000f83f0000000000" +
+	"00d03f0101046d702d370000000000203e40000000000000fc3f01000670742d" +
+	"372d310000000000002340000000000000e83f010002026c6d0e010000000000" +
+	"00ec3f000000000000f4bfec04880e1802025060040206000000000000fc3f00" +
+	"0000000000e03f"
 
-// TestLanePartialGoldenBytes: the wire bytes of layout 4 are fixed, and
+// TestLanePartialGoldenBytes: the wire bytes of layout 5 are fixed, and
 // they decode back to the partial they encode.
 func TestLanePartialGoldenBytes(t *testing.T) {
 	want, err := hex.DecodeString(goldenPartialHex)
@@ -402,41 +407,39 @@ func TestLanePartialGoldenBytes(t *testing.T) {
 func TestLanePartialPaymentsRoundTrip(t *testing.T) {
 	s := rng.New(3, "payments")
 	edge := []float64{math.Copysign(0, -1), math.Float64frombits(1), math.Inf(1), math.Float64frombits(0x7ff8_0000_0000_0bad)}
-	p := &LanePartial{Payments: []LaneValue{}}
+	p := &LanePartial{Results: []LaneResult{}}
 	for q := 0; q < 50; q++ {
 		amount := s.Norm(0, 1e3)
 		if s.Bool(0.2) {
 			amount = edge[s.Intn(len(edge))]
 		}
-		p.Payments = append(p.Payments, LaneValue{fmt.Sprintf("q%02d", q), amount})
+		p.Results = append(p.Results, LaneResult{ID: fmt.Sprintf("q%02d", q), Payment: amount, Paid: true})
 	}
 	back, err := DecodeLanePartial(p.AppendBinary(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(back.Payments) != len(p.Payments) {
-		t.Fatalf("%d payments came back, want %d", len(back.Payments), len(p.Payments))
+	if len(back.Results) != len(p.Results) {
+		t.Fatalf("%d payments came back, want %d", len(back.Results), len(p.Results))
 	}
-	for i, want := range p.Payments {
-		if got := back.Payments[i]; got.ID != want.ID || math.Float64bits(got.Value) != math.Float64bits(want.Value) {
-			t.Fatalf("payment %d = %s %#x, want %s %#x", i, got.ID, math.Float64bits(got.Value), want.ID, math.Float64bits(want.Value))
+	for i, want := range p.Results {
+		if got := back.Results[i]; got.ID != want.ID || math.Float64bits(got.Payment) != math.Float64bits(want.Payment) {
+			t.Fatalf("payment %d = %s %#x, want %s %#x", i, got.ID, math.Float64bits(got.Payment), want.ID, math.Float64bits(want.Payment))
 		}
 	}
 }
 
 // queriesPartial is an n-query partial shaped like a metro lane's: one
-// outcome per query, and the query's value, payment and answered flag.
+// outcome per query, and the query's result.
 func queriesPartial(n int) *LanePartial {
 	p := &LanePartial{
 		Outcomes: make([]LaneValue, n),
-		Values:   make([]LaneValue, n),
-		Payments: make([]LaneValue, n),
-		Answered: make([]LaneFlag, n),
+		Results:  make([]LaneResult, n),
 	}
 	for i := 0; i < n; i++ {
 		id := fmt.Sprintf("s12-point-%04d", i)
 		p.Outcomes[i] = LaneValue{id, float64(i)}
-		p.Values[i], p.Payments[i], p.Answered[i] = LaneValue{id, float64(i)}, LaneValue{id, 0.5}, LaneFlag{id, true}
+		p.Results[i] = LaneResult{ID: id, Value: float64(i), Payment: 0.5, Paid: true}
 	}
 	return p
 }

@@ -28,7 +28,7 @@ const (
 	StageSelection   = "selection"    // unsharded: the full selection pass
 	StageShardSelect = "shard_select" // sharded: concurrent per-shard passes
 	StageLaneRPC     = "lane_rpc"     // cluster: residual wait on remote partials
-	StageGather      = "gather"       // cluster: binding wire partials for the merge
+	StageGather      = "gather"       // cluster: checking the lanes' partials for the merge
 	StageSpanning    = "spanning"     // sharded: cross-shard residual pass
 	StageReconcile   = "reconcile"    // sharded: deterministic merge
 	StageCommit      = "commit"       // Fleet.Commit: data acquisition

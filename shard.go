@@ -1,7 +1,6 @@
 package ps
 
 import (
-	"fmt"
 	"math"
 	"runtime"
 	"slices"
@@ -126,9 +125,6 @@ type ShardedAggregator struct {
 	// preSlot, when set, runs at the top of every RunSlot before the
 	// fleet steps (the cluster coordinator's membership sweep).
 	preSlot func()
-	// sensorsByID resolves wire partials' sensor IDs; built lazily (fleet
-	// membership is fixed for a world's lifetime).
-	sensorsByID map[int]*sensornet.Sensor
 
 	order shardedOrder
 
@@ -176,18 +172,8 @@ func (sa *ShardedAggregator) SetLaneRunner(shard int, r LaneRunner) {
 
 // SetPreSlot registers a hook run at the top of every RunSlot, before the
 // fleet steps. The cluster coordinator uses it for the membership sweep
-// (fact-TTL expiry, liveness gauges); its wall time is traced as the
-// membership stage.
+// (the liveness gauges); its wall time is traced as the membership stage.
 func (sa *ShardedAggregator) SetPreSlot(f func()) { sa.preSlot = f }
-
-// sensorIdx lazily builds the fleet's sensor-by-ID index used to bind
-// wire partials.
-func (sa *ShardedAggregator) sensorIdx() map[int]*sensornet.Sensor {
-	if sa.sensorsByID == nil {
-		sa.sensorsByID = sensorIndex(sa.world.Fleet.Sensors)
-	}
-	return sa.sensorsByID
-}
 
 // NextSlot returns the slot number the next RunSlot call will execute.
 func (sa *ShardedAggregator) NextSlot() int { return sa.world.Fleet.Slot() + 1 }
@@ -349,24 +335,18 @@ func (sa *ShardedAggregator) RunSlot() *SlotReport {
 		tr.Mark(StageLaneRPC)
 	}
 
-	// Bind the partials into executable form. A lane that failed (node
-	// dead, stale partial, lockstep divergence) degrades: its resident
-	// queries get no outcome this slot and the failure is surfaced in
+	// Check the partials before anything reads them. A lane that failed
+	// (node dead, stale partial, lockstep divergence, a partial that does
+	// not fit the offers it was routed) degrades: its resident queries get
+	// no outcome this slot and the failure is surfaced in
 	// SlotReport.Degraded rather than corrupting the merge.
-	execs := make([]*slotExec, len(sa.lanes))
-	laneMs := make([]float64, len(sa.lanes))
 	var degraded []LaneError
 	for k := range sa.lanes {
-		if laneErrs[k] == nil && partials[k] != nil && partials[k].Slot != t {
-			laneErrs[k] = fmt.Errorf("ps: lane %d returned a partial for slot %d, want %d",
-				k, partials[k].Slot, t)
-		}
-		if laneErrs[k] == nil && partials[k] != nil {
-			execs[k], laneErrs[k] = partials[k].bind(sa.sensorIdx())
-			laneMs[k] = partials[k].SelectMs
+		if laneErrs[k] == nil {
+			laneErrs[k] = partials[k].check(t, parts[k])
 		}
 		if laneErrs[k] != nil {
-			execs[k] = nil
+			partials[k] = nil
 			degraded = append(degraded, LaneError{Shard: k, Err: laneErrs[k]})
 		}
 	}
@@ -376,8 +356,8 @@ func (sa *ShardedAggregator) RunSlot() *SlotReport {
 
 	// Spanning pass: cross-shard queries compete for the residual supply,
 	// the offers no shard selected.
-	var spanExec *slotExec
-	var spanMs float64
+	var span *LanePartial
+	residual := sa.residualBuf[:0]
 	if sa.span.pendingWork(t) {
 		if sa.takenBuf == nil {
 			sa.takenBuf = make(map[int]bool)
@@ -385,34 +365,28 @@ func (sa *ShardedAggregator) RunSlot() *SlotReport {
 			clear(sa.takenBuf)
 		}
 		taken := sa.takenBuf
-		for _, ex := range execs {
-			if ex == nil {
+		for _, p := range partials {
+			if p == nil {
 				continue
 			}
-			for _, s := range ex.selected {
-				taken[s.ID] = true
+			for _, id := range p.SelectedIDs {
+				taken[id] = true
 			}
 		}
-		residual := sa.residualBuf[:0]
 		for _, o := range offers {
 			if !taken[o.Sensor.ID] {
 				residual = append(residual, o)
 			}
 		}
-		sa.residualBuf = residual
 		spanStart := time.Now()
-		spanExec = sa.span.executeSlot(t, residual)
-		spanMs = float64(time.Since(spanStart).Nanoseconds()) / 1e6
+		ex := sa.span.executeSlot(t, residual)
+		span = partialFromExec(ex, float64(time.Since(spanStart).Nanoseconds())/1e6)
 	}
+	sa.residualBuf = residual
 	tr.Mark(StageSpanning)
 
-	rep, selected := sa.reconcile(t, len(offers), parts, execs, gidx, spanExec, laneMs, spanMs)
+	rep, selected := sa.reconcile(t, len(offers), parts, gidx, partials, residual, span)
 	rep.Degraded = degraded
-	for k, ex := range execs {
-		if ex != nil {
-			rep.Shards[k].StepMs = partials[k].StepMs
-		}
-	}
 	tr.Mark(StageReconcile)
 
 	// Data acquisition and accounting (stage 5 of Algorithm 5), once over
@@ -455,24 +429,20 @@ func (sa *ShardedAggregator) RunSlot() *SlotReport {
 //   - Per-type values are re-summed over the queries in global submission
 //     order (the order registry), the order the unsharded pipeline's
 //     accounting loops iterate in.
-func (sa *ShardedAggregator) reconcile(t, offers int, parts [][]core.Offer, execs []*slotExec, gidx [][]int, spanExec *slotExec, laneMs []float64, spanMs float64) (*SlotReport, []*sensornet.Sensor) {
+func (sa *ShardedAggregator) reconcile(t, offers int, parts [][]core.Offer, gidx [][]int, partials []*LanePartial, residual []core.Offer, span *LanePartial) (*SlotReport, []*sensornet.Sensor) {
 	rep := &SlotReport{Slot: t, Offers: offers}
 
 	// Replay the global commit order from the shard traces.
 	var selected []*sensornet.Sensor
-	heads := make([]int, len(execs))
+	heads := make([]int, len(partials))
 	for {
 		best, bestIdx := -1, 0
 		var bestNet float64
-		for k, ex := range execs {
-			if ex == nil {
+		for k, p := range partials {
+			if p == nil || heads[k] >= len(p.Trace) {
 				continue
 			}
-			tr := ex.mix.Multi.Trace
-			if heads[k] >= len(tr) {
-				continue
-			}
-			st := tr[heads[k]]
+			st := p.Trace[heads[k]]
 			g := gidx[k][st.Offer]
 			if best == -1 || st.Net > bestNet || (st.Net == bestNet && g < bestIdx) {
 				best, bestNet, bestIdx = k, st.Net, g
@@ -481,33 +451,32 @@ func (sa *ShardedAggregator) reconcile(t, offers int, parts [][]core.Offer, exec
 		if best == -1 {
 			break
 		}
-		ex := execs[best]
-		st := ex.mix.Multi.Trace[heads[best]]
-		selected = append(selected, ex.mix.Multi.Selected[heads[best]])
+		st := partials[best].Trace[heads[best]]
+		selected = append(selected, parts[best][st.Offer].Sensor)
 		rep.TotalCost += st.Cost
 		heads[best]++
 	}
 	// The spanning pass ran after every shard pass; its commits append in
 	// their own order.
-	if spanExec != nil {
-		for i, st := range spanExec.mix.Multi.Trace {
-			selected = append(selected, spanExec.mix.Multi.Selected[i])
+	if span != nil {
+		for _, st := range span.Trace {
+			selected = append(selected, residual[st.Offer].Sensor)
 			rep.TotalCost += st.Cost
 		}
 	}
 	rep.SensorsUsed = len(selected)
 
 	// Per-type values in global submission order.
-	execFor := func(home int) *slotExec {
+	partialFor := func(home int) *LanePartial {
 		if home >= 0 {
-			return execs[home]
+			return partials[home]
 		}
-		return spanExec
+		return span
 	}
 	sumOutcomes := func(entries []shardedEntry, into *float64) {
 		for _, e := range entries {
-			if ex := execFor(e.home); ex != nil {
-				if v, ok := ex.outcomeValue(e.id); ok {
+			if p := partialFor(e.home); p != nil {
+				if v, ok := p.outcomeValue(e.id); ok {
 					*into += v
 				}
 			}
@@ -521,8 +490,8 @@ func (sa *ShardedAggregator) reconcile(t, offers int, parts [][]core.Offer, exec
 	sumOutcomes(sa.order.extra, &rep.ExtraValue)
 	sumProbes := func(entries []shardedEntry, suffix string) {
 		for _, e := range entries {
-			if ex := execFor(e.home); ex != nil {
-				if v, ok := ex.outcomeValue(query.PointID(e.id, t, suffix)); ok {
+			if p := partialFor(e.home); p != nil {
+				if v, ok := p.outcomeValue(query.PointID(e.id, t, suffix)); ok {
 					rep.ExtraValue += v
 				}
 			}
@@ -532,8 +501,8 @@ func (sa *ShardedAggregator) reconcile(t, offers int, parts [][]core.Offer, exec
 	sumProbes(sa.order.regEvents, "rev")
 	sumDeltas := func(entries []shardedEntry, into *float64) {
 		for _, e := range entries {
-			if ex := execFor(e.home); ex != nil {
-				if delta, ok := ex.continuousDelta(e.id); ok {
+			if p := partialFor(e.home); p != nil {
+				if delta, ok := p.continuousDelta(e.id); ok {
 					*into += delta
 				}
 			}
@@ -547,41 +516,42 @@ func (sa *ShardedAggregator) reconcile(t, offers int, parts [][]core.Offer, exec
 	// Per-query results are disjoint across lanes (every query lives in
 	// exactly one), so the merge is a union, sealed into ID order once.
 	n := 0
-	for _, ex := range execs {
-		if ex != nil {
-			n += len(ex.report.results)
+	for _, p := range partials {
+		if p != nil {
+			n += len(p.Results)
 		}
 	}
-	if spanExec != nil {
-		n += len(spanExec.report.results)
+	if span != nil {
+		n += len(span.Results)
 	}
-	rep.results = make([]slotResult, 0, n)
-	mergeLane := func(ex *slotExec, shard int, spanning bool, laneOffers int, selectMs float64) {
-		rep.results = append(rep.results, ex.report.results...)
-		rep.Events = append(rep.Events, ex.report.Events...)
-		rep.Selection.Accumulate(ex.report.Selection)
+	rep.results = make([]LaneResult, 0, n)
+	mergeLane := func(p *LanePartial, shard int, spanning bool, laneOffers int) {
+		rep.results = append(rep.results, p.Results...)
+		rep.Events = append(rep.Events, p.Events...)
+		rep.Selection.Accumulate(p.Selection)
 		rep.Shards = append(rep.Shards, ShardStats{
 			Shard:       shard,
 			Spanning:    spanning,
 			Offers:      laneOffers,
-			Queries:     ex.queries,
-			SensorsUsed: len(ex.selected),
-			Welfare:     ex.report.Welfare,
-			SelectMs:    selectMs,
-			Selection:   ex.report.Selection,
+			Queries:     p.Queries,
+			SensorsUsed: len(p.SelectedIDs),
+			Welfare:     p.Welfare,
+			SelectMs:    p.SelectMs,
+			StepMs:      p.StepMs,
+			Selection:   p.Selection,
 		})
 	}
-	for k, ex := range execs {
-		if ex == nil {
+	for k, p := range partials {
+		if p == nil {
 			// Keep rep.Shards index-aligned, one entry per lane: a
 			// degraded lane contributes zeros this slot.
 			rep.Shards = append(rep.Shards, ShardStats{Shard: k})
 			continue
 		}
-		mergeLane(ex, k, false, len(parts[k]), laneMs[k])
+		mergeLane(p, k, false, len(parts[k]))
 	}
-	if spanExec != nil {
-		mergeLane(spanExec, -1, true, spanExec.report.Offers, spanMs)
+	if span != nil {
+		mergeLane(span, -1, true, len(residual))
 	} else {
 		rep.Shards = append(rep.Shards, ShardStats{Shard: -1, Spanning: true})
 	}

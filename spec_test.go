@@ -233,7 +233,7 @@ type reportSnapshot struct {
 	regMon      float64
 	extra       float64
 	events      int
-	results     []slotResult
+	results     []LaneResult
 }
 
 func snapshot(r *SlotReport) reportSnapshot {

@@ -32,9 +32,9 @@
 //     stale node can never contribute to a slot it did not run under the
 //     current generation.
 //
-// Membership rides on the same frames: ping requests and their replies
-// exchange facts (subject/attribute/value/TTL, wirelink-style); the
-// coordinator expires them by TTL to drive live/suspect/dead states.
+// Membership needs no frames of its own: a ping is an empty fence, and
+// the coordinator grades a node live, suspect or dead by how long ago it
+// last answered any fence.
 //
 // # Framing
 //
@@ -48,8 +48,8 @@
 //	section  = tag payload, tags strictly ascending, each at most once
 //
 // The sections are node, config, ops, specs, id, selected, partial,
-// facts, removed, error and code, in that order (tag 1 to 11); a field
-// at its zero value is left out. Strings and counts are uvarint-length
+// removed, error and code, in that order (tag 1 to 10); a field at its
+// zero value is left out. Strings and counts are uvarint-length
 // prefixed, ints zig-zag varints. The two bulk payloads, a submits
 // frame's spec batch (also what a resync's submits ops carry) and the
 // run_slot response's LanePartial, are raw bytes behind a 4-byte
@@ -93,9 +93,10 @@ import (
 // per-query JSON submit frame and oplog op with the binary submits batch;
 // version 5 dropped the hello/resync config's strategy and carries lane
 // partial layout 4; version 6 replaced the NDJSON lines, whose payloads
-// rode as base64, with length-prefixed binary frames. A peer speaking
-// another version is refused at hello.
-const ClusterVersion = 6
+// rode as base64, with length-prefixed binary frames; version 7 dropped
+// the membership facts section and carries lane partial layout 5. A peer
+// speaking another version is refused at hello.
+const ClusterVersion = 7
 
 // MaxClusterFrame bounds one frame, its length prefix included. Both ends
 // refuse a longer one before they buffer any of it (ReadClusterFrame).
@@ -109,7 +110,8 @@ const ClusterFrameBuffer = 64 << 10
 
 // Cluster frame type names. Coordinator -> node: hello/resync configure or
 // rebuild the node's lane, submits/cancel manage queries,
-// run_slot/commit drive the slot cycle, ping exchanges membership facts.
+// run_slot/commit drive the slot cycle, ping is an empty fence that
+// proves the node alive.
 // Node -> coordinator, in answer to a fence only: ok, partial, error.
 const (
 	ClusterHello   = "hello"
@@ -168,17 +170,6 @@ type NodeConfig struct {
 	Shard  int
 }
 
-// Fact is one membership assertion with a time-to-live, exchanged on
-// ping frames: "subject's attribute has this value for the next TTL".
-// The receiver expires facts locally; an expired liveness fact is what
-// turns a node suspect.
-type Fact struct {
-	Subject   string
-	Attribute string
-	Value     string
-	TTLMs     int64
-}
-
 // ClusterOp is one replayable operation of a lane's oplog. A resync
 // frame carries the full log; the node rebuilds a fresh world replica
 // and replays it deterministically, which reproduces the exact lane
@@ -222,7 +213,7 @@ type ClusterMember struct {
 //	cancel        id                              -> ok (removed)
 //	run_slot      slot                            -> partial (slot, partial)
 //	commit        slot, selected                  posted
-//	ping          facts                           -> ok (facts)
+//	ping                                          -> ok
 //	error         error, code                     (response only)
 //
 // Every frame carries V, Type, Seq and Epoch; responses echo the
@@ -248,8 +239,6 @@ type ClusterFrame struct {
 	// the wire.
 	Partial *ps.LanePartial
 
-	Facts []Fact
-
 	// Applied is how many posted frames the node has applied on this
 	// connection since the last hello/resync (responses only).
 	Applied uint64
@@ -270,7 +259,6 @@ const (
 	tagID
 	tagSelected
 	tagPartial
-	tagFacts
 	tagRemoved
 	tagError
 	tagCode
@@ -340,15 +328,6 @@ func AppendClusterFrame(dst []byte, f ClusterFrame) ([]byte, error) {
 		at := len(b)
 		b = f.Partial.AppendBinary(b)
 		binary.BigEndian.PutUint32(b[at-4:], uint32(len(b)-at))
-	}
-	if len(f.Facts) > 0 {
-		b = binary.AppendUvarint(append(b, tagFacts), uint64(len(f.Facts)))
-		for _, fa := range f.Facts {
-			b = appendStr(b, fa.Subject)
-			b = appendStr(b, fa.Attribute)
-			b = appendStr(b, fa.Value)
-			b = binary.AppendVarint(b, fa.TTLMs)
-		}
 	}
 	if f.Removed {
 		b = append(b, tagRemoved)
@@ -459,13 +438,6 @@ func DecodeClusterFrame(data []byte) (ClusterFrame, error) {
 					return ClusterFrame{}, fmt.Errorf("wire: %s frame: %v", f.Type, err)
 				}
 				f.Partial = p
-			}
-		case tagFacts:
-			if n, ok := r.count(4); ok {
-				f.Facts = make([]Fact, n)
-				for i := range f.Facts {
-					f.Facts[i] = Fact{Subject: r.str(), Attribute: r.str(), Value: r.str(), TTLMs: r.varint()}
-				}
 			}
 		case tagRemoved:
 			f.Removed = true

@@ -24,14 +24,13 @@ func goldenClusterFrames(t *testing.T) []wire.ClusterFrame {
 		t.Fatal(err)
 	}
 	partial := &ps.LanePartial{
-		Slot: 3, Offers: 12, Queries: 2,
+		Slot: 3, Queries: 2,
 		SelectedIDs: []int{5, 2},
 		Trace:       []ps.SelectionStep{{Offer: 4, SensorID: 5, Cost: 0.5, Net: 2.25}, {Offer: 1, SensorID: 2, Cost: 0.25, Net: 1.5}},
 		Outcomes:    []ps.LaneValue{{ID: "q1", Value: 3.5}},
-		TotalCost:   0.75, PointValue: 3.5, Welfare: 2.75,
-		Values:   []ps.LaneValue{{ID: "q1", Value: 3.5}},
-		Payments: []ps.LaneValue{{ID: "q1", Value: 0.5}},
-		SelectMs: 0.4, StepMs: 0.1,
+		Welfare:     2.75,
+		Results:     []ps.LaneResult{{ID: "q1", Value: 3.5, Payment: 0.5, Paid: true}},
+		SelectMs:    0.4, StepMs: 0.1,
 	}
 	v := wire.ClusterVersion
 	return []wire.ClusterFrame{
@@ -43,7 +42,7 @@ func goldenClusterFrames(t *testing.T) []wire.ClusterFrame {
 		{V: v, Type: wire.ClusterCancel, Seq: 4, Epoch: 1, ID: "q1"},
 		{V: v, Type: wire.ClusterRunSlot, Seq: 6, Epoch: 1, Slot: 3},
 		{V: v, Type: wire.ClusterCommit, Seq: 7, Epoch: 1, Slot: 3, Selected: []int{5, 2, 9}},
-		{V: v, Type: wire.ClusterPing, Seq: 8, Epoch: 1, Facts: []wire.Fact{{Subject: "n0", Attribute: "alive", Value: "1", TTLMs: 1500}}},
+		{V: v, Type: wire.ClusterPing, Seq: 8, Epoch: 1},
 		{V: v, Type: wire.ClusterOK, Seq: 4, Epoch: 1, Applied: 17, Removed: true},
 		{V: v, Type: wire.ClusterOK, Seq: 2, Epoch: 2},
 		{V: v, Type: wire.ClusterPartial, Seq: 6, Epoch: 1, Slot: 3, Applied: 4, Partial: partial},
@@ -51,7 +50,7 @@ func goldenClusterFrames(t *testing.T) []wire.ClusterFrame {
 	}
 }
 
-// TestClusterFrameGolden pins the v6 frame layout: one frame of each type
+// TestClusterFrameGolden pins the v7 frame layout: one frame of each type
 // encodes to its golden bytes, and those bytes decode to that frame. A
 // change here is a wire break, which takes a new ClusterVersion.
 func TestClusterFrameGolden(t *testing.T) {

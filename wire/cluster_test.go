@@ -87,17 +87,14 @@ func TestClusterPartialTravelsAsBinary(t *testing.T) {
 }
 
 // metroPartial is a partial the shape of one metro-cluster lane's: ~260
-// one-shot outcomes, as many values/payments/answered entries, ~75
-// committed sensors.
+// one-shot outcomes, as many results, ~75 committed sensors.
 func metroPartial() *ps.LanePartial {
 	const outcomes, selected = 260, 75
 	p := &ps.LanePartial{
-		Slot: 12, Offers: 5000, Queries: outcomes,
+		Slot: 12, Queries: outcomes,
 		Outcomes:  make([]ps.LaneValue, outcomes),
-		Values:    make([]ps.LaneValue, outcomes),
-		Payments:  make([]ps.LaneValue, outcomes),
-		Answered:  make([]ps.LaneFlag, outcomes),
-		TotalCost: 812.25, PointValue: 2950.5, AggValue: 890.125, ExtraValue: 120.75, Welfare: 3149.125,
+		Results:   make([]ps.LaneResult, outcomes),
+		Welfare:   3149.125,
 		Selection: ps.SelectionStats{ValuationCalls: 812345, SerialEquivCalls: 961234, LazyReevaluations: 15623},
 		SelectMs:  6.9, StepMs: 4.1,
 	}
@@ -109,8 +106,7 @@ func metroPartial() *ps.LanePartial {
 		id := fmt.Sprintf("s12-point-%03d", i) // zero-padded: sections ascend by ID
 		v := 11.5 + float64(i)/13
 		p.Outcomes[i] = ps.LaneValue{ID: id, Value: v}
-		p.Values[i], p.Payments[i] = ps.LaneValue{ID: id, Value: v}, ps.LaneValue{ID: id, Value: v / 3}
-		p.Answered[i] = ps.LaneFlag{ID: id, Answered: true}
+		p.Results[i] = ps.LaneResult{ID: id, Value: v, Payment: v / 3, Paid: true}
 	}
 	return p
 }

@@ -159,41 +159,41 @@ func TestFrameSeedsDecode(t *testing.T) {
 // cases. The first eleven are the frames of TestClusterFrameGolden.
 var clusterSeeds = []string{
 	// hello: node n0, config rwm seed 21, 220 sensors, shard 0 of 4.
-	"0000001770736306010101000001026e30020372776d2ab8030800",
+	"0000001770736307010101000001026e30020372776d2ab8030800",
 	// resync: intellab seed 7, shard 1 of 2; ops: a one-spec batch (point
 	// q1), cancel q2, slot 0 ran selecting [3 1 7], slot 1 degraded.
-	"0000006370736306020202000001026e300208696e74656c6c61620e0004020304010000001d01000271310000000000003e400000000000003e400000000000002e40000000000200000000027132000000030000000000000306020e01030000000000020000",
+	"0000006370736307020202000001026e300208696e74656c6c61620e0004020304010000001d01000271310000000000003e400000000000003e400000000000002e40000000000200000000027132000000030000000000000306020e01030000000000020000",
 	// submits: a batch of two specs, an aggregate and a two-waypoint
 	// trajectory.
-	"0000006770736306030301000004000000590102016100000000000034400000000000003440000000000000444000000000000044400000000000406f400103017403000000000000394000000000000045400000000000804b4000000000000045400000000000c06240",
-	"0000000d70736306040401000005027131",                       // cancel q1
-	"00000009707363060506010600",                               // run_slot 3
-	"0000000e70736306060701060006030a0412",                     // commit slot 3, selected [5 2 9]
-	"000000187073630607080100000801026e3005616c6976650131b817", // ping: n0 alive 1, 1500 ms
-	"0000000a70736306080401001109",                             // ok: applied 17, removed
-	"00000009707363060802020000",                               // ok
+	"0000006770736307030301000004000000590102016100000000000034400000000000003440000000000000444000000000000044400000000000406f400103017403000000000000394000000000000045400000000000804b4000000000000045400000000000c06240",
+	"0000000d70736307040401000005027131",   // cancel q1
+	"00000009707363070506010600",           // run_slot 3
+	"0000000e70736307060701060006030a0412", // commit slot 3, selected [5 2 9]
+	"00000009707363070708010000",           // ping
+	"0000000a70736307080401001108",         // ok: applied 17, removed
+	"00000009707363070802020000",           // ok
 	// partial: slot 3, two committed sensors, one point outcome.
-	"000000b370736306090601060407000000a504061804030a0403080a000000000000e03f00000000000002400204000000000000d03f000000000000f83f020271310000000000000c4000000000000000e83f0000000000000c4000000000000000000000000000000000000000000000000000000000000000000000000000000640020271310000000000000c4002027131000000000000e03f0000000000000000000000009a9999999999d93f9a9999999999b93f",
-	"0000002f707363060a090200030a1770733a207374616c6520636c75737465722065706f63680b0b7374616c655f65706f6368", // error: stale_epoch
+	"0000007f7073630709060106040700000071050604030a0403080a000000000000e03f00000000000002400204000000000000d03f000000000000f83f020271310000000000000c40000000000000000640020271310000000000000c40000000000000e03f010000000000000000000000009a9999999999d93f9a9999999999b93f",
+	"0000002f707363070a09020003091770733a207374616c6520636c75737465722065706f63680a0b7374616c655f65706f6368", // error: stale_epoch
 
-	"00000009707363050708010000",                                         // wrong version: the one before this, in binary
-	"00000009707363060b01010000",                                         // unknown type code
-	"00000009707363060101010000",                                         // hello without a config
-	"0000001370736306010101000002046d6f6f6e00000200",                     // unknown world
-	"00000012707363060101010000020372776d00000404",                       // shard out of range
-	"00000009707363060301010000",                                         // submits without a batch
-	"00000009707363060401010000",                                         // cancel without an id
-	"00000009707363060901010000",                                         // partial without a partial
-	"00000009707363060a01010000",                                         // error without its text
-	"0000001d707363060201010000020372776d000002000301040000000000000000", // unknown op code
-	"000000147073630609060106040700000006040618040303",                   // truncated partial
-	"0000000978797a060701010000",                                         // bad magic
-	"0000000a707363060701010000",                                         // length prefix past the frame
-	"000000117073630604010100000502713101026e30",                         // sections out of order
-	"0000000a7073630607010100000c",                                       // unknown section tag
-	"00000010707363060301010000040000ffff0102",                           // batch longer than the frame
-	"00000015707363060201010000020372776d0000020003ff01",                 // more ops than bytes
-	"0000000470736306",                                                   // header cut short
+	"00000009707363060708010000",                                         // wrong version: the one before this, in binary
+	"00000009707363070b01010000",                                         // unknown type code
+	"00000009707363070101010000",                                         // hello without a config
+	"0000001370736307010101000002046d6f6f6e00000200",                     // unknown world
+	"00000012707363070101010000020372776d00000404",                       // shard out of range
+	"00000009707363070301010000",                                         // submits without a batch
+	"00000009707363070401010000",                                         // cancel without an id
+	"00000009707363070901010000",                                         // partial without a partial
+	"00000009707363070a01010000",                                         // error without its text
+	"0000001d707363070201010000020372776d000002000301040000000000000000", // unknown op code
+	"000000147073630709060106040700000006050618040303",                   // truncated partial
+	"0000000978797a070701010000",                                         // bad magic
+	"0000000a707363070701010000",                                         // length prefix past the frame
+	"000000117073630704010100000502713101026e30",                         // sections out of order
+	"0000000a7073630707010100000b",                                       // unknown section tag
+	"00000010707363070301010000040000ffff0102",                           // batch longer than the frame
+	"00000015707363070201010000020372776d0000020003ff01",                 // more ops than bytes
+	"0000000470736307",                                                   // header cut short
 	"000000",                                                             // length prefix cut short
 }
 
@@ -213,7 +213,7 @@ func FuzzDecodeClusterFrame(f *testing.F) {
 	}
 	f.Add([]byte(nil))
 	// commit: seq 2^64-1, slot -9, selected [0 0 0].
-	f.Add(mustHex(f, "000000177073630606ffffffffffffffffff01011100"+"0603000000"))
+	f.Add(mustHex(f, "000000177073630706ffffffffffffffffff01011100"+"0603000000"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		frame, err := wire.DecodeClusterFrame(data)
 		if err != nil {
@@ -266,15 +266,15 @@ func TestClusterSeedsDecode(t *testing.T) {
 // strategy in its config, and v5's own hello and partial. Each must be
 // refused by its version.
 var removedClusterSeeds = []struct{ frame, wantErr string }{
-	{`{"v":2,"type":"set_strategy","seq":5,"epoch":1,"slot":0,"strategy":"lazy"}`, "unsupported cluster frame version 2 (this build speaks v6)"},
-	{`{"v":2,"type":"resync","seq":1,"epoch":1,"slot":0,"config":{"world":"rwm","shards":1,"shard":0},"ops":[{"op":"strategy","strategy":"serial"}]}`, "unsupported cluster frame version 2 (this build speaks v6)"},
-	{`{"v":3,"type":"submit","seq":3,"epoch":1,"slot":0,"spec":{"v":1,"type":"point","id":"q1","loc":{"x":30,"y":30},"budget":15}}`, "unsupported cluster frame version 3 (this build speaks v6)"},
-	{`{"v":3,"type":"resync","seq":1,"epoch":1,"slot":0,"config":{"world":"rwm","shards":1,"shard":0},"ops":[{"op":"submit","spec":{"v":1,"type":"point","id":"q1","loc":{"x":30,"y":30},"budget":15}}]}`, "unsupported cluster frame version 3 (this build speaks v6)"},
-	{`{"v":2,"type":"hello","seq":1,"epoch":1,"slot":0,"config":{"world":"rwm","seed":21,"sensors":220,"shards":4,"shard":0}}`, "unsupported cluster frame version 2 (this build speaks v6)"},
-	{`{"v":3,"type":"hello","seq":1,"epoch":1,"slot":0,"config":{"world":"rwm","seed":21,"sensors":220,"shards":4,"shard":0}}`, "unsupported cluster frame version 3 (this build speaks v6)"},
-	{`{"v":4,"type":"hello","seq":1,"epoch":1,"slot":0,"config":{"world":"rwm","seed":21,"sensors":220,"shards":4,"shard":0,"strategy":"serial"}}`, "unsupported cluster frame version 4 (this build speaks v6)"},
-	{`{"v":5,"type":"hello","seq":1,"epoch":1,"node":"n0","slot":0,"config":{"world":"rwm","seed":21,"sensors":220,"shards":4,"shard":0}}`, "unsupported cluster frame version 5 (this build speaks v6)"},
-	{`{"v":5,"type":"partial","seq":6,"epoch":1,"slot":3,"applied":4,"partial_bin":"BAYYBAMKBAMI"}`, "unsupported cluster frame version 5 (this build speaks v6)"},
+	{`{"v":2,"type":"set_strategy","seq":5,"epoch":1,"slot":0,"strategy":"lazy"}`, "unsupported cluster frame version 2 (this build speaks v7)"},
+	{`{"v":2,"type":"resync","seq":1,"epoch":1,"slot":0,"config":{"world":"rwm","shards":1,"shard":0},"ops":[{"op":"strategy","strategy":"serial"}]}`, "unsupported cluster frame version 2 (this build speaks v7)"},
+	{`{"v":3,"type":"submit","seq":3,"epoch":1,"slot":0,"spec":{"v":1,"type":"point","id":"q1","loc":{"x":30,"y":30},"budget":15}}`, "unsupported cluster frame version 3 (this build speaks v7)"},
+	{`{"v":3,"type":"resync","seq":1,"epoch":1,"slot":0,"config":{"world":"rwm","shards":1,"shard":0},"ops":[{"op":"submit","spec":{"v":1,"type":"point","id":"q1","loc":{"x":30,"y":30},"budget":15}}]}`, "unsupported cluster frame version 3 (this build speaks v7)"},
+	{`{"v":2,"type":"hello","seq":1,"epoch":1,"slot":0,"config":{"world":"rwm","seed":21,"sensors":220,"shards":4,"shard":0}}`, "unsupported cluster frame version 2 (this build speaks v7)"},
+	{`{"v":3,"type":"hello","seq":1,"epoch":1,"slot":0,"config":{"world":"rwm","seed":21,"sensors":220,"shards":4,"shard":0}}`, "unsupported cluster frame version 3 (this build speaks v7)"},
+	{`{"v":4,"type":"hello","seq":1,"epoch":1,"slot":0,"config":{"world":"rwm","seed":21,"sensors":220,"shards":4,"shard":0,"strategy":"serial"}}`, "unsupported cluster frame version 4 (this build speaks v7)"},
+	{`{"v":5,"type":"hello","seq":1,"epoch":1,"node":"n0","slot":0,"config":{"world":"rwm","seed":21,"sensors":220,"shards":4,"shard":0}}`, "unsupported cluster frame version 5 (this build speaks v7)"},
+	{`{"v":5,"type":"partial","seq":6,"epoch":1,"slot":3,"applied":4,"partial_bin":"BAYYBAMKBAMI"}`, "unsupported cluster frame version 5 (this build speaks v7)"},
 }
 
 // TestClusterFrameRefusesRemovedStrategySurface: the JSON frames of
