@@ -299,6 +299,12 @@ type selection struct {
 	// the sensor and the query, not on commits.
 	pcs  []query.PairCached
 	base []float64
+	// floor is, per query, the Value of a query.MaxValued state (NaN for
+	// every other state), refreshed by commit: a stale pair of a marked
+	// query whose base is known re-evaluates as base - floor in
+	// evalSensor, the float GainFrom would return, with no interface
+	// call.
+	floor []float64
 	// geom holds the query.GeomCached view of each state (nil when the
 	// state doesn't implement it) and geomWords its mask length. The
 	// mask of pair idx is masks[maskOff[idx]:][:geomWords[qi]]; maskOff
@@ -362,6 +368,7 @@ type selArena struct {
 	recs       []commitRec
 	pcs        []query.PairCached
 	base       []float64
+	floor      []float64
 	geom       []query.GeomCached
 	geomWords  []int32
 	maskOff    []int32
@@ -430,7 +437,7 @@ func (s *selection) release() {
 	s.ar = nil
 	s.relOff, s.relIdx, s.gains, s.vers = nil, nil, nil, nil
 	s.qver, s.relCount, s.lastBumped, s.recs = nil, nil, nil, nil
-	s.remaining, s.submod = nil, nil
+	s.remaining, s.submod, s.floor = nil, nil, nil
 	s.pcs, s.base, s.geom, s.geomWords, s.maskOff, s.masks = nil, nil, nil, nil, nil, nil
 	s.vol, s.volOff, s.volAt = nil, nil, nil
 	// Interface slots in the pooled buffers would otherwise pin this
@@ -472,6 +479,7 @@ func newSelection(queries []query.Query, offers []Offer) *selection {
 	s.relCount = grow(ar.relCount, nq)
 	s.qver = grow(ar.qver, nq)
 	s.submod = grow(ar.submod, nq)
+	s.floor = grow(ar.floor, nq)
 	if cap(ar.pcs) < nq {
 		ar.pcs = make([]query.PairCached, nq)
 		ar.geom = make([]query.GeomCached, nq)
@@ -484,6 +492,10 @@ func newSelection(queries []query.Query, offers []Offer) *selection {
 		s.submod[qi] = query.IsSubmodular(queries[qi])
 		s.pcs[qi], _ = s.states[qi].(query.PairCached)
 		s.geom[qi], _ = s.states[qi].(query.GeomCached)
+		s.floor[qi] = math.NaN()
+		if query.IsMaxValued(s.states[qi]) {
+			s.floor[qi] = s.states[qi].Value()
+		}
 	}
 	s.lastBumped = ar.lastBumped[:0]
 	s.recs = ar.recs[:0]
@@ -504,7 +516,7 @@ func newSelection(queries []query.Query, offers []Offer) *selection {
 	for i := range s.remaining {
 		s.remaining[i] = true
 	}
-	ar.relCount, ar.qver, ar.submod = s.relCount, s.qver, s.submod
+	ar.relCount, ar.qver, ar.submod, ar.floor = s.relCount, s.qver, s.submod, s.floor
 	ar.gains, ar.vers, ar.remaining = s.gains, s.vers, s.remaining
 	ar.base = s.base
 	return s
@@ -738,20 +750,30 @@ func (s *selection) pairGain(si int, idx, qi int32, c *evalCounters) float64 {
 // evalSensor returns the sensor's current net benefit -c_a + sum of
 // positive marginal gains, refreshing exactly the stale (sensor, query)
 // cache entries. A refreshed gain larger than its cached predecessor is
-// counted as a submodularity violation.
+// counted as a submodularity violation. A stale pair of a
+// query.MaxValued query with a known base is base - floor: the float
+// pairGain would compute, counted as the valuation call it replaces.
 func (s *selection) evalSensor(si int, c *evalCounters) float64 {
+	lo, hi := s.relOff[si], s.relOff[si+1]
+	rel, vers, gains, base := s.relIdx[lo:hi], s.vers[lo:hi], s.gains[lo:hi], s.base[lo:hi]
+	qver, floor, submod := s.qver, s.floor, s.submod
 	net := -s.offers[si].Cost
-	for idx := s.relOff[si]; idx < s.relOff[si+1]; idx++ {
-		qi := s.relIdx[idx]
-		if s.vers[idx] != s.qver[qi] {
-			g := s.pairGain(si, idx, qi, c)
-			if s.submod[qi] && s.vers[idx] >= 0 && g > s.gains[idx]+submodularTolerance {
+	for k, qi := range rel {
+		if v := qver[qi]; vers[k] != v {
+			var g float64
+			if f, b := floor[qi], base[k]; f == f && b == b {
+				c.calls++
+				g = b - f
+			} else {
+				g = s.pairGain(si, lo+int32(k), qi, c)
+			}
+			if g > gains[k]+submodularTolerance && vers[k] >= 0 && submod[qi] {
 				c.violations++
 			}
-			s.gains[idx] = g
-			s.vers[idx] = s.qver[qi]
+			gains[k] = g
+			vers[k] = v
 		}
-		if dv := s.gains[idx]; dv > 0 {
+		if dv := gains[k]; dv > 0 {
 			net += dv
 		}
 	}
@@ -808,6 +830,9 @@ func (s *selection) commit(si int, net float64) {
 			s.stats.GeomCacheHits++
 		} else {
 			s.states[qi].Add(o.Sensor)
+			if f := s.floor[qi]; f == f {
+				s.floor[qi] = s.states[qi].Value()
+			}
 		}
 		s.qver[qi]++
 		s.lastBumped = append(s.lastBumped, qi)

@@ -94,7 +94,7 @@ func TestLazyHeapIndexed(t *testing.T) {
 			if h.pos[e.si] != int32(i) || net[e.si] != e.net {
 				t.Fatalf("entry %d (sensor %d, net %v): pos %d, want net %v", i, e.si, e.net, h.pos[e.si], net[e.si])
 			}
-			if i > 0 && h.before(i, (i-1)/2) {
+			if i > 0 && h.before(i, heapParent(i)) {
 				t.Fatalf("heap order broken at %d", i)
 			}
 		}

@@ -32,11 +32,14 @@ type lazyEntry struct {
 	net float64
 }
 
-// lazyHeap is an indexed binary max-heap of candidates ordered by net
+// lazyHeap is an indexed 4-ary max-heap of candidates ordered by net
 // benefit, ties broken by the lower sensor index — exactly the serial
 // scan's "first index with the strictly largest net" rule. It holds at
 // most one entry per sensor: pos finds a sensor's entry, so a changed
-// net re-prioritises the entry in place.
+// net re-prioritises the entry in place. (net desc, index asc) orders
+// distinct sensors totally, so the top, and with it the pop order, is
+// the same at any arity; four children per node halve a sift's depth
+// against a binary heap's.
 type lazyHeap struct {
 	ents []lazyEntry
 	// pos[si] is the index of sensor si's entry in ents, -1 when it has
@@ -61,10 +64,17 @@ func (h *lazyHeap) add(si int, net float64) {
 }
 
 func (h *lazyHeap) init() {
-	for i := len(h.ents)/2 - 1; i >= 0; i-- {
+	for i := heapParent(len(h.ents) - 1); i >= 0; i-- {
 		h.siftDown(i)
 	}
 }
+
+// heapArity is the number of children of a heap node: entry i's are
+// heapArity*i+1 through heapArity*i+heapArity.
+const heapArity = 4
+
+// heapParent is the index of entry i's parent, for i > 0.
+func heapParent(i int) int { return (i - 1) / heapArity }
 
 func (h *lazyHeap) before(i, j int) bool {
 	a, b := h.ents[i], h.ents[j]
@@ -105,7 +115,7 @@ func (h *lazyHeap) update(si int, net float64) {
 func (h *lazyHeap) siftUp(i int) bool {
 	moved := false
 	for i > 0 {
-		parent := (i - 1) / 2
+		parent := heapParent(i)
 		if !h.before(i, parent) {
 			break
 		}
@@ -119,13 +129,15 @@ func (h *lazyHeap) siftUp(i int) bool {
 func (h *lazyHeap) siftDown(i int) {
 	n := len(h.ents)
 	for {
-		l, r := 2*i+1, 2*i+2
-		best := i
-		if l < n && h.before(l, best) {
-			best = l
+		first := heapArity*i + 1
+		if first >= n {
+			return
 		}
-		if r < n && h.before(r, best) {
-			best = r
+		best := i
+		for c, last := first, min(first+heapArity, n); c < last; c++ {
+			if h.before(c, best) {
+				best = c
+			}
 		}
 		if best == i {
 			return
@@ -197,7 +209,7 @@ func (s *selection) lazyLoop() {
 		s.refreshRemaining()
 		h.reset(len(s.offers))
 		for si := range s.offers {
-			if s.remaining[si] {
+			if s.canWin(si) {
 				h.add(si, s.cachedNet(si))
 			}
 		}
@@ -355,14 +367,22 @@ func (s *selection) refreshVolatile(qi int32, touched []bool, touchList []int32,
 	return touchList
 }
 
-// refreshRemaining brings every remaining sensor's gain cache up to the
-// current query versions.
+// refreshRemaining brings the gain cache of every remaining sensor that
+// can win up to the current query versions.
 func (s *selection) refreshRemaining() {
 	var c evalCounters
 	for si := range s.offers {
-		if s.remaining[si] {
+		if s.canWin(si) {
 			s.evalSensor(si, &c)
 		}
 	}
 	s.addCounters(c)
+}
+
+// canWin reports whether sensor si is remaining and could ever be
+// committed: it has a relevant query, or a negative cost. Without either
+// its net is -Cost <= 0 at every round, which the serial scan never
+// commits, so the lazy loop leaves it out of the heap.
+func (s *selection) canWin(si int) bool {
+	return s.remaining[si] && (s.relOff[si+1] > s.relOff[si] || -s.offers[si].Cost > 0)
 }

@@ -104,6 +104,10 @@ func (st *pointState) BaseValue(s *sensornet.Sensor) float64 {
 // GainFrom implements PairCached.
 func (st *pointState) GainFrom(v float64) float64 { return v - st.best }
 
+// MaxOfSingletons implements MaxValued: GainFrom is v less best, which
+// is Value.
+func (st *pointState) MaxOfSingletons() bool { return true }
+
 func (st *pointState) Add(s *sensornet.Sensor) {
 	if v := st.q.ValueSingle(s); v > st.best {
 		st.best = v

@@ -175,6 +175,33 @@ type PairCached interface {
 	GainFrom(base float64) float64
 }
 
+// MaxValued is an optional marker for PairCached states whose set
+// valuation is a max over singletons (Eq. 3's point query: the best
+// reading answers it), so a pair's gain is its base value less what the
+// committed set is already worth:
+//
+//	GainFrom(b) == b - Value()   bit-for-bit, at every state.
+//
+// The greedy core then keeps one Value per marked query, refreshed after
+// each commit, and re-evaluates a stale pair whose base it holds as that
+// subtraction, with no interface call. Like PairCached's, the equality
+// is a hard contract: the selection mixes gains computed both ways, and
+// the strategy-equivalence tests compare them to the last float bit.
+type MaxValued interface {
+	// MaxOfSingletons reports that GainFrom(b) is b - Value().
+	MaxOfSingletons() bool
+}
+
+// IsMaxValued reports whether the state advertises MaxValued's contract.
+// Only a PairCached state can.
+func IsMaxValued(st State) bool {
+	if _, ok := st.(PairCached); !ok {
+		return false
+	}
+	m, ok := st.(MaxValued)
+	return ok && m.MaxOfSingletons()
+}
+
 // RelevanceBased is an optional interface for queries whose Relevant
 // test computes their states' PairCached base value as a byproduct (a
 // point query's relevance check *is* its valuation, Eq. 3). The

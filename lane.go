@@ -3,6 +3,7 @@ package ps
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"time"
@@ -204,10 +205,12 @@ func (p *LanePartial) continuousDelta(id string) (float64, bool) {
 
 // check vets a lane's partial for slot t against the offers the lane was
 // routed, before reconciliation reads it: every trace step must name one
-// of those offers and the sensor the selection lists at its index, and
-// the ID-keyed sections must ascend strictly. A remote node's partial is
-// untrusted input; one that fails degrades its lane instead of merging.
-func (p *LanePartial) check(t int, offers []Offer) error {
+// of those offers, none twice, at the offer's own cost, and the sensor
+// the selection lists at its index, and the ID-keyed sections must
+// ascend strictly. seen is scratch of len(offers), its contents
+// unspecified; check overwrites it. A remote node's partial is untrusted
+// input; one that fails degrades its lane instead of merging.
+func (p *LanePartial) check(t int, offers []Offer, seen []bool) error {
 	if p == nil {
 		return errors.New("ps: lane returned no partial")
 	}
@@ -218,12 +221,21 @@ func (p *LanePartial) check(t int, offers []Offer) error {
 		return fmt.Errorf("ps: lane partial trace length %d does not match %d selected sensors",
 			len(p.Trace), len(p.SelectedIDs))
 	}
+	clear(seen)
 	for i, st := range p.Trace {
 		if st.Offer < 0 || st.Offer >= len(offers) {
 			return fmt.Errorf("ps: lane partial commits offer %d of %d", st.Offer, len(offers))
 		}
-		if id := offers[st.Offer].Sensor.ID; id != p.SelectedIDs[i] {
+		if seen[st.Offer] {
+			return fmt.Errorf("ps: lane partial commits offer %d twice", st.Offer)
+		}
+		seen[st.Offer] = true
+		o := offers[st.Offer]
+		if id := o.Sensor.ID; id != p.SelectedIDs[i] {
 			return fmt.Errorf("ps: lane partial commits offer %d (sensor %d) as sensor %d", st.Offer, id, p.SelectedIDs[i])
+		}
+		if math.Float64bits(st.Cost) != math.Float64bits(o.Cost) {
+			return fmt.Errorf("ps: lane partial commits offer %d at cost %v, offered at %v", st.Offer, st.Cost, o.Cost)
 		}
 	}
 	if !ascendingIDs(p.Outcomes, laneValueID) || !ascendingIDs(p.Continuous, continuousID) ||

@@ -3,6 +3,7 @@ package ps
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"testing"
 )
@@ -218,9 +219,11 @@ func TestShardedDegradedLane(t *testing.T) {
 
 // TestLanePartialCheckRejectsCorruptPartials pins check's defenses: a
 // partial for another slot, none at all, one whose trace disagrees with
-// its selection, commits an offer the lane was never routed or names
-// another sensor than the offer's, or carries a section out of ID order
-// must degrade rather than merge. A sound partial passes.
+// its selection, commits an offer the lane was never routed, names
+// another sensor than the offer's, commits one offer twice or at another
+// cost than it was offered at, or carries a section out of ID order must
+// degrade rather than merge. A sound partial passes, also after the
+// corrupt ones have used the same scratch.
 func TestLanePartialCheckRejectsCorruptPartials(t *testing.T) {
 	n := NewNodeLane(NewRWMWorld(21, 1000, SensorConfig{}), 1, 0)
 	for _, spec := range quadrantPoints(0) {
@@ -236,7 +239,8 @@ func TestLanePartialCheckRejectsCorruptPartials(t *testing.T) {
 	if len(sound.Trace) < 2 {
 		t.Fatalf("the lane selected %d sensors, the test needs two", len(sound.Trace))
 	}
-	if err := sound.check(0, offers); err != nil {
+	seen := make([]bool, len(offers))
+	if err := sound.check(0, offers, seen); err != nil {
 		t.Fatalf("a sound partial is refused: %v", err)
 	}
 	edited := func(edit func(p *LanePartial)) *LanePartial {
@@ -255,14 +259,22 @@ func TestLanePartialCheckRejectsCorruptPartials(t *testing.T) {
 		{"an out-of-range offer", edited(func(p *LanePartial) { p.Trace[0].Offer = len(offers) }), 0},
 		{"a negative offer", edited(func(p *LanePartial) { p.Trace[0].Offer = -1 }), 0},
 		{"an offer naming another sensor", edited(func(p *LanePartial) { p.Trace[0].Offer = p.Trace[1].Offer }), 0},
+		{"a repeated offer", edited(func(p *LanePartial) {
+			p.Trace[1], p.SelectedIDs[1] = p.Trace[0], p.SelectedIDs[0]
+		}), 0},
+		{"a re-priced step", edited(func(p *LanePartial) { p.Trace[1].Cost = math.Nextafter(p.Trace[1].Cost, math.Inf(1)) }), 0},
 		{"a trace/selection length mismatch", edited(func(p *LanePartial) { p.SelectedIDs = p.SelectedIDs[1:] }), 0},
 		{"results out of ID order", edited(func(p *LanePartial) { slices.Reverse(p.Results) }), 0},
 		{"the wrong slot", sound, 1},
 		{"a nil partial", nil, 0},
 	} {
-		if err := tc.p.check(tc.slot, offers); err == nil {
+		if err := tc.p.check(tc.slot, offers, seen); err == nil {
 			t.Errorf("check accepted %s", tc.name)
 		}
+	}
+	// The scratch carries nothing from one check to the next.
+	if err := sound.check(0, offers, seen); err != nil {
+		t.Fatalf("a sound partial is refused after the corrupt ones: %v", err)
 	}
 }
 
@@ -271,11 +283,37 @@ func TestLanePartialCheckRejectsCorruptPartials(t *testing.T) {
 // no panic — while every healthy lane merges, and the lane merges again
 // the next slot.
 func TestShardedCorruptPartialDegrades(t *testing.T) {
+	requireCorruptLaneDegrades(t, func(p *LanePartial) {
+		if len(p.Trace) > 0 {
+			p.Trace[0].Offer = 1 << 30
+		}
+	})
+}
+
+// TestShardedDuplicateOfferDegrades: a node whose partial commits one
+// offer twice (its second step and selection repeat its first) degrades
+// that lane's slot instead of merging the sensor twice and dropping the
+// lane's real second commit.
+func TestShardedDuplicateOfferDegrades(t *testing.T) {
+	requireCorruptLaneDegrades(t, func(p *LanePartial) {
+		if len(p.Trace) > 1 {
+			p.Trace[1], p.SelectedIDs[1] = p.Trace[0], p.SelectedIDs[0]
+		}
+	})
+}
+
+// requireCorruptLaneDegrades runs three slots of quadrant points on
+// newWireSharded(21, 1000, 4) with corrupt applied to lane 1's partial
+// at slot 1: that slot must degrade exactly lane 1, which merges no
+// answer and no sensor, while every healthy lane merges; the other
+// slots degrade nothing.
+func requireCorruptLaneDegrades(t *testing.T, corrupt func(p *LanePartial)) {
+	t.Helper()
 	const bad, badSlot = 1, 1
 	sa := newWireSharded(21, 1000, 4)
 	sa.lanes[bad].(*wireLane).corrupt = func(t int, p *LanePartial) {
-		if t == badSlot && len(p.Trace) > 0 {
-			p.Trace[0].Offer = 1 << 30
+		if t == badSlot {
+			corrupt(p)
 		}
 	}
 	for slot := 0; slot < 3; slot++ {

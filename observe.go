@@ -22,7 +22,7 @@ type StageTiming = obs.Span
 // engine wraps both with ingest and publish.
 const (
 	StageIngest      = "ingest"       // submissions/cancels drained between slots
-	StageMembership  = "membership"   // cluster: fact-TTL sweep, liveness gauges
+	StageMembership  = "membership"   // cluster: lane-liveness sweep, live/suspect gauges
 	StageOfferGather = "offer_gather" // Fleet.Step: collecting sensor offers
 	StageRoute       = "route"        // sharded: routing offers to shards
 	StageSelection   = "selection"    // unsharded: the full selection pass

@@ -134,8 +134,13 @@ type ShardedAggregator struct {
 	// slot (executeSlot copies what it keeps), so reuse is safe.
 	partsBuf    [][]core.Offer
 	gidxBuf     [][]int
-	takenBuf    map[int]bool
 	residualBuf []core.Offer
+	// seenBuf is LanePartial.check's per-lane record of the routed
+	// offers a trace has committed; takenBuf marks, by slot offer index,
+	// the offers the merged lanes committed, so the spanning pass gets
+	// the rest.
+	seenBuf  []bool
+	takenBuf []bool
 }
 
 // NewShardedAggregator builds a sharded execution layer over a world with
@@ -343,7 +348,8 @@ func (sa *ShardedAggregator) RunSlot() *SlotReport {
 	var degraded []LaneError
 	for k := range sa.lanes {
 		if laneErrs[k] == nil {
-			laneErrs[k] = partials[k].check(t, parts[k])
+			sa.seenBuf = slices.Grow(sa.seenBuf[:0], len(parts[k]))[:len(parts[k])]
+			laneErrs[k] = partials[k].check(t, parts[k], sa.seenBuf)
 		}
 		if laneErrs[k] != nil {
 			partials[k] = nil
@@ -359,22 +365,21 @@ func (sa *ShardedAggregator) RunSlot() *SlotReport {
 	var span *LanePartial
 	residual := sa.residualBuf[:0]
 	if sa.span.pendingWork(t) {
-		if sa.takenBuf == nil {
-			sa.takenBuf = make(map[int]bool)
-		} else {
-			clear(sa.takenBuf)
-		}
-		taken := sa.takenBuf
-		for _, p := range partials {
+		// check has vetted every merged trace's offers against its lane's
+		// routed slice, so gidx maps each to its slot offer.
+		taken := slices.Grow(sa.takenBuf[:0], len(offers))[:len(offers)]
+		clear(taken)
+		sa.takenBuf = taken
+		for k, p := range partials {
 			if p == nil {
 				continue
 			}
-			for _, id := range p.SelectedIDs {
-				taken[id] = true
+			for _, st := range p.Trace {
+				taken[gidx[k][st.Offer]] = true
 			}
 		}
-		for _, o := range offers {
-			if !taken[o.Sensor.ID] {
+		for i, o := range offers {
+			if !taken[i] {
 				residual = append(residual, o)
 			}
 		}
